@@ -109,7 +109,8 @@ class InstanceConfig:
 
 def load_instance(path) -> InstanceConfig:
     """Parse an instance file; raises ConfigError on malformed input."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # ';' separates terms and kernel rows, so only '#' starts a comment
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str  # keep key case (M1 vs m1 in [overrides])
     read = parser.read(str(path))
     if not read:

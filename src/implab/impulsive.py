@@ -28,7 +28,7 @@ from scipy.stats import qmc
 
 from .ap_analysis import StronglyAPSet
 from .evolution import LinearCoefficient
-from .spectral import DirichletLaplacian
+from .spectral import DirichletLaplacian, SineTransform
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
 from .trig import SeqGen, TrigSum
 
@@ -77,6 +77,7 @@ JUMP_MAP_CATALOGUE = {
     "identity": (lambda u: u, 1.0),
     "relu": (lambda u: np.maximum(u, 0.0), 1.0),
     "tanh": (np.tanh, 1.0),
+    "sin": (np.sin, 1.0),
 }
 
 
@@ -102,13 +103,19 @@ class ImpulseSurfaceSpec:
             raise ValueError("explicit slope window does not match the index window")
         return s
 
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        return self.slope_window()
+
+    @cached_property
+    def _base_times(self) -> np.ndarray:
+        return self.base_times()
+
     def slope(self, j) -> float:
-        pos = int(j) - self.base.window[0]
-        return float(self.slope_window()[pos])
+        return float(self._slopes[int(j) - self.base.window[0]])
 
     def base_time(self, j) -> float:
-        pos = int(j) - self.base.window[0]
-        return float(self.base_times()[pos])
+        return float(self._base_times[int(j) - self.base.window[0]])
 
     @staticmethod
     def q_functional(x) -> float | np.ndarray:
@@ -203,13 +210,14 @@ class JumpSpec:
             return np.asarray(self.d(int(j)), dtype=float)
         return np.asarray(self.d, dtype=float)
 
-    def g(self, j, x, lap: DirichletLaplacian, xi_grid) -> np.ndarray:
-        out = self.offset(j, lap.n_modes)
+    def g(self, j, x, transform: SineTransform) -> np.ndarray:
+        """g_j at x of shape (N,) or (S, N), on the grid of ``transform``."""
+        out = self.offset(j, np.shape(x)[-1])
         if self.left is not None and self.nonlinearity != "zero":
-            image = lap.nonlinear_image(x, self.i_map, xi_grid)
+            image = transform.nonlinear_image(x, self.i_map)
             # <chi_r, I(u)> by Parseval on the projected image
-            inner = np.asarray(self.right, dtype=float) @ image
-            out = out + self.amp_at(j) * (inner @ np.asarray(self.left, dtype=float))
+            inner = np.asarray(self.right, dtype=float) @ image.T
+            out = out + self.amp_at(j) * (inner.T @ np.asarray(self.left, dtype=float))
         return out
 
 
@@ -244,16 +252,17 @@ class ImpulseSystemSpec:
         return self.a * self.b
 
     @cached_property
-    def _xi_grid(self) -> np.ndarray:
-        return self.lap.uniform_grid(self.n_xi)
+    def transform(self) -> SineTransform:
+        """Sine basis and weights of the uniform n_xi grid, built once."""
+        return SineTransform(self.lap, self.lap.uniform_grid(self.n_xi))
 
     def xi_grid(self) -> np.ndarray:
-        return self._xi_grid
+        return self.transform.xi
 
     def f_image(self, x) -> np.ndarray:
         """State part of the nonlinearity: project((rho - u) u)."""
         rho = self.rho
-        return self.lap.nonlinear_image(x, lambda u: (rho - u) * u, self.xi_grid())
+        return self.transform.nonlinear_image(x, lambda u: (rho - u) * u)
 
     def f(self, t, x) -> np.ndarray:
         if self.f_override is not None:
@@ -264,7 +273,7 @@ class ImpulseSystemSpec:
         return self.surfaces.tau(j, x)
 
     def g(self, j, x) -> np.ndarray:
-        return self.jumps.g(j, x, self.lap, self.xi_grid())
+        return self.jumps.g(j, x, self.transform)
 
     def in_ball(self, x, slack=1e-9) -> bool:
         return self.lap.frac_norm(x, self.alpha) <= self.rho * (1.0 + slack)
@@ -523,37 +532,29 @@ class BeatingCertificate:
         }
 
 
-def _nonnegative_samples(system, n_samples, rng):
+def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
     """Non-negative states in the ball: sums of squared sines, rescaled.
 
     Low-discrepancy weights drive u = sum_m w_m sin^2(m pi xi / l); half the
     samples are pushed to the ball boundary |x|_alpha = rho (the functionals
-    in P are extremized there), the rest fill the interior.
+    in P are extremized there), the rest fill the interior.  Returns an
+    (S, N) array; draws with weights summing below 1e-8 or with a vanishing
+    norm are dropped.
     """
-    lap, alpha, rho = system.lap, system.alpha, system.rho
-    xi = system.xi_grid()
+    lap, tr = system.lap, system.transform
     sob = qmc.Sobol(d=5, seed=rng.integers(2**31))
     raw = sob.random(n_samples)
-    out = []
-    attempts = 0
-    for row in raw:
-        attempts += 1
-        if attempts > 20 * n_samples:
-            raise RuntimeError("sample generation failed to stay in the ball")
-        w = row[:4]
-        if np.sum(w) < 1e-8:
-            continue
-        u = np.zeros(xi.size)
-        for m, wm in enumerate(w, start=1):
-            u += wm * np.sin(m * np.pi * xi / lap.l) ** 2
-        x = lap.project(u, xi)
-        nrm = lap.frac_norm(x, alpha)
-        if nrm < 1e-12:
-            continue
-        scale = rho / nrm if row[4] < 0.5 else rho * (0.1 + 1.8 * (row[4] - 0.5)) / nrm
-        scale = min(scale, rho / nrm)
-        out.append(scale * x)
-    return out
+    raw = raw[np.sum(raw[:, :4], axis=1) >= 1e-8]
+    u = np.zeros((raw.shape[0], tr.xi.size))
+    for m in range(1, 5):
+        u += raw[:, m - 1, None] * np.sin(m * np.pi * tr.xi / lap.l) ** 2
+    x = tr.project(u)
+    nrm = lap.frac_norm(x, system.alpha)
+    keep = nrm >= 1e-12
+    x, nrm, r = x[keep], nrm[keep], raw[keep, 4]
+    rho = system.rho
+    scale = np.where(r < 0.5, rho / nrm, rho * (0.1 + 1.8 * (r - 0.5)) / nrm)
+    return np.minimum(scale, rho / nrm)[:, None] * x
 
 
 def beating_certificate(
@@ -563,39 +564,32 @@ def beating_certificate(
 
     theta_j(x) <= 0 and P(u) < 1 must hold on every sampled non-negative
     state in the ball; beta_0 is the slope threshold below which the bound
-    chain for P closes automatically.
+    chain for P closes automatically.  All samples of the surface are
+    evaluated as one (S, N) batch.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    lap = system.lap
+    lap, tr = system.lap, system.transform
     b_j = system.surfaces.slope(j)
-    xi = system.xi_grid()
-    w_quad = lap.quad_weights(xi)
 
     sup_ab = system.ab.sup_bound()
     rho, l = system.rho, lap.l
     beta0 = 0.5 / ((1.0 + sup_ab) * (rho**2 + np.sqrt(l) * rho**3))
 
-    theta_check = -np.inf
-    p_check = -np.inf
-    samples = _nonnegative_samples(system, n_samples, rng)
-    for x in samples:
-        q = ImpulseSurfaceSpec.q_functional(x)
-        tau = system.surfaces.base_time(j) + b_j * q
-        theta_j = b_j * (ImpulseSurfaceSpec.q_functional(x + system.g(j, x)) - q)
-        theta_check = max(theta_check, theta_j)
-        u = lap.eval_physical(x, xi)
-        cubic = float(np.sum(w_quad * u**3))
-        grad_sq = float(np.sum(lap.eigenvalues * x * x))
-        p_val = -2.0 * b_j * grad_sq + 2.0 * b_j * system.a(tau) * (
-            q - system.b(tau) * cubic
-        )
-        p_check = max(p_check, p_val)
+    x = _nonnegative_samples(system, n_samples, rng)
+    q = ImpulseSurfaceSpec.q_functional(x)
+    tau = system.surfaces.base_time(j) + b_j * q
+    theta = b_j * (ImpulseSurfaceSpec.q_functional(x + system.g(j, x)) - q)
+    cubic = np.sum(tr.weights * tr.synthesize(x) ** 3, axis=-1)
+    grad_sq = np.sum(lap.eigenvalues * x * x, axis=-1)
+    p_val = -2.0 * b_j * grad_sq + 2.0 * b_j * system.a(tau) * (q - system.b(tau) * cubic)
+    theta_check = float(np.max(theta, initial=-np.inf))
+    p_check = float(np.max(p_val, initial=-np.inf))
     verdict = bool(theta_check <= 1e-10 and p_check < 1.0)
     return BeatingCertificate(
         surface=int(j),
-        theta_check=float(theta_check),
-        p_check=float(p_check),
+        theta_check=theta_check,
+        p_check=p_check,
         beta0=float(beta0),
-        n_samples=len(samples),
+        n_samples=x.shape[0],
         verdict=verdict,
     )

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "DirichletLaplacian",
+    "SineTransform",
     "SmoothingConstants",
     "AliasingError",
 ]
@@ -105,14 +106,20 @@ class DirichletLaplacian:
         x = np.asarray(x, dtype=float)
         return x @ self.basis_matrix(xi)
 
-    def _check_grid(self, xi_grid: np.ndarray) -> np.ndarray:
+    def quad_weights(self, xi_grid) -> np.ndarray:
+        """Composite trapezoid weights of the (possibly nonuniform) grid."""
         xi_grid = np.asarray(xi_grid, dtype=float)
-        if xi_grid.size < 4 * self.n_modes:
-            raise AliasingError(
-                "aliasing risk: grid has %d points, need >= 4N = %d"
-                % (xi_grid.size, 4 * self.n_modes)
-            )
-        return xi_grid
+        h = np.diff(xi_grid)
+        w = np.zeros_like(xi_grid)
+        w[:-1] += 0.5 * h
+        w[1:] += 0.5 * h
+        return w
+
+    def transform(self, xi_grid=None) -> SineTransform:
+        """Basis and weights of ``xi_grid`` (default: uniform 16N grid)."""
+        if xi_grid is None:
+            xi_grid = self.uniform_grid(16 * self.n_modes)
+        return SineTransform(self, xi_grid)
 
     def project(self, u, xi_grid=None) -> np.ndarray:
         """Coefficients <u, e_k> by composite trapezoid quadrature.
@@ -121,33 +128,11 @@ class DirichletLaplacian:
         (which defaults to a uniform 16N grid).  Round-trips with
         ``eval_physical`` on the span of the first N modes.
         """
-        if xi_grid is None:
-            xi_grid = self.uniform_grid(16 * self.n_modes)
-        xi_grid = self._check_grid(xi_grid)
-        vals = np.asarray(u(xi_grid) if callable(u) else u, dtype=float)
-        if vals.shape[-1] != xi_grid.size:
-            raise ValueError("value array does not match the grid")
-        h = np.diff(xi_grid)
-        w = np.zeros_like(xi_grid)
-        w[:-1] += 0.5 * h
-        w[1:] += 0.5 * h
-        return (vals * w) @ self.basis_matrix(xi_grid).T
-
-    def quad_weights(self, xi_grid) -> np.ndarray:
-        xi_grid = np.asarray(xi_grid, dtype=float)
-        h = np.diff(xi_grid)
-        w = np.zeros_like(xi_grid)
-        w[:-1] += 0.5 * h
-        w[1:] += 0.5 * h
-        return w
+        return self.transform(xi_grid).project(u)
 
     def nonlinear_image(self, x, pointwise_map, xi_grid=None) -> np.ndarray:
         """project(pointwise_map(eval_physical(x))) on an anti-aliased grid."""
-        if xi_grid is None:
-            xi_grid = self.uniform_grid(16 * self.n_modes)
-        xi_grid = self._check_grid(xi_grid)
-        u = self.eval_physical(x, xi_grid)
-        return self.project(pointwise_map(u), xi_grid)
+        return self.transform(xi_grid).nonlinear_image(x, pointwise_map)
 
     # -- fitted smoothing constant -------------------------------------
 
@@ -169,3 +154,36 @@ class DirichletLaplacian:
             y = self.frac_weights(alpha) * self.semigroup_apply(t, x)
             best = max(best, np.linalg.norm(y) * t**alpha * np.exp(delta * t))
         return SmoothingConstants(alpha=alpha, C_alpha=slack * best, delta=delta)
+
+
+class SineTransform:
+    """The sine basis (N, n) and trapezoid weights of one grid, built once.
+
+    States may be batched as (..., N).  Grids with fewer than 4N points are
+    rejected (aliasing).
+    """
+
+    def __init__(self, lap: DirichletLaplacian, xi_grid):
+        xi = np.asarray(xi_grid, dtype=float)
+        if xi.size < 4 * lap.n_modes:
+            raise AliasingError(
+                "aliasing risk: grid has %d points, need >= 4N = %d"
+                % (xi.size, 4 * lap.n_modes)
+            )
+        self.xi = xi
+        self.basis = lap.basis_matrix(xi)
+        self.weights = lap.quad_weights(xi)
+
+    def synthesize(self, x) -> np.ndarray:
+        """u on the grid from coefficients x of shape (..., N)."""
+        return np.asarray(x, dtype=float) @ self.basis
+
+    def project(self, u) -> np.ndarray:
+        """Coefficients of grid values (..., n) or of a callable on (0, l)."""
+        vals = np.asarray(u(self.xi) if callable(u) else u, dtype=float)
+        if vals.shape[-1] != self.xi.size:
+            raise ValueError("value array does not match the grid")
+        return (vals * self.weights) @ self.basis.T
+
+    def nonlinear_image(self, x, pointwise_map) -> np.ndarray:
+        return self.project(pointwise_map(self.synthesize(x)))

@@ -132,6 +132,16 @@ def test_malformed_terms(tmp_path):
         load_instance(write_config(tmp_path, text))
 
 
+def test_terms_separator_is_not_a_comment(tmp_path):
+    for sep in (" ; ", "; ", ";"):
+        text = BASE.replace(
+            "terms = 0.2 1.0 0.0", "terms = 0.2 1.0 0.0%s0.3 3.0 0.0  # two terms" % sep
+        )
+        a = load_instance(write_config(tmp_path, text)).system.a
+        assert a.terms == ((0.2, 1.0, 0.0), (0.3, 3.0, 0.0)), sep
+        assert a.offset == 0.5
+
+
 # ---------------------------------------------------------------------------
 # cli commands
 # ---------------------------------------------------------------------------
@@ -226,3 +236,36 @@ def test_cmd_analyze_ap(tmp_path):
     rec = read_record(out / "ap_analysis.txt")
     assert "eps_0.01_sequence_n_periods" in rec
     assert int(rec["eps_0.01_sequence_n_periods"]) >= 1
+
+
+def test_cmd_constants_sin_jump_map(tmp_path):
+    text = BASE.replace(
+        "nonlinearity = zero",
+        "nonlinearity = sin\nkernel_left = 1.0\nkernel_right = 1.0\namp_constant = 0.02",
+    )
+    out = tmp_path / "out"
+    assert main(["constants", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    assert float(read_record(out / "kbundle.txt")["K2"]) > 0.0
+
+
+def test_one_sine_basis_per_grid(tmp_path, monkeypatch):
+    # the transforms must reuse the system's basis instead of rebuilding it
+    from implab.spectral import DirichletLaplacian
+
+    builds = []
+    build = DirichletLaplacian.basis_matrix
+
+    def counted(self, xi):
+        builds.append(np.asarray(xi, dtype=float).tobytes())
+        return build(self, xi)
+
+    monkeypatch.setattr(DirichletLaplacian, "basis_matrix", counted)
+    text = BASE.replace(
+        "nonlinearity = zero",
+        "nonlinearity = relu\nkernel_left = 1.0\nkernel_right = 1.0\namp_constant = 0.02",
+    )
+    cfg_path = write_config(tmp_path, text)
+    for command in ("certify", "simulate"):
+        builds.clear()
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / command)]) == 0
+        assert 1 <= len(builds) == len(set(builds)), command

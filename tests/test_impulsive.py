@@ -3,7 +3,10 @@ import pytest
 from scipy.optimize import brentq
 
 from implab.ap_analysis import StronglyAPSet
+from scipy.stats import qmc
+
 from implab.impulsive import (
+    JUMP_MAP_CATALOGUE,
     BallExitError,
     ImpulseSurfaceSpec,
     ImpulseSystemSpec,
@@ -313,3 +316,99 @@ def test_simulate_nonnegativity():
     t_all, states = traj.all_nodes()
     u = sys0.lap.eval_physical(states, xi)
     assert np.min(u) >= -1e-8 * max(1.0, np.max(np.abs(u)))
+
+
+def test_surface_lookups_index_the_window_arrays():
+    sys0 = make_system(slopes=SeqGen(freqs=(0.7,), amps=(0.05,), phases=(0.0,), offset=-0.2))
+    surf = sys0.surfaces
+    for pos, j in enumerate(surf.indices()):
+        assert surf.base_time(j) == surf.base_times()[pos]
+        assert surf.slope(j) == surf.slope_window()[pos]
+
+
+def test_jump_map_catalogue_zero_and_lipschitz():
+    rng = np.random.default_rng(33)
+    u, v = rng.uniform(-3.0, 3.0, (2, 1000))
+    for name, (i_map, lip) in JUMP_MAP_CATALOGUE.items():
+        assert np.all(i_map(np.zeros(3)) == 0.0), name
+        assert np.all(np.abs(i_map(u) - i_map(v)) <= lip * np.abs(u - v) + 1e-15), name
+
+
+# ---------------------------------------------------------------------------
+# batched certificate against the per-sample loop
+# ---------------------------------------------------------------------------
+
+
+def certificate_by_sample(system, j, n_samples, rng):
+    """Reference: the beating certificate evaluated one sample at a time."""
+    lap, alpha, rho = system.lap, system.alpha, system.rho
+    xi = system.xi_grid()
+    w_quad = lap.quad_weights(xi)
+    b_j = system.surfaces.slope(j)
+    sob = qmc.Sobol(d=5, seed=rng.integers(2**31))
+    samples = []
+    for row in sob.random(n_samples):
+        w = row[:4]
+        if np.sum(w) < 1e-8:
+            continue
+        u = np.zeros(xi.size)
+        for m, wm in enumerate(w, start=1):
+            u += wm * np.sin(m * np.pi * xi / lap.l) ** 2
+        x = lap.project(u, xi)
+        nrm = lap.frac_norm(x, alpha)
+        if nrm < 1e-12:
+            continue
+        scale = rho / nrm if row[4] < 0.5 else rho * (0.1 + 1.8 * (row[4] - 0.5)) / nrm
+        samples.append(min(scale, rho / nrm) * x)
+    theta_check = p_check = -np.inf
+    for x in samples:
+        q = ImpulseSurfaceSpec.q_functional(x)
+        tau = system.surfaces.base_time(j) + b_j * q
+        theta_j = b_j * (ImpulseSurfaceSpec.q_functional(x + system.g(j, x)) - q)
+        theta_check = max(theta_check, theta_j)
+        u = lap.eval_physical(x, xi)
+        cubic = float(np.sum(w_quad * u**3))
+        grad_sq = float(np.sum(lap.eigenvalues * x * x))
+        p_val = -2.0 * b_j * grad_sq + 2.0 * b_j * system.a(tau) * (
+            q - system.b(tau) * cubic
+        )
+        p_check = max(p_check, p_val)
+    beta0 = 0.5 / ((1.0 + system.ab.sup_bound()) * (rho**2 + np.sqrt(lap.l) * rho**3))
+    return theta_check, p_check, beta0, len(samples)
+
+
+def readme_like():
+    left = np.zeros((1, 16))
+    left[0, 0] = 1.0
+    d = np.zeros(16)
+    d[0] = 0.05
+    jumps = JumpSpec(left=left, right=left.copy(), nonlinearity="relu",
+                     amp=SeqGen.constant(0.02), d=d)
+    return make_system(
+        n_modes=16,
+        a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
+        b=TrigSum(0.1, ((0.05, 1.41421356237, 0.0),)),
+        slopes=SeqGen.constant(-0.2),
+        jumps=jumps,
+    )
+
+
+@pytest.mark.parametrize("build", [readme_like, make_system, certified_logistic])
+@pytest.mark.parametrize("n_samples", [0, 8, 256])
+def test_batched_certificate_matches_per_sample_loop(build, n_samples):
+    sys0 = build()
+    for j in (1, 4):
+        cert = beating_certificate(sys0, j, n_samples=n_samples,
+                                   rng=np.random.default_rng([34, j]))
+        theta, p_val, beta0, count = certificate_by_sample(
+            sys0, j, n_samples, np.random.default_rng([34, j])
+        )
+        assert cert.n_samples == count
+        assert cert.verdict == bool(theta <= 1e-10 and p_val < 1.0)
+        assert cert.beta0 == beta0
+        if count == 0:
+            assert cert.theta_check == theta == -np.inf
+            assert cert.p_check == p_val == -np.inf
+            continue
+        assert cert.theta_check == pytest.approx(theta, rel=1e-13, abs=1e-15)
+        assert cert.p_check == pytest.approx(p_val, rel=1e-13, abs=1e-15)

@@ -137,3 +137,45 @@ def test_heat_semigroup_positivity(lap):
         for t in (0.0, 0.01, 0.1, 1.0):
             u = lap.eval_physical(lap.semigroup_apply(t, x), xi)
             assert np.min(u) >= -1e-8 * max(scale, 1.0)
+
+
+def test_transform_owns_basis_and_weights(lap):
+    xi = lap.uniform_grid(128)
+    tr = lap.transform(xi)
+    assert np.array_equal(tr.basis, lap.basis_matrix(xi))
+    assert np.array_equal(tr.weights, lap.quad_weights(xi))
+    with pytest.raises(AliasingError):
+        lap.transform(lap.uniform_grid(4 * lap.n_modes - 2))
+
+
+def test_transforms_bit_equal_to_explicit_formulas(lap):
+    # the arithmetic of the per-call formulas: (vals * w) @ B.T and x @ B
+    rng = np.random.default_rng(10)
+    xi = lap.uniform_grid(128)
+    B = np.sqrt(2.0 / lap.l) * np.sin(
+        np.arange(1, lap.n_modes + 1)[:, None] * np.pi * xi[None, :] / lap.l
+    )
+    h = np.diff(xi)
+    w = np.zeros_like(xi)
+    w[:-1] += 0.5 * h
+    w[1:] += 0.5 * h
+    x = rng.standard_normal(lap.n_modes)
+    vals = rng.standard_normal(xi.size)
+    tr = lap.transform(xi)
+    assert np.array_equal(lap.eval_physical(x, xi), x @ B)
+    assert np.array_equal(tr.synthesize(x), x @ B)
+    assert np.array_equal(lap.project(vals, xi), (vals * w) @ B.T)
+    assert np.array_equal(tr.project(vals), (vals * w) @ B.T)
+    cube = lambda u: u**3  # noqa: E731
+    expected = (cube(x @ B) * w) @ B.T
+    assert np.array_equal(lap.nonlinear_image(x, cube, xi), expected)
+    assert np.array_equal(tr.nonlinear_image(x, cube), expected)
+
+
+def test_transform_batches_over_leading_axis(lap):
+    rng = np.random.default_rng(11)
+    tr = lap.transform(lap.uniform_grid(128))
+    xs = rng.standard_normal((5, lap.n_modes))
+    batched = tr.nonlinear_image(xs, np.tanh)
+    for x, row in zip(xs, batched):
+        assert np.allclose(row, tr.nonlinear_image(x, np.tanh), rtol=1e-13, atol=1e-15)
