@@ -195,8 +195,12 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
         Q=gc["value"], N1=measured["N1"], H1=0.0, M0=measured["M0"],
         g_star=measured["g_star"],
     )
-    rep = verify_smallness(
-        system, bounds, kb, rng=np.random.default_rng([seed, _STAGE_SMALLNESS])
+    rep = replace(
+        verify_smallness(
+            system, bounds, kb, rng=np.random.default_rng([seed, _STAGE_SMALLNESS])
+        ),
+        observed_inner_ratio=res.meta["observed_inner_ratio"],
+        observed_S_ratio=res.meta["observed_S_ratio"],
     )
 
     # residual probes away from the window edges (the truncated Green tail

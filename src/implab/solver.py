@@ -31,7 +31,7 @@ from .ap_analysis import (
     wexler_deviation,
 )
 from .evolution import DichotomyData, KBundle, _green_integral_at
-from .impulsive import BallExitError, ImpulseSystemSpec
+from .impulsive import BallExitError, ImpulseSystemSpec, _phi_weights
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
 
 __all__ = [
@@ -132,6 +132,8 @@ class ContractionReport:
     L_prime: float | None
     check_KM0: bool
     check_N1: bool
+    # largest ratio of successive increments in the final inner solve, and of
+    # successive outer steps of S
     observed_inner_ratio: float | None = None
     observed_S_ratio: float | None = None
 
@@ -179,81 +181,120 @@ def _default_buffer(system, dich: DichotomyData, tail_tol) -> float:
     return max(1.0, float(np.log(amp / tail_tol) / dich.beta))
 
 
+# Largest cumulative |z| inside one scan block: e^500 and e^-500 stay finite.
+_SCAN_CLIP = 500.0
+# Longest scan block: bounds the rounding of the in-block cumulative sums.
+_SCAN_MAX_BLOCK = 256
+
+
+class _BlockedScan:
+    """x_0 = 0, x_{k+1} = E_k x_k + c_k for a fixed E, in blocks of equal length.
+
+    Inside a block, x = P cumsum(c / P) with P the running product of E and
+    the block start state carried over as P x_start (the prefix-product form
+    of Blelloch's scan, as in Martin & Cundy's linear-recurrence scan).  The
+    block length keeps the cumulative |log E| under _SCAN_CLIP, so neither P
+    nor c / P leaves the float range.  P depends on the grid only and is
+    built once.
+    """
+
+    def __init__(self, E, z_max):
+        n_steps, k = E.shape
+        length = int(min(_SCAN_MAX_BLOCK, max(1.0, _SCAN_CLIP // max(z_max, 1e-300))))
+        n_blocks = -(-n_steps // length)
+        self.n_steps = n_steps
+        E = np.concatenate([E, np.ones((n_blocks * length - n_steps, k))])
+        E = E.reshape(n_blocks, length, k)
+        self.P = np.cumprod(E, axis=1)
+
+    def __call__(self, c) -> np.ndarray:
+        """States x_0 .. x_n for increments c of shape (n, k)."""
+        n_blocks, length, k = self.P.shape
+        x = np.zeros((n_blocks * length + 1, k))
+        x[1 : self.n_steps + 1] = c
+        body = x[1:].reshape(n_blocks, length, k)  # a view: the scan runs in place
+        body /= self.P
+        np.cumsum(body, axis=1, out=body)
+        body *= self.P
+        starts = np.zeros((n_blocks, k))
+        for b in range(1, n_blocks):
+            starts[b] = self.P[b - 1, -1] * starts[b - 1] + body[b - 1, -1]
+        body += self.P * starts[:, None, :]
+        return x[: self.n_steps + 1]
+
+
 @dataclass(frozen=True)
 class _InnerGrid:
-    """Fixed piecewise-uniform grids split at the frozen impulse times."""
+    """Every inter-impulse piece on one flat node axis.
 
-    cuts: np.ndarray  # frozen times inside the extended window
-    grids: list  # node arrays, one per inter-impulse piece
-    factors: list  # (E, A, B) per piece, shapes (n_steps, N)
+    Each cut appears twice on ``t``: the pre-jump node closes one piece and
+    the post-jump node opens the next.  The two are joined by a zero-length
+    step with E = 1 and A h = B h = 0, whose increment is the jump vector.
+    """
+
+    t: np.ndarray  # (M,) node times
+    Ah: np.ndarray  # (M - 1, N) two-point weights times the step length
+    Bh: np.ndarray
+    joins: np.ndarray  # index of each cut's join step, in cut order
+    forward: _BlockedScan | None  # stable modes, left to right
+    backward: _BlockedScan | None  # unstable modes, right to left, factors 1/E
+    stable: np.ndarray  # boolean mode mask
+    inv_E: np.ndarray  # (M - 1, n_unstable) reversed 1/E of the unstable modes
+
+    def split(self, arr) -> list:
+        """Cut a flat (M, ...) array back into its pieces."""
+        return np.split(arr, self.joins + 1)
 
 
-def _phi_weights_matrix(z):
-    ez = np.exp(-np.clip(z, -700.0, 700.0))
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)
-    A = np.where(small, 0.5 - z / 3.0 + z**2 / 8.0, (1.0 - (1.0 + z) * ez) / zs**2)
-    B = np.where(small, 0.5 - z / 6.0 + z**2 / 24.0, (z - 1.0 + ez) / zs**2)
-    return ez, A, B
-
-
-def _build_inner_grid(system, taus, t_lo, t_hi, h_t) -> _InnerGrid:
-    cuts = np.asarray([t for t in taus if t_lo < t < t_hi])
+def _build_inner_grid(system, dich: DichotomyData, cuts, t_lo, t_hi, h_t) -> _InnerGrid:
+    """Nodes and step factors of every piece between t_lo, the cuts and t_hi."""
     edges = np.concatenate(([t_lo], cuts, [t_hi]))
-    rates = system.coeff.rates(system.lap)
-    m = system.coeff.m
-    grids, factors = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = max(1, int(np.ceil((b - a) / h_t)))
-        t_nodes = np.linspace(a, b, n + 1)
-        h = np.diff(t_nodes)
-        z = rates[None, :] * h[:, None] + (
-            m.antiderivative(t_nodes[1:]) - m.antiderivative(t_nodes[:-1])
-        )[:, None]
-        E, A, B = _phi_weights_matrix(z)
-        grids.append(t_nodes)
-        factors.append((E, A * h[:, None], B * h[:, None]))
-    return _InnerGrid(cuts=cuts, grids=grids, factors=factors)
+    n = np.maximum(1, np.ceil(np.diff(edges) / h_t).astype(int))
+    t = np.concatenate(
+        [np.linspace(a, b, k + 1) for a, b, k in zip(edges[:-1], edges[1:], n)]
+    )
+    h = np.diff(t)
+    z = system.coeff.rates(system.lap)[None, :] * h[:, None] + np.diff(
+        system.coeff.m.antiderivative(t)
+    )[:, None]
+    E, _, A, B = _phi_weights(z)
+    z_max = np.max(np.abs(z), axis=0)
+    stable = ~dich.unstable
+    forward = backward = None
+    if np.any(stable):
+        forward = _BlockedScan(E[:, stable], float(np.max(z_max[stable])))
+    inv_E = 1.0 / E[::-1][:, dich.unstable]
+    if dich.has_unstable:
+        backward = _BlockedScan(inv_E, float(np.max(z_max[dich.unstable])))
+    return _InnerGrid(
+        t=t,
+        Ah=A * h[:, None],
+        Bh=B * h[:, None],
+        joins=np.cumsum(n + 1)[:-1] - 1,
+        forward=forward,
+        backward=backward,
+        stable=stable,
+        inv_E=inv_E,
+    )
 
 
-def _recursion_pass(system, dich: DichotomyData, ig: _InnerGrid, f_vals, jump_map):
+def _recursion_pass(ig: _InnerGrid, f_vals, jumps) -> np.ndarray:
     """One application of the integral operator to sampled forcing values.
 
-    ``f_vals[p]`` holds f(t, u_n(t)) at the nodes of piece p; ``jump_map``
-    maps a cut time to its jump vector.  Stable coordinates scan forward
-    from 0 at the left edge; unstable coordinates scan backward from 0 at
-    the right edge.
+    ``f_vals`` holds f(t, u_n(t)) at the flat nodes and ``jumps`` the jump
+    vector of each cut.  Stable coordinates scan forward from 0 at the left
+    edge; unstable coordinates scan backward from 0 at the right edge.
     """
-    stable = ~dich.unstable
-    n_modes = stable.size
-    out = [np.zeros((g.size, n_modes)) for g in ig.grids]
-
-    # forward sweep (stable modes)
-    if np.any(stable):
-        state = np.zeros(n_modes)
-        for p, (t_nodes, (E, Ah, Bh)) in enumerate(zip(ig.grids, ig.factors)):
-            if p > 0:
-                state = state + np.where(stable, jump_map(ig.cuts[p - 1]), 0.0)
-            out[p][0][stable] = state[stable]
-            fv = f_vals[p]
-            for i in range(t_nodes.size - 1):
-                state = E[i] * state + Ah[i] * fv[i] + Bh[i] * fv[i + 1]
-                out[p][i + 1][stable] = state[stable]
-
-    # backward sweep (unstable modes)
-    if dich.has_unstable:
-        state = np.zeros(n_modes)
-        for p in range(len(ig.grids) - 1, -1, -1):
-            t_nodes = ig.grids[p]
-            E, Ah, Bh = ig.factors[p]
-            fv = f_vals[p]
-            if p < len(ig.grids) - 1:
-                # crossing the cut right-to-left: remove the jump
-                state = state - np.where(dich.unstable, jump_map(ig.cuts[p]), 0.0)
-            out[p][-1][dich.unstable] += state[dich.unstable]
-            for i in range(t_nodes.size - 2, -1, -1):
-                state = (state - Ah[i] * fv[i] - Bh[i] * fv[i + 1]) / E[i]
-                out[p][i][dich.unstable] += state[dich.unstable]
+    c = ig.Ah * f_vals[:-1]
+    c += ig.Bh * f_vals[1:]
+    c[ig.joins] = jumps
+    out = np.empty_like(f_vals)
+    if ig.forward is not None:
+        out[:, ig.stable] = ig.forward(c[:, ig.stable])
+    if ig.backward is not None:
+        # x_i = (x_{i+1} - c_i) / E_i, run left to right on the reversed axis
+        unstable = ~ig.stable
+        out[::-1, unstable] = ig.backward(-c[::-1][:, unstable] * ig.inv_E)
     return out
 
 
@@ -281,31 +322,24 @@ def inner_solve(
         for k, j in enumerate(range(y.window[0], y.window[1] + 1))
         if t_lo < taus[k] < t_hi
     }
-    ig = _build_inner_grid(system, sorted(jump_vecs), t_lo, t_hi, cfg.h_t)
-    jump_map = jump_vecs.__getitem__
+    cuts = sorted(jump_vecs)
+    jumps = np.array([jump_vecs[c] for c in cuts]).reshape(len(cuts), lap.n_modes)
+    ig = _build_inner_grid(system, dich, cuts, t_lo, t_hi, cfg.h_t)
 
-    states = [np.zeros((g.size, lap.n_modes)) for g in ig.grids]
+    if system.f_override is not None:
+        # the override forcing does not depend on the state
+        f_fixed = np.stack([np.asarray(system.f_override(t), dtype=float) for t in ig.t])
+    else:
+        ab = system.ab(ig.t)[:, None]
+    states = np.zeros((ig.t.size, lap.n_modes))
     increments = []
     for it in range(cfg.max_inner):
-        if system.f_override is not None:
-            f_vals = [
-                np.stack([np.asarray(system.f_override(t), dtype=float) for t in g])
-                for g in ig.grids
-            ]
-        else:
-            # f_image batches over the node axis through the spectral transforms
-            f_vals = [
-                system.ab(g)[:, None] * system.f_image(s)
-                for g, s in zip(ig.grids, states)
-            ]
-        new_states = _recursion_pass(system, dich, ig, f_vals, jump_map)
-        inc = max(
-            float(np.max(lap.frac_norm(a - b, alpha))) if a.size else 0.0
-            for a, b in zip(new_states, states)
-        )
+        f_vals = f_fixed if system.f_override is not None else ab * system.f_image(states)
+        new_states = _recursion_pass(ig, f_vals, jumps)
+        inc = float(np.max(lap.frac_norm(new_states - states, alpha)))
         increments.append(inc)
         states = new_states
-        sup = max(float(np.max(lap.frac_norm(s, alpha))) for s in states)
+        sup = float(np.max(lap.frac_norm(states, alpha)))
         if sup > rho * (1.0 + 1e-9):
             raise BallExitError(
                 "ball violation: hypotheses fail (inner iterate |u|_alpha = %g)" % sup
@@ -317,14 +351,14 @@ def inner_solve(
             "inner iteration did not converge; last increment %g" % increments[-1]
         )
 
-    segments = [Segment(t=g, states=s) for g, s in zip(ig.grids, states)]
+    segments = [Segment(t=g, states=s) for g, s in zip(ig.split(ig.t), ig.split(states))]
     traj = PiecewiseTrajectory(segments=segments)
     traj.meta.update(
         {
             "buffer": buf,
             "iterations": len(increments),
             "increments": increments,
-            "sup_alpha": max(float(np.max(lap.frac_norm(s, alpha))) for s in states),
+            "sup_alpha": sup,
             "frozen_times": taus,
         }
     )
@@ -397,9 +431,7 @@ def poincare_map(
 ):
     """S(y)_j = u*(tau_j(y_j), y), sampled left-continuously."""
     traj, info = inner_solve(system, dich, y, window, cfg)
-    taus = info["frozen_times"]
-    vals = np.stack([traj.eval(t) for t in taus])
-    out = APSequencePoint(window=y.window, values=vals)
+    out = APSequencePoint(window=y.window, values=traj.eval_many(info["frozen_times"]))
     if not out.in_ball(system.lap, system.alpha, system.rho):
         raise BallExitError("Poincare image leaves the sequence ball")
     return out, traj, info
@@ -412,6 +444,12 @@ class OuterResult:
     steps: list
     residual: float | None = None
     meta: dict = field(default_factory=dict)
+
+
+def _max_ratio(seq) -> float | None:
+    """Largest ratio of successive entries; None when no entry is divisible."""
+    ratios = [b / a for a, b in zip(seq[:-1], seq[1:]) if a > 0.0]
+    return max(ratios) if ratios else None
 
 
 def outer_solve(
@@ -467,17 +505,20 @@ def outer_solve(
 
     # assemble hit records on the interior and certify hit-time consistency
     taus = info["frozen_times"]
+    report_js = range(report_window[0], report_window[1] + 1)
+    report_taus = taus[report_window[0] - surface_window[0]:
+                       report_window[1] - surface_window[0] + 1]
     hits = []
     worst_hit = 0.0
-    for j in range(report_window[0], report_window[1] + 1):
-        t = float(taus[j - surface_window[0]])
-        pre = traj.eval(t)
+    for j, t, pre in zip(report_js, report_taus.tolist(), traj.eval_many(report_taus)):
         post = pre + system.g(j, y.value(j))
         hits.append(HitRecord(time=t, surface=j, pre=pre, post=post))
         worst_hit = max(worst_hit, abs(t - system.tau(j, pre)))
     traj.hits = hits
     traj.meta["hit_consistency"] = worst_hit
     traj.meta["outer_steps"] = steps
+    traj.meta["observed_inner_ratio"] = _max_ratio(info["increments"])
+    traj.meta["observed_S_ratio"] = _max_ratio(steps)
 
     # estimate (vot) analogue: sup of |u|_gamma away from the hits
     theta = system.surfaces.separation(lap, alpha, system.rho)

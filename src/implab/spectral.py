@@ -156,6 +156,11 @@ class DirichletLaplacian:
         return SmoothingConstants(alpha=alpha, C_alpha=slack * best, delta=delta)
 
 
+# States per batch in nonlinear_image: bounds its (rows, n) grid-value
+# temporaries, which would otherwise dominate peak memory on long time grids.
+_IMAGE_ROWS = 512
+
+
 class SineTransform:
     """The sine basis (N, n) and trapezoid weights of one grid, built once.
 
@@ -186,4 +191,9 @@ class SineTransform:
         return (vals * self.weights) @ self.basis.T
 
     def nonlinear_image(self, x, pointwise_map) -> np.ndarray:
+        """project(pointwise_map(synthesize(x))), in batches of _IMAGE_ROWS states."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and x.shape[0] > _IMAGE_ROWS:
+            parts = np.split(x, range(_IMAGE_ROWS, x.shape[0], _IMAGE_ROWS))
+            return np.concatenate([self.nonlinear_image(p, pointwise_map) for p in parts])
         return self.project(pointwise_map(self.synthesize(x)))

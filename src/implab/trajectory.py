@@ -24,12 +24,20 @@ class Segment:
         object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
 
     def interp(self, t) -> np.ndarray:
-        """Linear interpolation of the coefficients inside the segment."""
+        """Linear interpolation of the coefficients inside the segment.
+
+        Bit for bit what ``np.interp`` gives per mode: the node value at a
+        node, the end value beyond either end, and in between the same
+        slope formula, all found by one ``searchsorted``.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((t.size, self.states.shape[1]))
-        for j in range(self.states.shape[1]):
-            out[:, j] = np.interp(t, self.t, self.states[:, j])
-        return out
+        xp, fp = self.t, self.states
+        j = np.clip(np.searchsorted(xp, t, side="right") - 1, 0, xp.size - 2)
+        x0, x1 = xp[j], xp[j + 1]
+        f0, f1 = fp[j], fp[j + 1]
+        out = (f1 - f0) / (x1 - x0)[:, None] * (t - x0)[:, None] + f0
+        out = np.where((t <= x0)[:, None], f0, out)
+        return np.where((t >= x1)[:, None], f1, out)
 
 
 @dataclass(frozen=True)
@@ -57,27 +65,28 @@ class PiecewiseTrajectory:
     def hit_times(self) -> np.ndarray:
         return np.array([h.time for h in self.hits])
 
-    def segment_containing(self, t: float) -> Segment:
-        """Segment whose half-open span (start, end] contains t (left-continuous)."""
-        for seg in self.segments:
-            if seg.t[0] < t <= seg.t[-1]:
-                return seg
-        if t <= self.segments[0].t[0]:
-            return self.segments[0]
-        return self.segments[-1]
-
     def eval(self, t: float) -> np.ndarray:
-        return self.segment_containing(t).interp(t)[0]
+        return self.eval_many(t)[0]
 
     def eval_many(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        return np.stack([self.eval(t) for t in times])
+        """States at the given times, shape (len(times), N).
+
+        The segments tile [t_start, t_end].  A time is evaluated on the
+        segment whose span (start, end] holds it, so a cut time gives the
+        pre-jump value; earlier times go to the first segment and later ones
+        to the last.
+        """
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        ends = np.array([seg.t[-1] for seg in self.segments])
+        k = np.minimum(np.searchsorted(ends, t, side="left"), ends.size - 1)
+        out = np.empty((t.size, self.segments[0].states.shape[1]))
+        order = np.argsort(k, kind="stable")
+        for idx in np.split(order, np.flatnonzero(np.diff(k[order])) + 1):
+            out[idx] = self.segments[k[idx[0]]].interp(t[idx])
+        return out
 
     def all_nodes(self):
         """Concatenated (t, states) over all segments, duplicating jump times."""
         t = np.concatenate([seg.t for seg in self.segments])
         s = np.concatenate([seg.states for seg in self.segments])
         return t, s
-
-    def final_state(self) -> np.ndarray:
-        return self.segments[-1].states[-1]

@@ -1,5 +1,7 @@
 import contextlib
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +225,17 @@ def test_cmd_solve_ap_and_determinism(tmp_path):
     # report window: surfaces strictly inside (0, 6)
     assert np.array_equal(idx, np.arange(1.0, 6.0))
     assert np.all(np.isfinite(yv))
+
+
+def test_observed_contraction_ratios_readme_instance(tmp_path):
+    # the example instance file of the README
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    out = tmp_path / "out"
+    assert main(["solve-ap", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    rec = read_record(out / "contraction.txt")
+    assert 0.0 < float(rec["observed_inner_ratio"]) < 1.0
+    assert 0.0 < float(rec["observed_S_ratio"]) < 1.0
 
 
 def test_cmd_analyze_ap(tmp_path):

@@ -1,13 +1,18 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from implab.ap_analysis import StronglyAPSet
-from implab.evolution import bounded_solution, fit_dichotomy, k_bundle
-from implab.impulsive import ImpulseSurfaceSpec, ImpulseSystemSpec, JumpSpec
+from implab.evolution import LinearCoefficient, bounded_solution, fit_dichotomy, k_bundle
+from implab.impulsive import ImpulseSurfaceSpec, ImpulseSystemSpec, JumpSpec, _phi_weights
 from implab.solver import (
     APSequencePoint,
     ProblemBounds,
     SolverConfig,
+    _build_inner_grid,
+    _recursion_pass,
     certify_almost_periodicity,
     inner_solve,
     integral_residual,
@@ -16,6 +21,7 @@ from implab.solver import (
     poincare_map,
     verify_smallness,
 )
+from implab.spectral import DirichletLaplacian
 from implab.trig import SeqGen, TrigSum
 
 
@@ -50,6 +56,100 @@ def const_d(n, c=0.02):
 
 
 CFG = SolverConfig(h_t=0.005)
+
+
+def pieces_by_loop(system, cuts, t_lo, t_hi, h_t):
+    """Nodes and (E, A h, B h) of each piece, built one piece at a time."""
+    edges = np.concatenate(([t_lo], cuts, [t_hi]))
+    rates = system.coeff.rates(system.lap)
+    m = system.coeff.m
+    grids, factors = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        n = max(1, int(np.ceil((b - a) / h_t)))
+        t_nodes = np.linspace(a, b, n + 1)
+        h = np.diff(t_nodes)
+        z = rates[None, :] * h[:, None] + (
+            m.antiderivative(t_nodes[1:]) - m.antiderivative(t_nodes[:-1])
+        )[:, None]
+        E, _, A, B = _phi_weights(z)
+        grids.append(t_nodes)
+        factors.append((E, A * h[:, None], B * h[:, None]))
+    return grids, factors
+
+
+def recursion_by_node(dich, grids, factors, f_vals, jumps):
+    """The per-node sweep over the pieces that the blocked scan replaced."""
+    stable = ~dich.unstable
+    n_modes = stable.size
+    out = [np.zeros((g.size, n_modes)) for g in grids]
+    if np.any(stable):
+        state = np.zeros(n_modes)
+        for p, (t_nodes, (E, Ah, Bh)) in enumerate(zip(grids, factors)):
+            if p > 0:
+                state = state + np.where(stable, jumps[p - 1], 0.0)
+            out[p][0][stable] = state[stable]
+            fv = f_vals[p]
+            for i in range(t_nodes.size - 1):
+                state = E[i] * state + Ah[i] * fv[i] + Bh[i] * fv[i + 1]
+                out[p][i + 1][stable] = state[stable]
+    if dich.has_unstable:
+        state = np.zeros(n_modes)
+        for p in range(len(grids) - 1, -1, -1):
+            E, Ah, Bh = factors[p]
+            fv = f_vals[p]
+            if p < len(grids) - 1:
+                state = state - np.where(dich.unstable, jumps[p], 0.0)
+            out[p][-1][dich.unstable] += state[dich.unstable]
+            for i in range(grids[p].size - 2, -1, -1):
+                state = (state - Ah[i] * fv[i] - Bh[i] * fv[i + 1]) / E[i]
+                out[p][i][dich.unstable] += state[dich.unstable]
+    return out
+
+
+def scan_case(name):
+    if name == "unstable":
+        # mode 1 shifted below zero, as in the Definition 2.2(iv) check
+        lap = DirichletLaplacian(l=1.0, n_modes=4)
+        sigma = np.zeros(4)
+        sigma[0] = -lap.eigenvalues[0] - 2.0
+        coeff = LinearCoefficient(m=TrigSum(0.0, ((0.3, 1.0, 0.0),)), per_mode_shift=sigma)
+        system = SimpleNamespace(lap=lap, coeff=coeff)
+        return system, 0.005, (0.0, 8.0)
+    if name == "stiff":
+        # z reaches 500 in one step on the top mode: one step per scan block
+        return make_system(n_modes=32), 0.05, (-2.0, 9.0)
+    return make_system(), 0.005, (-3.0, 11.0)
+
+
+@pytest.mark.parametrize("name", ["stable", "stiff", "unstable"])
+def test_recursion_scan_matches_node_loop(name):
+    system, h_t, (t_lo, t_hi) = scan_case(name)
+    n = system.lap.n_modes
+    dich = fit_dichotomy(system.lap, system.coeff, rng=np.random.default_rng(60))
+    assert dich.has_unstable == (name == "unstable")
+    # a cut next to each window edge and two one-step pieces
+    cuts = np.array([t_lo + 1e-3, 0.5, 0.5 + 0.3 * h_t, 0.5 + 0.9 * h_t, 3.25, t_hi - 2e-3])
+    rng = np.random.default_rng(61)
+    jumps = rng.standard_normal((cuts.size, n)) * 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ig = _build_inner_grid(system, dich, cuts, t_lo, t_hi, h_t)
+        f_vals = rng.standard_normal((ig.t.size, n))
+        got = _recursion_pass(ig, f_vals, jumps)
+    grids, factors = pieces_by_loop(system, cuts, t_lo, t_hi, h_t)
+    # the backward sweep of the node loop divides the stable coordinates by
+    # E too, where they overflow; only its unstable coordinates are read
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.concatenate(
+            recursion_by_node(dich, grids, factors, ig.split(f_vals), jumps)
+        )
+    assert [g.size for g in ig.split(ig.t)][2:4] == [2, 2]
+    # the flat grid holds the per-piece nodes and weights bit for bit
+    assert np.array_equal(ig.t, np.concatenate(grids))
+    assert np.array_equal(np.delete(ig.Ah, ig.joins, axis=0), np.concatenate([f[1] for f in factors]))
+    assert np.array_equal(np.delete(ig.Bh, ig.joins, axis=0), np.concatenate([f[2] for f in factors]))
+    assert np.all(ig.Ah[ig.joins] == 0.0) and np.all(ig.Bh[ig.joins] == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_inner_solve_zero_data():

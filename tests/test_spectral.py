@@ -179,3 +179,14 @@ def test_transform_batches_over_leading_axis(lap):
     batched = tr.nonlinear_image(xs, np.tanh)
     for x, row in zip(xs, batched):
         assert np.allclose(row, tr.nonlinear_image(x, np.tanh), rtol=1e-13, atol=1e-15)
+
+
+def test_nonlinear_image_in_row_batches(lap):
+    # more states than one batch: the row batches must reassemble in order
+    rng = np.random.default_rng(12)
+    tr = lap.transform(lap.uniform_grid(128))
+    xs = rng.standard_normal((1000, lap.n_modes))
+    batched = tr.nonlinear_image(xs, np.tanh)
+    whole = tr.project(np.tanh(tr.synthesize(xs)))
+    assert batched.shape == whole.shape
+    assert np.allclose(batched, whole, rtol=1e-13, atol=1e-15)
