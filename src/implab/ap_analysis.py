@@ -11,9 +11,10 @@ states the range that was scanned.  Three objects are handled:
 
 ``harmonize`` finds a common pair (integer shift q, real shift r) for a
 sequence, a point set and a piecewise function via the tent-smoothed saw
-functions ``F1(t) = sum phi(t - tau_j) B_j`` and ``F2(t) = sum phi(t - tau_j)``
-with ``phi(t) = max(0, 1 - |t|/theta')``, scanning candidate r on the grid
-and re-verifying all three deviation bounds directly.
+function ``F2(t) = sum phi(t - tau_j)`` with ``phi(t) = max(0, 1 -
+|t|/theta')``, scanning candidate r on the grid and re-verifying all three
+deviation bounds directly (the sequence bound is checked on B itself, so
+the proof's companion ``F1(t) = sum phi(t - tau_j) B_j`` is not built).
 """
 
 from __future__ import annotations
@@ -235,24 +236,18 @@ def _tent(t, half_width):
     return np.maximum(0.0, 1.0 - np.abs(t) / half_width)
 
 
-def _saw_functions(taus, B, t_grid, half_width):
-    """F1(t) = sum phi(t - tau_j) B_j and F2(t) = sum phi(t - tau_j)."""
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    F1 = np.zeros((t_grid.size, B.shape[1]))
+def _saw_function(taus, t_grid, half_width):
+    """F2(t) = sum phi(t - tau_j) on the grid."""
     F2 = np.zeros(t_grid.size)
     t0 = t_grid[0]
     h = t_grid[1] - t_grid[0] if t_grid.size > 1 else 1.0
-    for tau, b in zip(taus, B):
+    for tau in taus:
         i0 = max(0, int(np.floor((tau - half_width - t0) / h)))
         i1 = min(t_grid.size, int(np.ceil((tau + half_width - t0) / h)) + 1)
         if i0 >= i1:
             continue
-        phi = _tent(t_grid[i0:i1] - tau, half_width)
-        F1[i0:i1] += phi[:, None] * b
-        F2[i0:i1] += phi
-    return F1, F2
+        F2[i0:i1] += _tent(t_grid[i0:i1] - tau, half_width)
+    return F2
 
 
 def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
@@ -283,7 +278,7 @@ def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
         q_max = max(1, n // 3)
         q_range = (1, q_max)
     t_grid = f.grid()
-    F1, F2 = _saw_functions(tau_vals, B, t_grid, half_width)
+    F2 = _saw_function(tau_vals, t_grid, half_width)
 
     best = None
     for q in range(q_range[0], q_range[1] + 1):

@@ -103,9 +103,6 @@ class InstanceConfig:
     t_range: tuple
     overrides: dict = field(default_factory=dict)
 
-    def rng(self, seed=None) -> np.random.Generator:
-        return np.random.default_rng(self.seed if seed is None else int(seed))
-
 
 def load_instance(path) -> InstanceConfig:
     """Parse an instance file; raises ConfigError on malformed input."""

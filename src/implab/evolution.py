@@ -24,10 +24,10 @@ exponential-integrator route used elsewhere so the two can cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .ap_analysis import PiecewiseSampledFunction
 from .spectral import DirichletLaplacian
@@ -478,19 +478,17 @@ class KBundle:
 def k_bundle(alpha, dich: DichotomyData, theta, Q, C=1.0, g_star=0.0, M_star=0.0) -> KBundle:
     """Constants K1, K2, K, K3, K4 and Psi1..Psi3 of the contraction argument.
 
-    K1 is computed by open-endpoint numeric quadrature of
-    ``M1 psi_alpha(s) e^{-beta |s|}`` (the s^-alpha singularity at 0 is
-    integrable for alpha < 1); the rest are closed-form.
+    All are closed-form: K1 integrates ``M1 psi_alpha(s) e^{-beta |s|}``
+    with ``int_0^inf s^-alpha e^{-beta s} ds = Gamma(1 - alpha)
+    beta^(alpha - 1)``, and Psi3 carries ``B(a, a) = Gamma(a)^2 / Gamma(2a)``
+    with a = 1 - alpha.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
     if theta <= 0.0:
         raise ValueError("impulse separation theta must be positive")
     M1, beta = dich.M1, dich.beta
-    pos, _ = integrate.quad(
-        lambda s: (1.0 + s ** (-alpha)) * np.exp(-beta * s), 0.0, np.inf,
-        limit=200,
-    )
+    pos = 1.0 / beta + math.gamma(1.0 - alpha) * beta ** (alpha - 1.0)
     K1 = M1 * (pos + 1.0 / beta)  # s <= 0 contributes int e^{beta s} ds = 1/beta
     K2 = 2.0 * M1 / (1.0 - np.exp(-beta * theta))
     K = K1 + K2
@@ -499,7 +497,8 @@ def k_bundle(alpha, dich: DichotomyData, theta, Q, C=1.0, g_star=0.0, M_star=0.0
     K4 = M1 * (g_star * C + 2.0 * M_star)
     Psi1 = 2.0 * M1 * (1.0 + theta ** (-alpha)) * Q / denom + M1 * Q ** (1.0 - alpha) / (1.0 - alpha)
     Psi2 = 2.0 * M1 * (1.0 + theta ** (-alpha)) * Q ** (1.0 - alpha) / (denom * (1.0 - alpha))
-    Psi3 = M1 * special.beta(1.0 - alpha, 1.0 - alpha) * Q ** (1.0 - alpha)
+    a = 1.0 - alpha
+    Psi3 = M1 * (math.gamma(a) ** 2 / math.gamma(2.0 * a)) * Q ** a
     return KBundle(
         alpha=alpha, theta=theta, Q=Q, K1=K1, K2=K2, K=K, K3=K3, K4=K4,
         Psi1=Psi1, Psi2=Psi2, Psi3=Psi3, C=C, g_star=g_star, M_star=M_star,

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import qmc
 
 from .ap_analysis import StronglyAPSet
 from .evolution import LinearCoefficient
@@ -532,6 +531,58 @@ class BeatingCertificate:
         }
 
 
+# Joe-Kuo direction numbers of the first five Sobol' dimensions: primitive
+# polynomial (bit-coded, leading and trailing 1 included) and initial values
+_SOBOL_BITS = 30
+_SOBOL_POLY = (1, 3, 7, 11, 13)
+_SOBOL_VINIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1))
+
+
+def _sobol_direction_numbers() -> np.ndarray:
+    """(5, 30) direction numbers v[d, j], each scaled by 2^(29 - j) to 30 bits."""
+    v = np.ones((5, _SOBOL_BITS), dtype=np.int64)
+    for d in range(1, 5):
+        p = _SOBOL_POLY[d]
+        m = p.bit_length() - 1
+        v[d, :m] = _SOBOL_VINIT[d]
+        for j in range(m, _SOBOL_BITS):
+            newv = v[d, j - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    newv ^= v[d, j - k - 1] << (k + 1)
+            v[d, j] = newv
+    return v << (_SOBOL_BITS - 1 - np.arange(_SOBOL_BITS))
+
+
+_SOBOL_V = _sobol_direction_numbers()
+
+
+def _scrambled_sobol(n, seed) -> np.ndarray:
+    """First n points of the 5-d scrambled Sobol' sequence, as an (n, 5) array.
+
+    Bit-identical to ``scipy.stats.qmc.Sobol(d=5, seed=seed).random(n)``:
+    linear matrix scramble plus digital shift, drawn from
+    ``np.random.default_rng(seed)`` in the same order (shift bits, then the
+    lower-triangular matrices with unit diagonal), and the Gray-code order
+    in which point i flips the direction number of the lowest set bit of i.
+    """
+    if n > 2**_SOBOL_BITS:
+        raise ValueError("at most 2**%d Sobol' points" % _SOBOL_BITS)
+    rng = np.random.default_rng(seed)
+    bit = np.arange(_SOBOL_BITS)
+    msb_weight = np.int64(1) << (_SOBOL_BITS - 1 - bit)
+    shift = rng.integers(2, size=(5, _SOBOL_BITS), dtype=np.uint32).astype(np.int64) @ (1 << bit)
+    ltm = np.tril(rng.integers(2, size=(5, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, bit, bit] = 1
+    # scrambled number = L @ (its bits, most significant first), mod 2
+    v_bits = (_SOBOL_V[:, :, None] & msb_weight) != 0
+    sv = ((v_bits.astype(np.int64) @ ltm.transpose(0, 2, 1)) & 1) @ msb_weight
+    i = np.arange(1, max(n, 1))
+    lowest_bit = np.frexp(i & -i)[1] - 1
+    rows = np.concatenate([shift[None, :], sv[:, lowest_bit].T])[:n]
+    return np.bitwise_xor.accumulate(rows, axis=0) * 2.0**-_SOBOL_BITS
+
+
 def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
     """Non-negative states in the ball: sums of squared sines, rescaled.
 
@@ -542,8 +593,7 @@ def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
     norm are dropped.
     """
     lap, tr = system.lap, system.transform
-    sob = qmc.Sobol(d=5, seed=rng.integers(2**31))
-    raw = sob.random(n_samples)
+    raw = _scrambled_sobol(n_samples, rng.integers(2**31))
     raw = raw[np.sum(raw[:, :4], axis=1) >= 1e-8]
     u = np.zeros((raw.shape[0], tr.xi.size))
     for m in range(1, 5):

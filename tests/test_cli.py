@@ -1,11 +1,15 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import implab
 from implab.cli import main
 from implab.config import ConfigError, load_instance, validate_instance
 from implab.records import (
@@ -282,3 +286,17 @@ def test_one_sine_basis_per_grid(tmp_path, monkeypatch):
         builds.clear()
         assert main([command, "--config", cfg_path, "--out", str(tmp_path / command)]) == 0
         assert 1 <= len(builds) == len(set(builds)), command
+
+
+def test_import_loads_no_scipy():
+    # every command starts in a fresh process, so import time is paid each time
+    src = str(Path(implab.__file__).resolve().parents[1])
+    code = (
+        "import sys, implab, implab.cli; print(implab.__file__); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    where, loaded = run.stdout.splitlines()
+    assert Path(where).resolve() == Path(implab.__file__).resolve()
+    assert loaded == "[]"

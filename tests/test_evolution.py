@@ -275,6 +275,19 @@ def test_k_bundle_gamma_closed_form():
     assert kb.Psi3 == pytest.approx(M1 * np.pi * np.sqrt(0.3), rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
+def test_k_bundle_matches_quadrature_and_beta(alpha):
+    # the closed forms replace integrate.quad for K1 and special.beta for Psi3
+    M1, beta, Q = 2.0, 1.3, 0.3
+    kb = k_bundle(alpha, _dich(M1, beta, alpha), theta=0.8, Q=Q)
+    pos, _ = integrate.quad(
+        lambda s: (1.0 + s ** (-alpha)) * np.exp(-beta * s), 0.0, np.inf, limit=200
+    )
+    assert kb.K1 == pytest.approx(M1 * (pos + 1.0 / beta), rel=1e-9)
+    ref = M1 * special.beta(1.0 - alpha, 1.0 - alpha) * Q ** (1.0 - alpha)
+    assert kb.Psi3 == pytest.approx(ref, rel=1e-14)
+
+
 def test_k_bundle_validation():
     d = _dich(1.0, 1.0)
     with pytest.raises(ValueError):

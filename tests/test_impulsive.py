@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -18,6 +20,7 @@ from implab.impulsive import (
     segment_residual,
     simulate,
     step_segment,
+    _scrambled_sobol,
 )
 from implab.trig import SeqGen, TrigSum
 
@@ -262,6 +265,19 @@ def certified_logistic(window=(1, 6)):
         window=window,
         jumps=jumps,
     )
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 7, 2**31 - 1, np.random.default_rng(5).integers(2**31)]
+)
+def test_scrambled_sobol_matches_scipy(seed):
+    for n in (0, 1, 2, 3, 16, 64, 512, 1000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # n not a power of 2
+            ref = qmc.Sobol(d=5, seed=seed).random(n)
+        got = _scrambled_sobol(n, seed)
+        assert got.shape == (n, 5) and got.dtype == np.float64
+        assert np.array_equal(got, ref), n
 
 
 def test_beating_certificate_trivial_slope():
