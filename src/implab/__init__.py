@@ -29,6 +29,7 @@ from .ap_analysis import (
     PiecewiseSampledFunction,
     StronglyAPSet,
     WindowTooShortError,
+    almost_periodicity_report,
     eps_almost_periods,
     harmonize,
     wexler_deviation,
@@ -38,7 +39,6 @@ from .evolution import (
     KBundle,
     LinearCoefficient,
     NonHyperbolicError,
-    TailError,
     bounded_solution,
     evolution_apply,
     evolution_factors,
@@ -71,7 +71,6 @@ from .solver import (
     ContractionReport,
     ConvergenceError,
     OuterResult,
-    ProblemBounds,
     SolverConfig,
     certify_almost_periodicity,
     inner_solve,
@@ -81,7 +80,7 @@ from .solver import (
     poincare_map,
     verify_smallness,
 )
-from .spectral import AliasingError, DirichletLaplacian, SmoothingConstants
+from .spectral import AliasingError, DirichletLaplacian
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
 from .trig import SeqGen, TrigSum
 
@@ -91,7 +90,6 @@ __all__ = [
     "TrigSum",
     "SeqGen",
     "DirichletLaplacian",
-    "SmoothingConstants",
     "AliasingError",
     "Segment",
     "HitRecord",
@@ -103,11 +101,11 @@ __all__ = [
     "eps_almost_periods",
     "wexler_deviation",
     "harmonize",
+    "almost_periodicity_report",
     "LinearCoefficient",
     "DichotomyData",
     "KBundle",
     "NonHyperbolicError",
-    "TailError",
     "evolution_apply",
     "evolution_factors",
     "green_factors",
@@ -133,7 +131,6 @@ __all__ = [
     "beating_certificate",
     "segment_residual",
     "APSequencePoint",
-    "ProblemBounds",
     "ContractionReport",
     "SolverConfig",
     "ConvergenceError",

@@ -33,6 +33,7 @@ __all__ = [
     "eps_almost_periods",
     "wexler_deviation",
     "harmonize",
+    "almost_periodicity_report",
 ]
 
 
@@ -251,7 +252,7 @@ def _saw_function(taus, t_grid, half_width):
 
 
 def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
-              weights=None, q_range=None, r_refine=None):
+              weights=None, q_range=None):
     """Common almost-period pair (q, r) for a sequence, a point set and a function.
 
     Returns (q, r) with, on the scanned window,
@@ -294,7 +295,7 @@ def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
         if np.max(gaps) - np.min(gaps) >= 2.0 * eps:
             continue
         # cover the full admissible band r in (max gaps - eps, min gaps + eps)
-        n_r = r_refine if r_refine is not None else min(400, int(np.ceil(eps / f.h_t)) + 1)
+        n_r = min(400, int(np.ceil(eps / f.h_t)) + 1)
         r_candidates = r_center + f.h_t * np.arange(-n_r, n_r + 1)
         for r in r_candidates:
             dev_tau = float(np.max(np.abs(gaps - r)))
@@ -333,3 +334,33 @@ def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
         if best is not None:
             break
     return best
+
+
+def almost_periodicity_report(seq, k_min, taus, gap, f: PiecewiseSampledFunction, eps_list) -> dict:
+    """Per eps: eps-periods of a sequence, a common (q, r) and the Wexler deviation.
+
+    ``seq`` is indexed from ``k_min`` (first axis) and ``taus`` are its sorted
+    hit times, the point set ``gap k + c_k`` (the first min(len(taus),
+    len(seq)) pair with the sequence); ``f`` is the sampled function, whose
+    ``weights`` also measure the sequence.  Integer periods are scanned over
+    |p| <= len(seq) // 3.  Returns ``{eps: {"sequence": <EpsPeriodReport
+    record>, "q": q or "none", "r": r, "wexler_deviation": d}}``, with ``r``
+    and ``wexler_deviation`` only when a pair was found.
+    """
+    n = seq.shape[0]
+    keep = min(taus.size, n)
+    hit_set = StronglyAPSet(
+        a=gap,
+        c=taus[:keep] - gap * np.arange(k_min, k_min + keep),
+        window=(k_min, k_min + keep - 1),
+    )
+    report = {}
+    for eps in eps_list:
+        rep = eps_almost_periods(seq, eps, (-(n // 3), n // 3), k_min=k_min, weights=f.weights)
+        entry = {"sequence": rep.as_record(), "q": "none"}
+        qr = harmonize(seq[:keep], hit_set, f, eps, weights=f.weights)
+        if qr is not None:
+            entry["q"], entry["r"] = qr
+            entry["wexler_deviation"] = wexler_deviation(f, entry["r"], eps)
+        report[eps] = entry
+    return report

@@ -30,15 +30,9 @@ from pathlib import Path
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily; every command uses it)
 
-from .ap_analysis import (
-    PiecewiseSampledFunction,
-    StronglyAPSet,
-    eps_almost_periods,
-    harmonize,
-    wexler_deviation,
-)
+from .ap_analysis import PiecewiseSampledFunction, almost_periodicity_report
 from .config import ConfigError, load_instance, validate_instance
-from .evolution import NonHyperbolicError, TailError, fit_dichotomy, k_bundle
+from .evolution import NonHyperbolicError, fit_dichotomy, k_bundle
 from .impulsive import (
     BallExitError,
     BeatingError,
@@ -50,7 +44,6 @@ from .impulsive import (
 from .records import read_table, write_record, write_table, write_trajectory
 from .solver import (
     ConvergenceError,
-    ProblemBounds,
     certify_almost_periodicity,
     integral_residual,
     measure_lipschitz,
@@ -71,7 +64,6 @@ _NUMERICAL_ERRORS = (
     ConvergenceError,
     EventResolutionError,
     NonHyperbolicError,
-    TailError,
 )
 
 # fixed per-stage rng streams: default_rng([seed, stage]) keeps commands
@@ -96,10 +88,12 @@ def _fitted_dichotomy(cfg, seed):
     return replace(dich, **over) if over else dich
 
 
-def cmd_constants(cfg, out: Path, seed: int) -> None:
+def _constant_bundle(cfg, dich, seed):
+    """The K-bundle, the gap constant and the measured Lipschitz data.
+
+    Honours the ``theta``, ``Q`` and ``C`` overrides.
+    """
     system = cfg.system
-    checks = validate_instance(cfg)
-    dich = _fitted_dichotomy(cfg, seed)
     theta = cfg.overrides.get(
         "theta", system.surfaces.separation(system.lap, system.alpha, system.rho)
     )
@@ -118,6 +112,26 @@ def cmd_constants(cfg, out: Path, seed: int) -> None:
         g_star=measured["g_star"],
         M_star=measured["M0"] + measured["N1"] * system.rho,
     )
+    return kb, gc, measured
+
+
+def _ap_record(report) -> dict:
+    """Flatten an almost-periodicity report into ``eps_<e>_*`` keys."""
+    flat = {}
+    for eps, entry in report.items():
+        tag = "eps_%g" % eps
+        for key, val in entry["sequence"].items():
+            flat["%s_sequence_%s" % (tag, key)] = val
+        for key in ("q", "r", "wexler_deviation"):
+            if key in entry:
+                flat["%s_%s" % (tag, key)] = entry[key]
+    return flat
+
+
+def cmd_constants(cfg, out: Path, seed: int) -> None:
+    checks = validate_instance(cfg)
+    dich = _fitted_dichotomy(cfg, seed)
+    kb, gc, _ = _constant_bundle(cfg, dich, seed)
     rec = dict(checks)
     rec.update(dich.as_record())
     rec["gap_constant_formula"] = gc["formula"]
@@ -182,24 +196,11 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     )
     write_trajectory(out, "trajectory", res.trajectory, lap=lap, alpha=alpha)
 
-    theta = system.surfaces.separation(lap, alpha, system.rho)
-    gc = system.surfaces.gap_constant(lap, alpha, system.rho)
-    measured = measure_lipschitz(
-        system, rng=np.random.default_rng([seed, _STAGE_LIPSCHITZ])
-    )
-    kb = k_bundle(
-        alpha, dich, theta, gc["value"],
-        g_star=measured["g_star"],
-        M_star=measured["M0"] + measured["N1"] * system.rho,
-    )
-    bounds = ProblemBounds(
-        alpha=alpha, rho=system.rho, theta=theta, a=system.surfaces.base.a,
-        Q=gc["value"], N1=measured["N1"], H1=0.0, M0=measured["M0"],
-        g_star=measured["g_star"],
-    )
+    kb, _, measured = _constant_bundle(cfg, dich, seed)
     rep = replace(
         verify_smallness(
-            system, bounds, kb, rng=np.random.default_rng([seed, _STAGE_SMALLNESS])
+            system, kb, measured["N1"], measured["M0"],
+            rng=np.random.default_rng([seed, _STAGE_SMALLNESS]),
         ),
         observed_inner_ratio=res.meta["observed_inner_ratio"],
         observed_S_ratio=res.meta["observed_S_ratio"],
@@ -226,16 +227,7 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     write_record(out / "contraction.txt", rec)
 
     report = certify_almost_periodicity(system, res, cfg.eps_list)
-    flat = {}
-    for eps, entry in report.items():
-        tag = "eps_%g" % eps
-        for key, val in entry["sequence"].items():
-            flat["%s_sequence_%s" % (tag, key)] = val
-        flat["%s_q" % tag] = entry["q"]
-        if entry["q"] != "none":
-            flat["%s_r" % tag] = entry["r"]
-            flat["%s_wexler_deviation" % tag] = entry["wexler_deviation"]
-    write_record(out / "ap_report.txt", flat)
+    write_record(out / "ap_report.txt", _ap_record(report))
 
 
 def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
@@ -257,29 +249,11 @@ def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
     f = PiecewiseSampledFunction(
         t0=t0, h_t=h_t, values=resampled, discontinuities=disc, weights=w
     )
-    j0 = int(j_idx[0])
-    taus = np.sort(disc)
-    keep = min(taus.size, y_vals.shape[0])
-    hit_set = StronglyAPSet(
-        a=system.surfaces.base.a,
-        c=taus[:keep] - system.surfaces.base.a * np.arange(j0, j0 + keep),
-        window=(j0, j0 + keep - 1),
+    report = almost_periodicity_report(
+        y_vals, int(j_idx[0]), np.sort(disc), system.surfaces.base.a, f, cfg.eps_list
     )
-    n = y_vals.shape[0]
-    flat = {"n_sequence": n, "t0": t0, "t1": t1, "h_t": h_t}
-    for eps in cfg.eps_list:
-        tag = "eps_%g" % eps
-        rep = eps_almost_periods(y_vals, eps, (-(n // 3), n // 3), k_min=j0, weights=w)
-        for key, val in rep.as_record().items():
-            flat["%s_sequence_%s" % (tag, key)] = val
-        qr = harmonize(y_vals[:keep], hit_set, f, eps, weights=w)
-        if qr is None:
-            flat["%s_q" % tag] = "none"
-        else:
-            q, r = qr
-            flat["%s_q" % tag] = q
-            flat["%s_r" % tag] = r
-            flat["%s_wexler_deviation" % tag] = wexler_deviation(f, r, eps)
+    flat = {"n_sequence": y_vals.shape[0], "t0": t0, "t1": t1, "h_t": h_t}
+    flat.update(_ap_record(report))
     write_record(out / "ap_analysis.txt", flat)
 
 

@@ -40,6 +40,14 @@ class ConfigError(ValueError):
     """The instance file is malformed or violates a checkable hypothesis."""
 
 
+# [overrides] keys, case-sensitive: the dichotomy constants (constants,
+# solve-ap), the K-bundle inputs (constants, solve-ap) and the resampling of
+# analyze-ap
+OVERRIDE_KEYS = (
+    "M", "beta", "M1", "M2", "beta1", "theta", "Q", "C", "analysis_crop", "analysis_h_t",
+)
+
+
 def _floats(text) -> list:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
@@ -192,6 +200,12 @@ def load_instance(path) -> InstanceConfig:
 
         osec = parser["overrides"] if "overrides" in parser else {}
         overrides = {k: float(v) for k, v in osec.items()} if osec else {}
+        unknown = sorted(set(overrides) - set(OVERRIDE_KEYS))
+        if unknown:
+            raise ConfigError(
+                "unknown [overrides] key(s) %s; accepted: %s"
+                % (" ".join(unknown), " ".join(OVERRIDE_KEYS))
+            )
     except ConfigError:
         raise
     except (KeyError, ValueError) as exc:

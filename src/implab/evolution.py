@@ -13,6 +13,13 @@ negative; the constants (M, beta, M_1, M_2, beta_1) carry no values in the
 abstract theory and are fitted here with a 5% slack, to be verified on fresh
 samples by the caller.
 
+The branch rule of the Green function G(t, s) (stable modes propagate
+forward, unstable modes carry -U(t, s) backward) is written once, in
+``_green_factor``; ``green_factors``, the dichotomy fit and the Simpson
+kernel call it, and ``_jump_sum`` applies it to the jump term
+``sum_j G(t, tau_j) g_j`` for ``bounded_solution`` and
+``solver.integral_residual`` alike.
+
 ``bounded_solution`` evaluates the Green-function representation
 
     u0(t) = int_R G(t, v) f(v) dv + sum_j G(t, tau_j) g_j
@@ -29,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ap_analysis import PiecewiseSampledFunction
 from .spectral import DirichletLaplacian
 from .trajectory import PiecewiseTrajectory, Segment
 from .trig import TrigSum
@@ -75,12 +81,6 @@ class LinearCoefficient:
 
     def mean_exponents(self, lap: DirichletLaplacian) -> np.ndarray:
         return self.rates(lap) + self.m.mean
-
-    def sup_norm(self) -> float:
-        return self.m.sup_bound()
-
-    def lipschitz_bound(self) -> float:
-        return self.m.derivative_bound()
 
 
 def _safe_exp(exponent):
@@ -143,16 +143,22 @@ def psi(alpha: float, s):
     return out if out.ndim else float(out)
 
 
-def green_factors(lap, coeff, dich: DichotomyData, t, s) -> np.ndarray:
-    """Diagonal of the Green function G(t, s).
+def _green_factor(rates, m, unstable, t, s, right=False) -> np.ndarray:
+    """Diagonal of G(t, s) for a scalar t and a scalar or 1-d s: (N,) or (len(s), N).
 
-    Stable modes propagate forward (t > s) and vanish for t <= s; unstable
-    modes carry -U(t, s) P for t <= s and vanish for t > s.
+    Stable modes propagate forward from a past s (s < t) and vanish
+    otherwise; unstable modes carry -U(t, s) for s >= t and vanish for a past
+    s.  ``right`` counts s == t as past, which gives the right limit t + 0.
     """
-    fac = evolution_factors(lap, coeff, s, t)
-    if t > s:
-        return np.where(dich.unstable, 0.0, fac)
-    return np.where(dich.unstable, -fac, 0.0)
+    s = np.asarray(s, dtype=float)
+    fac = _safe_exp(-(rates * (t - s)[..., None] + np.asarray(m.integral(s, t))[..., None]))
+    past = (s <= t) if right else (s < t)
+    return np.where(past[..., None], np.where(unstable, 0.0, fac), np.where(unstable, -fac, 0.0))
+
+
+def green_factors(lap, coeff, dich: DichotomyData, t, s) -> np.ndarray:
+    """Diagonal of the Green function G(t, s) (see ``_green_factor``)."""
+    return _green_factor(coeff.rates(lap), coeff.m, dich.unstable, t, s)
 
 
 def green_apply(lap, coeff, dich, t, s, x) -> np.ndarray:
@@ -193,7 +199,7 @@ def fit_dichotomy(
         d = float(np.exp(rng.uniform(np.log(1e-3), np.log(d_max))))
         for sign in (1.0, -1.0):
             t = s + sign * d
-            fac = np.abs(_green_factor_raw(rates, coeff.m, unstable, t, s))
+            fac = np.abs(_green_factor(rates, coeff.m, unstable, t, s))
             if not np.any(fac > 0.0):
                 continue
             decay = np.exp(-beta * d)
@@ -216,8 +222,8 @@ def fit_dichotomy(
             continue
         t = rng.uniform(-20.0, 20.0)
         tau = t + rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(1e-2), np.log(10.0)))
-        fac1 = _green_factor_raw(rates, coeff.m, unstable, t + h, tau + h)
-        fac0 = _green_factor_raw(rates, coeff.m, unstable, t, tau)
+        fac1 = _green_factor(rates, coeff.m, unstable, t + h, tau + h)
+        fac0 = _green_factor(rates, coeff.m, unstable, t, tau)
         defect = np.max(lam_a * np.abs(fac1 - fac0))
         denom = np.exp(-beta1 * abs(t - tau)) * psi(alpha, t - tau) * a_star
         m2_fit = max(m2_fit, float(defect) / denom)
@@ -226,13 +232,6 @@ def fit_dichotomy(
     return DichotomyData(
         unstable=unstable, M=M, beta=beta, M1=M1, M2=M2, beta1=beta1, alpha=alpha
     )
-
-
-def _green_factor_raw(rates, m, unstable, t, s):
-    fac = _safe_exp(-(rates * (t - s) + m.integral(s, t)))
-    if t > s:
-        return np.where(unstable, 0.0, fac)
-    return np.where(unstable, -fac, 0.0)
 
 
 def fit_continuity_constant(
@@ -296,44 +295,36 @@ def _simpson_nodes(a: float, b: float, h_t: float):
 
 
 def _green_integral_at(lap, coeff, dich, t, f_vals_fn, breakpoints, h_t, T_tail):
-    """int G(t, v) f(v) dv by composite Simpson split at the breakpoints."""
+    """int G(t, v) f(v) dv by composite Simpson split at the breakpoints.
+
+    The stable part runs over [t - T_tail, t] and the unstable part over
+    [t, t + T_tail]; the node v = t takes the branch of its own piece.
+    """
     rates = coeff.rates(lap)
-    P = coeff.m.antiderivative
     total = np.zeros(lap.n_modes)
     stable = ~dich.unstable
-
-    def add_piece(a, b, backward):
-        if b - a < 1e-14:
-            return
-        v, w = _simpson_nodes(a, b, h_t)
-        expo = rates[None, :] * (t - v)[:, None] + (P(t) - P(v))[:, None]
-        ker = _safe_exp(-expo)
-        fv = f_vals_fn(v)
-        if backward:
-            contrib = -(w[:, None] * ker * fv)
-            contrib[:, stable] = 0.0
-        else:
-            contrib = w[:, None] * ker * fv
-            contrib[:, dich.unstable] = 0.0
-        total[:] += contrib.sum(axis=0)
-
-    # stable (forward) part over [t - T_tail, t]
-    lo = t - T_tail
-    pts = [lo] + [b for b in breakpoints if lo < b < t] + [t]
-    if np.any(stable):
+    for lo, hi, past, modes in ((t - T_tail, t, True, stable), (t, t + T_tail, False, ~stable)):
+        if not np.any(modes):
+            continue
+        pts = [lo] + [b for b in breakpoints if lo < b < hi] + [hi]
         for a, b in zip(pts[:-1], pts[1:]):
-            add_piece(a, b, backward=False)
-    # unstable (backward) part over [t, t + T_tail]
-    hi = t + T_tail
-    pts = [t] + [b for b in breakpoints if t < b < hi] + [hi]
-    if dich.has_unstable:
-        for a, b in zip(pts[:-1], pts[1:]):
-            add_piece(a, b, backward=True)
+            if b - a < 1e-14:
+                continue
+            v, w = _simpson_nodes(a, b, h_t)
+            ker = _green_factor(rates, coeff.m, dich.unstable, t, v, right=past)
+            total += (w[:, None] * ker * f_vals_fn(v)).sum(axis=0)
     return total
 
 
-class TailError(ValueError):
-    """Requested tail tolerance is unreachable with the available data window."""
+def _jump_sum(lap, coeff, dich, t, jump_times, jump_vecs, T_tail, right=False):
+    """sum_j G(t, tau_j) g_j over the jumps within T_tail of t, in their order.
+
+    ``jump_times`` is (J,) and ``jump_vecs`` (J, N); ``right`` gives the
+    right limit at t (a jump at tau_j == t counts as past).
+    """
+    near = np.abs(t - jump_times) <= T_tail
+    G = _green_factor(coeff.rates(lap), coeff.m, dich.unstable, t, jump_times[near], right)
+    return (G * jump_vecs[near]).sum(axis=0)
 
 
 def bounded_solution(
@@ -345,75 +336,40 @@ def bounded_solution(
     window,
     h_t: float = 0.005,
     tail_tol: float = 1e-10,
-    out_stride: int = 1,
 ) -> PiecewiseTrajectory:
     """Unique bounded solution of the linear impulsive system on ``window``.
 
-    ``forcing`` is a callable t -> coefficient vector or a
-    ``PiecewiseSampledFunction`` with spectral values; ``jumps`` is a list of
-    (time, jump-vector) pairs.  The improper Green integral is truncated at
-    ``T_tail`` derived from the fitted (M, beta) so the neglected tail is
+    ``forcing`` is a callable t -> coefficient vector; ``jumps`` is a list
+    of (time, jump-vector) pairs.  The improper Green integral is truncated
+    at ``T_tail`` derived from the fitted (M, beta) so the neglected tail is
     below ``tail_tol``; the bound and T_tail are stored in ``meta``.
     """
     t0, t1 = float(window[0]), float(window[1])
-    if isinstance(forcing, PiecewiseSampledFunction):
-        samp = forcing
 
-        def f_eval(v):
-            v = np.atleast_1d(v)
-            idx = (v - samp.t0) / samp.h_t
-            i0 = np.clip(np.floor(idx).astype(int), 0, samp.n_samples - 2)
-            w = idx - i0
-            return (1.0 - w)[:, None] * samp.values[i0] + w[:, None] * samp.values[i0 + 1]
-
-        data_range = (samp.t0, samp.t_end)
-    else:
-
-        def f_eval(v):
-            v = np.atleast_1d(v)
-            return np.stack([np.asarray(forcing(vi), dtype=float) for vi in v])
-
-        data_range = None
+    def f_eval(v):
+        return np.stack([np.asarray(forcing(vi), dtype=float) for vi in np.atleast_1d(v)])
 
     # a-priori tail bound
     probe = np.linspace(t0, t1, 64)
-    sup_f = float(np.max([np.linalg.norm(f_eval(np.array([t]))[0]) for t in probe]))
+    sup_f = float(np.max([np.linalg.norm(f_eval(t)[0]) for t in probe]))
     sum_g = float(sum(np.linalg.norm(np.asarray(g, dtype=float)) for _, g in jumps))
     amp = dich.M * (sup_f / dich.beta + sum_g)
     T_tail = max(1.0, np.log(max(amp, tail_tol) / tail_tol) / dich.beta)
     tail_bound = amp * np.exp(-dich.beta * T_tail)
-    if data_range is not None and (t0 - T_tail < data_range[0] - 1e-9 or t1 + T_tail > data_range[1] + 1e-9):
-        raise TailError("window too small for requested tolerance (need tail %.3g)" % T_tail)
 
     jumps = sorted(((float(tj), np.asarray(g, dtype=float)) for tj, g in jumps), key=lambda p: p[0])
-    jump_times = [tj for tj, _ in jumps]
-    breakpoints = jump_times
+    jump_times = np.array([tj for tj, _ in jumps])
+    jump_vecs = np.array([g for _, g in jumps]).reshape(len(jumps), lap.n_modes)
 
-    rates = coeff.rates(lap)
-    P = coeff.m.antiderivative
-    stable = ~dich.unstable
-
-    def jump_sum(t):
-        total = np.zeros(lap.n_modes)
-        for tj, g in jumps:
-            if abs(t - tj) > T_tail:
-                continue
-            fac = _safe_exp(-(rates * (t - tj) + (P(t) - P(tj))))
-            if tj < t:
-                total += np.where(stable, fac, 0.0) * g
-            else:
-                total -= np.where(dich.unstable, fac, 0.0) * g
-        return total
-
-    def value_at(t):
-        return _green_integral_at(lap, coeff, dich, t, f_eval, breakpoints, h_t, T_tail) + jump_sum(t)
+    def value_at(t, right=False):
+        integral = _green_integral_at(lap, coeff, dich, t, f_eval, jump_times, h_t, T_tail)
+        return integral + _jump_sum(lap, coeff, dich, t, jump_times, jump_vecs, T_tail, right)
 
     # output grid split at interior jump times
     cuts = [t0] + [tj for tj in jump_times if t0 < tj < t1] + [t1]
     segments = []
-    step = h_t * out_stride
     for a, b in zip(cuts[:-1], cuts[1:]):
-        n = max(1, int(np.ceil((b - a) / step)))
+        n = max(1, int(np.ceil((b - a) / h_t)))
         t_nodes = np.linspace(a, b, n + 1)
         states = np.stack([value_at(t) for t in t_nodes])
         segments.append(Segment(t=t_nodes, states=states))
@@ -422,29 +378,13 @@ def bounded_solution(
     traj.meta.update({"T_tail": T_tail, "tail_bound": tail_bound, "h_t": h_t})
 
     # certify the jump condition at interior jump times
-    jump_defects = []
-    for tj, g in jumps:
-        if not (t0 < tj < t1):
-            continue
-        pre = value_at(tj)
-        post = _right_limit(lap, coeff, dich, tj, f_eval, breakpoints, h_t, T_tail, jumps, rates, P, stable)
-        jump_defects.append(float(np.linalg.norm(post - pre - g)))
+    jump_defects = [
+        float(np.linalg.norm(value_at(tj, right=True) - value_at(tj) - g))
+        for tj, g in jumps
+        if t0 < tj < t1
+    ]
     traj.meta["jump_defect"] = max(jump_defects) if jump_defects else 0.0
     return traj
-
-
-def _right_limit(lap, coeff, dich, tj, f_eval, breakpoints, h_t, T_tail, jumps, rates, P, stable):
-    """u(tj + 0): the Green representation with the branch of tj flipped."""
-    total = _green_integral_at(lap, coeff, dich, tj, f_eval, breakpoints, h_t, T_tail)
-    for tk, g in jumps:
-        if abs(tj - tk) > T_tail:
-            continue
-        fac = _safe_exp(-(rates * (tj - tk) + (P(tj) - P(tk))))
-        if tk <= tj:  # note: tk == tj now counts as "past"
-            total += np.where(stable, fac, 0.0) * g
-        else:
-            total -= np.where(dich.unstable, fac, 0.0) * g
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -193,10 +193,6 @@ class JumpSpec:
     def i_map(self):
         return JUMP_MAP_CATALOGUE[self.nonlinearity][0]
 
-    @property
-    def i_lipschitz(self) -> float:
-        return JUMP_MAP_CATALOGUE[self.nonlinearity][1]
-
     def amp_at(self, j) -> float:
         if isinstance(self.amp, SeqGen) or callable(self.amp):
             return float(self.amp(int(j)))

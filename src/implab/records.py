@@ -84,7 +84,7 @@ def read_table(path):
     return rows[:, 0], rows[:, 1:]
 
 
-def write_trajectory(out_dir, name, traj, lap=None, alpha=0.5, stride=1) -> dict:
+def write_trajectory(out_dir, name, traj, lap=None, alpha=0.5) -> dict:
     """Dump a piecewise trajectory under ``out_dir/name*``.
 
     Writes ``<name>.txt`` (node rows), ``<name>_discontinuities.txt`` (hit
@@ -97,7 +97,7 @@ def write_trajectory(out_dir, name, traj, lap=None, alpha=0.5, stride=1) -> dict
     out_dir.mkdir(parents=True, exist_ok=True)
     t, states = traj.all_nodes()
     paths = {"trajectory": out_dir / ("%s.txt" % name)}
-    write_table(paths["trajectory"], t[::stride], states[::stride])
+    write_table(paths["trajectory"], t, states)
 
     disc = traj.hit_times() if traj.hits else [s.t[0] for s in traj.segments[1:]]
     paths["discontinuities"] = out_dir / ("%s_discontinuities.txt" % name)

@@ -19,24 +19,17 @@ consistency, smallness conditions and almost periodicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ap_analysis import (
-    PiecewiseSampledFunction,
-    StronglyAPSet,
-    eps_almost_periods,
-    harmonize,
-    wexler_deviation,
-)
-from .evolution import DichotomyData, KBundle, _green_integral_at
+from .ap_analysis import PiecewiseSampledFunction, almost_periodicity_report
+from .evolution import DichotomyData, KBundle, _green_integral_at, _jump_sum
 from .impulsive import BallExitError, ImpulseSystemSpec, _phi_weights
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
 
 __all__ = [
     "APSequencePoint",
-    "ProblemBounds",
     "ContractionReport",
     "SolverConfig",
     "ConvergenceError",
@@ -101,23 +94,6 @@ class APSequencePoint:
 
     def in_ball(self, lap, alpha, rho, slack=1e-9) -> bool:
         return self.sup_norm(lap, alpha) <= rho * (1.0 + slack)
-
-
-@dataclass(frozen=True)
-class ProblemBounds:
-    alpha: float
-    rho: float
-    theta: float
-    a: float
-    Q: float
-    N1: float
-    H1: float
-    M0: float
-    g_star: float
-
-    @property
-    def M_star(self) -> float:
-        return self.M0 + self.N1 * self.rho
 
 
 @dataclass(frozen=True)
@@ -386,14 +362,9 @@ def integral_residual(
     taus = frozen_times(system, y)
     if T_tail is None:
         T_tail = traj.meta.get("buffer", 10.0)
-    jumps = [
-        (float(t), system.g(j, y.value(j)))
-        for t, j in zip(taus, range(y.window[0], y.window[1] + 1))
-    ]
-    rates = system.coeff.rates(lap)
-    P = system.coeff.m.antiderivative
-    stable = ~dich.unstable
-    breakpoints = sorted(t for t, _ in jumps)
+    js = range(y.window[0], y.window[1] + 1)
+    jump_vecs = np.array([system.g(j, y.value(j)) for j in js]).reshape(len(js), lap.n_modes)
+    breakpoints = np.sort(taus)
 
     def f_vals_fn(v):
         v = np.atleast_1d(v)
@@ -405,14 +376,7 @@ def integral_residual(
     worst = 0.0
     for t in times:
         val = _green_integral_at(lap, system.coeff, dich, t, f_vals_fn, breakpoints, h_t, T_tail)
-        for tj, g in jumps:
-            if abs(t - tj) > T_tail:
-                continue
-            fac = np.exp(-np.clip(rates * (t - tj) + (P(t) - P(tj)), -700.0, 700.0))
-            if tj < t:
-                val += np.where(stable, fac, 0.0) * g
-            else:
-                val -= np.where(dich.unstable, fac, 0.0) * g
+        val += _jump_sum(lap, system.coeff, dich, t, taus, jump_vecs, T_tail)
         worst = max(worst, float(lap.frac_norm(traj.eval(t) - val, alpha)))
     return worst
 
@@ -593,17 +557,23 @@ def measure_lipschitz(system: ImpulseSystemSpec, rng=None, n_pairs: int = 200) -
 
 def verify_smallness(
     system: ImpulseSystemSpec,
-    bounds: ProblemBounds,
     kb: KBundle,
+    N1: float,
+    M0: float,
     rng=None,
 ) -> ContractionReport:
-    """Evaluate the explicit smallness gates of the contraction argument."""
+    """Evaluate the explicit smallness gates of the contraction argument.
+
+    ``N1`` is the declared Lipschitz constant (the larger of it and a fresh
+    measurement is gated) and ``M0`` bounds f(., 0) and g_j(0); the ball
+    radius is the system's rho.
+    """
     measured = measure_lipschitz(system, rng=rng)
-    n1 = max(bounds.N1, measured["N1"])
-    k_m0 = kb.K * bounds.M0
+    n1 = max(N1, measured["N1"])
+    k_m0 = kb.K * M0
     psi1_inv = 1.0 / kb.Psi1 if kb.Psi1 > 0.0 else np.inf
     psi3_inv = 1.0 / kb.Psi3 if kb.Psi3 > 0.0 else np.inf
-    check_km0 = bool(k_m0 < bounds.rho)
+    check_km0 = bool(k_m0 < system.rho)
     check_n1 = bool(n1 < min(psi1_inv, psi3_inv))
     if n1 * kb.Psi3 < 1.0:
         l_dprime = kb.K4 / (1.0 - n1 * kb.Psi3)
@@ -615,8 +585,8 @@ def verify_smallness(
         l_prime = None
     return ContractionReport(
         K_M0=float(k_m0),
-        rho=bounds.rho,
-        N1_declared=bounds.N1,
+        rho=system.rho,
+        N1_declared=N1,
         N1_measured=measured["N1"],
         psi1_inv=float(psi1_inv),
         psi3_inv=float(psi3_inv),
@@ -637,28 +607,14 @@ def certify_almost_periodicity(
     result: OuterResult,
     eps_list,
     h_t: float = 0.01,
-    p_range=None,
-    q_range=None,
 ) -> dict:
     """Eps-almost-period reports for y* and Wexler deviations for u*.
 
-    For each eps: integer eps-periods of the X^alpha-valued sequence y*,
-    then a common (q, r) pair from ``harmonize`` (sequence, hit-time set,
-    trajectory), then the direct Wexler deviation of u* at that r.
+    Samples u* on a grid of step ``h_t`` and hands y*, its hit times and the
+    samples to ``almost_periodicity_report``.
     """
-    lap, alpha = system.lap, system.alpha
-    y = result.y_star
     traj = result.trajectory
-    w = lap.frac_weights(alpha)
-    taus = np.sort(traj.hit_times()) if traj.hits else np.sort(
-        result.meta["frozen_times"]
-    )
-    j0 = y.window[0]
-    hit_set = StronglyAPSet(
-        a=system.surfaces.base.a,
-        c=taus - system.surfaces.base.a * np.arange(j0, j0 + taus.size),
-        window=(j0, j0 + taus.size - 1),
-    )
+    taus = np.sort(traj.hit_times())
     # crop the buffer zones: near the span edges the truncated impulse
     # lattice is missing neighbors, so the trajectory is not almost periodic
     # there (the omission decays at rate beta over one buffer length)
@@ -670,22 +626,10 @@ def certify_almost_periodicity(
         raise ValueError("trajectory window too short after removing buffers")
     grid = np.arange(t0, t1 + h_t / 2.0, h_t)
     f = PiecewiseSampledFunction(
-        t0=t0, h_t=h_t, values=traj.eval_many(grid), discontinuities=taus, weights=w
+        t0=t0, h_t=h_t, values=traj.eval_many(grid), discontinuities=taus,
+        weights=system.lap.frac_weights(system.alpha),
     )
-    n = y.values.shape[0]
-    if p_range is None:
-        p_range = (-(n // 3), n // 3)
-    report = {}
-    for eps in eps_list:
-        rep = eps_almost_periods(y.values, eps, p_range, k_min=y.window[0], weights=w)
-        entry = {"sequence": rep.as_record()}
-        qr = harmonize(y.values, hit_set, f, eps, weights=w, q_range=q_range)
-        if qr is not None:
-            q, r = qr
-            entry["q"] = q
-            entry["r"] = r
-            entry["wexler_deviation"] = wexler_deviation(f, r, eps)
-        else:
-            entry["q"] = "none"
-        report[eps] = entry
-    return report
+    y = result.y_star
+    return almost_periodicity_report(
+        y.values, y.window[0], taus, system.surfaces.base.a, f, eps_list
+    )

@@ -16,33 +16,17 @@ quadratic/cubic maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "DirichletLaplacian",
     "SineTransform",
-    "SmoothingConstants",
     "AliasingError",
 ]
 
 
 class AliasingError(ValueError):
     """Physical grid too coarse for the requested projection."""
-
-
-@dataclass(frozen=True)
-class SmoothingConstants:
-    """Fitted constant for |A^alpha e^{-At} x| <= C_alpha t^-alpha e^{-delta t} |x|."""
-
-    alpha: float
-    C_alpha: float
-    delta: float
-
-    def bound(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.C_alpha * t ** (-self.alpha) * np.exp(-self.delta * t)
 
 
 class DirichletLaplacian:
@@ -133,28 +117,6 @@ class DirichletLaplacian:
     def nonlinear_image(self, x, pointwise_map, xi_grid=None) -> np.ndarray:
         """project(pointwise_map(eval_physical(x))) on an anti-aliased grid."""
         return self.transform(xi_grid).nonlinear_image(x, pointwise_map)
-
-    # -- fitted smoothing constant -------------------------------------
-
-    def fit_smoothing_constants(
-        self, alpha: float, rng, n_samples: int = 200, slack: float = 1.05
-    ) -> SmoothingConstants:
-        """Fit C_alpha on sampled (t, x), then freeze it.
-
-        The abstract estimate only asserts existence of C_alpha; here it is
-        the sampled supremum of ``|A^alpha e^{-At} x| t^alpha e^{delta t}``
-        over unit vectors x and t in [0.01, 2], inflated by ``slack``.
-        """
-        delta = self.spectral_bound
-        best = 0.0
-        for _ in range(n_samples):
-            x = rng.standard_normal(self.n_modes)
-            x /= np.linalg.norm(x)
-            t = rng.uniform(0.01, 2.0)
-            y = self.frac_weights(alpha) * self.semigroup_apply(t, x)
-            best = max(best, np.linalg.norm(y) * t**alpha * np.exp(delta * t))
-        return SmoothingConstants(alpha=alpha, C_alpha=slack * best, delta=delta)
-
 
 # States per batch in nonlinear_image: bounds its (rows, n) grid-value
 # temporaries, which would otherwise dominate peak memory on long time grids.

@@ -33,7 +33,6 @@ from implab.impulsive import (
 )
 from implab.solver import (
     APSequencePoint,
-    ProblemBounds,
     SolverConfig,
     integral_residual,
     measure_lipschitz,
@@ -321,10 +320,7 @@ def test_criterion_5_contraction():
     meas = measure_lipschitz(sys0, rng=np.random.default_rng(242))
     kb = k_bundle(ALPHA, dich, theta, gc["value"], g_star=meas["g_star"],
                   M_star=meas["M0"] + meas["N1"] * RHO)
-    bounds = ProblemBounds(alpha=ALPHA, rho=RHO, theta=theta, a=1.0,
-                           Q=gc["value"], N1=meas["N1"], H1=0.0,
-                           M0=meas["M0"], g_star=meas["g_star"])
-    rep = verify_smallness(sys0, bounds, kb, rng=np.random.default_rng(243))
+    rep = verify_smallness(sys0, kb, meas["N1"], meas["M0"], rng=np.random.default_rng(243))
     check(failures, rep.all_pass, "verify_smallness gates fail on the compliant instance")
 
     cfg = SolverConfig(h_t=0.005)
@@ -333,7 +329,7 @@ def test_criterion_5_contraction():
 
     # inner Picard increment ratios vs the theoretical contraction factor
     inc = res.meta["increments"]
-    n1 = max(bounds.N1, rep.N1_measured)
+    n1 = max(meas["N1"], rep.N1_measured)
     bound = kb.K * n1 * 1.05
     ratios = [inc[i] / inc[i - 1] for i in range(1, len(inc)) if inc[i - 1] > 1e-12]
     check(failures, ratios and max(ratios) <= bound,

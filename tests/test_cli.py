@@ -173,6 +173,31 @@ def test_cmd_constants_k2_override(tmp_path):
     assert float(kb["K2"]) == pytest.approx(4.0, rel=1e-12)
 
 
+def test_unknown_override_key_rejected(tmp_path):
+    # key case is kept, so m1 is not M1
+    text = BASE + "\n[overrides]\nm1 = 1.0\n"
+    with pytest.raises(ConfigError, match="m1.*accepted: M beta M1 M2 beta1 theta Q C "
+                       "analysis_crop analysis_h_t"):
+        load_instance(write_config(tmp_path, text))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["constants", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "status=error kind=validation" in buf.getvalue()
+
+
+def test_solve_ap_honours_kbundle_overrides(tmp_path):
+    cfg_path = write_config(tmp_path, BASE + "\n[overrides]\nQ = 5.0\n")
+    out = tmp_path / "out"
+    assert main(["constants", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["solve-ap", "--config", cfg_path, "--out", str(out)]) == 0
+    kb = read_record(out / "kbundle.txt")
+    assert float(kb["Q"]) == 5.0
+    psi1_inv = float(read_record(out / "contraction.txt")["psi1_inv"])
+    assert psi1_inv == pytest.approx(1.0 / float(kb["Psi1"]), rel=1e-12)
+
+
 def test_cmd_constants_validation_exit(tmp_path):
     text = BASE.replace("slope_constant = 0.0", "slope_constant = -20.0")
     buf = io.StringIO()
@@ -253,6 +278,11 @@ def test_cmd_analyze_ap(tmp_path):
     rec = read_record(out / "ap_analysis.txt")
     assert "eps_0.01_sequence_n_periods" in rec
     assert int(rec["eps_0.01_sequence_n_periods"]) >= 1
+    # both commands report the same y* through the same record
+    report = read_record(data / "ap_report.txt")
+    seq_keys = [k for k in report if re.fullmatch(r"eps_.*_sequence_.*", k)]
+    assert seq_keys == [k for k in rec if re.fullmatch(r"eps_.*_sequence_.*", k)]
+    assert {k: report[k] for k in seq_keys} == {k: rec[k] for k in seq_keys}
 
 
 def test_cmd_constants_sin_jump_map(tmp_path):
@@ -300,3 +330,19 @@ def test_import_loads_no_scipy():
     where, loaded = run.stdout.splitlines()
     assert Path(where).resolve() == Path(implab.__file__).resolve()
     assert loaded == "[]"
+
+
+def test_bench_layers_resolve():
+    # the traced benchmark wraps these functions by module and attribute path
+    import importlib.util
+
+    child = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", child)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    for name, (module, attr, _) in mod.LAYERS.items():
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), name
+    assert set(mod.COUNTS) <= set(mod.LAYERS)

@@ -191,6 +191,8 @@ def test_bounded_solution_single_jump_unstable_mode(lap):
         u = traj.eval(t)
         ref = -np.exp(2.0 * t) if t <= 0.0 else 0.0
         assert abs(u[0] - ref) < 1e-9
+    # right limit at the jump realizes the full jump on the unstable branch
+    assert traj.meta["jump_defect"] < 1e-9
 
 
 def test_bounded_solution_constant_forcing_closed_form(lap):

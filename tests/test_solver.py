@@ -9,7 +9,6 @@ from implab.evolution import LinearCoefficient, bounded_solution, fit_dichotomy,
 from implab.impulsive import ImpulseSurfaceSpec, ImpulseSystemSpec, JumpSpec, _phi_weights
 from implab.solver import (
     APSequencePoint,
-    ProblemBounds,
     SolverConfig,
     _build_inner_grid,
     _recursion_pass,
@@ -296,10 +295,8 @@ def test_verify_smallness_linear_instance():
     kb = k_bundle(0.5, dich, theta, gc["value"], g_star=0.1)
     measured = measure_lipschitz(sys0, rng=np.random.default_rng(49))
     assert measured["N1"] < 1e-12
-    bounds = ProblemBounds(alpha=0.5, rho=1.0, theta=theta, a=1.0, Q=gc["value"],
-                           N1=measured["N1"], H1=0.0, M0=measured["M0"],
-                           g_star=measured["g_star"])
-    rep = verify_smallness(sys0, bounds, kb, rng=np.random.default_rng(50))
+    rep = verify_smallness(sys0, kb, measured["N1"], measured["M0"],
+                           rng=np.random.default_rng(50))
     assert rep.all_pass
     assert rep.L_dprime == pytest.approx(kb.K4)
 
@@ -312,10 +309,8 @@ def test_verify_smallness_overloaded():
     theta = sys0.surfaces.separation(sys0.lap, 0.5, 1.0)
     kb = k_bundle(0.5, dich, theta, 2.0)
     measured = measure_lipschitz(sys0, rng=np.random.default_rng(52))
-    bounds = ProblemBounds(alpha=0.5, rho=1.0, theta=theta, a=1.0, Q=2.0,
-                           N1=measured["N1"], H1=0.0, M0=measured["M0"],
-                           g_star=measured["g_star"])
-    rep = verify_smallness(sys0, bounds, kb, rng=np.random.default_rng(53))
+    rep = verify_smallness(sys0, kb, measured["N1"], measured["M0"],
+                           rng=np.random.default_rng(53))
     assert not rep.check_KM0
 
 

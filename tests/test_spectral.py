@@ -53,17 +53,6 @@ def test_semigroup_property(lap):
     assert np.allclose(a, b, rtol=1e-13, atol=1e-250)
 
 
-def test_smoothing_estimate_fit_then_verify(lap):
-    sc = lap.fit_smoothing_constants(0.5, np.random.default_rng(4), n_samples=300)
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        x = rng.standard_normal(lap.n_modes)
-        x /= np.linalg.norm(x)
-        t = rng.uniform(0.01, 2.0)
-        lhs = lap.frac_norm(lap.semigroup_apply(t, x), 0.5)
-        assert lhs <= sc.bound(t) * (1.0 + 1e-12)
-
-
 def test_eval_physical(lap):
     xi = lap.uniform_grid(64)
     assert np.allclose(lap.eval_physical(np.zeros(lap.n_modes), xi), 0.0)
