@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trig import SeqGen
-
 __all__ = [
     "StronglyAPSet",
     "PiecewiseSampledFunction",
@@ -56,7 +54,7 @@ class StronglyAPSet:
     """Point set tau_k = a k + c_k on an integer window [j_min, j_max]."""
 
     a: float
-    c: object  # SeqGen or explicit array over the window
+    c: object  # callable of the index (a SeqGen) or explicit array over the window
     window: tuple  # (j_min, j_max), inclusive
 
     def __post_init__(self):
@@ -72,7 +70,7 @@ class StronglyAPSet:
 
     def offsets(self) -> np.ndarray:
         j = self.indices()
-        if isinstance(self.c, SeqGen) or callable(self.c):
+        if callable(self.c):
             return np.asarray(self.c(j), dtype=float)
         c = np.asarray(self.c, dtype=float)
         if c.size != j.size:
@@ -178,7 +176,8 @@ class EpsPeriodReport:
             epsilon=eps,
             periods=periods,
             max_gap=max_gap,
-            relatively_dense=max_gap is not None and np.isfinite(max_gap),
+            # np.bool_ keeps the record's "True"; a Python bool is written "true"
+            relatively_dense=np.bool_(max_gap is not None),
             p_range=tuple(p_range),
             k_range=tuple(k_range),
         )
@@ -267,10 +266,7 @@ def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     tau_vals = taus.taus()
-    theta = taus.theta
-    half_width = theta / 4.0 * (1.0 - 1e-9)
-    if theta <= 0.0:
-        raise ValueError("point set must be separated")
+    half_width = taus.theta / 4.0 * (1.0 - 1e-9)
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
     if tau_vals.size != n:

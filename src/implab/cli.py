@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily; every command uses it)
 
-from .ap_analysis import PiecewiseSampledFunction, almost_periodicity_report
+from .ap_analysis import WindowTooShortError
 from .config import ConfigError, load_instance, validate_instance
 from .evolution import NonHyperbolicError, fit_dichotomy, k_bundle
 from .impulsive import (
@@ -44,7 +44,9 @@ from .impulsive import (
 from .records import read_table, write_record, write_table, write_trajectory
 from .solver import (
     ConvergenceError,
+    SurfaceWindowError,
     certify_almost_periodicity,
+    cropped_ap_report,
     integral_residual,
     measure_lipschitz,
     outer_solve,
@@ -57,7 +59,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_VALIDATION_ERRORS = (ConfigError, SeparationError)
+_VALIDATION_ERRORS = (ConfigError, SeparationError, SurfaceWindowError, WindowTooShortError)
 _NUMERICAL_ERRORS = (
     BallExitError,
     BeatingError,
@@ -94,12 +96,10 @@ def _constant_bundle(cfg, dich, seed):
     Honours the ``theta``, ``Q`` and ``C`` overrides.
     """
     system = cfg.system
-    theta = cfg.overrides.get(
-        "theta", system.surfaces.separation(system.lap, system.alpha, system.rho)
-    )
+    theta = cfg.overrides.get("theta", system.theta)
     if theta <= 0.0:
         raise ConfigError("impulse separation theta must be positive")
-    gc = system.surfaces.gap_constant(system.lap, system.alpha, system.rho)
+    gc = system.gap_constant
     measured = measure_lipschitz(
         system, rng=np.random.default_rng([seed, _STAGE_LIPSCHITZ])
     )
@@ -208,11 +208,10 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
 
     # residual probes away from the window edges (the truncated Green tail
     # must fit inside the buffered span)
-    buf = float(res.meta.get("buffer", 1.0))
+    buf = res.meta["buffer"]
     w0, w1 = cfg.time_window
     lo = max(w0 + min(buf, (w1 - w0) / 3.0), w0 + 0.2)
-    hi = min(w1 - 0.2, w1)
-    times = np.linspace(lo, max(hi, lo), 3)
+    times = np.linspace(lo, max(w1 - 0.2, lo), 3)
     residual = integral_residual(system, dich, res.trajectory, y, times)
     res.residual = residual
 
@@ -231,26 +230,16 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
 
 
 def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
-    system = cfg.system
-    lap, alpha = system.lap, system.alpha
-    w = lap.frac_weights(alpha)
-
     j_idx, y_vals = read_table(data / "ystar.txt")
     t_nodes, states = read_table(data / "trajectory.txt")
     disc = np.loadtxt(data / "trajectory_discontinuities.txt", ndmin=1)
 
-    crop = cfg.overrides.get("analysis_crop", 0.0)
     h_t = cfg.overrides.get("analysis_h_t", 0.01)
-    t0, t1 = t_nodes[0] + crop, t_nodes[-1] - crop
-    if t1 - t0 < 4.0 * h_t:
-        raise ConfigError("trajectory span too short for the requested crop")
-    grid = np.arange(t0, t1 + h_t / 2.0, h_t)
-    resampled = np.stack([np.interp(grid, t_nodes, states[:, k]) for k in range(states.shape[1])], axis=1)
-    f = PiecewiseSampledFunction(
-        t0=t0, h_t=h_t, values=resampled, discontinuities=disc, weights=w
-    )
-    report = almost_periodicity_report(
-        y_vals, int(j_idx[0]), np.sort(disc), system.surfaces.base.a, f, cfg.eps_list
+    t0, t1, report = cropped_ap_report(
+        cfg.system, y_vals, int(j_idx[0]), np.sort(disc), (t_nodes[0], t_nodes[-1]),
+        cfg.overrides.get("analysis_crop", 0.0), h_t,
+        lambda grid: np.stack([np.interp(grid, t_nodes, s) for s in states.T], axis=1),
+        cfg.eps_list,
     )
     flat = {"n_sequence": y_vals.shape[0], "t0": t0, "t1": t1, "h_t": h_t}
     flat.update(_ap_record(report))

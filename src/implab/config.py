@@ -10,8 +10,8 @@ and instances are reproducible byte for byte.
 ``validate_instance`` enforces the checkable hypothesis parts at load time:
 surface slopes have the admissible sign (b_j <= 0), the surface time
 intervals over the ball are separated (theta > 0, by interval arithmetic),
-the jump offsets d_j have finite X^1 norm, and the catalogue map I
-satisfies I(0) = 0.
+the n_xi grid has at least 4N points, the jump offsets d_j have finite X^1
+norm, and the catalogue map I satisfies I(0) = 0.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ import numpy as np
 
 from .ap_analysis import StronglyAPSet
 from .impulsive import (
-    JUMP_MAP_CATALOGUE,
     ImpulseSurfaceSpec,
     ImpulseSystemSpec,
     JumpSpec,
     SeparationError,
 )
 from .solver import SolverConfig
-from .spectral import DirichletLaplacian
+from .spectral import AliasingError, DirichletLaplacian
 from .trig import SeqGen, TrigSum
 
 __all__ = ["ConfigError", "InstanceConfig", "load_instance", "validate_instance"]
@@ -231,13 +230,14 @@ def validate_instance(cfg: InstanceConfig) -> dict:
     if rho <= 0.0:
         raise ConfigError("rho must be positive")
 
-    slopes = system.surfaces.slope_window()
+    slopes = system.surfaces.slope_window
     if np.any(slopes > 0.0):
         raise ConfigError("surface slopes b_j must be <= 0 (beating hypothesis)")
 
     try:
-        theta = system.surfaces.separation(lap, alpha, rho)
-    except SeparationError as exc:
+        theta = system.theta
+        system.transform  # built here once for the command; rejects n_xi + 1 < 4N
+    except (SeparationError, AliasingError) as exc:
         raise ConfigError(str(exc)) from exc
 
     d_norm = 0.0
@@ -247,8 +247,7 @@ def validate_instance(cfg: InstanceConfig) -> dict:
             raise ConfigError("jump offset d_%d is not finite" % j)
         d_norm = max(d_norm, float(lap.frac_norm(d, 1.0)))
 
-    i_map = JUMP_MAP_CATALOGUE[system.jumps.nonlinearity][0]
-    i_zero = float(np.asarray(i_map(np.zeros(1)))[0])
+    i_zero = float(np.asarray(system.jumps.i_map(np.zeros(1)))[0])
     if abs(i_zero) > 0.0:
         raise ConfigError("jump nonlinearity must satisfy I(0) = 0")
 

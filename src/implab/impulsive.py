@@ -90,31 +90,19 @@ class ImpulseSurfaceSpec:
     def indices(self) -> np.ndarray:
         return self.base.indices()
 
+    @cached_property
     def base_times(self) -> np.ndarray:
         return self.base.taus()
 
+    @cached_property
     def slope_window(self) -> np.ndarray:
-        j = self.indices()
-        if isinstance(self.slopes, SeqGen) or callable(self.slopes):
-            return np.asarray(self.slopes(j), dtype=float)
-        s = np.asarray(self.slopes, dtype=float)
-        if s.size != j.size:
-            raise ValueError("explicit slope window does not match the index window")
-        return s
-
-    @cached_property
-    def _slopes(self) -> np.ndarray:
-        return self.slope_window()
-
-    @cached_property
-    def _base_times(self) -> np.ndarray:
-        return self.base_times()
+        return np.asarray(self.slopes(self.indices()), dtype=float)
 
     def slope(self, j) -> float:
-        return float(self._slopes[int(j) - self.base.window[0]])
+        return float(self.slope_window[int(j) - self.base.window[0]])
 
     def base_time(self, j) -> float:
-        return float(self._base_times[int(j) - self.base.window[0]])
+        return float(self.base_times[int(j) - self.base.window[0]])
 
     @staticmethod
     def q_functional(x) -> float | np.ndarray:
@@ -125,44 +113,6 @@ class ImpulseSurfaceSpec:
 
     def tau(self, j, x) -> float:
         return self.base_time(j) + self.slope(j) * self.q_functional(x)
-
-    @staticmethod
-    def ball_q_sup(lap: DirichletLaplacian, alpha: float, rho: float) -> float:
-        """sup of Q over |x|_alpha <= rho (extremized by the first mode)."""
-        return rho**2 / lap.eigenvalues[0] ** (2.0 * alpha)
-
-    def intervals(self, lap, alpha, rho):
-        """Per-surface interval [tau'_j, tau''_j] of tau_j over the ball."""
-        rho_q = self.ball_q_sup(lap, alpha, rho)
-        t = self.base_times()
-        b = self.slope_window()
-        lo = t + np.minimum(0.0, b * rho_q)
-        hi = t + np.maximum(0.0, b * rho_q)
-        return lo, hi
-
-    def separation(self, lap, alpha, rho) -> float:
-        """theta = inf_j (tau'_{j+1} - tau''_j) over the window; must be > 0."""
-        lo, hi = self.intervals(lap, alpha, rho)
-        theta = float(np.min(lo[1:] - hi[:-1]))
-        if theta <= 0.0:
-            raise SeparationError(
-                "surface intervals overlap over the ball (theta = %g <= 0)" % theta
-            )
-        return theta
-
-    def gap_constant(self, lap, alpha, rho) -> dict:
-        """The (H3) triple-gap constant, by formula and by direct measurement.
-
-        The formula value is ``sup_j (c_{j+3} - c_j) + 3a - 2 theta``; the
-        measured value is ``sup_j (tau''_{j+1} - tau'_j)``.  Both are
-        reported; downstream estimates use the larger.
-        """
-        theta = self.separation(lap, alpha, rho)
-        c = self.base.offsets()
-        formula = float(np.max(c[3:] - c[:-3])) + 3.0 * self.base.a - 2.0 * theta
-        lo, hi = self.intervals(lap, alpha, rho)
-        measured = float(np.max(hi[1:] - lo[:-1]))
-        return {"formula": formula, "measured": measured, "value": max(formula, measured)}
 
 
 @dataclass(frozen=True)
@@ -193,15 +143,10 @@ class JumpSpec:
     def i_map(self):
         return JUMP_MAP_CATALOGUE[self.nonlinearity][0]
 
-    def amp_at(self, j) -> float:
-        if isinstance(self.amp, SeqGen) or callable(self.amp):
-            return float(self.amp(int(j)))
-        return float(self.amp)
-
     def offset(self, j, n_modes) -> np.ndarray:
         if self.d is None:
             return np.zeros(n_modes)
-        if isinstance(self.d, SeqGen) or callable(self.d):
+        if callable(self.d):
             return np.asarray(self.d(int(j)), dtype=float)
         return np.asarray(self.d, dtype=float)
 
@@ -212,7 +157,7 @@ class JumpSpec:
             image = transform.nonlinear_image(x, self.i_map)
             # <chi_r, I(u)> by Parseval on the projected image
             inner = np.asarray(self.right, dtype=float) @ image.T
-            out = out + self.amp_at(j) * (inner.T @ np.asarray(self.left, dtype=float))
+            out = out + float(self.amp(int(j))) * (inner.T @ np.asarray(self.left, dtype=float))
         return out
 
 
@@ -243,6 +188,11 @@ class ImpulseSystemSpec:
         return LinearCoefficient(m=(-1.0) * self.a + self.rho * (self.a * self.b))
 
     @cached_property
+    def rates(self) -> np.ndarray:
+        """Per-mode rates of the autonomous linear part."""
+        return self.coeff.rates(self.lap)
+
+    @cached_property
     def ab(self) -> TrigSum:
         return self.a * self.b
 
@@ -251,27 +201,68 @@ class ImpulseSystemSpec:
         """Sine basis and weights of the uniform n_xi grid, built once."""
         return SineTransform(self.lap, self.lap.uniform_grid(self.n_xi))
 
-    def xi_grid(self) -> np.ndarray:
-        return self.transform.xi
+    @cached_property
+    def intervals(self) -> tuple:
+        """Per-surface interval [tau'_j, tau''_j] of tau_j over the ball, as (lo, hi)."""
+        # sup of Q over |x|_alpha <= rho, attained on the first mode
+        rho_q = self.rho**2 / self.lap.eigenvalues[0] ** (2.0 * self.alpha)
+        t = self.surfaces.base_times
+        b = self.surfaces.slope_window
+        return t + np.minimum(0.0, b * rho_q), t + np.maximum(0.0, b * rho_q)
 
-    def f_image(self, x) -> np.ndarray:
-        """State part of the nonlinearity: project((rho - u) u)."""
-        rho = self.rho
-        return self.transform.nonlinear_image(x, lambda u: (rho - u) * u)
+    @cached_property
+    def theta(self) -> float:
+        """theta = inf_j (tau'_{j+1} - tau''_j) over the window; must be > 0."""
+        lo, hi = self.intervals
+        theta = float(np.min(lo[1:] - hi[:-1]))
+        if theta <= 0.0:
+            raise SeparationError(
+                "surface intervals overlap over the ball (theta = %g <= 0)" % theta
+            )
+        return theta
+
+    @cached_property
+    def gap_constant(self) -> dict:
+        """The (H3) triple-gap constant, by formula and by direct measurement.
+
+        The formula value is ``sup_j (c_{j+3} - c_j) + 3a - 2 theta``; the
+        measured value is ``sup_j (tau''_{j+1} - tau'_j)``.  Both are
+        reported; downstream estimates use the larger.
+        """
+        c = self.surfaces.base.offsets()
+        formula = float(np.max(c[3:] - c[:-3])) + 3.0 * self.surfaces.base.a - 2.0 * self.theta
+        lo, hi = self.intervals
+        measured = float(np.max(hi[1:] - lo[:-1]))
+        return {"formula": formula, "measured": measured, "value": max(formula, measured)}
+
+    def in_ball(self, x) -> bool:
+        """Whether every state of x, shape (N,) or (..., N), lies in U^alpha_rho."""
+        return bool(np.all(self.lap.frac_norm(x, self.alpha) <= self.rho * (1.0 + 1e-9)))
+
+    def forcing(self, t, x) -> np.ndarray:
+        """f(t, x) at one time and state (N,), or at times (M,) and states (M, N).
+
+        f = (a b)(t) project((rho - u) u).  One state stays an (N,) vector:
+        as a (1, N) batch it would round differently.  ``f_override``
+        replaces f by a profile of t alone.
+        """
+        batch = isinstance(t, np.ndarray) and t.ndim > 0
+        if self.f_override is not None:
+            if batch:
+                return np.stack([np.asarray(self.f_override(s), dtype=float) for s in t])
+            return np.asarray(self.f_override(t), dtype=float)
+        ab, rho = self.ab(t), self.rho
+        image = self.transform.nonlinear_image(x, lambda u: (rho - u) * u)
+        return (ab[:, None] if batch else ab) * image
 
     def f(self, t, x) -> np.ndarray:
-        if self.f_override is not None:
-            return np.asarray(self.f_override(t), dtype=float)
-        return self.ab(t) * self.f_image(x)
+        return self.forcing(t, x)
 
     def tau(self, j, x) -> float:
         return self.surfaces.tau(j, x)
 
     def g(self, j, x) -> np.ndarray:
         return self.jumps.g(j, x, self.transform)
-
-    def in_ball(self, x, slack=1e-9) -> bool:
-        return self.lap.frac_norm(x, self.alpha) <= self.rho * (1.0 + slack)
 
 
 def apply_jump(system: ImpulseSystemSpec, j, x) -> np.ndarray:
@@ -308,9 +299,7 @@ def _phi_weights(z):
 
 def _etd2_step(system, t, h, x):
     """One exponential trapezoid step from (t, x) to t + h."""
-    rates = system.coeff.rates(system.lap)
-    m = system.coeff.m
-    z = rates * h + m.integral(t, t + h)
+    z = system.rates * h + system.coeff.m.integral(t, t + h)
     ez, phi1, A, B = _phi_weights(z)
     f0 = system.f(t, x)
     pred = ez * x + h * phi1 * f0
@@ -325,7 +314,6 @@ def step_segment(
     t1: float,
     seg_tol: float = 1e-8,
     h_max: float = np.inf,
-    ball_check: bool = True,
 ) -> Segment:
     """Integrate the flow on [t0, t1]; adaptive steps by step doubling.
 
@@ -337,7 +325,7 @@ def step_segment(
     if t1 <= t0:
         raise ValueError("segment needs t1 > t0")
     x = np.asarray(x0, dtype=float)
-    if ball_check and not system.in_ball(x):
+    if not system.in_ball(x):
         raise BallExitError("initial state outside the admissible ball", time=t0)
     t = t0
     h = min(h_max, t1 - t0, 0.05)
@@ -357,7 +345,7 @@ def step_segment(
         x = fine
         nodes.append(t)
         states.append(x)
-        if ball_check and not system.in_ball(x):
+        if not system.in_ball(x):
             raise BallExitError("left admissible ball at t = %g" % t, time=t)
         h = h * min(4.0, max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0)))
     return Segment(t=np.asarray(nodes), states=np.stack(states))
@@ -375,14 +363,13 @@ def segment_residual(system: ImpulseSystemSpec, seg: Segment, probe: float = 1e-
     t, u = seg.t, seg.states
     if t.size < 3:
         return 0.0
-    rates = system.coeff.rates(system.lap)
     m = system.coeff.m
     best = 0.0
     for i in range(1, t.size - 1):
         fwd = _etd2_step(system, t[i], probe, u[i])
         bwd = _etd2_step(system, t[i], -probe, u[i])
         du = (fwd - bwd) / (2.0 * probe)
-        res = du + (rates + m(t[i])) * u[i] - system.f(t[i], u[i])
+        res = du + (system.rates + m(t[i])) * u[i] - system.f(t[i], u[i])
         best = max(best, float(np.linalg.norm(res)))
     return best
 
@@ -443,8 +430,8 @@ def simulate(
     certificate; a second hit on such a surface raises BeatingError, while
     uncertified repeats are only counted in ``meta['hit_counts']``.
     """
-    theta = system.surfaces.separation(system.lap, system.alpha, system.rho)
-    lo, hi = system.surfaces.intervals(system.lap, system.alpha, system.rho)
+    theta = system.theta
+    lo, hi = system.intervals
     idx = system.surfaces.indices()
     certified = set(int(j) for j in certified_surfaces)
 

@@ -19,11 +19,15 @@ consistency, smallness conditions and almost periodicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ap_analysis import PiecewiseSampledFunction, almost_periodicity_report
+from .ap_analysis import (
+    PiecewiseSampledFunction,
+    WindowTooShortError,
+    almost_periodicity_report,
+)
 from .evolution import DichotomyData, KBundle, _green_integral_at, _jump_sum
 from .impulsive import BallExitError, ImpulseSystemSpec, _phi_weights
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
@@ -33,6 +37,7 @@ __all__ = [
     "ContractionReport",
     "SolverConfig",
     "ConvergenceError",
+    "SurfaceWindowError",
     "OuterResult",
     "inner_solve",
     "integral_residual",
@@ -41,11 +46,16 @@ __all__ = [
     "measure_lipschitz",
     "verify_smallness",
     "certify_almost_periodicity",
+    "cropped_ap_report",
 ]
 
 
 class ConvergenceError(RuntimeError):
     """An iteration failed to contract."""
+
+
+class SurfaceWindowError(ValueError):
+    """No impulse surface lies in, or within one buffer of, the reporting window."""
 
 
 @dataclass(frozen=True)
@@ -88,12 +98,6 @@ class APSequencePoint:
         if self.window != other.window:
             raise ValueError("sequence windows differ")
         return float(np.max(lap.frac_norm(self.values - other.values, alpha)))
-
-    def sup_norm(self, lap, alpha) -> float:
-        return float(np.max(lap.frac_norm(self.values, alpha)))
-
-    def in_ball(self, lap, alpha, rho, slack=1e-9) -> bool:
-        return self.sup_norm(lap, alpha) <= rho * (1.0 + slack)
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,7 @@ def _build_inner_grid(system, dich: DichotomyData, cuts, t_lo, t_hi, h_t) -> _In
         [np.linspace(a, b, k + 1) for a, b, k in zip(edges[:-1], edges[1:], n)]
     )
     h = np.diff(t)
-    z = system.coeff.rates(system.lap)[None, :] * h[:, None] + np.diff(
+    z = system.rates[None, :] * h[:, None] + np.diff(
         system.coeff.m.antiderivative(t)
     )[:, None]
     E, _, A, B = _phi_weights(z)
@@ -288,7 +292,7 @@ def inner_solve(
     increment history and the sup norm.  Raises BallExitError when an
     iterate leaves U^alpha_rho and ConvergenceError when max_inner is hit.
     """
-    lap, alpha, rho = system.lap, system.alpha, system.rho
+    lap, alpha = system.lap, system.alpha
     buf = cfg.buffer if cfg.buffer is not None else _default_buffer(system, dich, cfg.tail_tol)
     t_lo, t_hi = float(window[0]) - buf, float(window[1]) + buf
 
@@ -302,23 +306,17 @@ def inner_solve(
     jumps = np.array([jump_vecs[c] for c in cuts]).reshape(len(cuts), lap.n_modes)
     ig = _build_inner_grid(system, dich, cuts, t_lo, t_hi, cfg.h_t)
 
-    if system.f_override is not None:
-        # the override forcing does not depend on the state
-        f_fixed = np.stack([np.asarray(system.f_override(t), dtype=float) for t in ig.t])
-    else:
-        ab = system.ab(ig.t)[:, None]
     states = np.zeros((ig.t.size, lap.n_modes))
     increments = []
     for it in range(cfg.max_inner):
-        f_vals = f_fixed if system.f_override is not None else ab * system.f_image(states)
-        new_states = _recursion_pass(ig, f_vals, jumps)
+        new_states = _recursion_pass(ig, system.forcing(ig.t, states), jumps)
         inc = float(np.max(lap.frac_norm(new_states - states, alpha)))
         increments.append(inc)
         states = new_states
-        sup = float(np.max(lap.frac_norm(states, alpha)))
-        if sup > rho * (1.0 + 1e-9):
+        if not system.in_ball(states):
             raise BallExitError(
-                "ball violation: hypotheses fail (inner iterate |u|_alpha = %g)" % sup
+                "ball violation: hypotheses fail (inner iterate |u|_alpha = %g)"
+                % np.max(lap.frac_norm(states, alpha))
             )
         if inc < cfg.inner_tol:
             break
@@ -334,7 +332,7 @@ def inner_solve(
             "buffer": buf,
             "iterations": len(increments),
             "increments": increments,
-            "sup_alpha": sup,
+            "sup_alpha": float(np.max(lap.frac_norm(states, alpha))),
             "frozen_times": taus,
         }
     )
@@ -348,30 +346,24 @@ def integral_residual(
     y: APSequencePoint,
     times,
     h_t: float = 0.002,
-    T_tail: float | None = None,
 ) -> float:
     """Residual of the integral equation at sample times, by direct Simpson.
 
     Independent of the recursion route: the Green integral of f(., u*(.))
-    plus the jump sum is evaluated by composite Simpson quadrature and
-    compared with u* itself, in the alpha norm.
+    plus the jump sum is evaluated by composite Simpson quadrature over one
+    buffer length on each side and compared with u* itself, in the alpha norm.
     """
     lap, alpha = system.lap, system.alpha
     # recompute the frozen times from y itself: the trajectory metadata may
     # cover a wider (buffered) surface window than the sequence at hand
     taus = frozen_times(system, y)
-    if T_tail is None:
-        T_tail = traj.meta.get("buffer", 10.0)
+    T_tail = traj.meta["buffer"]
     js = range(y.window[0], y.window[1] + 1)
     jump_vecs = np.array([system.g(j, y.value(j)) for j in js]).reshape(len(js), lap.n_modes)
     breakpoints = np.sort(taus)
 
     def f_vals_fn(v):
-        v = np.atleast_1d(v)
-        if system.f_override is not None:
-            return np.stack([np.asarray(system.f_override(t), dtype=float) for t in v])
-        u = traj.eval_many(v)
-        return system.ab(v)[:, None] * system.f_image(u)
+        return system.forcing(v, traj.eval_many(v))
 
     worst = 0.0
     for t in times:
@@ -396,7 +388,7 @@ def poincare_map(
     """S(y)_j = u*(tau_j(y_j), y), sampled left-continuously."""
     traj, info = inner_solve(system, dich, y, window, cfg)
     out = APSequencePoint(window=y.window, values=traj.eval_many(info["frozen_times"]))
-    if not out.in_ball(system.lap, system.alpha, system.rho):
+    if not system.in_ball(out.values):
         raise BallExitError("Poincare image leaves the sequence ball")
     return out, traj, info
 
@@ -420,7 +412,6 @@ def outer_solve(
     system: ImpulseSystemSpec,
     dich: DichotomyData,
     window,
-    surface_window=None,
     cfg: SolverConfig = SolverConfig(),
 ) -> OuterResult:
     """Fixed point of S from y_0 = 0, with the assembled certified trajectory.
@@ -432,16 +423,16 @@ def outer_solve(
     """
     lap, alpha = system.lap, system.alpha
     buf = cfg.buffer if cfg.buffer is not None else _default_buffer(system, dich, cfg.tail_tol)
+    cfg = replace(cfg, buffer=buf)  # every inner solve reuses it
     idx = system.surfaces.indices()
-    bt = system.surfaces.base_times()
-    if surface_window is None:
-        dyn = idx[(bt > window[0] - buf) & (bt < window[1] + buf)]
-        if dyn.size == 0:
-            raise ValueError("no surfaces near the reporting window")
-        surface_window = (int(dyn[0]), int(dyn[-1]))
+    bt = system.surfaces.base_times
+    dyn = idx[(bt > window[0] - buf) & (bt < window[1] + buf)]
+    if dyn.size == 0:
+        raise SurfaceWindowError("no surfaces near the reporting window")
+    surface_window = (int(dyn[0]), int(dyn[-1]))
     inside = idx[(bt > window[0]) & (bt < window[1])]
     if inside.size == 0:
-        raise ValueError("no surfaces inside the reporting window")
+        raise SurfaceWindowError("no surfaces inside the reporting window")
     report_window = (int(inside[0]), int(inside[-1]))
 
     y = APSequencePoint.zero(surface_window, lap.n_modes)
@@ -470,8 +461,8 @@ def outer_solve(
     # assemble hit records on the interior and certify hit-time consistency
     taus = info["frozen_times"]
     report_js = range(report_window[0], report_window[1] + 1)
-    report_taus = taus[report_window[0] - surface_window[0]:
-                       report_window[1] - surface_window[0] + 1]
+    report = slice(report_window[0] - surface_window[0], report_window[1] - surface_window[0] + 1)
+    report_taus = taus[report]
     hits = []
     worst_hit = 0.0
     for j, t, pre in zip(report_js, report_taus.tolist(), traj.eval_many(report_taus)):
@@ -485,7 +476,7 @@ def outer_solve(
     traj.meta["observed_S_ratio"] = _max_ratio(steps)
 
     # estimate (vot) analogue: sup of |u|_gamma away from the hits
-    theta = system.surfaces.separation(lap, alpha, system.rho)
+    theta = system.theta
     t_all, s_all = traj.all_nodes()
     dist = np.min(np.abs(t_all[:, None] - taus[None, :]), axis=1)
     mask = dist >= theta / 4.0
@@ -493,11 +484,7 @@ def outer_solve(
         traj.meta["sup_norm_%g" % gamma] = float(
             np.max(lap.frac_norm(s_all[mask], gamma))
         )
-    y_report = APSequencePoint(
-        window=report_window,
-        values=y.values[report_window[0] - surface_window[0]:
-                        report_window[1] - surface_window[0] + 1],
-    )
+    y_report = APSequencePoint(window=report_window, values=y.values[report])
     traj.meta["surface_window"] = surface_window
     return OuterResult(y_star=y_report, trajectory=traj, steps=steps, meta=dict(traj.meta))
 
@@ -602,6 +589,30 @@ def verify_smallness(
 # ---------------------------------------------------------------------------
 
 
+def cropped_ap_report(system, seq, k_min, taus, span, crop, h_t, sample, eps_list):
+    """``almost_periodicity_report`` of a sequence and a function on a cropped span.
+
+    The span (t_start, t_end) loses ``crop`` at each end; ``sample(grid)``
+    gives the function's (T, N) values on the grid of step ``h_t`` over the
+    rest, and ``taus`` are the sorted hit times of ``seq`` (indexed from
+    ``k_min``).  Returns (t0, t1, report) with [t0, t1] the cropped span;
+    raises WindowTooShortError when it is shorter than 4 h_t.
+    """
+    t0, t1 = span[0] + crop, span[1] - crop
+    if t1 - t0 < 4.0 * h_t:
+        raise WindowTooShortError(
+            "trajectory span too short for the almost-periodicity crop of %g at each end"
+            % crop
+        )
+    grid = np.arange(t0, t1 + h_t / 2.0, h_t)
+    f = PiecewiseSampledFunction(
+        t0=t0, h_t=h_t, values=sample(grid), discontinuities=taus,
+        weights=system.lap.frac_weights(system.alpha),
+    )
+    report = almost_periodicity_report(seq, k_min, taus, system.surfaces.base.a, f, eps_list)
+    return t0, t1, report
+
+
 def certify_almost_periodicity(
     system: ImpulseSystemSpec,
     result: OuterResult,
@@ -614,22 +625,14 @@ def certify_almost_periodicity(
     samples to ``almost_periodicity_report``.
     """
     traj = result.trajectory
-    taus = np.sort(traj.hit_times())
-    # crop the buffer zones: near the span edges the truncated impulse
-    # lattice is missing neighbors, so the trajectory is not almost periodic
-    # there (the omission decays at rate beta over one buffer length)
-    buf = float(result.meta.get("buffer", 0.0))
-    t0, t1 = traj.t_start + 2.0 * buf, traj.t_end - 2.0 * buf
-    # (one buffer length reaches the reporting window edge; the second damps
-    # the influence of the lattice truncated at that edge below tail_tol)
-    if t1 - t0 < 4.0 * h_t:
-        raise ValueError("trajectory window too short after removing buffers")
-    grid = np.arange(t0, t1 + h_t / 2.0, h_t)
-    f = PiecewiseSampledFunction(
-        t0=t0, h_t=h_t, values=traj.eval_many(grid), discontinuities=taus,
-        weights=system.lap.frac_weights(system.alpha),
-    )
+    # crop two buffer lengths from each end: near the span edges the
+    # truncated impulse lattice is missing neighbors, so the trajectory is not
+    # almost periodic there.  One buffer length reaches the reporting window
+    # edge; the second damps the influence of the lattice truncated at that
+    # edge below tail_tol.
     y = result.y_star
-    return almost_periodicity_report(
-        y.values, y.window[0], taus, system.surfaces.base.a, f, eps_list
-    )
+    return cropped_ap_report(
+        system, y.values, y.window[0], np.sort(traj.hit_times()),
+        (traj.t_start, traj.t_end), 2.0 * result.meta["buffer"], h_t, traj.eval_many,
+        eps_list,
+    )[2]

@@ -72,9 +72,6 @@ class TrigSum:
         """Exact integral over [s, t]."""
         return self.antiderivative(t) - self.antiderivative(s)
 
-    def derivative_bound(self):
-        return float(sum(abs(a) * f for a, f, _ in self.terms))
-
     @property
     def mean(self):
         return self.offset
@@ -155,13 +152,6 @@ class SeqGen:
         if k.ndim == 0 and scalar_vals:
             return float(val)
         return val
-
-    def sup_bound(self):
-        offset = np.asarray(self.offset, dtype=float)
-        bound = np.abs(offset).astype(float)
-        for amp in self.amps:
-            bound = bound + np.abs(np.asarray(amp, dtype=float))
-        return float(bound) if bound.ndim == 0 else bound
 
     @staticmethod
     def constant(value):

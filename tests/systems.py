@@ -1,0 +1,52 @@
+"""Problem instances shared by the test modules."""
+
+import numpy as np
+
+from implab.ap_analysis import StronglyAPSet
+from implab.impulsive import ImpulseSurfaceSpec, ImpulseSystemSpec, JumpSpec
+from implab.spectral import DirichletLaplacian
+from implab.trig import SeqGen, TrigSum
+
+
+def make_system(
+    n_modes=8,
+    rho=1.0,
+    a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
+    b=TrigSum(),
+    slopes=SeqGen.constant(0.0),
+    base_gap=1.0,
+    window=(1, 10),
+    jumps=None,
+    f_override=None,
+):
+    """N modes on (0, 1), alpha = 1/2, n_xi = 8N; base moments base_gap * j."""
+    lap = DirichletLaplacian(l=1.0, n_modes=n_modes)
+    base = StronglyAPSet(a=base_gap, c=SeqGen.constant(0.0), window=window)
+    return ImpulseSystemSpec(
+        lap=lap, alpha=0.5, rho=rho, a=a, b=b,
+        surfaces=ImpulseSurfaceSpec(base=base, slopes=slopes),
+        jumps=JumpSpec() if jumps is None else jumps,
+        n_xi=8 * n_modes, f_override=f_override,
+    )
+
+
+def rank1_jumps(n_modes, nonlinearity, amp, d1):
+    """g_j(x) = amp <e_1, I(u)> e_1 + d1 e_1."""
+    left = np.zeros((1, n_modes))
+    left[0, 0] = 1.0
+    d = np.zeros(n_modes)
+    d[0] = d1
+    return JumpSpec(left=left, right=left.copy(), nonlinearity=nonlinearity,
+                    amp=SeqGen.constant(amp), d=d)
+
+
+def certified_logistic(window=(1, 6), n_modes=8):
+    """Logistic instance whose beating certificate passes (b_j = -0.2)."""
+    return make_system(
+        n_modes=n_modes,
+        a=TrigSum(0.5, ((0.2, 1.0, 0.0), (0.1, np.sqrt(2.0), 0.3))),
+        b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
+        slopes=SeqGen.constant(-0.2),
+        window=window,
+        jumps=rank1_jumps(n_modes, "relu", 0.02, 0.05),
+    )

@@ -23,8 +23,6 @@ from implab.evolution import (
     psi,
 )
 from implab.impulsive import (
-    ImpulseSurfaceSpec,
-    ImpulseSystemSpec,
     JumpSpec,
     _etd2_step,
     beating_certificate,
@@ -42,6 +40,8 @@ from implab.solver import (
 )
 from implab.spectral import DirichletLaplacian
 from implab.trig import SeqGen, TrigSum
+
+from systems import certified_logistic, make_system, rank1_jumps
 
 N = 16
 ALPHA = 0.5
@@ -62,37 +62,10 @@ def check(failures, cond, message):
         failures.append(message)
 
 
-def build(a, b, gap, surface_window, slopes, jumps, n_xi=128):
-    lap = DirichletLaplacian(l=1.0, n_modes=N)
-    base = StronglyAPSet(a=gap, c=SeqGen.constant(0.0), window=surface_window)
-    return ImpulseSystemSpec(
-        lap=lap, alpha=ALPHA, rho=RHO, a=a, b=b,
-        surfaces=ImpulseSurfaceSpec(base=base, slopes=slopes),
-        jumps=jumps, n_xi=n_xi,
-    )
-
-
 def e1(c):
     x = np.zeros(N)
     x[0] = c
     return x
-
-
-def rank1_jumps(nonlinearity, amp, d1):
-    left = np.zeros((1, N))
-    left[0, 0] = 1.0
-    return JumpSpec(left=left, right=left.copy(), nonlinearity=nonlinearity,
-                    amp=SeqGen.constant(amp), d=e1(d1))
-
-
-def certified_logistic(surface_window, slopes=-0.2):
-    """Logistic instance whose beating certificate passes (b_j = -0.2)."""
-    return build(
-        TrigSum(0.5, ((0.2, 1.0, 0.0), (0.1, np.sqrt(2.0), 0.3))),
-        TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
-        1.0, surface_window, SeqGen.constant(slopes),
-        rank1_jumps("relu", 0.02, 0.05),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +76,14 @@ def certified_logistic(surface_window, slopes=-0.2):
 def test_criterion_1_beta0_and_beating():
     failures = []
     # plug-in: l = 1, rho = 1, b == 0 gives beta0 = 0.5/((1+0)(1+1)) = 0.25
-    sys_b0 = build(TrigSum(0.5, ((0.2, 1.0, 0.0),)), TrigSum(), 1.0, (1, 10),
-                   SeqGen.constant(0.0), JumpSpec())
+    sys_b0 = make_system(n_modes=N, a=TrigSum(0.5, ((0.2, 1.0, 0.0),)), b=TrigSum(),
+                         window=(1, 10), slopes=SeqGen.constant(0.0), jumps=JumpSpec())
     cert0 = beating_certificate(sys_b0, 1, n_samples=8,
                                 rng=np.random.default_rng(201))
     check(failures, cert0.beta0 == 0.25, "beta0 plug-in != 0.25 (got %r)" % cert0.beta0)
 
     # b_j = -0.2 certificate over 512 samples
-    sys1 = certified_logistic((1, 50))
+    sys1 = certified_logistic((1, 50), n_modes=N)
     cert = beating_certificate(sys1, 1, n_samples=512,
                                rng=np.random.default_rng(202))
     check(failures, cert.n_samples == 512, "certificate used %d samples" % cert.n_samples)
@@ -119,7 +92,7 @@ def test_criterion_1_beta0_and_beating():
     check(failures, cert.verdict, "certificate verdict is fail")
 
     # 50-surface simulation from non-negative data: <= 1 hit per surface
-    x0 = sys1.lap.project(lambda s: 0.3 * np.sin(np.pi * s) ** 2, sys1.xi_grid())
+    x0 = sys1.lap.project(lambda s: 0.3 * np.sin(np.pi * s) ** 2, sys1.transform.xi)
     traj = simulate(sys1, x0, 0.5, 50.5, seg_tol=1e-8,
                     certified_surfaces=range(1, 51))
     counts = traj.meta["hit_counts"]
@@ -143,13 +116,9 @@ def test_criterion_2_linear_oracle_equivalence():
         out[1] = 0.1 * np.sin(1.3 * t)
         return out
 
-    sys0 = build(TrigSum(0.5, ((0.2, 1.0, 0.0),)), TrigSum(), 1.0, (0, 6),
-                 SeqGen.constant(0.0), JumpSpec(d=d))
-    sys0 = ImpulseSystemSpec(
-        lap=sys0.lap, alpha=ALPHA, rho=RHO, a=sys0.a, b=sys0.b,
-        surfaces=sys0.surfaces, jumps=sys0.jumps, n_xi=sys0.n_xi,
-        f_override=profile,
-    )
+    sys0 = make_system(n_modes=N, a=TrigSum(0.5, ((0.2, 1.0, 0.0),)), b=TrigSum(),
+                       window=(0, 6), slopes=SeqGen.constant(0.0), jumps=JumpSpec(d=d),
+                       f_override=profile)
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(211))
     y = APSequencePoint.zero((0, 6), N)
     cfg = SolverConfig(h_t=0.002)
@@ -185,9 +154,10 @@ def test_criterion_3_segment_oracle():
     failures = []
     # near-neutral first mode (mean a close to lambda_1) so the relative
     # error is measured against a solution that does not decay away
-    sys0 = build(TrigSum(9.0, ((0.2, 1.0, 0.0), (0.1, np.sqrt(2.0), 0.3))),
-                 TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
-                 1.0, (1, 10), SeqGen.constant(0.0), JumpSpec())
+    sys0 = make_system(n_modes=N,
+                       a=TrigSum(9.0, ((0.2, 1.0, 0.0), (0.1, np.sqrt(2.0), 0.3))),
+                       b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
+                       window=(1, 10), slopes=SeqGen.constant(0.0), jumps=JumpSpec())
     rng = np.random.default_rng(221)
     w = sys0.lap.frac_weights(ALPHA)
     x0 = rng.standard_normal(N) / w
@@ -311,12 +281,13 @@ def test_criterion_4_dichotomy_and_green():
 
 def test_criterion_5_contraction():
     failures = []
-    sys0 = build(TrigSum(0.5, ((0.2, 1.0, 0.0),)),
-                 TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
-                 1.0, (0, 8), SeqGen.constant(0.0), rank1_jumps("tanh", 0.02, 0.02))
+    sys0 = make_system(n_modes=N, a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
+                       b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
+                       window=(0, 8), slopes=SeqGen.constant(0.0),
+                       jumps=rank1_jumps(N, "tanh", 0.02, 0.02))
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(241))
-    theta = sys0.surfaces.separation(sys0.lap, ALPHA, RHO)
-    gc = sys0.surfaces.gap_constant(sys0.lap, ALPHA, RHO)
+    theta = sys0.theta
+    gc = sys0.gap_constant
     meas = measure_lipschitz(sys0, rng=np.random.default_rng(242))
     kb = k_bundle(ALPHA, dich, theta, gc["value"], g_star=meas["g_star"],
                   M_star=meas["M0"] + meas["N1"] * RHO)
@@ -373,8 +344,8 @@ def test_criterion_5_contraction():
 def test_criterion_6_degenerate_and_reduction():
     failures = []
     # zero data
-    sys_z = build(TrigSum(0.5, ((0.2, 1.0, 0.0),)), TrigSum(), 1.0, (0, 8),
-                  SeqGen.constant(0.0), JumpSpec())
+    sys_z = make_system(n_modes=N, a=TrigSum(0.5, ((0.2, 1.0, 0.0),)), b=TrigSum(),
+                        window=(0, 8), slopes=SeqGen.constant(0.0), jumps=JumpSpec())
     dich_z = fit_dichotomy(sys_z.lap, sys_z.coeff, rng=np.random.default_rng(251))
     res_z = outer_solve(sys_z, dich_z, (0.0, 6.0), cfg=SolverConfig(h_t=0.005))
     _, states = res_z.trajectory.all_nodes()
@@ -388,9 +359,10 @@ def test_criterion_6_degenerate_and_reduction():
     left[0, 0] = 1.0
     jumps_p = JumpSpec(left=left, right=left.copy(), nonlinearity="tanh",
                        amp=amp, d=e1(0.2))
-    sys_p = build(TrigSum(0.5, ((0.2, np.pi, 0.0),)),
-                  TrigSum(0.1, ((0.05, np.pi, 0.2),)),
-                  0.5, (0, 24), SeqGen.constant(0.0), jumps_p)
+    sys_p = make_system(n_modes=N, a=TrigSum(0.5, ((0.2, np.pi, 0.0),)),
+                        b=TrigSum(0.1, ((0.05, np.pi, 0.2),)),
+                        base_gap=0.5, window=(0, 24), slopes=SeqGen.constant(0.0),
+                        jumps=jumps_p)
     dich_p = fit_dichotomy(sys_p.lap, sys_p.coeff, rng=np.random.default_rng(252))
     res_p = outer_solve(sys_p, dich_p, (2.0, 10.0), cfg=SolverConfig(h_t=0.005))
     yv = res_p.y_star.values
@@ -404,9 +376,10 @@ def test_criterion_6_degenerate_and_reduction():
     amps[1, 0] = 0.001
     d_gen = SeqGen(freqs=(1.0, np.sqrt(2.0)), amps=amps, phases=(0.0, 0.4),
                    offset=e1(0.1))
-    sys_q = build(TrigSum(9.0, ((0.03, 1.0, 0.0), (0.002, np.sqrt(2.0), 0.3))),
-                  TrigSum(), 1.0, (-15, 65), SeqGen.constant(0.0),
-                  JumpSpec(d=d_gen))
+    sys_q = make_system(n_modes=N,
+                        a=TrigSum(9.0, ((0.03, 1.0, 0.0), (0.002, np.sqrt(2.0), 0.3))),
+                        b=TrigSum(), window=(-15, 65), slopes=SeqGen.constant(0.0),
+                        jumps=JumpSpec(d=d_gen))
     dich_q = fit_dichotomy(sys_q.lap, sys_q.coeff, rng=np.random.default_rng(253))
     cfg_q = SolverConfig(h_t=0.005, buffer=12.0)
     w = sys_q.lap.frac_weights(ALPHA)
@@ -432,18 +405,18 @@ def test_criterion_6_degenerate_and_reduction():
 
 def test_criterion_7_nonnegativity():
     failures = []
-    sys0 = certified_logistic((0, 14))
+    sys0 = certified_logistic((0, 14), n_modes=N)
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(261))
     res = outer_solve(sys0, dich, (0.5, 12.5), cfg=SolverConfig(h_t=0.005))
     t_all, states = res.trajectory.all_nodes()
     mask = (t_all >= 0.5) & (t_all <= 12.5)
-    u = sys0.lap.eval_physical(states[mask], sys0.xi_grid())
+    u = sys0.lap.eval_physical(states[mask], sys0.transform.xi)
     check(failures, np.min(u) >= -1e-8, "min u = %g < -1e-8" % np.min(u))
     check(failures, np.max(u) > 1e-3, "solution trivially small")
 
     # all d_j = 0: identically zero (I(0) = 0 kills the kernel term too)
-    sys_0 = build(sys0.a, sys0.b, 1.0, (0, 14), SeqGen.constant(-0.2),
-                  rank1_jumps("relu", 0.02, 0.0))
+    sys_0 = make_system(n_modes=N, a=sys0.a, b=sys0.b, window=(0, 14),
+                        slopes=SeqGen.constant(-0.2), jumps=rank1_jumps(N, "relu", 0.02, 0.0))
     res0 = outer_solve(sys_0, dich, (0.5, 12.5), cfg=SolverConfig(h_t=0.005))
     _, states0 = res0.trajectory.all_nodes()
     check(failures, np.max(np.abs(res0.y_star.values)) == 0.0, "d=0: y* != 0")

@@ -208,6 +208,35 @@ def test_cmd_constants_validation_exit(tmp_path):
     assert "status=error kind=validation" in buf.getvalue()
 
 
+@pytest.mark.parametrize(
+    "command, old, new",
+    [(c, "n_xi = 64", "n_xi = 16") for c in ("constants", "simulate", "certify", "solve-ap")]
+    + [
+        ("solve-ap", "window = 0 6", "window = 100.5 110.5"),
+        ("solve-ap", "window = 0 6", "window = 0.5 4.5"),
+        ("analyze-ap", "[analysis]", "[overrides]\nanalysis_crop = 10\n\n[analysis]"),
+    ],
+    ids=["constants-n_xi", "simulate-n_xi", "certify-n_xi", "solve-ap-n_xi",
+         "solve-ap-no-surfaces", "solve-ap-short-window", "analyze-ap-short-span"],
+)
+def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new):
+    # n_xi + 1 < 4N aliases; no surface lies in or within a buffer (2.59) of
+    # 100.5..110.5; 0.5..4.5 is shorter than the AP crop of two buffers per end
+    assert old in BASE
+    argv = [command, "--config", write_config(tmp_path, BASE.replace(old, new)),
+            "--out", str(tmp_path / "o")]
+    if command == "analyze-ap":
+        data = tmp_path / "data"
+        assert main(["solve-ap", "--config", write_config(tmp_path, name="data.ini"),
+                     "--out", str(data)]) == 0
+        argv += ["--data", str(data)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 2
+    assert buf.getvalue().splitlines()[-1].startswith("status=error kind=validation")
+
+
 def test_cmd_simulate_zero(tmp_path):
     # zero data: no jump offset, f(., 0) = 0
     text = BASE.replace("d = 0.02", "d =")

@@ -3,15 +3,12 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-
-from implab.ap_analysis import StronglyAPSet
 from scipy.stats import qmc
 
 from implab.impulsive import (
     JUMP_MAP_CATALOGUE,
     BallExitError,
     ImpulseSurfaceSpec,
-    ImpulseSystemSpec,
     JumpSpec,
     SeparationError,
     apply_jump,
@@ -24,28 +21,7 @@ from implab.impulsive import (
 )
 from implab.trig import SeqGen, TrigSum
 
-
-def make_system(
-    n_modes=8,
-    rho=1.0,
-    a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
-    b=TrigSum(),
-    slopes=SeqGen.constant(0.0),
-    window=(1, 10),
-    jumps=None,
-    f_override=None,
-):
-    from implab.spectral import DirichletLaplacian
-
-    lap = DirichletLaplacian(l=1.0, n_modes=n_modes)
-    base = StronglyAPSet(a=1.0, c=SeqGen.constant(0.0), window=window)
-    surfaces = ImpulseSurfaceSpec(base=base, slopes=slopes)
-    if jumps is None:
-        jumps = JumpSpec()
-    return ImpulseSystemSpec(
-        lap=lap, alpha=0.5, rho=rho, a=a, b=b, surfaces=surfaces, jumps=jumps,
-        n_xi=8 * n_modes, f_override=f_override,
-    )
+from systems import certified_logistic, make_system
 
 
 def e1(system, c=1.0):
@@ -67,10 +43,10 @@ def test_q_functional_parseval():
 
 def test_separation_and_intervals():
     sys0 = make_system(slopes=SeqGen.constant(-0.2))
-    theta = sys0.surfaces.separation(sys0.lap, 0.5, 1.0)
+    theta = sys0.theta
     rho_q = 1.0 / sys0.lap.eigenvalues[0]  # rho^2 / lambda_1^{2 alpha}, alpha = 1/2
     assert theta == pytest.approx(1.0 - 0.2 * rho_q)
-    gc = sys0.surfaces.gap_constant(sys0.lap, 0.5, 1.0)
+    gc = sys0.gap_constant
     assert gc["value"] >= max(gc["formula"], gc["measured"]) - 1e-14
     # measured: tau''_{j+1} - tau'_j = 1 + 0.2 rho_q
     assert gc["measured"] == pytest.approx(1.0 + 0.2 * rho_q)
@@ -79,7 +55,7 @@ def test_separation_and_intervals():
 def test_separation_failure():
     sys0 = make_system(slopes=SeqGen.constant(-20.0))
     with pytest.raises(SeparationError):
-        sys0.surfaces.separation(sys0.lap, 0.5, 1.0)
+        sys0.theta
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +186,7 @@ def test_apply_jump_nonnegative_data():
     sys0 = make_system(jumps=jumps)
     x = 0.2 * e1(sys0)
     post = apply_jump(sys0, 1, x)
-    xi = sys0.xi_grid()
+    xi = sys0.transform.xi
     u = sys0.lap.eval_physical(post, xi)
     assert np.min(u) >= -1e-8
 
@@ -248,23 +224,6 @@ def test_simulate_fixed_moments_ten_hits():
         g = sys0.g(h.surface, h.pre)
         assert np.max(np.abs(h.post - h.pre - g)) < 1e-10
     assert np.all(np.diff(traj.hit_times()) > 0.0)
-
-
-def certified_logistic(window=(1, 6)):
-    n = 8
-    left = np.zeros((1, n))
-    left[0, 0] = 1.0
-    d = np.zeros(n)
-    d[0] = 0.05
-    jumps = JumpSpec(left=left, right=left.copy(), nonlinearity="relu",
-                     amp=SeqGen.constant(0.02), d=d)
-    return make_system(
-        a=TrigSum(0.5, ((0.2, 1.0, 0.0), (0.1, np.sqrt(2.0), 0.3))),
-        b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
-        slopes=SeqGen.constant(-0.2),
-        window=window,
-        jumps=jumps,
-    )
 
 
 @pytest.mark.parametrize(
@@ -326,9 +285,9 @@ def test_simulate_certified_no_beating():
 
 def test_simulate_nonnegativity():
     sys0 = certified_logistic(window=(1, 4))
-    x0 = sys0.lap.project(lambda s: 0.3 * np.sin(np.pi * s) ** 2, sys0.xi_grid())
+    x0 = sys0.lap.project(lambda s: 0.3 * np.sin(np.pi * s) ** 2, sys0.transform.xi)
     traj = simulate(sys0, x0, 0.5, 4.5, seg_tol=1e-8)
-    xi = sys0.xi_grid()
+    xi = sys0.transform.xi
     t_all, states = traj.all_nodes()
     u = sys0.lap.eval_physical(states, xi)
     assert np.min(u) >= -1e-8 * max(1.0, np.max(np.abs(u)))
@@ -338,8 +297,8 @@ def test_surface_lookups_index_the_window_arrays():
     sys0 = make_system(slopes=SeqGen(freqs=(0.7,), amps=(0.05,), phases=(0.0,), offset=-0.2))
     surf = sys0.surfaces
     for pos, j in enumerate(surf.indices()):
-        assert surf.base_time(j) == surf.base_times()[pos]
-        assert surf.slope(j) == surf.slope_window()[pos]
+        assert surf.base_time(j) == surf.base_times[pos]
+        assert surf.slope(j) == surf.slope_window[pos]
 
 
 def test_jump_map_catalogue_zero_and_lipschitz():
@@ -358,7 +317,7 @@ def test_jump_map_catalogue_zero_and_lipschitz():
 def certificate_by_sample(system, j, n_samples, rng):
     """Reference: the beating certificate evaluated one sample at a time."""
     lap, alpha, rho = system.lap, system.alpha, system.rho
-    xi = system.xi_grid()
+    xi = system.transform.xi
     w_quad = lap.quad_weights(xi)
     b_j = system.surfaces.slope(j)
     sob = qmc.Sobol(d=5, seed=rng.integers(2**31))

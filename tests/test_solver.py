@@ -4,9 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from implab.ap_analysis import StronglyAPSet
 from implab.evolution import LinearCoefficient, bounded_solution, fit_dichotomy, k_bundle
-from implab.impulsive import ImpulseSurfaceSpec, ImpulseSystemSpec, JumpSpec, _phi_weights
+from implab.impulsive import JumpSpec, _phi_weights
 from implab.solver import (
     APSequencePoint,
     SolverConfig,
@@ -23,29 +22,7 @@ from implab.solver import (
 from implab.spectral import DirichletLaplacian
 from implab.trig import SeqGen, TrigSum
 
-
-def make_system(
-    n_modes=8,
-    rho=1.0,
-    a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
-    b=TrigSum(),
-    slopes=SeqGen.constant(0.0),
-    base_gap=1.0,
-    window=(0, 8),
-    jumps=None,
-    f_override=None,
-):
-    from implab.spectral import DirichletLaplacian
-
-    lap = DirichletLaplacian(l=1.0, n_modes=n_modes)
-    base = StronglyAPSet(a=base_gap, c=SeqGen.constant(0.0), window=window)
-    surfaces = ImpulseSurfaceSpec(base=base, slopes=slopes)
-    if jumps is None:
-        jumps = JumpSpec()
-    return ImpulseSystemSpec(
-        lap=lap, alpha=0.5, rho=rho, a=a, b=b, surfaces=surfaces, jumps=jumps,
-        n_xi=8 * n_modes, f_override=f_override,
-    )
+from systems import make_system
 
 
 def const_d(n, c=0.02):
@@ -112,12 +89,12 @@ def scan_case(name):
         sigma = np.zeros(4)
         sigma[0] = -lap.eigenvalues[0] - 2.0
         coeff = LinearCoefficient(m=TrigSum(0.0, ((0.3, 1.0, 0.0),)), per_mode_shift=sigma)
-        system = SimpleNamespace(lap=lap, coeff=coeff)
+        system = SimpleNamespace(lap=lap, coeff=coeff, rates=coeff.rates(lap))
         return system, 0.005, (0.0, 8.0)
     if name == "stiff":
         # z reaches 500 in one step on the top mode: one step per scan block
-        return make_system(n_modes=32), 0.05, (-2.0, 9.0)
-    return make_system(), 0.005, (-3.0, 11.0)
+        return make_system(n_modes=32, window=(0, 8)), 0.05, (-2.0, 9.0)
+    return make_system(window=(0, 8)), 0.005, (-3.0, 11.0)
 
 
 @pytest.mark.parametrize("name", ["stable", "stiff", "unstable"])
@@ -152,7 +129,7 @@ def test_recursion_scan_matches_node_loop(name):
 
 
 def test_inner_solve_zero_data():
-    sys0 = make_system()
+    sys0 = make_system(window=(0, 8))
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(40))
     y = APSequencePoint.zero((0, 8), 8)
     traj, info = inner_solve(sys0, dich, y, (0.0, 8.0), CFG)
@@ -232,7 +209,7 @@ def test_integral_residual_small():
 
 
 def test_poincare_zero_map():
-    sys0 = make_system()
+    sys0 = make_system(window=(0, 8))
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(44))
     rng = np.random.default_rng(45)
     w = sys0.lap.frac_weights(0.5)
@@ -287,11 +264,11 @@ def test_outer_solve_periodic_reduction():
 def test_verify_smallness_linear_instance():
     # b == 0 (f == 0), constant jumps, fixed moments: N1 = 0
     n = 8
-    sys0 = make_system(jumps=JumpSpec(d=const_d(n, 0.02)))
+    sys0 = make_system(jumps=JumpSpec(d=const_d(n, 0.02)), window=(0, 8))
     dich = fit_dichotomy(sys0.lap, sys0.coeff, alpha=0.5,
                          rng=np.random.default_rng(48))
-    theta = sys0.surfaces.separation(sys0.lap, 0.5, 1.0)
-    gc = sys0.surfaces.gap_constant(sys0.lap, 0.5, 1.0)
+    theta = sys0.theta
+    gc = sys0.gap_constant
     kb = k_bundle(0.5, dich, theta, gc["value"], g_star=0.1)
     measured = measure_lipschitz(sys0, rng=np.random.default_rng(49))
     assert measured["N1"] < 1e-12
@@ -303,10 +280,10 @@ def test_verify_smallness_linear_instance():
 
 def test_verify_smallness_overloaded():
     n = 8
-    sys0 = make_system(jumps=JumpSpec(d=const_d(n, 5.0)))
+    sys0 = make_system(jumps=JumpSpec(d=const_d(n, 5.0)), window=(0, 8))
     dich = fit_dichotomy(sys0.lap, sys0.coeff, alpha=0.5,
                          rng=np.random.default_rng(51))
-    theta = sys0.surfaces.separation(sys0.lap, 0.5, 1.0)
+    theta = sys0.theta
     kb = k_bundle(0.5, dich, theta, 2.0)
     measured = measure_lipschitz(sys0, rng=np.random.default_rng(52))
     rep = verify_smallness(sys0, kb, measured["N1"], measured["M0"],
