@@ -176,8 +176,7 @@ class EpsPeriodReport:
             epsilon=eps,
             periods=periods,
             max_gap=max_gap,
-            # np.bool_ keeps the record's "True"; a Python bool is written "true"
-            relatively_dense=np.bool_(max_gap is not None),
+            relatively_dense=max_gap is not None,
             p_range=tuple(p_range),
             k_range=tuple(k_range),
         )

@@ -2,11 +2,17 @@
 
 The flow between impulses solves ``u' + (A + A_1(t))u = f(t, u)`` per mode
 with an exponential trapezoid integrator (exact nonautonomous linear
-propagation, two-point variation-of-constants weights, step doubling).  The
-impulse surfaces are ``tau_j(x) = t_j + b_j Q(x)`` with the energy functional
+propagation, two-point variation-of-constants weights, step doubling).  A
+step-doubling trial (one step of h, two of h/2) makes four f calls and one
+weight evaluation; f(t, x) is computed once per node.  The impulse surfaces
+are ``tau_j(x) = t_j + b_j Q(x)`` with the energy functional
 ``Q(x) = int_0^l u^2 = sum_k x_k^2``; crossings of ``zeta_j(t) =
-t - tau_j(u(t))`` are bracketed on the dense output and bisected to
-``event_tol``, with grazing contacts classified as no-hit.
+t - tau_j(u(t))`` are bracketed on the dense output, probed for several roots
+at 10 times in one call and bisected to ``event_tol``, with grazing contacts
+classified as no-hit.  A hit time is then sharpened on re-integrated states:
+each run to a trial hit time copies the steps of the flow segment it was
+found on up to the first node that the hit time clips, and integrates only
+from there.
 
 ``beating_certificate`` checks the two repeated-hit exclusion hypotheses on
 sampled non-negative states: ``theta_j(x) = tau_j(x + g_j(x)) - tau_j(x) <= 0``
@@ -67,7 +73,11 @@ class BeatingError(RuntimeError):
 
 
 class SeparationError(ValueError):
-    """Surface time intervals over the ball overlap: hypothesis (H3) fails."""
+    """Hypothesis (H3) fails or cannot be measured on the surface window.
+
+    The surface time intervals over the ball overlap, or the window holds
+    fewer surfaces than theta (2) or the gap constant (4) is taken over.
+    """
 
 
 # scalar Lipschitz maps I with I(0) = 0, as (callable, Lipschitz constant)
@@ -214,6 +224,8 @@ class ImpulseSystemSpec:
     def theta(self) -> float:
         """theta = inf_j (tau'_{j+1} - tau''_j) over the window; must be > 0."""
         lo, hi = self.intervals
+        if lo.size < 2:
+            raise SeparationError("theta needs at least 2 surfaces in the window")
         theta = float(np.min(lo[1:] - hi[:-1]))
         if theta <= 0.0:
             raise SeparationError(
@@ -230,6 +242,8 @@ class ImpulseSystemSpec:
         reported; downstream estimates use the larger.
         """
         c = self.surfaces.base.offsets()
+        if c.size < 4:
+            raise SeparationError("the gap constant needs at least 4 surfaces in the window")
         formula = float(np.max(c[3:] - c[:-3])) + 3.0 * self.surfaces.base.a - 2.0 * self.theta
         lo, hi = self.intervals
         measured = float(np.max(hi[1:] - lo[:-1]))
@@ -297,14 +311,36 @@ def _phi_weights(z):
     return ez, phi1, A, B
 
 
-def _etd2_step(system, t, h, x):
-    """One exponential trapezoid step from (t, x) to t + h."""
-    z = system.rates * h + system.coeff.m.integral(t, t + h)
-    ez, phi1, A, B = _phi_weights(z)
-    f0 = system.f(t, x)
+def _etd2_update(system, t, h, x, f0, weights):
+    """The exponential trapezoid step from (t, x) to t + h, given f0 = f(t, x)."""
+    ez, phi1, A, B = weights
     pred = ez * x + h * phi1 * f0
     f1 = system.f(t + h, pred)
     return ez * x + h * (A * f0 + B * f1)
+
+
+def _etd2_step(system, t, h, x):
+    """One exponential trapezoid step from (t, x) to t + h."""
+    z = system.rates * h + system.coeff.m.integral(t, t + h)
+    return _etd2_update(system, t, h, x, system.f(t, x), _phi_weights(z))
+
+
+def _doubling_trial(system, t, h, x, f0):
+    """One step of size h and two of h/2 from (t, x): (coarse, fine).
+
+    The three steps share f0 = f(t, x), one evaluation of the antiderivative
+    of m and one ``_phi_weights`` call, so a trial makes four f calls; each
+    quantity is the same float the three steps would compute on their own.
+    """
+    t_mid = t + h / 2.0
+    big_m = system.coeff.m.antiderivative(np.array([t, t + h, t_mid, t_mid + h / 2.0]))
+    z = (system.rates * np.array([h, h / 2.0, h / 2.0])[:, None]
+         + (big_m[1:] - big_m[[0, 0, 2]])[:, None])
+    w_coarse, w_first, w_second = zip(*_phi_weights(z))
+    coarse = _etd2_update(system, t, h, x, f0, w_coarse)
+    half = _etd2_update(system, t, h / 2.0, x, f0, w_first)
+    fine = _etd2_update(system, t_mid, h / 2.0, half, system.f(t_mid, half), w_second)
+    return coarse, fine
 
 
 def step_segment(
@@ -314,29 +350,43 @@ def step_segment(
     t1: float,
     seg_tol: float = 1e-8,
     h_max: float = np.inf,
+    resume=None,
 ) -> Segment:
     """Integrate the flow on [t0, t1]; adaptive steps by step doubling.
 
     Each trial step compares one step of size h with two of h/2; the halved
     solution is kept (local extrapolation), and h adapts to keep the
     difference below ``seg_tol``.  Node times of accepted steps form the
-    dense output grid.
+    dense output grid; ``h_carry`` records the step size carried into each
+    node, before it is clipped to t1 and ``h_max``.
+
+    ``resume = (seg, end)`` is an earlier result of this function from the
+    same x0 and t0 to ``end``, with the same ``seg_tol`` and ``h_max``.  Up
+    to the first node where t1 and ``end`` clip the first trial step
+    differently, or where the run to t1 stops, both runs take the same
+    steps; those nodes are copied and the integration goes on from there,
+    so the result equals a run from t0 bit for bit.
     """
     if t1 <= t0:
         raise ValueError("segment needs t1 > t0")
     x = np.asarray(x0, dtype=float)
     if not system.in_ball(x):
         raise BallExitError("initial state outside the admissible ball", time=t0)
-    t = t0
-    h = min(h_max, t1 - t0, 0.05)
-    nodes = [t0]
-    states = [x]
-    while t < t1 - 1e-13 * max(1.0, abs(t1)):
+    stop = t1 - 1e-13 * max(1.0, abs(t1))
+    nodes, states, carry = [t0], [x], [min(h_max, 0.05)]
+    if resume is not None:
+        prev, end = resume
+        tp, hp = prev.t[:-1], np.minimum(prev.h_carry[:-1], h_max)
+        same = (tp < stop) & (np.minimum(hp, t1 - tp) == np.minimum(hp, end - tp))
+        k = tp.size if same.all() else int(np.argmin(same))
+        nodes, states = prev.t[: k + 1].tolist(), list(prev.states[: k + 1])
+        carry = prev.h_carry[: k + 1].tolist()
+    t, x, h = nodes[-1], states[-1], carry[-1]
+    while t < stop:
         h = min(h, t1 - t, h_max)
+        f0 = system.f(t, x)
         while True:
-            coarse = _etd2_step(system, t, h, x)
-            half = _etd2_step(system, t, h / 2.0, x)
-            fine = _etd2_step(system, t + h / 2.0, h / 2.0, half)
+            coarse, fine = _doubling_trial(system, t, h, x, f0)
             err = float(np.linalg.norm(fine - coarse)) / 3.0
             if err < seg_tol or h < 1e-12:
                 break
@@ -348,7 +398,8 @@ def step_segment(
         if not system.in_ball(x):
             raise BallExitError("left admissible ball at t = %g" % t, time=t)
         h = h * min(4.0, max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0)))
-    return Segment(t=np.asarray(nodes), states=np.stack(states))
+        carry.append(h)
+    return Segment(t=np.asarray(nodes), states=np.stack(states), h_carry=np.asarray(carry))
 
 
 def segment_residual(system: ImpulseSystemSpec, seg: Segment, probe: float = 1e-5) -> float:
@@ -386,8 +437,7 @@ def detect_crossing(system: ImpulseSystemSpec, seg: Segment, j, event_tol: float
     tangential grazing).  Raises EventResolutionError when zeta changes sign
     more than once inside one integration step.
     """
-    q = ImpulseSurfaceSpec.q_functional(seg.states)
-    zeta = seg.t - (system.surfaces.base_time(j) + system.surfaces.slope(j) * q)
+    zeta = seg.t - system.tau(j, seg.states)
 
     def zeta_at(t):
         u = seg.interp(t)[0]
@@ -398,7 +448,7 @@ def detect_crossing(system: ImpulseSystemSpec, seg: Segment, j, event_tol: float
             continue
         # reject steps hiding several roots
         probe = np.linspace(seg.t[i], seg.t[i + 1], 10)
-        signs = np.sign([zeta_at(tp) for tp in probe])
+        signs = np.sign(probe - system.tau(j, seg.interp(probe)))
         flips = int(np.sum(np.abs(np.diff(signs[signs != 0.0])) > 0.0))
         if flips > 1:
             raise EventResolutionError(
@@ -460,13 +510,16 @@ def simulate(
             t, x = t1, seg.states[-1]
             continue
         th, j = best
-        # sharpen the hit time on re-integrated (not interpolated) states
+        # sharpen the hit time on re-integrated (not interpolated) states; each
+        # run repeats the steps of seg up to the first one that th clips
         pre = x
         for _ in range(12):
             if th - t <= 1e-12:
                 th, seg2, pre = t, None, x
                 break
-            seg2 = step_segment(system, x, t, th, seg_tol, h_max=horizon / 4.0)
+            seg2 = step_segment(
+                system, x, t, th, seg_tol, h_max=horizon / 4.0, resume=(seg, t1)
+            )
             pre = seg2.states[-1]
             zeta = th - system.tau(j, pre)
             if abs(zeta) < event_tol:

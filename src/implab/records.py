@@ -29,7 +29,7 @@ __all__ = [
 
 def format_value(v) -> str:
     """Deterministic text form: 17 significant digits for floats."""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return "%d" % v

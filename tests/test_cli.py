@@ -95,6 +95,8 @@ def test_table_roundtrip(tmp_path):
 def test_format_value_deterministic():
     assert format_value(0.1) == format_value(0.1)
     assert format_value(np.float64(1.0) / 3.0) == "0.33333333333333331"
+    assert format_value(np.bool_(True)) == format_value(True) == "true"
+    assert format_value(np.bool_(False)) == format_value(False) == "false"
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +237,24 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new):
         code = main(argv)
     assert code == 2
     assert buf.getvalue().splitlines()[-1].startswith("status=error kind=validation")
+
+
+@pytest.mark.parametrize(
+    "command, window, code",
+    [("constants", "0 0", 2), ("simulate", "0 0", 2), ("certify", "0 0", 2),
+     ("constants", "0 2", 2), ("simulate", "0 2", 0)],
+)
+def test_too_few_surfaces_exit_2(tmp_path, command, window, code):
+    # theta is taken over 2 surfaces or more, the gap constant over 4 or more;
+    # simulate reads theta only
+    argv = [command, "--config",
+            write_config(tmp_path, BASE.replace("window = 0 8", "window = " + window)),
+            "--out", str(tmp_path / "o")]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == code
+    last = buf.getvalue().splitlines()[-1]
+    assert last.startswith("status=ok" if code == 0 else "status=error kind=validation")
 
 
 def test_cmd_simulate_zero(tmp_path):

@@ -5,10 +5,12 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import qmc
 
+from implab import impulsive
 from implab.impulsive import (
     JUMP_MAP_CATALOGUE,
     BallExitError,
     ImpulseSurfaceSpec,
+    ImpulseSystemSpec,
     JumpSpec,
     SeparationError,
     apply_jump,
@@ -17,11 +19,13 @@ from implab.impulsive import (
     segment_residual,
     simulate,
     step_segment,
+    _etd2_step,
     _scrambled_sobol,
 )
+from implab.trajectory import Segment
 from implab.trig import SeqGen, TrigSum
 
-from systems import certified_logistic, make_system
+from systems import certified_logistic, make_system, rank1_jumps
 
 
 def e1(system, c=1.0):
@@ -56,6 +60,12 @@ def test_separation_failure():
     sys0 = make_system(slopes=SeqGen.constant(-20.0))
     with pytest.raises(SeparationError):
         sys0.theta
+    # theta is taken over 2 surfaces or more, the gap constant over 4 or more
+    with pytest.raises(SeparationError, match="at least 2"):
+        make_system(window=(1, 1)).theta
+    with pytest.raises(SeparationError, match="at least 4"):
+        make_system(window=(1, 3)).gap_constant
+    assert make_system(window=(1, 4)).gap_constant["value"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -387,3 +397,230 @@ def test_batched_certificate_matches_per_sample_loop(build, n_samples):
             continue
         assert cert.theta_check == pytest.approx(theta, rel=1e-13, abs=1e-15)
         assert cert.p_check == pytest.approx(p_val, rel=1e-13, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# one-evaluation trials and resumed sharpening against the re-integrating loop
+# ---------------------------------------------------------------------------
+
+
+def segment_by_doubling(system, x0, t0, t1, seg_tol, h_max=np.inf, stats=None):
+    """Reference: step doubling by three independent ETD2 steps per trial.
+
+    ``stats`` counts the rejected trials.
+    """
+    x = np.asarray(x0, dtype=float)
+    t, h = t0, min(h_max, t1 - t0, 0.05)
+    nodes, states = [t0], [x]
+    while t < t1 - 1e-13 * max(1.0, abs(t1)):
+        h = min(h, t1 - t, h_max)
+        while True:
+            coarse = _etd2_step(system, t, h, x)
+            half = _etd2_step(system, t, h / 2.0, x)
+            fine = _etd2_step(system, t + h / 2.0, h / 2.0, half)
+            err = float(np.linalg.norm(fine - coarse)) / 3.0
+            if err < seg_tol or h < 1e-12:
+                break
+            if stats is not None:
+                stats["rejected"] += 1
+            h *= max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0))
+        t, x = t + h, fine
+        nodes.append(t)
+        states.append(x)
+        h = h * min(4.0, max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0)))
+    return Segment(t=np.asarray(nodes), states=np.stack(states))
+
+
+def crossing_by_probe(system, seg, j, event_tol):
+    """Reference: earliest upward crossing, every zeta value taken alone."""
+
+    def zeta_at(t):
+        return t - system.tau(j, seg.interp(t)[0])
+
+    zeta = [zeta_at(t) for t in seg.t]
+    for i in range(seg.t.size - 1):
+        if not (zeta[i] < 0.0 <= zeta[i + 1]):
+            continue
+        signs = np.sign([zeta_at(t) for t in np.linspace(seg.t[i], seg.t[i + 1], 10)])
+        assert int(np.sum(np.abs(np.diff(signs[signs != 0.0])) > 0.0)) <= 1
+        lo, hi = seg.t[i], seg.t[i + 1]
+        while hi - lo > event_tol:
+            mid = 0.5 * (lo + hi)
+            if zeta_at(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+    return None
+
+
+def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, stats=None):
+    """Reference: the hybrid loop re-integrating from the segment start per trial hit."""
+    lo, hi = system.intervals
+    idx = system.surfaces.indices()
+    x, t = np.asarray(u0, dtype=float), float(t0)
+    horizon = max(system.theta / 2.0, 1e-3)
+    segments, hits, last_hit = [], [], None
+    while t < t_end - 1e-12:
+        t1 = min(t_end, t + horizon)
+        seg = segment_by_doubling(system, x, t, t1, seg_tol, horizon / 4.0, stats)
+        best = None
+        for j in idx[(hi >= t - event_tol) & (lo <= t1 + event_tol)]:
+            th = crossing_by_probe(system, seg, j, event_tol)
+            if th is None or th < t:
+                continue
+            if last_hit is not None and int(j) == last_hit[0] and th <= last_hit[1] + 10.0 * event_tol:
+                continue
+            if best is None or th < best[0]:
+                best = (th, int(j))
+        if best is None:
+            segments.append(seg)
+            t, x = t1, seg.states[-1]
+            continue
+        th, j = best
+        pre = x
+        for _ in range(12):
+            if th - t <= 1e-12:
+                th, seg2, pre = t, None, x
+                break
+            seg2 = segment_by_doubling(system, x, t, th, seg_tol, horizon / 4.0, stats)
+            pre = seg2.states[-1]
+            zeta = th - system.tau(j, pre)
+            if abs(zeta) < event_tol:
+                break
+            th = th - zeta
+        if seg2 is not None:
+            segments.append(seg2)
+        post = apply_jump(system, j, pre)
+        last_hit = (j, th)
+        hits.append((th, j, pre, post))
+        t, x = th, post
+    return segments, hits
+
+
+def moving_like(n_modes=16):
+    """README coefficients with moments 0.1 apart that move: b_j = -0.45."""
+    return make_system(
+        n_modes=n_modes,
+        a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
+        b=TrigSum(0.1, ((0.05, 1.41421356237, 0.0),)),
+        slopes=SeqGen.constant(-0.45),
+        base_gap=0.1,
+        window=(0, 40),
+        jumps=rank1_jumps(n_modes, "relu", 0.02, 0.18),
+    )
+
+
+SIMULATE_CASES = {
+    # (system builder, initial amplitude of e_1, t0, t_end, seg_tol)
+    "readme": (readme_like, 0.2, 0.5, 3.5, 1e-8),
+    "moving": (moving_like, 0.2, 0.5, 1.8, 1e-8),
+    "tight": (certified_logistic, 0.3, 0.5, 2.5, 1e-11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_matches_reintegrating_loop(case):
+    build, amp, t0, t_end, seg_tol = SIMULATE_CASES[case]
+    sys0 = build()
+    stats = {"rejected": 0}
+    ref_segments, ref_hits = simulate_by_reintegration(
+        sys0, e1(sys0, amp), t0, t_end, seg_tol, stats=stats
+    )
+    traj = simulate(sys0, e1(sys0, amp), t0, t_end, seg_tol=seg_tol)
+    assert len(ref_hits) >= 2
+    if case == "tight":
+        assert stats["rejected"] > 0
+    assert len(traj.segments) == len(ref_segments)
+    for seg, ref in zip(traj.segments, ref_segments):
+        assert np.array_equal(seg.t, ref.t)
+        assert np.array_equal(seg.states, ref.states)
+    assert len(traj.hits) == len(ref_hits)
+    for hit, (th, j, pre, post) in zip(traj.hits, ref_hits):
+        assert hit.time == th and hit.surface == j
+        assert np.array_equal(hit.pre, pre) and np.array_equal(hit.post, post)
+
+
+def resume_ends(seg, t1):
+    """Ends to resume seg at: between, at and one ulp around its nodes, and past t1."""
+    t = seg.t
+    ends = [0.5 * (t[:-1] + t[1:]), t[1:], np.nextafter(t[1:], -np.inf),
+            np.nextafter(t[1:-1], np.inf), t1 + np.array([1e-15, 1e-3, 0.4 * (t1 - t[0])])]
+    ends.append([np.nextafter(t1, np.inf)])
+    return np.unique(np.concatenate(ends))
+
+
+@pytest.mark.parametrize("seg_tol", [1e-8, 1e-9, 1e-10, 1e-11])
+def test_resumed_segment_equals_full_run(seg_tol):
+    sys0 = moving_like()
+    x0 = e1(sys0, 0.25) + 0.05 * np.roll(e1(sys0), 1)
+    h_max = 0.25 * max(sys0.theta / 2.0, 1e-3)
+    checked = rejected = 0
+    # a horizon segment, and a short last one (t_end close after t0)
+    for t0, t1 in ((0.53, 0.53 + 4.0 * h_max), (0.71, 0.71 + 0.3 * h_max)):
+        seg = step_segment(sys0, x0, t0, t1, seg_tol, h_max)
+        stats = {"rejected": 0}
+        ref = segment_by_doubling(sys0, x0, t0, t1, seg_tol, h_max, stats)
+        assert np.array_equal(seg.t, ref.t) and np.array_equal(seg.states, ref.states)
+        rejected += stats["rejected"]
+        for end in resume_ends(seg, t1):
+            full = step_segment(sys0, x0, t0, end, seg_tol, h_max)
+            resumed = step_segment(sys0, x0, t0, end, seg_tol, h_max, resume=(seg, t1))
+            assert np.array_equal(resumed.t, full.t), end
+            assert np.array_equal(resumed.states, full.states), end
+            assert np.array_equal(resumed.h_carry, full.h_carry), end
+            checked += 1
+    assert checked > 20 and rejected > 0
+
+
+def test_simulate_makes_four_f_calls_per_trial_and_one_per_node(monkeypatch):
+    """Counts, not timings, on a moving-moment run where no trial is rejected.
+
+    A trial evaluates f four times (f(t, x) is shared by the full and the
+    first half step and computed once per node), so a segment of n steps
+    costs 5n f calls and n ``_phi_weights`` calls.  A sharpening run goes on
+    from the first node t_k of the horizon segment where the trial hit time
+    th clips the step h_k proposed there, so th - t_k < h_k.  The error
+    estimate scales as h^3, and h_k passed in this run, so the shorter step
+    passes too: one trial and one step, 5 f calls per sharpening iteration.
+    Re-integrating from the segment start costs k more steps.
+    """
+    sys0 = moving_like()
+    calls = {"f": 0, "trials": 0}
+    spans = []
+    f_spec = ImpulseSystemSpec.f
+    phi_weights = impulsive._phi_weights
+    step = impulsive.step_segment
+
+    def counted_f(self, t, x):
+        calls["f"] += 1
+        return f_spec(self, t, x)
+
+    def counted_phi_weights(z):
+        calls["trials"] += 1
+        return phi_weights(z)
+
+    def counted_step(*args, **kwargs):
+        before = dict(calls)
+        seg = step(*args, **kwargs)
+        spans.append((kwargs.get("resume"), seg, calls["f"] - before["f"],
+                      calls["trials"] - before["trials"]))
+        return seg
+
+    monkeypatch.setattr(ImpulseSystemSpec, "f", counted_f)
+    monkeypatch.setattr(impulsive, "_phi_weights", counted_phi_weights)
+    monkeypatch.setattr(impulsive, "step_segment", counted_step)
+    traj = simulate(sys0, e1(sys0, 0.2), 0.5, 3.8, seg_tol=1e-8)
+
+    horizon = [s for s in spans if s[0] is None]
+    sharpen = [s for s in spans if s[0] is not None]
+    assert len(traj.hits) >= 30 and len(sharpen) >= len(traj.hits)
+    steps = sum(seg.t.size - 1 for _, seg, _, _ in horizon)
+    assert sum(s[3] for s in horizon) == steps  # no rejected trial
+    assert sum(s[2] for s in horizon) == 5 * steps
+    for (prev, end), seg, f_calls, trials in sharpen:
+        assert (f_calls, trials) == (5, 1)
+        # the run shares all but its last step with the horizon segment
+        assert np.array_equal(seg.t[:-1], prev.t[: seg.t.size - 1])
+    assert sum(seg.t.size - 2 for _, seg, _, _ in sharpen) >= len(sharpen)
+    assert calls["f"] == 4 * calls["trials"] + steps + len(sharpen)
