@@ -13,8 +13,8 @@ realization, and provides:
   truncated spectral phase space with fractional norms,
 * ``ap_analysis`` — eps-almost-period detection and Wexler-style
   certification on finite windows,
-* ``evolution`` — the nonautonomous linear evolution operator, exponential
-  dichotomy fitting, the Green function and its bounded-solution integral,
+* ``evolution`` — the nonautonomous linear evolution factors, exponential
+  dichotomy fitting, the Green function and its Simpson integral,
 * ``impulsive`` — hybrid simulation (exponential integrator + event
   detection + jumps) and beating-exclusion certificates,
 * ``solver`` — the two-level fixed point (inner Picard in function space,
@@ -39,14 +39,9 @@ from .evolution import (
     KBundle,
     LinearCoefficient,
     NonHyperbolicError,
-    bounded_solution,
-    evolution_apply,
     evolution_factors,
     fit_continuity_constant,
     fit_dichotomy,
-    green_apply,
-    green_factors,
-    green_shift_defect,
     k_bundle,
 )
 from .impulsive import (
@@ -54,7 +49,6 @@ from .impulsive import (
     BallExitError,
     BeatingCertificate,
     BeatingError,
-    EventResolutionError,
     ImpulseSurfaceSpec,
     ImpulseSystemSpec,
     JumpSpec,
@@ -62,7 +56,6 @@ from .impulsive import (
     apply_jump,
     beating_certificate,
     detect_crossing,
-    segment_residual,
     simulate,
     step_segment,
 )
@@ -106,21 +99,15 @@ __all__ = [
     "DichotomyData",
     "KBundle",
     "NonHyperbolicError",
-    "evolution_apply",
     "evolution_factors",
-    "green_factors",
-    "green_apply",
     "fit_dichotomy",
     "fit_continuity_constant",
-    "green_shift_defect",
-    "bounded_solution",
     "k_bundle",
     "ImpulseSurfaceSpec",
     "JumpSpec",
     "ImpulseSystemSpec",
     "BeatingCertificate",
     "BallExitError",
-    "EventResolutionError",
     "BeatingError",
     "SeparationError",
     "JUMP_MAP_CATALOGUE",
@@ -129,7 +116,6 @@ __all__ = [
     "apply_jump",
     "simulate",
     "beating_certificate",
-    "segment_residual",
     "APSequencePoint",
     "ContractionReport",
     "SolverConfig",

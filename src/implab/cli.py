@@ -36,7 +36,6 @@ from .evolution import NonHyperbolicError, fit_dichotomy, k_bundle
 from .impulsive import (
     BallExitError,
     BeatingError,
-    EventResolutionError,
     SeparationError,
     beating_certificate,
     simulate,
@@ -64,7 +63,6 @@ _NUMERICAL_ERRORS = (
     BallExitError,
     BeatingError,
     ConvergenceError,
-    EventResolutionError,
     NonHyperbolicError,
 )
 
@@ -213,7 +211,6 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     lo = max(w0 + min(buf, (w1 - w0) / 3.0), w0 + 0.2)
     times = np.linspace(lo, max(w1 - 0.2, lo), 3)
     residual = integral_residual(system, dich, res.trajectory, y, times)
-    res.residual = residual
 
     rec = rep.as_record()
     rec["outer_steps"] = len(res.steps)

@@ -80,6 +80,14 @@ def _parse_rows(text, n_modes):
     return np.stack(rows) if rows else None
 
 
+def _interval(text, name) -> tuple:
+    """'lo hi' -> (lo, hi), two values with lo < hi."""
+    vals = tuple(float(v) for v in text.split())
+    if len(vals) != 2 or vals[1] <= vals[0]:
+        raise ConfigError("%s must be 'lo hi' with lo < hi" % name)
+    return vals
+
+
 def _trig_sum(sec, offset_key="offset", terms_key="terms") -> TrigSum:
     return TrigSum(
         offset=sec.getfloat(offset_key, 0.0),
@@ -176,15 +184,13 @@ def load_instance(path) -> InstanceConfig:
             if ssec and ssec.get(key, "").strip():
                 kwargs[key] = int(ssec[key])
         solver = SolverConfig(**kwargs)
-        t_window = tuple(
-            float(v) for v in (ssec.get("window", "0 10") if ssec else "0 10").split()
-        )
-        if len(t_window) != 2 or t_window[1] <= t_window[0]:
-            raise ConfigError("solver window must be 't_lo t_hi' with t_lo < t_hi")
+        t_window = _interval(ssec.get("window", "0 10") if ssec else "0 10", "[solver] window")
 
         samp = parser["sampling"] if "sampling" in parser else {}
         seed = int(samp.get("seed", 0)) if samp else 0
         n_samples = int(samp.get("n_samples", 512)) if samp else 512
+        if n_samples < 1:
+            raise ConfigError("[sampling] n_samples must be at least 1")
 
         asec = parser["analysis"] if "analysis" in parser else {}
         eps_list = tuple(_floats(asec.get("eps", "1e-2"))) if asec else (1e-2,)
@@ -192,9 +198,9 @@ def load_instance(path) -> InstanceConfig:
         sim = parser["simulate"] if "simulate" in parser else {}
         u0_text = sim.get("u0", "") if sim else ""
         u0 = _parse_vector(u0_text, lap.n_modes) if u0_text.strip() else np.zeros(lap.n_modes)
-        t_range = tuple(
-            float(v)
-            for v in (sim.get("t_range", "%g %g" % t_window) if sim else "%g %g" % t_window).split()
+        t_range = _interval(
+            sim.get("t_range", "%g %g" % t_window) if sim else "%g %g" % t_window,
+            "[simulate] t_range",
         )
 
         osec = parser["overrides"] if "overrides" in parser else {}

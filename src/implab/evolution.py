@@ -15,18 +15,18 @@ samples by the caller.
 
 The branch rule of the Green function G(t, s) (stable modes propagate
 forward, unstable modes carry -U(t, s) backward) is written once, in
-``_green_factor``; ``green_factors``, the dichotomy fit and the Simpson
-kernel call it, and ``_jump_sum`` applies it to the jump term
-``sum_j G(t, tau_j) g_j`` for ``bounded_solution`` and
-``solver.integral_residual`` alike.
-
-``bounded_solution`` evaluates the Green-function representation
+``_green_factor``; the dichotomy fit, the Simpson kernel
+``_green_integral_at`` and the jump sum ``_jump_sum`` (the term
+``sum_j G(t, tau_j) g_j``) call it.  The last two evaluate the Green
+representation
 
     u0(t) = int_R G(t, v) f(v) dv + sum_j G(t, tau_j) g_j
 
-by direct composite-Simpson quadrature over a truncated window with an
-a-priori tail bound; it is deliberately independent of the recursive
-exponential-integrator route used elsewhere so the two can cross-check.
+by direct composite-Simpson quadrature, for ``solver.integral_residual``;
+that route is deliberately independent of the recursive
+exponential-integrator route of ``solver.inner_solve`` so the two can
+cross-check.  The shift-defect constant M2 uses the closed-form bound
+``TrigSum.shift_sup`` on a*(h) = sup_s |m(s) - m(s+h)|.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import DirichletLaplacian
-from .trajectory import PiecewiseTrajectory, Segment
 from .trig import TrigSum
 
 __all__ = [
@@ -45,14 +44,9 @@ __all__ = [
     "DichotomyData",
     "KBundle",
     "NonHyperbolicError",
-    "evolution_apply",
     "evolution_factors",
-    "green_factors",
-    "green_apply",
     "fit_dichotomy",
     "fit_continuity_constant",
-    "green_shift_defect",
-    "bounded_solution",
     "k_bundle",
 ]
 
@@ -91,13 +85,6 @@ def evolution_factors(lap, coeff: LinearCoefficient, s, t) -> np.ndarray:
     """Diagonal of U(t, s) (any order of arguments; exact per mode)."""
     rates = coeff.rates(lap)
     return _safe_exp(-(rates * (t - s) + coeff.m.integral(s, t)))
-
-
-def evolution_apply(lap, coeff, t, s, x) -> np.ndarray:
-    """U(t, s) x for t >= s (forward family)."""
-    if t < s:
-        raise ValueError("evolution family is forward only (t >= s)")
-    return np.asarray(x, dtype=float) * evolution_factors(lap, coeff, s, t)
 
 
 @dataclass(frozen=True)
@@ -154,15 +141,6 @@ def _green_factor(rates, m, unstable, t, s, right=False) -> np.ndarray:
     fac = _safe_exp(-(rates * (t - s)[..., None] + np.asarray(m.integral(s, t))[..., None]))
     past = (s <= t) if right else (s < t)
     return np.where(past[..., None], np.where(unstable, 0.0, fac), np.where(unstable, -fac, 0.0))
-
-
-def green_factors(lap, coeff, dich: DichotomyData, t, s) -> np.ndarray:
-    """Diagonal of the Green function G(t, s) (see ``_green_factor``)."""
-    return _green_factor(coeff.rates(lap), coeff.m, dich.unstable, t, s)
-
-
-def green_apply(lap, coeff, dich, t, s, x) -> np.ndarray:
-    return np.asarray(x, dtype=float) * green_factors(lap, coeff, dich, t, s)
 
 
 def fit_dichotomy(
@@ -252,31 +230,8 @@ def fit_continuity_constant(
     return (1.0 + slack) * max(best, 1e-12)
 
 
-def green_shift_defect(lap, coeff, dich, h, t, tau, x):
-    """Directly computed |(G(t+h, tau+h) - G(t, tau)) x|_alpha and its fitted bound.
-
-    The bound is ``M2 e^{-beta1 |t-tau|} psi_alpha(t-tau) a*(h) |x|_0`` with
-    ``a*(h) = sup_s |m(s) - m(s+h)|``.
-    """
-    if t == tau:
-        raise ValueError("shift defect requires t != tau")
-    x = np.asarray(x, dtype=float)
-    d1 = green_factors(lap, coeff, dich, t + h, tau + h)
-    d0 = green_factors(lap, coeff, dich, t, tau)
-    defect = lap.frac_norm((d1 - d0) * x, dich.alpha)
-    a_star = coeff.m.shift_sup(h)
-    bound = (
-        dich.M2
-        * np.exp(-dich.beta1 * abs(t - tau))
-        * psi(dich.alpha, t - tau)
-        * a_star
-        * lap.frac_norm(x, 0.0)
-    )
-    return float(defect), float(bound)
-
-
 # ---------------------------------------------------------------------------
-# bounded solution of the linear impulsive system
+# Simpson route of the Green representation
 # ---------------------------------------------------------------------------
 
 
@@ -325,66 +280,6 @@ def _jump_sum(lap, coeff, dich, t, jump_times, jump_vecs, T_tail, right=False):
     near = np.abs(t - jump_times) <= T_tail
     G = _green_factor(coeff.rates(lap), coeff.m, dich.unstable, t, jump_times[near], right)
     return (G * jump_vecs[near]).sum(axis=0)
-
-
-def bounded_solution(
-    lap,
-    coeff,
-    dich: DichotomyData,
-    forcing,
-    jumps,
-    window,
-    h_t: float = 0.005,
-    tail_tol: float = 1e-10,
-) -> PiecewiseTrajectory:
-    """Unique bounded solution of the linear impulsive system on ``window``.
-
-    ``forcing`` is a callable t -> coefficient vector; ``jumps`` is a list
-    of (time, jump-vector) pairs.  The improper Green integral is truncated
-    at ``T_tail`` derived from the fitted (M, beta) so the neglected tail is
-    below ``tail_tol``; the bound and T_tail are stored in ``meta``.
-    """
-    t0, t1 = float(window[0]), float(window[1])
-
-    def f_eval(v):
-        return np.stack([np.asarray(forcing(vi), dtype=float) for vi in np.atleast_1d(v)])
-
-    # a-priori tail bound
-    probe = np.linspace(t0, t1, 64)
-    sup_f = float(np.max([np.linalg.norm(f_eval(t)[0]) for t in probe]))
-    sum_g = float(sum(np.linalg.norm(np.asarray(g, dtype=float)) for _, g in jumps))
-    amp = dich.M * (sup_f / dich.beta + sum_g)
-    T_tail = max(1.0, np.log(max(amp, tail_tol) / tail_tol) / dich.beta)
-    tail_bound = amp * np.exp(-dich.beta * T_tail)
-
-    jumps = sorted(((float(tj), np.asarray(g, dtype=float)) for tj, g in jumps), key=lambda p: p[0])
-    jump_times = np.array([tj for tj, _ in jumps])
-    jump_vecs = np.array([g for _, g in jumps]).reshape(len(jumps), lap.n_modes)
-
-    def value_at(t, right=False):
-        integral = _green_integral_at(lap, coeff, dich, t, f_eval, jump_times, h_t, T_tail)
-        return integral + _jump_sum(lap, coeff, dich, t, jump_times, jump_vecs, T_tail, right)
-
-    # output grid split at interior jump times
-    cuts = [t0] + [tj for tj in jump_times if t0 < tj < t1] + [t1]
-    segments = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        n = max(1, int(np.ceil((b - a) / h_t)))
-        t_nodes = np.linspace(a, b, n + 1)
-        states = np.stack([value_at(t) for t in t_nodes])
-        segments.append(Segment(t=t_nodes, states=states))
-
-    traj = PiecewiseTrajectory(segments=segments)
-    traj.meta.update({"T_tail": T_tail, "tail_bound": tail_bound, "h_t": h_t})
-
-    # certify the jump condition at interior jump times
-    jump_defects = [
-        float(np.linalg.norm(value_at(tj, right=True) - value_at(tj) - g))
-        for tj, g in jumps
-        if t0 < tj < t1
-    ]
-    traj.meta["jump_defect"] = max(jump_defects) if jump_defects else 0.0
-    return traj
 
 
 # ---------------------------------------------------------------------------

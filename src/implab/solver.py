@@ -10,7 +10,9 @@ by Picard iteration from u_0 = 0.  Each iterate is evaluated by a
 variation-of-constants weights scanned forward (stable modes, zero state at
 the far left buffer edge) and backward (unstable modes, zero at the far
 right).  This route is deliberately independent of the composite-Simpson
-``evolution.bounded_solution`` so the two can cross-check each other.
+quadrature of the Green representation (``evolution._green_integral_at``)
+that ``integral_residual`` and the tests' ``bounded_solution`` oracle use,
+so the two can cross-check each other.
 
 The outer stage iterates the sequence map S(y)_j = u*(tau_j(y_j), y) to its
 fixed point y*, assembles the trajectory, and certifies hit-time
@@ -398,7 +400,6 @@ class OuterResult:
     y_star: APSequencePoint
     trajectory: PiecewiseTrajectory
     steps: list
-    residual: float | None = None
     meta: dict = field(default_factory=dict)
 
 

@@ -42,11 +42,6 @@ class DirichletLaplacian:
         k = np.arange(1, self.n_modes + 1)
         self.eigenvalues = (k * np.pi / self.l) ** 2
 
-    @property
-    def spectral_bound(self) -> float:
-        """delta = lambda_1 = pi^2 / l^2 > 0."""
-        return float(self.eigenvalues[0])
-
     # -- norms ---------------------------------------------------------
 
     def frac_weights(self, alpha: float) -> np.ndarray:
@@ -63,15 +58,6 @@ class DirichletLaplacian:
         w = self.frac_weights(alpha)
         val = np.sqrt(np.sum((w * x) ** 2, axis=-1))
         return float(val) if val.ndim == 0 else val
-
-    # -- semigroup -----------------------------------------------------
-
-    def semigroup_apply(self, t: float, x) -> np.ndarray:
-        """e^{-At} x, exact per mode."""
-        if t < 0.0:
-            raise ValueError("semigroup is defined for t >= 0 only")
-        x = np.asarray(x, dtype=float)
-        return x * np.exp(-self.eigenvalues * t)
 
     # -- physical-space transforms -------------------------------------
 

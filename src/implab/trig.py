@@ -80,19 +80,12 @@ class TrigSum:
         """Upper bound ``|offset| + sum |a_i|`` for sup |m(t)|."""
         return abs(self.offset) + float(sum(abs(a) for a, _, _ in self.terms))
 
-    def shift_sup(self, h, t_span=200.0, n=4096):
-        """sup_s |m(s) - m(s+h)| approximated by a dense scan.
+    def shift_sup(self, h):
+        """Bound ``sum 2|a_i sin(w_i h / 2)|`` on a*(h) = sup_s |m(s) - m(s+h)|.
 
-        The difference is again a trig sum, so the scan window only needs to
-        be long compared with the slowest beat present.
+        m(s) - m(s+h) = sum 2 a_i sin(w_i h / 2) sin(w_i (s + h/2) + p_i), so
+        the bound is rigorous and exact for a single frequency.
         """
-        if not self.terms:
-            return 0.0
-        s = np.linspace(0.0, t_span, n)
-        return float(np.max(np.abs(self(s) - self(s + h))))
-
-    def shift_sup_bound(self, h):
-        """Rigorous bound ``sum 2|a_i sin(w_i h / 2)|`` on sup |m(s)-m(s+h)|."""
         return float(sum(2.0 * abs(a * np.sin(f * h / 2.0)) for a, f, _ in self.terms))
 
     def __add__(self, other):

@@ -14,17 +14,13 @@ from scipy import integrate
 from implab.ap_analysis import StronglyAPSet, eps_almost_periods, harmonize
 from implab.evolution import (
     LinearCoefficient,
-    bounded_solution,
     evolution_factors,
     fit_dichotomy,
-    green_factors,
-    green_shift_defect,
     k_bundle,
     psi,
 )
 from implab.impulsive import (
     JumpSpec,
-    _etd2_step,
     beating_certificate,
     simulate,
     step_segment,
@@ -41,6 +37,7 @@ from implab.solver import (
 from implab.spectral import DirichletLaplacian
 from implab.trig import SeqGen, TrigSum
 
+from oracles import _etd2_step, bounded_solution, green_factors, green_shift_defect
 from systems import certified_logistic, make_system, rank1_jumps
 
 N = 16

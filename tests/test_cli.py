@@ -217,13 +217,20 @@ def test_cmd_constants_validation_exit(tmp_path):
         ("solve-ap", "window = 0 6", "window = 100.5 110.5"),
         ("solve-ap", "window = 0 6", "window = 0.5 4.5"),
         ("analyze-ap", "[analysis]", "[overrides]\nanalysis_crop = 10\n\n[analysis]"),
-    ],
+        ("certify", "n_samples = 16", "n_samples = 0"),
+        ("certify", "n_samples = 16", "n_samples = -1"),
+    ]
+    + [("simulate", "[analysis]", "[simulate]\nt_range = %s\n\n[analysis]" % t_range)
+       for t_range in ("5 5", "8 3", "1 2 3")],
     ids=["constants-n_xi", "simulate-n_xi", "certify-n_xi", "solve-ap-n_xi",
-         "solve-ap-no-surfaces", "solve-ap-short-window", "analyze-ap-short-span"],
+         "solve-ap-no-surfaces", "solve-ap-short-window", "analyze-ap-short-span",
+         "certify-no-samples", "certify-negative-samples",
+         "simulate-empty-range", "simulate-reversed-range", "simulate-three-values"],
 )
 def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new):
     # n_xi + 1 < 4N aliases; no surface lies in or within a buffer (2.59) of
-    # 100.5..110.5; 0.5..4.5 is shorter than the AP crop of two buffers per end
+    # 100.5..110.5; 0.5..4.5 is shorter than the AP crop of two buffers per end;
+    # certify needs a sample, simulate a range t0 < t_end
     assert old in BASE
     argv = [command, "--config", write_config(tmp_path, BASE.replace(old, new)),
             "--out", str(tmp_path / "o")]
@@ -395,3 +402,18 @@ def test_bench_layers_resolve():
             owner = getattr(owner, part)
         assert callable(owner), name
     assert set(mod.COUNTS) <= set(mod.LAYERS)
+
+
+def test_export_lists_resolve():
+    # every name a module exports exists, in the package and in each module
+    import importlib
+    import pkgutil
+
+    modules = [implab] + [
+        importlib.import_module("implab." + info.name)
+        for info in pkgutil.iter_modules(implab.__path__)
+    ]
+    for mod in modules:
+        assert len(mod.__all__) == len(set(mod.__all__)), mod.__name__
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, (mod.__name__, missing)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from implab.evolution import LinearCoefficient, bounded_solution, fit_dichotomy, k_bundle
+from implab.evolution import LinearCoefficient, fit_dichotomy, k_bundle
 from implab.impulsive import JumpSpec, _phi_weights
 from implab.solver import (
     APSequencePoint,
@@ -22,6 +22,7 @@ from implab.solver import (
 from implab.spectral import DirichletLaplacian
 from implab.trig import SeqGen, TrigSum
 
+from oracles import bounded_solution
 from systems import make_system
 
 
@@ -140,7 +141,7 @@ def test_inner_solve_zero_data():
 
 def test_inner_solve_matches_bounded_solution():
     # frozen forcing + constant jumps: the recursion route must agree with
-    # the direct Simpson route of evolution.bounded_solution
+    # the direct Simpson route of the bounded_solution oracle
     n = 8
     d = const_d(n, 0.02)
 

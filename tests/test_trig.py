@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from implab.evolution import LinearCoefficient, fit_dichotomy
+from implab.spectral import DirichletLaplacian
 from implab.trig import TrigSum, SeqGen
+
+from oracles import shift_sup_scan
 
 
 def test_constant_sum():
@@ -38,12 +42,31 @@ def test_sum_and_scale():
 def test_sup_bound_and_shift():
     m = TrigSum(0.0, ((1.0, 1.0, 0.0),))
     assert m.sup_bound() == pytest.approx(1.0)
+    # one frequency: the closed form is exact, so the scan meets it up to the
+    # loss of its grid spacing ds at the peak, bound * (w ds)^2 / 8
+    ds = 200.0 / 4095.0
+    for h in (0.3, 1.7, 4.0):
+        scan, bound = shift_sup_scan(m, h), m.shift_sup(h)
+        assert scan <= bound + 1e-12
+        assert bound - scan <= bound * ds**2 / 8.0 + 1e-12
     # exact period 2*pi: shifted function identical
-    assert m.shift_sup(2.0 * np.pi) < 1e-9
-    assert m.shift_sup_bound(2.0 * np.pi) < 1e-12
-    # scan never exceeds the rigorous bound
-    for h in (0.3, 1.7):
-        assert m.shift_sup(h) <= m.shift_sup_bound(h) + 1e-12
+    assert shift_sup_scan(m, 2.0 * np.pi) < 1e-9
+    periodic = TrigSum(0.3, ((1.0, 1.0, 0.0), (0.5, 2.0, 0.4), (0.2, 3.0, -1.0)))
+    assert periodic.shift_sup(2.0 * np.pi) < 1e-12
+    # several frequencies: the scan never exceeds the rigorous bound on the
+    # README coefficient m = -a + rho a b (rho = 1)
+    a = TrigSum(0.5, ((0.2, 1.0, 0.0),))
+    b = TrigSum(0.1, ((0.05, 1.41421356237, 0.0),))
+    readme = -1.0 * a + 1.0 * (a * b)
+    assert len(readme.terms) == 4
+    for h in (-3.1, -0.7, 0.05, 0.3, 1.7, 2.9, 4.6):
+        assert shift_sup_scan(readme, h) <= readme.shift_sup(h) + 1e-12
+    # `constants` on the README instance at seed 7: the M, M1 and M2 the
+    # scan gave, M2 at its floor 1.05 M
+    dich = fit_dichotomy(DirichletLaplacian(l=1.0, n_modes=16), LinearCoefficient(m=readme),
+                         alpha=0.5, rng=np.random.default_rng([7, 1]))
+    assert (dich.M, dich.M1, dich.M2) == pytest.approx((1.05, 1.245548906401333, 1.1025),
+                                                       rel=1e-12)
 
 
 def test_seq_gen_scalar_and_vector():
