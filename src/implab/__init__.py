@@ -49,6 +49,7 @@ from .impulsive import (
     BallExitError,
     BeatingCertificate,
     BeatingError,
+    EventLocationError,
     ImpulseSurfaceSpec,
     ImpulseSystemSpec,
     JumpSpec,
@@ -109,6 +110,7 @@ __all__ = [
     "BeatingCertificate",
     "BallExitError",
     "BeatingError",
+    "EventLocationError",
     "SeparationError",
     "JUMP_MAP_CATALOGUE",
     "step_segment",

@@ -36,6 +36,7 @@ from .evolution import NonHyperbolicError, fit_dichotomy, k_bundle
 from .impulsive import (
     BallExitError,
     BeatingError,
+    EventLocationError,
     SeparationError,
     beating_certificate,
     simulate,
@@ -63,6 +64,7 @@ _NUMERICAL_ERRORS = (
     BallExitError,
     BeatingError,
     ConvergenceError,
+    EventLocationError,
     NonHyperbolicError,
 )
 
@@ -227,6 +229,9 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
 
 
 def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
+    for name in ("ystar.txt", "trajectory.txt", "trajectory_discontinuities.txt"):
+        if not (data / name).is_file():
+            raise ConfigError("--data %s lacks %s (written by solve-ap)" % (data, name))
     j_idx, y_vals = read_table(data / "ystar.txt")
     t_nodes, states = read_table(data / "trajectory.txt")
     disc = np.loadtxt(data / "trajectory_discontinuities.txt", ndmin=1)

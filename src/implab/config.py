@@ -180,6 +180,9 @@ def load_instance(path) -> InstanceConfig:
                     "event_tol", "tail_tol", "seg_tol", "buffer"):
             if ssec and ssec.get(key, "").strip():
                 kwargs[key] = float(ssec[key])
+                # a step or tolerance of 0 would never end its loop
+                if key != "buffer" and not (np.isfinite(kwargs[key]) and kwargs[key] > 0.0):
+                    raise ConfigError("[solver] %s must be finite and > 0" % key)
         for key in ("max_inner", "max_outer"):
             if ssec and ssec.get(key, "").strip():
                 kwargs[key] = int(ssec[key])
@@ -198,9 +201,9 @@ def load_instance(path) -> InstanceConfig:
         sim = parser["simulate"] if "simulate" in parser else {}
         u0_text = sim.get("u0", "") if sim else ""
         u0 = _parse_vector(u0_text, lap.n_modes) if u0_text.strip() else np.zeros(lap.n_modes)
-        t_range = _interval(
-            sim.get("t_range", "%g %g" % t_window) if sim else "%g %g" % t_window,
-            "[simulate] t_range",
+        t_range = (
+            _interval(sim["t_range"], "[simulate] t_range")
+            if sim and "t_range" in sim else t_window
         )
 
         osec = parser["overrides"] if "overrides" in parser else {}

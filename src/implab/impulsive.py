@@ -7,16 +7,18 @@ step-doubling trial (one step of h, two of h/2) makes four f calls and one
 weight evaluation; f(t, x) is computed once per node.  The impulse surfaces
 are ``tau_j(x) = t_j + b_j Q(x)`` with the energy functional
 ``Q(x) = int_0^l u^2 = sum_k x_k^2``; crossings of ``zeta_j(t) =
-t - tau_j(u(t))`` are bracketed on the dense output and bisected to
-``event_tol``, with grazing contacts classified as no-hit.  A bracket holds
-one root: the dense output is linear in t on each step, bit-equal to
+t - tau_j(u(t))`` are bracketed on the dense output, with grazing
+contacts classified as no-hit, and the bracket's root is taken in closed
+form.  The dense output is linear in t on each step, bit-equal to
 ``np.interp`` (``test_segment_interp_matches_np_interp`` in
 ``tests/test_trajectory.py`` checks this), so zeta is a quadratic in t
 there, and zeta < 0 at the left node with zeta >= 0 at the right one
-leaves room for one sign change only.  A hit time is then sharpened on
-re-integrated states: each run to a trial hit time copies the steps of the
-flow segment it was found on up to the first node that the hit time clips,
-and integrates only from there.
+leaves room for one root only.  A hit time is then sharpened on
+re-integrated states until |zeta| < ``event_tol``: one fixed-point step
+th - zeta, then secant steps through the last two (th, zeta) pairs.  Each
+run to a trial hit time copies the steps of the flow segment it was found
+on up to the first node that the hit time clips, and integrates only from
+there.
 
 ``beating_certificate`` checks the two repeated-hit exclusion hypotheses on
 sampled non-negative states: ``theta_j(x) = tau_j(x + g_j(x)) - tau_j(x) <= 0``
@@ -30,6 +32,7 @@ sqrt(l) rho^3))^{-1}`` under which the bound holds automatically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,6 +51,7 @@ __all__ = [
     "BeatingCertificate",
     "BallExitError",
     "BeatingError",
+    "EventLocationError",
     "SeparationError",
     "JUMP_MAP_CATALOGUE",
     "step_segment",
@@ -68,6 +72,10 @@ class BallExitError(RuntimeError):
 
 class BeatingError(RuntimeError):
     """Repeated hit on a surface whose beating certificate passed."""
+
+
+class EventLocationError(RuntimeError):
+    """A hit time did not reach ``event_tol`` in the allowed sharpening runs."""
 
 
 class SeparationError(ValueError):
@@ -399,31 +407,46 @@ def step_segment(
 # ---------------------------------------------------------------------------
 
 
-def detect_crossing(system: ImpulseSystemSpec, seg: Segment, j, event_tol: float = 1e-10):
+def _bracket_root(a, b, c) -> float:
+    """The root in (0, 1] of a s^2 + b s + c, where c < 0 <= a + b + c.
+
+    Roots q/a and c/q with q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2, which
+    cancels no digits; the discriminant is clamped at 0 and a = 0 leaves
+    -c/b.  Of the positive roots the smallest is taken, capped at 1, and 1
+    when rounding left none.
+    """
+    if a == 0.0:
+        roots = (-c / b,) if b != 0.0 else ()
+    else:
+        q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+        roots = (q / a, c / q) if q != 0.0 else ()
+    return min([r for r in roots if r > 0.0] + [1.0])
+
+
+def detect_crossing(system: ImpulseSystemSpec, seg: Segment, j):
     """Earliest upward crossing of zeta(t) = t - tau_j(u(t)) on the segment.
 
     Returns the hit time, or None when zeta has no sign change (including
-    tangential grazing).  zeta is quadratic in t on each step, so a bracket
-    holds one root.
+    tangential grazing).  On the first step with zeta < 0 at its left node
+    and zeta >= 0 at its right one, the dense output is u_i + s d with
+    d = u_{i+1} - u_i and s in [0, 1], so zeta(s) = A s^2 + B s + C with
+    A = -b_j |d|^2, B = dt - 2 b_j u_i.d and C = zeta_i: one root, taken
+    in closed form.
     """
     zeta = seg.t - system.tau(j, seg.states)
+    up = np.flatnonzero((zeta[:-1] < 0.0) & (zeta[1:] >= 0.0))
+    if up.size == 0:
+        return None
+    i = int(up[0])
+    b_j = system.surfaces.slope(j)
+    u, d = seg.states[i], seg.states[i + 1] - seg.states[i]
+    dt = seg.t[i + 1] - seg.t[i]
+    s = _bracket_root(-b_j * float(d @ d), dt - 2.0 * b_j * float(u @ d), float(zeta[i]))
+    return float(seg.t[i] + s * dt)
 
-    def zeta_at(t):
-        u = seg.interp(t)[0]
-        return t - system.tau(j, u)
 
-    for i in range(seg.t.size - 1):
-        if not (zeta[i] < 0.0 <= zeta[i + 1]):
-            continue
-        lo, hi = seg.t[i], seg.t[i + 1]
-        while hi - lo > event_tol:
-            mid = 0.5 * (lo + hi)
-            if zeta_at(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    return None
+# re-integration runs that sharpen one hit time to event_tol
+_SHARPEN_RUNS = 12
 
 
 def simulate(
@@ -439,7 +462,9 @@ def simulate(
 
     ``certified_surfaces`` lists surface indices with a passing beating
     certificate; a second hit on such a surface raises BeatingError, while
-    uncertified repeats are only counted in ``meta['hit_counts']``.
+    uncertified repeats are only counted in ``meta['hit_counts']``.  A hit
+    time whose |zeta| stays >= ``event_tol`` after ``_SHARPEN_RUNS``
+    re-integrations raises EventLocationError.
     """
     theta = system.theta
     lo, hi = system.intervals
@@ -459,7 +484,7 @@ def simulate(
         cand = idx[(hi >= t - event_tol) & (lo <= t1 + event_tol)]
         best = None
         for j in cand:
-            th = detect_crossing(system, seg, j, event_tol)
+            th = detect_crossing(system, seg, j)
             if th is None or th < t:
                 continue
             if last_hit is not None and int(j) == last_hit[0] and th <= last_hit[1] + 10.0 * event_tol:
@@ -473,8 +498,8 @@ def simulate(
         th, j = best
         # sharpen the hit time on re-integrated (not interpolated) states; each
         # run repeats the steps of seg up to the first one that th clips
-        pre = x
-        for _ in range(12):
+        last = None
+        for _ in range(_SHARPEN_RUNS):
             if th - t <= 1e-12:
                 th, seg2, pre = t, None, x
                 break
@@ -485,7 +510,16 @@ def simulate(
             zeta = th - system.tau(j, pre)
             if abs(zeta) < event_tol:
                 break
-            th = th - zeta
+            step = zeta
+            if last is not None and zeta != last[1]:
+                step = zeta * (th - last[0]) / (zeta - last[1])
+            last = (th, zeta)
+            th = th - step
+        else:
+            raise EventLocationError(
+                "hit on surface %d near t = %.17g: |zeta| = %g >= event_tol = %g after "
+                "%d runs" % (j, th, abs(zeta), event_tol, _SHARPEN_RUNS)
+            )
         if seg2 is not None:
             segments.append(seg2)
         post = apply_jump(system, j, pre)

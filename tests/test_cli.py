@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import implab
+from implab import impulsive
 from implab.cli import main
 from implab.config import ConfigError, load_instance, validate_instance
 from implab.records import (
@@ -211,26 +212,36 @@ def test_cmd_constants_validation_exit(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, old, new",
-    [(c, "n_xi = 64", "n_xi = 16") for c in ("constants", "simulate", "certify", "solve-ap")]
+    "command, old, new, missing",
+    [(c, "n_xi = 64", "n_xi = 16", None) for c in ("constants", "simulate", "certify", "solve-ap")]
     + [
-        ("solve-ap", "window = 0 6", "window = 100.5 110.5"),
-        ("solve-ap", "window = 0 6", "window = 0.5 4.5"),
-        ("analyze-ap", "[analysis]", "[overrides]\nanalysis_crop = 10\n\n[analysis]"),
-        ("certify", "n_samples = 16", "n_samples = 0"),
-        ("certify", "n_samples = 16", "n_samples = -1"),
+        ("solve-ap", "window = 0 6", "window = 100.5 110.5", None),
+        ("solve-ap", "window = 0 6", "window = 0.5 4.5", None),
+        ("analyze-ap", "[analysis]", "[overrides]\nanalysis_crop = 10\n\n[analysis]", None),
+        ("certify", "n_samples = 16", "n_samples = 0", None),
+        ("certify", "n_samples = 16", "n_samples = -1", None),
     ]
-    + [("simulate", "[analysis]", "[simulate]\nt_range = %s\n\n[analysis]" % t_range)
-       for t_range in ("5 5", "8 3", "1 2 3")],
+    + [("simulate", "[analysis]", "[simulate]\nt_range = %s\n\n[analysis]" % t_range, None)
+       for t_range in ("5 5", "8 3", "1 2 3")]
+    + [
+        ("simulate", "h_t = 0.005", "h_t = 0.005\nevent_tol = 0", None),
+        ("simulate", "h_t = 0.005", "h_t = 0.005\nseg_tol = -1", None),
+        ("solve-ap", "h_t = 0.005", "h_t = inf", None),
+        ("analyze-ap", "[analysis]", "[analysis]", "ystar.txt"),
+    ],
     ids=["constants-n_xi", "simulate-n_xi", "certify-n_xi", "solve-ap-n_xi",
          "solve-ap-no-surfaces", "solve-ap-short-window", "analyze-ap-short-span",
          "certify-no-samples", "certify-negative-samples",
-         "simulate-empty-range", "simulate-reversed-range", "simulate-three-values"],
+         "simulate-empty-range", "simulate-reversed-range", "simulate-three-values",
+         "simulate-zero-event-tol", "simulate-negative-seg-tol", "solve-ap-infinite-h_t",
+         "analyze-ap-missing-ystar"],
 )
-def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new):
+def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, missing):
     # n_xi + 1 < 4N aliases; no surface lies in or within a buffer (2.59) of
     # 100.5..110.5; 0.5..4.5 is shorter than the AP crop of two buffers per end;
-    # certify needs a sample, simulate a range t0 < t_end
+    # certify needs a sample, simulate a range t0 < t_end; a step or tolerance
+    # must be finite and > 0 (event_tol = 0 used to bisect forever); analyze-ap
+    # needs every solve-ap artifact it reads
     assert old in BASE
     argv = [command, "--config", write_config(tmp_path, BASE.replace(old, new)),
             "--out", str(tmp_path / "o")]
@@ -238,6 +249,8 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new):
         data = tmp_path / "data"
         assert main(["solve-ap", "--config", write_config(tmp_path, name="data.ini"),
                      "--out", str(data)]) == 0
+        if missing is not None:
+            (data / missing).unlink()
         argv += ["--data", str(data)]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -283,6 +296,27 @@ def test_cmd_simulate_ball_exit(tmp_path):
                      "--out", str(tmp_path / "o")])
     assert code == 3
     assert "status=error kind=numerical" in buf.getvalue()
+
+
+def test_cmd_simulate_unsharpened_hit_exits_3(tmp_path, monkeypatch):
+    # moving moments (b_j = -0.2): one re-integration cannot reach event_tol
+    monkeypatch.setattr(impulsive, "_SHARPEN_RUNS", 1)
+    text = BASE.replace("slope_constant = 0.0", "slope_constant = -0.2")
+    text += "\n[simulate]\nu0 = 0.2\nt_range = 0.5 2.5\n"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["simulate", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    last = buf.getvalue().splitlines()[-1]
+    assert last.startswith("status=error kind=numerical") and "event_tol" in last
+
+
+def test_t_range_defaults_to_the_solver_window(tmp_path):
+    text = BASE.replace("window = 0 6", "window = 0.1234567 12.5")
+    cfg = load_instance(write_config(tmp_path, text))
+    assert cfg.time_window == (0.1234567, 12.5)
+    assert cfg.t_range == cfg.time_window
 
 
 def test_cmd_certify(tmp_path):

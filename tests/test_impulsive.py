@@ -9,6 +9,7 @@ from implab import impulsive
 from implab.impulsive import (
     JUMP_MAP_CATALOGUE,
     BallExitError,
+    EventLocationError,
     ImpulseSurfaceSpec,
     ImpulseSystemSpec,
     JumpSpec,
@@ -18,6 +19,7 @@ from implab.impulsive import (
     detect_crossing,
     simulate,
     step_segment,
+    _bracket_root,
     _scrambled_sobol,
 )
 from implab.trajectory import Segment
@@ -151,13 +153,29 @@ def test_detect_crossing_scalar_oracle():
     x0 = 0.3 * e1(sys0)
     lam1 = sys0.lap.eigenvalues[0]
     seg = step_segment(sys0, x0, 0.0, 1.2, seg_tol=1e-12, h_max=2e-3)
-    th = detect_crossing(sys0, seg, 1, event_tol=1e-12)
+    th = detect_crossing(sys0, seg, 1)
 
     def zeta(t):
         return t - 1.0 + 0.1 * 0.09 * np.exp(-2.0 * lam1 * t)
 
     ref = brentq(zeta, 0.0, 1.2, xtol=1e-14)
     assert abs(th - ref) < 5e-6
+
+
+@pytest.mark.parametrize(
+    "a, b, c, root",
+    [
+        (0.0, 2.0, -1.0, 0.5),  # linear: -c/b
+        (-0.0, 2.0, -1.0, 0.5),  # b_j = 0 gives A = -0
+        (1.0, 0.0, -0.25, 0.5),  # roots -0.5 and 0.5
+        (-1.0, 2.5, -1.0, 0.5),  # roots 0.5 and 2
+        (-1.0, 2.0, -1.0, 1.0),  # double root at the right node
+        (1e-12, 1.0, -0.75, 0.75),  # tiny a: no cancellation in c/q
+        (-1.0, 2.0, -1.0 - 1e-15, 1.0),  # discriminant below 0 by rounding: the vertex
+    ],
+)
+def test_bracket_root(a, b, c, root):
+    assert _bracket_root(a, b, c) == pytest.approx(root, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +471,29 @@ def crossing_by_probe(system, seg, j, event_tol):
     return None
 
 
+def crossing_by_quadratic(system, seg, j):
+    """Reference: the closed-form root on the first bracket, node by node."""
+
+    def zeta_at(t):
+        return t - system.tau(j, seg.interp(t)[0])
+
+    b_j = system.surfaces.slope(j)
+    for i in range(seg.t.size - 1):
+        zeta_i = zeta_at(seg.t[i])
+        if not (zeta_i < 0.0 <= zeta_at(seg.t[i + 1])):
+            continue
+        u, d = seg.states[i], seg.states[i + 1] - seg.states[i]
+        dt = seg.t[i + 1] - seg.t[i]
+        s = _bracket_root(-b_j * float(d @ d), dt - 2.0 * b_j * float(u @ d), zeta_i)
+        return float(seg.t[i] + s * dt)
+    return None
+
+
 def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, stats=None):
-    """Reference: the hybrid loop re-integrating from the segment start per trial hit."""
+    """Reference: the hybrid loop re-integrating from the segment start per trial hit.
+
+    A hit time is sharpened by one fixed-point step, then secant steps.
+    """
     lo, hi = system.intervals
     idx = system.surfaces.indices()
     x, t = np.asarray(u0, dtype=float), float(t0)
@@ -465,7 +504,7 @@ def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, s
         seg = segment_by_doubling(system, x, t, t1, seg_tol, horizon / 4.0, stats)
         best = None
         for j in idx[(hi >= t - event_tol) & (lo <= t1 + event_tol)]:
-            th = crossing_by_probe(system, seg, j, event_tol)
+            th = crossing_by_quadratic(system, seg, j)
             if th is None or th < t:
                 continue
             if last_hit is not None and int(j) == last_hit[0] and th <= last_hit[1] + 10.0 * event_tol:
@@ -477,7 +516,7 @@ def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, s
             t, x = t1, seg.states[-1]
             continue
         th, j = best
-        pre = x
+        pre, last = x, None
         for _ in range(12):
             if th - t <= 1e-12:
                 th, seg2, pre = t, None, x
@@ -487,7 +526,14 @@ def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, s
             zeta = th - system.tau(j, pre)
             if abs(zeta) < event_tol:
                 break
-            th = th - zeta
+            if last is None or zeta == last[1]:
+                th_next = th - zeta
+            else:
+                th_next = th - zeta * (th - last[0]) / (zeta - last[1])
+            last = (th, zeta)
+            th = th_next
+        else:
+            raise AssertionError("hit time not sharpened to event_tol")
         if seg2 is not None:
             segments.append(seg2)
         post = apply_jump(system, j, pre)
@@ -538,6 +584,57 @@ def test_simulate_matches_reintegrating_loop(case):
     for hit, (th, j, pre, post) in zip(traj.hits, ref_hits):
         assert hit.time == th and hit.surface == j
         assert np.array_equal(hit.pre, pre) and np.array_equal(hit.post, post)
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_closed_form_root_matches_bisection(case, monkeypatch):
+    """Every crossing search of a run, against bisection of zeta on ``interp``."""
+    build, amp, t0, t_end, seg_tol = SIMULATE_CASES[case]
+    sys0 = build()
+    event_tol = 1e-10
+    searches = []
+    detect = impulsive.detect_crossing
+
+    def recorded(system, seg, j):
+        th = detect(system, seg, j)
+        searches.append((seg, j, th))
+        return th
+
+    monkeypatch.setattr(impulsive, "detect_crossing", recorded)
+    traj = simulate(sys0, e1(sys0, amp), t0, t_end, seg_tol=seg_tol, event_tol=event_tol)
+    found = 0
+    for seg, j, th in searches:
+        ref = crossing_by_probe(sys0, seg, j, event_tol)
+        assert (th is None) == (ref is None)
+        if th is not None:
+            assert abs(th - ref) <= event_tol
+            found += 1
+    assert found >= len(traj.hits) >= 2
+
+
+def test_sharpening_takes_three_runs_per_hit(monkeypatch):
+    """The secant steps reach event_tol in three re-integrations per hit."""
+    sys0 = moving_like()
+    resumed = []
+    step = impulsive.step_segment
+
+    def recorded(*args, **kwargs):
+        resumed.append(kwargs.get("resume") is not None)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(impulsive, "step_segment", recorded)
+    traj = simulate(sys0, e1(sys0, 0.2), 0.5, 3.8, seg_tol=1e-8)
+    # each hit's runs follow the horizon segment it was found on
+    runs = [len(r) for r in "".join("r" if f else " " for f in resumed).split()]
+    assert len(runs) == len(traj.hits) >= 30
+    assert max(runs) <= 3
+
+
+def test_unsharpened_hit_raises(monkeypatch):
+    sys0 = moving_like()
+    monkeypatch.setattr(impulsive, "_SHARPEN_RUNS", 1)
+    with pytest.raises(EventLocationError, match="event_tol"):
+        simulate(sys0, e1(sys0, 0.2), 0.5, 1.8, seg_tol=1e-8)
 
 
 def resume_ends(seg, t1):
