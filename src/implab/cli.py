@@ -229,12 +229,12 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
 
 
 def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
-    for name in ("ystar.txt", "trajectory.txt", "trajectory_discontinuities.txt"):
-        if not (data / name).is_file():
-            raise ConfigError("--data %s lacks %s (written by solve-ap)" % (data, name))
-    j_idx, y_vals = read_table(data / "ystar.txt")
-    t_nodes, states = read_table(data / "trajectory.txt")
-    disc = np.loadtxt(data / "trajectory_discontinuities.txt", ndmin=1)
+    try:
+        j_idx, y_vals = read_table(data / "ystar.txt")
+        t_nodes, states = read_table(data / "trajectory.txt")
+        disc = np.loadtxt(data / "trajectory_discontinuities.txt", ndmin=1)
+    except FileNotFoundError as exc:
+        raise ConfigError("--data lacks a file written by solve-ap: %s" % exc) from None
 
     h_t = cfg.overrides.get("analysis_h_t", 0.01)
     t0, t1, report = cropped_ap_report(

@@ -15,8 +15,10 @@ form.  The dense output is linear in t on each step, bit-equal to
 there, and zeta < 0 at the left node with zeta >= 0 at the right one
 leaves room for one root only.  A hit time is then sharpened on
 re-integrated states until |zeta| < ``event_tol``: one fixed-point step
-th - zeta, then secant steps through the last two (th, zeta) pairs.  Each
-run to a trial hit time copies the steps of the flow segment it was found
+th - zeta, then secant steps through the last two (th, zeta) pairs, each
+kept inside the flow step that brackets the sign change, shrunk by the sign
+of every run's zeta; an iterate that leaves it is replaced by its midpoint.
+Each run to a trial hit time copies the steps of the flow segment it was found
 on up to the first node that the hit time clips, and integrates only from
 there.
 
@@ -445,8 +447,11 @@ def detect_crossing(system: ImpulseSystemSpec, seg: Segment, j):
     return float(seg.t[i] + s * dt)
 
 
-# re-integration runs that sharpen one hit time to event_tol
-_SHARPEN_RUNS = 12
+# re-integration runs that sharpen one hit time to event_tol: 1-3 for a
+# crossing at slope near 1, up to about 30 for one at slope 1e-3 to 1e-2
+# just after zeta dips (a secant through two runs on the near-flat side
+# leaves the bracket, and the midpoint takes over)
+_SHARPEN_RUNS = 40
 
 
 def simulate(
@@ -497,7 +502,12 @@ def simulate(
             continue
         th, j = best
         # sharpen the hit time on re-integrated (not interpolated) states; each
-        # run repeats the steps of seg up to the first one that th clips
+        # run repeats the steps of seg up to the first one that th clips, so
+        # zeta keeps the sign change of the step (a, b] that holds th.  Each
+        # run's sign shrinks (a, b), and an iterate outside it is replaced by
+        # the midpoint; th == seg.t[0] takes the th - t branch below
+        i = max(int(np.searchsorted(seg.t, th)) - 1, 0)
+        a, b = seg.t[i], seg.t[i + 1]
         last = None
         for _ in range(_SHARPEN_RUNS):
             if th - t <= 1e-12:
@@ -510,11 +520,15 @@ def simulate(
             zeta = th - system.tau(j, pre)
             if abs(zeta) < event_tol:
                 break
-            step = zeta
+            if zeta < 0.0:
+                a = th
+            else:
+                b = th
+            nxt = th - zeta
             if last is not None and zeta != last[1]:
-                step = zeta * (th - last[0]) / (zeta - last[1])
+                nxt = th - zeta * (th - last[0]) / (zeta - last[1])
             last = (th, zeta)
-            th = th - step
+            th = nxt if a < nxt < b else 0.5 * (a + b)
         else:
             raise EventLocationError(
                 "hit on surface %d near t = %.17g: |zeta| = %g >= event_tol = %g after "

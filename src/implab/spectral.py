@@ -41,18 +41,13 @@ class DirichletLaplacian:
         self.n_modes = int(n_modes)
         k = np.arange(1, self.n_modes + 1)
         self.eigenvalues = (k * np.pi / self.l) ** 2
-        self._frac_weights = {}
 
     # -- norms ---------------------------------------------------------
 
     def frac_weights(self, alpha: float) -> np.ndarray:
-        """lambda_k^alpha, computed once per alpha; callers share the array."""
-        w = self._frac_weights.get(alpha)
-        if w is None:
-            if alpha < 0.0:
-                raise ValueError("alpha must be nonnegative")
-            w = self._frac_weights[alpha] = self.eigenvalues**alpha
-        return w
+        if alpha < 0.0:
+            raise ValueError("alpha must be nonnegative")
+        return self.eigenvalues**alpha
 
     def frac_norm(self, x, alpha: float) -> float | np.ndarray:
         """|x|_alpha = (sum_k lambda_k^{2 alpha} x_k^2)^{1/2}.

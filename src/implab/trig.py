@@ -15,7 +15,6 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,25 +53,11 @@ class TrigSum:
         object.__setattr__(self, "offset", float(self.offset) + extra)
         object.__setattr__(self, "terms", merged)
 
-    @cached_property
-    def _cosine_table(self):
-        """(amps, freqs, phases) of the terms, each as a (K, 1) column."""
-        table = np.array(self.terms, dtype=float).reshape(-1, 3)
-        return tuple(np.ascontiguousarray(col)[:, None] for col in table.T)
-
     def __call__(self, t):
-        """The sum at t, of any shape: one ``np.cos`` over every term.
-
-        The terms are added to the offset one row at a time, left to right,
-        so the value is bit for bit ``offset + a_1 cos(w_1 t + p_1) + ...``.
-        """
         t = np.asarray(t, dtype=float)
-        amps, freqs, phases = self._cosine_table
-        terms = amps * np.cos(freqs * t.reshape(-1) + phases)
-        val = np.full(t.size, self.offset)
-        for row in terms:
-            val = val + row
-        val = val.reshape(t.shape)
+        val = np.full_like(t, self.offset, dtype=float)
+        for amp, freq, phase in self.terms:
+            val = val + amp * np.cos(freq * t + phase)
         return val if val.ndim else float(val)
 
     def antiderivative(self, t):

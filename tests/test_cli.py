@@ -256,7 +256,9 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, mi
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     assert code == 2
-    assert buf.getvalue().splitlines()[-1].startswith("status=error kind=validation")
+    last = buf.getvalue().splitlines()[-1]
+    assert last.startswith("status=error kind=validation")
+    assert missing is None or missing in last
 
 
 @pytest.mark.parametrize(

@@ -472,7 +472,10 @@ def crossing_by_probe(system, seg, j, event_tol):
 
 
 def crossing_by_quadratic(system, seg, j):
-    """Reference: the closed-form root on the first bracket, node by node."""
+    """Reference: the closed-form root on the first bracket, node by node.
+
+    Returns (root, left node time, right node time), or None.
+    """
 
     def zeta_at(t):
         return t - system.tau(j, seg.interp(t)[0])
@@ -485,14 +488,16 @@ def crossing_by_quadratic(system, seg, j):
         u, d = seg.states[i], seg.states[i + 1] - seg.states[i]
         dt = seg.t[i + 1] - seg.t[i]
         s = _bracket_root(-b_j * float(d @ d), dt - 2.0 * b_j * float(u @ d), zeta_i)
-        return float(seg.t[i] + s * dt)
+        return float(seg.t[i] + s * dt), seg.t[i], seg.t[i + 1]
     return None
 
 
 def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, stats=None):
     """Reference: the hybrid loop re-integrating from the segment start per trial hit.
 
-    A hit time is sharpened by one fixed-point step, then secant steps.
+    A hit time is sharpened by one fixed-point step, then secant steps; an
+    iterate outside the bracket, shrunk by the sign of each run's zeta, is
+    replaced by the bracket's midpoint.
     """
     lo, hi = system.intervals
     idx = system.surfaces.indices()
@@ -504,20 +509,21 @@ def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, s
         seg = segment_by_doubling(system, x, t, t1, seg_tol, horizon / 4.0, stats)
         best = None
         for j in idx[(hi >= t - event_tol) & (lo <= t1 + event_tol)]:
-            th = crossing_by_quadratic(system, seg, j)
-            if th is None or th < t:
+            found = crossing_by_quadratic(system, seg, j)
+            if found is None or found[0] < t:
                 continue
+            th = found[0]
             if last_hit is not None and int(j) == last_hit[0] and th <= last_hit[1] + 10.0 * event_tol:
                 continue
             if best is None or th < best[0]:
-                best = (th, int(j))
+                best = (th, int(j), found[1], found[2])
         if best is None:
             segments.append(seg)
             t, x = t1, seg.states[-1]
             continue
-        th, j = best
+        th, j, a, b = best
         pre, last = x, None
-        for _ in range(12):
+        for _ in range(40):
             if th - t <= 1e-12:
                 th, seg2, pre = t, None, x
                 break
@@ -526,12 +532,16 @@ def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, s
             zeta = th - system.tau(j, pre)
             if abs(zeta) < event_tol:
                 break
+            if zeta < 0.0:
+                a = th
+            else:
+                b = th
             if last is None or zeta == last[1]:
                 th_next = th - zeta
             else:
                 th_next = th - zeta * (th - last[0]) / (zeta - last[1])
             last = (th, zeta)
-            th = th_next
+            th = th_next if a < th_next < b else 0.5 * (a + b)
         else:
             raise AssertionError("hit time not sharpened to event_tol")
         if seg2 is not None:
@@ -556,11 +566,23 @@ def moving_like(n_modes=16):
     )
 
 
+def tangent_like():
+    """Pure decay (a = b = 0) with b_j = -1: on Q = C_TANGENT e^{-2 lambda_1 (t - t0)}
+    from T0_TANGENT, zeta_1 = t - 1 + Q starts at -1e-6 with slope -1e-3, dips and
+    crosses upward 3.7e-4 later with slope 6.3e-3, on a flow step 0.05 long."""
+    return make_system(a=TrigSum(), b=TrigSum(), slopes=SeqGen.constant(-1.0))
+
+
+C_TANGENT = 1.001 / (2.0 * np.pi**2)
+T0_TANGENT = 1.0 - C_TANGENT - 1e-6
+
+
 SIMULATE_CASES = {
     # (system builder, initial amplitude of e_1, t0, t_end, seg_tol)
     "readme": (readme_like, 0.2, 0.5, 3.5, 1e-8),
     "moving": (moving_like, 0.2, 0.5, 1.8, 1e-8),
     "tight": (certified_logistic, 0.3, 0.5, 2.5, 1e-11),
+    "tangent": (tangent_like, np.sqrt(C_TANGENT), T0_TANGENT, 2.5, 1e-8),
 }
 
 
@@ -628,6 +650,32 @@ def test_sharpening_takes_three_runs_per_hit(monkeypatch):
     runs = [len(r) for r in "".join("r" if f else " " for f in resumed).split()]
     assert len(runs) == len(traj.hits) >= 30
     assert max(runs) <= 3
+
+
+def test_near_tangential_hit_solves_exact_zeta(monkeypatch):
+    """The hit time against zeta of the exact flow; every trial stays in its bracket.
+
+    Unbounded, a secant step through two runs left of the root jumps out of
+    the flow step the crossing lies on, here once to before t0, where a hit
+    would be recorded at t0 without a zeta check.
+    """
+    sys0 = tangent_like()
+    lam1 = sys0.lap.eigenvalues[0]
+    trials = []
+    step = impulsive.step_segment
+
+    def recorded(system, x, t, t1, *args, **kwargs):
+        if kwargs.get("resume") is not None:
+            trials.append((t1, kwargs["resume"][0]))
+        return step(system, x, t, t1, *args, **kwargs)
+
+    monkeypatch.setattr(impulsive, "step_segment", recorded)
+    traj = simulate(sys0, e1(sys0, np.sqrt(C_TANGENT)), T0_TANGENT, 1.5, seg_tol=1e-8)
+    assert [h.surface for h in traj.hits] == [1]
+    th = traj.hits[0].time
+    assert abs(th - 1.0 + C_TANGENT * np.exp(-2.0 * lam1 * (th - T0_TANGENT))) < 1e-10
+    assert len(trials) > 3
+    assert all(seg.t[0] < t1 < seg.t[1] for t1, seg in trials)
 
 
 def test_unsharpened_hit_raises(monkeypatch):

@@ -31,31 +31,6 @@ def test_product_is_exact():
     assert np.max(np.abs(p(t) - a(t) * b(t))) < 1e-12
 
 
-def sum_by_term(m, t):
-    """Reference: the cosine sum evaluated term by term, left to right."""
-    t = np.asarray(t, dtype=float)
-    val = np.full_like(t, m.offset, dtype=float)
-    for amp, freq, phase in m.terms:
-        val = val + amp * np.cos(freq * t + phase)
-    return val if val.ndim else float(val)
-
-
-def test_evaluation_equals_term_by_term_loop():
-    rng = np.random.default_rng(12)
-    a = TrigSum(0.5, ((0.2, 1.0, 0.0),))
-    b = TrigSum(0.1, ((0.05, 1.41421356237, 0.0),))
-    many = TrigSum(-0.3, tuple(
-        (rng.standard_normal(), rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0)) for _ in range(11)
-    ))
-    for m in (TrigSum(), TrigSum(offset=-0.7), a, a * b, -1.0 * a + 1.3 * (a * b), many):
-        for t in rng.uniform(-500.0, 500.0, 200):
-            got = m(t)
-            assert type(got) is float and got == sum_by_term(m, t)
-        for shape in ((0,), (7,), (5, 3)):
-            t = rng.uniform(-500.0, 500.0, shape)
-            assert np.array_equal(m(t), sum_by_term(m, t))
-
-
 def test_sum_and_scale():
     a = TrigSum(1.0, ((0.5, 2.0, 0.0),))
     t = np.linspace(0.0, 5.0, 50)
