@@ -7,6 +7,9 @@ the sampling seed.  All generator functions are lists of
 ``amplitude frequency phase`` triples, so no expression parsing is needed
 and instances are reproducible byte for byte.
 
+Every section and key must be one of ``SECTION_KEYS``; steps, tolerances,
+the buffer and the eps levels must be finite and > 0.
+
 ``validate_instance`` enforces the checkable hypothesis parts at load time:
 surface slopes have the admissible sign (b_j <= 0), the surface time
 intervals over the ball are separated (theta > 0, by interval arithmetic),
@@ -39,12 +42,52 @@ class ConfigError(ValueError):
     """The instance file is malformed or violates a checkable hypothesis."""
 
 
-# [overrides] keys, case-sensitive: the dichotomy constants (constants,
-# solve-ap), the K-bundle inputs (constants, solve-ap) and the resampling of
-# analyze-ap
-OVERRIDE_KEYS = (
-    "M", "beta", "M1", "M2", "beta1", "theta", "Q", "C", "analysis_crop", "analysis_h_t",
-)
+# the accepted keys of each section, case-sensitive; any other section or key
+# is rejected.  [overrides]: the dichotomy constants (constants, solve-ap),
+# the K-bundle inputs (constants, solve-ap) and the resampling of analyze-ap
+SECTION_KEYS = {
+    "geometry": ("l", "n_modes", "n_xi"),
+    "problem": ("alpha", "rho"),
+    "coefficient_a": ("offset", "terms"),
+    "coefficient_b": ("offset", "terms"),
+    "surfaces": ("gap", "window", "offset_constant", "offset_terms",
+                 "slope_constant", "slope_terms"),
+    "jumps": ("nonlinearity", "kernel_left", "kernel_right", "amp_constant",
+              "amp_terms", "d"),
+    "solver": ("h_t", "inner_tol", "outer_tol", "residual_tol", "event_tol",
+               "tail_tol", "seg_tol", "buffer", "max_inner", "max_outer", "window"),
+    "sampling": ("seed", "n_samples"),
+    "analysis": ("eps",),
+    "simulate": ("u0", "t_range"),
+    "overrides": ("M", "beta", "M1", "M2", "beta1", "theta", "Q", "C",
+                  "analysis_crop", "analysis_h_t"),
+}
+
+
+def _check_keys(parser) -> None:
+    """Reject a section or key that ``SECTION_KEYS`` does not list."""
+    sections = parser.sections() + ([parser.default_section] if parser.defaults() else [])
+    unknown = [name for name in sections if name not in SECTION_KEYS]
+    if unknown:
+        raise ConfigError(
+            "unknown section(s) %s; accepted: %s" % (" ".join(unknown), " ".join(SECTION_KEYS))
+        )
+    for name in sections:
+        unknown = sorted(set(parser[name]) - set(SECTION_KEYS[name]))
+        if unknown:
+            raise ConfigError(
+                "unknown [%s] key(s) %s; accepted: %s"
+                % (name, " ".join(unknown), " ".join(SECTION_KEYS[name]))
+            )
+
+
+def _finite_positive(value, name) -> float:
+    """float(value); ConfigError unless it is finite and > 0."""
+    # a step or tolerance of 0 would never end its loop
+    value = float(value)
+    if not (np.isfinite(value) and value > 0.0):
+        raise ConfigError("%s must be finite and > 0" % name)
+    return value
 
 
 def _floats(text) -> list:
@@ -127,6 +170,7 @@ def load_instance(path) -> InstanceConfig:
     read = parser.read(str(path))
     if not read:
         raise ConfigError("cannot read config file %s" % path)
+    _check_keys(parser)
     try:
         geo = parser["geometry"]
         lap = DirichletLaplacian(
@@ -179,13 +223,12 @@ def load_instance(path) -> InstanceConfig:
         for key in ("h_t", "inner_tol", "outer_tol", "residual_tol",
                     "event_tol", "tail_tol", "seg_tol", "buffer"):
             if ssec and ssec.get(key, "").strip():
-                kwargs[key] = float(ssec[key])
-                # a step or tolerance of 0 would never end its loop
-                if key != "buffer" and not (np.isfinite(kwargs[key]) and kwargs[key] > 0.0):
-                    raise ConfigError("[solver] %s must be finite and > 0" % key)
+                kwargs[key] = _finite_positive(ssec[key], "[solver] " + key)
         for key in ("max_inner", "max_outer"):
             if ssec and ssec.get(key, "").strip():
                 kwargs[key] = int(ssec[key])
+                if kwargs[key] < 1:
+                    raise ConfigError("[solver] %s must be at least 1" % key)
         solver = SolverConfig(**kwargs)
         t_window = _interval(ssec.get("window", "0 10") if ssec else "0 10", "[solver] window")
 
@@ -196,7 +239,12 @@ def load_instance(path) -> InstanceConfig:
             raise ConfigError("[sampling] n_samples must be at least 1")
 
         asec = parser["analysis"] if "analysis" in parser else {}
-        eps_list = tuple(_floats(asec.get("eps", "1e-2"))) if asec else (1e-2,)
+        eps_list = tuple(
+            _finite_positive(eps, "[analysis] eps")
+            for eps in (_floats(asec.get("eps", "1e-2")) if asec else (1e-2,))
+        )
+        if not eps_list:
+            raise ConfigError("[analysis] eps needs at least one value")
 
         sim = parser["simulate"] if "simulate" in parser else {}
         u0_text = sim.get("u0", "") if sim else ""
@@ -208,12 +256,11 @@ def load_instance(path) -> InstanceConfig:
 
         osec = parser["overrides"] if "overrides" in parser else {}
         overrides = {k: float(v) for k, v in osec.items()} if osec else {}
-        unknown = sorted(set(overrides) - set(OVERRIDE_KEYS))
-        if unknown:
-            raise ConfigError(
-                "unknown [overrides] key(s) %s; accepted: %s"
-                % (" ".join(unknown), " ".join(OVERRIDE_KEYS))
-            )
+        if "analysis_h_t" in overrides:
+            _finite_positive(overrides["analysis_h_t"], "[overrides] analysis_h_t")
+        # a negative crop would sample past the data, where np.interp repeats its ends
+        if not 0.0 <= overrides.get("analysis_crop", 0.0) < np.inf:
+            raise ConfigError("[overrides] analysis_crop must be finite and >= 0")
     except ConfigError:
         raise
     except (KeyError, ValueError) as exc:

@@ -18,9 +18,9 @@ re-integrated states until |zeta| < ``event_tol``: one fixed-point step
 th - zeta, then secant steps through the last two (th, zeta) pairs, each
 kept inside the flow step that brackets the sign change, shrunk by the sign
 of every run's zeta; an iterate that leaves it is replaced by its midpoint.
-Each run to a trial hit time copies the steps of the flow segment it was found
-on up to the first node that the hit time clips, and integrates only from
-there.
+Each run integrates from the left node of that flow step, with the step taken
+there as its first trial step, so the flow segment up to that node is shared
+with the hit segment as it is.
 
 ``beating_certificate`` checks the two repeated-hit exclusion hypotheses on
 sampled non-negative states: ``theta_j(x) = tau_j(x + g_j(x)) - tau_j(x) <= 0``
@@ -352,22 +352,15 @@ def step_segment(
     t1: float,
     seg_tol: float = 1e-8,
     h_max: float = np.inf,
-    resume=None,
+    h0: float = 0.05,
 ) -> Segment:
     """Integrate the flow on [t0, t1]; adaptive steps by step doubling.
 
     Each trial step compares one step of size h with two of h/2; the halved
     solution is kept (local extrapolation), and h adapts to keep the
-    difference below ``seg_tol``.  Node times of accepted steps form the
-    dense output grid; ``h_carry`` records the step size carried into each
-    node, before it is clipped to t1 and ``h_max``.
-
-    ``resume = (seg, end)`` is an earlier result of this function from the
-    same x0 and t0 to ``end``, with the same ``seg_tol`` and ``h_max``.  Up
-    to the first node where t1 and ``end`` clip the first trial step
-    differently, or where the run to t1 stops, both runs take the same
-    steps; those nodes are copied and the integration goes on from there,
-    so the result equals a run from t0 bit for bit.
+    difference below ``seg_tol``.  The first trial step is ``h0``; every
+    trial step is clipped to t1 and ``h_max``.  Node times of accepted steps
+    form the dense output grid.
     """
     if t1 <= t0:
         raise ValueError("segment needs t1 > t0")
@@ -375,15 +368,8 @@ def step_segment(
     if not system.in_ball(x):
         raise BallExitError("initial state outside the admissible ball", time=t0)
     stop = t1 - 1e-13 * max(1.0, abs(t1))
-    nodes, states, carry = [t0], [x], [min(h_max, 0.05)]
-    if resume is not None:
-        prev, end = resume
-        tp, hp = prev.t[:-1], np.minimum(prev.h_carry[:-1], h_max)
-        same = (tp < stop) & (np.minimum(hp, t1 - tp) == np.minimum(hp, end - tp))
-        k = tp.size if same.all() else int(np.argmin(same))
-        nodes, states = prev.t[: k + 1].tolist(), list(prev.states[: k + 1])
-        carry = prev.h_carry[: k + 1].tolist()
-    t, x, h = nodes[-1], states[-1], carry[-1]
+    nodes, states = [t0], [x]
+    t, h = t0, h0
     while t < stop:
         h = min(h, t1 - t, h_max)
         f0 = system.f(t, x)
@@ -400,8 +386,7 @@ def step_segment(
         if not system.in_ball(x):
             raise BallExitError("left admissible ball at t = %g" % t, time=t)
         h = h * min(4.0, max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0)))
-        carry.append(h)
-    return Segment(t=np.asarray(nodes), states=np.stack(states), h_carry=np.asarray(carry))
+    return Segment(t=np.asarray(nodes), states=np.stack(states))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +475,7 @@ def simulate(
         best = None
         for j in cand:
             th = detect_crossing(system, seg, j)
-            if th is None or th < t:
+            if th is None:
                 continue
             if last_hit is not None and int(j) == last_hit[0] and th <= last_hit[1] + 10.0 * event_tol:
                 continue
@@ -502,21 +487,22 @@ def simulate(
             continue
         th, j = best
         # sharpen the hit time on re-integrated (not interpolated) states; each
-        # run repeats the steps of seg up to the first one that th clips, so
-        # zeta keeps the sign change of the step (a, b] that holds th.  Each
-        # run's sign shrinks (a, b), and an iterate outside it is replaced by
-        # the midpoint; th == seg.t[0] takes the th - t branch below
+        # run goes from the left node of the step (a, b] of seg that holds th,
+        # with that step as its first trial step.  Each run's sign of zeta
+        # shrinks (a, b), and an iterate outside it is replaced by the
+        # midpoint; th == seg.t[0] takes the th - t branch below
         i = max(int(np.searchsorted(seg.t, th)) - 1, 0)
         a, b = seg.t[i], seg.t[i + 1]
         last = None
         for _ in range(_SHARPEN_RUNS):
             if th - t <= 1e-12:
-                th, seg2, pre = t, None, x
+                th, run, pre = t, None, x
                 break
-            seg2 = step_segment(
-                system, x, t, th, seg_tol, h_max=horizon / 4.0, resume=(seg, t1)
+            run = step_segment(
+                system, seg.states[i], seg.t[i], th, seg_tol, horizon / 4.0,
+                h0=seg.t[i + 1] - seg.t[i],
             )
-            pre = seg2.states[-1]
+            pre = run.states[-1]
             zeta = th - system.tau(j, pre)
             if abs(zeta) < event_tol:
                 break
@@ -534,8 +520,9 @@ def simulate(
                 "hit on surface %d near t = %.17g: |zeta| = %g >= event_tol = %g after "
                 "%d runs" % (j, th, abs(zeta), event_tol, _SHARPEN_RUNS)
             )
-        if seg2 is not None:
-            segments.append(seg2)
+        if run is not None:
+            segments.append(Segment(t=np.concatenate([seg.t[:i], run.t]),
+                                    states=np.concatenate([seg.states[:i], run.states])))
         post = apply_jump(system, j, pre)
         last_hit = (j, th)
         hits.append(HitRecord(time=th, surface=j, pre=pre, post=post))

@@ -18,7 +18,6 @@ __all__ = ["Segment", "HitRecord", "PiecewiseTrajectory"]
 class Segment:
     t: np.ndarray  # strictly increasing node times
     states: np.ndarray  # shape (len(t), N)
-    h_carry: np.ndarray | None = None  # step size carried into each node, if integrated
 
     def __post_init__(self):
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))

@@ -190,6 +190,19 @@ def test_unknown_override_key_rejected(tmp_path):
     assert "status=error kind=validation" in buf.getvalue()
 
 
+@pytest.mark.parametrize(
+    "old, new, match",
+    [("[solver]", "[solver]\nseg_tl = 1e-12", r"\[solver\] key\(s\) seg_tl; accepted: h_t "),
+     ("[solver]", "[solvr]", r"section\(s\) solvr; accepted: geometry "),
+     ("l = 1.0", "L = 1.0", r"\[geometry\] key\(s\) L; accepted: l n_modes n_xi"),
+     ("[geometry]", "[DEFAULT]\nseed = 3\n\n[geometry]", r"section\(s\) DEFAULT")],
+    ids=["misspelt-key", "misspelt-section", "key-case", "default-section"],
+)
+def test_unknown_section_or_key_rejected(tmp_path, old, new, match):
+    with pytest.raises(ConfigError, match=match):
+        load_instance(write_config(tmp_path, BASE.replace(old, new)))
+
+
 def test_solve_ap_honours_kbundle_overrides(tmp_path):
     cfg_path = write_config(tmp_path, BASE + "\n[overrides]\nQ = 5.0\n")
     out = tmp_path / "out"
@@ -227,6 +240,15 @@ def test_cmd_constants_validation_exit(tmp_path):
         ("simulate", "h_t = 0.005", "h_t = 0.005\nevent_tol = 0", None),
         ("simulate", "h_t = 0.005", "h_t = 0.005\nseg_tol = -1", None),
         ("solve-ap", "h_t = 0.005", "h_t = inf", None),
+        ("solve-ap", "h_t = 0.005", "h_t = 0.005\nbuffer = -1", None),
+        ("solve-ap", "h_t = 0.005", "h_t = 0.005\nmax_inner = 0", None),
+        ("solve-ap", "h_t = 0.005", "h_t = 0.005\nmax_outer = 0", None),
+        ("solve-ap", "eps = 1e-2", "eps = 1e-2 0", None),
+        ("solve-ap", "eps = 1e-2", "eps =", None),
+        ("analyze-ap", "[analysis]", "[overrides]\nanalysis_h_t = 0\n\n[analysis]", None),
+        ("analyze-ap", "[analysis]", "[overrides]\nanalysis_crop = -1\n\n[analysis]", None),
+        ("simulate", "h_t = 0.005", "h_t = 0.005\nseg_tl = 1e-12", None),
+        ("constants", "[analysis]", "[analyse]", None),
         ("analyze-ap", "[analysis]", "[analysis]", "ystar.txt"),
     ],
     ids=["constants-n_xi", "simulate-n_xi", "certify-n_xi", "solve-ap-n_xi",
@@ -234,14 +256,19 @@ def test_cmd_constants_validation_exit(tmp_path):
          "certify-no-samples", "certify-negative-samples",
          "simulate-empty-range", "simulate-reversed-range", "simulate-three-values",
          "simulate-zero-event-tol", "simulate-negative-seg-tol", "solve-ap-infinite-h_t",
+         "solve-ap-negative-buffer", "solve-ap-zero-max_inner", "solve-ap-zero-max_outer",
+         "solve-ap-zero-eps", "solve-ap-no-eps", "analyze-ap-zero-h_t", "analyze-ap-negative-crop",
+         "simulate-unknown-key", "constants-unknown-section",
          "analyze-ap-missing-ystar"],
 )
 def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, missing):
     # n_xi + 1 < 4N aliases; no surface lies in or within a buffer (2.59) of
     # 100.5..110.5; 0.5..4.5 is shorter than the AP crop of two buffers per end;
     # certify needs a sample, simulate a range t0 < t_end; a step or tolerance
-    # must be finite and > 0 (event_tol = 0 used to bisect forever); analyze-ap
-    # needs every solve-ap artifact it reads
+    # must be finite and > 0 (event_tol = 0 used to bisect forever), and so
+    # must the buffer, every eps (one at least) and the analysis step; the
+    # iteration caps are >= 1 and the analysis crop >= 0; a misspelt key or
+    # section is not dropped; analyze-ap needs every solve-ap artifact it reads
     assert old in BASE
     argv = [command, "--config", write_config(tmp_path, BASE.replace(old, new)),
             "--out", str(tmp_path / "o")]

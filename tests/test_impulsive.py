@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -417,17 +418,17 @@ def test_batched_certificate_matches_per_sample_loop(build, n_samples):
 
 
 # ---------------------------------------------------------------------------
-# one-evaluation trials and resumed sharpening against the re-integrating loop
+# one-evaluation trials and bracketed sharpening against the re-integrating loop
 # ---------------------------------------------------------------------------
 
 
-def segment_by_doubling(system, x0, t0, t1, seg_tol, h_max=np.inf, stats=None):
+def segment_by_doubling(system, x0, t0, t1, seg_tol, h_max=np.inf, stats=None, h0=0.05):
     """Reference: step doubling by three independent ETD2 steps per trial.
 
-    ``stats`` counts the rejected trials.
+    ``h0`` is the first trial step; ``stats`` counts the rejected trials.
     """
     x = np.asarray(x0, dtype=float)
-    t, h = t0, min(h_max, t1 - t0, 0.05)
+    t, h = t0, min(h_max, t1 - t0, h0)
     nodes, states = [t0], [x]
     while t < t1 - 1e-13 * max(1.0, abs(t1)):
         h = min(h, t1 - t, h_max)
@@ -474,7 +475,7 @@ def crossing_by_probe(system, seg, j, event_tol):
 def crossing_by_quadratic(system, seg, j):
     """Reference: the closed-form root on the first bracket, node by node.
 
-    Returns (root, left node time, right node time), or None.
+    Returns (root, index of the left node), or None.
     """
 
     def zeta_at(t):
@@ -488,16 +489,18 @@ def crossing_by_quadratic(system, seg, j):
         u, d = seg.states[i], seg.states[i + 1] - seg.states[i]
         dt = seg.t[i + 1] - seg.t[i]
         s = _bracket_root(-b_j * float(d @ d), dt - 2.0 * b_j * float(u @ d), zeta_i)
-        return float(seg.t[i] + s * dt), seg.t[i], seg.t[i + 1]
+        return float(seg.t[i] + s * dt), i
     return None
 
 
 def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, stats=None):
-    """Reference: the hybrid loop re-integrating from the segment start per trial hit.
+    """Reference: the hybrid loop, every quantity of a trial step computed alone.
 
     A hit time is sharpened by one fixed-point step, then secant steps; an
     iterate outside the bracket, shrunk by the sign of each run's zeta, is
-    replaced by the bracket's midpoint.
+    replaced by the bracket's midpoint.  Each run re-integrates from the
+    bracket's left node i with that node's step as its first step, and the
+    hit segment is the horizon segment's first i nodes plus the last run.
     """
     lo, hi = system.intervals
     idx = system.surfaces.indices()
@@ -516,19 +519,21 @@ def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, s
             if last_hit is not None and int(j) == last_hit[0] and th <= last_hit[1] + 10.0 * event_tol:
                 continue
             if best is None or th < best[0]:
-                best = (th, int(j), found[1], found[2])
+                best = (th, int(j), found[1])
         if best is None:
             segments.append(seg)
             t, x = t1, seg.states[-1]
             continue
-        th, j, a, b = best
+        th, j, i = best
+        a, b = seg.t[i], seg.t[i + 1]
         pre, last = x, None
         for _ in range(40):
             if th - t <= 1e-12:
-                th, seg2, pre = t, None, x
+                th, run, pre = t, None, x
                 break
-            seg2 = segment_by_doubling(system, x, t, th, seg_tol, horizon / 4.0, stats)
-            pre = seg2.states[-1]
+            run = segment_by_doubling(system, seg.states[i], seg.t[i], th, seg_tol,
+                                      horizon / 4.0, stats, h0=seg.t[i + 1] - seg.t[i])
+            pre = run.states[-1]
             zeta = th - system.tau(j, pre)
             if abs(zeta) < event_tol:
                 break
@@ -544,8 +549,9 @@ def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, s
             th = th_next if a < th_next < b else 0.5 * (a + b)
         else:
             raise AssertionError("hit time not sharpened to event_tol")
-        if seg2 is not None:
-            segments.append(seg2)
+        if run is not None:
+            segments.append(Segment(t=np.concatenate([seg.t[:i], run.t]),
+                                    states=np.concatenate([seg.states[:i], run.states])))
         post = apply_jump(system, j, pre)
         last_hit = (j, th)
         hits.append((th, j, pre, post))
@@ -634,20 +640,52 @@ def test_closed_form_root_matches_bisection(case, monkeypatch):
     assert found >= len(traj.hits) >= 2
 
 
+@dataclass
+class StepCall:
+    """One step_segment call of simulate: its x0, t0, t1, h0 and result."""
+
+    x0: np.ndarray
+    t0: float
+    t1: float
+    h0: float | None  # None for a horizon segment
+    seg: Segment
+    counts: dict  # increments of the recorder's counters during the call
+    runs: list = field(default_factory=list)  # a horizon segment's sharpening runs
+
+
+def record_step_calls(monkeypatch, counters=None):
+    """simulate's step_segment calls: the horizon segments, each with its runs.
+
+    A sharpening run is the call that passes its first trial step ``h0``; it
+    is filed under the horizon segment called before it.  ``counters`` is a
+    dict of counts that other patches raise; each call records by how much.
+    """
+    horizon = []
+    counters = {} if counters is None else counters
+    step = impulsive.step_segment
+
+    def recorded(system, x0, t0, t1, *args, **kwargs):
+        before = dict(counters)
+        seg = step(system, x0, t0, t1, *args, **kwargs)
+        call = StepCall(x0, t0, t1, kwargs.get("h0"), seg,
+                        {k: counters[k] - before[k] for k in counters})
+        if call.h0 is None:
+            horizon.append(call)
+        else:
+            horizon[-1].runs.append(call)
+        return seg
+
+    monkeypatch.setattr(impulsive, "step_segment", recorded)
+    return horizon
+
+
 def test_sharpening_takes_three_runs_per_hit(monkeypatch):
     """The secant steps reach event_tol in three re-integrations per hit."""
     sys0 = moving_like()
-    resumed = []
-    step = impulsive.step_segment
-
-    def recorded(*args, **kwargs):
-        resumed.append(kwargs.get("resume") is not None)
-        return step(*args, **kwargs)
-
-    monkeypatch.setattr(impulsive, "step_segment", recorded)
+    horizon = record_step_calls(monkeypatch)
     traj = simulate(sys0, e1(sys0, 0.2), 0.5, 3.8, seg_tol=1e-8)
     # each hit's runs follow the horizon segment it was found on
-    runs = [len(r) for r in "".join("r" if f else " " for f in resumed).split()]
+    runs = [len(h.runs) for h in horizon if h.runs]
     assert len(runs) == len(traj.hits) >= 30
     assert max(runs) <= 3
 
@@ -661,21 +699,46 @@ def test_near_tangential_hit_solves_exact_zeta(monkeypatch):
     """
     sys0 = tangent_like()
     lam1 = sys0.lap.eigenvalues[0]
-    trials = []
-    step = impulsive.step_segment
-
-    def recorded(system, x, t, t1, *args, **kwargs):
-        if kwargs.get("resume") is not None:
-            trials.append((t1, kwargs["resume"][0]))
-        return step(system, x, t, t1, *args, **kwargs)
-
-    monkeypatch.setattr(impulsive, "step_segment", recorded)
+    horizon = record_step_calls(monkeypatch)
     traj = simulate(sys0, e1(sys0, np.sqrt(C_TANGENT)), T0_TANGENT, 1.5, seg_tol=1e-8)
+    trials = [(run.t1, h.seg) for h in horizon for run in h.runs]
     assert [h.surface for h in traj.hits] == [1]
     th = traj.hits[0].time
     assert abs(th - 1.0 + C_TANGENT * np.exp(-2.0 * lam1 * (th - T0_TANGENT))) < 1e-10
     assert len(trials) > 3
     assert all(seg.t[0] < t1 < seg.t[1] for t1, seg in trials)
+
+
+@pytest.mark.parametrize("case", ["moving", "tight"])
+def test_hit_segment_shares_horizon_nodes_up_to_bracket(case, monkeypatch):
+    """Each sharpening run starts at the bracket's left node i of its horizon
+    segment, and the hit segment is that segment up to node i, bit for bit,
+    then the last run."""
+    build, amp, t0, t_end, seg_tol = SIMULATE_CASES[case]
+    sys0 = build()
+    horizon = record_step_calls(monkeypatch)
+    traj = simulate(sys0, e1(sys0, amp), t0, t_end, seg_tol=seg_tol)
+    hits = iter(traj.hits)
+    assert len(traj.segments) == len(horizon)
+    lefts = []
+    for h, seg in zip(horizon, traj.segments):
+        if not h.runs:
+            assert seg is h.seg
+            continue
+        hit = next(hits)
+        zeta = h.seg.t - sys0.tau(hit.surface, h.seg.states)
+        i = int(np.flatnonzero((zeta[:-1] < 0.0) & (zeta[1:] >= 0.0))[0])
+        lefts.append(i)
+        for run in h.runs:
+            assert run.t0 == h.seg.t[i] and np.array_equal(run.x0, h.seg.states[i])
+            assert run.h0 == h.seg.t[i + 1] - h.seg.t[i]
+        assert np.array_equal(seg.t[: i + 1], h.seg.t[: i + 1])
+        assert np.array_equal(seg.states[: i + 1], h.seg.states[: i + 1])
+        assert np.array_equal(seg.t[i:], h.runs[-1].seg.t)
+        assert np.array_equal(seg.states[i:], h.runs[-1].seg.states)
+        assert seg.t[-1] == hit.time
+    assert next(hits, None) is None
+    assert len(lefts) >= 2 and max(lefts) > 0
 
 
 def test_unsharpened_hit_raises(monkeypatch):
@@ -685,56 +748,23 @@ def test_unsharpened_hit_raises(monkeypatch):
         simulate(sys0, e1(sys0, 0.2), 0.5, 1.8, seg_tol=1e-8)
 
 
-def resume_ends(seg, t1):
-    """Ends to resume seg at: between, at and one ulp around its nodes, and past t1."""
-    t = seg.t
-    ends = [0.5 * (t[:-1] + t[1:]), t[1:], np.nextafter(t[1:], -np.inf),
-            np.nextafter(t[1:-1], np.inf), t1 + np.array([1e-15, 1e-3, 0.4 * (t1 - t[0])])]
-    ends.append([np.nextafter(t1, np.inf)])
-    return np.unique(np.concatenate(ends))
-
-
-@pytest.mark.parametrize("seg_tol", [1e-8, 1e-9, 1e-10, 1e-11])
-def test_resumed_segment_equals_full_run(seg_tol):
-    sys0 = moving_like()
-    x0 = e1(sys0, 0.25) + 0.05 * np.roll(e1(sys0), 1)
-    h_max = 0.25 * max(sys0.theta / 2.0, 1e-3)
-    checked = rejected = 0
-    # a horizon segment, and a short last one (t_end close after t0)
-    for t0, t1 in ((0.53, 0.53 + 4.0 * h_max), (0.71, 0.71 + 0.3 * h_max)):
-        seg = step_segment(sys0, x0, t0, t1, seg_tol, h_max)
-        stats = {"rejected": 0}
-        ref = segment_by_doubling(sys0, x0, t0, t1, seg_tol, h_max, stats)
-        assert np.array_equal(seg.t, ref.t) and np.array_equal(seg.states, ref.states)
-        rejected += stats["rejected"]
-        for end in resume_ends(seg, t1):
-            full = step_segment(sys0, x0, t0, end, seg_tol, h_max)
-            resumed = step_segment(sys0, x0, t0, end, seg_tol, h_max, resume=(seg, t1))
-            assert np.array_equal(resumed.t, full.t), end
-            assert np.array_equal(resumed.states, full.states), end
-            assert np.array_equal(resumed.h_carry, full.h_carry), end
-            checked += 1
-    assert checked > 20 and rejected > 0
-
-
 def test_simulate_makes_four_f_calls_per_trial_and_one_per_node(monkeypatch):
     """Counts, not timings, on a moving-moment run where no trial is rejected.
 
     A trial evaluates f four times (f(t, x) is shared by the full and the
     first half step and computed once per node), so a segment of n steps
-    costs 5n f calls and n ``_phi_weights`` calls.  A sharpening run goes on
-    from the first node t_k of the horizon segment where the trial hit time
-    th clips the step h_k proposed there, so th - t_k < h_k.  The error
-    estimate scales as h^3, and h_k passed in this run, so the shorter step
-    passes too: one trial and one step, 5 f calls per sharpening iteration.
-    Re-integrating from the segment start costs k more steps.
+    costs 5n f calls and n ``_phi_weights`` calls.  A sharpening run goes
+    from the left node t_k of the bracketing step of the horizon segment,
+    with that step h_k as its first trial step, and the trial hit time th
+    clips it, so th - t_k <= h_k.  The error estimate scales as h^3, and
+    h_k passed in this run, so the shorter step passes too: one trial and
+    one step, 5 f calls per sharpening iteration.  Re-integrating from the
+    segment start costs k more steps.
     """
     sys0 = moving_like()
     calls = {"f": 0, "trials": 0}
-    spans = []
     f_spec = ImpulseSystemSpec.f
     phi_weights = impulsive._phi_weights
-    step = impulsive.step_segment
 
     def counted_f(self, t, x):
         calls["f"] += 1
@@ -744,27 +774,22 @@ def test_simulate_makes_four_f_calls_per_trial_and_one_per_node(monkeypatch):
         calls["trials"] += 1
         return phi_weights(z)
 
-    def counted_step(*args, **kwargs):
-        before = dict(calls)
-        seg = step(*args, **kwargs)
-        spans.append((kwargs.get("resume"), seg, calls["f"] - before["f"],
-                      calls["trials"] - before["trials"]))
-        return seg
-
     monkeypatch.setattr(ImpulseSystemSpec, "f", counted_f)
     monkeypatch.setattr(impulsive, "_phi_weights", counted_phi_weights)
-    monkeypatch.setattr(impulsive, "step_segment", counted_step)
+    horizon = record_step_calls(monkeypatch, calls)
     traj = simulate(sys0, e1(sys0, 0.2), 0.5, 3.8, seg_tol=1e-8)
 
-    horizon = [s for s in spans if s[0] is None]
-    sharpen = [s for s in spans if s[0] is not None]
+    sharpen = [(h.seg, run) for h in horizon for run in h.runs]
     assert len(traj.hits) >= 30 and len(sharpen) >= len(traj.hits)
-    steps = sum(seg.t.size - 1 for _, seg, _, _ in horizon)
-    assert sum(s[3] for s in horizon) == steps  # no rejected trial
-    assert sum(s[2] for s in horizon) == 5 * steps
-    for (prev, end), seg, f_calls, trials in sharpen:
-        assert (f_calls, trials) == (5, 1)
-        # the run shares all but its last step with the horizon segment
-        assert np.array_equal(seg.t[:-1], prev.t[: seg.t.size - 1])
-    assert sum(seg.t.size - 2 for _, seg, _, _ in sharpen) >= len(sharpen)
+    steps = sum(h.seg.t.size - 1 for h in horizon)
+    assert sum(h.counts["trials"] for h in horizon) == steps  # no rejected trial
+    assert sum(h.counts["f"] for h in horizon) == 5 * steps
+    starts = []
+    for prev, run in sharpen:
+        assert (run.counts["f"], run.counts["trials"]) == (5, 1)
+        # the run is one step from a node of the horizon segment
+        k = int(np.searchsorted(prev.t, run.t0))
+        assert prev.t[k] == run.t0 and run.seg.t.size == 2
+        starts.append(k)
+    assert sum(starts) >= len(sharpen)
     assert calls["f"] == 4 * calls["trials"] + steps + len(sharpen)
