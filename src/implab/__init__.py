@@ -39,8 +39,6 @@ from .evolution import (
     KBundle,
     LinearCoefficient,
     NonHyperbolicError,
-    evolution_factors,
-    fit_continuity_constant,
     fit_dichotomy,
     k_bundle,
 )
@@ -100,9 +98,7 @@ __all__ = [
     "DichotomyData",
     "KBundle",
     "NonHyperbolicError",
-    "evolution_factors",
     "fit_dichotomy",
-    "fit_continuity_constant",
     "k_bundle",
     "ImpulseSurfaceSpec",
     "JumpSpec",

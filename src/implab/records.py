@@ -6,7 +6,7 @@ identical data therefore produces byte-identical files.
 
 * record files: one ``key value`` pair per line,
 * tables: one row per index/time, first column the index, the remaining
-  columns coefficients,
+  columns coefficients; every row is written with one format string,
 * trajectory dumps: a ``(t, coeff_1 .. coeff_N)`` table, a file listing the
   discontinuity times, and a hits file with rows
   ``(T_i, surface, |pre|_alpha, |post|_alpha)``.
@@ -23,7 +23,6 @@ __all__ = [
     "write_table",
     "read_table",
     "write_trajectory",
-    "vector_line",
 ]
 
 
@@ -60,22 +59,18 @@ def read_record(path) -> dict:
     return out
 
 
-def vector_line(x) -> str:
-    """One-line serialization of a spectral coefficient vector."""
-    return " ".join("%.17g" % v for v in np.asarray(x, dtype=float))
-
-
 def write_table(path, index, values) -> None:
     """Rows ``index v_1 .. v_d``; ``index`` may be integer or time."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     index = np.asarray(index)
     if index.size != values.shape[0]:
         raise ValueError("index and value row counts differ")
-    int_index = np.issubdtype(index.dtype, np.integer)
+    head = "%d" if np.issubdtype(index.dtype, np.integer) else "%.17g"
+    fmt = head + " " + " ".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w") as fh:
-        for i, row in zip(index, values):
-            head = "%d" % i if int_index else "%.17g" % i
-            fh.write(head + " " + vector_line(row) + "\n")
+        # row by row: one list of the whole table would hold a Python float per value
+        for i, row in zip(index.tolist(), values):
+            fh.write(fmt % (i, *row.tolist()))
 
 
 def read_table(path):

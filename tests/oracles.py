@@ -7,8 +7,15 @@ check the package against it:
 
 * ``shift_sup_scan`` — a*(h) = sup_s |m(s) - m(s+h)| by a dense scan, the
   check of the closed form ``TrigSum.shift_sup``;
-* ``semigroup_apply``, ``evolution_apply``, ``green_factors`` and
-  ``green_apply`` — e^{-At}, U(t, s) and G(t, s) applied to a state;
+* ``semigroup_apply``, ``evolution_factors``, ``evolution_apply``,
+  ``green_factors`` and ``green_apply`` — e^{-At}, U(t, s) and G(t, s)
+  applied to a state;
+* ``fit_continuity_constant`` — C in |(U(t+d, t) - I)x|_alpha <= C
+  d^{1-alpha} |x|_1, fitted on samples;
+* ``fit_dichotomy_by_sample``, ``measure_lipschitz_by_pair`` and
+  ``table_by_value`` — the per-sample loops of ``evolution.fit_dichotomy``
+  and ``solver.measure_lipschitz`` and the per-value table formatter of
+  ``records.write_table``, the references of their batched forms;
 * ``green_shift_defect`` — the shift defect of the Green function against
   its fitted bound;
 * ``bounded_solution`` — the bounded solution of the linear impulsive
@@ -25,7 +32,7 @@ from implab.evolution import (
     _green_factor,
     _green_integral_at,
     _jump_sum,
-    evolution_factors,
+    _safe_exp,
     psi,
 )
 from implab.impulsive import ImpulseSystemSpec, _etd2_update, _phi_weights
@@ -50,6 +57,30 @@ def semigroup_apply(lap, t: float, x) -> np.ndarray:
         raise ValueError("semigroup is defined for t >= 0 only")
     x = np.asarray(x, dtype=float)
     return x * np.exp(-lap.eigenvalues * t)
+
+
+def evolution_factors(lap, coeff, s, t) -> np.ndarray:
+    """Diagonal of U(t, s) (any order of arguments; exact per mode)."""
+    rates = coeff.rates(lap)
+    return _safe_exp(-(rates * (t - s) + coeff.m.integral(s, t)))
+
+
+def fit_continuity_constant(
+    lap, coeff, alpha: float, rng=None, n_samples: int = 200, slack: float = 0.05,
+    d_max: float = 2.0,
+) -> float:
+    """Fit C in |(U(t+d, t) - I)x|_alpha <= C d^{1-alpha} |x|_1 on samples."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    lam_a = lap.frac_weights(alpha)
+    lam_1 = lap.frac_weights(1.0)
+    best = 0.0
+    for _ in range(n_samples):
+        t = rng.uniform(0.0, 20.0)
+        d = float(np.exp(rng.uniform(np.log(1e-4), np.log(d_max))))
+        fac = evolution_factors(lap, coeff, t, t + d)
+        ratio = np.max(lam_a * np.abs(fac - 1.0) / lam_1) / d ** (1.0 - alpha)
+        best = max(best, float(ratio))
+    return (1.0 + slack) * max(best, 1e-12)
 
 
 def evolution_apply(lap, coeff, t, s, x) -> np.ndarray:
@@ -90,6 +121,112 @@ def green_shift_defect(lap, coeff, dich, h, t, tau, x):
         * lap.frac_norm(x, 0.0)
     )
     return float(defect), float(bound)
+
+
+def fit_dichotomy_by_sample(
+    lap, coeff, alpha=0.5, rng=None, n_samples=400, slack=0.05, d_max=20.0
+) -> DichotomyData:
+    """``evolution.fit_dichotomy`` with one Green-factor call per sample."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    mu = coeff.mean_exponents(lap)
+    unstable = mu < 0.0
+    beta = (1.0 - slack) * float(np.min(np.abs(mu)))
+    rates = coeff.rates(lap)
+    lam_a = lap.frac_weights(alpha)
+
+    m_fit = 1.0
+    m1_fit = 1.0
+    for _ in range(n_samples):
+        s = rng.uniform(0.0, 40.0)
+        d = float(np.exp(rng.uniform(np.log(1e-3), np.log(d_max))))
+        for sign in (1.0, -1.0):
+            t = s + sign * d
+            fac = np.abs(_green_factor(rates, coeff.m, unstable, t, s))
+            if not np.any(fac > 0.0):
+                continue
+            decay = np.exp(-beta * d)
+            m_fit = max(m_fit, float(np.max(fac)) / decay)
+            ratio = np.max(lam_a * fac) / (decay * psi(alpha, t - s))
+            m1_fit = max(m1_fit, float(ratio))
+
+    M = (1.0 + slack) * m_fit
+    M1 = max(M, (1.0 + slack) * m1_fit)
+
+    beta1 = 0.5 * beta
+    m2_fit = M
+    for _ in range(n_samples):
+        h = rng.uniform(-5.0, 5.0)
+        a_star = coeff.m.shift_sup(h)
+        if a_star < 1e-14:
+            continue
+        t = rng.uniform(-20.0, 20.0)
+        tau = t + rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(1e-2), np.log(10.0)))
+        fac1 = _green_factor(rates, coeff.m, unstable, t + h, tau + h)
+        fac0 = _green_factor(rates, coeff.m, unstable, t, tau)
+        defect = np.max(lam_a * np.abs(fac1 - fac0))
+        denom = np.exp(-beta1 * abs(t - tau)) * psi(alpha, t - tau) * a_star
+        m2_fit = max(m2_fit, float(defect) / denom)
+    M2 = (1.0 + slack) * m2_fit
+
+    return DichotomyData(
+        unstable=unstable, M=M, beta=beta, M1=M1, M2=M2, beta1=beta1, alpha=alpha
+    )
+
+
+def measure_lipschitz_by_pair(system: ImpulseSystemSpec, rng=None, n_pairs: int = 200) -> dict:
+    """``solver.measure_lipschitz`` with single-state f, g and tau calls per pair."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    lap, alpha, rho = system.lap, system.alpha, system.rho
+    w = lap.frac_weights(alpha)
+    idx = system.surfaces.indices()
+    probe_js = idx[:: max(1, idx.size // 8)]
+    lip_f = lip_g = lip_tau = g_star = 0.0
+    for _ in range(n_pairs):
+        x1 = rng.standard_normal(lap.n_modes) / w
+        x1 *= rng.uniform(0.1, 1.0) * rho / lap.frac_norm(x1, alpha)
+        x2 = x1 + rng.standard_normal(lap.n_modes) / w * rng.uniform(1e-3, 0.3)
+        if lap.frac_norm(x2, alpha) > rho:
+            x2 *= rho / lap.frac_norm(x2, alpha)
+        d = lap.frac_norm(x1 - x2, alpha)
+        if d < 1e-12:
+            continue
+        t = rng.uniform(0.0, 50.0)
+        df = np.linalg.norm(system.f(t, x1) - system.f(t, x2))
+        lip_f = max(lip_f, df / d)
+        j = probe_js[rng.integers(probe_js.size)]
+        g1 = system.g(j, x1)
+        dg = lap.frac_norm(g1 - system.g(j, x2), alpha)
+        lip_g = max(lip_g, dg / d)
+        g_star = max(g_star, float(lap.frac_norm(g1, 1.0)))
+        dtau = abs(system.tau(j, x1) - system.tau(j, x2))
+        lip_tau = max(lip_tau, dtau / d)
+    m0_f = max(
+        float(np.linalg.norm(system.f(t, np.zeros(lap.n_modes))))
+        for t in np.linspace(0.0, 50.0, 32)
+    )
+    m0_g = max(
+        float(lap.frac_norm(system.g(j, np.zeros(lap.n_modes)), 1.0)) for j in probe_js
+    )
+    return {
+        "lip_f": lip_f,
+        "lip_g": lip_g,
+        "lip_tau": lip_tau,
+        "N1": lip_f + lip_g + lip_tau,
+        "M0": max(m0_f, m0_g),
+        "g_star": max(g_star, m0_g),
+    }
+
+
+def table_by_value(index, values) -> str:
+    """The text of ``records.write_table``, formatted one value at a time."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    index = np.asarray(index)
+    int_index = np.issubdtype(index.dtype, np.integer)
+    lines = []
+    for i, row in zip(index, values):
+        head = "%d" % i if int_index else "%.17g" % i
+        lines.append(head + " " + " ".join("%.17g" % v for v in row) + "\n")
+    return "".join(lines)
 
 
 def bounded_solution(

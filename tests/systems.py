@@ -50,3 +50,21 @@ def certified_logistic(window=(1, 6), n_modes=8):
         window=window,
         jumps=rank1_jumps(n_modes, "relu", 0.02, 0.05),
     )
+
+
+def readme_like(base_gap=1.0, window=(0, 30), slope=-0.2, d1=0.05):
+    """The README example: N = 16, n_xi = 128, surfaces 0..30 with slope -0.2."""
+    return make_system(
+        n_modes=16,
+        a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
+        b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
+        slopes=SeqGen.constant(slope),
+        base_gap=base_gap,
+        window=window,
+        jumps=rank1_jumps(16, "relu", 0.02, d1),
+    )
+
+
+def moving_like():
+    """The benchmark's ``moving`` instance: impulse moments that move with the state."""
+    return readme_like(base_gap=0.1, window=(0, 150), slope=-0.45, d1=0.18)

@@ -14,7 +14,6 @@ from scipy import integrate
 from implab.ap_analysis import StronglyAPSet, eps_almost_periods, harmonize
 from implab.evolution import (
     LinearCoefficient,
-    evolution_factors,
     fit_dichotomy,
     k_bundle,
     psi,
@@ -37,7 +36,13 @@ from implab.solver import (
 from implab.spectral import DirichletLaplacian
 from implab.trig import SeqGen, TrigSum
 
-from oracles import _etd2_step, bounded_solution, green_factors, green_shift_defect
+from oracles import (
+    _etd2_step,
+    bounded_solution,
+    evolution_factors,
+    green_factors,
+    green_shift_defect,
+)
 from systems import certified_logistic, make_system, rank1_jumps
 
 N = 16

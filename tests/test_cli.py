@@ -19,7 +19,11 @@ from implab.records import (
     read_table,
     write_record,
     write_table,
+    write_trajectory,
 )
+
+from oracles import table_by_value
+from systems import readme_like
 
 BASE = """
 [geometry]
@@ -91,6 +95,36 @@ def test_table_roundtrip(tmp_path):
     i2, v2 = read_table(path)
     assert np.array_equal(i2, idx.astype(float))
     assert np.array_equal(v2, vals)  # 17 digits reproduce doubles exactly
+
+
+TABLE_CASES = {
+    "int_index": (np.arange(3, 8), np.arange(15.0).reshape(5, 3) * np.pi),
+    "float_index": (np.linspace(0.1, 0.9, 4), np.random.default_rng(64).standard_normal((4, 5))),
+    "one_column": (np.arange(4), np.array([[0.1], [1.0 / 3.0], [2.0], [-7.5]])),
+    "special_values": (
+        np.array([0.5, -0.0, 1e-310]),
+        np.array([[np.nan, np.inf, -np.inf], [-0.0, 1e-310, 0.0], [1e300, -1e-5, 5e-324]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_write_table_bytes_match_per_value_formatter(tmp_path, name):
+    index, values = TABLE_CASES[name]
+    path = tmp_path / "tab.txt"
+    write_table(path, index, values)
+    assert path.read_bytes() == table_by_value(index, values).encode()
+
+
+def test_write_trajectory_bytes_match_per_value_formatter(tmp_path):
+    system = readme_like()
+    u0 = np.zeros(system.lap.n_modes)
+    u0[0] = 0.2
+    traj = impulsive.simulate(system, u0, 0.5, 3.5)
+    assert traj.hits
+    paths = write_trajectory(tmp_path, "traj", traj, lap=system.lap)
+    t, states = traj.all_nodes()
+    assert Path(paths["trajectory"]).read_bytes() == table_by_value(t, states).encode()
 
 
 def test_format_value_deterministic():

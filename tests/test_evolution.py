@@ -6,8 +6,6 @@ from implab.evolution import (
     DichotomyData,
     LinearCoefficient,
     NonHyperbolicError,
-    evolution_factors,
-    fit_continuity_constant,
     fit_dichotomy,
     k_bundle,
     psi,
@@ -18,11 +16,15 @@ from implab.trig import TrigSum
 from oracles import (
     bounded_solution,
     evolution_apply,
+    evolution_factors,
+    fit_continuity_constant,
     green_apply,
     green_factors,
     green_shift_defect,
+    fit_dichotomy_by_sample,
     semigroup_apply,
 )
+from systems import moving_like, readme_like
 
 
 @pytest.fixture
@@ -117,6 +119,34 @@ def test_projection_is_coordinate_projection(lap):
     assert p[0] == x[0] and np.all(p[1:] == 0.0)
     # complementary split
     assert np.allclose(p + np.where(dich.unstable, 0.0, x), x)
+
+
+FIT_CASES = {
+    "readme": (lambda lap: readme_like().coeff, 0.5),
+    "moving": (lambda lap: moving_like().coeff, 0.5),
+    "unstable": (_unstable_coeff, 0.5),
+    "alpha_zero": (lambda lap: readme_like().coeff, 0.0),
+    # a*(h) = 0 for every h: each shift-defect sample is skipped, M2 = 1.05 M
+    "constant_m": (lambda lap: LinearCoefficient(m=TrigSum(0.3)), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_CASES))
+def test_fit_dichotomy_matches_per_sample_loop(name):
+    lap = readme_like().lap
+    make_coeff, alpha = FIT_CASES[name]
+    coeff = make_coeff(lap)
+    rng, rng_ref = np.random.default_rng(23), np.random.default_rng(23)
+    dich = fit_dichotomy(lap, coeff, alpha=alpha, rng=rng)
+    ref = fit_dichotomy_by_sample(lap, coeff, alpha=alpha, rng=rng_ref)
+    for key in ("M", "beta", "M1", "M2", "beta1"):
+        assert getattr(dich, key) == getattr(ref, key), key
+    assert np.array_equal(dich.unstable, ref.unstable)
+    assert rng.random() == rng_ref.random()
+    if name == "constant_m":
+        assert dich.M2 == 1.05 * dich.M
+    if name == "unstable":
+        assert dich.has_unstable
 
 
 def test_green_branches(lap):

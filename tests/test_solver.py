@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from implab.evolution import LinearCoefficient, fit_dichotomy, k_bundle
-from implab.impulsive import JumpSpec, _phi_weights
+from implab import evolution
+from implab.impulsive import ImpulseSystemSpec, JumpSpec, _phi_weights
 from implab.solver import (
     APSequencePoint,
     SolverConfig,
@@ -22,8 +23,8 @@ from implab.solver import (
 from implab.spectral import DirichletLaplacian
 from implab.trig import SeqGen, TrigSum
 
-from oracles import bounded_solution
-from systems import make_system
+from oracles import bounded_solution, measure_lipschitz_by_pair
+from systems import make_system, moving_like, readme_like
 
 
 def const_d(n, c=0.02):
@@ -290,6 +291,51 @@ def test_verify_smallness_overloaded():
     rep = verify_smallness(sys0, kb, measured["N1"], measured["M0"],
                            rng=np.random.default_rng(53))
     assert not rep.check_KM0
+
+
+LIPSCHITZ_CASES = {
+    "readme": readme_like,
+    "moving": moving_like,
+    # zero jump map: g_j is its offset whatever the state
+    "constant_jumps": lambda: make_system(jumps=JumpSpec(d=const_d(8)), window=(0, 8)),
+    "f_override": lambda: make_system(
+        f_override=lambda t: 0.1 * np.cos(t) * np.ones(8), slopes=SeqGen.constant(-0.2)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIPSCHITZ_CASES))
+def test_measure_lipschitz_matches_per_pair_loop(name):
+    # a batch of states rounds differently from single states, except for tau
+    system = LIPSCHITZ_CASES[name]()
+    rng, rng_ref = np.random.default_rng(61), np.random.default_rng(61)
+    got = measure_lipschitz(system, rng=rng)
+    ref = measure_lipschitz_by_pair(system, rng=rng_ref)
+    assert got["lip_tau"] == ref["lip_tau"]
+    for key in ("lip_f", "lip_g", "N1", "M0", "g_star"):
+        assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0), key
+    assert rng.random() == rng_ref.random()
+
+
+def test_fits_batch_green_factor_and_forcing_calls(monkeypatch):
+    calls = {"green": 0, "forcing": 0}
+    green, forcing = evolution._green_factor, ImpulseSystemSpec.forcing
+
+    def counted_green(*args, **kwargs):
+        calls["green"] += 1
+        return green(*args, **kwargs)
+
+    def counted_forcing(self, t, x):
+        calls["forcing"] += 1
+        return forcing(self, t, x)
+
+    monkeypatch.setattr(evolution, "_green_factor", counted_green)
+    monkeypatch.setattr(ImpulseSystemSpec, "forcing", counted_forcing)
+    system = readme_like()
+    fit_dichotomy(system.lap, system.coeff, rng=np.random.default_rng(62))
+    assert calls == {"green": 2, "forcing": 0}
+    measure_lipschitz(system, rng=np.random.default_rng(63))
+    assert calls["green"] == 2 and 1 <= calls["forcing"] <= 3
 
 
 def test_certify_almost_periodicity_periodic():
