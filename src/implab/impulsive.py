@@ -169,14 +169,14 @@ class JumpSpec:
         return np.asarray(self.d, dtype=float)
 
     def g(self, j, x, transform: SineTransform) -> np.ndarray:
-        """g_j at x of shape (N,) or (S, N), on the grid of ``transform``."""
+        """g_j at x of shape (N,) or (S, N), on the grid of ``transform``; same shape as x."""
         out = self.offset(j, np.shape(x)[-1])
-        if self.left is not None and self.nonlinearity != "zero":
-            image = transform.nonlinear_image(x, self.i_map)
-            # <chi_r, I(u)> by Parseval on the projected image
-            inner = np.asarray(self.right, dtype=float) @ image.T
-            out = out + float(self.amp(int(j))) * (inner.T @ np.asarray(self.left, dtype=float))
-        return out
+        if self.left is None or self.nonlinearity == "zero":
+            return np.broadcast_to(out, np.shape(x)).copy()
+        image = transform.nonlinear_image(x, self.i_map)
+        # <chi_r, I(u)> by Parseval on the projected image
+        inner = np.asarray(self.right, dtype=float) @ image.T
+        return out + float(self.amp(int(j))) * (inner.T @ np.asarray(self.left, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,8 @@ class ImpulseSystemSpec:
 
     def in_ball(self, x) -> bool:
         """Whether every state of x, shape (N,) or (..., N), lies in U^alpha_rho."""
-        return bool(np.all(self.lap.frac_norm(x, self.alpha) <= self.rho * (1.0 + 1e-9)))
+        norm, bound = self.lap.frac_norm(x, self.alpha), self.rho * (1.0 + 1e-9)
+        return norm <= bound if isinstance(norm, float) else bool(np.all(norm <= bound))
 
     def forcing(self, t, x) -> np.ndarray:
         """f(t, x) at one time and state (N,), or at times (M,) and states (M, N).
@@ -273,9 +274,15 @@ class ImpulseSystemSpec:
             if batch:
                 return np.stack([np.asarray(self.f_override(s), dtype=float) for s in t])
             return np.asarray(self.f_override(t), dtype=float)
-        ab, rho = self.ab(t), self.rho
-        image = self.transform.nonlinear_image(x, lambda u: (rho - u) * u)
+        ab = self.ab(t)
+        image = self.transform.nonlinear_image(x, self._reaction)
         return (ab[:, None] if batch else ab) * image
+
+    @cached_property
+    def _reaction(self):
+        """The pointwise map u -> (rho - u) u, built once."""
+        rho = self.rho
+        return lambda u: (rho - u) * u
 
     def f(self, t, x) -> np.ndarray:
         return self.forcing(t, x)
@@ -312,6 +319,9 @@ def _phi_weights(z):
     z = np.asarray(z, dtype=float)
     ez = np.exp(-np.clip(z, -700.0, 700.0))
     small = np.abs(z) < 1e-4
+    if not small.any():
+        # the np.where branch below with every entry taken from z
+        return ez, (1.0 - ez) / z, (1.0 - (1.0 + z) * ez) / z**2, (z - 1.0 + ez) / z**2
     zs = np.where(small, 1.0, z)
     phi1 = np.where(small, 1.0 - z / 2.0 + z**2 / 6.0, (1.0 - ez) / zs)
     A = np.where(small, 0.5 - z / 3.0 + z**2 / 8.0, (1.0 - (1.0 + z) * ez) / zs**2)
@@ -330,14 +340,16 @@ def _etd2_update(system, t, h, x, f0, weights):
 def _doubling_trial(system, t, h, x, f0):
     """One step of size h and two of h/2 from (t, x): (coarse, fine).
 
-    The three steps share f0 = f(t, x), one evaluation of the antiderivative
-    of m and one ``_phi_weights`` call, so a trial makes four f calls; each
-    quantity is the same float the three steps would compute on their own.
+    The three steps share f0 = f(t, x), the antiderivative of m at the four
+    step ends and one ``_phi_weights`` call, so a trial makes four f calls;
+    each quantity is the same float the three steps would compute on their
+    own.
     """
     t_mid = t + h / 2.0
-    big_m = system.coeff.m.antiderivative(np.array([t, t + h, t_mid, t_mid + h / 2.0]))
+    big_m = system.coeff.m.antiderivative
+    m0, m1, m2 = big_m(t), big_m(t_mid), big_m(t + h)
     z = (system.rates * np.array([h, h / 2.0, h / 2.0])[:, None]
-         + (big_m[1:] - big_m[[0, 0, 2]])[:, None])
+         + np.array([m2 - m0, m1 - m0, big_m(t_mid + h / 2.0) - m1])[:, None])
     w_coarse, w_first, w_second = zip(*_phi_weights(z))
     coarse = _etd2_update(system, t, h, x, f0, w_coarse)
     half = _etd2_update(system, t, h / 2.0, x, f0, w_first)

@@ -149,10 +149,19 @@ class ContractionReport:
 
 
 def frozen_times(system: ImpulseSystemSpec, y: APSequencePoint) -> np.ndarray:
-    """tau~_j = tau_j(y_j) for every surface index in the sequence window."""
-    return np.array(
-        [system.tau(j, y.value(j)) for j in range(y.window[0], y.window[1] + 1)]
-    )
+    """tau~_j = tau_j(y_j) for every surface index in the sequence window.
+
+    One expression over the surfaces' arrays and Q of all values, bit-equal
+    to ``system.tau(j, y.value(j))`` surface by surface.
+    """
+    surf = system.surfaces
+    lo, hi = (k - surf.base.window[0] for k in y.window)
+    if lo < 0 or hi >= surf.base_times.size:
+        raise ValueError(
+            "sequence window %s leaves the surface window %s" % (y.window, surf.base.window)
+        )
+    q = surf.q_functional(y.values)
+    return surf.base_times[lo : hi + 1] + surf.slope_window[lo : hi + 1] * q
 
 
 def _default_buffer(system, dich: DichotomyData, tail_tol) -> float:
@@ -531,7 +540,7 @@ def measure_lipschitz(system: ImpulseSystemSpec, rng=None, n_pairs: int = 200) -
     for i, pos in enumerate(probe):
         sel = k == i
         batch = np.r_[x[sel, 0], x[sel, 1], np.zeros((1, n))]
-        g = np.broadcast_to(system.g(idx[pos], batch), batch.shape)
+        g = system.g(idx[pos], batch)
         g1, g2 = np.split(g[:-1], 2)
         lip_g = max(lip_g, np.max(lap.frac_norm(g1 - g2, alpha) / d[sel], initial=0.0))
         g_star = max(g_star, np.max(lap.frac_norm(g1, 1.0), initial=0.0))

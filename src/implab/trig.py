@@ -53,20 +53,28 @@ class TrigSum:
         object.__setattr__(self, "offset", float(self.offset) + extra)
         object.__setattr__(self, "terms", merged)
 
+    # A float t (np.float64 included) skips the 0-d array round trip: the
+    # same terms in the same order, through the same ufuncs, so each value
+    # is bit-equal to the array path's.
+
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        val = np.full_like(t, self.offset, dtype=float)
+        scalar = isinstance(t, float)
+        if not scalar:
+            t = np.asarray(t, dtype=float)
+        val = self.offset if scalar else np.full_like(t, self.offset)
         for amp, freq, phase in self.terms:
             val = val + amp * np.cos(freq * t + phase)
-        return val if val.ndim else float(val)
+        return float(val) if scalar or val.ndim == 0 else val
 
     def antiderivative(self, t):
         """Exact antiderivative, normalized so that only differences matter."""
-        t = np.asarray(t, dtype=float)
+        scalar = isinstance(t, float)
+        if not scalar:
+            t = np.asarray(t, dtype=float)
         val = self.offset * t
         for amp, freq, phase in self.terms:
             val = val + (amp / freq) * np.sin(freq * t + phase)
-        return val if val.ndim else float(val)
+        return float(val) if scalar or val.ndim == 0 else val
 
     def integral(self, s, t):
         """Exact integral over [s, t]."""

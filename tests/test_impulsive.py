@@ -23,6 +23,7 @@ from implab.impulsive import (
     _bracket_root,
     _scrambled_sobol,
 )
+from implab.spectral import SineTransform
 from implab.trajectory import Segment
 from implab.trig import SeqGen, TrigSum
 
@@ -793,3 +794,82 @@ def test_simulate_makes_four_f_calls_per_trial_and_one_per_node(monkeypatch):
         starts.append(k)
     assert sum(starts) >= len(sharpen)
     assert calls["f"] == 4 * calls["trials"] + steps + len(sharpen)
+
+
+# ---------------------------------------------------------------------------
+# fast paths of a step-doubling trial, against the formulas they replace
+# ---------------------------------------------------------------------------
+
+
+def phi_weights_by_where(z):
+    """The weights with series and closed forms merged by np.where on every entry."""
+    z = np.asarray(z, dtype=float)
+    ez = np.exp(-np.clip(z, -700.0, 700.0))
+    small = np.abs(z) < 1e-4
+    zs = np.where(small, 1.0, z)
+    phi1 = np.where(small, 1.0 - z / 2.0 + z**2 / 6.0, (1.0 - ez) / zs)
+    A = np.where(small, 0.5 - z / 3.0 + z**2 / 8.0, (1.0 - (1.0 + z) * ez) / zs**2)
+    B = np.where(small, 0.5 - z / 6.0 + z**2 / 24.0, (z - 1.0 + ez) / zs**2)
+    return ez, phi1, A, B
+
+
+@pytest.mark.parametrize("case", ["mixed", "all_large", "all_small", "trial"])
+def test_phi_weights_match_where_formulas(case):
+    rng = np.random.default_rng(42)
+    z = {
+        "mixed": np.array([[-1e-4, -9.9e-5, 0.0, 1e-6, 9.99e-5, 1e-4],
+                           [1e-3, -0.5, 2.0, 50.0, 650.0, -650.0]]),
+        "all_large": rng.uniform(1e-3, 30.0, (3, 16)) * rng.choice([-1.0, 1.0], (3, 16)),
+        "all_small": rng.uniform(-1e-4, 1e-4, (3, 16)),
+        # the z of one trial on the moving instance at h = theta / 8
+        "trial": moving_like().rates * np.array([0.0068, 0.0034, 0.0034])[:, None] + 1e-3,
+    }[case]
+    for got, ref in zip(impulsive._phi_weights(z), phi_weights_by_where(z)):
+        assert got.shape == z.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("build", [readme_like, moving_like])
+def test_single_state_forcing_bit_equal_to_formula(build, monkeypatch):
+    """f(t, x) = (a b)(t) project((rho - u) u), with one pointwise map for every call."""
+    sys0 = build()
+    rng = np.random.default_rng(43)
+    w = sys0.lap.frac_weights(sys0.alpha)
+    times = [0.0, 0.5, 1.2345, -3.0, 1e4, np.float64(2.5), 2]
+    states = [0.3 * rng.standard_normal(sys0.lap.n_modes) / w for _ in times]
+    refs = [
+        sys0.ab(np.asarray(t)) * sys0.transform.nonlinear_image(x, lambda u: (sys0.rho - u) * u)
+        for t, x in zip(times, states)
+    ]
+    maps = []
+    image = SineTransform.nonlinear_image
+
+    def recorded(self, x, pointwise_map):
+        maps.append(pointwise_map)
+        return image(self, x, pointwise_map)
+
+    monkeypatch.setattr(SineTransform, "nonlinear_image", recorded)
+    for t, x, ref in zip(times, states, refs):
+        assert sys0.forcing(t, x).tobytes() == ref.tobytes()
+        assert sys0.f(t, x).tobytes() == ref.tobytes()
+    assert len(maps) == 2 * len(times) and all(m is maps[0] for m in maps)
+
+
+@pytest.mark.parametrize("jump_map", sorted(JUMP_MAP_CATALOGUE) + ["left=None"])
+def test_jump_g_keeps_the_input_shape(jump_map):
+    n = 8
+    if jump_map == "left=None":
+        d = np.zeros(n)
+        d[0] = 0.05
+        jumps = JumpSpec(nonlinearity="relu", d=d)
+    else:
+        jumps = rank1_jumps(n, jump_map, 0.3, 0.05)
+    sys0 = make_system(jumps=jumps)
+    xs = 0.2 * np.random.default_rng(44).standard_normal((5, n))
+    single = sys0.g(3, xs[0])
+    assert single.shape == (n,) and single.flags.writeable
+    assert not np.shares_memory(single, jumps.d)
+    for batch in (xs, xs[:1], xs[:0]):
+        g = sys0.g(3, batch)
+        assert g.shape == batch.shape
+        for row, x in zip(g, batch):
+            assert np.allclose(row, sys0.g(3, x), rtol=1e-13, atol=1e-15)

@@ -13,6 +13,7 @@ from implab.solver import (
     _build_inner_grid,
     _recursion_pass,
     certify_almost_periodicity,
+    frozen_times,
     inner_solve,
     integral_residual,
     measure_lipschitz,
@@ -361,3 +362,24 @@ def test_sequence_point_validation():
 
     lap = DirichletLaplacian(n_modes=5)
     assert y.dist(z, lap, 0.0) == pytest.approx(np.sqrt(5.0))
+
+
+@pytest.mark.parametrize("window", [(7, 142), (0, 150)])
+def test_frozen_times_bit_equal_to_per_surface_loop(window):
+    """One expression over the surfaces' arrays, against tau_j(y_j) one j at a time."""
+    sys0 = moving_like()
+    n = sys0.lap.n_modes
+    rng = np.random.default_rng(45)
+    count = window[1] - window[0] + 1
+    x = rng.standard_normal((count, n)) / sys0.lap.frac_weights(sys0.alpha)
+    x *= rng.uniform(0.0, sys0.rho, (count, 1)) / sys0.lap.frac_norm(x, sys0.alpha)[:, None]
+    y = APSequencePoint(window=window, values=x)
+    ref = np.array([sys0.tau(j, y.value(j)) for j in range(window[0], window[1] + 1)])
+    assert frozen_times(sys0, y).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("window", [(-1, 5), (140, 151)])
+def test_frozen_times_reject_a_window_outside_the_surfaces(window):
+    sys0 = moving_like()
+    with pytest.raises(ValueError, match="surface window"):
+        frozen_times(sys0, APSequencePoint.zero(window, sys0.lap.n_modes))

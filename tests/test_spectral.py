@@ -181,3 +181,21 @@ def test_nonlinear_image_in_row_batches(lap):
     whole = tr.project(np.tanh(tr.synthesize(xs)))
     assert batched.shape == whole.shape
     assert np.allclose(batched, whole, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+def test_frac_norm_with_cached_weights_bit_equal_to_formula(lap, alpha):
+    rng = np.random.default_rng(13)
+    xs = rng.standard_normal((7, lap.n_modes))
+    w = lap.frac_weights(alpha)
+    assert lap.frac_weights(alpha) is w  # computed once per alpha
+    assert not w.flags.writeable
+    assert np.array_equal(w, lap.eigenvalues**alpha)
+    explicit = np.sqrt(np.sum((lap.eigenvalues**alpha * xs) ** 2, axis=-1))
+    for _ in range(2):
+        assert np.array_equal(lap.frac_norm(xs, alpha), explicit)
+        for x, ref in zip(xs, explicit):
+            val = lap.frac_norm(x, alpha)
+            assert type(val) is float and val == ref
+    with pytest.raises(ValueError):
+        lap.frac_weights(-0.5)

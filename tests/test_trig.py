@@ -85,3 +85,38 @@ def test_zero_frequency_folds_into_offset():
     m = TrigSum(0.0, ((2.0, 0.0, np.pi / 3.0),))
     assert m.terms == ()
     assert m.offset == pytest.approx(2.0 * np.cos(np.pi / 3.0))
+
+
+FLOAT_PATH_SUMS = {
+    "empty": TrigSum(),
+    "offset_only": TrigSum(1.5),
+    # a zero frequency and a repeated (freq, phase) pair merge into the offset
+    # and into one term
+    "merged_offset": TrigSum(0.3, ((0.5, 0.0, 0.2), (0.2, 1.0, 0.1), (0.1, 1.0, 0.1),
+                                   (0.4, -np.sqrt(2.0), 0.7))),
+    # m and a b of the README instance
+    "readme_m": (-1.0) * TrigSum(0.5, ((0.2, 1.0, 0.0),))
+    + TrigSum(0.5, ((0.2, 1.0, 0.0),)) * TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
+    "readme_ab": TrigSum(0.5, ((0.2, 1.0, 0.0),)) * TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_PATH_SUMS))
+def test_float_path_bit_equal_to_array_path(name):
+    """A float time skips the 0-d array: value and antiderivative keep every bit."""
+    m = FLOAT_PATH_SUMS[name]
+    rng = np.random.default_rng(41)
+    ts = np.concatenate([
+        rng.uniform(-1e4, 1e4, 400), rng.uniform(-10.0, 10.0, 400),
+        [0.0, -0.0, 1e-300, 1e4, -1e4, 0.5 + 2.0**-40],
+    ])
+    for t in ts:
+        for ft in (float(t), np.float64(t)):
+            val, anti = m(ft), m.antiderivative(ft)
+            assert type(val) is float and type(anti) is float
+            ref_val, ref_anti = m(np.asarray(t)), m.antiderivative(np.asarray(t))
+            assert np.float64(val).tobytes() == np.float64(ref_val).tobytes()
+            assert np.float64(anti).tobytes() == np.float64(ref_anti).tobytes()
+    # and against one call on the whole array, as a batched caller makes it
+    assert np.array([m(float(t)) for t in ts]).tobytes() == m(ts).tobytes()
+    assert np.array([m.antiderivative(float(t)) for t in ts]).tobytes() == m.antiderivative(ts).tobytes()
