@@ -52,6 +52,7 @@ from .solver import (
     outer_solve,
     verify_smallness,
 )
+from .trajectory import Segment
 
 __all__ = ["main"]
 
@@ -156,7 +157,7 @@ def cmd_simulate(cfg, out: Path, seed: int) -> None:
     rec = {
         "t0": t0,
         "t_end": t_end,
-        "n_segments": len(traj.segments),
+        "n_segments": traj.meta["n_segments"],
         "n_hits": len(traj.hits),
         "theta": traj.meta["theta"],
         "max_hits_per_surface": max(traj.meta["hit_counts"].values(), default=0),
@@ -228,19 +229,48 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     write_record(out / "ap_report.txt", _ap_record(report))
 
 
-def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
+def _read_data_table(path: Path, n_modes: int, min_rows: int):
+    """A solve-ap table of ``min_rows`` rows or more, each an index and n_modes values."""
     try:
-        j_idx, y_vals = read_table(data / "ystar.txt")
-        t_nodes, states = read_table(data / "trajectory.txt")
-        disc = np.loadtxt(data / "trajectory_discontinuities.txt", ndmin=1)
+        index, values = read_table(path)
     except FileNotFoundError as exc:
         raise ConfigError("--data lacks a file written by solve-ap: %s" % exc) from None
+    except ValueError as exc:
+        raise ConfigError("%s is not a table: %s" % (path, exc)) from None
+    if index.size < min_rows:
+        raise ConfigError("%s has %d rows; it needs %d or more" % (path, index.size, min_rows))
+    if values.shape[1] != n_modes:
+        raise ConfigError(
+            "%s has %d columns; it needs %d (the index and n_modes = %d values)"
+            % (path, values.shape[1] + 1, n_modes + 1, n_modes)
+        )
+    return index, values
+
+
+def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
+    n_modes = cfg.system.lap.n_modes
+    # two rows of y* at least: the hit set's separation is a difference of hit times
+    j_idx, y_vals = _read_data_table(data / "ystar.txt", n_modes, 2)
+    t_nodes, states = _read_data_table(data / "trajectory.txt", n_modes, 2)
+    if not np.all(np.diff(t_nodes) >= 0.0):
+        raise ConfigError("%s: the node times decrease" % (data / "trajectory.txt"))
+    disc_path = data / "trajectory_discontinuities.txt"
+    try:
+        disc = np.loadtxt(disc_path, ndmin=1)
+    except FileNotFoundError as exc:
+        raise ConfigError("--data lacks a file written by solve-ap: %s" % exc) from None
+    except ValueError as exc:
+        raise ConfigError("%s is not a list of times: %s" % (disc_path, exc)) from None
+    if disc.size != y_vals.shape[0]:
+        raise ConfigError(
+            "%s lists %d hit times for %d rows of y*" % (disc_path, disc.size, y_vals.shape[0])
+        )
 
     h_t = cfg.overrides.get("analysis_h_t", 0.01)
     t0, t1, report = cropped_ap_report(
         cfg.system, y_vals, int(j_idx[0]), np.sort(disc), (t_nodes[0], t_nodes[-1]),
         cfg.overrides.get("analysis_crop", 0.0), h_t,
-        lambda grid: np.stack([np.interp(grid, t_nodes, s) for s in states.T], axis=1),
+        Segment(t=t_nodes, states=states).interp,
         cfg.eps_list,
     )
     flat = {"n_sequence": y_vals.shape[0], "t0": t0, "t1": t1, "h_t": h_t}

@@ -258,7 +258,7 @@ def load_instance(path) -> InstanceConfig:
         overrides = {k: float(v) for k, v in osec.items()} if osec else {}
         if "analysis_h_t" in overrides:
             _finite_positive(overrides["analysis_h_t"], "[overrides] analysis_h_t")
-        # a negative crop would sample past the data, where np.interp repeats its ends
+        # a negative crop would sample past the data, where the interpolant repeats its end rows
         if not 0.0 <= overrides.get("analysis_crop", 0.0) < np.inf:
             raise ConfigError("[overrides] analysis_crop must be finite and >= 0")
     except ConfigError:

@@ -10,10 +10,9 @@ are ``tau_j(x) = t_j + b_j Q(x)`` with the energy functional
 t - tau_j(u(t))`` are bracketed on the dense output, with grazing
 contacts classified as no-hit, and the bracket's root is taken in closed
 form.  The dense output is linear in t on each step, bit-equal to
-``np.interp`` (``test_segment_interp_matches_np_interp`` in
-``tests/test_trajectory.py`` checks this), so zeta is a quadratic in t
-there, and zeta < 0 at the left node with zeta >= 0 at the right one
-leaves room for one root only.  A hit time is then sharpened on
+numpy's per-mode ``interp`` (``tests/test_trajectory.py`` checks this),
+so zeta is a quadratic in t there, and zeta < 0 at the left node with
+zeta >= 0 at the right one leaves room for one root only.  A hit time is then sharpened on
 re-integrated states until |zeta| < ``event_tol``: one fixed-point step
 th - zeta, then secant steps through the last two (th, zeta) pairs, each
 kept inside the flow step that brackets the sign change, shrunk by the sign
@@ -119,9 +118,6 @@ class ImpulseSurfaceSpec:
     def slope(self, j) -> float:
         return float(self.slope_window[int(j) - self.base.window[0]])
 
-    def base_time(self, j) -> float:
-        return float(self.base_times[int(j) - self.base.window[0]])
-
     @staticmethod
     def q_functional(x) -> float | np.ndarray:
         """Q(x) = int_0^l u^2 = sum_k x_k^2 (Parseval)."""
@@ -129,8 +125,18 @@ class ImpulseSurfaceSpec:
         val = np.sum(x * x, axis=-1)
         return float(val) if val.ndim == 0 else val
 
-    def tau(self, j, x) -> float:
-        return self.base_time(j) + self.slope(j) * self.q_functional(x)
+    def tau(self, j, x) -> float | np.ndarray:
+        """tau_j(x) for an index j or an index array broadcast against Q(x).
+
+        Raises ValueError for an index outside the window: numpy would wrap a
+        negative position silently.
+        """
+        pos = np.asarray(j) - self.base.window[0]
+        if np.any((pos < 0) | (pos >= self.base_times.size)):
+            raise ValueError("surface indices %d..%d leave the surface window %s"
+                             % (np.min(j), np.max(j), self.base.window))
+        val = self.base_times[pos] + self.slope_window[pos] * self.q_functional(x)
+        return float(val) if np.ndim(val) == 0 else val
 
 
 @dataclass(frozen=True)
@@ -287,7 +293,7 @@ class ImpulseSystemSpec:
     def f(self, t, x) -> np.ndarray:
         return self.forcing(t, x)
 
-    def tau(self, j, x) -> float:
+    def tau(self, j, x) -> float | np.ndarray:
         return self.surfaces.tau(j, x)
 
     def g(self, j, x) -> np.ndarray:
@@ -462,6 +468,11 @@ def simulate(
 ) -> PiecewiseTrajectory:
     """Alternate flow segments, crossing detection and jumps on [t0, t_end].
 
+    The trajectory's node table is the flow segments joined end to start:
+    each boundary, a hit or a horizon end, repeats a time, unless the segment
+    before it stopped inside ``step_segment``'s 1e-13 end margin.  Their
+    number is ``meta['n_segments']``.
+
     ``certified_surfaces`` lists surface indices with a passing beating
     certificate; a second hit on such a surface raises BeatingError, while
     uncertified repeats are only counted in ``meta['hit_counts']``.  A hit
@@ -476,7 +487,8 @@ def simulate(
     x = np.asarray(u0, dtype=float)
     t = float(t0)
     horizon = max(theta / 2.0, 1e-3)
-    segments, hits = [], []
+    node_t, node_states, hits = [], [], []  # the node table, flow segment by segment
+    n_segments = 0
     hit_counts: dict = {}
     last_hit = None  # (surface, time): suppress re-detecting the jump just taken
 
@@ -494,7 +506,9 @@ def simulate(
             if best is None or th < best[0]:
                 best = (th, int(j))
         if best is None:
-            segments.append(seg)
+            node_t.append(seg.t)
+            node_states.append(seg.states)
+            n_segments += 1
             t, x = t1, seg.states[-1]
             continue
         th, j = best
@@ -533,8 +547,9 @@ def simulate(
                 "%d runs" % (j, th, abs(zeta), event_tol, _SHARPEN_RUNS)
             )
         if run is not None:
-            segments.append(Segment(t=np.concatenate([seg.t[:i], run.t]),
-                                    states=np.concatenate([seg.states[:i], run.states])))
+            node_t += [seg.t[:i], run.t]
+            node_states += [seg.states[:i], run.states]
+            n_segments += 1
         post = apply_jump(system, j, pre)
         last_hit = (j, th)
         hits.append(HitRecord(time=th, surface=j, pre=pre, post=post))
@@ -545,8 +560,11 @@ def simulate(
             )
         t, x = th, post
 
-    traj = PiecewiseTrajectory(segments=segments, hits=hits)
-    traj.meta.update({"hit_counts": hit_counts, "theta": theta, "seg_tol": seg_tol})
+    nodes = Segment(t=np.concatenate(node_t), states=np.concatenate(node_states))
+    traj = PiecewiseTrajectory(nodes=nodes, hits=hits)
+    traj.meta.update(
+        {"hit_counts": hit_counts, "theta": theta, "seg_tol": seg_tol, "n_segments": n_segments}
+    )
     return traj
 
 
@@ -671,7 +689,7 @@ def beating_certificate(
 
     x = _nonnegative_samples(system, n_samples, rng)
     q = ImpulseSurfaceSpec.q_functional(x)
-    tau = system.surfaces.base_time(j) + b_j * q
+    tau = system.tau(j, x)
     theta = b_j * (ImpulseSurfaceSpec.q_functional(x + system.g(j, x)) - q)
     cubic = np.sum(tr.weights * tr.synthesize(x) ** 3, axis=-1)
     grad_sq = np.sum(lap.eigenvalues * x * x, axis=-1)

@@ -7,8 +7,9 @@ identical data therefore produces byte-identical files.
 * record files: one ``key value`` pair per line,
 * tables: one row per index/time, first column the index, the remaining
   columns coefficients; every row is written with one format string,
-* trajectory dumps: a ``(t, coeff_1 .. coeff_N)`` table, a file listing the
-  discontinuity times, and a hits file with rows
+* trajectory dumps: the ``(t, coeff_1 .. coeff_N)`` node table (a repeated
+  time is a cut: pre-jump row, then post-jump row), a file listing the hit
+  times, and a hits file with rows
   ``(T_i, surface, |pre|_alpha, |post|_alpha)``.
 """
 
@@ -83,22 +84,20 @@ def write_trajectory(out_dir, name, traj, lap=None, alpha=0.5) -> dict:
     """Dump a piecewise trajectory under ``out_dir/name*``.
 
     Writes ``<name>.txt`` (node rows), ``<name>_discontinuities.txt`` (hit
-    or cut times, one per line) and, when hit records exist and ``lap`` is
-    given, ``<name>_hits.txt``.  Returns the written paths.
+    times, one per line; empty without hits) and, when hit records exist and
+    ``lap`` is given, ``<name>_hits.txt``.  Returns the written paths.
     """
     from pathlib import Path
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    t, states = traj.all_nodes()
     paths = {"trajectory": out_dir / ("%s.txt" % name)}
-    write_table(paths["trajectory"], t, states)
+    write_table(paths["trajectory"], traj.nodes.t, traj.nodes.states)
 
-    disc = traj.hit_times() if traj.hits else [s.t[0] for s in traj.segments[1:]]
     paths["discontinuities"] = out_dir / ("%s_discontinuities.txt" % name)
     with open(paths["discontinuities"], "w") as fh:
-        for tv in disc:
-            fh.write("%.17g\n" % tv)
+        for h in traj.hits:
+            fh.write("%.17g\n" % h.time)
 
     if traj.hits and lap is not None:
         paths["hits"] = out_dir / ("%s_hits.txt" % name)

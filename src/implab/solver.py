@@ -149,19 +149,8 @@ class ContractionReport:
 
 
 def frozen_times(system: ImpulseSystemSpec, y: APSequencePoint) -> np.ndarray:
-    """tau~_j = tau_j(y_j) for every surface index in the sequence window.
-
-    One expression over the surfaces' arrays and Q of all values, bit-equal
-    to ``system.tau(j, y.value(j))`` surface by surface.
-    """
-    surf = system.surfaces
-    lo, hi = (k - surf.base.window[0] for k in y.window)
-    if lo < 0 or hi >= surf.base_times.size:
-        raise ValueError(
-            "sequence window %s leaves the surface window %s" % (y.window, surf.base.window)
-        )
-    q = surf.q_functional(y.values)
-    return surf.base_times[lo : hi + 1] + surf.slope_window[lo : hi + 1] * q
+    """tau~_j = tau_j(y_j) for every surface index in the sequence window."""
+    return system.tau(np.arange(y.window[0], y.window[1] + 1), y.values)
 
 
 def _default_buffer(system, dich: DichotomyData, tail_tol) -> float:
@@ -231,10 +220,6 @@ class _InnerGrid:
     backward: _BlockedScan | None  # unstable modes, right to left, factors 1/E
     stable: np.ndarray  # boolean mode mask
     inv_E: np.ndarray  # (M - 1, n_unstable) reversed 1/E of the unstable modes
-
-    def split(self, arr) -> list:
-        """Cut a flat (M, ...) array back into its pieces."""
-        return np.split(arr, self.joins + 1)
 
 
 def _build_inner_grid(system, dich: DichotomyData, cuts, t_lo, t_hi, h_t) -> _InnerGrid:
@@ -336,8 +321,7 @@ def inner_solve(
             "inner iteration did not converge; last increment %g" % increments[-1]
         )
 
-    segments = [Segment(t=g, states=s) for g, s in zip(ig.split(ig.t), ig.split(states))]
-    traj = PiecewiseTrajectory(segments=segments)
+    traj = PiecewiseTrajectory(nodes=Segment(t=ig.t, states=states))
     traj.meta.update(
         {
             "buffer": buf,
@@ -473,26 +457,26 @@ def outer_solve(
     report_js = range(report_window[0], report_window[1] + 1)
     report = slice(report_window[0] - surface_window[0], report_window[1] - surface_window[0] + 1)
     report_taus = taus[report]
-    hits = []
-    worst_hit = 0.0
-    for j, t, pre in zip(report_js, report_taus.tolist(), traj.eval_many(report_taus)):
-        post = pre + system.g(j, y.value(j))
-        hits.append(HitRecord(time=t, surface=j, pre=pre, post=post))
-        worst_hit = max(worst_hit, abs(t - system.tau(j, pre)))
-    traj.hits = hits
-    traj.meta["hit_consistency"] = worst_hit
+    pres = traj.eval_many(report_taus)
+    traj.hits = [
+        HitRecord(time=t, surface=j, pre=pre, post=pre + system.g(j, y.value(j)))
+        for j, t, pre in zip(report_js, report_taus.tolist(), pres)
+    ]
+    traj.meta["hit_consistency"] = float(
+        np.max(np.abs(report_taus - system.tau(np.asarray(report_js), pres)), initial=0.0)
+    )
     traj.meta["outer_steps"] = steps
     traj.meta["observed_inner_ratio"] = _max_ratio(info["increments"])
     traj.meta["observed_S_ratio"] = _max_ratio(steps)
 
     # estimate (vot) analogue: sup of |u|_gamma away from the hits
     theta = system.theta
-    t_all, s_all = traj.all_nodes()
-    dist = np.min(np.abs(t_all[:, None] - taus[None, :]), axis=1)
+    nodes = traj.nodes
+    dist = np.min(np.abs(nodes.t[:, None] - taus[None, :]), axis=1)
     mask = dist >= theta / 4.0
     for gamma in (alpha, 0.9):
         traj.meta["sup_norm_%g" % gamma] = float(
-            np.max(lap.frac_norm(s_all[mask], gamma))
+            np.max(lap.frac_norm(nodes.states[mask], gamma))
         )
     y_report = APSequencePoint(window=report_window, values=y.values[report])
     traj.meta["surface_window"] = surface_window
@@ -510,12 +494,12 @@ def measure_lipschitz(system: ImpulseSystemSpec, rng=None, n_pairs: int = 200) -
     Returns the per-ingredient constants and their sum N1 (the theorem uses
     one common constant), plus M0 = max(sup_t |f(t,0)|_0, sup_j |g_j(0)|_1).
     The pair loop only draws, in the per-pair order; f then runs once on all
-    pairs, g once per probe surface and tau from the surfaces' arrays.
+    pairs, g once per probe surface and tau once on all pairs.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     lap, alpha, rho, n = system.lap, system.alpha, system.rho, system.lap.n_modes
     w = lap.frac_weights(alpha)
-    surf, idx = system.surfaces, system.surfaces.indices()
+    idx = system.surfaces.indices()
     probe = np.arange(0, idx.size, max(1, idx.size // 8))
     pairs, d, t, k = [], [], [], []
     for _ in range(n_pairs):
@@ -545,8 +529,7 @@ def measure_lipschitz(system: ImpulseSystemSpec, rng=None, n_pairs: int = 200) -
         lip_g = max(lip_g, np.max(lap.frac_norm(g1 - g2, alpha) / d[sel], initial=0.0))
         g_star = max(g_star, np.max(lap.frac_norm(g1, 1.0), initial=0.0))
         m0_g = max(m0_g, lap.frac_norm(g[-1], 1.0))
-    pos = probe[k]
-    tau = surf.base_times[pos, None] + surf.slope_window[pos, None] * surf.q_functional(x)
+    tau = system.tau(idx[probe[k], None], x)
     lip_tau = np.max(np.abs(tau[:, 0] - tau[:, 1]) / d, initial=0.0)
     t0 = np.linspace(0.0, 50.0, 32)
     m0_f = np.max(np.linalg.norm(system.forcing(t0, np.zeros((t0.size, n))), axis=1))

@@ -1,8 +1,10 @@
-"""Piecewise trajectories of impulsive evolution: segments plus hit records.
+"""Piecewise trajectories of impulsive evolution: one node table plus hit records.
 
-The state convention is left-continuity: the value stored at a segment's
-final node is the pre-jump limit u(T_j) = u(T_j - 0); the next segment opens
-at the same time with the post-jump state.
+The state convention is left-continuity, u(T_j) = u(T_j - 0).  A trajectory
+is one table of non-decreasing node times; a time that appears twice marks a
+cut, whose first row is the pre-jump state and whose second row the
+post-jump state that opens the next piece.  ``Segment.interp`` on that
+table is the one evaluation rule: a cut time gives the pre-jump row.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ __all__ = ["Segment", "HitRecord", "PiecewiseTrajectory"]
 
 @dataclass(frozen=True)
 class Segment:
-    t: np.ndarray  # strictly increasing node times
+    t: np.ndarray  # non-decreasing node times; a repeated time is a cut
     states: np.ndarray  # shape (len(t), N)
 
     def __post_init__(self):
@@ -24,15 +26,17 @@ class Segment:
         object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
 
     def interp(self, t) -> np.ndarray:
-        """Linear interpolation of the coefficients inside the segment.
+        """Linear interpolation of the coefficients between the nodes.
 
-        Bit for bit what ``np.interp`` gives per mode: the node value at a
-        node, the end value beyond either end, and in between the same
-        slope formula, all found by one ``searchsorted``.
+        A time goes to the first step (x0, x1] that holds it, all found by
+        one ``searchsorted``: a node time gives the row of its first
+        occurrence, so a cut time gives the pre-jump row, and times beyond
+        either end give the end row.  On strictly increasing nodes this is
+        bit for bit what numpy's ``interp`` gives per mode.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         xp, fp = self.t, self.states
-        j = np.clip(np.searchsorted(xp, t, side="right") - 1, 0, xp.size - 2)
+        j = np.clip(np.searchsorted(xp, t, side="left") - 1, 0, xp.size - 2)
         x0, x1 = xp[j], xp[j + 1]
         f0, f1 = fp[j], fp[j + 1]
         out = (f1 - f0) / (x1 - x0)[:, None] * (t - x0)[:, None] + f0
@@ -50,17 +54,17 @@ class HitRecord:
 
 @dataclass
 class PiecewiseTrajectory:
-    segments: list
+    nodes: Segment
     hits: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     @property
     def t_start(self) -> float:
-        return float(self.segments[0].t[0])
+        return float(self.nodes.t[0])
 
     @property
     def t_end(self) -> float:
-        return float(self.segments[-1].t[-1])
+        return float(self.nodes.t[-1])
 
     def hit_times(self) -> np.ndarray:
         return np.array([h.time for h in self.hits])
@@ -69,24 +73,5 @@ class PiecewiseTrajectory:
         return self.eval_many(t)[0]
 
     def eval_many(self, times) -> np.ndarray:
-        """States at the given times, shape (len(times), N).
-
-        The segments tile [t_start, t_end].  A time is evaluated on the
-        segment whose span (start, end] holds it, so a cut time gives the
-        pre-jump value; earlier times go to the first segment and later ones
-        to the last.
-        """
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        ends = np.array([seg.t[-1] for seg in self.segments])
-        k = np.minimum(np.searchsorted(ends, t, side="left"), ends.size - 1)
-        out = np.empty((t.size, self.segments[0].states.shape[1]))
-        order = np.argsort(k, kind="stable")
-        for idx in np.split(order, np.flatnonzero(np.diff(k[order])) + 1):
-            out[idx] = self.segments[k[idx[0]]].interp(t[idx])
-        return out
-
-    def all_nodes(self):
-        """Concatenated (t, states) over all segments, duplicating jump times."""
-        t = np.concatenate([seg.t for seg in self.segments])
-        s = np.concatenate([seg.states for seg in self.segments])
-        return t, s
+        """States at the given times, shape (len(times), N); a cut time gives the pre-jump state."""
+        return self.nodes.interp(times)

@@ -22,8 +22,16 @@ check the package against it:
   system by composite-Simpson quadrature of its Green representation,
   independent of the recursion route of ``solver.inner_solve``;
 * ``segment_residual`` and ``_etd2_step`` — the flow residual of a
-  simulated segment, from single exponential trapezoid steps.
+  simulated segment, from single exponential trapezoid steps;
+* ``SegmentedTrajectory``, ``interp_by_mode``, ``pieces`` and
+  ``split_like`` — the per-segment trajectory rule (one ``np.interp`` per
+  mode on the first segment that ends at or after a time), the reference
+  of the node-table rule ``PiecewiseTrajectory.eval_many``, and the node
+  table cut back into pieces: at its repeated times, or into the lengths of
+  given segments.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,7 +288,7 @@ def bounded_solution(
         states = np.stack([value_at(t) for t in t_nodes])
         segments.append(Segment(t=t_nodes, states=states))
 
-    traj = PiecewiseTrajectory(segments=segments)
+    traj = SegmentedTrajectory(segments).table()
     traj.meta.update({"T_tail": T_tail, "tail_bound": tail_bound, "h_t": h_t})
 
     # certify the jump condition at interior jump times
@@ -320,3 +328,74 @@ def segment_residual(system: ImpulseSystemSpec, seg: Segment, probe: float = 1e-
         res = du + (system.rates + m(t[i])) * u[i] - system.f(t[i], u[i])
         best = max(best, float(np.linalg.norm(res)))
     return best
+
+
+# ---------------------------------------------------------------------------
+# the per-segment trajectory rule
+# ---------------------------------------------------------------------------
+
+
+def interp_by_mode(seg: Segment, t) -> np.ndarray:
+    """One np.interp per mode on the segment's nodes."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty((t.size, seg.states.shape[1]))
+    for j in range(seg.states.shape[1]):
+        out[:, j] = np.interp(t, seg.t, seg.states[:, j])
+    return out
+
+
+@dataclass
+class SegmentedTrajectory:
+    """A trajectory as a list of segments on strictly increasing nodes.
+
+    Each segment opens, with the post-jump state, at the time the previous
+    one closes, or (in ``simulate``) up to 1e-13 after it.
+    """
+
+    segments: list
+
+    def all_nodes(self):
+        """Concatenated (t, states) over all segments, repeating the cut times."""
+        t = np.concatenate([seg.t for seg in self.segments])
+        s = np.concatenate([seg.states for seg in self.segments])
+        return t, s
+
+    def table(self) -> PiecewiseTrajectory:
+        """The same trajectory as one node table."""
+        return PiecewiseTrajectory(nodes=Segment(*self.all_nodes()))
+
+    def eval(self, t: float) -> np.ndarray:
+        """Linear scan for the first segment that ends at or after t.
+
+        Where the segments tile the span, that is the one whose span
+        (start, end] holds t, so a cut time gives the pre-jump value; later
+        times go to the last segment.
+        """
+        for seg in self.segments:
+            if t <= seg.t[-1]:
+                return interp_by_mode(seg, t)[0]
+        return interp_by_mode(self.segments[-1], t)[0]
+
+    def eval_many(self, times) -> np.ndarray:
+        return np.stack([self.eval(t) for t in np.atleast_1d(times)])
+
+
+def _cut(traj: PiecewiseTrajectory, cut) -> list:
+    t, s = traj.nodes.t, traj.nodes.states
+    return [Segment(t=a, states=b) for a, b in zip(np.split(t, cut), np.split(s, cut))]
+
+
+def pieces(traj: PiecewiseTrajectory) -> list:
+    """The node table cut at its repeated times, one Segment per piece."""
+    return _cut(traj, np.flatnonzero(np.diff(traj.nodes.t) == 0.0) + 1)
+
+
+def split_like(traj: PiecewiseTrajectory, segments) -> list:
+    """The node table cut into pieces as long as the given segments.
+
+    ``simulate`` may end a piece up to 1e-13 before the next one starts, so
+    its table need not repeat a time at every piece boundary.
+    """
+    sizes = [seg.t.size for seg in segments]
+    assert sum(sizes) == traj.nodes.t.size
+    return _cut(traj, np.cumsum(sizes)[:-1])

@@ -42,6 +42,7 @@ from oracles import (
     evolution_factors,
     green_factors,
     green_shift_defect,
+    pieces,
 )
 from systems import certified_logistic, make_system, rank1_jumps
 
@@ -138,7 +139,7 @@ def test_criterion_2_linear_oracle_equivalence():
     worst_jump = 0.0
     for tj, g in jumps:
         pre = traj.eval(tj)
-        seg_start = [s for s in traj.segments if abs(s.t[0] - tj) < 1e-9]
+        seg_start = [s for s in pieces(traj) if abs(s.t[0] - tj) < 1e-9]
         if not seg_start:
             failures.append("recursion route lost the jump at t=%g" % tj)
             continue
@@ -350,7 +351,7 @@ def test_criterion_6_degenerate_and_reduction():
                         window=(0, 8), slopes=SeqGen.constant(0.0), jumps=JumpSpec())
     dich_z = fit_dichotomy(sys_z.lap, sys_z.coeff, rng=np.random.default_rng(251))
     res_z = outer_solve(sys_z, dich_z, (0.0, 6.0), cfg=SolverConfig(h_t=0.005))
-    _, states = res_z.trajectory.all_nodes()
+    states = res_z.trajectory.nodes.states
     check(failures, np.max(np.abs(res_z.y_star.values)) == 0.0, "zero data: y* != 0")
     check(failures, np.max(np.abs(states)) == 0.0, "zero data: u* != 0")
 
@@ -410,7 +411,7 @@ def test_criterion_7_nonnegativity():
     sys0 = certified_logistic((0, 14), n_modes=N)
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(261))
     res = outer_solve(sys0, dich, (0.5, 12.5), cfg=SolverConfig(h_t=0.005))
-    t_all, states = res.trajectory.all_nodes()
+    t_all, states = res.trajectory.nodes.t, res.trajectory.nodes.states
     mask = (t_all >= 0.5) & (t_all <= 12.5)
     u = sys0.lap.eval_physical(states[mask], sys0.transform.xi)
     check(failures, np.min(u) >= -1e-8, "min u = %g < -1e-8" % np.min(u))
@@ -420,7 +421,7 @@ def test_criterion_7_nonnegativity():
     sys_0 = make_system(n_modes=N, a=sys0.a, b=sys0.b, window=(0, 14),
                         slopes=SeqGen.constant(-0.2), jumps=rank1_jumps(N, "relu", 0.02, 0.0))
     res0 = outer_solve(sys_0, dich, (0.5, 12.5), cfg=SolverConfig(h_t=0.005))
-    _, states0 = res0.trajectory.all_nodes()
+    states0 = res0.trajectory.nodes.states
     check(failures, np.max(np.abs(res0.y_star.values)) == 0.0, "d=0: y* != 0")
     check(failures, np.max(np.abs(states0)) == 0.0, "d=0: u* != 0")
     finish(7, "non-negativity and zero-offset degeneration", failures)

@@ -70,6 +70,12 @@ def write_config(tmp_path, text=BASE, name="instance.ini"):
     return str(path)
 
 
+def readme_instance() -> str:
+    """The example instance file of the README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
@@ -123,7 +129,7 @@ def test_write_trajectory_bytes_match_per_value_formatter(tmp_path):
     traj = impulsive.simulate(system, u0, 0.5, 3.5)
     assert traj.hits
     paths = write_trajectory(tmp_path, "traj", traj, lap=system.lap)
-    t, states = traj.all_nodes()
+    t, states = traj.nodes.t, traj.nodes.states
     assert Path(paths["trajectory"]).read_bytes() == table_by_value(t, states).encode()
 
 
@@ -258,8 +264,44 @@ def test_cmd_constants_validation_exit(tmp_path):
     assert "status=error kind=validation" in buf.getvalue()
 
 
+def _first_row(text):
+    return text.splitlines()[0] + "\n"
+
+
+def _swap_rows(text, i=10, k=50):
+    rows = text.splitlines(keepends=True)
+    rows[i], rows[k] = rows[k], rows[i]
+    return "".join(rows)
+
+
+def _drop_last_column(text, only=None):
+    """Every row, or only row ``only``, without its last column."""
+    rows = text.splitlines()
+    return "".join(
+        (row.rsplit(" ", 1)[0] if only in (None, i) else row) + "\n" for i, row in enumerate(rows)
+    )
+
+
+# analyze-ap data damage: (file, edit of its text); an edit of None deletes it
+DAMAGED_DATA = {
+    "analyze-ap-missing-ystar": ("ystar.txt", None),
+    "analyze-ap-empty-ystar": ("ystar.txt", lambda text: ""),
+    "analyze-ap-one-row-ystar": ("ystar.txt", _first_row),
+    "analyze-ap-empty-trajectory": ("trajectory.txt", lambda text: ""),
+    "analyze-ap-one-row-trajectory": ("trajectory.txt", _first_row),
+    "analyze-ap-trajectory-missing-column": ("trajectory.txt", _drop_last_column),
+    "analyze-ap-ystar-extra-column": (
+        "ystar.txt", lambda text: "".join(row + " 0.5\n" for row in text.splitlines())),
+    "analyze-ap-ragged-trajectory": ("trajectory.txt", lambda text: _drop_last_column(text, 3)),
+    "analyze-ap-decreasing-times": ("trajectory.txt", _swap_rows),
+    "analyze-ap-empty-discontinuities": ("trajectory_discontinuities.txt", lambda text: ""),
+    "analyze-ap-extra-discontinuity": ("trajectory_discontinuities.txt", lambda text: text + "3.5\n"),
+    "analyze-ap-text-discontinuity": ("trajectory_discontinuities.txt", lambda text: "abc\n"),
+}
+
+
 @pytest.mark.parametrize(
-    "command, old, new, missing",
+    "command, old, new, damage",
     [(c, "n_xi = 64", "n_xi = 16", None) for c in ("constants", "simulate", "certify", "solve-ap")]
     + [
         ("solve-ap", "window = 0 6", "window = 100.5 110.5", None),
@@ -283,8 +325,8 @@ def test_cmd_constants_validation_exit(tmp_path):
         ("analyze-ap", "[analysis]", "[overrides]\nanalysis_crop = -1\n\n[analysis]", None),
         ("simulate", "h_t = 0.005", "h_t = 0.005\nseg_tl = 1e-12", None),
         ("constants", "[analysis]", "[analyse]", None),
-        ("analyze-ap", "[analysis]", "[analysis]", "ystar.txt"),
-    ],
+    ]
+    + [("analyze-ap", "[analysis]", "[analysis]", damage) for damage in DAMAGED_DATA.values()],
     ids=["constants-n_xi", "simulate-n_xi", "certify-n_xi", "solve-ap-n_xi",
          "solve-ap-no-surfaces", "solve-ap-short-window", "analyze-ap-short-span",
          "certify-no-samples", "certify-negative-samples",
@@ -292,17 +334,19 @@ def test_cmd_constants_validation_exit(tmp_path):
          "simulate-zero-event-tol", "simulate-negative-seg-tol", "solve-ap-infinite-h_t",
          "solve-ap-negative-buffer", "solve-ap-zero-max_inner", "solve-ap-zero-max_outer",
          "solve-ap-zero-eps", "solve-ap-no-eps", "analyze-ap-zero-h_t", "analyze-ap-negative-crop",
-         "simulate-unknown-key", "constants-unknown-section",
-         "analyze-ap-missing-ystar"],
+         "simulate-unknown-key", "constants-unknown-section"] + list(DAMAGED_DATA),
 )
-def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, missing):
+def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, damage):
     # n_xi + 1 < 4N aliases; no surface lies in or within a buffer (2.59) of
     # 100.5..110.5; 0.5..4.5 is shorter than the AP crop of two buffers per end;
     # certify needs a sample, simulate a range t0 < t_end; a step or tolerance
     # must be finite and > 0 (event_tol = 0 used to bisect forever), and so
     # must the buffer, every eps (one at least) and the analysis step; the
     # iteration caps are >= 1 and the analysis crop >= 0; a misspelt key or
-    # section is not dropped; analyze-ap needs every solve-ap artifact it reads
+    # section is not dropped; analyze-ap needs every solve-ap artifact it
+    # reads, with two rows of y* and two trajectory nodes at least, one column
+    # per mode after the index, node times that do not decrease and one hit
+    # time per row of y*
     assert old in BASE
     argv = [command, "--config", write_config(tmp_path, BASE.replace(old, new)),
             "--out", str(tmp_path / "o")]
@@ -310,8 +354,12 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, mi
         data = tmp_path / "data"
         assert main(["solve-ap", "--config", write_config(tmp_path, name="data.ini"),
                      "--out", str(data)]) == 0
-        if missing is not None:
-            (data / missing).unlink()
+        if damage is not None:
+            name, edit = damage
+            if edit is None:
+                (data / name).unlink()
+            else:
+                (data / name).write_text(edit((data / name).read_text()))
         argv += ["--data", str(data)]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -319,7 +367,7 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, mi
     assert code == 2
     last = buf.getvalue().splitlines()[-1]
     assert last.startswith("status=error kind=validation")
-    assert missing is None or missing in last
+    assert damage is None or damage[0] in last
 
 
 @pytest.mark.parametrize(
@@ -349,6 +397,64 @@ def test_cmd_simulate_zero(tmp_path):
     assert np.max(np.abs(states)) == 0.0
     rec = read_record(out / "simulate.txt")
     assert int(rec["max_hits_per_surface"]) <= 1
+
+
+def test_hit_free_simulate_lists_no_discontinuity(tmp_path):
+    # the README instance hits no surface before 0.9; its two horizon
+    # segments join without a jump
+    text = readme_instance() + "\n[simulate]\nt_range = 0.05 0.9\n"
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    rec = read_record(out / "simulate.txt")
+    assert (rec["n_hits"], rec["n_segments"]) == ("0", "2")
+    assert (out / "trajectory_discontinuities.txt").read_text() == ""
+    assert not (out / "trajectory_hits.txt").exists()
+
+
+def test_analyze_ap_samples_the_table_as_solve_ap_does(tmp_path, monkeypatch):
+    """analyze-ap's sampler on trajectory.txt, bit for bit solve-ap's eval_many.
+
+    Checked on the grids both commands sample, at the hit times (pre-jump
+    state) and at every node.
+    """
+    import implab.cli
+    import implab.solver
+
+    samplers = {}
+
+    def recorder(tag, report):
+        def recorded(*args):
+            *head, sample, eps_list = args
+            grids = []
+
+            def sampled(grid):
+                grids.append(grid)
+                return sample(grid)
+
+            samplers[tag] = (sample, grids)
+            return report(*head, sampled, eps_list)
+
+        return recorded
+
+    monkeypatch.setattr(implab.solver, "cropped_ap_report",
+                        recorder("solve-ap", implab.solver.cropped_ap_report))
+    monkeypatch.setattr(implab.cli, "cropped_ap_report",
+                        recorder("analyze-ap", implab.cli.cropped_ap_report))
+    cfg_path = write_config(tmp_path, BASE.replace("slope_constant = 0.0", "slope_constant = -0.2"))
+    data = tmp_path / "data"
+    assert main(["solve-ap", "--config", cfg_path, "--out", str(data)]) == 0
+    assert main(["analyze-ap", "--config", cfg_path, "--out", str(tmp_path / "analysis"),
+                 "--data", str(data)]) == 0
+    solve_sample, solve_grids = samplers["solve-ap"]
+    analyze_sample, analyze_grids = samplers["analyze-ap"]
+    hit_times = np.loadtxt(data / "trajectory_discontinuities.txt", ndmin=1)
+    t_nodes, states = read_table(data / "trajectory.txt")
+    assert hit_times.size >= 4 and np.count_nonzero(np.diff(t_nodes) == 0.0) >= hit_times.size
+    for grid in solve_grids + analyze_grids + [hit_times, t_nodes]:
+        assert grid.size and np.array_equal(analyze_sample(grid), solve_sample(grid))
+    # the pre-jump state at a hit: the first of the two rows at its time
+    pre = np.stack([states[np.searchsorted(t_nodes, t)] for t in hit_times])
+    assert np.array_equal(analyze_sample(hit_times), pre)
 
 
 def test_cmd_simulate_ball_exit(tmp_path):
@@ -410,11 +516,9 @@ def test_cmd_solve_ap_and_determinism(tmp_path):
 
 
 def test_observed_contraction_ratios_readme_instance(tmp_path):
-    # the example instance file of the README
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     out = tmp_path / "out"
-    assert main(["solve-ap", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    assert main(["solve-ap", "--config", write_config(tmp_path, readme_instance()),
+                 "--out", str(out)]) == 0
     rec = read_record(out / "contraction.txt")
     assert 0.0 < float(rec["observed_inner_ratio"]) < 1.0
     assert 0.0 < float(rec["observed_S_ratio"]) < 1.0

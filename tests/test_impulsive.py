@@ -27,7 +27,7 @@ from implab.spectral import SineTransform
 from implab.trajectory import Segment
 from implab.trig import SeqGen, TrigSum
 
-from oracles import _etd2_step, segment_residual, semigroup_apply
+from oracles import SegmentedTrajectory, _etd2_step, segment_residual, semigroup_apply, split_like
 from systems import certified_logistic, make_system, rank1_jumps
 
 
@@ -317,7 +317,7 @@ def test_simulate_nonnegativity():
     x0 = sys0.lap.project(lambda s: 0.3 * np.sin(np.pi * s) ** 2, sys0.transform.xi)
     traj = simulate(sys0, x0, 0.5, 4.5, seg_tol=1e-8)
     xi = sys0.transform.xi
-    t_all, states = traj.all_nodes()
+    states = traj.nodes.states
     u = sys0.lap.eval_physical(states, xi)
     assert np.min(u) >= -1e-8 * max(1.0, np.max(np.abs(u)))
 
@@ -326,8 +326,31 @@ def test_surface_lookups_index_the_window_arrays():
     sys0 = make_system(slopes=SeqGen(freqs=(0.7,), amps=(0.05,), phases=(0.0,), offset=-0.2))
     surf = sys0.surfaces
     for pos, j in enumerate(surf.indices()):
-        assert surf.base_time(j) == surf.base_times[pos]
+        assert surf.tau(j, np.zeros(sys0.lap.n_modes)) == surf.base_times[pos]
         assert surf.slope(j) == surf.slope_window[pos]
+
+
+def test_tau_on_an_index_array_bit_equal_to_per_surface_formula():
+    sys0 = make_system(slopes=SeqGen(freqs=(0.7,), amps=(0.05,), phases=(0.0,), offset=-0.2))
+    surf, n = sys0.surfaces, sys0.lap.n_modes
+    j = surf.indices()
+    x = 0.1 * np.random.default_rng(34).standard_normal((j.size, 3, n))
+    got = sys0.tau(j[:, None], x)
+    assert got.shape == (j.size, 3)
+    for pos in range(j.size):
+        for k in range(3):
+            want = float(surf.base_times[pos]) + surf.slope(j[pos]) * float(np.sum(x[pos, k] ** 2))
+            assert got[pos, k] == want
+            assert sys0.tau(j[pos], x[pos, k]) == want
+    assert isinstance(sys0.tau(j[0], x[0, 0]), float)
+
+
+@pytest.mark.parametrize("outside", [-1, 9, [0, -1], [3, 9]])
+def test_tau_rejects_an_index_outside_the_window(outside):
+    # window (0, 8): a position of -1 would wrap to the last surface
+    sys0 = make_system(window=(0, 8))
+    with pytest.raises(ValueError, match="surface window"):
+        sys0.tau(np.asarray(outside), np.zeros(sys0.lap.n_modes))
 
 
 def test_jump_map_catalogue_zero_and_lipschitz():
@@ -367,7 +390,7 @@ def certificate_by_sample(system, j, n_samples, rng):
     theta_check = p_check = -np.inf
     for x in samples:
         q = ImpulseSurfaceSpec.q_functional(x)
-        tau = system.surfaces.base_time(j) + b_j * q
+        tau = system.surfaces.base_times[j - system.surfaces.base.window[0]] + b_j * q
         theta_j = b_j * (ImpulseSurfaceSpec.q_functional(x + system.g(j, x)) - q)
         theta_check = max(theta_check, theta_j)
         u = lap.eval_physical(x, xi)
@@ -605,14 +628,34 @@ def test_simulate_matches_reintegrating_loop(case):
     assert len(ref_hits) >= 2
     if case == "tight":
         assert stats["rejected"] > 0
-    assert len(traj.segments) == len(ref_segments)
-    for seg, ref in zip(traj.segments, ref_segments):
+    assert traj.meta["n_segments"] == len(ref_segments)
+    for seg, ref in zip(split_like(traj, ref_segments), ref_segments, strict=True):
         assert np.array_equal(seg.t, ref.t)
         assert np.array_equal(seg.states, ref.states)
     assert len(traj.hits) == len(ref_hits)
     for hit, (th, j, pre, post) in zip(traj.hits, ref_hits):
         assert hit.time == th and hit.surface == j
         assert np.array_equal(hit.pre, pre) and np.array_equal(hit.post, post)
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_table_evaluates_like_its_segments(case):
+    """eval_many on simulate's node table, bit for bit the per-segment rule."""
+    build, amp, t0, t_end, seg_tol = SIMULATE_CASES[case]
+    sys0 = build()
+    ref_segments, _ = simulate_by_reintegration(sys0, e1(sys0, amp), t0, t_end, seg_tol)
+    traj = simulate(sys0, e1(sys0, amp), t0, t_end, seg_tol=seg_tol)
+    segmented = SegmentedTrajectory(ref_segments)
+    t_all, _ = segmented.all_nodes()
+    rng = np.random.default_rng(35)
+    times = np.concatenate([
+        rng.uniform(t0, t_end, 300), t_all, traj.hit_times(),
+        [t0 - 1.0, t0, t_end, t_end + 1.0],
+    ])
+    assert np.array_equal(traj.eval_many(times), segmented.eval_many(times))
+    # a hit time gives the pre-jump state
+    pre = traj.eval_many(traj.hit_times())
+    assert np.array_equal(pre, np.stack([h.pre for h in traj.hits]))
 
 
 @pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
@@ -720,16 +763,27 @@ def test_hit_segment_shares_horizon_nodes_up_to_bracket(case, monkeypatch):
     horizon = record_step_calls(monkeypatch)
     traj = simulate(sys0, e1(sys0, amp), t0, t_end, seg_tol=seg_tol)
     hits = iter(traj.hits)
-    assert len(traj.segments) == len(horizon)
+    assert traj.meta["n_segments"] == len(horizon)
+    start = 0
+
+    def next_piece(size):
+        """The next ``size`` rows of the node table."""
+        nonlocal start
+        start += size
+        return Segment(t=traj.nodes.t[start - size : start],
+                       states=traj.nodes.states[start - size : start])
+
     lefts = []
-    for h, seg in zip(horizon, traj.segments):
+    for h in horizon:
         if not h.runs:
-            assert seg is h.seg
+            seg = next_piece(h.seg.t.size)
+            assert np.array_equal(seg.t, h.seg.t) and np.array_equal(seg.states, h.seg.states)
             continue
         hit = next(hits)
         zeta = h.seg.t - sys0.tau(hit.surface, h.seg.states)
         i = int(np.flatnonzero((zeta[:-1] < 0.0) & (zeta[1:] >= 0.0))[0])
         lefts.append(i)
+        seg = next_piece(i + h.runs[-1].seg.t.size)
         for run in h.runs:
             assert run.t0 == h.seg.t[i] and np.array_equal(run.x0, h.seg.states[i])
             assert run.h0 == h.seg.t[i + 1] - h.seg.t[i]
@@ -738,7 +792,7 @@ def test_hit_segment_shares_horizon_nodes_up_to_bracket(case, monkeypatch):
         assert np.array_equal(seg.t[i:], h.runs[-1].seg.t)
         assert np.array_equal(seg.states[i:], h.runs[-1].seg.states)
         assert seg.t[-1] == hit.time
-    assert next(hits, None) is None
+    assert next(hits, None) is None and start == traj.nodes.t.size
     assert len(lefts) >= 2 and max(lefts) > 0
 
 

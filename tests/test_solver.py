@@ -24,7 +24,7 @@ from implab.solver import (
 from implab.spectral import DirichletLaplacian
 from implab.trig import SeqGen, TrigSum
 
-from oracles import bounded_solution, measure_lipschitz_by_pair
+from oracles import bounded_solution, measure_lipschitz_by_pair, pieces
 from systems import make_system, moving_like, readme_like
 
 
@@ -35,6 +35,11 @@ def const_d(n, c=0.02):
 
 
 CFG = SolverConfig(h_t=0.005)
+
+
+def split_at_joins(ig, arr) -> list:
+    """Cut a flat (M, ...) array of the inner grid back into its pieces."""
+    return np.split(arr, ig.joins + 1)
 
 
 def pieces_by_loop(system, cuts, t_lo, t_hi, h_t):
@@ -120,9 +125,9 @@ def test_recursion_scan_matches_node_loop(name):
     # E too, where they overflow; only its unstable coordinates are read
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.concatenate(
-            recursion_by_node(dich, grids, factors, ig.split(f_vals), jumps)
+            recursion_by_node(dich, grids, factors, split_at_joins(ig, f_vals), jumps)
         )
-    assert [g.size for g in ig.split(ig.t)][2:4] == [2, 2]
+    assert [g.size for g in split_at_joins(ig, ig.t)][2:4] == [2, 2]
     # the flat grid holds the per-piece nodes and weights bit for bit
     assert np.array_equal(ig.t, np.concatenate(grids))
     assert np.array_equal(np.delete(ig.Ah, ig.joins, axis=0), np.concatenate([f[1] for f in factors]))
@@ -137,7 +142,7 @@ def test_inner_solve_zero_data():
     y = APSequencePoint.zero((0, 8), 8)
     traj, info = inner_solve(sys0, dich, y, (0.0, 8.0), CFG)
     assert info["iterations"] <= 2
-    _, states = traj.all_nodes()
+    states = traj.nodes.states
     assert np.max(np.abs(states)) == 0.0
 
 
@@ -172,7 +177,7 @@ def test_inner_solve_matches_bounded_solution():
     for tj, g in jumps:
         pre = traj.eval(tj)
         post = traj.eval(tj + 1e-12)  # right-limit node opens the next piece
-        seg_start = [s for s in traj.segments if abs(s.t[0] - tj) < 1e-9]
+        seg_start = [s for s in pieces(traj) if abs(s.t[0] - tj) < 1e-9]
         assert seg_start
         assert np.max(np.abs(seg_start[0].states[0] - pre - g)) < 1e-10
 
@@ -227,7 +232,7 @@ def test_outer_solve_zero_data():
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(46))
     res = outer_solve(sys0, dich, (0.0, 6.0), cfg=CFG)
     assert np.max(np.abs(res.y_star.values)) == 0.0
-    _, states = res.trajectory.all_nodes()
+    states = res.trajectory.nodes.states
     assert np.max(np.abs(states)) == 0.0
 
 

@@ -3,23 +3,7 @@ import pytest
 
 from implab.trajectory import PiecewiseTrajectory, Segment
 
-
-def interp_by_mode(seg, t):
-    """One np.interp per mode."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((t.size, seg.states.shape[1]))
-    for j in range(seg.states.shape[1]):
-        out[:, j] = np.interp(t, seg.t, seg.states[:, j])
-    return out
-
-
-def eval_by_scan(traj, t):
-    """Linear scan for the segment whose span (start, end] holds t."""
-    for seg in traj.segments:
-        if seg.t[0] < t <= seg.t[-1]:
-            return interp_by_mode(seg, t)[0]
-    seg = traj.segments[0] if t <= traj.segments[0].t[0] else traj.segments[-1]
-    return interp_by_mode(seg, t)[0]
+from oracles import SegmentedTrajectory, interp_by_mode, pieces
 
 
 def jumping_trajectory(rng, n_modes=5):
@@ -30,7 +14,7 @@ def jumping_trajectory(rng, n_modes=5):
         inner = np.sort(rng.uniform(a, b, rng.integers(0, 12)))
         t = np.concatenate(([a], inner, [b]))
         segments.append(Segment(t=t, states=rng.standard_normal((t.size, n_modes))))
-    return PiecewiseTrajectory(segments=segments), cuts
+    return SegmentedTrajectory(segments), cuts
 
 
 def probe_times(traj, cuts):
@@ -54,20 +38,62 @@ def test_segment_interp_matches_np_interp(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_eval_matches_segment_scan(seed):
     rng = np.random.default_rng(seed)
-    traj, cuts = jumping_trajectory(rng)
-    times = rng.permutation(probe_times(traj, cuts))
-    want = np.stack([eval_by_scan(traj, t) for t in times])
+    segmented, cuts = jumping_trajectory(rng)
+    traj = segmented.table()
+    times = rng.permutation(probe_times(segmented, cuts))
+    want = np.stack([segmented.eval(t) for t in times])
     assert np.array_equal(traj.eval_many(times), want)
     for t in times:
-        assert np.array_equal(traj.eval(t), eval_by_scan(traj, t))
+        assert np.array_equal(traj.eval(t), segmented.eval(t))
     assert traj.eval_many(float(times[0])).shape == (1, 5)
 
 
 def test_eval_at_cut_is_pre_jump():
     rng = np.random.default_rng(3)
-    traj, cuts = jumping_trajectory(rng)
+    segmented, cuts = jumping_trajectory(rng)
+    traj = segmented.table()
     pre = traj.eval_many(cuts[1:-1])
-    for k, seg in enumerate(traj.segments[:-1]):
+    for k, seg in enumerate(segmented.segments[:-1]):
         assert np.array_equal(pre[k], seg.states[-1])
-        assert not np.array_equal(pre[k], traj.segments[k + 1].states[0])
-    assert np.array_equal(traj.eval(cuts[0]), traj.segments[0].states[0])
+        assert not np.array_equal(pre[k], segmented.segments[k + 1].states[0])
+    assert np.array_equal(traj.eval(cuts[0]), segmented.segments[0].states[0])
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_node_table_matches_segment_rule(seed):
+    """eval_many on the node table, bit for bit the per-segment rule."""
+    rng = np.random.default_rng(seed)
+    segmented, cuts = jumping_trajectory(rng)
+    traj = segmented.table()
+    t_all, _ = segmented.all_nodes()
+    samples = {
+        "random": rng.uniform(cuts[0], cuts[-1], 200),
+        "nodes": t_all,
+        "cuts": cuts[1:-1],
+        "before": np.array([cuts[0] - 5.0, cuts[0] - 1e-12, cuts[0]]),
+        "after": np.array([cuts[-1], cuts[-1] + 1e-12, cuts[-1] + 5.0]),
+    }
+    for name, times in samples.items():
+        assert np.array_equal(traj.eval_many(times), segmented.eval_many(times)), name
+    assert np.array_equal(traj.eval_many(cuts[1:-1]),
+                          np.stack([seg.states[-1] for seg in segmented.segments[:-1]]))
+    # the table cuts back into the same segments
+    for got, seg in zip(pieces(traj), segmented.segments, strict=True):
+        assert np.array_equal(got.t, seg.t) and np.array_equal(got.states, seg.states)
+
+
+def test_repeated_time_gives_pre_jump_row():
+    # one np.interp per mode, the rule analyze-ap used before, is
+    # right-continuous there and gives the post-jump row
+    t = np.array([0.0, 0.5, 1.0, 1.0, 1.5, 2.0])
+    states = np.arange(12.0).reshape(6, 2)
+    states[3] += 100.0
+    nodes = Segment(t=t, states=states)
+    traj = PiecewiseTrajectory(nodes=nodes)
+    assert np.array_equal(traj.eval(1.0), states[2])
+    assert np.array_equal(nodes.interp([1.0, 1.0]), states[[2, 2]])
+    assert np.array_equal(interp_by_mode(nodes, 1.0)[0], states[3])
+    # just after the cut the post-jump piece holds
+    right = traj.eval(1.0 + 1e-9)
+    assert np.allclose(right, states[3], atol=1e-7)
+    assert (traj.t_start, traj.t_end) == (0.0, 2.0)
