@@ -10,11 +10,9 @@ states the range that was scanned.  Three objects are handled:
 * left-continuous piecewise sampled functions with listed discontinuities.
 
 ``harmonize`` finds a common pair (integer shift q, real shift r) for a
-sequence, a point set and a piecewise function via the tent-smoothed saw
-function ``F2(t) = sum phi(t - tau_j)`` with ``phi(t) = max(0, 1 -
-|t|/theta')``, scanning candidate r on the grid and re-verifying all three
-deviation bounds directly (the sequence bound is checked on B itself, so
-the proof's companion ``F1(t) = sum phi(t - tau_j) B_j`` is not built).
+sequence, a point set and a piecewise function, the W-almost-periodicity of
+Halanay & Wexler: it scans q and, for each q, candidate r on the function's
+grid, and checks the three deviation bounds directly on the data.
 """
 
 from __future__ import annotations
@@ -80,11 +78,6 @@ class StronglyAPSet:
     def taus(self) -> np.ndarray:
         return self.a * self.indices() + self.offsets()
 
-    @property
-    def theta(self) -> float:
-        """Minimal separation min_k (tau_{k+1} - tau_k) on the window."""
-        return float(np.min(np.diff(self.taus())))
-
 
 @dataclass(frozen=True)
 class PiecewiseSampledFunction:
@@ -114,9 +107,6 @@ class PiecewiseSampledFunction:
     @property
     def t_end(self) -> float:
         return self.t0 + self.h_t * (np.asarray(self.values).shape[0] - 1)
-
-    def grid(self) -> np.ndarray:
-        return self.t0 + self.h_t * np.arange(self.n_samples)
 
     def dist_to_discontinuities(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -231,104 +221,49 @@ def wexler_deviation(f: PiecewiseSampledFunction, r, eps_guard) -> float:
     return float(np.max(_value_norms(diff, f.weights)))
 
 
-def _tent(t, half_width):
-    return np.maximum(0.0, 1.0 - np.abs(t) / half_width)
-
-
-def _saw_function(taus, t_grid, half_width):
-    """F2(t) = sum phi(t - tau_j) on the grid."""
-    F2 = np.zeros(t_grid.size)
-    t0 = t_grid[0]
-    h = t_grid[1] - t_grid[0] if t_grid.size > 1 else 1.0
-    for tau in taus:
-        i0 = max(0, int(np.floor((tau - half_width - t0) / h)))
-        i1 = min(t_grid.size, int(np.ceil((tau + half_width - t0) / h)) + 1)
-        if i0 >= i1:
-            continue
-        F2[i0:i1] += _tent(t_grid[i0:i1] - tau, half_width)
-    return F2
-
-
 def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
               weights=None, q_range=None):
     """Common almost-period pair (q, r) for a sequence, a point set and a function.
 
-    Returns (q, r) with, on the scanned window,
+    Returns the first (q, r) of the scan with, on the scanned window,
     ``sup_k |B_{k+q} - B_k| < eps``, ``sup_k |(tau_{k+q} - tau_k) - r| < eps``
     and ``wexler_deviation(f, r, eps) < eps``; or None when no candidate in
     the scan range passes (the scan range is visible via ``q_range``).
 
-    Candidate construction follows the saw-function proof device: for each
-    integer q the tent-smoothed set function F2 is aligned with its shift to
-    pick r on the grid, and the three bounds are then re-checked directly.
+    q runs up through ``q_range`` (default 1..n // 3).  For each q the
+    candidates r are grid steps of ``f`` around the middle of the gap
+    range, r_center + k h_t for |k| <= min(400, ceil(eps / h_t) + 1), in
+    increasing order; below the cap of 400 steps they cover the admissible
+    band (max gaps - eps, min gaps + eps), which is empty unless the gaps
+    spread by less than 2 eps.  A shift of n_samples - 1 grid steps or more
+    is skipped, so ``wexler_deviation`` always has a window to compare.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     tau_vals = taus.taus()
-    half_width = taus.theta / 4.0 * (1.0 - 1e-9)
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
     if tau_vals.size != n:
         raise ValueError("sequence window and point-set window must agree")
     if q_range is None:
-        q_max = max(1, n // 3)
-        q_range = (1, q_max)
-    t_grid = f.grid()
-    F2 = _saw_function(tau_vals, t_grid, half_width)
+        q_range = (1, max(1, n // 3))
+    n_r = min(400, int(np.ceil(eps / f.h_t)) + 1)
 
-    best = None
-    for q in range(q_range[0], q_range[1] + 1):
-        if q <= 0 or q >= n:
+    for q in range(max(1, q_range[0]), min(n - 1, q_range[1]) + 1):
+        if float(np.max(_value_norms(B[q:] - B[:-q], weights))) >= eps:
             continue
-        # bound 1: sequence shift
-        dev_B = float(np.max(_value_norms(B[q:] - B[:-q], weights)))
-        if dev_B >= eps:
-            continue
-        # bound 2: point-set shift; r scanned on the grid near the gap values
         gaps = tau_vals[q:] - tau_vals[:-q]
-        r_center = 0.5 * (np.min(gaps) + np.max(gaps))
         if np.max(gaps) - np.min(gaps) >= 2.0 * eps:
             continue
-        # cover the full admissible band r in (max gaps - eps, min gaps + eps)
-        n_r = min(400, int(np.ceil(eps / f.h_t)) + 1)
-        r_candidates = r_center + f.h_t * np.arange(-n_r, n_r + 1)
-        for r in r_candidates:
-            dev_tau = float(np.max(np.abs(gaps - r)))
-            if dev_tau >= eps:
+        r_center = 0.5 * (np.min(gaps) + np.max(gaps))
+        for r in r_center + f.h_t * np.arange(-n_r, n_r + 1):
+            if float(np.max(np.abs(gaps - r))) >= eps:
                 continue
-            # saw-function screening: shifted F2 must align before the
-            # (more expensive) direct function check
-            n_shift = int(round(r / f.h_t))
-            if abs(n_shift) >= t_grid.size - 1:
+            if abs(int(round(r / f.h_t))) >= f.n_samples - 1:
                 continue
-            if n_shift >= 0:
-                base = np.arange(0, t_grid.size - n_shift)
-            else:
-                base = np.arange(-n_shift, t_grid.size)
-            # compare only where both t and t + r lie inside the tent-covered
-            # span of the point set (the function window may extend past it)
-            lo = tau_vals[0] + half_width
-            hi = tau_vals[-1] - half_width
-            tb = t_grid[base]
-            ts = t_grid[base + n_shift]
-            cov = (tb >= lo) & (tb <= hi) & (ts >= lo) & (ts <= hi)
-            if np.any(cov):
-                idx = base[cov]
-                saw_dev = float(np.max(np.abs(F2[idx + n_shift] - F2[idx])))
-            else:
-                saw_dev = 0.0
-            if saw_dev >= min(1.0, eps / half_width + 1e-12) and dev_tau >= f.h_t:
-                continue
-            try:
-                dev_f = wexler_deviation(f, r, eps)
-            except WindowTooShortError:
-                continue
-            if dev_f < eps:
-                best = (q, float(r))
-                break
-        if best is not None:
-            break
-    return best
+            if wexler_deviation(f, r, eps) < eps:
+                return q, float(r)
+    return None
 
 
 def almost_periodicity_report(seq, k_min, taus, gap, f: PiecewiseSampledFunction, eps_list) -> dict:

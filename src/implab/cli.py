@@ -153,7 +153,7 @@ def cmd_simulate(cfg, out: Path, seed: int) -> None:
         seg_tol=cfg.solver.seg_tol,
         event_tol=cfg.solver.event_tol,
     )
-    write_trajectory(out, "trajectory", traj, lap=system.lap, alpha=system.alpha)
+    write_trajectory(out, traj, system.lap, system.alpha)
     rec = {
         "t0": t0,
         "t_end": t_end,
@@ -195,7 +195,7 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     write_table(
         out / "ystar.txt", np.arange(y.window[0], y.window[1] + 1), y.values
     )
-    write_trajectory(out, "trajectory", res.trajectory, lap=lap, alpha=alpha)
+    write_trajectory(out, res.trajectory, lap, alpha)
 
     kb, _, measured = _constant_bundle(cfg, dich, seed)
     rep = replace(
@@ -249,7 +249,7 @@ def _read_data_table(path: Path, n_modes: int, min_rows: int):
 
 def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
     n_modes = cfg.system.lap.n_modes
-    # two rows of y* at least: the hit set's separation is a difference of hit times
+    # two rows of y* at least: with one row, no shift of y* or of the hit times can be compared
     j_idx, y_vals = _read_data_table(data / "ystar.txt", n_modes, 2)
     t_nodes, states = _read_data_table(data / "trajectory.txt", n_modes, 2)
     if not np.all(np.diff(t_nodes) >= 0.0):

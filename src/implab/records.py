@@ -80,28 +80,21 @@ def read_table(path):
     return rows[:, 0], rows[:, 1:]
 
 
-def write_trajectory(out_dir, name, traj, lap=None, alpha=0.5) -> dict:
-    """Dump a piecewise trajectory under ``out_dir/name*``.
+def write_trajectory(out_dir, traj, lap, alpha) -> None:
+    """Dump a piecewise trajectory into the directory ``out_dir`` (a Path).
 
-    Writes ``<name>.txt`` (node rows), ``<name>_discontinuities.txt`` (hit
-    times, one per line; empty without hits) and, when hit records exist and
-    ``lap`` is given, ``<name>_hits.txt``.  Returns the written paths.
+    Writes ``trajectory.txt`` (node rows), ``trajectory_discontinuities.txt``
+    (hit times, one per line; empty without hits) and, when hits exist,
+    ``trajectory_hits.txt``, whose norms are |.|_alpha of ``lap``.
     """
-    from pathlib import Path
+    write_table(out_dir / "trajectory.txt", traj.nodes.t, traj.nodes.states)
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {"trajectory": out_dir / ("%s.txt" % name)}
-    write_table(paths["trajectory"], traj.nodes.t, traj.nodes.states)
-
-    paths["discontinuities"] = out_dir / ("%s_discontinuities.txt" % name)
-    with open(paths["discontinuities"], "w") as fh:
+    with open(out_dir / "trajectory_discontinuities.txt", "w") as fh:
         for h in traj.hits:
             fh.write("%.17g\n" % h.time)
 
-    if traj.hits and lap is not None:
-        paths["hits"] = out_dir / ("%s_hits.txt" % name)
-        with open(paths["hits"], "w") as fh:
+    if traj.hits:
+        with open(out_dir / "trajectory_hits.txt", "w") as fh:
             for h in traj.hits:
                 fh.write(
                     "%.17g %d %.17g %.17g\n"
@@ -112,4 +105,3 @@ def write_trajectory(out_dir, name, traj, lap=None, alpha=0.5) -> dict:
                         lap.frac_norm(h.post, alpha),
                     )
                 )
-    return {k: str(v) for k, v in paths.items()}

@@ -292,14 +292,13 @@ def inner_solve(
     buf = cfg.buffer if cfg.buffer is not None else _default_buffer(system, dich, cfg.tail_tol)
     t_lo, t_hi = float(window[0]) - buf, float(window[1]) + buf
 
+    # frozen times increase with j for y in the ball, so the cuts come sorted
     taus = frozen_times(system, y)
-    jump_vecs = {
-        float(taus[k]): system.g(j, y.value(j))
-        for k, j in enumerate(range(y.window[0], y.window[1] + 1))
-        if t_lo < taus[k] < t_hi
-    }
-    cuts = sorted(jump_vecs)
-    jumps = np.array([jump_vecs[c] for c in cuts]).reshape(len(cuts), lap.n_modes)
+    inside = (t_lo < taus) & (taus < t_hi)
+    cuts = taus[inside]
+    jumps = np.zeros((cuts.size, lap.n_modes))
+    for row, j in zip(jumps, np.flatnonzero(inside) + y.window[0]):
+        row[:] = system.g(j, y.value(j))
     ig = _build_inner_grid(system, dich, cuts, t_lo, t_hi, cfg.h_t)
 
     states = np.zeros((ig.t.size, lap.n_modes))

@@ -112,7 +112,7 @@ def test_wexler_deviation_square_wave_oracle():
     got = wexler_deviation(f, r, eps_guard=0.01)
 
     # direct scan oracle on the same grid
-    t = f.grid()
+    t = f.t0 + h * np.arange(f.n_samples)
     n_shift = int(np.floor(r / h))
     frac = r / h - n_shift
     base = np.arange(0, t.size - n_shift - 1)
@@ -167,6 +167,46 @@ def test_harmonize_quasi_periodic_reverification():
     assert wexler_deviation(f, r, 0.1) < 0.1
 
 
+def _jittered_lattice(draw):
+    """Draw ``draw`` of the jittered-lattice protocol: tau_k = k + c_k, k = 0..39.
+
+    Each draw takes amp ~ U(0, 0.02), c_k = amp N(0, 1), then eps and the
+    sample step h_t, all from one default_rng(0) stream.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(draw + 1):
+        amp = rng.uniform(0.0, 0.02)
+        c = amp * rng.standard_normal(40)
+        eps = float(rng.choice([0.01, 0.02, 0.05]))
+        h_t = float(rng.choice([0.005, 0.01, 0.02]))
+    return StronglyAPSet(a=1.0, c=c, window=(0, 39)), eps, h_t
+
+
+@pytest.mark.parametrize("draw", [0, 3, 22, 107, 162, 238, 261])
+def test_harmonize_returns_the_smallest_passing_q(draw):
+    # B = 0 and f = 0 pass their bounds at every shift, so the first q of the
+    # scan whose gaps spread by less than 2 eps has a passing r: the middle
+    # of its gap range, r_center, is a grid candidate.  Draws 22..261 gave a
+    # larger q, or None, from a search that screened r by a saw function;
+    # no q passes on draw 0.
+    taus, eps, h_t = _jittered_lattice(draw)
+    tv = taus.taus()
+    f = _sampled(lambda t: 0.0 * t, -2.0, 40.0, h_t, discontinuities=tv)
+    B = np.zeros(tv.size)
+    spreads = [np.ptp(tv[q:] - tv[:-q]) for q in range(1, tv.size // 3 + 1)]
+    expected = next((q for q, s in enumerate(spreads, 1) if s < 2.0 * eps), None)
+    got = harmonize(B, taus, f, eps)
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None and got[0] == expected
+    q, r = got
+    # independent re-verification of all three bounds, from scratch
+    assert np.max(np.abs(B[q:] - B[:-q])) < eps
+    assert np.max(np.abs((tv[q:] - tv[:-q]) - r)) < eps
+    assert wexler_deviation(f, r, eps) < eps
+
+
 def test_strongly_ap_set_validation():
     with pytest.raises(ValueError):
         StronglyAPSet(a=-1.0, c=SeqGen.constant(0.0), window=(0, 5))
@@ -174,4 +214,4 @@ def test_strongly_ap_set_validation():
         # offsets large enough to break monotonicity
         StronglyAPSet(a=0.1, c=SeqGen(freqs=(1.0,), amps=(1.0,), phases=(0.0,)), window=(0, 20))
     s = StronglyAPSet(a=1.0, c=SeqGen(freqs=(np.sqrt(2.0),), amps=(0.1,), phases=(0.0,)), window=(0, 50))
-    assert s.theta > 0.5
+    assert np.min(np.diff(s.taus())) > 0.5

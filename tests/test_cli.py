@@ -128,9 +128,9 @@ def test_write_trajectory_bytes_match_per_value_formatter(tmp_path):
     u0[0] = 0.2
     traj = impulsive.simulate(system, u0, 0.5, 3.5)
     assert traj.hits
-    paths = write_trajectory(tmp_path, "traj", traj, lap=system.lap)
+    write_trajectory(tmp_path, traj, system.lap, system.alpha)
     t, states = traj.nodes.t, traj.nodes.states
-    assert Path(paths["trajectory"]).read_bytes() == table_by_value(t, states).encode()
+    assert (tmp_path / "trajectory.txt").read_bytes() == table_by_value(t, states).encode()
 
 
 def test_format_value_deterministic():
@@ -189,6 +189,30 @@ def test_terms_separator_is_not_a_comment(tmp_path):
         a = load_instance(write_config(tmp_path, text)).system.a
         assert a.terms == ((0.2, 1.0, 0.0), (0.3, 3.0, 0.0)), sep
         assert a.offset == 0.5
+
+
+def test_surface_and_jump_terms_keys(tmp_path):
+    # each <prefix>_terms key adds amp cos(freq j + phase) terms to <prefix>_constant
+    text = BASE.replace(
+        "slope_constant = 0.0",
+        "offset_constant = 0.05\noffset_terms = 0.02 1.3 0.4; 0.01 0.7 -1.0\n"
+        "slope_constant = -0.1\nslope_terms = 0.05 0.9 0.2",
+    ).replace(
+        "nonlinearity = zero",
+        "nonlinearity = sin\nkernel_left = 1.0\nkernel_right = 1.0\n"
+        "amp_constant = 0.02\namp_terms = 0.01 2.0 0.5",
+    )
+    cfg = load_instance(write_config(tmp_path, text))
+    surfaces, jumps = cfg.system.surfaces, cfg.system.jumps
+    j = np.arange(0, 9)
+    offsets = 0.05 + 0.02 * np.cos(1.3 * j + 0.4) + 0.01 * np.cos(0.7 * j - 1.0)
+    np.testing.assert_allclose(surfaces.base_times, 1.0 * j + offsets, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(
+        surfaces.slope_window, -0.1 + 0.05 * np.cos(0.9 * j + 0.2), rtol=1e-15, atol=0.0
+    )
+    for k in j:
+        assert jumps.amp(k) == pytest.approx(0.02 + 0.01 * np.cos(2.0 * k + 0.5), rel=1e-15)
+    assert validate_instance(cfg)["validation"] == "pass"
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +349,8 @@ DAMAGED_DATA = {
         ("analyze-ap", "[analysis]", "[overrides]\nanalysis_crop = -1\n\n[analysis]", None),
         ("simulate", "h_t = 0.005", "h_t = 0.005\nseg_tl = 1e-12", None),
         ("constants", "[analysis]", "[analyse]", None),
+        ("constants", "n_modes = 8", "n_modes = abc", None),
+        ("constants", "[analysis]", "[overrides]\ntheta = -1\n\n[analysis]", None),
     ]
     + [("analyze-ap", "[analysis]", "[analysis]", damage) for damage in DAMAGED_DATA.values()],
     ids=["constants-n_xi", "simulate-n_xi", "certify-n_xi", "solve-ap-n_xi",
@@ -334,7 +360,8 @@ DAMAGED_DATA = {
          "simulate-zero-event-tol", "simulate-negative-seg-tol", "solve-ap-infinite-h_t",
          "solve-ap-negative-buffer", "solve-ap-zero-max_inner", "solve-ap-zero-max_outer",
          "solve-ap-zero-eps", "solve-ap-no-eps", "analyze-ap-zero-h_t", "analyze-ap-negative-crop",
-         "simulate-unknown-key", "constants-unknown-section"] + list(DAMAGED_DATA),
+         "simulate-unknown-key", "constants-unknown-section", "constants-malformed-n_modes",
+         "constants-negative-theta"] + list(DAMAGED_DATA),
 )
 def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, damage):
     # n_xi + 1 < 4N aliases; no surface lies in or within a buffer (2.59) of
@@ -343,7 +370,8 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # must be finite and > 0 (event_tol = 0 used to bisect forever), and so
     # must the buffer, every eps (one at least) and the analysis step; the
     # iteration caps are >= 1 and the analysis crop >= 0; a misspelt key or
-    # section is not dropped; analyze-ap needs every solve-ap artifact it
+    # section is not dropped, a value that does not parse is malformed, and a
+    # theta override must be > 0; analyze-ap needs every solve-ap artifact it
     # reads, with two rows of y* and two trajectory nodes at least, one column
     # per mode after the index, node times that do not decrease and one hit
     # time per row of y*
@@ -465,6 +493,21 @@ def test_cmd_simulate_ball_exit(tmp_path):
                      "--out", str(tmp_path / "o")])
     assert code == 3
     assert "status=error kind=numerical" in buf.getvalue()
+
+
+@pytest.mark.parametrize("cap", ["max_inner", "max_outer"])
+def test_solve_ap_iteration_cap_exits_3(tmp_path, cap):
+    # one iterate cannot meet inner_tol (first increment 6e-2) or outer_tol
+    # (first step 6e-6)
+    text = BASE.replace("h_t = 0.005", "h_t = 0.005\n%s = 1" % cap)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["solve-ap", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    last = buf.getvalue().splitlines()[-1]
+    assert last.startswith("status=error kind=numerical")
+    assert "%s iteration did not converge" % cap[4:] in last
 
 
 def test_cmd_simulate_unsharpened_hit_exits_3(tmp_path, monkeypatch):
