@@ -225,10 +225,11 @@ def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
               weights=None, q_range=None):
     """Common almost-period pair (q, r) for a sequence, a point set and a function.
 
-    Returns the first (q, r) of the scan with, on the scanned window,
-    ``sup_k |B_{k+q} - B_k| < eps``, ``sup_k |(tau_{k+q} - tau_k) - r| < eps``
-    and ``wexler_deviation(f, r, eps) < eps``; or None when no candidate in
-    the scan range passes (the scan range is visible via ``q_range``).
+    Returns ``(q, r, deviation)`` for the first (q, r) of the scan with, on
+    the scanned window, ``sup_k |B_{k+q} - B_k| < eps``,
+    ``sup_k |(tau_{k+q} - tau_k) - r| < eps`` and ``deviation =
+    wexler_deviation(f, r, eps) < eps``; or None when no candidate in the
+    scan range passes (the scan range is visible via ``q_range``).
 
     q runs up through ``q_range`` (default 1..n // 3).  For each q the
     candidates r are grid steps of ``f`` around the middle of the gap
@@ -261,8 +262,9 @@ def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
                 continue
             if abs(int(round(r / f.h_t))) >= f.n_samples - 1:
                 continue
-            if wexler_deviation(f, r, eps) < eps:
-                return q, float(r)
+            deviation = wexler_deviation(f, r, eps)
+            if deviation < eps:
+                return q, float(r), deviation
     return None
 
 
@@ -288,9 +290,8 @@ def almost_periodicity_report(seq, k_min, taus, gap, f: PiecewiseSampledFunction
     for eps in eps_list:
         rep = eps_almost_periods(seq, eps, (-(n // 3), n // 3), k_min=k_min, weights=f.weights)
         entry = {"sequence": rep.as_record(), "q": "none"}
-        qr = harmonize(seq[:keep], hit_set, f, eps, weights=f.weights)
-        if qr is not None:
-            entry["q"], entry["r"] = qr
-            entry["wexler_deviation"] = wexler_deviation(f, entry["r"], eps)
+        found = harmonize(seq[:keep], hit_set, f, eps, weights=f.weights)
+        if found is not None:
+            entry["q"], entry["r"], entry["wexler_deviation"] = found
         report[eps] = entry
     return report

@@ -22,7 +22,6 @@ seed produce byte-identical report files.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -278,25 +277,7 @@ def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
     write_record(out / "ap_analysis.txt", flat)
 
 
-def _tune_malloc() -> None:
-    """Keep glibc's allocator from mapping and unmapping mid-sized arrays.
-
-    glibc serves blocks above its mmap threshold (128 KiB, raised only when
-    such a block is freed) with a fresh ``mmap`` each time, so the certificate's
-    repeated (S, n_xi) temporaries would each pay their page faults anew.
-    Fixed thresholds keep them on the heap; a no-op where ``mallopt`` is absent.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _tune_malloc()
     parser = argparse.ArgumentParser(
         prog="implab",
         description="Spectral-Galerkin laboratory for impulsive parabolic "

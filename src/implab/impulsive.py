@@ -22,7 +22,8 @@ there as its first trial step, so the flow segment up to that node is shared
 with the hit segment as it is.
 
 ``beating_certificate`` checks the two repeated-hit exclusion hypotheses on
-sampled non-negative states: ``theta_j(x) = tau_j(x + g_j(x)) - tau_j(x) <= 0``
+sampled non-negative states, sums of four squared sines built in coefficient
+space from their projections: ``theta_j(x) = tau_j(x + g_j(x)) - tau_j(x) <= 0``
 and the explicit functional
 
     P(u) = -2 b_j int u_xi^2 + 2 b_j a(tau) int u^2 (1 - b(tau) u) < 1,
@@ -193,8 +194,7 @@ class ImpulseSystemSpec:
     confinement radius rho splits into the linear coefficient
     m(t) = -a(t) + rho (a b)(t) and the nonlinearity
     f(t, u) = (a b)(t) (rho - u) u; both a and b are trig sums so the split
-    is exact.  ``f_override`` freezes f to a state-independent time profile
-    (used by linear oracles).
+    is exact.
     """
 
     lap: DirichletLaplacian
@@ -205,7 +205,6 @@ class ImpulseSystemSpec:
     surfaces: ImpulseSurfaceSpec
     jumps: JumpSpec
     n_xi: int = 256
-    f_override: object = None
 
     @cached_property
     def coeff(self) -> LinearCoefficient:
@@ -272,14 +271,9 @@ class ImpulseSystemSpec:
         """f(t, x) at one time and state (N,), or at times (M,) and states (M, N).
 
         f = (a b)(t) project((rho - u) u).  One state stays an (N,) vector:
-        as a (1, N) batch it would round differently.  ``f_override``
-        replaces f by a profile of t alone.
+        as a (1, N) batch it would round differently.
         """
         batch = isinstance(t, np.ndarray) and t.ndim > 0
-        if self.f_override is not None:
-            if batch:
-                return np.stack([np.asarray(self.f_override(s), dtype=float) for s in t])
-            return np.asarray(self.f_override(t), dtype=float)
         ab = self.ab(t)
         image = self.transform.nonlinear_image(x, self._reaction)
         return (ab[:, None] if batch else ab) * image
@@ -378,7 +372,9 @@ def step_segment(
     solution is kept (local extrapolation), and h adapts to keep the
     difference below ``seg_tol``.  The first trial step is ``h0``; every
     trial step is clipped to t1 and ``h_max``.  Node times of accepted steps
-    form the dense output grid.
+    form the dense output grid, and the last one is t1 itself: the loop stops
+    within 1e-13 of t1, and t + (t1 - t) can round below t1.  A segment
+    shorter than that margin is one step.
     """
     if t1 <= t0:
         raise ValueError("segment needs t1 > t0")
@@ -388,7 +384,7 @@ def step_segment(
     stop = t1 - 1e-13 * max(1.0, abs(t1))
     nodes, states = [t0], [x]
     t, h = t0, h0
-    while t < stop:
+    while t < stop or len(nodes) == 1:
         h = min(h, t1 - t, h_max)
         f0 = system.f(t, x)
         while True:
@@ -404,6 +400,7 @@ def step_segment(
         if not system.in_ball(x):
             raise BallExitError("left admissible ball at t = %g" % t, time=t)
         h = h * min(4.0, max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0)))
+    nodes[-1] = t1
     return Segment(t=np.asarray(nodes), states=np.stack(states))
 
 
@@ -469,9 +466,8 @@ def simulate(
     """Alternate flow segments, crossing detection and jumps on [t0, t_end].
 
     The trajectory's node table is the flow segments joined end to start:
-    each boundary, a hit or a horizon end, repeats a time, unless the segment
-    before it stopped inside ``step_segment``'s 1e-13 end margin.  Their
-    number is ``meta['n_segments']``.
+    each boundary, a hit or a horizon end, repeats a time.  Their number is
+    ``meta['n_segments']``.
 
     ``certified_surfaces`` lists surface indices with a passing beating
     certificate; a second hit on such a surface raises BeatingError, while
@@ -648,7 +644,9 @@ def _scrambled_sobol(n, seed) -> np.ndarray:
 def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
     """Non-negative states in the ball: sums of squared sines, rescaled.
 
-    Low-discrepancy weights drive u = sum_m w_m sin^2(m pi xi / l); half the
+    Low-discrepancy weights drive u = sum_m w_m sin^2(m pi xi / l), built in
+    coefficient space: the projection is linear, so the four shapes are
+    projected once and x = sum_m w_m project(sin^2(m pi xi / l)).  Half the
     samples are pushed to the ball boundary |x|_alpha = rho (the functionals
     in P are extremized there), the rest fill the interior.  Returns an
     (S, N) array; draws with weights summing below 1e-8 or with a vanishing
@@ -657,10 +655,8 @@ def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
     lap, tr = system.lap, system.transform
     raw = _scrambled_sobol(n_samples, rng.integers(2**31))
     raw = raw[np.sum(raw[:, :4], axis=1) >= 1e-8]
-    u = np.zeros((raw.shape[0], tr.xi.size))
-    for m in range(1, 5):
-        u += raw[:, m - 1, None] * np.sin(m * np.pi * tr.xi / lap.l) ** 2
-    x = tr.project(u)
+    shapes = tr.project(np.sin(np.arange(1, 5)[:, None] * np.pi * tr.xi / lap.l) ** 2)
+    x = raw[:, :4] @ shapes
     nrm = lap.frac_norm(x, system.alpha)
     keep = nrm >= 1e-12
     x, nrm, r = x[keep], nrm[keep], raw[keep, 4]
@@ -691,7 +687,7 @@ def beating_certificate(
     q = ImpulseSurfaceSpec.q_functional(x)
     tau = system.tau(j, x)
     theta = b_j * (ImpulseSurfaceSpec.q_functional(x + system.g(j, x)) - q)
-    cubic = np.sum(tr.weights * tr.synthesize(x) ** 3, axis=-1)
+    cubic = tr.synthesize(x) ** 3 @ tr.weights
     grad_sq = np.sum(lap.eigenvalues * x * x, axis=-1)
     p_val = -2.0 * b_j * grad_sq + 2.0 * b_j * system.a(tau) * (q - system.b(tau) * cubic)
     theta_check = float(np.max(theta, initial=-np.inf))

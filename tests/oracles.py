@@ -16,6 +16,9 @@ check the package against it:
   ``table_by_value`` — the per-sample loops of ``evolution.fit_dichotomy``
   and ``solver.measure_lipschitz`` and the per-value table formatter of
   ``records.write_table``, the references of their batched forms;
+* ``samples_in_physical_space`` — the beating certificate's sample states
+  summed on the grid and then projected, the reference of their
+  coefficient-space build in ``impulsive._nonnegative_samples``;
 * ``green_shift_defect`` — the shift defect of the Green function against
   its fitted bound;
 * ``bounded_solution`` — the bounded solution of the linear impulsive
@@ -23,12 +26,11 @@ check the package against it:
   independent of the recursion route of ``solver.inner_solve``;
 * ``segment_residual`` and ``_etd2_step`` — the flow residual of a
   simulated segment, from single exponential trapezoid steps;
-* ``SegmentedTrajectory``, ``interp_by_mode``, ``pieces`` and
-  ``split_like`` — the per-segment trajectory rule (one ``np.interp`` per
-  mode on the first segment that ends at or after a time), the reference
-  of the node-table rule ``PiecewiseTrajectory.eval_many``, and the node
-  table cut back into pieces: at its repeated times, or into the lengths of
-  given segments.
+* ``SegmentedTrajectory``, ``interp_by_mode`` and ``pieces`` — the
+  per-segment trajectory rule (one ``np.interp`` per mode on the first
+  segment that ends at or after a time), the reference of the node-table
+  rule ``PiecewiseTrajectory.eval_many``, and the node table cut back into
+  pieces at its repeated times.
 """
 
 from dataclasses import dataclass
@@ -43,7 +45,7 @@ from implab.evolution import (
     _safe_exp,
     psi,
 )
-from implab.impulsive import ImpulseSystemSpec, _etd2_update, _phi_weights
+from implab.impulsive import ImpulseSystemSpec, _etd2_update, _phi_weights, _scrambled_sobol
 from implab.trajectory import PiecewiseTrajectory, Segment
 
 
@@ -225,6 +227,26 @@ def measure_lipschitz_by_pair(system: ImpulseSystemSpec, rng=None, n_pairs: int 
     }
 
 
+def samples_in_physical_space(system: ImpulseSystemSpec, n_samples, rng) -> np.ndarray:
+    """The certificate's samples: u = sum_m w_m sin^2(m pi xi / l) on the grid, projected.
+
+    The same draws, rejection rules and scaling as ``_nonnegative_samples``.
+    """
+    lap, tr = system.lap, system.transform
+    raw = _scrambled_sobol(n_samples, rng.integers(2**31))
+    raw = raw[np.sum(raw[:, :4], axis=1) >= 1e-8]
+    u = np.zeros((raw.shape[0], tr.xi.size))
+    for m in range(1, 5):
+        u += raw[:, m - 1, None] * np.sin(m * np.pi * tr.xi / lap.l) ** 2
+    x = tr.project(u)
+    nrm = lap.frac_norm(x, system.alpha)
+    keep = nrm >= 1e-12
+    x, nrm, r = x[keep], nrm[keep], raw[keep, 4]
+    rho = system.rho
+    scale = np.where(r < 0.5, rho / nrm, rho * (0.1 + 1.8 * (r - 0.5)) / nrm)
+    return np.minimum(scale, rho / nrm)[:, None] * x
+
+
 def table_by_value(index, values) -> str:
     """The text of ``records.write_table``, formatted one value at a time."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
@@ -349,7 +371,7 @@ class SegmentedTrajectory:
     """A trajectory as a list of segments on strictly increasing nodes.
 
     Each segment opens, with the post-jump state, at the time the previous
-    one closes, or (in ``simulate``) up to 1e-13 after it.
+    one closes.
     """
 
     segments: list
@@ -380,22 +402,8 @@ class SegmentedTrajectory:
         return np.stack([self.eval(t) for t in np.atleast_1d(times)])
 
 
-def _cut(traj: PiecewiseTrajectory, cut) -> list:
-    t, s = traj.nodes.t, traj.nodes.states
-    return [Segment(t=a, states=b) for a, b in zip(np.split(t, cut), np.split(s, cut))]
-
-
 def pieces(traj: PiecewiseTrajectory) -> list:
     """The node table cut at its repeated times, one Segment per piece."""
-    return _cut(traj, np.flatnonzero(np.diff(traj.nodes.t) == 0.0) + 1)
-
-
-def split_like(traj: PiecewiseTrajectory, segments) -> list:
-    """The node table cut into pieces as long as the given segments.
-
-    ``simulate`` may end a piece up to 1e-13 before the next one starts, so
-    its table need not repeat a time at every piece boundary.
-    """
-    sizes = [seg.t.size for seg in segments]
-    assert sum(sizes) == traj.nodes.t.size
-    return _cut(traj, np.cumsum(sizes)[:-1])
+    t, s = traj.nodes.t, traj.nodes.states
+    cut = np.flatnonzero(np.diff(t) == 0.0) + 1
+    return [Segment(t=a, states=b) for a, b in zip(np.split(t, cut), np.split(s, cut))]

@@ -1,11 +1,26 @@
 """Problem instances shared by the test modules."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from implab.ap_analysis import StronglyAPSet
 from implab.impulsive import ImpulseSurfaceSpec, ImpulseSystemSpec, JumpSpec
 from implab.spectral import DirichletLaplacian
 from implab.trig import SeqGen, TrigSum
+
+
+@dataclass(frozen=True)
+class ProfileForcedSystem(ImpulseSystemSpec):
+    """A system whose f is a profile of t alone, for the linear oracles."""
+
+    profile: object = None
+
+    def forcing(self, t, x) -> np.ndarray:
+        """The profile at one time (N,), or at times (M,) as (M, N)."""
+        if isinstance(t, np.ndarray) and t.ndim > 0:
+            return np.stack([np.asarray(self.profile(s), dtype=float) for s in t])
+        return np.asarray(self.profile(t), dtype=float)
 
 
 def make_system(
@@ -19,15 +34,21 @@ def make_system(
     jumps=None,
     f_override=None,
 ):
-    """N modes on (0, 1), alpha = 1/2, n_xi = 8N; base moments base_gap * j."""
+    """N modes on (0, 1), alpha = 1/2, n_xi = 8N; base moments base_gap * j.
+
+    ``f_override``, a profile of t alone, replaces f (a ProfileForcedSystem).
+    """
     lap = DirichletLaplacian(l=1.0, n_modes=n_modes)
     base = StronglyAPSet(a=base_gap, c=SeqGen.constant(0.0), window=window)
-    return ImpulseSystemSpec(
+    spec = dict(
         lap=lap, alpha=0.5, rho=rho, a=a, b=b,
         surfaces=ImpulseSurfaceSpec(base=base, slopes=slopes),
         jumps=JumpSpec() if jumps is None else jumps,
-        n_xi=8 * n_modes, f_override=f_override,
+        n_xi=8 * n_modes,
     )
+    if f_override is None:
+        return ImpulseSystemSpec(**spec)
+    return ProfileForcedSystem(**spec, profile=f_override)
 
 
 def rank1_jumps(n_modes, nonlinearity, amp, d1):

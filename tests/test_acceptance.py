@@ -474,7 +474,7 @@ def test_criterion_8_ap_analysis_oracles():
         if got is None:
             failures.append("harmonize found no (q, r) at eps=%g" % eps)
             continue
-        q, r = got
+        q, r, _ = got
         tv = taus.taus()
         check(failures, np.max(np.abs(B[q:] - B[:-q])) < eps,
               "sequence bound fails at eps=%g" % eps)

@@ -129,12 +129,12 @@ def test_harmonize_periodic_data():
     f = _sampled(lambda t: 0.0 * t, -40.0, 40.0, 0.01)
     got = harmonize(B, taus, f, 1e-6)
     assert got is not None
-    q, r = got
+    q, r, dev = got
     # contract: the three bounds hold; (1, 1) is among the valid answers
     tv = taus.taus()
     assert np.max(np.abs(B[q:] - B[:-q])) < 1e-6
     assert np.max(np.abs((tv[q:] - tv[:-q]) - r)) < 1e-6
-    assert wexler_deviation(f, r, 1e-6) < 1e-6
+    assert dev == wexler_deviation(f, r, 1e-6) < 1e-6
 
 
 def test_harmonize_common_period_two_pi():
@@ -146,8 +146,9 @@ def test_harmonize_common_period_two_pi():
     f = _sampled(lambda t: np.sin(t), -120.0, 120.0, 0.005)
     got = harmonize(B, taus, f, eps=0.05, q_range=(1, 60))
     assert got is not None
-    q, r = got
+    q, r, dev = got
     assert abs(r - 2.0 * np.pi * round(r / (2.0 * np.pi))) < 0.05
+    assert dev == wexler_deviation(f, r, 0.05) < 0.05
 
 
 def test_harmonize_quasi_periodic_reverification():
@@ -159,12 +160,12 @@ def test_harmonize_quasi_periodic_reverification():
     f = _sampled(lambda t: np.cos(np.sqrt(2.0) * t), -900.0, 900.0, 0.01)
     got = harmonize(B, taus, f, eps=0.1, q_range=(1, 720))
     assert got is not None
-    q, r = got
+    q, r, dev = got
     # independent re-verification of all three bounds, from scratch
     tv = taus.taus()
     assert np.max(np.abs(B[q:] - B[:-q])) < 0.1
     assert np.max(np.abs((tv[q:] - tv[:-q]) - r)) < 0.1
-    assert wexler_deviation(f, r, 0.1) < 0.1
+    assert dev == wexler_deviation(f, r, 0.1) < 0.1
 
 
 def _jittered_lattice(draw):
@@ -200,11 +201,11 @@ def test_harmonize_returns_the_smallest_passing_q(draw):
         assert got is None
         return
     assert got is not None and got[0] == expected
-    q, r = got
+    q, r, dev = got
     # independent re-verification of all three bounds, from scratch
     assert np.max(np.abs(B[q:] - B[:-q])) < eps
     assert np.max(np.abs((tv[q:] - tv[:-q]) - r)) < eps
-    assert wexler_deviation(f, r, eps) < eps
+    assert dev == wexler_deviation(f, r, eps) < eps
 
 
 def test_strongly_ap_set_validation():

@@ -541,6 +541,18 @@ def test_cmd_certify(tmp_path):
     assert float(cert0["theta_check"]) <= 1e-10
 
 
+def test_cmd_certify_determinism(tmp_path):
+    cfg_path = write_config(tmp_path, readme_instance())
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert main(["certify", "--config", cfg_path, "--out", str(out1)]) == 0
+    assert main(["certify", "--config", cfg_path, "--out", str(out2)]) == 0
+    names = sorted(p.name for p in out1.glob("beating_*.txt"))
+    assert len(names) == 31
+    assert names == sorted(p.name for p in out2.glob("beating_*.txt"))
+    for name in names + ["certificates.txt"]:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 def test_cmd_solve_ap_and_determinism(tmp_path):
     cfg_path = write_config(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

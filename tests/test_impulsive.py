@@ -21,13 +21,22 @@ from implab.impulsive import (
     simulate,
     step_segment,
     _bracket_root,
+    _nonnegative_samples,
     _scrambled_sobol,
 )
 from implab.spectral import SineTransform
 from implab.trajectory import Segment
 from implab.trig import SeqGen, TrigSum
 
-from oracles import SegmentedTrajectory, _etd2_step, segment_residual, semigroup_apply, split_like
+import systems
+from oracles import (
+    SegmentedTrajectory,
+    _etd2_step,
+    pieces,
+    samples_in_physical_space,
+    segment_residual,
+    semigroup_apply,
+)
 from systems import certified_logistic, make_system, rank1_jumps
 
 
@@ -94,6 +103,15 @@ def test_step_segment_scalar_closed_form():
     lam1 = sys0.lap.eigenvalues[0]
     ref = x0[0] * np.exp(a.integral(0.0, t1) - lam1 * t1)  # scalar closed form
     assert abs(seg.states[-1][0] - ref) < 1e-8
+
+
+@pytest.mark.parametrize("t0, t1", [(0.5, 1.8), (3.0, 3.0 + 1e-14)])
+def test_step_segment_ends_at_t1(t0, t1):
+    # 3 + 1e-14 lies inside the 1e-13 end margin: one step, not one node
+    sys0 = make_system(b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)))
+    seg = step_segment(sys0, e1(sys0, 0.3), t0, t1, seg_tol=1e-8, h_max=0.013)
+    assert seg.t[0] == t0 and seg.t[-1] == t1 and seg.t.size >= 2
+    assert np.all(np.diff(seg.t) > 0.0)
 
 
 def test_step_doubling_self_convergence():
@@ -441,6 +459,20 @@ def test_batched_certificate_matches_per_sample_loop(build, n_samples):
         assert cert.p_check == pytest.approx(p_val, rel=1e-13, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "build", [systems.readme_like, systems.moving_like, certified_logistic]
+)
+@pytest.mark.parametrize("n_samples", [1, 512])
+def test_coefficient_space_samples_match_physical_space(build, n_samples):
+    """The projected shape table gives the samples built on the grid, to rounding."""
+    sys0 = build()
+    for seed in (0, 1, 2):
+        got = _nonnegative_samples(sys0, n_samples, np.random.default_rng(seed))
+        ref = samples_in_physical_space(sys0, n_samples, np.random.default_rng(seed))
+        assert got.shape == ref.shape and got.shape[0] >= 1
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # one-evaluation trials and bracketed sharpening against the re-integrating loop
 # ---------------------------------------------------------------------------
@@ -450,11 +482,12 @@ def segment_by_doubling(system, x0, t0, t1, seg_tol, h_max=np.inf, stats=None, h
     """Reference: step doubling by three independent ETD2 steps per trial.
 
     ``h0`` is the first trial step; ``stats`` counts the rejected trials.
+    The last node time is t1.
     """
     x = np.asarray(x0, dtype=float)
     t, h = t0, min(h_max, t1 - t0, h0)
     nodes, states = [t0], [x]
-    while t < t1 - 1e-13 * max(1.0, abs(t1)):
+    while t < t1 - 1e-13 * max(1.0, abs(t1)) or len(nodes) == 1:
         h = min(h, t1 - t, h_max)
         while True:
             coarse = _etd2_step(system, t, h, x)
@@ -470,6 +503,7 @@ def segment_by_doubling(system, x0, t0, t1, seg_tol, h_max=np.inf, stats=None, h
         nodes.append(t)
         states.append(x)
         h = h * min(4.0, max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0)))
+    nodes[-1] = t1
     return Segment(t=np.asarray(nodes), states=np.stack(states))
 
 
@@ -629,7 +663,7 @@ def test_simulate_matches_reintegrating_loop(case):
     if case == "tight":
         assert stats["rejected"] > 0
     assert traj.meta["n_segments"] == len(ref_segments)
-    for seg, ref in zip(split_like(traj, ref_segments), ref_segments, strict=True):
+    for seg, ref in zip(pieces(traj), ref_segments, strict=True):
         assert np.array_equal(seg.t, ref.t)
         assert np.array_equal(seg.states, ref.states)
     assert len(traj.hits) == len(ref_hits)
@@ -654,6 +688,21 @@ def test_simulate_table_evaluates_like_its_segments(case):
     ])
     assert np.array_equal(traj.eval_many(times), segmented.eval_many(times))
     # a hit time gives the pre-jump state
+    pre = traj.eval_many(traj.hit_times())
+    assert np.array_equal(pre, np.stack([h.pre for h in traj.hits]))
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_boundaries_repeat_their_times(case):
+    """Each segment ends at its t1 exactly: a horizon end or a hit time is
+    repeated in the node table, and a hit time evaluates to its pre-jump state."""
+    build, amp, t0, t_end, seg_tol = SIMULATE_CASES[case]
+    sys0 = build()
+    traj = simulate(sys0, e1(sys0, amp), t0, t_end, seg_tol=seg_tol)
+    steps = np.diff(traj.nodes.t)
+    assert np.count_nonzero(steps == 0.0) == traj.meta["n_segments"] - 1
+    assert np.all((steps == 0.0) | (steps > 1e-12))
+    assert traj.nodes.t[-1] == t_end
     pre = traj.eval_many(traj.hit_times())
     assert np.array_equal(pre, np.stack([h.pre for h in traj.hits]))
 
