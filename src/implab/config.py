@@ -7,8 +7,8 @@ the sampling seed.  All generator functions are lists of
 ``amplitude frequency phase`` triples, so no expression parsing is needed
 and instances are reproducible byte for byte.
 
-Every section and key must be one of ``SECTION_KEYS``; steps, tolerances,
-the buffer and the eps levels must be finite and > 0.
+Every section and key must be one of ``SECTION_KEYS``; every float must be
+finite, and steps, tolerances, the buffer and the eps levels also > 0.
 
 ``validate_instance`` enforces the checkable hypothesis parts at load time:
 surface slopes have the admissible sign (b_j <= 0), the surface time
@@ -81,24 +81,29 @@ def _check_keys(parser) -> None:
             )
 
 
-def _finite_positive(value, name) -> float:
-    """float(value); ConfigError unless it is finite and > 0."""
-    # a step or tolerance of 0 would never end its loop
-    value = float(value)
-    if not (np.isfinite(value) and value > 0.0):
-        raise ConfigError("%s must be finite and > 0" % name)
+def _finite(text, name, positive=False) -> float:
+    """float(text); ConfigError naming the key unless it is finite (and > 0)."""
+    # a step or tolerance of 0 would never end its loop, nor would an infinite range
+    value = float(text)
+    if not np.isfinite(value) or (positive and value <= 0.0):
+        raise ConfigError("%s must be finite%s" % (name, " and > 0" if positive else ""))
     return value
 
 
-def _floats(text) -> list:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _floats(text, name, positive=False) -> list:
+    return [_finite(tok, name, positive) for tok in text.replace(",", " ").split()]
 
 
-def _parse_triples(text) -> tuple:
+def _getfloat(sec, key, default) -> float:
+    """The float of a section key, or default when the key is absent."""
+    return default if key not in sec else _finite(sec[key], "[%s] %s" % (sec.name, key))
+
+
+def _parse_triples(text, name) -> tuple:
     """'amp freq phase; amp freq phase; ...' -> ((amp, freq, phase), ...)."""
     out = []
     for chunk in text.split(";"):
-        vals = _floats(chunk)
+        vals = _floats(chunk, name)
         if not vals:
             continue
         if len(vals) != 3:
@@ -107,8 +112,8 @@ def _parse_triples(text) -> tuple:
     return tuple(out)
 
 
-def _parse_vector(text, n_modes) -> np.ndarray:
-    vals = _floats(text)
+def _parse_vector(text, n_modes, name) -> np.ndarray:
+    vals = _floats(text, name)
     if len(vals) > n_modes:
         raise ConfigError("vector has %d coefficients for %d modes" % (len(vals), n_modes))
     out = np.zeros(n_modes)
@@ -116,31 +121,31 @@ def _parse_vector(text, n_modes) -> np.ndarray:
     return out
 
 
-def _parse_rows(text, n_modes):
+def _parse_rows(text, n_modes, name):
     rows = [
-        _parse_vector(chunk, n_modes) for chunk in text.split(";") if chunk.strip()
+        _parse_vector(chunk, n_modes, name) for chunk in text.split(";") if chunk.strip()
     ]
     return np.stack(rows) if rows else None
 
 
 def _interval(text, name) -> tuple:
     """'lo hi' -> (lo, hi), two values with lo < hi."""
-    vals = tuple(float(v) for v in text.split())
+    vals = tuple(_finite(v, name) for v in text.split())
     if len(vals) != 2 or vals[1] <= vals[0]:
         raise ConfigError("%s must be 'lo hi' with lo < hi" % name)
     return vals
 
 
-def _trig_sum(sec, offset_key="offset", terms_key="terms") -> TrigSum:
+def _trig_sum(sec) -> TrigSum:
     return TrigSum(
-        offset=sec.getfloat(offset_key, 0.0),
-        terms=_parse_triples(sec.get(terms_key, "")),
+        offset=_getfloat(sec, "offset", 0.0),
+        terms=_parse_triples(sec.get("terms", ""), "[%s] terms" % sec.name),
     )
 
 
 def _seq_gen(sec, prefix) -> SeqGen:
-    triples = _parse_triples(sec.get(prefix + "_terms", ""))
-    offset = sec.getfloat(prefix + "_constant", 0.0)
+    triples = _parse_triples(sec.get(prefix + "_terms", ""), "[%s] %s_terms" % (sec.name, prefix))
+    offset = _getfloat(sec, prefix + "_constant", 0.0)
     if not triples:
         return SeqGen.constant(offset)
     amps, freqs, phases = zip(*triples)
@@ -174,13 +179,13 @@ def load_instance(path) -> InstanceConfig:
     try:
         geo = parser["geometry"]
         lap = DirichletLaplacian(
-            l=geo.getfloat("l", 1.0), n_modes=geo.getint("n_modes", 16)
+            l=_getfloat(geo, "l", 1.0), n_modes=geo.getint("n_modes", 16)
         )
         n_xi = geo.getint("n_xi", 256)
 
         prob = parser["problem"]
-        alpha = prob.getfloat("alpha", 0.5)
-        rho = prob.getfloat("rho", 1.0)
+        alpha = _getfloat(prob, "alpha", 0.5)
+        rho = _getfloat(prob, "rho", 1.0)
 
         a = _trig_sum(parser["coefficient_a"]) if "coefficient_a" in parser else TrigSum()
         b = _trig_sum(parser["coefficient_b"]) if "coefficient_b" in parser else TrigSum()
@@ -188,7 +193,7 @@ def load_instance(path) -> InstanceConfig:
         surf = parser["surfaces"]
         j_lo, j_hi = (int(v) for v in surf.get("window", "0 30").split())
         base = StronglyAPSet(
-            a=surf.getfloat("gap", 1.0),
+            a=_getfloat(surf, "gap", 1.0),
             c=_seq_gen(surf, "offset"),
             window=(j_lo, j_hi),
         )
@@ -196,8 +201,8 @@ def load_instance(path) -> InstanceConfig:
 
         jsec = parser["jumps"] if "jumps" in parser else {}
         if jsec:
-            left = _parse_rows(jsec.get("kernel_left", ""), lap.n_modes)
-            right = _parse_rows(jsec.get("kernel_right", ""), lap.n_modes)
+            left = _parse_rows(jsec.get("kernel_left", ""), lap.n_modes, "[jumps] kernel_left")
+            right = _parse_rows(jsec.get("kernel_right", ""), lap.n_modes, "[jumps] kernel_right")
             if (left is None) != (right is None):
                 raise ConfigError("kernel_left and kernel_right must come together")
             if left is not None and left.shape != right.shape:
@@ -208,7 +213,7 @@ def load_instance(path) -> InstanceConfig:
                 right=right,
                 nonlinearity=jsec.get("nonlinearity", "zero"),
                 amp=_seq_gen(jsec, "amp"),
-                d=_parse_vector(d_text, lap.n_modes) if d_text.strip() else None,
+                d=_parse_vector(d_text, lap.n_modes, "[jumps] d") if d_text.strip() else None,
             )
         else:
             jumps = JumpSpec()
@@ -223,7 +228,7 @@ def load_instance(path) -> InstanceConfig:
         for key in ("h_t", "inner_tol", "outer_tol", "residual_tol",
                     "event_tol", "tail_tol", "seg_tol", "buffer"):
             if ssec and ssec.get(key, "").strip():
-                kwargs[key] = _finite_positive(ssec[key], "[solver] " + key)
+                kwargs[key] = _finite(ssec[key], "[solver] " + key, positive=True)
         for key in ("max_inner", "max_outer"):
             if ssec and ssec.get(key, "").strip():
                 kwargs[key] = int(ssec[key])
@@ -239,27 +244,26 @@ def load_instance(path) -> InstanceConfig:
             raise ConfigError("[sampling] n_samples must be at least 1")
 
         asec = parser["analysis"] if "analysis" in parser else {}
-        eps_list = tuple(
-            _finite_positive(eps, "[analysis] eps")
-            for eps in (_floats(asec.get("eps", "1e-2")) if asec else (1e-2,))
-        )
+        eps_list = tuple(_floats(asec.get("eps", "1e-2"), "[analysis] eps", positive=True)
+                         if asec else (1e-2,))
         if not eps_list:
             raise ConfigError("[analysis] eps needs at least one value")
 
         sim = parser["simulate"] if "simulate" in parser else {}
         u0_text = sim.get("u0", "") if sim else ""
-        u0 = _parse_vector(u0_text, lap.n_modes) if u0_text.strip() else np.zeros(lap.n_modes)
+        u0 = (_parse_vector(u0_text, lap.n_modes, "[simulate] u0") if u0_text.strip()
+              else np.zeros(lap.n_modes))
         t_range = (
             _interval(sim["t_range"], "[simulate] t_range")
             if sim and "t_range" in sim else t_window
         )
 
         osec = parser["overrides"] if "overrides" in parser else {}
-        overrides = {k: float(v) for k, v in osec.items()} if osec else {}
+        overrides = {k: _finite(v, "[overrides] " + k) for k, v in osec.items()} if osec else {}
         if "analysis_h_t" in overrides:
-            _finite_positive(overrides["analysis_h_t"], "[overrides] analysis_h_t")
+            _finite(overrides["analysis_h_t"], "[overrides] analysis_h_t", positive=True)
         # a negative crop would sample past the data, where the interpolant repeats its end rows
-        if not 0.0 <= overrides.get("analysis_crop", 0.0) < np.inf:
+        if overrides.get("analysis_crop", 0.0) < 0.0:
             raise ConfigError("[overrides] analysis_crop must be finite and >= 0")
     except ConfigError:
         raise

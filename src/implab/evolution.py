@@ -1,13 +1,14 @@
 """Evolution family, exponential dichotomy, Green function and bounded solutions.
 
 The linear part is ``x' + (A + A_1(t)) x = 0`` with ``A_1(t) x = m(t) x`` for
-an almost periodic scalar ``m`` (plus an optional per-mode shift used to
-manufacture unstable modes).  In the diagonal realization every operator is
-a per-mode scalar exponential,
+an almost periodic scalar ``m``.  In the diagonal realization every operator
+is a per-mode scalar exponential,
 
-    U(t, s) e_k = exp(-(lambda_k + sigma_k)(t - s) - int_s^t m(v) dv) e_k,
+    U(t, s) e_k = exp(-r_k (t - s) - int_s^t m(v) dv) e_k,
 
-with the integral of ``m`` taken from its exact antiderivative.  Dichotomy
+with the rates r = ``coeff.rates(lap)`` (the eigenvalues lambda_k; a subclass
+may shift them, as the tests do to make a mode unstable) and the integral of
+``m`` taken from its exact antiderivative.  Dichotomy
 projections are coordinate projections onto the modes whose mean exponent is
 negative; the constants (M, beta, M_1, M_2, beta_1) carry no values in the
 abstract theory and are fitted here with a 5% slack, to be verified on fresh
@@ -58,19 +59,12 @@ class NonHyperbolicError(ValueError):
 
 @dataclass(frozen=True)
 class LinearCoefficient:
-    """A_1(t) x = m(t) x, optionally with per-mode shifts lambda_k -> lambda_k + sigma_k."""
+    """A_1(t) x = m(t) x; mode k decays at rate lambda_k."""
 
     m: TrigSum = TrigSum()
-    per_mode_shift: np.ndarray | None = None
 
     def rates(self, lap: DirichletLaplacian) -> np.ndarray:
-        r = lap.eigenvalues.copy()
-        if self.per_mode_shift is not None:
-            sigma = np.asarray(self.per_mode_shift, dtype=float)
-            if sigma.size != lap.n_modes:
-                raise ValueError("per_mode_shift length must equal the mode count")
-            r = r + sigma
-        return r
+        return lap.eigenvalues.copy()
 
     def mean_exponents(self, lap: DirichletLaplacian) -> np.ndarray:
         return self.rates(lap) + self.m.mean
@@ -95,9 +89,6 @@ class DichotomyData:
     @property
     def has_unstable(self) -> bool:
         return bool(np.any(self.unstable))
-
-    def project(self, x) -> np.ndarray:
-        return np.where(self.unstable, np.asarray(x, dtype=float), 0.0)
 
     def as_record(self) -> dict:
         return {

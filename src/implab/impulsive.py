@@ -22,8 +22,9 @@ there as its first trial step, so the flow segment up to that node is shared
 with the hit segment as it is.
 
 ``beating_certificate`` checks the two repeated-hit exclusion hypotheses on
-sampled non-negative states, sums of four squared sines built in coefficient
-space from their projections: ``theta_j(x) = tau_j(x + g_j(x)) - tau_j(x) <= 0``
+sampled non-negative states, sums of four squared sines with weights drawn
+by ``rng.random`` from the surface's stream, built in coefficient space from
+their projections: ``theta_j(x) = tau_j(x + g_j(x)) - tau_j(x) <= 0``
 and the explicit functional
 
     P(u) = -2 b_j int u_xi^2 + 2 b_j a(tau) int u^2 (1 - b(tau) u) < 1,
@@ -589,62 +590,11 @@ class BeatingCertificate:
         }
 
 
-# Joe-Kuo direction numbers of the first five Sobol' dimensions: primitive
-# polynomial (bit-coded, leading and trailing 1 included) and initial values
-_SOBOL_BITS = 30
-_SOBOL_POLY = (1, 3, 7, 11, 13)
-_SOBOL_VINIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1))
-
-
-def _sobol_direction_numbers() -> np.ndarray:
-    """(5, 30) direction numbers v[d, j], each scaled by 2^(29 - j) to 30 bits."""
-    v = np.ones((5, _SOBOL_BITS), dtype=np.int64)
-    for d in range(1, 5):
-        p = _SOBOL_POLY[d]
-        m = p.bit_length() - 1
-        v[d, :m] = _SOBOL_VINIT[d]
-        for j in range(m, _SOBOL_BITS):
-            newv = v[d, j - m]
-            for k in range(m):
-                if (p >> (m - 1 - k)) & 1:
-                    newv ^= v[d, j - k - 1] << (k + 1)
-            v[d, j] = newv
-    return v << (_SOBOL_BITS - 1 - np.arange(_SOBOL_BITS))
-
-
-_SOBOL_V = _sobol_direction_numbers()
-
-
-def _scrambled_sobol(n, seed) -> np.ndarray:
-    """First n points of the 5-d scrambled Sobol' sequence, as an (n, 5) array.
-
-    Bit-identical to ``scipy.stats.qmc.Sobol(d=5, seed=seed).random(n)``:
-    linear matrix scramble plus digital shift, drawn from
-    ``np.random.default_rng(seed)`` in the same order (shift bits, then the
-    lower-triangular matrices with unit diagonal), and the Gray-code order
-    in which point i flips the direction number of the lowest set bit of i.
-    """
-    if n > 2**_SOBOL_BITS:
-        raise ValueError("at most 2**%d Sobol' points" % _SOBOL_BITS)
-    rng = np.random.default_rng(seed)
-    bit = np.arange(_SOBOL_BITS)
-    msb_weight = np.int64(1) << (_SOBOL_BITS - 1 - bit)
-    shift = rng.integers(2, size=(5, _SOBOL_BITS), dtype=np.uint32).astype(np.int64) @ (1 << bit)
-    ltm = np.tril(rng.integers(2, size=(5, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
-    ltm[:, bit, bit] = 1
-    # scrambled number = L @ (its bits, most significant first), mod 2
-    v_bits = (_SOBOL_V[:, :, None] & msb_weight) != 0
-    sv = ((v_bits.astype(np.int64) @ ltm.transpose(0, 2, 1)) & 1) @ msb_weight
-    i = np.arange(1, max(n, 1))
-    lowest_bit = np.frexp(i & -i)[1] - 1
-    rows = np.concatenate([shift[None, :], sv[:, lowest_bit].T])[:n]
-    return np.bitwise_xor.accumulate(rows, axis=0) * 2.0**-_SOBOL_BITS
-
-
 def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
     """Non-negative states in the ball: sums of squared sines, rescaled.
 
-    Low-discrepancy weights drive u = sum_m w_m sin^2(m pi xi / l), built in
+    Each row of ``rng.random((n_samples, 5))`` gives four weights of
+    u = sum_m w_m sin^2(m pi xi / l) and a radius draw.  The state is built in
     coefficient space: the projection is linear, so the four shapes are
     projected once and x = sum_m w_m project(sin^2(m pi xi / l)).  Half the
     samples are pushed to the ball boundary |x|_alpha = rho (the functionals
@@ -653,7 +603,7 @@ def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
     norm are dropped.
     """
     lap, tr = system.lap, system.transform
-    raw = _scrambled_sobol(n_samples, rng.integers(2**31))
+    raw = rng.random((n_samples, 5))
     raw = raw[np.sum(raw[:, :4], axis=1) >= 1e-8]
     shapes = tr.project(np.sin(np.arange(1, 5)[:, None] * np.pi * tr.xi / lap.l) ** 2)
     x = raw[:, :4] @ shapes

@@ -45,7 +45,7 @@ from implab.evolution import (
     _safe_exp,
     psi,
 )
-from implab.impulsive import ImpulseSystemSpec, _etd2_update, _phi_weights, _scrambled_sobol
+from implab.impulsive import ImpulseSystemSpec, _etd2_update, _phi_weights
 from implab.trajectory import PiecewiseTrajectory, Segment
 
 
@@ -233,7 +233,7 @@ def samples_in_physical_space(system: ImpulseSystemSpec, n_samples, rng) -> np.n
     The same draws, rejection rules and scaling as ``_nonnegative_samples``.
     """
     lap, tr = system.lap, system.transform
-    raw = _scrambled_sobol(n_samples, rng.integers(2**31))
+    raw = rng.random((n_samples, 5))
     raw = raw[np.sum(raw[:, :4], axis=1) >= 1e-8]
     u = np.zeros((raw.shape[0], tr.xi.size))
     for m in range(1, 5):

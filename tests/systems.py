@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from implab.ap_analysis import StronglyAPSet
+from implab.evolution import LinearCoefficient
 from implab.impulsive import ImpulseSurfaceSpec, ImpulseSystemSpec, JumpSpec
 from implab.spectral import DirichletLaplacian
 from implab.trig import SeqGen, TrigSum
@@ -21,6 +22,22 @@ class ProfileForcedSystem(ImpulseSystemSpec):
         if isinstance(t, np.ndarray) and t.ndim > 0:
             return np.stack([np.asarray(self.profile(s), dtype=float) for s in t])
         return np.asarray(self.profile(t), dtype=float)
+
+
+@dataclass(frozen=True)
+class ShiftedCoefficient(LinearCoefficient):
+    """A coefficient with per-mode shifts lambda_k -> lambda_k + sigma_k.
+
+    A negative shift makes a mode unstable, for the backward dichotomy branch.
+    """
+
+    per_mode_shift: np.ndarray = None
+
+    def rates(self, lap) -> np.ndarray:
+        sigma = np.asarray(self.per_mode_shift, dtype=float)
+        if sigma.size != lap.n_modes:
+            raise ValueError("per_mode_shift length must equal the mode count")
+        return lap.eigenvalues + sigma
 
 
 def make_system(

@@ -44,7 +44,7 @@ from oracles import (
     green_shift_defect,
     pieces,
 )
-from systems import certified_logistic, make_system, rank1_jumps
+from systems import ShiftedCoefficient, certified_logistic, make_system, rank1_jumps
 
 N = 16
 ALPHA = 0.5
@@ -206,7 +206,7 @@ def test_criterion_4_dichotomy_and_green():
     # backward (unstable) branch on a shifted instance
     sigma = np.zeros(4)
     sigma[0] = -lap4.eigenvalues[0] - 2.0
-    coeff_u = LinearCoefficient(m=TrigSum(0.0, ((0.3, 1.0, 0.0),)), per_mode_shift=sigma)
+    coeff_u = ShiftedCoefficient(m=TrigSum(0.0, ((0.3, 1.0, 0.0),)), per_mode_shift=sigma)
     dich_u = fit_dichotomy(lap4, coeff_u, alpha=ALPHA, rng=np.random.default_rng(233))
     viol = 0
     for _ in range(1000):

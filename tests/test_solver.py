@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from implab.evolution import LinearCoefficient, fit_dichotomy, k_bundle
+from implab.evolution import fit_dichotomy, k_bundle
 from implab import evolution
 from implab.impulsive import ImpulseSystemSpec, JumpSpec, _phi_weights
 from implab.solver import (
@@ -25,7 +25,7 @@ from implab.spectral import DirichletLaplacian
 from implab.trig import SeqGen, TrigSum
 
 from oracles import bounded_solution, measure_lipschitz_by_pair, pieces
-from systems import make_system, moving_like, readme_like
+from systems import ShiftedCoefficient, make_system, moving_like, readme_like
 
 
 def const_d(n, c=0.02):
@@ -96,7 +96,7 @@ def scan_case(name):
         lap = DirichletLaplacian(l=1.0, n_modes=4)
         sigma = np.zeros(4)
         sigma[0] = -lap.eigenvalues[0] - 2.0
-        coeff = LinearCoefficient(m=TrigSum(0.0, ((0.3, 1.0, 0.0),)), per_mode_shift=sigma)
+        coeff = ShiftedCoefficient(m=TrigSum(0.0, ((0.3, 1.0, 0.0),)), per_mode_shift=sigma)
         system = SimpleNamespace(lap=lap, coeff=coeff, rates=coeff.rates(lap))
         return system, 0.005, (0.0, 8.0)
     if name == "stiff":
