@@ -74,13 +74,12 @@ from .solver import (
 )
 from .spectral import AliasingError, DirichletLaplacian
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
-from .trig import SeqGen, TrigSum
+from .trig import TrigSum
 
 __version__ = "0.1.0"
 
 __all__ = [
     "TrigSum",
-    "SeqGen",
     "DirichletLaplacian",
     "AliasingError",
     "Segment",

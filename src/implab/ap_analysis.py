@@ -52,7 +52,7 @@ class StronglyAPSet:
     """Point set tau_k = a k + c_k on an integer window [j_min, j_max]."""
 
     a: float
-    c: object  # callable of the index (a SeqGen) or explicit array over the window
+    c: object  # a TrigSum of the index, or an explicit array over the window
     window: tuple  # (j_min, j_max), inclusive
 
     def __post_init__(self):

@@ -33,7 +33,7 @@ from .impulsive import (
 )
 from .solver import SolverConfig
 from .spectral import AliasingError, DirichletLaplacian
-from .trig import SeqGen, TrigSum
+from .trig import TrigSum
 
 __all__ = ["ConfigError", "InstanceConfig", "load_instance", "validate_instance"]
 
@@ -136,20 +136,11 @@ def _interval(text, name) -> tuple:
     return vals
 
 
-def _trig_sum(sec) -> TrigSum:
+def _trig_sum(sec, offset_key="offset", terms_key="terms") -> TrigSum:
     return TrigSum(
-        offset=_getfloat(sec, "offset", 0.0),
-        terms=_parse_triples(sec.get("terms", ""), "[%s] terms" % sec.name),
+        offset=_getfloat(sec, offset_key, 0.0),
+        terms=_parse_triples(sec.get(terms_key, ""), "[%s] %s" % (sec.name, terms_key)),
     )
-
-
-def _seq_gen(sec, prefix) -> SeqGen:
-    triples = _parse_triples(sec.get(prefix + "_terms", ""), "[%s] %s_terms" % (sec.name, prefix))
-    offset = _getfloat(sec, prefix + "_constant", 0.0)
-    if not triples:
-        return SeqGen.constant(offset)
-    amps, freqs, phases = zip(*triples)
-    return SeqGen(freqs=freqs, amps=amps, phases=phases, offset=offset)
 
 
 @dataclass(frozen=True)
@@ -194,10 +185,10 @@ def load_instance(path) -> InstanceConfig:
         j_lo, j_hi = (int(v) for v in surf.get("window", "0 30").split())
         base = StronglyAPSet(
             a=_getfloat(surf, "gap", 1.0),
-            c=_seq_gen(surf, "offset"),
+            c=_trig_sum(surf, "offset_constant", "offset_terms"),
             window=(j_lo, j_hi),
         )
-        surfaces = ImpulseSurfaceSpec(base=base, slopes=_seq_gen(surf, "slope"))
+        surfaces = ImpulseSurfaceSpec(base, _trig_sum(surf, "slope_constant", "slope_terms"))
 
         jsec = parser["jumps"] if "jumps" in parser else {}
         if jsec:
@@ -212,7 +203,7 @@ def load_instance(path) -> InstanceConfig:
                 left=left,
                 right=right,
                 nonlinearity=jsec.get("nonlinearity", "zero"),
-                amp=_seq_gen(jsec, "amp"),
+                amp=_trig_sum(jsec, "amp_constant", "amp_terms"),
                 d=_parse_vector(d_text, lap.n_modes, "[jumps] d") if d_text.strip() else None,
             )
         else:
@@ -229,6 +220,8 @@ def load_instance(path) -> InstanceConfig:
                     "event_tol", "tail_tol", "seg_tol", "buffer"):
             if ssec and ssec.get(key, "").strip():
                 kwargs[key] = _finite(ssec[key], "[solver] " + key, positive=True)
+        if kwargs.get("seg_tol", 1.0) < 1e-14:  # the step-doubling estimate's rounding level
+            raise ConfigError("[solver] seg_tol must be >= 1e-14")
         for key in ("max_inner", "max_outer"):
             if ssec and ssec.get(key, "").strip():
                 kwargs[key] = int(ssec[key])
@@ -289,6 +282,11 @@ def validate_instance(cfg: InstanceConfig) -> dict:
         raise ConfigError("alpha must lie in (0, 1)")
     if rho <= 0.0:
         raise ConfigError("rho must be positive")
+    # the ball quantities of theta and beta_0; a float product overflows to inf, a power raises
+    ball = (rho * rho / lap.eigenvalues[0] ** (2.0 * alpha), lap.l**0.5 * (rho * rho * rho))
+    if not np.all(np.isfinite(ball)):
+        raise ConfigError("[problem] rho too large: rho^2 / lambda_1^(2 alpha) and sqrt(l) rho^3 "
+                          "must be finite")
 
     slopes = system.surfaces.slope_window
     if np.any(slopes > 0.0):

@@ -54,7 +54,8 @@ _EXP_CLIP = 700.0
 
 
 class NonHyperbolicError(ValueError):
-    """A mode's mean exponent vanishes; no exponential dichotomy."""
+    """A mode's mean exponent vanishes, or a fitted constant is not finite:
+    no exponential dichotomy with finite constants."""
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,9 @@ def fit_dichotomy(
     defect = np.max(lam_a * np.abs(both[: t.size] - both[t.size :]), axis=1)
     denom = np.exp(-beta1 * np.abs(t - tau)) * psi(alpha, t - tau) * a_star
     M2 = (1.0 + slack) * float(np.max(defect / denom, initial=M))
+    for name, value in (("M", M), ("beta", beta), ("M1", M1), ("M2", M2)):
+        if not np.isfinite(value):
+            raise NonHyperbolicError("dichotomy constant %s = %g is not finite" % (name, value))
 
     return DichotomyData(
         unstable=unstable, M=M, beta=beta, M1=M1, M2=M2, beta1=beta1, alpha=alpha

@@ -36,7 +36,7 @@ sqrt(l) rho^3))^{-1}`` under which the bound holds automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,7 +45,7 @@ from .ap_analysis import StronglyAPSet
 from .evolution import LinearCoefficient
 from .spectral import DirichletLaplacian, SineTransform
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
-from .trig import SeqGen, TrigSum
+from .trig import TrigSum
 
 __all__ = [
     "ImpulseSurfaceSpec",
@@ -104,7 +104,7 @@ class ImpulseSurfaceSpec:
     """Surfaces tau_j(x) = t_j + b_j Q(x) over the base set's index window."""
 
     base: StronglyAPSet
-    slopes: object = field(default_factory=lambda: SeqGen.constant(0.0))
+    slopes: TrigSum = TrigSum(0.0)
 
     def indices(self) -> np.ndarray:
         return self.base.indices()
@@ -148,14 +148,14 @@ class JumpSpec:
     The kernel K_j(xi, zeta) = amp_j sum_r phi_r(xi) chi_r(zeta) is a
     separable low-rank sine expansion; ``left``/``right`` hold the spectral
     coefficients of phi_r / chi_r as (R, N) arrays.  ``nonlinearity`` names a
-    catalogue map I with I(0) = 0; ``d`` generates the additive offsets d_j
-    (SeqGen with vector values, a fixed array, or None).
+    catalogue map I with I(0) = 0; ``amp`` is a TrigSum of j; ``d`` gives the
+    additive offsets d_j (a callable of j, a fixed array, or None).
     """
 
     left: np.ndarray | None = None
     right: np.ndarray | None = None
     nonlinearity: str = "zero"
-    amp: object = field(default_factory=lambda: SeqGen.constant(1.0))
+    amp: TrigSum = TrigSum(1.0)
     d: object = None
 
     def __post_init__(self):

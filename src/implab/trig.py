@@ -1,15 +1,12 @@
-"""Trigonometric-sum generators for almost periodic coefficients and sequences.
+"""Finite cosine sums for almost periodic coefficients and sequences.
 
 A ``TrigSum`` is a finite cosine sum ``c0 + sum_i a_i cos(w_i t + p_i)``.
 Every time-dependent coefficient in the package (the scalar factor of the
 linear part, the logistic rates a(t), b(t)) is represented this way, which
 keeps antiderivatives exact: they enter exponents of propagators, where
-quadrature errors would amplify exponentially.
-
-``SeqGen`` is the discrete analogue, used for surface offsets c_j, surface
-slopes b_j and jump modulations: sequences of the form
-``off + sum_m amp_m cos(w_m k + p_m)`` which are almost periodic by
-construction.
+quadrature errors would amplify exponentially.  The almost periodic
+sequences (surface offsets c_j, surface slopes b_j, jump amplitudes) are
+the same sums evaluated at integer arguments.
 """
 
 from __future__ import annotations
@@ -18,11 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TrigSum", "SeqGen"]
+__all__ = ["TrigSum"]
 
 
 def _merge_terms(terms):
-    """Collapse duplicate (freq, phase) pairs and zero frequencies."""
+    """Collapse duplicate (freq, phase mod 2 pi) pairs and zero frequencies.
+
+    A merged term keeps its first phase as given; the rounded key only groups.
+    """
     out = {}
     offset = 0.0
     for amp, freq, phase in terms:
@@ -34,9 +34,10 @@ def _merge_terms(terms):
             offset += amp * np.cos(phase)
             continue
         key = (freq, round(phase % (2.0 * np.pi), 14))
-        out[key] = out.get(key, 0.0) + amp
+        total, first_phase = out.get(key, (0.0, phase))
+        out[key] = (total + amp, first_phase)
     merged = tuple(
-        (amp, freq, phase) for (freq, phase), amp in sorted(out.items()) if amp != 0.0
+        (amp, freq, phase) for (freq, _), (amp, phase) in sorted(out.items()) if amp != 0.0
     )
     return offset, merged
 
@@ -125,35 +126,3 @@ class TrigSum:
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TrigSum) else -float(other))
-
-
-@dataclass(frozen=True)
-class SeqGen:
-    """Almost periodic scalar (or vector-valued) sequence generator.
-
-    k -> offset + sum_m amps[m] * cos(freqs[m] * k + phases[m]).
-    ``amps`` may be an array of shape (M,) for scalar sequences or (M, d)
-    for d-dimensional values; ``offset`` follows the same convention.
-    """
-
-    freqs: tuple = ()
-    amps: tuple = ()
-    phases: tuple = ()
-    offset: float | tuple = 0.0
-
-    def __call__(self, k):
-        k = np.asarray(k, dtype=float)
-        offset = np.asarray(self.offset, dtype=float)
-        scalar_vals = offset.ndim == 0
-        val = np.zeros(k.shape + offset.shape) + offset
-        for freq, amp, phase in zip(self.freqs, self.amps, self.phases):
-            amp = np.asarray(amp, dtype=float)
-            osc = np.cos(freq * k + phase)
-            val = val + (osc[..., None] * amp if amp.ndim else osc * amp)
-        if k.ndim == 0 and scalar_vals:
-            return float(val)
-        return val
-
-    @staticmethod
-    def constant(value):
-        return SeqGen(offset=value)

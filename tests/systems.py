@@ -8,7 +8,7 @@ from implab.ap_analysis import StronglyAPSet
 from implab.evolution import LinearCoefficient
 from implab.impulsive import ImpulseSurfaceSpec, ImpulseSystemSpec, JumpSpec
 from implab.spectral import DirichletLaplacian
-from implab.trig import SeqGen, TrigSum
+from implab.trig import TrigSum
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def make_system(
     rho=1.0,
     a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
     b=TrigSum(),
-    slopes=SeqGen.constant(0.0),
+    slopes=TrigSum(0.0),
     base_gap=1.0,
     window=(1, 10),
     jumps=None,
@@ -56,7 +56,7 @@ def make_system(
     ``f_override``, a profile of t alone, replaces f (a ProfileForcedSystem).
     """
     lap = DirichletLaplacian(l=1.0, n_modes=n_modes)
-    base = StronglyAPSet(a=base_gap, c=SeqGen.constant(0.0), window=window)
+    base = StronglyAPSet(a=base_gap, c=TrigSum(0.0), window=window)
     spec = dict(
         lap=lap, alpha=0.5, rho=rho, a=a, b=b,
         surfaces=ImpulseSurfaceSpec(base=base, slopes=slopes),
@@ -75,7 +75,7 @@ def rank1_jumps(n_modes, nonlinearity, amp, d1):
     d = np.zeros(n_modes)
     d[0] = d1
     return JumpSpec(left=left, right=left.copy(), nonlinearity=nonlinearity,
-                    amp=SeqGen.constant(amp), d=d)
+                    amp=TrigSum(amp), d=d)
 
 
 def certified_logistic(window=(1, 6), n_modes=8):
@@ -84,7 +84,7 @@ def certified_logistic(window=(1, 6), n_modes=8):
         n_modes=n_modes,
         a=TrigSum(0.5, ((0.2, 1.0, 0.0), (0.1, np.sqrt(2.0), 0.3))),
         b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
-        slopes=SeqGen.constant(-0.2),
+        slopes=TrigSum(-0.2),
         window=window,
         jumps=rank1_jumps(n_modes, "relu", 0.02, 0.05),
     )
@@ -96,7 +96,7 @@ def readme_like(base_gap=1.0, window=(0, 30), slope=-0.2, d1=0.05):
         n_modes=16,
         a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
         b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
-        slopes=SeqGen.constant(slope),
+        slopes=TrigSum(slope),
         base_gap=base_gap,
         window=window,
         jumps=rank1_jumps(16, "relu", 0.02, d1),

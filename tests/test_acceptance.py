@@ -34,7 +34,7 @@ from implab.solver import (
     verify_smallness,
 )
 from implab.spectral import DirichletLaplacian
-from implab.trig import SeqGen, TrigSum
+from implab.trig import TrigSum
 
 from oracles import (
     _etd2_step,
@@ -80,7 +80,7 @@ def test_criterion_1_beta0_and_beating():
     failures = []
     # plug-in: l = 1, rho = 1, b == 0 gives beta0 = 0.5/((1+0)(1+1)) = 0.25
     sys_b0 = make_system(n_modes=N, a=TrigSum(0.5, ((0.2, 1.0, 0.0),)), b=TrigSum(),
-                         window=(1, 10), slopes=SeqGen.constant(0.0), jumps=JumpSpec())
+                         window=(1, 10), slopes=TrigSum(0.0), jumps=JumpSpec())
     cert0 = beating_certificate(sys_b0, 1, n_samples=8,
                                 rng=np.random.default_rng(201))
     check(failures, cert0.beta0 == 0.25, "beta0 plug-in != 0.25 (got %r)" % cert0.beta0)
@@ -120,7 +120,7 @@ def test_criterion_2_linear_oracle_equivalence():
         return out
 
     sys0 = make_system(n_modes=N, a=TrigSum(0.5, ((0.2, 1.0, 0.0),)), b=TrigSum(),
-                       window=(0, 6), slopes=SeqGen.constant(0.0), jumps=JumpSpec(d=d),
+                       window=(0, 6), slopes=TrigSum(0.0), jumps=JumpSpec(d=d),
                        f_override=profile)
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(211))
     y = APSequencePoint.zero((0, 6), N)
@@ -160,7 +160,7 @@ def test_criterion_3_segment_oracle():
     sys0 = make_system(n_modes=N,
                        a=TrigSum(9.0, ((0.2, 1.0, 0.0), (0.1, np.sqrt(2.0), 0.3))),
                        b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
-                       window=(1, 10), slopes=SeqGen.constant(0.0), jumps=JumpSpec())
+                       window=(1, 10), slopes=TrigSum(0.0), jumps=JumpSpec())
     rng = np.random.default_rng(221)
     w = sys0.lap.frac_weights(ALPHA)
     x0 = rng.standard_normal(N) / w
@@ -286,7 +286,7 @@ def test_criterion_5_contraction():
     failures = []
     sys0 = make_system(n_modes=N, a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
                        b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
-                       window=(0, 8), slopes=SeqGen.constant(0.0),
+                       window=(0, 8), slopes=TrigSum(0.0),
                        jumps=rank1_jumps(N, "tanh", 0.02, 0.02))
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(241))
     theta = sys0.theta
@@ -348,7 +348,7 @@ def test_criterion_6_degenerate_and_reduction():
     failures = []
     # zero data
     sys_z = make_system(n_modes=N, a=TrigSum(0.5, ((0.2, 1.0, 0.0),)), b=TrigSum(),
-                        window=(0, 8), slopes=SeqGen.constant(0.0), jumps=JumpSpec())
+                        window=(0, 8), slopes=TrigSum(0.0), jumps=JumpSpec())
     dich_z = fit_dichotomy(sys_z.lap, sys_z.coeff, rng=np.random.default_rng(251))
     res_z = outer_solve(sys_z, dich_z, (0.0, 6.0), cfg=SolverConfig(h_t=0.005))
     states = res_z.trajectory.nodes.states
@@ -357,14 +357,14 @@ def test_criterion_6_degenerate_and_reduction():
 
     # fully periodic data (common time period 2, q = 4 surfaces per period)
     q = 4
-    amp = SeqGen(freqs=(2.0 * np.pi / q,), amps=(0.3,), phases=(0.0,), offset=1.0)
+    amp = TrigSum(1.0, ((0.3, 2.0 * np.pi / q, 0.0),))
     left = np.zeros((1, N))
     left[0, 0] = 1.0
     jumps_p = JumpSpec(left=left, right=left.copy(), nonlinearity="tanh",
                        amp=amp, d=e1(0.2))
     sys_p = make_system(n_modes=N, a=TrigSum(0.5, ((0.2, np.pi, 0.0),)),
                         b=TrigSum(0.1, ((0.05, np.pi, 0.2),)),
-                        base_gap=0.5, window=(0, 24), slopes=SeqGen.constant(0.0),
+                        base_gap=0.5, window=(0, 24), slopes=TrigSum(0.0),
                         jumps=jumps_p)
     dich_p = fit_dichotomy(sys_p.lap, sys_p.coeff, rng=np.random.default_rng(252))
     res_p = outer_solve(sys_p, dich_p, (2.0, 10.0), cfg=SolverConfig(h_t=0.005))
@@ -374,15 +374,11 @@ def test_criterion_6_degenerate_and_reduction():
     check(failures, shift_dev < 1e-7, "periodic reduction defect %g >= 1e-7" % shift_dev)
 
     # quasi-periodic data (frequencies 1 and sqrt 2): eps report stability
-    amps = np.zeros((2, N))
-    amps[0, 0] = 0.01
-    amps[1, 0] = 0.001
-    d_gen = SeqGen(freqs=(1.0, np.sqrt(2.0)), amps=amps, phases=(0.0, 0.4),
-                   offset=e1(0.1))
+    d_amp = TrigSum(0.1, ((0.01, 1.0, 0.0), (0.001, np.sqrt(2.0), 0.4)))
     sys_q = make_system(n_modes=N,
                         a=TrigSum(9.0, ((0.03, 1.0, 0.0), (0.002, np.sqrt(2.0), 0.3))),
-                        b=TrigSum(), window=(-15, 65), slopes=SeqGen.constant(0.0),
-                        jumps=JumpSpec(d=d_gen))
+                        b=TrigSum(), window=(-15, 65), slopes=TrigSum(0.0),
+                        jumps=JumpSpec(d=lambda j: d_amp(j) * e1(1.0)))
     dich_q = fit_dichotomy(sys_q.lap, sys_q.coeff, rng=np.random.default_rng(253))
     cfg_q = SolverConfig(h_t=0.005, buffer=12.0)
     w = sys_q.lap.frac_weights(ALPHA)
@@ -419,7 +415,7 @@ def test_criterion_7_nonnegativity():
 
     # all d_j = 0: identically zero (I(0) = 0 kills the kernel term too)
     sys_0 = make_system(n_modes=N, a=sys0.a, b=sys0.b, window=(0, 14),
-                        slopes=SeqGen.constant(-0.2), jumps=rank1_jumps(N, "relu", 0.02, 0.0))
+                        slopes=TrigSum(-0.2), jumps=rank1_jumps(N, "relu", 0.02, 0.0))
     res0 = outer_solve(sys_0, dich, (0.5, 12.5), cfg=SolverConfig(h_t=0.005))
     states0 = res0.trajectory.nodes.states
     check(failures, np.max(np.abs(res0.y_star.values)) == 0.0, "d=0: y* != 0")
@@ -459,8 +455,7 @@ def test_criterion_8_ap_analysis_oracles():
 
     # harmonize re-verification, all three bounds checked from scratch
     a = 1.0
-    taus = StronglyAPSet(a=a, c=SeqGen(freqs=(np.sqrt(2.0),), amps=(0.1,),
-                                       phases=(0.0,)), window=(-800, 800))
+    taus = StronglyAPSet(a=a, c=TrigSum(0.0, ((0.1, np.sqrt(2.0), 0.0),)), window=(-800, 800))
     kk = taus.indices()
     B = np.cos(np.sqrt(3.0) * kk)
     h = 0.01

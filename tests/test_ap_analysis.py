@@ -9,7 +9,7 @@ from implab.ap_analysis import (
     harmonize,
     wexler_deviation,
 )
-from implab.trig import SeqGen
+from implab.trig import TrigSum
 
 
 def brute_force_periods(seq, eps, p_range):
@@ -62,12 +62,7 @@ def test_period_symmetry():
 
 def test_rational_frequency_generator_periods():
     # frequencies 2 pi a/b: every multiple of lcm(b) is an eps-period
-    gen = SeqGen(
-        freqs=(2.0 * np.pi * 1.0 / 4.0, 2.0 * np.pi * 2.0 / 6.0),
-        amps=(1.0, 0.7),
-        phases=(0.1, -0.4),
-        offset=0.2,
-    )
+    gen = TrigSum(0.2, ((1.0, 2.0 * np.pi * 1.0 / 4.0, 0.1), (0.7, 2.0 * np.pi * 2.0 / 6.0, -0.4)))
     k = np.arange(-200, 201)
     seq = gen(k)
     rep = eps_almost_periods(seq, 1e-10, (-60, 60))
@@ -124,7 +119,7 @@ def test_wexler_deviation_square_wave_oracle():
 
 
 def test_harmonize_periodic_data():
-    taus = StronglyAPSet(a=1.0, c=SeqGen.constant(0.0), window=(-30, 30))
+    taus = StronglyAPSet(a=1.0, c=TrigSum(0.0), window=(-30, 30))
     B = np.ones(61)
     f = _sampled(lambda t: 0.0 * t, -40.0, 40.0, 0.01)
     got = harmonize(B, taus, f, 1e-6)
@@ -139,7 +134,7 @@ def test_harmonize_periodic_data():
 
 def test_harmonize_common_period_two_pi():
     a = 1.0
-    c = SeqGen(freqs=(2.0 * np.pi / (2.0 * np.pi),), amps=(0.0,), phases=(0.0,), offset=0.0)
+    c = TrigSum(0.0, ((0.0, 2.0 * np.pi / (2.0 * np.pi), 0.0),))
     taus = StronglyAPSet(a=a, c=c, window=(-100, 100))
     k = taus.indices()
     B = np.cos(2.0 * np.pi * k / 1.0)  # constant, trivially 2 pi periodic in t
@@ -153,7 +148,7 @@ def test_harmonize_common_period_two_pi():
 
 def test_harmonize_quasi_periodic_reverification():
     a = 1.0
-    c = SeqGen(freqs=(np.sqrt(2.0),), amps=(0.1,), phases=(0.0,), offset=0.0)
+    c = TrigSum(0.0, ((0.1, np.sqrt(2.0), 0.0),))
     taus = StronglyAPSet(a=a, c=c, window=(-800, 800))
     k = taus.indices()
     B = np.cos(np.sqrt(3.0) * k)
@@ -210,9 +205,9 @@ def test_harmonize_returns_the_smallest_passing_q(draw):
 
 def test_strongly_ap_set_validation():
     with pytest.raises(ValueError):
-        StronglyAPSet(a=-1.0, c=SeqGen.constant(0.0), window=(0, 5))
+        StronglyAPSet(a=-1.0, c=TrigSum(0.0), window=(0, 5))
     with pytest.raises(ValueError):
         # offsets large enough to break monotonicity
-        StronglyAPSet(a=0.1, c=SeqGen(freqs=(1.0,), amps=(1.0,), phases=(0.0,)), window=(0, 20))
-    s = StronglyAPSet(a=1.0, c=SeqGen(freqs=(np.sqrt(2.0),), amps=(0.1,), phases=(0.0,)), window=(0, 50))
+        StronglyAPSet(a=0.1, c=TrigSum(0.0, ((1.0, 1.0, 0.0),)), window=(0, 20))
+    s = StronglyAPSet(a=1.0, c=TrigSum(0.0, ((0.1, np.sqrt(2.0), 0.0),)), window=(0, 50))
     assert np.min(np.diff(s.taus())) > 0.5

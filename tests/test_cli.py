@@ -366,6 +366,9 @@ DAMAGED_DATA = {
         ("simulate", "[analysis]", "[simulate]\nu0 = 0.1 nan\n\n[analysis]", None),
         ("solve-ap", "window = 0 6", "window = 0 inf", None),
         ("constants", "[analysis]", "[overrides]\nM = nan\n\n[analysis]", None),
+        ("constants", "rho = 1.0", "rho = 1e308", None),
+        ("certify", "rho = 1.0", "rho = 1e154", None),
+        ("simulate", "h_t = 0.005", "h_t = 0.005\nseg_tol = 1e-300", None),
     ]
     + [("analyze-ap", "[analysis]", "[analysis]", damage) for damage in DAMAGED_DATA.values()],
     ids=["constants-n_xi", "simulate-n_xi", "certify-n_xi", "solve-ap-n_xi",
@@ -380,7 +383,8 @@ DAMAGED_DATA = {
          "constants-nan-term", "certify-inf-amp", "constants-nan-kernel", "constants-nan-rho",
          "certify-nan-gap", "certify-nan-slope", "constants-nan-l", "simulate-inf-range",
          "simulate-nan-range", "simulate-nan-u0", "solve-ap-inf-window",
-         "constants-nan-override"] + list(DAMAGED_DATA),
+         "constants-nan-override", "constants-huge-rho", "certify-huge-rho",
+         "simulate-tiny-seg-tol"] + list(DAMAGED_DATA),
 )
 def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, damage):
     # n_xi + 1 < 4N aliases; no surface lies in or within a buffer (2.59) of
@@ -391,7 +395,10 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # iteration caps are >= 1 and the analysis crop >= 0; a misspelt key or
     # section is not dropped, a value that does not parse is malformed, and a
     # theta override must be > 0; every float the file gives must be finite (an
-    # infinite t_range used to run simulate until it was killed); analyze-ap needs every solve-ap artifact it
+    # infinite t_range used to run simulate until it was killed), and so must
+    # rho^2 / lambda_1^(2 alpha) and sqrt(l) rho^3 (a huge rho used to end in an
+    # OverflowError); seg_tol must be >= 1e-14, which the step-doubling
+    # estimate can meet (1e-300 used to hang simulate); analyze-ap needs every solve-ap artifact it
     # reads, with two rows of y* and two trajectory nodes at least, one column
     # per mode after the index, node times that do not decrease and one hit
     # time per row of y*
@@ -513,6 +520,20 @@ def test_cmd_simulate_ball_exit(tmp_path):
                      "--out", str(tmp_path / "o")])
     assert code == 3
     assert "status=error kind=numerical" in buf.getvalue()
+
+
+@pytest.mark.parametrize("command", ["constants", "solve-ap"])
+def test_non_finite_dichotomy_constant_exits_3(tmp_path, command):
+    # a = 1e308 is finite, but the fitted M is not (it used to be written as inf)
+    text = BASE.replace("offset = 0.5", "offset = 1e308")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), np.errstate(all="ignore"):
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    last = buf.getvalue().splitlines()[-1]
+    assert last.startswith("status=error kind=numerical")
+    assert "dichotomy constant M = inf is not finite" in last
 
 
 @pytest.mark.parametrize("cap", ["max_inner", "max_outer"])

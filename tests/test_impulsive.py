@@ -23,7 +23,7 @@ from implab.impulsive import (
 )
 from implab.spectral import SineTransform
 from implab.trajectory import Segment
-from implab.trig import SeqGen, TrigSum
+from implab.trig import TrigSum
 
 import systems
 from oracles import (
@@ -55,7 +55,7 @@ def test_q_functional_parseval():
 
 
 def test_separation_and_intervals():
-    sys0 = make_system(slopes=SeqGen.constant(-0.2))
+    sys0 = make_system(slopes=TrigSum(-0.2))
     theta = sys0.theta
     rho_q = 1.0 / sys0.lap.eigenvalues[0]  # rho^2 / lambda_1^{2 alpha}, alpha = 1/2
     assert theta == pytest.approx(1.0 - 0.2 * rho_q)
@@ -66,7 +66,7 @@ def test_separation_and_intervals():
 
 
 def test_separation_failure():
-    sys0 = make_system(slopes=SeqGen.constant(-20.0))
+    sys0 = make_system(slopes=TrigSum(-20.0))
     with pytest.raises(SeparationError):
         sys0.theta
     # theta is taken over 2 surfaces or more, the gap constant over 4 or more
@@ -151,7 +151,7 @@ def test_detect_crossing_fixed_moment():
 
 
 def test_detect_crossing_zero_state():
-    sys0 = make_system(slopes=SeqGen.constant(-0.2))
+    sys0 = make_system(slopes=TrigSum(-0.2))
     seg = step_segment(sys0, np.zeros(8), 0.5, 1.5, seg_tol=1e-10)
     th = detect_crossing(sys0, seg, 1)
     assert th == pytest.approx(1.0, abs=1e-9)  # Q(0) = 0
@@ -166,7 +166,7 @@ def test_detect_crossing_no_hit():
 def test_detect_crossing_scalar_oracle():
     # pure decay (a = b = 0): Q(t) = Q0 e^{-2 lambda_1 t}; root of
     # t - t_j - b_j Q(t) found independently by scipy brentq
-    sys0 = make_system(a=TrigSum(), b=TrigSum(), slopes=SeqGen.constant(-0.1))
+    sys0 = make_system(a=TrigSum(), b=TrigSum(), slopes=TrigSum(-0.1))
     x0 = 0.3 * e1(sys0)
     lam1 = sys0.lap.eigenvalues[0]
     seg = step_segment(sys0, x0, 0.0, 1.2, seg_tol=1e-12, h_max=2e-3)
@@ -226,7 +226,7 @@ def test_apply_jump_nonnegative_data():
     d = np.zeros(n)
     d[0] = 0.05
     jumps = JumpSpec(left=left, right=left.copy(), nonlinearity="relu",
-                     amp=SeqGen.constant(0.02), d=d)
+                     amp=TrigSum(0.02), d=d)
     sys0 = make_system(jumps=jumps)
     x = 0.2 * e1(sys0)
     post = apply_jump(sys0, 1, x)
@@ -345,7 +345,7 @@ def test_simulate_nonnegativity():
 
 
 def test_surface_lookups_index_the_window_arrays():
-    sys0 = make_system(slopes=SeqGen(freqs=(0.7,), amps=(0.05,), phases=(0.0,), offset=-0.2))
+    sys0 = make_system(slopes=TrigSum(-0.2, ((0.05, 0.7, 0.0),)))
     surf = sys0.surfaces
     for pos, j in enumerate(surf.indices()):
         assert surf.tau(j, np.zeros(sys0.lap.n_modes)) == surf.base_times[pos]
@@ -353,7 +353,7 @@ def test_surface_lookups_index_the_window_arrays():
 
 
 def test_tau_on_an_index_array_bit_equal_to_per_surface_formula():
-    sys0 = make_system(slopes=SeqGen(freqs=(0.7,), amps=(0.05,), phases=(0.0,), offset=-0.2))
+    sys0 = make_system(slopes=TrigSum(-0.2, ((0.05, 0.7, 0.0),)))
     surf, n = sys0.surfaces, sys0.lap.n_modes
     j = surf.indices()
     x = 0.1 * np.random.default_rng(34).standard_normal((j.size, 3, n))
@@ -431,12 +431,12 @@ def readme_like():
     d = np.zeros(16)
     d[0] = 0.05
     jumps = JumpSpec(left=left, right=left.copy(), nonlinearity="relu",
-                     amp=SeqGen.constant(0.02), d=d)
+                     amp=TrigSum(0.02), d=d)
     return make_system(
         n_modes=16,
         a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
         b=TrigSum(0.1, ((0.05, 1.41421356237, 0.0),)),
-        slopes=SeqGen.constant(-0.2),
+        slopes=TrigSum(-0.2),
         jumps=jumps,
     )
 
@@ -626,7 +626,7 @@ def moving_like(n_modes=16):
         n_modes=n_modes,
         a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
         b=TrigSum(0.1, ((0.05, 1.41421356237, 0.0),)),
-        slopes=SeqGen.constant(-0.45),
+        slopes=TrigSum(-0.45),
         base_gap=0.1,
         window=(0, 40),
         jumps=rank1_jumps(n_modes, "relu", 0.02, 0.18),
@@ -637,7 +637,7 @@ def tangent_like():
     """Pure decay (a = b = 0) with b_j = -1: on Q = C_TANGENT e^{-2 lambda_1 (t - t0)}
     from T0_TANGENT, zeta_1 = t - 1 + Q starts at -1e-6 with slope -1e-3, dips and
     crosses upward 3.7e-4 later with slope 6.3e-3, on a flow step 0.05 long."""
-    return make_system(a=TrigSum(), b=TrigSum(), slopes=SeqGen.constant(-1.0))
+    return make_system(a=TrigSum(), b=TrigSum(), slopes=TrigSum(-1.0))
 
 
 C_TANGENT = 1.001 / (2.0 * np.pi**2)

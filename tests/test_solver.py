@@ -22,7 +22,7 @@ from implab.solver import (
     verify_smallness,
 )
 from implab.spectral import DirichletLaplacian
-from implab.trig import SeqGen, TrigSum
+from implab.trig import TrigSum
 
 from oracles import bounded_solution, measure_lipschitz_by_pair, pieces
 from systems import ShiftedCoefficient, make_system, moving_like, readme_like
@@ -205,7 +205,7 @@ def test_integral_residual_small():
     left = np.zeros((1, n))
     left[0, 0] = 1.0
     jumps = JumpSpec(left=left, right=left.copy(), nonlinearity="tanh",
-                     amp=SeqGen.constant(0.02), d=const_d(n, 0.02))
+                     amp=TrigSum(0.02), d=const_d(n, 0.02))
     sys0 = make_system(b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
                        jumps=jumps, window=(0, 6))
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(43))
@@ -243,7 +243,7 @@ def periodic_system(q=4, window=(0, 24)):
     n = 8
     left = np.zeros((1, n))
     left[0, 0] = 1.0
-    amp = SeqGen(freqs=(2.0 * np.pi / q,), amps=(0.3,), phases=(0.0,), offset=1.0)
+    amp = TrigSum(1.0, ((0.3, 2.0 * np.pi / q, 0.0),))
     jumps = JumpSpec(left=left, right=left.copy(), nonlinearity="tanh",
                      amp=amp, d=const_d(n, 0.2))
     return make_system(
@@ -305,7 +305,7 @@ LIPSCHITZ_CASES = {
     # zero jump map: g_j is its offset whatever the state
     "constant_jumps": lambda: make_system(jumps=JumpSpec(d=const_d(8)), window=(0, 8)),
     "f_override": lambda: make_system(
-        f_override=lambda t: 0.1 * np.cos(t) * np.ones(8), slopes=SeqGen.constant(-0.2)
+        f_override=lambda t: 0.1 * np.cos(t) * np.ones(8), slopes=TrigSum(-0.2)
     ),
 }
 

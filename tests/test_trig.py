@@ -4,7 +4,7 @@ from scipy import integrate
 
 from implab.evolution import LinearCoefficient, fit_dichotomy
 from implab.spectral import DirichletLaplacian
-from implab.trig import TrigSum, SeqGen
+from implab.trig import TrigSum
 
 from oracles import shift_sup_scan
 
@@ -70,21 +70,36 @@ def test_sup_bound_and_shift():
 
 
 def test_seq_gen_scalar_and_vector():
-    g = SeqGen(freqs=(2.0 * np.pi / 5.0,), amps=(1.0,), phases=(0.0,), offset=0.5)
+    """A sequence generator is a TrigSum at integer arguments."""
+    g = TrigSum(0.5, ((1.0, 2.0 * np.pi / 5.0, 0.0),))
     k = np.arange(0, 10)
     v = g(k)
     assert v.shape == (10,)
     assert v[0] == pytest.approx(v[5])
-    gv = SeqGen(freqs=(1.0,), amps=((1.0, 2.0),), phases=(0.3,), offset=(0.0, 1.0))
-    vals = gv(k)
-    assert vals.shape == (10, 2)
-    assert vals[3, 1] == pytest.approx(1.0 + 2.0 * np.cos(3.0 + 0.3))
+    assert type(g(3)) is float
 
 
 def test_zero_frequency_folds_into_offset():
     m = TrigSum(0.0, ((2.0, 0.0, np.pi / 3.0),))
     assert m.terms == ()
     assert m.offset == pytest.approx(2.0 * np.cos(np.pi / 3.0))
+
+
+@pytest.mark.parametrize("phase", [-0.4, np.pi / 3.0, -1.0, 7.0, 0.3])
+def test_phase_kept_as_given(phase):
+    """Value and antiderivative are numpy's cos and sin of t + p to the bit.
+
+    Phases p and p + 2 pi merge into one term with the summed amplitude,
+    which keeps the first phase.
+    """
+    t = np.linspace(-20.0, 20.0, 4001)
+    m = TrigSum(0.0, ((1.0, 1.0, phase),))
+    assert m.terms == ((1.0, 1.0, phase),)
+    assert np.array_equal(m(t), np.cos(t + phase))
+    assert np.array_equal(m.antiderivative(t), np.sin(t + phase))
+    merged = TrigSum(0.0, ((0.5, 1.0, phase), (0.25, 1.0, phase + 2.0 * np.pi)))
+    assert merged.terms == ((0.75, 1.0, phase),)
+    assert np.array_equal(merged(t), 0.75 * np.cos(t + phase))
 
 
 FLOAT_PATH_SUMS = {
