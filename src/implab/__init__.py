@@ -25,7 +25,6 @@ realization, and provides:
 """
 
 from .ap_analysis import (
-    EpsPeriodReport,
     PiecewiseSampledFunction,
     StronglyAPSet,
     WindowTooShortError,
@@ -87,7 +86,6 @@ __all__ = [
     "PiecewiseTrajectory",
     "StronglyAPSet",
     "PiecewiseSampledFunction",
-    "EpsPeriodReport",
     "WindowTooShortError",
     "eps_almost_periods",
     "wexler_deviation",

@@ -13,6 +13,10 @@ states the range that was scanned.  Three objects are handled:
 sequence, a point set and a piecewise function, the W-almost-periodicity of
 Halanay & Wexler: it scans q and, for each q, candidate r on the function's
 grid, and checks the three deviation bounds directly on the data.
+``almost_periodicity_report`` crops and samples the function, then writes
+per eps the flat ``eps_<e>_*`` record of ``ap_report.txt`` and
+``ap_analysis.txt``: the eps-periods of the sequence, their max gap and
+relatively-dense verdict, and the (q, r) pair with its Wexler deviation.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import numpy as np
 __all__ = [
     "StronglyAPSet",
     "PiecewiseSampledFunction",
-    "EpsPeriodReport",
     "WindowTooShortError",
     "eps_almost_periods",
     "wexler_deviation",
@@ -115,13 +118,13 @@ class PiecewiseSampledFunction:
         return np.min(np.abs(t[:, None] - self.discontinuities[None, :]), axis=1)
 
 
-def eps_almost_periods(seq, eps, p_range, k_min=0, weights=None) -> "EpsPeriodReport":
-    """All integer shifts p in p_range with sup_k |x_{k+p} - x_k| < eps.
+def eps_almost_periods(seq, eps, p_range, weights=None) -> tuple:
+    """All integer shifts p in p_range with sup_k |x_{k+p} - x_k| < eps, sorted.
 
-    ``seq`` is the windowed value array (first axis = index k, starting at
-    ``k_min``); the supremum runs over the overlap of the window with its
-    shift.  Requires the window to be at least three times longer than the
-    largest requested |p| so overlaps stay meaningful.
+    ``seq`` is the windowed value array (first axis = index k); the supremum
+    runs over the overlap of the window with its shift.  Requires the window
+    to be at least three times longer than the largest requested |p| so
+    overlaps stay meaningful.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -143,45 +146,7 @@ def eps_almost_periods(seq, eps, p_range, k_min=0, weights=None) -> "EpsPeriodRe
             raise WindowTooShortError("window too short: empty overlap at p=%d" % p)
         if float(np.max(_value_norms(a - b, weights))) < eps:
             periods.append(p)
-    return EpsPeriodReport.from_periods(eps, periods, (p_lo, p_hi), (k_min, k_min + n - 1))
-
-
-@dataclass(frozen=True)
-class EpsPeriodReport:
-    epsilon: float
-    periods: tuple
-    max_gap: float | None
-    relatively_dense: bool
-    p_range: tuple = (0, 0)
-    k_range: tuple = (0, 0)
-
-    @staticmethod
-    def from_periods(eps, periods, p_range, k_range):
-        periods = tuple(sorted(periods))
-        if len(periods) >= 2:
-            max_gap = float(np.max(np.diff(periods)))
-        else:
-            max_gap = None
-        return EpsPeriodReport(
-            epsilon=eps,
-            periods=periods,
-            max_gap=max_gap,
-            relatively_dense=max_gap is not None,
-            p_range=tuple(p_range),
-            k_range=tuple(k_range),
-        )
-
-    def as_record(self) -> dict:
-        rec = {
-            "epsilon": self.epsilon,
-            "n_periods": len(self.periods),
-            "max_gap": self.max_gap if self.max_gap is not None else "none",
-            "relatively_dense": self.relatively_dense,
-            "p_range": "%d..%d" % self.p_range,
-            "k_range": "%d..%d" % self.k_range,
-        }
-        rec["periods"] = " ".join(str(p) for p in self.periods)
-        return rec
+    return tuple(periods)
 
 
 def wexler_deviation(f: PiecewiseSampledFunction, r, eps_guard) -> float:
@@ -268,30 +233,55 @@ def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
     return None
 
 
-def almost_periodicity_report(seq, k_min, taus, gap, f: PiecewiseSampledFunction, eps_list) -> dict:
+def almost_periodicity_report(seq, k_min, taus, gap, sample, span, crop, h_t, eps_list,
+                              weights=None):
     """Per eps: eps-periods of a sequence, a common (q, r) and the Wexler deviation.
 
     ``seq`` is indexed from ``k_min`` (first axis) and ``taus`` are its sorted
     hit times, the point set ``gap k + c_k`` (the first min(len(taus),
-    len(seq)) pair with the sequence); ``f`` is the sampled function, whose
-    ``weights`` also measure the sequence.  Integer periods are scanned over
-    |p| <= len(seq) // 3.  Returns ``{eps: {"sequence": <EpsPeriodReport
-    record>, "q": q or "none", "r": r, "wexler_deviation": d}}``, with ``r``
-    and ``wexler_deviation`` only when a pair was found.
+    len(seq)) pair with the sequence).  The span (t_start, t_end) loses
+    ``crop`` at each end; ``sample(grid)`` gives the function's (T, N) values
+    on the grid of step ``h_t`` over the rest, with the hit times as its
+    discontinuities.  ``weights`` measure the sequence and the function.
+    Integer periods are scanned over |p| <= len(seq) // 3.
+
+    Returns (t0, t1, record) with [t0, t1] the cropped span and, per eps, the
+    keys ``eps_<e>_sequence_{epsilon, n_periods, max_gap, relatively_dense,
+    p_range, k_range, periods}`` and ``eps_<e>_q`` (q or "none"), then
+    ``eps_<e>_r`` and ``eps_<e>_wexler_deviation`` only when a pair was
+    found.  Raises WindowTooShortError when the cropped span is shorter than
+    4 h_t.
     """
+    t0, t1 = span[0] + crop, span[1] - crop
+    if t1 - t0 < 4.0 * h_t:
+        raise WindowTooShortError(
+            "trajectory span too short for the almost-periodicity crop of %g at each end"
+            % crop
+        )
+    grid = np.arange(t0, t1 + h_t / 2.0, h_t)
+    f = PiecewiseSampledFunction(
+        t0=t0, h_t=h_t, values=sample(grid), discontinuities=taus, weights=weights
+    )
     n = seq.shape[0]
     keep = min(taus.size, n)
-    hit_set = StronglyAPSet(
-        a=gap,
-        c=taus[:keep] - gap * np.arange(k_min, k_min + keep),
-        window=(k_min, k_min + keep - 1),
-    )
-    report = {}
+    hit_set = StronglyAPSet(a=gap, c=taus[:keep] - gap * np.arange(k_min, k_min + keep),
+                            window=(k_min, k_min + keep - 1))
+    record = {}
     for eps in eps_list:
-        rep = eps_almost_periods(seq, eps, (-(n // 3), n // 3), k_min=k_min, weights=f.weights)
-        entry = {"sequence": rep.as_record(), "q": "none"}
-        found = harmonize(seq[:keep], hit_set, f, eps, weights=f.weights)
+        tag = "eps_%g_" % eps
+        periods = eps_almost_periods(seq, eps, (-(n // 3), n // 3), weights=weights)
+        max_gap = float(np.max(np.diff(periods))) if len(periods) >= 2 else None
+        record.update({
+            tag + "sequence_epsilon": eps,
+            tag + "sequence_n_periods": len(periods),
+            tag + "sequence_max_gap": "none" if max_gap is None else max_gap,
+            tag + "sequence_relatively_dense": max_gap is not None,
+            tag + "sequence_p_range": "%d..%d" % (-(n // 3), n // 3),
+            tag + "sequence_k_range": "%d..%d" % (k_min, k_min + n - 1),
+            tag + "sequence_periods": " ".join(str(p) for p in periods),
+            tag + "q": "none",
+        })
+        found = harmonize(seq[:keep], hit_set, f, eps, weights=weights)
         if found is not None:
-            entry["q"], entry["r"], entry["wexler_deviation"] = found
-        report[eps] = entry
-    return report
+            record[tag + "q"], record[tag + "r"], record[tag + "wexler_deviation"] = found
+    return t0, t1, record

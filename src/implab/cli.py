@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily; every command uses it)
 
-from .ap_analysis import WindowTooShortError
+from .ap_analysis import WindowTooShortError, almost_periodicity_report
 from .config import ConfigError, load_instance, validate_instance
 from .evolution import NonHyperbolicError, fit_dichotomy, k_bundle
 from .impulsive import (
@@ -45,7 +45,6 @@ from .solver import (
     ConvergenceError,
     SurfaceWindowError,
     certify_almost_periodicity,
-    cropped_ap_report,
     integral_residual,
     measure_lipschitz,
     outer_solve,
@@ -113,19 +112,6 @@ def _constant_bundle(cfg, dich, seed):
         M_star=measured["M0"] + measured["N1"] * system.rho,
     )
     return kb, gc, measured
-
-
-def _ap_record(report) -> dict:
-    """Flatten an almost-periodicity report into ``eps_<e>_*`` keys."""
-    flat = {}
-    for eps, entry in report.items():
-        tag = "eps_%g" % eps
-        for key, val in entry["sequence"].items():
-            flat["%s_sequence_%s" % (tag, key)] = val
-        for key in ("q", "r", "wexler_deviation"):
-            if key in entry:
-                flat["%s_%s" % (tag, key)] = entry[key]
-    return flat
 
 
 def cmd_constants(cfg, out: Path, seed: int) -> None:
@@ -224,8 +210,7 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     rec["buffer"] = buf
     write_record(out / "contraction.txt", rec)
 
-    report = certify_almost_periodicity(system, res, cfg.eps_list)
-    write_record(out / "ap_report.txt", _ap_record(report))
+    write_record(out / "ap_report.txt", certify_almost_periodicity(system, res, cfg.eps_list))
 
 
 def _read_data_table(path: Path, n_modes: int, min_rows: int):
@@ -236,6 +221,8 @@ def _read_data_table(path: Path, n_modes: int, min_rows: int):
         raise ConfigError("--data lacks a file written by solve-ap: %s" % exc) from None
     except ValueError as exc:
         raise ConfigError("%s is not a table: %s" % (path, exc)) from None
+    if not (np.all(np.isfinite(index)) and np.all(np.isfinite(values))):
+        raise ConfigError("%s has an entry that is not finite" % path)
     if index.size < min_rows:
         raise ConfigError("%s has %d rows; it needs %d or more" % (path, index.size, min_rows))
     if values.shape[1] != n_modes:
@@ -247,10 +234,10 @@ def _read_data_table(path: Path, n_modes: int, min_rows: int):
 
 
 def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
-    n_modes = cfg.system.lap.n_modes
+    system = cfg.system
     # two rows of y* at least: with one row, no shift of y* or of the hit times can be compared
-    j_idx, y_vals = _read_data_table(data / "ystar.txt", n_modes, 2)
-    t_nodes, states = _read_data_table(data / "trajectory.txt", n_modes, 2)
+    j_idx, y_vals = _read_data_table(data / "ystar.txt", system.lap.n_modes, 2)
+    t_nodes, states = _read_data_table(data / "trajectory.txt", system.lap.n_modes, 2)
     if not np.all(np.diff(t_nodes) >= 0.0):
         raise ConfigError("%s: the node times decrease" % (data / "trajectory.txt"))
     disc_path = data / "trajectory_discontinuities.txt"
@@ -260,20 +247,25 @@ def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
         raise ConfigError("--data lacks a file written by solve-ap: %s" % exc) from None
     except ValueError as exc:
         raise ConfigError("%s is not a list of times: %s" % (disc_path, exc)) from None
+    disc = np.sort(disc)
+    if not np.all(np.isfinite(disc)):
+        raise ConfigError("%s lists a hit time that is not finite" % disc_path)
+    if np.any(np.diff(disc) <= 0.0):
+        raise ConfigError("%s lists a hit time twice" % disc_path)
     if disc.size != y_vals.shape[0]:
         raise ConfigError(
             "%s lists %d hit times for %d rows of y*" % (disc_path, disc.size, y_vals.shape[0])
         )
 
     h_t = cfg.overrides.get("analysis_h_t", 0.01)
-    t0, t1, report = cropped_ap_report(
-        cfg.system, y_vals, int(j_idx[0]), np.sort(disc), (t_nodes[0], t_nodes[-1]),
-        cfg.overrides.get("analysis_crop", 0.0), h_t,
-        Segment(t=t_nodes, states=states).interp,
-        cfg.eps_list,
+    t0, t1, record = almost_periodicity_report(
+        y_vals, int(j_idx[0]), disc, system.surfaces.base.a,
+        Segment(t=t_nodes, states=states).interp, (t_nodes[0], t_nodes[-1]),
+        cfg.overrides.get("analysis_crop", 0.0), h_t, cfg.eps_list,
+        system.lap.frac_weights(system.alpha),
     )
     flat = {"n_sequence": y_vals.shape[0], "t0": t0, "t1": t1, "h_t": h_t}
-    flat.update(_ap_record(report))
+    flat.update(record)
     write_record(out / "ap_analysis.txt", flat)
 
 

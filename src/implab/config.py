@@ -136,9 +136,9 @@ def _interval(text, name) -> tuple:
     return vals
 
 
-def _trig_sum(sec, offset_key="offset", terms_key="terms") -> TrigSum:
+def _trig_sum(sec, offset_key="offset", terms_key="terms", offset=0.0) -> TrigSum:
     return TrigSum(
-        offset=_getfloat(sec, offset_key, 0.0),
+        offset=_getfloat(sec, offset_key, offset),
         terms=_parse_triples(sec.get(terms_key, ""), "[%s] %s" % (sec.name, terms_key)),
     )
 
@@ -203,7 +203,7 @@ def load_instance(path) -> InstanceConfig:
                 left=left,
                 right=right,
                 nonlinearity=jsec.get("nonlinearity", "zero"),
-                amp=_trig_sum(jsec, "amp_constant", "amp_terms"),
+                amp=_trig_sum(jsec, "amp_constant", "amp_terms", 1.0),  # JumpSpec.amp's default
                 d=_parse_vector(d_text, lap.n_modes, "[jumps] d") if d_text.strip() else None,
             )
         else:

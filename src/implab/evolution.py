@@ -131,6 +131,12 @@ def _green_factor(rates, m, unstable, t, s, right=False) -> np.ndarray:
     return np.where(past[..., None], np.where(unstable, 0.0, fac), np.where(unstable, -fac, 0.0))
 
 
+def _require_finite(**constants) -> None:
+    for name, value in constants.items():
+        if not np.isfinite(value):
+            raise NonHyperbolicError("dichotomy constant %s = %g is not finite" % (name, value))
+
+
 def fit_dichotomy(
     lap,
     coeff: LinearCoefficient,
@@ -176,6 +182,7 @@ def fit_dichotomy(
 
     M = (1.0 + slack) * float(m_fit)
     M1 = max(M, (1.0 + slack) * float(m1_fit))
+    _require_finite(M=M, beta=beta, M1=M1)  # before the M2 fit spends its samples on them
 
     # shift-defect constants (Lemma-style inequality); beta1 <= beta.  The
     # scalar a*(h) test stays in the loop: it decides whether t and tau are drawn.
@@ -194,9 +201,7 @@ def fit_dichotomy(
     defect = np.max(lam_a * np.abs(both[: t.size] - both[t.size :]), axis=1)
     denom = np.exp(-beta1 * np.abs(t - tau)) * psi(alpha, t - tau) * a_star
     M2 = (1.0 + slack) * float(np.max(defect / denom, initial=M))
-    for name, value in (("M", M), ("beta", beta), ("M1", M1), ("M2", M2)):
-        if not np.isfinite(value):
-            raise NonHyperbolicError("dichotomy constant %s = %g is not finite" % (name, value))
+    _require_finite(M2=M2)
 
     return DichotomyData(
         unstable=unstable, M=M, beta=beta, M1=M1, M2=M2, beta1=beta1, alpha=alpha

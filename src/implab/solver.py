@@ -16,7 +16,8 @@ so the two can cross-check each other.
 
 The outer stage iterates the sequence map S(y)_j = u*(tau_j(y_j), y) to its
 fixed point y*, assembles the trajectory, and certifies hit-time
-consistency, smallness conditions and almost periodicity.
+consistency and smallness conditions; ``certify_almost_periodicity`` hands
+y* and u* to ``ap_analysis.almost_periodicity_report``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ap_analysis import (
-    PiecewiseSampledFunction,
-    WindowTooShortError,
-    almost_periodicity_report,
-)
+from .ap_analysis import almost_periodicity_report
 from .evolution import DichotomyData, KBundle, _green_integral_at, _jump_sum
 from .impulsive import BallExitError, ImpulseSystemSpec, _phi_weights
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
@@ -48,7 +45,6 @@ __all__ = [
     "measure_lipschitz",
     "verify_smallness",
     "certify_almost_periodicity",
-    "cropped_ap_report",
 ]
 
 
@@ -589,40 +585,16 @@ def verify_smallness(
 # ---------------------------------------------------------------------------
 
 
-def cropped_ap_report(system, seq, k_min, taus, span, crop, h_t, sample, eps_list):
-    """``almost_periodicity_report`` of a sequence and a function on a cropped span.
-
-    The span (t_start, t_end) loses ``crop`` at each end; ``sample(grid)``
-    gives the function's (T, N) values on the grid of step ``h_t`` over the
-    rest, and ``taus`` are the sorted hit times of ``seq`` (indexed from
-    ``k_min``).  Returns (t0, t1, report) with [t0, t1] the cropped span;
-    raises WindowTooShortError when it is shorter than 4 h_t.
-    """
-    t0, t1 = span[0] + crop, span[1] - crop
-    if t1 - t0 < 4.0 * h_t:
-        raise WindowTooShortError(
-            "trajectory span too short for the almost-periodicity crop of %g at each end"
-            % crop
-        )
-    grid = np.arange(t0, t1 + h_t / 2.0, h_t)
-    f = PiecewiseSampledFunction(
-        t0=t0, h_t=h_t, values=sample(grid), discontinuities=taus,
-        weights=system.lap.frac_weights(system.alpha),
-    )
-    report = almost_periodicity_report(seq, k_min, taus, system.surfaces.base.a, f, eps_list)
-    return t0, t1, report
-
-
 def certify_almost_periodicity(
     system: ImpulseSystemSpec,
     result: OuterResult,
     eps_list,
     h_t: float = 0.01,
 ) -> dict:
-    """Eps-almost-period reports for y* and Wexler deviations for u*.
+    """The flat ``eps_<e>_*`` almost-periodicity record of y* and u*.
 
-    Samples u* on a grid of step ``h_t`` and hands y*, its hit times and the
-    samples to ``almost_periodicity_report``.
+    Hands y*, its hit times and u* (sampled on a grid of step ``h_t``) to
+    ``almost_periodicity_report``.
     """
     traj = result.trajectory
     # crop two buffer lengths from each end: near the span edges the
@@ -631,8 +603,8 @@ def certify_almost_periodicity(
     # edge; the second damps the influence of the lattice truncated at that
     # edge below tail_tol.
     y = result.y_star
-    return cropped_ap_report(
-        system, y.values, y.window[0], np.sort(traj.hit_times()),
-        (traj.t_start, traj.t_end), 2.0 * result.meta["buffer"], h_t, traj.eval_many,
-        eps_list,
+    return almost_periodicity_report(
+        y.values, y.window[0], np.sort(traj.hit_times()), system.surfaces.base.a,
+        traj.eval_many, (traj.t_start, traj.t_end), 2.0 * result.meta["buffer"], h_t,
+        eps_list, system.lap.frac_weights(system.alpha),
     )[2]

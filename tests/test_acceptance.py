@@ -386,11 +386,11 @@ def test_criterion_6_degenerate_and_reduction():
     for win in ((2.0, 26.0), (2.0, 50.0)):
         res_q = outer_solve(sys_q, dich_q, win, cfg=cfg_q)
         n = res_q.y_star.values.shape[0]
-        rep = eps_almost_periods(res_q.y_star.values, 1e-2, (-(n // 3), n // 3),
-                                 k_min=res_q.y_star.window[0], weights=w)
-        check(failures, rep.max_gap is not None and np.isfinite(rep.max_gap),
+        rep = eps_almost_periods(res_q.y_star.values, 1e-2, (-(n // 3), n // 3), weights=w)
+        max_gap = float(np.max(np.diff(rep))) if len(rep) >= 2 else None
+        check(failures, max_gap is not None and np.isfinite(max_gap),
               "no finite max gap on window %s" % (win,))
-        gaps.append(rep.max_gap)
+        gaps.append(max_gap)
     if all(g is not None for g in gaps):
         check(failures, abs(gaps[0] - gaps[1]) <= 1.0,
               "max gap unstable under window doubling: %s" % gaps)
@@ -450,7 +450,7 @@ def test_criterion_8_ap_analysis_oracles():
     for eps in (0.05, 0.1, 0.5):
         rep = eps_almost_periods(seq, eps, (-500, 500))
         oracle = _brute_force_periods(seq, eps, (-500, 500))
-        check(failures, list(rep.periods) == oracle,
+        check(failures, list(rep) == oracle,
               "eps=%g period sets differ from brute force" % eps)
 
     # harmonize re-verification, all three bounds checked from scratch

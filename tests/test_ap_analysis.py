@@ -5,6 +5,7 @@ from implab.ap_analysis import (
     PiecewiseSampledFunction,
     StronglyAPSet,
     WindowTooShortError,
+    almost_periodicity_report,
     eps_almost_periods,
     harmonize,
     wexler_deviation,
@@ -31,24 +32,22 @@ def brute_force_periods(seq, eps, p_range):
 def test_constant_sequence_all_periods():
     seq = np.full(400, 3.7)
     rep = eps_almost_periods(seq, 1e-6, (-50, 50))
-    assert rep.periods == tuple(range(-50, 51))
-    assert rep.max_gap == 1.0
-    assert rep.relatively_dense
+    assert rep == tuple(range(-50, 51))
 
 
 def test_exact_periodicity():
     k = np.arange(-300, 301)
     seq = np.cos(2.0 * np.pi * k / 7.0)
     rep = eps_almost_periods(seq, 1e-9, (-90, 90))
-    assert all(p % 7 == 0 for p in rep.periods)
-    assert set(rep.periods) == {p for p in range(-90, 91) if p % 7 == 0}
+    assert all(p % 7 == 0 for p in rep)
+    assert set(rep) == {p for p in range(-90, 91) if p % 7 == 0}
 
 
 def test_brute_force_oracle_quasi_periodic():
     k = np.arange(-800, 801)
     seq = np.cos(k) + np.cos(np.sqrt(2.0) * k)
     rep = eps_almost_periods(seq, 0.1, (-500, 500))
-    assert list(rep.periods) == brute_force_periods(seq, 0.1, (-500, 500))
+    assert list(rep) == brute_force_periods(seq, 0.1, (-500, 500))
 
 
 def test_period_symmetry():
@@ -56,7 +55,7 @@ def test_period_symmetry():
     k = np.arange(-400, 401)
     seq = np.cos(0.9 * k) + 0.5 * np.cos(np.sqrt(3.0) * k + 0.2)
     rep = eps_almost_periods(seq, 0.25, (-120, 120))
-    ps = set(rep.periods)
+    ps = set(rep)
     assert all((-p) in ps for p in ps)
 
 
@@ -68,7 +67,7 @@ def test_rational_frequency_generator_periods():
     rep = eps_almost_periods(seq, 1e-10, (-60, 60))
     lcm = 12
     expected = {p for p in range(-60, 61) if p % lcm == 0}
-    assert expected.issubset(set(rep.periods))
+    assert expected.issubset(set(rep))
 
 
 def test_eps_validation():
@@ -76,6 +75,53 @@ def test_eps_validation():
         eps_almost_periods(np.zeros(100), -1.0, (-5, 5))
     with pytest.raises(WindowTooShortError):
         eps_almost_periods(np.zeros(10), 1.0, (-50, 50))
+
+
+def test_almost_periodicity_report_flat_record():
+    # 30 rows of y and hit times k + 1/2; u(t) = cos(2 pi t), cropped to [1, 29]
+    k = np.arange(30)
+    taus = k + 0.5
+
+    def report(seq, eps):
+        return almost_periodicity_report(
+            seq, 0, taus, 1.0, lambda t: np.cos(2.0 * np.pi * t), (0.0, 30.0), 1.0, 0.01, (eps,)
+        )
+
+    # a constant sequence: every |p| <= 10 is an eps-period, and (q, r) = (1, 1) is a pair
+    t0, t1, rec = report(np.full(30, 3.7), 1e-2)
+    assert (t0, t1) == (1.0, 29.0)
+    tag = "eps_0.01_"
+    assert list(rec) == [tag + key for key in (
+        "sequence_epsilon", "sequence_n_periods", "sequence_max_gap",
+        "sequence_relatively_dense", "sequence_p_range", "sequence_k_range",
+        "sequence_periods", "q", "r", "wexler_deviation")]
+    assert rec[tag + "sequence_epsilon"] == 1e-2
+    assert rec[tag + "sequence_n_periods"] == 21
+    assert rec[tag + "sequence_max_gap"] == 1.0
+    assert rec[tag + "sequence_relatively_dense"] is True
+    assert rec[tag + "sequence_p_range"] == "-10..10"
+    assert rec[tag + "sequence_k_range"] == "0..29"
+    assert rec[tag + "sequence_periods"] == " ".join(str(p) for p in range(-10, 11))
+    assert (rec[tag + "q"], rec[tag + "r"]) == (1, 1.0)
+    assert rec[tag + "wexler_deviation"] < 1e-12
+
+    # a ramp: only p = 0, no max gap and no pair
+    _, _, rec = report(k.astype(float), 0.5)
+    tag = "eps_0.5_"
+    assert list(rec) == [tag + key for key in (
+        "sequence_epsilon", "sequence_n_periods", "sequence_max_gap",
+        "sequence_relatively_dense", "sequence_p_range", "sequence_k_range",
+        "sequence_periods", "q")]
+    assert rec[tag + "sequence_n_periods"] == 1
+    assert rec[tag + "sequence_max_gap"] == "none"
+    assert rec[tag + "sequence_relatively_dense"] is False
+    assert rec[tag + "sequence_periods"] == "0"
+    assert rec[tag + "q"] == "none"
+
+    # a crop that leaves less than 4 steps of the span
+    with pytest.raises(WindowTooShortError):
+        almost_periodicity_report(np.full(30, 3.7), 0, taus, 1.0, np.cos, (0.0, 30.0), 14.99,
+                                  0.01, (1e-2,))
 
 
 def _sampled(fn, t0, t1, h, discontinuities=()):

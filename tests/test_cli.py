@@ -298,6 +298,13 @@ def _swap_rows(text, i=10, k=50):
     return "".join(rows)
 
 
+def _edit_row(text, i, edit):
+    """Row ``i`` replaced by ``edit(rows)``."""
+    rows = text.splitlines(keepends=True)
+    rows[i] = edit(rows)
+    return "".join(rows)
+
+
 def _drop_last_column(text, only=None):
     """Every row, or only row ``only``, without its last column."""
     rows = text.splitlines()
@@ -321,6 +328,13 @@ DAMAGED_DATA = {
     "analyze-ap-empty-discontinuities": ("trajectory_discontinuities.txt", lambda text: ""),
     "analyze-ap-extra-discontinuity": ("trajectory_discontinuities.txt", lambda text: text + "3.5\n"),
     "analyze-ap-text-discontinuity": ("trajectory_discontinuities.txt", lambda text: "abc\n"),
+    "analyze-ap-repeated-discontinuity": (
+        "trajectory_discontinuities.txt", lambda text: _edit_row(text, 1, lambda rows: rows[0])),
+    "analyze-ap-nan-discontinuity": (
+        "trajectory_discontinuities.txt", lambda text: _edit_row(text, 1, lambda rows: "nan\n")),
+    "analyze-ap-nan-trajectory-state": (
+        "trajectory.txt",
+        lambda text: _edit_row(text, 5, lambda rows: rows[5].rsplit(" ", 1)[0] + " nan\n")),
 }
 
 
@@ -400,8 +414,10 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # OverflowError); seg_tol must be >= 1e-14, which the step-doubling
     # estimate can meet (1e-300 used to hang simulate); analyze-ap needs every solve-ap artifact it
     # reads, with two rows of y* and two trajectory nodes at least, one column
-    # per mode after the index, node times that do not decrease and one hit
-    # time per row of y*
+    # per mode after the index, node times that do not decrease, every entry
+    # finite and one hit time per row of y*, the sorted hit times strictly
+    # increasing (a repeated or nan hit time used to end in a traceback, a nan
+    # state in status=ok)
     assert old in BASE
     argv = [command, "--config", write_config(tmp_path, BASE.replace(old, new)),
             "--out", str(tmp_path / "o")]
@@ -479,7 +495,7 @@ def test_analyze_ap_samples_the_table_as_solve_ap_does(tmp_path, monkeypatch):
 
     def recorder(tag, report):
         def recorded(*args):
-            *head, sample, eps_list = args
+            head, sample, tail = args[:4], args[4], args[5:]
             grids = []
 
             def sampled(grid):
@@ -487,14 +503,14 @@ def test_analyze_ap_samples_the_table_as_solve_ap_does(tmp_path, monkeypatch):
                 return sample(grid)
 
             samplers[tag] = (sample, grids)
-            return report(*head, sampled, eps_list)
+            return report(*head, sampled, *tail)
 
         return recorded
 
-    monkeypatch.setattr(implab.solver, "cropped_ap_report",
-                        recorder("solve-ap", implab.solver.cropped_ap_report))
-    monkeypatch.setattr(implab.cli, "cropped_ap_report",
-                        recorder("analyze-ap", implab.cli.cropped_ap_report))
+    monkeypatch.setattr(implab.solver, "almost_periodicity_report",
+                        recorder("solve-ap", implab.solver.almost_periodicity_report))
+    monkeypatch.setattr(implab.cli, "almost_periodicity_report",
+                        recorder("analyze-ap", implab.cli.almost_periodicity_report))
     cfg_path = write_config(tmp_path, BASE.replace("slope_constant = 0.0", "slope_constant = -0.2"))
     data = tmp_path / "data"
     assert main(["solve-ap", "--config", cfg_path, "--out", str(data)]) == 0
@@ -646,6 +662,25 @@ def test_cmd_constants_sin_jump_map(tmp_path):
     out = tmp_path / "out"
     assert main(["constants", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
     assert float(read_record(out / "kbundle.txt")["K2"]) > 0.0
+
+
+def test_jump_kernel_without_amp_constant_has_amplitude_one(tmp_path):
+    # amp_constant defaults to 1, as JumpSpec.amp does (it used to default to
+    # 0, which dropped the kernel term and left g_j = d_j)
+    kernel = "nonlinearity = relu\nkernel_left = 1.0\nkernel_right = 1.0"
+    x = np.zeros(8)
+    x[0] = 0.5
+    g = {}
+    for name, extra in (("default", ""), ("one", "\namp_constant = 1.0")):
+        cfg_path = write_config(tmp_path, BASE.replace("nonlinearity = zero", kernel + extra),
+                                name=name + ".ini")
+        g[name] = load_instance(cfg_path).system.g(3, x)
+        assert main(["constants", "--config", cfg_path, "--out", str(tmp_path / name)]) == 0
+        assert float(read_record(tmp_path / name / "kbundle.txt")["K2"]) > 0.0
+    d = np.zeros(8)
+    d[0] = 0.02
+    assert np.array_equal(g["default"], g["one"])
+    assert not np.allclose(g["default"], d)
 
 
 def test_one_sine_basis_per_grid(tmp_path, monkeypatch):

@@ -344,18 +344,35 @@ def test_fits_batch_green_factor_and_forcing_calls(monkeypatch):
     assert calls["green"] == 2 and 1 <= calls["forcing"] <= 3
 
 
+def test_fit_dichotomy_checks_m_before_the_m2_fit(monkeypatch):
+    # a = 1e308 gives M = inf: the raise comes before the M2 fit calls the
+    # Green factor a second time
+    calls = {"green": 0}
+    green = evolution._green_factor
+
+    def counted_green(*args, **kwargs):
+        calls["green"] += 1
+        return green(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_green_factor", counted_green)
+    system = make_system(a=TrigSum(1e308))
+    with np.errstate(all="ignore"), pytest.raises(evolution.NonHyperbolicError,
+                                                  match="dichotomy constant M = inf"):
+        fit_dichotomy(system.lap, system.coeff, rng=np.random.default_rng(62))
+    assert calls == {"green": 1}
+
+
 def test_certify_almost_periodicity_periodic():
     q = 4
     sys0 = periodic_system(q=q)
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(54))
     res = outer_solve(sys0, dich, (2.0, 10.0), cfg=CFG)
-    report = certify_almost_periodicity(sys0, res, eps_list=(1e-4,), h_t=0.004)
-    entry = report[1e-4]
-    periods = [int(p) for p in entry["sequence"]["periods"].split()]
+    record = certify_almost_periodicity(sys0, res, eps_list=(1e-4,), h_t=0.004)
+    periods = [int(p) for p in record["eps_0.0001_sequence_periods"].split()]
     assert 0 in periods and q in periods
     assert all(p % q == 0 for p in periods)
-    assert entry["q"] != "none"
-    assert entry["wexler_deviation"] < 1e-4
+    assert record["eps_0.0001_q"] != "none"
+    assert record["eps_0.0001_wexler_deviation"] < 1e-4
 
 
 def test_sequence_point_validation():
