@@ -33,11 +33,26 @@ __all__ = [
     "wexler_deviation",
     "harmonize",
     "almost_periodicity_report",
+    "nearest_distance",
 ]
 
 
 class WindowTooShortError(ValueError):
     """Not enough data for the requested shift range."""
+
+
+def nearest_distance(t, points) -> np.ndarray:
+    """Distance from each time ``t`` to the nearest point of the sorted ``points``.
+
+    Only the two neighbours that ``searchsorted`` finds are compared:
+    rounding of t - p is monotone in p, so they give the same float as the
+    minimum over every point.  An empty set gives inf.
+    """
+    if points.size == 0:
+        return np.full(t.shape, np.inf)
+    k = np.searchsorted(points, t)
+    left = np.abs(t - points[np.maximum(k - 1, 0)])
+    return np.minimum(left, np.abs(t - points[np.minimum(k, points.size - 1)]), out=left)
 
 
 def _value_norms(diff, weights=None):
@@ -111,12 +126,6 @@ class PiecewiseSampledFunction:
     def t_end(self) -> float:
         return self.t0 + self.h_t * (np.asarray(self.values).shape[0] - 1)
 
-    def dist_to_discontinuities(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.discontinuities.size == 0:
-            return np.full(t.shape, np.inf)
-        return np.min(np.abs(t[:, None] - self.discontinuities[None, :]), axis=1)
-
 
 def eps_almost_periods(seq, eps, p_range, weights=None) -> tuple:
     """All integer shifts p in p_range with sup_k |x_{k+p} - x_k| < eps, sorted.
@@ -179,7 +188,7 @@ def wexler_deviation(f: PiecewiseSampledFunction, r, eps_guard) -> float:
     if frac > 0.0:
         shifted = (1.0 - frac) * shifted + frac * f.values[base + n_shift + 1]
     t = f.t0 + f.h_t * base
-    mask = f.dist_to_discontinuities(t) >= eps_guard
+    mask = nearest_distance(t, f.discontinuities) >= eps_guard
     if not np.any(mask):
         return 0.0
     diff = shifted[mask] - f.values[base[mask]]

@@ -237,6 +237,8 @@ def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
     system = cfg.system
     # two rows of y* at least: with one row, no shift of y* or of the hit times can be compared
     j_idx, y_vals = _read_data_table(data / "ystar.txt", system.lap.n_modes, 2)
+    if np.any(j_idx != np.round(j_idx[0]) + np.arange(j_idx.size)):
+        raise ConfigError("%s: the indices are not consecutive integers" % (data / "ystar.txt"))
     t_nodes, states = _read_data_table(data / "trajectory.txt", system.lap.n_modes, 2)
     if not np.all(np.diff(t_nodes) >= 0.0):
         raise ConfigError("%s: the node times decrease" % (data / "trajectory.txt"))

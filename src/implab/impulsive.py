@@ -277,7 +277,8 @@ class ImpulseSystemSpec:
         batch = isinstance(t, np.ndarray) and t.ndim > 0
         ab = self.ab(t)
         image = self.transform.nonlinear_image(x, self._reaction)
-        return (ab[:, None] if batch else ab) * image
+        image *= ab[:, None] if batch else ab
+        return image
 
     @cached_property
     def _reaction(self):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ap_analysis import almost_periodicity_report
+from .ap_analysis import almost_periodicity_report, nearest_distance
 from .evolution import DichotomyData, KBundle, _green_integral_at, _jump_sum
 from .impulsive import BallExitError, ImpulseSystemSpec, _phi_weights
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
@@ -161,6 +161,8 @@ def _default_buffer(system, dich: DichotomyData, tail_tol) -> float:
 _SCAN_CLIP = 500.0
 # Longest scan block: bounds the rounding of the in-block cumulative sums.
 _SCAN_MAX_BLOCK = 256
+# Steps per block when the step factors of the inner grid are built.
+_WEIGHT_ROWS = 512
 
 
 class _BlockedScan:
@@ -219,18 +221,27 @@ class _InnerGrid:
 
 
 def _build_inner_grid(system, dich: DichotomyData, cuts, t_lo, t_hi, h_t) -> _InnerGrid:
-    """Nodes and step factors of every piece between t_lo, the cuts and t_hi."""
+    """Nodes and step factors of every piece between t_lo, the cuts and t_hi.
+
+    The step factors are built in blocks of _WEIGHT_ROWS steps, so the
+    temporaries of ``_phi_weights`` stay small next to the (M - 1, N) results.
+    """
     edges = np.concatenate(([t_lo], cuts, [t_hi]))
     n = np.maximum(1, np.ceil(np.diff(edges) / h_t).astype(int))
     t = np.concatenate(
         [np.linspace(a, b, k + 1) for a, b, k in zip(edges[:-1], edges[1:], n)]
     )
-    h = np.diff(t)
-    z = system.rates[None, :] * h[:, None] + np.diff(
-        system.coeff.m.antiderivative(t)
-    )[:, None]
-    E, _, A, B = _phi_weights(z)
-    z_max = np.max(np.abs(z), axis=0)
+    h = np.diff(t)[:, None]
+    dm = np.diff(system.coeff.m.antiderivative(t))[:, None]
+    E, Ah, Bh = (np.empty((h.size, system.rates.size)) for _ in range(3))
+    z_max = np.zeros(system.rates.size)
+    for lo in range(0, h.size, _WEIGHT_ROWS):
+        rows = slice(lo, lo + _WEIGHT_ROWS)
+        z = system.rates * h[rows] + dm[rows]
+        E[rows], _, A, B = _phi_weights(z)
+        np.multiply(A, h[rows], out=Ah[rows])
+        np.multiply(B, h[rows], out=Bh[rows])
+        np.maximum(z_max, np.max(np.abs(z), axis=0), out=z_max)
     stable = ~dich.unstable
     forward = backward = None
     if np.any(stable):
@@ -240,8 +251,8 @@ def _build_inner_grid(system, dich: DichotomyData, cuts, t_lo, t_hi, h_t) -> _In
         backward = _BlockedScan(inv_E, float(np.max(z_max[dich.unstable])))
     return _InnerGrid(
         t=t,
-        Ah=A * h[:, None],
-        Bh=B * h[:, None],
+        Ah=Ah,
+        Bh=Bh,
         joins=np.cumsum(n + 1)[:-1] - 1,
         forward=forward,
         backward=backward,
@@ -260,13 +271,14 @@ def _recursion_pass(ig: _InnerGrid, f_vals, jumps) -> np.ndarray:
     c = ig.Ah * f_vals[:-1]
     c += ig.Bh * f_vals[1:]
     c[ig.joins] = jumps
+    if ig.backward is None:  # every mode is stable
+        return ig.forward(c)
     out = np.empty_like(f_vals)
     if ig.forward is not None:
         out[:, ig.stable] = ig.forward(c[:, ig.stable])
-    if ig.backward is not None:
-        # x_i = (x_{i+1} - c_i) / E_i, run left to right on the reversed axis
-        unstable = ~ig.stable
-        out[::-1, unstable] = ig.backward(-c[::-1][:, unstable] * ig.inv_E)
+    # x_i = (x_{i+1} - c_i) / E_i, run left to right on the reversed axis
+    unstable = ~ig.stable
+    out[::-1, unstable] = ig.backward(-c[::-1][:, unstable] * ig.inv_E)
     return out
 
 
@@ -467,8 +479,7 @@ def outer_solve(
     # estimate (vot) analogue: sup of |u|_gamma away from the hits
     theta = system.theta
     nodes = traj.nodes
-    dist = np.min(np.abs(nodes.t[:, None] - taus[None, :]), axis=1)
-    mask = dist >= theta / 4.0
+    mask = nearest_distance(nodes.t, np.sort(taus)) >= theta / 4.0
     for gamma in (alpha, 0.9):
         traj.meta["sup_norm_%g" % gamma] = float(
             np.max(lap.frac_norm(nodes.states[mask], gamma))

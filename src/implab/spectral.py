@@ -146,9 +146,20 @@ class SineTransform:
         return (vals * self.weights) @ self.basis.T
 
     def nonlinear_image(self, x, pointwise_map) -> np.ndarray:
-        """project(pointwise_map(synthesize(x))), in batches of _IMAGE_ROWS states."""
+        """project(pointwise_map(synthesize(x))), in batches of _IMAGE_ROWS states.
+
+        The batches share one grid buffer, which holds the synthesized and
+        then the weighted mapped values, and write into one output: each
+        batch allocates only what ``pointwise_map`` does.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim == 2 and x.shape[0] > _IMAGE_ROWS:
-            parts = np.split(x, range(_IMAGE_ROWS, x.shape[0], _IMAGE_ROWS))
-            return np.concatenate([self.nonlinear_image(p, pointwise_map) for p in parts])
+            out = np.empty((x.shape[0], self.basis.shape[0]))
+            grid = np.empty((_IMAGE_ROWS, self.xi.size))
+            for lo in range(0, x.shape[0], _IMAGE_ROWS):
+                u = grid[: min(_IMAGE_ROWS, x.shape[0] - lo)]
+                np.matmul(x[lo : lo + _IMAGE_ROWS], self.basis, out=u)
+                np.multiply(pointwise_map(u), self.weights, out=u)
+                np.matmul(u, self.basis.T, out=out[lo : lo + _IMAGE_ROWS])
+            return out
         return self.project(pointwise_map(self.synthesize(x)))

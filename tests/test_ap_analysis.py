@@ -8,6 +8,7 @@ from implab.ap_analysis import (
     almost_periodicity_report,
     eps_almost_periods,
     harmonize,
+    nearest_distance,
     wexler_deviation,
 )
 from implab.trig import TrigSum
@@ -127,6 +128,35 @@ def test_almost_periodicity_report_flat_record():
 def _sampled(fn, t0, t1, h, discontinuities=()):
     t = np.arange(t0, t1 + h / 2.0, h)
     return PiecewiseSampledFunction(t0=t0, h_t=h, values=fn(t), discontinuities=np.asarray(discontinuities))
+
+
+def brute_force_nearest(t, points):
+    """Distance to every point of the set, then the minimum."""
+    return np.min(np.abs(t[:, None] - points[None, :]), axis=1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nearest_distance_bit_equal_to_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    # points on a grid of step 1/8 (midpoints exact) and points anywhere
+    for points in (np.unique(rng.integers(-40, 40, rng.integers(2, 30))) / 8.0,
+                   np.sort(rng.uniform(-5.0, 5.0, rng.integers(2, 30)))):
+        t = np.concatenate([
+            rng.uniform(points[0], points[-1], 400),
+            0.5 * (points[:-1] + points[1:]),  # midway between two points
+            points,
+            points[0] - rng.uniform(0.0, 3.0, 20),  # outside [p_0, p_-1]
+            points[-1] + rng.uniform(0.0, 3.0, 20),
+        ])
+        assert np.array_equal(nearest_distance(t, points), brute_force_nearest(t, points))
+
+
+def test_nearest_distance_one_point_and_empty_set():
+    t = np.linspace(-2.0, 2.0, 41)
+    one = np.array([0.3])
+    assert np.array_equal(nearest_distance(t, one), brute_force_nearest(t, one))
+    far = nearest_distance(t, np.empty(0))
+    assert far.shape == t.shape and np.all(far == np.inf)
 
 
 def test_wexler_deviation_exact_period():

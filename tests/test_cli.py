@@ -305,6 +305,11 @@ def _edit_row(text, i, edit):
     return "".join(rows)
 
 
+def _set_index(text, i, index):
+    """Row ``i`` with ``index`` in its index column."""
+    return _edit_row(text, i, lambda rows: index + " " + rows[i].split(" ", 1)[1])
+
+
 def _drop_last_column(text, only=None):
     """Every row, or only row ``only``, without its last column."""
     rows = text.splitlines()
@@ -335,6 +340,9 @@ DAMAGED_DATA = {
     "analyze-ap-nan-trajectory-state": (
         "trajectory.txt",
         lambda text: _edit_row(text, 5, lambda rows: rows[5].rsplit(" ", 1)[0] + " nan\n")),
+    "analyze-ap-swapped-ystar-rows": ("ystar.txt", lambda text: _swap_rows(text, 2, 3)),
+    "analyze-ap-ystar-index-gap": ("ystar.txt", lambda text: _set_index(text, 0, "-9")),
+    "analyze-ap-fractional-ystar-index": ("ystar.txt", lambda text: _set_index(text, 1, "1.5")),
 }
 
 
@@ -417,7 +425,8 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # per mode after the index, node times that do not decrease, every entry
     # finite and one hit time per row of y*, the sorted hit times strictly
     # increasing (a repeated or nan hit time used to end in a traceback, a nan
-    # state in status=ok)
+    # state in status=ok), and the y* indices consecutive integers (swapped
+    # rows, a gap or a fractional index used to give status=ok)
     assert old in BASE
     argv = [command, "--config", write_config(tmp_path, BASE.replace(old, new)),
             "--out", str(tmp_path / "o")]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -360,6 +361,22 @@ def test_fit_dichotomy_checks_m_before_the_m2_fit(monkeypatch):
                                                   match="dichotomy constant M = inf"):
         fit_dichotomy(system.lap, system.coeff, rng=np.random.default_rng(62))
     assert calls == {"green": 1}
+
+
+def test_outer_solve_memory_is_linear_in_the_node_table():
+    # memory linear in the node table: no (M x J) distance matrix and no
+    # redundant (M, N) copy in a Picard iterate; the peak is about 9.5 M N
+    # doubles on moving
+    sys0 = moving_like()
+    dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(70))
+    tracemalloc.start()
+    try:
+        res = outer_solve(sys0, dich, (0.5, 12.5), cfg=CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m, n = res.trajectory.nodes.states.shape
+    assert peak <= 12 * m * n * 8
 
 
 def test_certify_almost_periodicity_periodic():
