@@ -30,7 +30,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily; every command uses it)
 
 from .ap_analysis import WindowTooShortError, almost_periodicity_report
-from .config import ConfigError, load_instance, validate_instance
+from .config import SECTION_KEYS, ConfigError, load_instance, validate_instance
 from .evolution import NonHyperbolicError, fit_dichotomy, k_bundle
 from .impulsive import (
     BallExitError,
@@ -96,8 +96,6 @@ def _constant_bundle(cfg, dich, seed):
     """
     system = cfg.system
     theta = cfg.overrides.get("theta", system.theta)
-    if theta <= 0.0:
-        raise ConfigError("impulse separation theta must be positive")
     gc = system.gap_constant
     measured = measure_lipschitz(
         system, rng=np.random.default_rng([seed, _STAGE_LIPSCHITZ])
@@ -298,7 +296,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_instance(args.config)
-        seed = cfg.seed if args.seed is None else int(args.seed)
+        seed = (cfg.seed if args.seed is None
+                else SECTION_KEYS["sampling"]["seed"](args.seed, "--seed"))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "constants":

@@ -241,9 +241,9 @@ class ImpulseSystemSpec:
         if lo.size < 2:
             raise SeparationError("theta needs at least 2 surfaces in the window")
         theta = float(np.min(lo[1:] - hi[:-1]))
-        if theta <= 0.0:
+        if not 0.0 < theta < np.inf:  # a nan theta (base times overflowed to inf) fails too
             raise SeparationError(
-                "surface intervals overlap over the ball (theta = %g <= 0)" % theta
+                "surface intervals overlap over the ball (theta = %g, not finite and > 0)" % theta
             )
         return theta
 

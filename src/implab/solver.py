@@ -438,9 +438,9 @@ def outer_solve(
 
     y = APSequencePoint.zero(surface_window, lap.n_modes)
     steps = []
-    traj, info = None, None
     bad = 0
     for _ in range(cfg.max_outer):
+        traj = info = None  # the previous step's (M, N) node table is not kept through the next map
         y_new, traj, info = poincare_map(system, dich, y, window, cfg)
         step = y_new.dist(y, lap, alpha)
         steps.append(step)

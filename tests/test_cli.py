@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import io
 import os
@@ -12,7 +13,7 @@ import pytest
 import implab
 from implab import impulsive
 from implab.cli import main
-from implab.config import ConfigError, load_instance, validate_instance
+from implab.config import SECTION_KEYS, ConfigError, load_instance, validate_instance
 from implab.records import (
     format_value,
     read_record,
@@ -215,6 +216,45 @@ def test_surface_and_jump_terms_keys(tmp_path):
     assert validate_instance(cfg)["validation"] == "pass"
 
 
+EDGE_VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e308", "abc", "1 2 3")
+
+
+def _with_key(section, key, value) -> str:
+    """BASE with [section] key = value, the section added if BASE lacks it."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(BASE)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = value
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "section, key", [(section, key) for section, keys in SECTION_KEYS.items() for key in keys]
+)
+def test_every_key_edge_value_is_rejected_or_valid(tmp_path, section, key):
+    # every key of the file format, at each edge value: a ConfigError, or an
+    # instance that validates with a finite theta > 0; no other exception
+    for value in EDGE_VALUES:
+        path = write_config(tmp_path, _with_key(section, key, value))
+        try:
+            with np.errstate(all="ignore"):
+                checks = validate_instance(load_instance(path))
+        except ConfigError:
+            continue
+        assert 0.0 < checks["theta"] < np.inf, value
+
+
+def test_readme_key_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"^\| `\[(\w+)\] (\w+)` \|", readme, re.M)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {(section, key) for section, keys in SECTION_KEYS.items() for key in keys}
+
+
 # ---------------------------------------------------------------------------
 # cli commands
 # ---------------------------------------------------------------------------
@@ -392,6 +432,21 @@ DAMAGED_DATA = {
         ("certify", "rho = 1.0", "rho = 1e154", None),
         ("simulate", "h_t = 0.005", "h_t = 0.005\nseg_tol = 1e-300", None),
     ]
+    + [(c, "[analysis]", "[overrides]\n%s\n\n[analysis]" % pin, None)
+       for c, pin in (("constants", "beta = 0"), ("solve-ap", "beta = 0"),
+                      ("constants", "beta = -1"), ("solve-ap", "beta = -1"),
+                      ("constants", "Q = -1"), ("solve-ap", "Q = -1"),
+                      ("constants", "M1 = -1"), ("constants", "M = 0"), ("constants", "M2 = -1"),
+                      ("constants", "beta1 = 0"), ("constants", "C = -1"))]
+    + [
+        ("constants", "seed = 7", "seed = -1", None),
+        ("constants", "gap = 1.0", "gap = 1e308", None),
+        ("simulate", "gap = 1.0", "gap = 1e308", None),
+        ("certify", "gap = 1.0", "gap = 1e308", None),
+        ("solve-ap", "h_t = 0.005", "h_t =", None),
+        ("constants", "rho = 1.0", "rho = 1.0\nrho = 2.0", None),
+        ("constants", "nonlinearity = zero", "nonlinearity = cube", None),
+    ]
     + [("analyze-ap", "[analysis]", "[analysis]", damage) for damage in DAMAGED_DATA.values()],
     ids=["constants-n_xi", "simulate-n_xi", "certify-n_xi", "solve-ap-n_xi",
          "solve-ap-no-surfaces", "solve-ap-short-window", "analyze-ap-short-span",
@@ -406,7 +461,13 @@ DAMAGED_DATA = {
          "certify-nan-gap", "certify-nan-slope", "constants-nan-l", "simulate-inf-range",
          "simulate-nan-range", "simulate-nan-u0", "solve-ap-inf-window",
          "constants-nan-override", "constants-huge-rho", "certify-huge-rho",
-         "simulate-tiny-seg-tol"] + list(DAMAGED_DATA),
+         "simulate-tiny-seg-tol", "constants-zero-beta", "solve-ap-zero-beta",
+         "constants-negative-beta", "solve-ap-negative-beta", "constants-negative-Q",
+         "solve-ap-negative-Q", "constants-negative-M1", "constants-zero-M",
+         "constants-negative-M2", "constants-zero-beta1", "constants-negative-C",
+         "constants-negative-seed", "constants-huge-gap", "simulate-huge-gap", "certify-huge-gap",
+         "solve-ap-blank-h_t", "constants-repeated-key", "constants-unknown-nonlinearity",
+         ] + list(DAMAGED_DATA),
 )
 def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, damage):
     # n_xi + 1 < 4N aliases; no surface lies in or within a buffer (2.59) of
@@ -426,7 +487,13 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # finite and one hit time per row of y*, the sorted hit times strictly
     # increasing (a repeated or nan hit time used to end in a traceback, a nan
     # state in status=ok), and the y* indices consecutive integers (swapped
-    # rows, a gap or a fractional index used to give status=ok)
+    # rows, a gap or a fractional index used to give status=ok); the dichotomy
+    # constants and Q pinned in [overrides] must be > 0 and C >= 0 (beta = 0
+    # used to end in a ZeroDivisionError, a negative beta or Q in a complex
+    # K-bundle), the seed >= 0 (numpy's rng raised), theta finite (a gap of
+    # 1e308 overflows the base times and gave theta = nan with status=ok), a
+    # scalar value not blank (a blank [solver] value used to fall back to the
+    # default), and a key not given twice (configparser raised)
     assert old in BASE
     argv = [command, "--config", write_config(tmp_path, BASE.replace(old, new)),
             "--out", str(tmp_path / "o")]
@@ -448,6 +515,16 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     last = buf.getvalue().splitlines()[-1]
     assert last.startswith("status=error kind=validation")
     assert damage is None or damage[0] in last
+
+
+def test_negative_seed_option_exits_2(tmp_path):
+    # --seed has the bound of [sampling] seed (numpy's rng used to raise)
+    argv = ["constants", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
+            "--seed", "-3"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 2
+    assert buf.getvalue().splitlines()[-1].startswith("status=error kind=validation")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import gc
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -377,6 +379,27 @@ def test_outer_solve_memory_is_linear_in_the_node_table():
         tracemalloc.stop()
     m, n = res.trajectory.nodes.states.shape
     assert peak <= 12 * m * n * 8
+
+
+def test_outer_solve_frees_each_trajectory_before_the_next_map(monkeypatch):
+    # the previous outer step's (M, N) node table is dropped before the next
+    # poincare_map builds its own, not when that call returns
+    import implab.solver
+
+    sys0 = readme_like()
+    dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(71))
+    made, alive = [], []
+
+    def tracked(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        y_new, traj, info = poincare_map(*args)
+        made.append(weakref.ref(traj.nodes))
+        return y_new, traj, info
+
+    monkeypatch.setattr(implab.solver, "poincare_map", tracked)
+    outer_solve(sys0, dich, (0.5, 6.5), cfg=CFG)
+    assert len(alive) >= 2 and not any(alive)
 
 
 def test_certify_almost_periodicity_periodic():
