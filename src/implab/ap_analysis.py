@@ -33,6 +33,7 @@ __all__ = [
     "wexler_deviation",
     "harmonize",
     "almost_periodicity_report",
+    "cropped_span",
     "nearest_distance",
 ]
 
@@ -242,6 +243,17 @@ def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
     return None
 
 
+def cropped_span(span, crop, h_t) -> tuple:
+    """(t0, t1), the span less ``crop`` at each end; WindowTooShortError below 4 h_t."""
+    t0, t1 = span[0] + crop, span[1] - crop
+    if t1 - t0 < 4.0 * h_t:
+        raise WindowTooShortError(
+            "trajectory span too short for the almost-periodicity crop of %g at each end"
+            % crop
+        )
+    return t0, t1
+
+
 def almost_periodicity_report(seq, k_min, taus, gap, sample, span, crop, h_t, eps_list,
                               weights=None):
     """Per eps: eps-periods of a sequence, a common (q, r) and the Wexler deviation.
@@ -261,12 +273,7 @@ def almost_periodicity_report(seq, k_min, taus, gap, sample, span, crop, h_t, ep
     found.  Raises WindowTooShortError when the cropped span is shorter than
     4 h_t.
     """
-    t0, t1 = span[0] + crop, span[1] - crop
-    if t1 - t0 < 4.0 * h_t:
-        raise WindowTooShortError(
-            "trajectory span too short for the almost-periodicity crop of %g at each end"
-            % crop
-        )
+    t0, t1 = cropped_span(span, crop, h_t)
     grid = np.arange(t0, t1 + h_t / 2.0, h_t)
     f = PiecewiseSampledFunction(
         t0=t0, h_t=h_t, values=sample(grid), discontinuities=taus, weights=weights

@@ -31,7 +31,7 @@ import numpy.random  # noqa: F401  (numpy 2 loads it lazily; every command uses 
 
 from .ap_analysis import WindowTooShortError, almost_periodicity_report
 from .config import SECTION_KEYS, ConfigError, load_instance, validate_instance
-from .evolution import NonHyperbolicError, fit_dichotomy, k_bundle
+from .evolution import NonFiniteConstantError, NonHyperbolicError, fit_dichotomy, k_bundle
 from .impulsive import (
     BallExitError,
     BeatingError,
@@ -44,7 +44,9 @@ from .records import read_table, write_record, write_table, write_trajectory
 from .solver import (
     ConvergenceError,
     SurfaceWindowError,
+    buffer_length,
     certify_almost_periodicity,
+    check_ap_crop,
     integral_residual,
     measure_lipschitz,
     outer_solve,
@@ -64,6 +66,7 @@ _NUMERICAL_ERRORS = (
     BeatingError,
     ConvergenceError,
     EventLocationError,
+    NonFiniteConstantError,
     NonHyperbolicError,
 )
 
@@ -89,11 +92,15 @@ def _fitted_dichotomy(cfg, seed):
     return replace(dich, **over) if over else dich
 
 
-def _constant_bundle(cfg, dich, seed):
+def _constant_bundle(cfg, checks, dich, seed):
     """The K-bundle, the gap constant and the measured Lipschitz data.
 
-    Honours the ``theta``, ``Q`` and ``C`` overrides.
+    Honours the ``theta``, ``Q`` and ``C`` overrides.  Raises
+    NonFiniteConstantError when ``d_norm_x1`` of the validation ``checks`` or
+    an entry of the bundle is not finite.
     """
+    if not np.isfinite(checks["d_norm_x1"]):
+        raise NonFiniteConstantError("d_norm_x1 = %g is not finite" % checks["d_norm_x1"])
     system = cfg.system
     theta = cfg.overrides.get("theta", system.theta)
     gc = system.gap_constant
@@ -115,7 +122,7 @@ def _constant_bundle(cfg, dich, seed):
 def cmd_constants(cfg, out: Path, seed: int) -> None:
     checks = validate_instance(cfg)
     dich = _fitted_dichotomy(cfg, seed)
-    kb, gc, _ = _constant_bundle(cfg, dich, seed)
+    kb, gc, _ = _constant_bundle(cfg, checks, dich, seed)
     rec = dict(checks)
     rec.update(dich.as_record())
     rec["gap_constant_formula"] = gc["formula"]
@@ -170,8 +177,11 @@ def cmd_certify(cfg, out: Path, seed: int) -> None:
 def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     system = cfg.system
     lap, alpha = system.lap, system.alpha
-    validate_instance(cfg)
+    checks = validate_instance(cfg)
     dich = _fitted_dichotomy(cfg, seed)
+    # the checks that need no u* come before the outer solve
+    check_ap_crop(cfg.time_window, buffer_length(system, dich, cfg.solver))
+    kb, _, measured = _constant_bundle(cfg, checks, dich, seed)
     res = outer_solve(system, dich, cfg.time_window, cfg=cfg.solver)
 
     y = res.y_star
@@ -180,7 +190,6 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     )
     write_trajectory(out, res.trajectory, lap, alpha)
 
-    kb, _, measured = _constant_bundle(cfg, dich, seed)
     rep = replace(
         verify_smallness(
             system, kb, measured["N1"], measured["M0"],
@@ -200,6 +209,7 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
 
     rec = rep.as_record()
     rec["outer_steps"] = len(res.steps)
+    rec["inner_iterations"] = res.meta["inner_iterations"]
     rec["final_step"] = res.steps[-1]
     rec["integral_residual"] = residual
     rec["hit_consistency"] = res.meta["hit_consistency"]

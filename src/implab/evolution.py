@@ -46,6 +46,7 @@ __all__ = [
     "DichotomyData",
     "KBundle",
     "NonHyperbolicError",
+    "NonFiniteConstantError",
     "fit_dichotomy",
     "k_bundle",
 ]
@@ -56,6 +57,10 @@ _EXP_CLIP = 700.0
 class NonHyperbolicError(ValueError):
     """A mode's mean exponent vanishes, or a fitted constant is not finite:
     no exponential dichotomy with finite constants."""
+
+
+class NonFiniteConstantError(ArithmeticError):
+    """A constant of the contraction argument (the K-bundle) is inf or nan."""
 
 
 @dataclass(frozen=True)
@@ -131,10 +136,10 @@ def _green_factor(rates, m, unstable, t, s, right=False) -> np.ndarray:
     return np.where(past[..., None], np.where(unstable, 0.0, fac), np.where(unstable, -fac, 0.0))
 
 
-def _require_finite(**constants) -> None:
+def _require_finite(error, kind, **constants) -> None:
     for name, value in constants.items():
         if not np.isfinite(value):
-            raise NonHyperbolicError("dichotomy constant %s = %g is not finite" % (name, value))
+            raise error("%s %s = %g is not finite" % (kind, name, value))
 
 
 def fit_dichotomy(
@@ -182,7 +187,8 @@ def fit_dichotomy(
 
     M = (1.0 + slack) * float(m_fit)
     M1 = max(M, (1.0 + slack) * float(m1_fit))
-    _require_finite(M=M, beta=beta, M1=M1)  # before the M2 fit spends its samples on them
+    # before the M2 fit spends its samples on them
+    _require_finite(NonHyperbolicError, "dichotomy constant", M=M, beta=beta, M1=M1)
 
     # shift-defect constants (Lemma-style inequality); beta1 <= beta.  The
     # scalar a*(h) test stays in the loop: it decides whether t and tau are drawn.
@@ -201,7 +207,7 @@ def fit_dichotomy(
     defect = np.max(lam_a * np.abs(both[: t.size] - both[t.size :]), axis=1)
     denom = np.exp(-beta1 * np.abs(t - tau)) * psi(alpha, t - tau) * a_star
     M2 = (1.0 + slack) * float(np.max(defect / denom, initial=M))
-    _require_finite(M2=M2)
+    _require_finite(NonHyperbolicError, "dichotomy constant", M2=M2)
 
     return DichotomyData(
         unstable=unstable, M=M, beta=beta, M1=M1, M2=M2, beta1=beta1, alpha=alpha
@@ -294,7 +300,8 @@ def k_bundle(alpha, dich: DichotomyData, theta, Q, C=1.0, g_star=0.0, M_star=0.0
     All are closed-form: K1 integrates ``M1 psi_alpha(s) e^{-beta |s|}``
     with ``int_0^inf s^-alpha e^{-beta s} ds = Gamma(1 - alpha)
     beta^(alpha - 1)``, and Psi3 carries ``B(a, a) = Gamma(a)^2 / Gamma(2a)``
-    with a = 1 - alpha.
+    with a = 1 - alpha.  Raises NonFiniteConstantError when an entry is inf
+    or nan, as a huge jump offset or amplitude makes g_star and M_star.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
@@ -312,7 +319,9 @@ def k_bundle(alpha, dich: DichotomyData, theta, Q, C=1.0, g_star=0.0, M_star=0.0
     Psi2 = 2.0 * M1 * (1.0 + theta ** (-alpha)) * Q ** (1.0 - alpha) / (denom * (1.0 - alpha))
     a = 1.0 - alpha
     Psi3 = M1 * (math.gamma(a) ** 2 / math.gamma(2.0 * a)) * Q ** a
-    return KBundle(
+    bundle = KBundle(
         alpha=alpha, theta=theta, Q=Q, K1=K1, K2=K2, K=K, K3=K3, K4=K4,
         Psi1=Psi1, Psi2=Psi2, Psi3=Psi3, C=C, g_star=g_star, M_star=M_star,
     )
+    _require_finite(NonFiniteConstantError, "K-bundle constant", **bundle.as_record())
+    return bundle

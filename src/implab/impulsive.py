@@ -170,21 +170,29 @@ class JumpSpec:
         return JUMP_MAP_CATALOGUE[self.nonlinearity][0]
 
     def offset(self, j, n_modes) -> np.ndarray:
+        """d_j: one row per index of an index array when d is a callable; else (N,)."""
         if self.d is None:
             return np.zeros(n_modes)
         if callable(self.d):
-            return np.asarray(self.d(int(j)), dtype=float)
+            return np.array([self.d(int(i)) for i in np.ravel(j)],
+                            dtype=float).reshape(np.shape(j) + (n_modes,))
         return np.asarray(self.d, dtype=float)
 
     def g(self, j, x, transform: SineTransform) -> np.ndarray:
-        """g_j at x of shape (N,) or (S, N), on the grid of ``transform``; same shape as x."""
+        """g_j(x) on the grid of ``transform``, with the shape of x.
+
+        j is an index, applied to x of shape (N,) or to every row of an
+        (S, N) batch, or an index array of S entries with one state row each,
+        as ``ImpulseSurfaceSpec.tau`` takes them.
+        """
         out = self.offset(j, np.shape(x)[-1])
         if self.left is None or self.nonlinearity == "zero":
             return np.broadcast_to(out, np.shape(x)).copy()
         image = transform.nonlinear_image(x, self.i_map)
         # <chi_r, I(u)> by Parseval on the projected image
         inner = np.asarray(self.right, dtype=float) @ image.T
-        return out + float(self.amp(int(j))) * (inner.T @ np.asarray(self.left, dtype=float))
+        amp = np.asarray(self.amp(np.asarray(j, dtype=float)))
+        return out + amp[..., None] * (inner.T @ np.asarray(self.left, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -293,6 +301,7 @@ class ImpulseSystemSpec:
         return self.surfaces.tau(j, x)
 
     def g(self, j, x) -> np.ndarray:
+        """g_j(x) for an index j or an index array with one state row per index."""
         return self.jumps.g(j, x, self.transform)
 
 

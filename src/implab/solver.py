@@ -5,7 +5,8 @@ The inner stage solves, for a frozen sequence of impulse moments
 
     u(t) = int G(t, s) f(s, u(s)) ds + sum_j G(t, tau~_j) g_j(y_j)
 
-by Picard iteration from u_0 = 0.  Each iterate is evaluated by a
+by Picard iteration, from u_0 = 0 or from the previous outer step's u*
+(``WarmStart``).  Each iterate is evaluated by a
 *recursion* route: exact per-mode linear propagation plus two-point
 variation-of-constants weights scanned forward (stable modes, zero state at
 the far left buffer edge) and backward (unstable modes, zero at the far
@@ -15,7 +16,8 @@ that ``integral_residual`` and the tests' ``bounded_solution`` oracle use,
 so the two can cross-check each other.
 
 The outer stage iterates the sequence map S(y)_j = u*(tau_j(y_j), y) to its
-fixed point y*, assembles the trajectory, and certifies hit-time
+fixed point y*, seeding each inner solve from the one before, assembles the
+trajectory, and certifies hit-time
 consistency and smallness conditions; ``certify_almost_periodicity`` hands
 y* and u* to ``ap_analysis.almost_periodicity_report``.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ap_analysis import almost_periodicity_report, nearest_distance
+from .ap_analysis import almost_periodicity_report, cropped_span, nearest_distance
 from .evolution import DichotomyData, KBundle, _green_integral_at, _jump_sum
 from .impulsive import BallExitError, ImpulseSystemSpec, _phi_weights
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
@@ -38,12 +40,15 @@ __all__ = [
     "ConvergenceError",
     "SurfaceWindowError",
     "OuterResult",
+    "WarmStart",
     "inner_solve",
     "integral_residual",
     "poincare_map",
     "outer_solve",
     "measure_lipschitz",
     "verify_smallness",
+    "buffer_length",
+    "check_ap_crop",
     "certify_almost_periodicity",
 ]
 
@@ -110,7 +115,7 @@ class ContractionReport:
     L_prime: float | None
     check_KM0: bool
     check_N1: bool
-    # largest ratio of successive increments in the final inner solve, and of
+    # largest ratio of successive increments over every inner solve, and of
     # successive outer steps of S
     observed_inner_ratio: float | None = None
     observed_S_ratio: float | None = None
@@ -194,10 +199,9 @@ class _BlockedScan:
         body /= self.P
         np.cumsum(body, axis=1, out=body)
         body *= self.P
-        starts = np.zeros((n_blocks, k))
+        # carry each block's end state, already complete, into the next block
         for b in range(1, n_blocks):
-            starts[b] = self.P[b - 1, -1] * starts[b - 1] + body[b - 1, -1]
-        body += self.P * starts[:, None, :]
+            body[b] += self.P[b] * body[b - 1, -1]
         return x[: self.n_steps + 1]
 
 
@@ -220,17 +224,31 @@ class _InnerGrid:
     inv_E: np.ndarray  # (M - 1, n_unstable) reversed 1/E of the unstable modes
 
 
-def _build_inner_grid(system, dich: DichotomyData, cuts, t_lo, t_hi, h_t) -> _InnerGrid:
-    """Nodes and step factors of every piece between t_lo, the cuts and t_hi.
+def _piece_nodes(edges, h_t):
+    """Node times of the pieces between successive edges, and each inner edge's join step.
+
+    Piece p has n_p = ceil(length / h_t) steps, at least one.  Its node i is
+    i * ((b - a) / n_p) + a and its last node is b itself, which is what
+    ``np.linspace(a, b, n_p + 1)`` computes, bit for bit.  The join step of
+    an inner edge runs from the last node of one piece to the first of the
+    next, at the same time.
+    """
+    length = np.diff(edges)
+    n = np.maximum(1, np.ceil(length / h_t).astype(int))
+    piece = np.repeat(np.arange(n.size), n + 1)
+    ends = np.cumsum(n + 1)
+    i = np.arange(ends[-1]) - (ends - (n + 1))[piece]
+    t = i * (length / n)[piece] + edges[:-1][piece]
+    t[ends - 1] = edges[1:]
+    return t, ends[:-1] - 1
+
+
+def _build_inner_grid(system, dich: DichotomyData, t, joins) -> _InnerGrid:
+    """Step factors of the node times t, whose join steps are ``joins``.
 
     The step factors are built in blocks of _WEIGHT_ROWS steps, so the
     temporaries of ``_phi_weights`` stay small next to the (M - 1, N) results.
     """
-    edges = np.concatenate(([t_lo], cuts, [t_hi]))
-    n = np.maximum(1, np.ceil(np.diff(edges) / h_t).astype(int))
-    t = np.concatenate(
-        [np.linspace(a, b, k + 1) for a, b, k in zip(edges[:-1], edges[1:], n)]
-    )
     h = np.diff(t)[:, None]
     dm = np.diff(system.coeff.m.antiderivative(t))[:, None]
     E, Ah, Bh = (np.empty((h.size, system.rates.size)) for _ in range(3))
@@ -253,7 +271,7 @@ def _build_inner_grid(system, dich: DichotomyData, cuts, t_lo, t_hi, h_t) -> _In
         t=t,
         Ah=Ah,
         Bh=Bh,
-        joins=np.cumsum(n + 1)[:-1] - 1,
+        joins=joins,
         forward=forward,
         backward=backward,
         stable=stable,
@@ -282,34 +300,82 @@ def _recursion_pass(ig: _InnerGrid, f_vals, jumps) -> np.ndarray:
     return out
 
 
+@dataclass
+class WarmStart:
+    """An inner solve's node table and its cuts, each cut tagged with its surface index.
+
+    ``inner_solve`` seeds its Picard iteration from it and then sets
+    ``nodes`` to None, so the table is freed, when nothing else holds it,
+    before the new grid's step factors are built.
+    """
+
+    nodes: Segment | None
+    cuts: np.ndarray
+    surfaces: np.ndarray
+
+
+def _warm_states(warm: WarmStart, t, joins, cuts, surfaces, jumps) -> np.ndarray:
+    """The Picard seed at the node times t, with join steps ``joins``, from the previous table.
+
+    Each node time goes into the old table through one piecewise linear map
+    whose knots are the two grid ends and the cut of every surface that is
+    cut in both solves, matched by surface index: a node between a cut and
+    its neighbour stays on the same side of that cut's jump in both tables.
+    The old table is read at the mapped times in blocks of _WEIGHT_ROWS rows,
+    and each post-jump node is re-seeded as its pre-jump node plus the jump.
+    """
+    _, old, new = np.intersect1d(warm.surfaces, surfaces, assume_unique=True,
+                                 return_indices=True)
+    t_old = warm.nodes.t
+    mapped = np.interp(t, np.r_[t[0], cuts[new], t[-1]],
+                       np.r_[t_old[0], warm.cuts[old], t_old[-1]])
+    states = np.empty((t.size, jumps.shape[1]))
+    for lo in range(0, mapped.size, _WEIGHT_ROWS):
+        states[lo : lo + _WEIGHT_ROWS] = warm.nodes.interp(mapped[lo : lo + _WEIGHT_ROWS])
+    warm.nodes = None
+    states[joins + 1] = states[joins] + jumps
+    return states
+
+
+def buffer_length(system, dich: DichotomyData, cfg: SolverConfig) -> float:
+    """The buffer added to each side of the reporting window: ``cfg.buffer`` or the default."""
+    return cfg.buffer if cfg.buffer is not None else _default_buffer(system, dich, cfg.tail_tol)
+
+
 def inner_solve(
     system: ImpulseSystemSpec,
     dich: DichotomyData,
     y: APSequencePoint,
     window,
     cfg: SolverConfig = SolverConfig(),
+    warm: WarmStart | None = None,
 ):
     """Picard iteration for u*(., y) at frozen impulse times.
 
-    Returns (trajectory, info).  The trajectory spans the extended window
-    (reporting window plus buffers); ``info`` holds iteration counts, the
-    increment history and the sup norm.  Raises BallExitError when an
-    iterate leaves U^alpha_rho and ConvergenceError when max_inner is hit.
+    The iteration starts from ``warm``, the previous solve's table, when one
+    is given (and frees that table), else from u = 0.  Returns (trajectory,
+    info).  The trajectory spans the extended window (reporting window plus
+    buffers); ``info`` holds iteration counts, the increment history, the
+    sup norm, the frozen times and the cuts with their surface indices.
+    Raises BallExitError when an iterate leaves U^alpha_rho and
+    ConvergenceError when max_inner is hit.
     """
     lap, alpha = system.lap, system.alpha
-    buf = cfg.buffer if cfg.buffer is not None else _default_buffer(system, dich, cfg.tail_tol)
+    buf = buffer_length(system, dich, cfg)
     t_lo, t_hi = float(window[0]) - buf, float(window[1]) + buf
 
     # frozen times increase with j for y in the ball, so the cuts come sorted
     taus = frozen_times(system, y)
     inside = (t_lo < taus) & (taus < t_hi)
     cuts = taus[inside]
-    jumps = np.zeros((cuts.size, lap.n_modes))
-    for row, j in zip(jumps, np.flatnonzero(inside) + y.window[0]):
-        row[:] = system.g(j, y.value(j))
-    ig = _build_inner_grid(system, dich, cuts, t_lo, t_hi, cfg.h_t)
-
-    states = np.zeros((ig.t.size, lap.n_modes))
+    surfaces = np.flatnonzero(inside) + y.window[0]
+    jumps = system.g(surfaces, y.values[inside])
+    t, joins = _piece_nodes(np.concatenate(([t_lo], cuts, [t_hi])), cfg.h_t)
+    # seed before the step factors are built, so they can reuse the old table's memory
+    states = None if warm is None else _warm_states(warm, t, joins, cuts, surfaces, jumps)
+    ig = _build_inner_grid(system, dich, t, joins)
+    if states is None:
+        states = np.zeros((t.size, lap.n_modes))
     increments = []
     for it in range(cfg.max_inner):
         new_states = _recursion_pass(ig, system.forcing(ig.t, states), jumps)
@@ -336,6 +402,8 @@ def inner_solve(
             "increments": increments,
             "sup_alpha": float(np.max(lap.frac_norm(states, alpha))),
             "frozen_times": taus,
+            "cuts": cuts,
+            "cut_surfaces": surfaces,
         }
     )
     return traj, dict(traj.meta)
@@ -354,15 +422,19 @@ def integral_residual(
     Independent of the recursion route: the Green integral of f(., u*(.))
     plus the jump sum is evaluated by composite Simpson quadrature over one
     buffer length on each side and compared with u* itself, in the alpha norm.
+    The Simpson pieces end at the trajectory's cuts, not at tau_j(y_j): the
+    cuts are the frozen times of the last outer step, which may differ from
+    tau_j(y*) in the last digits, and a piece must not straddle a jump of u*.
     """
     lap, alpha = system.lap, system.alpha
     # recompute the frozen times from y itself: the trajectory metadata may
     # cover a wider (buffered) surface window than the sequence at hand
     taus = frozen_times(system, y)
     T_tail = traj.meta["buffer"]
-    js = range(y.window[0], y.window[1] + 1)
-    jump_vecs = np.array([system.g(j, y.value(j)) for j in js]).reshape(len(js), lap.n_modes)
-    breakpoints = np.sort(taus)
+    jump_vecs = system.g(np.arange(y.window[0], y.window[1] + 1), y.values)
+    # split the Simpson pieces where u* itself jumps, at its repeated node times
+    t = traj.nodes.t
+    breakpoints = t[1:][t[1:] == t[:-1]]
 
     def f_vals_fn(v):
         return system.forcing(v, traj.eval_many(v))
@@ -386,9 +458,10 @@ def poincare_map(
     y: APSequencePoint,
     window,
     cfg: SolverConfig = SolverConfig(),
+    warm: WarmStart | None = None,
 ):
-    """S(y)_j = u*(tau_j(y_j), y), sampled left-continuously."""
-    traj, info = inner_solve(system, dich, y, window, cfg)
+    """S(y)_j = u*(tau_j(y_j), y), sampled left-continuously; ``warm`` seeds the inner solve."""
+    traj, info = inner_solve(system, dich, y, window, cfg, warm)
     out = APSequencePoint(window=y.window, values=traj.eval_many(info["frozen_times"]))
     if not system.in_ball(out.values):
         raise BallExitError("Poincare image leaves the sequence ball")
@@ -423,7 +496,7 @@ def outer_solve(
     strictly inside the window.
     """
     lap, alpha = system.lap, system.alpha
-    buf = cfg.buffer if cfg.buffer is not None else _default_buffer(system, dich, cfg.tail_tol)
+    buf = buffer_length(system, dich, cfg)
     cfg = replace(cfg, buffer=buf)  # every inner solve reuses it
     idx = system.surfaces.indices()
     bt = system.surfaces.base_times
@@ -437,11 +510,16 @@ def outer_solve(
     report_window = (int(inside[0]), int(inside[-1]))
 
     y = APSequencePoint.zero(surface_window, lap.n_modes)
-    steps = []
-    bad = 0
+    steps, iterations, increments = [], [], []
+    warm, bad = None, 0
     for _ in range(cfg.max_outer):
-        traj = info = None  # the previous step's (M, N) node table is not kept through the next map
-        y_new, traj, info = poincare_map(system, dich, y, window, cfg)
+        # the previous (M, N) node table lives on in warm only, which the next
+        # inner solve empties once it has seeded from it
+        traj = info = None
+        y_new, traj, info = poincare_map(system, dich, y, window, cfg, warm)
+        warm = WarmStart(traj.nodes, info["cuts"], info["cut_surfaces"])
+        iterations.append(info["iterations"])
+        increments.append(info["increments"])
         step = y_new.dist(y, lap, alpha)
         steps.append(step)
         if len(steps) >= 2 and steps[-1] >= steps[-2] and steps[-1] >= cfg.outer_tol:
@@ -461,19 +539,23 @@ def outer_solve(
 
     # assemble hit records on the interior and certify hit-time consistency
     taus = info["frozen_times"]
-    report_js = range(report_window[0], report_window[1] + 1)
+    report_js = np.arange(report_window[0], report_window[1] + 1)
     report = slice(report_window[0] - surface_window[0], report_window[1] - surface_window[0] + 1)
     report_taus = taus[report]
     pres = traj.eval_many(report_taus)
+    posts = pres + system.g(report_js, y.values[report])
     traj.hits = [
-        HitRecord(time=t, surface=j, pre=pre, post=pre + system.g(j, y.value(j)))
-        for j, t, pre in zip(report_js, report_taus.tolist(), pres)
+        HitRecord(time=t, surface=j, pre=pre, post=post)
+        for j, t, pre, post in zip(report_js.tolist(), report_taus.tolist(), pres, posts)
     ]
     traj.meta["hit_consistency"] = float(
-        np.max(np.abs(report_taus - system.tau(np.asarray(report_js), pres)), initial=0.0)
+        np.max(np.abs(report_taus - system.tau(report_js, pres)), initial=0.0)
     )
     traj.meta["outer_steps"] = steps
-    traj.meta["observed_inner_ratio"] = _max_ratio(info["increments"])
+    traj.meta["inner_iterations"] = iterations
+    traj.meta["inner_increments"] = increments
+    ratios = [r for r in map(_max_ratio, increments) if r is not None]
+    traj.meta["observed_inner_ratio"] = max(ratios, default=None)
     traj.meta["observed_S_ratio"] = _max_ratio(steps)
 
     # estimate (vot) analogue: sup of |u|_gamma away from the hits
@@ -596,26 +678,38 @@ def verify_smallness(
 # ---------------------------------------------------------------------------
 
 
+# the sampling step of u* in certify_almost_periodicity
+_AP_H_T = 0.01
+# buffer lengths cropped from each end of u* before its almost-periodicity
+# analysis: near the span edges the truncated impulse lattice is missing
+# neighbors, so the trajectory is not almost periodic there.  One buffer
+# length reaches the reporting window edge; the second damps the influence of
+# the lattice truncated at that edge below tail_tol.
+_AP_CROP_BUFFERS = 2.0
+
+
+def check_ap_crop(window, buffer, h_t: float = _AP_H_T) -> None:
+    """Raise WindowTooShortError now if ``certify_almost_periodicity`` would
+    after an outer solve over ``window`` with this buffer."""
+    span = (float(window[0]) - buffer, float(window[1]) + buffer)
+    cropped_span(span, _AP_CROP_BUFFERS * buffer, h_t)
+
+
 def certify_almost_periodicity(
     system: ImpulseSystemSpec,
     result: OuterResult,
     eps_list,
-    h_t: float = 0.01,
+    h_t: float = _AP_H_T,
 ) -> dict:
     """The flat ``eps_<e>_*`` almost-periodicity record of y* and u*.
 
     Hands y*, its hit times and u* (sampled on a grid of step ``h_t``) to
-    ``almost_periodicity_report``.
+    ``almost_periodicity_report``, cropped by two buffer lengths at each end.
     """
     traj = result.trajectory
-    # crop two buffer lengths from each end: near the span edges the
-    # truncated impulse lattice is missing neighbors, so the trajectory is not
-    # almost periodic there.  One buffer length reaches the reporting window
-    # edge; the second damps the influence of the lattice truncated at that
-    # edge below tail_tol.
     y = result.y_star
     return almost_periodicity_report(
         y.values, y.window[0], np.sort(traj.hit_times()), system.surfaces.base.a,
-        traj.eval_many, (traj.t_start, traj.t_end), 2.0 * result.meta["buffer"], h_t,
-        eps_list, system.lap.frac_weights(system.alpha),
+        traj.eval_many, (traj.t_start, traj.t_end), _AP_CROP_BUFFERS * result.meta["buffer"],
+        h_t, eps_list, system.lap.frac_weights(system.alpha),
     )[2]

@@ -638,6 +638,41 @@ def test_non_finite_dichotomy_constant_exits_3(tmp_path, command):
     assert "dichotomy constant M = inf is not finite" in last
 
 
+@pytest.mark.parametrize("command", ["constants", "solve-ap"])
+@pytest.mark.parametrize("key", ["d", "amp_constant", "kernel_left"])
+def test_non_finite_k_bundle_exits_3(tmp_path, command, key):
+    # 1e308 is finite, but |d_j|_1, g_star and M_star are not (K3, K4, g_star
+    # and M_star used to be written as inf with status=ok)
+    text = re.sub(r"^%s = .*$" % key, "%s = 1e308" % key, readme_instance(), flags=re.M)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), np.errstate(all="ignore"):
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+    assert code == 3
+    last = buf.getvalue().splitlines()[-1]
+    assert last.startswith("status=error kind=numerical")
+    assert "is not finite" in last
+
+
+def test_solve_ap_checks_the_ap_crop_before_the_outer_solve(tmp_path, monkeypatch):
+    import implab.cli
+
+    def no_outer_solve(*args, **kwargs):
+        raise AssertionError("the outer solve ran")
+
+    monkeypatch.setattr(implab.cli, "outer_solve", no_outer_solve)
+    text = readme_instance().replace("window = 0.5 12.5", "window = 0.5 5.5")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["solve-ap", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    last = buf.getvalue().splitlines()[-1]
+    assert last.startswith("status=error kind=validation")
+    assert ("trajectory span too short for the almost-periodicity crop of 5.16232 at each end"
+            in last)
+
+
 @pytest.mark.parametrize("cap", ["max_inner", "max_outer"])
 def test_solve_ap_iteration_cap_exits_3(tmp_path, cap):
     # one iterate cannot meet inner_tol (first increment 6e-2) or outer_tol
@@ -720,6 +755,10 @@ def test_observed_contraction_ratios_readme_instance(tmp_path):
     rec = read_record(out / "contraction.txt")
     assert 0.0 < float(rec["observed_inner_ratio"]) < 1.0
     assert 0.0 < float(rec["observed_S_ratio"]) < 1.0
+    # Picard iterates per outer step; each step after the first starts warm
+    iterations = [int(v) for v in rec["inner_iterations"].split()]
+    assert len(iterations) == int(rec["outer_steps"]) and min(iterations) >= 1
+    assert sum(iterations) <= 10
 
 
 def test_cmd_analyze_ap(tmp_path):

@@ -979,3 +979,26 @@ def test_jump_g_keeps_the_input_shape(jump_map):
         assert g.shape == batch.shape
         for row, x in zip(g, batch):
             assert np.allclose(row, sys0.g(3, x), rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("jump_map", sorted(JUMP_MAP_CATALOGUE) + ["left=None", "callable d"])
+def test_jump_g_takes_one_state_row_per_index(jump_map):
+    # an index array gives each state row its own g_j, amp_j and d_j
+    n = 8
+    rng = np.random.default_rng(45)
+    amp = TrigSum(0.3, ((0.1, 0.7, 0.2),))
+    kernel = dict(left=rng.standard_normal((2, n)), right=rng.standard_normal((2, n)), amp=amp)
+    if jump_map == "left=None":
+        jumps = JumpSpec(nonlinearity="relu", d=0.05 * rng.standard_normal(n))
+    elif jump_map == "callable d":
+        jumps = JumpSpec(nonlinearity="tanh", d=lambda j: 0.01 * j * np.ones(n), **kernel)
+    else:
+        jumps = JumpSpec(nonlinearity=jump_map, d=0.05 * rng.standard_normal(n), **kernel)
+    sys0 = make_system(jumps=jumps, window=(0, 20))
+    js = np.array([3, 7, 7, 12, 0, 20])
+    xs = 0.2 * rng.standard_normal((js.size, n))
+    got = sys0.g(js, xs)
+    ref = np.stack([sys0.g(int(j), x) for j, x in zip(js, xs)])
+    assert got.shape == xs.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert sys0.g(js[:0], xs[:0]).shape == (0, n)

@@ -13,8 +13,11 @@ from implab.impulsive import ImpulseSystemSpec, JumpSpec, _phi_weights
 from implab.solver import (
     APSequencePoint,
     SolverConfig,
+    WarmStart,
     _build_inner_grid,
+    _piece_nodes,
     _recursion_pass,
+    _warm_states,
     certify_almost_periodicity,
     frozen_times,
     inner_solve,
@@ -25,6 +28,7 @@ from implab.solver import (
     verify_smallness,
 )
 from implab.spectral import DirichletLaplacian
+from implab.trajectory import Segment
 from implab.trig import TrigSum
 
 from oracles import bounded_solution, measure_lipschitz_by_pair, pieces
@@ -120,7 +124,7 @@ def test_recursion_scan_matches_node_loop(name):
     jumps = rng.standard_normal((cuts.size, n)) * 0.1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ig = _build_inner_grid(system, dich, cuts, t_lo, t_hi, h_t)
+        ig = _build_inner_grid(system, dich, *_piece_nodes(np.r_[t_lo, cuts, t_hi], h_t))
         f_vals = rng.standard_normal((ig.t.size, n))
         got = _recursion_pass(ig, f_vals, jumps)
     grids, factors = pieces_by_loop(system, cuts, t_lo, t_hi, h_t)
@@ -381,25 +385,115 @@ def test_outer_solve_memory_is_linear_in_the_node_table():
     assert peak <= 12 * m * n * 8
 
 
-def test_outer_solve_frees_each_trajectory_before_the_next_map(monkeypatch):
-    # the previous outer step's (M, N) node table is dropped before the next
-    # poincare_map builds its own, not when that call returns
+def test_outer_solve_frees_each_table_before_the_next_maps_first_iterate(monkeypatch):
+    # the previous outer step's (M, N) node table seeds the next map and is
+    # dropped by the first Picard iterate of that map, not when it returns
     import implab.solver
 
     sys0 = readme_like()
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(71))
     made, alive = [], []
+    recursion_pass = implab.solver._recursion_pass
 
-    def tracked(*args):
-        gc.collect()
-        alive.append(sum(ref() is not None for ref in made))
+    def tracked_map(*args):
         y_new, traj, info = poincare_map(*args)
-        made.append(weakref.ref(traj.nodes))
+        made.append(weakref.ref(traj.nodes.states))
         return y_new, traj, info
 
-    monkeypatch.setattr(implab.solver, "poincare_map", tracked)
-    outer_solve(sys0, dich, (0.5, 6.5), cfg=CFG)
-    assert len(alive) >= 2 and not any(alive)
+    def tracked_pass(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        return recursion_pass(*args)
+
+    monkeypatch.setattr(implab.solver, "poincare_map", tracked_map)
+    monkeypatch.setattr(implab.solver, "_recursion_pass", tracked_pass)
+    res = outer_solve(sys0, dich, (0.5, 6.5), cfg=CFG)
+    assert len(made) >= 2 and len(alive) == sum(res.meta["inner_iterations"])
+    assert not any(alive)
+
+
+def outer_solve_cold(monkeypatch, system, dich, window):
+    """outer_solve with every inner solve started from u = 0."""
+    import implab.solver
+
+    monkeypatch.setattr(implab.solver, "WarmStart", lambda *args: None)
+    try:
+        return outer_solve(system, dich, window, cfg=CFG)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", ["moving", "readme"])
+def test_warm_start_agrees_with_cold_start_in_fewer_iterates(monkeypatch, name):
+    system = {"moving": moving_like, "readme": readme_like}[name]()
+    dich = fit_dichotomy(system.lap, system.coeff, rng=np.random.default_rng(72))
+    warm = outer_solve(system, dich, (0.5, 12.5), cfg=CFG)
+    cold = outer_solve_cold(monkeypatch, system, dich, (0.5, 12.5))
+    tol = 10.0 * (CFG.outer_tol + CFG.inner_tol)
+    assert len(warm.steps) == len(cold.steps)
+    assert np.max(np.abs(warm.y_star.values - cold.y_star.values)) <= tol
+    assert np.max(np.abs(warm.trajectory.hit_times() - cold.trajectory.hit_times())) <= tol
+    if name == "moving":
+        assert sum(warm.meta["inner_iterations"]) <= 0.65 * sum(cold.meta["inner_iterations"])
+    else:
+        assert sum(warm.meta["inner_iterations"]) < sum(cold.meta["inner_iterations"])
+
+
+def test_warm_seed_matches_cuts_by_surface_index():
+    # old cuts belong to surfaces 3, 4, 5 and new ones to 4, 5, 6: surface 3
+    # left the cut set and 6 entered it.  The old table holds, on each piece,
+    # the index of the surface whose cut opens it (-1 on the first piece).
+    t_lo, t_hi, h_t = 0.0, 4.0, 0.1
+    old_cuts, new_cuts = np.array([0.95, 2.03, 3.01]), np.array([1.98, 2.96, 3.6])
+    old_t, old_joins = _piece_nodes(np.r_[t_lo, old_cuts, t_hi], h_t)
+    old_piece = np.searchsorted(old_joins, np.arange(old_t.size), side="left")
+    old_states = np.array([-1.0, 3.0, 4.0, 5.0])[old_piece, None] * np.ones(2)
+    warm = WarmStart(Segment(t=old_t, states=old_states), old_cuts, np.array([3, 4, 5]))
+    t, joins = _piece_nodes(np.r_[t_lo, new_cuts, t_hi], h_t)
+    jumps = np.array([[0.5, 0.0], [0.25, 0.0], [0.125, 0.0]])
+    seed = _warm_states(warm, t, joins, new_cuts, np.array([4, 5, 6]), jumps)
+    assert warm.nodes is None
+    piece = np.searchsorted(joins, np.arange(t.size), side="left")
+    body = np.ones(t.size, dtype=bool)
+    body[np.r_[0, joins + 1]] = False  # the first node of each piece
+    # pieces opened by the matched surfaces 4 and 5 read the old pieces of 4 and 5
+    for p, label in ((1, 4.0), (2, 5.0)):
+        assert np.all(seed[body & (piece == p)] == label)
+    # surface 6 has no old cut: its piece reads the old table past the cut of 5
+    assert np.all(seed[body & (piece == 3)] == 5.0)
+    # every post-jump node is its pre-jump node plus the new jump
+    assert np.array_equal(seed[joins + 1], seed[joins] + jumps)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_piece_nodes_bit_equal_to_per_piece_linspace(seed):
+    rng = np.random.default_rng(seed)
+    h_t = rng.choice([0.005, 0.01, 0.1, 1.0 / 3.0])
+    # piece lengths below h_t (one step), at exact multiples of it and in between
+    lengths = np.r_[rng.uniform(0.01, 5.0, 30) * h_t, 0.3 * h_t, h_t, 7 * h_t, 1e-9]
+    edges = rng.uniform(-50.0, 50.0) + np.cumsum(np.r_[0.0, rng.permutation(lengths)])
+    t, joins = _piece_nodes(edges, h_t)
+    ref = [np.linspace(a, b, max(1, int(np.ceil((b - a) / h_t))) + 1)
+           for a, b in zip(edges[:-1], edges[1:])]
+    assert t.tobytes() == np.concatenate(ref).tobytes()
+    assert joins.tolist() == (np.cumsum([r.size for r in ref])[:-1] - 1).tolist()
+    assert 2 in [r.size for r in ref]  # a one-step piece
+
+
+def test_integral_residual_ignores_rounding_of_y_star():
+    # the Simpson pieces end at the trajectory's cuts: frozen times of y*
+    # moved by rounding must not move a piece end across a jump of u*
+    sys0 = moving_like()
+    dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(73))
+    res = outer_solve(sys0, dich, (0.5, 12.5), cfg=CFG)
+    y, times = res.y_star, np.linspace(3.1, 12.3, 3)
+    base = integral_residual(sys0, dich, res.trajectory, y, times)
+    for sign in (1.0, -1.0):
+        values = y.values * (1.0 + sign * 0.9e-12 / np.max(np.abs(y.values)))
+        assert np.max(np.abs(values - y.values)) <= 1e-12
+        moved = APSequencePoint(window=y.window, values=values)
+        got = integral_residual(sys0, dich, res.trajectory, moved, times)
+        assert got == pytest.approx(base, rel=1e-6)
 
 
 def test_certify_almost_periodicity_periodic():
