@@ -44,7 +44,6 @@ from .evolution import (
 from .impulsive import (
     JUMP_MAP_CATALOGUE,
     BallExitError,
-    BeatingCertificate,
     BeatingError,
     EventLocationError,
     ImpulseSurfaceSpec,
@@ -59,7 +58,6 @@ from .impulsive import (
 )
 from .solver import (
     APSequencePoint,
-    ContractionReport,
     ConvergenceError,
     OuterResult,
     SolverConfig,
@@ -100,7 +98,6 @@ __all__ = [
     "ImpulseSurfaceSpec",
     "JumpSpec",
     "ImpulseSystemSpec",
-    "BeatingCertificate",
     "BallExitError",
     "BeatingError",
     "EventLocationError",
@@ -112,7 +109,6 @@ __all__ = [
     "simulate",
     "beating_certificate",
     "APSequencePoint",
-    "ContractionReport",
     "SolverConfig",
     "ConvergenceError",
     "OuterResult",

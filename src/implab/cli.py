@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from .impulsive import (
     beating_certificate,
     simulate,
 )
-from .records import read_table, write_record, write_table, write_trajectory
+from .records import write_record, write_table, write_trajectory
 from .solver import (
     ConvergenceError,
     SurfaceWindowError,
@@ -149,7 +150,7 @@ def cmd_simulate(cfg, out: Path, seed: int) -> None:
         "t_end": t_end,
         "n_segments": traj.meta["n_segments"],
         "n_hits": len(traj.hits),
-        "theta": traj.meta["theta"],
+        "theta": system.theta,
         "max_hits_per_surface": max(traj.meta["hit_counts"].values(), default=0),
     }
     for j in sorted(traj.meta["hit_counts"]):
@@ -168,8 +169,8 @@ def cmd_certify(cfg, out: Path, seed: int) -> None:
             n_samples=cfg.n_samples,
             rng=np.random.default_rng([seed, _STAGE_CERTIFY, int(j)]),
         )
-        write_record(out / ("beating_%d.txt" % j), cert.as_record())
-        summary["surface_%d" % j] = "pass" if cert.verdict else "fail"
+        write_record(out / ("beating_%d.txt" % j), cert)
+        summary["surface_%d" % j] = cert["verdict"]
     summary["all_pass"] = all(v == "pass" for v in summary.values())
     write_record(out / "certificates.txt", summary)
 
@@ -190,14 +191,13 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     )
     write_trajectory(out, res.trajectory, lap, alpha)
 
-    rep = replace(
-        verify_smallness(
-            system, kb, measured["N1"], measured["M0"],
-            rng=np.random.default_rng([seed, _STAGE_SMALLNESS]),
-        ),
-        observed_inner_ratio=res.meta["observed_inner_ratio"],
-        observed_S_ratio=res.meta["observed_S_ratio"],
+    rec = verify_smallness(
+        system, kb, measured["N1"], measured["M0"],
+        rng=np.random.default_rng([seed, _STAGE_SMALLNESS]),
     )
+    for key in ("observed_inner_ratio", "observed_S_ratio"):
+        if res.meta[key] is not None:
+            rec[key] = res.meta[key]
 
     # residual probes away from the window edges (the truncated Green tail
     # must fit inside the buffered span)
@@ -207,7 +207,6 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     times = np.linspace(lo, max(w1 - 0.2, lo), 3)
     residual = integral_residual(system, dich, res.trajectory, y, times)
 
-    rec = rep.as_record()
     rec["outer_steps"] = len(res.steps)
     rec["inner_iterations"] = res.meta["inner_iterations"]
     rec["final_step"] = res.steps[-1]
@@ -221,14 +220,22 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     write_record(out / "ap_report.txt", certify_almost_periodicity(system, res, cfg.eps_list))
 
 
-def _read_data_table(path: Path, n_modes: int, min_rows: int):
-    """A solve-ap table of ``min_rows`` rows or more, each an index and n_modes values."""
+def _load_data(path: Path, what: str, ndmin: int) -> np.ndarray:
+    """``np.loadtxt`` of a solve-ap artifact; an empty file gives no rows, and no warning."""
     try:
-        index, values = read_table(path)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, ndmin=ndmin)
     except FileNotFoundError as exc:
         raise ConfigError("--data lacks a file written by solve-ap: %s" % exc) from None
     except ValueError as exc:
-        raise ConfigError("%s is not a table: %s" % (path, exc)) from None
+        raise ConfigError("%s is not %s: %s" % (path, what, exc)) from None
+
+
+def _read_data_table(path: Path, n_modes: int, min_rows: int):
+    """A solve-ap table of ``min_rows`` rows or more, each an index and n_modes values."""
+    rows = _load_data(path, "a table", 2)
+    index, values = rows[:, 0], rows[:, 1:]
     if not (np.all(np.isfinite(index)) and np.all(np.isfinite(values))):
         raise ConfigError("%s has an entry that is not finite" % path)
     if index.size < min_rows:
@@ -251,13 +258,7 @@ def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
     if not np.all(np.diff(t_nodes) >= 0.0):
         raise ConfigError("%s: the node times decrease" % (data / "trajectory.txt"))
     disc_path = data / "trajectory_discontinuities.txt"
-    try:
-        disc = np.loadtxt(disc_path, ndmin=1)
-    except FileNotFoundError as exc:
-        raise ConfigError("--data lacks a file written by solve-ap: %s" % exc) from None
-    except ValueError as exc:
-        raise ConfigError("%s is not a list of times: %s" % (disc_path, exc)) from None
-    disc = np.sort(disc)
+    disc = np.sort(_load_data(disc_path, "a list of times", 1))
     if not np.all(np.isfinite(disc)):
         raise ConfigError("%s lists a hit time that is not finite" % disc_path)
     if np.any(np.diff(disc) <= 0.0):

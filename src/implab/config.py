@@ -74,16 +74,22 @@ def _list(item, sep=None):
     return parse
 
 
-def _pair(item):
-    """Parser of 'lo hi': two values through item, with lo < hi."""
+def _pair(item, most=np.inf):
+    """Parser of 'lo hi': two values through item, with lo < hi <= lo + most."""
+    bound = "lo < hi" if most == np.inf else "lo < hi <= lo + %d" % most
 
     def parse(text, name):
         vals = tuple(item(tok, name) for tok in text.split())
-        if len(vals) != 2 or vals[1] <= vals[0]:
-            raise ConfigError("%s must be 'lo hi' with lo < hi, not %r" % (name, text))
+        if len(vals) != 2 or not vals[0] < vals[1] <= vals[0] + most:
+            raise ConfigError("%s must be 'lo hi' with %s, not %r" % (name, bound, text))
         return vals
 
     return parse
+
+
+def _size(most):
+    """Parser of an integer in [1, most]."""
+    return _number(int, lambda v: 1 <= v <= most, "an integer in [1, %d]" % most)
 
 
 _REAL = _number(float, np.isfinite, "finite")
@@ -119,13 +125,18 @@ _TERMS = _list(_triple, ";")  # 'amp freq phase; amp freq phase; ...'
 # the file format: each accepted key of each section, case-sensitive, with the
 # parser of its value.  [overrides]: the dichotomy constants (constants,
 # solve-ap), the K-bundle inputs (constants, solve-ap) and the resampling of
-# analyze-ap
+# analyze-ap.  The sizes have upper bounds, checked before anything is
+# allocated: the sine basis is n_modes x (n_xi + 1) floats, at most 512 x 8193
+# (34 MB); a certificate synthesizes its n_samples states on the grid as one
+# batch, at most 4096 x 8193 floats (268 MB); the commands keep arrays and
+# loops per surface, at most 10^4 surfaces
 SECTION_KEYS = {
-    "geometry": {"l": _POSITIVE, "n_modes": _COUNT, "n_xi": _COUNT},
+    "geometry": {"l": _POSITIVE, "n_modes": _size(512), "n_xi": _size(8192)},
     "problem": {"alpha": _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), "rho": _POSITIVE},
     "coefficient_a": {"offset": _REAL, "terms": _TERMS},
     "coefficient_b": {"offset": _REAL, "terms": _TERMS},
-    "surfaces": {"gap": _POSITIVE, "window": _pair(_number(int, lambda v: True, "an integer")),
+    "surfaces": {"gap": _POSITIVE,
+                 "window": _pair(_number(int, lambda v: True, "an integer"), 10**4 - 1),
                  "offset_constant": _REAL, "offset_terms": _TERMS,
                  "slope_constant": _REAL, "slope_terms": _TERMS},
     "jumps": {"nonlinearity": _nonlinearity, "kernel_left": _list(_VECTOR, ";"),
@@ -137,7 +148,8 @@ SECTION_KEYS = {
                "seg_tol": _number(float, lambda v: 1e-14 <= v < np.inf, "finite and >= 1e-14"),
                "buffer": _POSITIVE, "max_inner": _COUNT, "max_outer": _COUNT,
                "window": _pair(_REAL)},
-    "sampling": {"seed": _number(int, lambda v: v >= 0, "an integer >= 0"), "n_samples": _COUNT},
+    "sampling": {"seed": _number(int, lambda v: v >= 0, "an integer >= 0"),
+                 "n_samples": _size(4096)},
     "analysis": {"eps": _eps},
     "simulate": {"u0": _VECTOR, "t_range": _pair(_REAL)},
     # a negative crop would sample past the data, where the interpolant repeats its end rows

@@ -51,7 +51,6 @@ __all__ = [
     "ImpulseSurfaceSpec",
     "JumpSpec",
     "ImpulseSystemSpec",
-    "BeatingCertificate",
     "BallExitError",
     "BeatingError",
     "EventLocationError",
@@ -486,14 +485,13 @@ def simulate(
     time whose |zeta| stays >= ``event_tol`` after ``_SHARPEN_RUNS``
     re-integrations raises EventLocationError.
     """
-    theta = system.theta
     lo, hi = system.intervals
     idx = system.surfaces.indices()
     certified = set(int(j) for j in certified_surfaces)
 
     x = np.asarray(u0, dtype=float)
     t = float(t0)
-    horizon = max(theta / 2.0, 1e-3)
+    horizon = max(system.theta / 2.0, 1e-3)
     node_t, node_states, hits = [], [], []  # the node table, flow segment by segment
     n_segments = 0
     hit_counts: dict = {}
@@ -568,36 +566,14 @@ def simulate(
         t, x = th, post
 
     nodes = Segment(t=np.concatenate(node_t), states=np.concatenate(node_states))
-    traj = PiecewiseTrajectory(nodes=nodes, hits=hits)
-    traj.meta.update(
-        {"hit_counts": hit_counts, "theta": theta, "seg_tol": seg_tol, "n_segments": n_segments}
+    return PiecewiseTrajectory(
+        nodes=nodes, hits=hits, meta={"hit_counts": hit_counts, "n_segments": n_segments}
     )
-    return traj
 
 
 # ---------------------------------------------------------------------------
 # beating exclusion certificate
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BeatingCertificate:
-    surface: int
-    theta_check: float
-    p_check: float
-    beta0: float
-    n_samples: int
-    verdict: bool
-
-    def as_record(self) -> dict:
-        return {
-            "surface": self.surface,
-            "theta_check": self.theta_check,
-            "P_check": self.p_check,
-            "beta0": self.beta0,
-            "n_samples": self.n_samples,
-            "verdict": "pass" if self.verdict else "fail",
-        }
 
 
 def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
@@ -627,13 +603,13 @@ def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
 
 def beating_certificate(
     system: ImpulseSystemSpec, j, n_samples: int = 512, rng=None
-) -> BeatingCertificate:
+) -> dict:
     """Check the repeated-hit exclusion hypotheses on surface j by sampling.
 
     theta_j(x) <= 0 and P(u) < 1 must hold on every sampled non-negative
     state in the ball; beta_0 is the slope threshold below which the bound
     chain for P closes automatically.  All samples of the surface are
-    evaluated as one (S, N) batch.
+    evaluated as one (S, N) batch.  Returns the record ``certify`` writes.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     lap, tr = system.lap, system.transform
@@ -652,12 +628,11 @@ def beating_certificate(
     p_val = -2.0 * b_j * grad_sq + 2.0 * b_j * system.a(tau) * (q - system.b(tau) * cubic)
     theta_check = float(np.max(theta, initial=-np.inf))
     p_check = float(np.max(p_val, initial=-np.inf))
-    verdict = bool(theta_check <= 1e-10 and p_check < 1.0)
-    return BeatingCertificate(
-        surface=int(j),
-        theta_check=theta_check,
-        p_check=p_check,
-        beta0=float(beta0),
-        n_samples=x.shape[0],
-        verdict=verdict,
-    )
+    return {
+        "surface": int(j),
+        "theta_check": theta_check,
+        "P_check": p_check,
+        "beta0": float(beta0),
+        "n_samples": x.shape[0],
+        "verdict": "pass" if theta_check <= 1e-10 and p_check < 1.0 else "fail",
+    }

@@ -85,7 +85,8 @@ def write_trajectory(out_dir, traj, lap, alpha) -> None:
 
     Writes ``trajectory.txt`` (node rows), ``trajectory_discontinuities.txt``
     (hit times, one per line; empty without hits) and, when hits exist,
-    ``trajectory_hits.txt``, whose norms are |.|_alpha of ``lap``.
+    ``trajectory_hits.txt``, whose norms are |.|_alpha of ``lap``.  Without
+    hits, a ``trajectory_hits.txt`` left by an earlier run is deleted.
     """
     write_table(out_dir / "trajectory.txt", traj.nodes.t, traj.nodes.states)
 
@@ -93,15 +94,13 @@ def write_trajectory(out_dir, traj, lap, alpha) -> None:
         for h in traj.hits:
             fh.write("%.17g\n" % h.time)
 
-    if traj.hits:
-        with open(out_dir / "trajectory_hits.txt", "w") as fh:
-            for h in traj.hits:
-                fh.write(
-                    "%.17g %d %.17g %.17g\n"
-                    % (
-                        h.time,
-                        h.surface,
-                        lap.frac_norm(h.pre, alpha),
-                        lap.frac_norm(h.post, alpha),
-                    )
-                )
+    hits_path = out_dir / "trajectory_hits.txt"
+    if not traj.hits:
+        hits_path.unlink(missing_ok=True)
+        return
+    with open(hits_path, "w") as fh:
+        for h in traj.hits:
+            fh.write(
+                "%.17g %d %.17g %.17g\n"
+                % (h.time, h.surface, lap.frac_norm(h.pre, alpha), lap.frac_norm(h.post, alpha))
+            )

@@ -35,7 +35,6 @@ from .trajectory import HitRecord, PiecewiseTrajectory, Segment
 
 __all__ = [
     "APSequencePoint",
-    "ContractionReport",
     "SolverConfig",
     "ConvergenceError",
     "SurfaceWindowError",
@@ -101,47 +100,6 @@ class APSequencePoint:
         if self.window != other.window:
             raise ValueError("sequence windows differ")
         return float(np.max(lap.frac_norm(self.values - other.values, alpha)))
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    K_M0: float
-    rho: float
-    N1_declared: float
-    N1_measured: float
-    psi1_inv: float
-    psi3_inv: float
-    L_dprime: float | None
-    L_prime: float | None
-    check_KM0: bool
-    check_N1: bool
-    # largest ratio of successive increments over every inner solve, and of
-    # successive outer steps of S
-    observed_inner_ratio: float | None = None
-    observed_S_ratio: float | None = None
-
-    @property
-    def all_pass(self) -> bool:
-        return self.check_KM0 and self.check_N1
-
-    def as_record(self) -> dict:
-        rec = {
-            "K_M0": self.K_M0,
-            "rho": self.rho,
-            "N1_declared": self.N1_declared,
-            "N1_measured": self.N1_measured,
-            "psi1_inv": self.psi1_inv,
-            "psi3_inv": self.psi3_inv,
-            "check_KM0": "pass" if self.check_KM0 else "fail",
-            "check_N1": "pass" if self.check_N1 else "fail",
-        }
-        rec["L_dprime"] = "undefined" if self.L_dprime is None else self.L_dprime
-        rec["L_prime"] = "undefined" if self.L_prime is None else self.L_prime
-        if self.observed_inner_ratio is not None:
-            rec["observed_inner_ratio"] = self.observed_inner_ratio
-        if self.observed_S_ratio is not None:
-            rec["observed_S_ratio"] = self.observed_S_ratio
-        return rec
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +313,9 @@ def inner_solve(
     The iteration starts from ``warm``, the previous solve's table, when one
     is given (and frees that table), else from u = 0.  Returns (trajectory,
     info).  The trajectory spans the extended window (reporting window plus
-    buffers); ``info`` holds iteration counts, the increment history, the
-    sup norm, the frozen times and the cuts with their surface indices.
+    buffers); ``info``, also its ``meta``, holds the buffer, the iteration
+    count, the increment history, the frozen times and the cuts with their
+    surface indices.
     Raises BallExitError when an iterate leaves U^alpha_rho and
     ConvergenceError when max_inner is hit.
     """
@@ -394,19 +353,15 @@ def inner_solve(
             "inner iteration did not converge; last increment %g" % increments[-1]
         )
 
-    traj = PiecewiseTrajectory(nodes=Segment(t=ig.t, states=states))
-    traj.meta.update(
-        {
-            "buffer": buf,
-            "iterations": len(increments),
-            "increments": increments,
-            "sup_alpha": float(np.max(lap.frac_norm(states, alpha))),
-            "frozen_times": taus,
-            "cuts": cuts,
-            "cut_surfaces": surfaces,
-        }
-    )
-    return traj, dict(traj.meta)
+    info = {
+        "buffer": buf,
+        "iterations": len(increments),
+        "increments": increments,
+        "frozen_times": taus,
+        "cuts": cuts,
+        "cut_surfaces": surfaces,
+    }
+    return PiecewiseTrajectory(nodes=Segment(t=ig.t, states=states), meta=info), info
 
 
 def integral_residual(
@@ -537,38 +492,37 @@ def outer_solve(
     else:
         raise ConvergenceError("outer iteration did not converge; steps %s" % steps[-3:])
 
-    # assemble hit records on the interior and certify hit-time consistency
+    # assemble hit records on the interior and certify hit-time consistency;
+    # y, the last map's output, is u* at the frozen times: the pre-jump states
     taus = info["frozen_times"]
     report_js = np.arange(report_window[0], report_window[1] + 1)
     report = slice(report_window[0] - surface_window[0], report_window[1] - surface_window[0] + 1)
     report_taus = taus[report]
-    pres = traj.eval_many(report_taus)
-    posts = pres + system.g(report_js, y.values[report])
+    pres = y.values[report]
+    posts = pres + system.g(report_js, pres)
     traj.hits = [
         HitRecord(time=t, surface=j, pre=pre, post=post)
         for j, t, pre, post in zip(report_js.tolist(), report_taus.tolist(), pres, posts)
     ]
-    traj.meta["hit_consistency"] = float(
-        np.max(np.abs(report_taus - system.tau(report_js, pres)), initial=0.0)
-    )
-    traj.meta["outer_steps"] = steps
-    traj.meta["inner_iterations"] = iterations
-    traj.meta["inner_increments"] = increments
     ratios = [r for r in map(_max_ratio, increments) if r is not None]
-    traj.meta["observed_inner_ratio"] = max(ratios, default=None)
-    traj.meta["observed_S_ratio"] = _max_ratio(steps)
+    meta = {
+        "buffer": buf,
+        "hit_consistency": float(
+            np.max(np.abs(report_taus - system.tau(report_js, pres)), initial=0.0)
+        ),
+        "inner_iterations": iterations,
+        "inner_increments": increments,
+        "observed_inner_ratio": max(ratios, default=None),
+        "observed_S_ratio": _max_ratio(steps),
+    }
 
     # estimate (vot) analogue: sup of |u|_gamma away from the hits
-    theta = system.theta
     nodes = traj.nodes
-    mask = nearest_distance(nodes.t, np.sort(taus)) >= theta / 4.0
+    mask = nearest_distance(nodes.t, np.sort(taus)) >= system.theta / 4.0
     for gamma in (alpha, 0.9):
-        traj.meta["sup_norm_%g" % gamma] = float(
-            np.max(lap.frac_norm(nodes.states[mask], gamma))
-        )
-    y_report = APSequencePoint(window=report_window, values=y.values[report])
-    traj.meta["surface_window"] = surface_window
-    return OuterResult(y_star=y_report, trajectory=traj, steps=steps, meta=dict(traj.meta))
+        meta["sup_norm_%g" % gamma] = float(np.max(lap.frac_norm(nodes.states[mask], gamma)))
+    y_report = APSequencePoint(window=report_window, values=pres)
+    return OuterResult(y_star=y_report, trajectory=traj, steps=steps, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -637,40 +591,36 @@ def verify_smallness(
     N1: float,
     M0: float,
     rng=None,
-) -> ContractionReport:
-    """Evaluate the explicit smallness gates of the contraction argument.
+) -> dict:
+    """The smallness gates of the contraction argument, as the record ``solve-ap`` writes.
 
     ``N1`` is the declared Lipschitz constant (the larger of it and a fresh
     measurement is gated) and ``M0`` bounds f(., 0) and g_j(0); the ball
-    radius is the system's rho.
+    radius is the system's rho.  L'' and L' are ``undefined`` without a
+    positive denominator.
     """
     measured = measure_lipschitz(system, rng=rng)
     n1 = max(N1, measured["N1"])
     k_m0 = kb.K * M0
     psi1_inv = 1.0 / kb.Psi1 if kb.Psi1 > 0.0 else np.inf
     psi3_inv = 1.0 / kb.Psi3 if kb.Psi3 > 0.0 else np.inf
-    check_km0 = bool(k_m0 < system.rho)
-    check_n1 = bool(n1 < min(psi1_inv, psi3_inv))
+    l_dprime = l_prime = "undefined"
     if n1 * kb.Psi3 < 1.0:
         l_dprime = kb.K4 / (1.0 - n1 * kb.Psi3)
-    else:
-        l_dprime = None
-    if l_dprime is not None and n1 * kb.Psi1 < 1.0:
-        l_prime = (n1 * kb.Psi2 * l_dprime + kb.K3) / (1.0 - n1 * kb.Psi1)
-    else:
-        l_prime = None
-    return ContractionReport(
-        K_M0=float(k_m0),
-        rho=system.rho,
-        N1_declared=N1,
-        N1_measured=measured["N1"],
-        psi1_inv=float(psi1_inv),
-        psi3_inv=float(psi3_inv),
-        L_dprime=l_dprime,
-        L_prime=l_prime,
-        check_KM0=check_km0,
-        check_N1=check_n1,
-    )
+        if n1 * kb.Psi1 < 1.0:
+            l_prime = (n1 * kb.Psi2 * l_dprime + kb.K3) / (1.0 - n1 * kb.Psi1)
+    return {
+        "K_M0": float(k_m0),
+        "rho": system.rho,
+        "N1_declared": N1,
+        "N1_measured": measured["N1"],
+        "psi1_inv": float(psi1_inv),
+        "psi3_inv": float(psi3_inv),
+        "check_KM0": "pass" if k_m0 < system.rho else "fail",
+        "check_N1": "pass" if n1 < min(psi1_inv, psi3_inv) else "fail",
+        "L_dprime": l_dprime,
+        "L_prime": l_prime,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import configparser
 import contextlib
+import importlib.util
 import io
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +248,18 @@ def test_every_key_edge_value_is_rejected_or_valid(tmp_path, section, key):
         except ConfigError:
             continue
         assert 0.0 < checks["theta"] < np.inf, value
+
+
+@pytest.mark.parametrize(
+    "section, key, most, above",
+    [("geometry", "n_modes", "512", "513"), ("geometry", "n_xi", "8192", "8193"),
+     ("sampling", "n_samples", "4096", "4097"), ("surfaces", "window", "0 9999", "0 10000")],
+)
+def test_size_keys_have_upper_bounds(tmp_path, section, key, most, above):
+    # checked at load, before any array of that size exists; no command runs at these sizes
+    load_instance(write_config(tmp_path, _with_key(section, key, most)))
+    with pytest.raises(ConfigError, match=r"\[%s\] %s must be " % (section, key)):
+        load_instance(write_config(tmp_path, _with_key(section, key, above)))
 
 
 def test_readme_key_table_lists_every_key():
@@ -508,13 +522,17 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
             else:
                 (data / name).write_text(edit((data / name).read_text()))
         argv += ["--data", str(data)]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        if command == "analyze-ap":
+            # an empty data file is rejected without numpy's loadtxt warning first
+            warnings.simplefilter("error")
         code = main(argv)
     assert code == 2
     last = buf.getvalue().splitlines()[-1]
     assert last.startswith("status=error kind=validation")
     assert damage is None or damage[0] in last
+    assert command != "analyze-ap" or err.getvalue() == ""
 
 
 def test_negative_seed_option_exits_2(tmp_path):
@@ -566,6 +584,19 @@ def test_hit_free_simulate_lists_no_discontinuity(tmp_path):
     assert (rec["n_hits"], rec["n_segments"]) == ("0", "2")
     assert (out / "trajectory_discontinuities.txt").read_text() == ""
     assert not (out / "trajectory_hits.txt").exists()
+
+
+def test_simulate_without_hits_deletes_an_earlier_hit_log(tmp_path):
+    # two runs into one --out: the hit log of the first must not outlive the
+    # second, which hits nothing
+    out = tmp_path / "out"
+    for t_range, hits in (("0.5 3.5", True), ("0.05 0.1", False)):
+        text = readme_instance() + "\n[simulate]\nt_range = %s\n" % t_range
+        assert main(["simulate", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 0
+        n_hits = int(read_record(out / "simulate.txt")["n_hits"])
+        assert (n_hits > 0) == hits == (out / "trajectory_hits.txt").exists(), t_range
+    assert (out / "trajectory_discontinuities.txt").read_text() == ""
 
 
 def test_analyze_ap_samples_the_table_as_solve_ap_does(tmp_path, monkeypatch):
@@ -717,6 +748,26 @@ def test_cmd_certify(tmp_path):
     cert0 = read_record(out / "beating_0.txt")
     assert cert0["verdict"] == "pass"
     assert float(cert0["theta_check"]) <= 1e-10
+
+
+CONTRACTION_KEYS = (
+    "K_M0 rho N1_declared N1_measured psi1_inv psi3_inv check_KM0 check_N1 L_dprime L_prime "
+    "observed_inner_ratio observed_S_ratio outer_steps inner_iterations final_step "
+    "integral_residual hit_consistency sup_norm_alpha sup_norm_0.9 buffer"
+).split()
+
+
+def test_gate_record_layouts(tmp_path):
+    # the key order of contraction.txt (the record of verify_smallness, then
+    # what solve-ap adds) and of a beating certificate
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve-ap", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 0
+    assert list(read_record(out / "contraction.txt")) == CONTRACTION_KEYS
+    cert = read_record(out / "beating_3.txt")
+    assert list(cert) == ["surface", "theta_check", "P_check", "beta0", "n_samples", "verdict"]
+    assert (cert["surface"], cert["n_samples"], cert["verdict"]) == ("3", "16", "pass")
 
 
 def test_cmd_certify_determinism(tmp_path):
@@ -874,3 +925,27 @@ def test_export_lists_resolve():
         assert len(mod.__all__) == len(set(mod.__all__)), mod.__name__
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, (mod.__name__, missing)
+
+
+# ---------------------------------------------------------------------------
+# bench harness
+# ---------------------------------------------------------------------------
+
+
+def test_every_bench_layer_resolves():
+    """Each function that bench/child.py wraps is found by the walk of its ``Tracer.install``.
+
+    child.py is imported, not run: a renamed or deleted function fails here
+    instead of only in the traced bench runs.
+    """
+    path = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    assert set(child.SETUP_LAYERS) | set(child.COUNTS) <= set(child.LAYERS)
+    for name, (module, attr, _) in child.LAYERS.items():
+        owner = importlib.import_module(module)
+        *parts, leaf = attr.split(".")
+        for part in parts:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(leaf)), name

@@ -289,8 +289,8 @@ def test_verify_smallness_linear_instance():
     assert measured["N1"] < 1e-12
     rep = verify_smallness(sys0, kb, measured["N1"], measured["M0"],
                            rng=np.random.default_rng(50))
-    assert rep.all_pass
-    assert rep.L_dprime == pytest.approx(kb.K4)
+    assert rep["check_KM0"] == rep["check_N1"] == "pass"
+    assert rep["L_dprime"] == pytest.approx(kb.K4)
 
 
 def test_verify_smallness_overloaded():
@@ -303,7 +303,7 @@ def test_verify_smallness_overloaded():
     measured = measure_lipschitz(sys0, rng=np.random.default_rng(52))
     rep = verify_smallness(sys0, kb, measured["N1"], measured["M0"],
                            rng=np.random.default_rng(53))
-    assert not rep.check_KM0
+    assert rep["check_KM0"] == "fail"
 
 
 LIPSCHITZ_CASES = {
