@@ -35,7 +35,6 @@ from .ap_analysis import (
 )
 from .evolution import (
     DichotomyData,
-    KBundle,
     LinearCoefficient,
     NonHyperbolicError,
     fit_dichotomy,
@@ -91,7 +90,6 @@ __all__ = [
     "almost_periodicity_report",
     "LinearCoefficient",
     "DichotomyData",
-    "KBundle",
     "NonHyperbolicError",
     "fit_dichotomy",
     "k_bundle",

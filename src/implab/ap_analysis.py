@@ -77,9 +77,11 @@ class StronglyAPSet:
     def __post_init__(self):
         if self.a <= 0.0:
             raise ValueError("mean gap a must be positive")
-        taus = self.taus()
-        gaps = np.diff(taus)
-        if np.any(gaps <= 0.0):
+        with np.errstate(over="ignore"):  # a huge gap overflows to inf, rejected below
+            taus = self.taus()
+        if not np.all(np.isfinite(taus)):
+            raise ValueError("tau_k must be finite on the window")
+        if np.any(np.diff(taus) <= 0.0):
             raise ValueError("tau_k must be strictly increasing on the window")
 
     def indices(self) -> np.ndarray:

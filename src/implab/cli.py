@@ -129,7 +129,7 @@ def cmd_constants(cfg, out: Path, seed: int) -> None:
     rec["gap_constant_formula"] = gc["formula"]
     rec["gap_constant_measured"] = gc["measured"]
     write_record(out / "dichotomy.txt", rec)
-    write_record(out / "kbundle.txt", kb.as_record())
+    write_record(out / "kbundle.txt", kb)
 
 
 def cmd_simulate(cfg, out: Path, seed: int) -> None:

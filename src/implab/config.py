@@ -217,7 +217,6 @@ def load_instance(path) -> InstanceConfig:
                 values[name][key] = value
 
     geo, surf, jsec, ssec = (values[s] for s in ("geometry", "surfaces", "jumps", "solver"))
-    n_xi = geo.pop("n_xi", ImpulseSystemSpec.n_xi)
     lap = DirichletLaplacian(**geo)
     left, right = (
         np.stack([_modes(row, lap.n_modes, "[jumps] " + key) for row in jsec[key]])
@@ -241,7 +240,7 @@ def load_instance(path) -> InstanceConfig:
     system = ImpulseSystemSpec(
         lap=lap, **({"alpha": 0.5, "rho": 1.0} | values["problem"]),
         a=TrigSum(**values["coefficient_a"]), b=TrigSum(**values["coefficient_b"]),
-        surfaces=ImpulseSurfaceSpec(base, _sum(surf, "slope")), jumps=jumps, n_xi=n_xi,
+        surfaces=ImpulseSurfaceSpec(base, _sum(surf, "slope")), jumps=jumps,
     )
     t_window = ssec.pop("window", (0.0, 10.0))
     sim = values["simulate"]
@@ -273,13 +272,13 @@ def validate_instance(cfg: InstanceConfig) -> dict:
 
     try:
         theta = system.theta
-        system.transform  # built here once for the command; rejects n_xi + 1 < 4N
+        lap.basis  # built here once for the command; rejects n_xi + 1 < 4N
     except (SeparationError, AliasingError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    d_norm = 0.0
-    for j in system.surfaces.indices()[:: max(1, slopes.size // 8)]:
-        d_norm = max(d_norm, float(lap.frac_norm(system.jumps.offset(j, lap.n_modes), 1.0)))
+    # d_j is one array for every j: sup_j |d_j|_1 is its norm at the first surface
+    j0 = system.surfaces.base.window[0]
+    d_norm = float(lap.frac_norm(system.jumps.offset(j0, lap.n_modes), 1.0))
 
     i_zero = float(np.asarray(system.jumps.i_map(np.zeros(1)))[0])
     if abs(i_zero) > 0.0:

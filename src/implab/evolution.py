@@ -44,7 +44,6 @@ from .trig import TrigSum
 __all__ = [
     "LinearCoefficient",
     "DichotomyData",
-    "KBundle",
     "NonHyperbolicError",
     "NonFiniteConstantError",
     "fit_dichotomy",
@@ -271,30 +270,7 @@ def _jump_sum(lap, coeff, dich, t, jump_times, jump_vecs, T_tail, right=False):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KBundle:
-    alpha: float
-    theta: float
-    Q: float
-    K1: float
-    K2: float
-    K: float
-    K3: float
-    K4: float
-    Psi1: float
-    Psi2: float
-    Psi3: float
-    C: float
-    g_star: float
-    M_star: float
-
-    def as_record(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "alpha", "theta", "Q", "K1", "K2", "K", "K3", "K4",
-            "Psi1", "Psi2", "Psi3", "C", "g_star", "M_star")}
-
-
-def k_bundle(alpha, dich: DichotomyData, theta, Q, C=1.0, g_star=0.0, M_star=0.0) -> KBundle:
+def k_bundle(alpha, dich: DichotomyData, theta, Q, C=1.0, g_star=0.0, M_star=0.0) -> dict:
     """Constants K1, K2, K, K3, K4 and Psi1..Psi3 of the contraction argument.
 
     All are closed-form: K1 integrates ``M1 psi_alpha(s) e^{-beta |s|}``
@@ -319,9 +295,9 @@ def k_bundle(alpha, dich: DichotomyData, theta, Q, C=1.0, g_star=0.0, M_star=0.0
     Psi2 = 2.0 * M1 * (1.0 + theta ** (-alpha)) * Q ** (1.0 - alpha) / (denom * (1.0 - alpha))
     a = 1.0 - alpha
     Psi3 = M1 * (math.gamma(a) ** 2 / math.gamma(2.0 * a)) * Q ** a
-    bundle = KBundle(
-        alpha=alpha, theta=theta, Q=Q, K1=K1, K2=K2, K=K, K3=K3, K4=K4,
-        Psi1=Psi1, Psi2=Psi2, Psi3=Psi3, C=C, g_star=g_star, M_star=M_star,
-    )
-    _require_finite(NonFiniteConstantError, "K-bundle constant", **bundle.as_record())
+    bundle = {
+        "alpha": alpha, "theta": theta, "Q": Q, "K1": K1, "K2": K2, "K": K, "K3": K3, "K4": K4,
+        "Psi1": Psi1, "Psi2": Psi2, "Psi3": Psi3, "C": C, "g_star": g_star, "M_star": M_star,
+    }
+    _require_finite(NonFiniteConstantError, "K-bundle constant", **bundle)
     return bundle

@@ -43,7 +43,7 @@ import numpy as np
 
 from .ap_analysis import StronglyAPSet
 from .evolution import LinearCoefficient
-from .spectral import DirichletLaplacian, SineTransform
+from .spectral import DirichletLaplacian
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
 from .trig import TrigSum
 
@@ -147,15 +147,15 @@ class JumpSpec:
     The kernel K_j(xi, zeta) = amp_j sum_r phi_r(xi) chi_r(zeta) is a
     separable low-rank sine expansion; ``left``/``right`` hold the spectral
     coefficients of phi_r / chi_r as (R, N) arrays.  ``nonlinearity`` names a
-    catalogue map I with I(0) = 0; ``amp`` is a TrigSum of j; ``d`` gives the
-    additive offsets d_j (a callable of j, a fixed array, or None).
+    catalogue map I with I(0) = 0; ``amp`` is a TrigSum of j; ``d`` is the
+    additive offset d_j, one (N,) array for every j, or None for zero.
     """
 
     left: np.ndarray | None = None
     right: np.ndarray | None = None
     nonlinearity: str = "zero"
     amp: TrigSum = TrigSum(1.0)
-    d: object = None
+    d: np.ndarray | None = None
 
     def __post_init__(self):
         if self.nonlinearity not in JUMP_MAP_CATALOGUE:
@@ -169,16 +169,13 @@ class JumpSpec:
         return JUMP_MAP_CATALOGUE[self.nonlinearity][0]
 
     def offset(self, j, n_modes) -> np.ndarray:
-        """d_j: one row per index of an index array when d is a callable; else (N,)."""
+        """d_j, the same (N,) array for every j."""
         if self.d is None:
             return np.zeros(n_modes)
-        if callable(self.d):
-            return np.array([self.d(int(i)) for i in np.ravel(j)],
-                            dtype=float).reshape(np.shape(j) + (n_modes,))
         return np.asarray(self.d, dtype=float)
 
-    def g(self, j, x, transform: SineTransform) -> np.ndarray:
-        """g_j(x) on the grid of ``transform``, with the shape of x.
+    def g(self, j, x, lap: DirichletLaplacian) -> np.ndarray:
+        """g_j(x) on the grid of ``lap``, with the shape of x.
 
         j is an index, applied to x of shape (N,) or to every row of an
         (S, N) batch, or an index array of S entries with one state row each,
@@ -187,7 +184,7 @@ class JumpSpec:
         out = self.offset(j, np.shape(x)[-1])
         if self.left is None or self.nonlinearity == "zero":
             return np.broadcast_to(out, np.shape(x)).copy()
-        image = transform.nonlinear_image(x, self.i_map)
+        image = lap.nonlinear_image(x, self.i_map)
         # <chi_r, I(u)> by Parseval on the projected image
         inner = np.asarray(self.right, dtype=float) @ image.T
         amp = np.asarray(self.amp(np.asarray(j, dtype=float)))
@@ -212,7 +209,6 @@ class ImpulseSystemSpec:
     b: TrigSum
     surfaces: ImpulseSurfaceSpec
     jumps: JumpSpec
-    n_xi: int = 256
 
     @cached_property
     def coeff(self) -> LinearCoefficient:
@@ -226,11 +222,6 @@ class ImpulseSystemSpec:
     @cached_property
     def ab(self) -> TrigSum:
         return self.a * self.b
-
-    @cached_property
-    def transform(self) -> SineTransform:
-        """Sine basis and weights of the uniform n_xi grid, built once."""
-        return SineTransform(self.lap, self.lap.uniform_grid(self.n_xi))
 
     @cached_property
     def intervals(self) -> tuple:
@@ -283,7 +274,7 @@ class ImpulseSystemSpec:
         """
         batch = isinstance(t, np.ndarray) and t.ndim > 0
         ab = self.ab(t)
-        image = self.transform.nonlinear_image(x, self._reaction)
+        image = self.lap.nonlinear_image(x, self._reaction)
         image *= ab[:, None] if batch else ab
         return image
 
@@ -301,7 +292,7 @@ class ImpulseSystemSpec:
 
     def g(self, j, x) -> np.ndarray:
         """g_j(x) for an index j or an index array with one state row per index."""
-        return self.jumps.g(j, x, self.transform)
+        return self.jumps.g(j, x, self.lap)
 
 
 def apply_jump(system: ImpulseSystemSpec, j, x) -> np.ndarray:
@@ -588,10 +579,10 @@ def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
     (S, N) array; draws with weights summing below 1e-8 or with a vanishing
     norm are dropped.
     """
-    lap, tr = system.lap, system.transform
+    lap = system.lap
     raw = rng.random((n_samples, 5))
     raw = raw[np.sum(raw[:, :4], axis=1) >= 1e-8]
-    shapes = tr.project(np.sin(np.arange(1, 5)[:, None] * np.pi * tr.xi / lap.l) ** 2)
+    shapes = lap.project(np.sin(np.arange(1, 5)[:, None] * np.pi * lap.xi / lap.l) ** 2)
     x = raw[:, :4] @ shapes
     nrm = lap.frac_norm(x, system.alpha)
     keep = nrm >= 1e-12
@@ -612,7 +603,7 @@ def beating_certificate(
     evaluated as one (S, N) batch.  Returns the record ``certify`` writes.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    lap, tr = system.lap, system.transform
+    lap = system.lap
     b_j = system.surfaces.slope(j)
 
     sup_ab = system.ab.sup_bound()
@@ -623,7 +614,7 @@ def beating_certificate(
     q = ImpulseSurfaceSpec.q_functional(x)
     tau = system.tau(j, x)
     theta = b_j * (ImpulseSurfaceSpec.q_functional(x + system.g(j, x)) - q)
-    cubic = tr.synthesize(x) ** 3 @ tr.weights
+    cubic = lap.eval_physical(x) ** 3 @ lap.weights
     grad_sq = np.sum(lap.eigenvalues * x * x, axis=-1)
     p_val = -2.0 * b_j * grad_sq + 2.0 * b_j * system.a(tau) * (q - system.b(tau) * cubic)
     theta_check = float(np.max(theta, initial=-np.inf))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ap_analysis import almost_periodicity_report, cropped_span, nearest_distance
-from .evolution import DichotomyData, KBundle, _green_integral_at, _jump_sum
+from .evolution import DichotomyData, _green_integral_at, _jump_sum
 from .impulsive import BallExitError, ImpulseSystemSpec, _phi_weights
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
 
@@ -587,7 +587,7 @@ def measure_lipschitz(system: ImpulseSystemSpec, rng=None, n_pairs: int = 200) -
 
 def verify_smallness(
     system: ImpulseSystemSpec,
-    kb: KBundle,
+    kb: dict,
     N1: float,
     M0: float,
     rng=None,
@@ -601,14 +601,15 @@ def verify_smallness(
     """
     measured = measure_lipschitz(system, rng=rng)
     n1 = max(N1, measured["N1"])
-    k_m0 = kb.K * M0
-    psi1_inv = 1.0 / kb.Psi1 if kb.Psi1 > 0.0 else np.inf
-    psi3_inv = 1.0 / kb.Psi3 if kb.Psi3 > 0.0 else np.inf
+    k_m0 = kb["K"] * M0
+    psi1, psi3 = kb["Psi1"], kb["Psi3"]
+    psi1_inv = 1.0 / psi1 if psi1 > 0.0 else np.inf
+    psi3_inv = 1.0 / psi3 if psi3 > 0.0 else np.inf
     l_dprime = l_prime = "undefined"
-    if n1 * kb.Psi3 < 1.0:
-        l_dprime = kb.K4 / (1.0 - n1 * kb.Psi3)
-        if n1 * kb.Psi1 < 1.0:
-            l_prime = (n1 * kb.Psi2 * l_dprime + kb.K3) / (1.0 - n1 * kb.Psi1)
+    if n1 * psi3 < 1.0:
+        l_dprime = kb["K4"] / (1.0 - n1 * psi3)
+        if n1 * psi1 < 1.0:
+            l_prime = (n1 * kb["Psi2"] * l_dprime + kb["K3"]) / (1.0 - n1 * psi1)
     return {
         "K_M0": float(k_m0),
         "rho": system.rho,

@@ -232,13 +232,13 @@ def samples_in_physical_space(system: ImpulseSystemSpec, n_samples, rng) -> np.n
 
     The same draws, rejection rules and scaling as ``_nonnegative_samples``.
     """
-    lap, tr = system.lap, system.transform
+    lap = system.lap
     raw = rng.random((n_samples, 5))
     raw = raw[np.sum(raw[:, :4], axis=1) >= 1e-8]
-    u = np.zeros((raw.shape[0], tr.xi.size))
+    u = np.zeros((raw.shape[0], lap.xi.size))
     for m in range(1, 5):
-        u += raw[:, m - 1, None] * np.sin(m * np.pi * tr.xi / lap.l) ** 2
-    x = tr.project(u)
+        u += raw[:, m - 1, None] * np.sin(m * np.pi * lap.xi / lap.l) ** 2
+    x = lap.project(u)
     nrm = lap.frac_norm(x, system.alpha)
     keep = nrm >= 1e-12
     x, nrm, r = x[keep], nrm[keep], raw[keep, 4]

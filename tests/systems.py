@@ -25,6 +25,18 @@ class ProfileForcedSystem(ImpulseSystemSpec):
 
 
 @dataclass(frozen=True)
+class IndexedOffsetJumps(JumpSpec):
+    """Jumps whose offset d_j = offsets(j) varies with j, for the reduction checks."""
+
+    offsets: object = None
+
+    def offset(self, j, n_modes) -> np.ndarray:
+        """d_j, with one row per index of an index array."""
+        rows = [np.asarray(self.offsets(int(i)), dtype=float) for i in np.ravel(j)]
+        return np.array(rows).reshape(np.shape(j) + (n_modes,))
+
+
+@dataclass(frozen=True)
 class ShiftedCoefficient(LinearCoefficient):
     """A coefficient with per-mode shifts lambda_k -> lambda_k + sigma_k.
 
@@ -55,13 +67,12 @@ def make_system(
 
     ``f_override``, a profile of t alone, replaces f (a ProfileForcedSystem).
     """
-    lap = DirichletLaplacian(l=1.0, n_modes=n_modes)
+    lap = DirichletLaplacian(l=1.0, n_modes=n_modes, n_xi=8 * n_modes)
     base = StronglyAPSet(a=base_gap, c=TrigSum(0.0), window=window)
     spec = dict(
         lap=lap, alpha=0.5, rho=rho, a=a, b=b,
         surfaces=ImpulseSurfaceSpec(base=base, slopes=slopes),
         jumps=JumpSpec() if jumps is None else jumps,
-        n_xi=8 * n_modes,
     )
     if f_override is None:
         return ImpulseSystemSpec(**spec)

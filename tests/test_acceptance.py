@@ -44,7 +44,13 @@ from oracles import (
     green_shift_defect,
     pieces,
 )
-from systems import ShiftedCoefficient, certified_logistic, make_system, rank1_jumps
+from systems import (
+    IndexedOffsetJumps,
+    ShiftedCoefficient,
+    certified_logistic,
+    make_system,
+    rank1_jumps,
+)
 
 N = 16
 ALPHA = 0.5
@@ -95,7 +101,7 @@ def test_criterion_1_beta0_and_beating():
     check(failures, cert["verdict"] == "pass", "certificate verdict is fail")
 
     # 50-surface simulation from non-negative data: <= 1 hit per surface
-    x0 = sys1.lap.project(lambda s: 0.3 * np.sin(np.pi * s) ** 2, sys1.transform.xi)
+    x0 = sys1.lap.project(lambda s: 0.3 * np.sin(np.pi * s) ** 2)
     traj = simulate(sys1, x0, 0.5, 50.5, seg_tol=1e-8,
                     certified_surfaces=range(1, 51))
     counts = traj.meta["hit_counts"]
@@ -305,7 +311,7 @@ def test_criterion_5_contraction():
     # inner Picard increment ratios of every inner solve vs the theoretical
     # contraction factor
     n1 = max(meas["N1"], rep["N1_measured"])
-    bound = kb.K * n1 * 1.05
+    bound = kb["K"] * n1 * 1.05
     ratios = [inc[i] / inc[i - 1] for inc in res.meta["inner_increments"]
               for i in range(1, len(inc)) if inc[i - 1] > 1e-12]
     check(failures, ratios and max(ratios) <= bound,
@@ -380,7 +386,7 @@ def test_criterion_6_degenerate_and_reduction():
     sys_q = make_system(n_modes=N,
                         a=TrigSum(9.0, ((0.03, 1.0, 0.0), (0.002, np.sqrt(2.0), 0.3))),
                         b=TrigSum(), window=(-15, 65), slopes=TrigSum(0.0),
-                        jumps=JumpSpec(d=lambda j: d_amp(j) * e1(1.0)))
+                        jumps=IndexedOffsetJumps(offsets=lambda j: d_amp(j) * e1(1.0)))
     dich_q = fit_dichotomy(sys_q.lap, sys_q.coeff, rng=np.random.default_rng(253))
     cfg_q = SolverConfig(h_t=0.005, buffer=12.0)
     w = sys_q.lap.frac_weights(ALPHA)
@@ -411,7 +417,7 @@ def test_criterion_7_nonnegativity():
     res = outer_solve(sys0, dich, (0.5, 12.5), cfg=SolverConfig(h_t=0.005))
     t_all, states = res.trajectory.nodes.t, res.trajectory.nodes.states
     mask = (t_all >= 0.5) & (t_all <= 12.5)
-    u = sys0.lap.eval_physical(states[mask], sys0.transform.xi)
+    u = sys0.lap.eval_physical(states[mask])
     check(failures, np.min(u) >= -1e-8, "min u = %g < -1e-8" % np.min(u))
     check(failures, np.max(u) > 1e-3, "solution trivially small")
 

@@ -295,18 +295,18 @@ def _dich(M1, beta, alpha=0.5):
 def test_k_bundle_alpha_zero_closed_form():
     kb = k_bundle(0.0, _dich(M1=1.5, beta=2.0, alpha=0.0), theta=1.0, Q=0.5)
     # alpha = 0: psi = 2 on s > 0, so K1 = M1 (2/beta + 1/beta)
-    assert kb.K1 == pytest.approx(1.5 * 3.0 / 2.0, rel=1e-8)
-    assert kb.K2 == pytest.approx(2.0 * 1.5 / (1.0 - np.exp(-2.0)), rel=1e-12)
-    assert kb.K == pytest.approx(kb.K1 + kb.K2, rel=1e-12)
+    assert kb["K1"] == pytest.approx(1.5 * 3.0 / 2.0, rel=1e-8)
+    assert kb["K2"] == pytest.approx(2.0 * 1.5 / (1.0 - np.exp(-2.0)), rel=1e-12)
+    assert kb["K"] == pytest.approx(kb["K1"] + kb["K2"], rel=1e-12)
 
 
 def test_k_bundle_gamma_closed_form():
     alpha, M1, beta = 0.5, 2.0, 1.3
     kb = k_bundle(alpha, _dich(M1, beta, alpha), theta=0.8, Q=0.3)
     ref = M1 * (2.0 / beta + special.gamma(1.0 - alpha) * beta ** (alpha - 1.0))
-    assert kb.K1 == pytest.approx(ref, rel=1e-8)
+    assert kb["K1"] == pytest.approx(ref, rel=1e-8)
     # Psi3 at alpha = 1/2: Beta(1/2, 1/2) = pi
-    assert kb.Psi3 == pytest.approx(M1 * np.pi * np.sqrt(0.3), rel=1e-12)
+    assert kb["Psi3"] == pytest.approx(M1 * np.pi * np.sqrt(0.3), rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
@@ -317,9 +317,9 @@ def test_k_bundle_matches_quadrature_and_beta(alpha):
     pos, _ = integrate.quad(
         lambda s: (1.0 + s ** (-alpha)) * np.exp(-beta * s), 0.0, np.inf, limit=200
     )
-    assert kb.K1 == pytest.approx(M1 * (pos + 1.0 / beta), rel=1e-9)
+    assert kb["K1"] == pytest.approx(M1 * (pos + 1.0 / beta), rel=1e-9)
     ref = M1 * special.beta(1.0 - alpha, 1.0 - alpha) * Q ** (1.0 - alpha)
-    assert kb.Psi3 == pytest.approx(ref, rel=1e-14)
+    assert kb["Psi3"] == pytest.approx(ref, rel=1e-14)
 
 
 def test_k_bundle_validation():

@@ -21,7 +21,7 @@ from implab.impulsive import (
     _bracket_root,
     _nonnegative_samples,
 )
-from implab.spectral import SineTransform
+from implab.spectral import DirichletLaplacian
 from implab.trajectory import Segment
 from implab.trig import TrigSum
 
@@ -34,7 +34,7 @@ from oracles import (
     segment_residual,
     semigroup_apply,
 )
-from systems import certified_logistic, make_system, rank1_jumps
+from systems import IndexedOffsetJumps, certified_logistic, make_system, rank1_jumps
 
 
 def e1(system, c=1.0):
@@ -230,8 +230,7 @@ def test_apply_jump_nonnegative_data():
     sys0 = make_system(jumps=jumps)
     x = 0.2 * e1(sys0)
     post = apply_jump(sys0, 1, x)
-    xi = sys0.transform.xi
-    u = sys0.lap.eval_physical(post, xi)
+    u = sys0.lap.eval_physical(post)
     assert np.min(u) >= -1e-8
 
 
@@ -336,11 +335,9 @@ def test_simulate_certified_no_beating():
 
 def test_simulate_nonnegativity():
     sys0 = certified_logistic(window=(1, 4))
-    x0 = sys0.lap.project(lambda s: 0.3 * np.sin(np.pi * s) ** 2, sys0.transform.xi)
+    x0 = sys0.lap.project(lambda s: 0.3 * np.sin(np.pi * s) ** 2)
     traj = simulate(sys0, x0, 0.5, 4.5, seg_tol=1e-8)
-    xi = sys0.transform.xi
-    states = traj.nodes.states
-    u = sys0.lap.eval_physical(states, xi)
+    u = sys0.lap.eval_physical(traj.nodes.states)
     assert np.min(u) >= -1e-8 * max(1.0, np.max(np.abs(u)))
 
 
@@ -391,8 +388,7 @@ def test_jump_map_catalogue_zero_and_lipschitz():
 def certificate_by_sample(system, j, n_samples, rng):
     """Reference: the beating certificate evaluated one sample at a time."""
     lap, alpha, rho = system.lap, system.alpha, system.rho
-    xi = system.transform.xi
-    w_quad = lap.quad_weights(xi)
+    xi, w_quad = lap.xi, lap.weights
     b_j = system.surfaces.slope(j)
     samples = []
     for row in rng.random((n_samples, 5)):
@@ -402,7 +398,7 @@ def certificate_by_sample(system, j, n_samples, rng):
         u = np.zeros(xi.size)
         for m, wm in enumerate(w, start=1):
             u += wm * np.sin(m * np.pi * xi / lap.l) ** 2
-        x = lap.project(u, xi)
+        x = lap.project(u)
         nrm = lap.frac_norm(x, alpha)
         if nrm < 1e-12:
             continue
@@ -414,7 +410,7 @@ def certificate_by_sample(system, j, n_samples, rng):
         tau = system.surfaces.base_times[j - system.surfaces.base.window[0]] + b_j * q
         theta_j = b_j * (ImpulseSurfaceSpec.q_functional(x + system.g(j, x)) - q)
         theta_check = max(theta_check, theta_j)
-        u = lap.eval_physical(x, xi)
+        u = lap.eval_physical(x)
         cubic = float(np.sum(w_quad * u**3))
         grad_sq = float(np.sum(lap.eigenvalues * x * x))
         p_val = -2.0 * b_j * grad_sq + 2.0 * b_j * system.a(tau) * (
@@ -943,17 +939,17 @@ def test_single_state_forcing_bit_equal_to_formula(build, monkeypatch):
     times = [0.0, 0.5, 1.2345, -3.0, 1e4, np.float64(2.5), 2]
     states = [0.3 * rng.standard_normal(sys0.lap.n_modes) / w for _ in times]
     refs = [
-        sys0.ab(np.asarray(t)) * sys0.transform.nonlinear_image(x, lambda u: (sys0.rho - u) * u)
+        sys0.ab(np.asarray(t)) * sys0.lap.nonlinear_image(x, lambda u: (sys0.rho - u) * u)
         for t, x in zip(times, states)
     ]
     maps = []
-    image = SineTransform.nonlinear_image
+    image = DirichletLaplacian.nonlinear_image
 
     def recorded(self, x, pointwise_map):
         maps.append(pointwise_map)
         return image(self, x, pointwise_map)
 
-    monkeypatch.setattr(SineTransform, "nonlinear_image", recorded)
+    monkeypatch.setattr(DirichletLaplacian, "nonlinear_image", recorded)
     for t, x, ref in zip(times, states, refs):
         assert sys0.forcing(t, x).tobytes() == ref.tobytes()
         assert sys0.f(t, x).tobytes() == ref.tobytes()
@@ -991,7 +987,8 @@ def test_jump_g_takes_one_state_row_per_index(jump_map):
     if jump_map == "left=None":
         jumps = JumpSpec(nonlinearity="relu", d=0.05 * rng.standard_normal(n))
     elif jump_map == "callable d":
-        jumps = JumpSpec(nonlinearity="tanh", d=lambda j: 0.01 * j * np.ones(n), **kernel)
+        jumps = IndexedOffsetJumps(nonlinearity="tanh", offsets=lambda j: 0.01 * j * np.ones(n),
+                                   **kernel)
     else:
         jumps = JumpSpec(nonlinearity=jump_map, d=0.05 * rng.standard_normal(n), **kernel)
     sys0 = make_system(jumps=jumps, window=(0, 20))

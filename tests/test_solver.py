@@ -290,7 +290,7 @@ def test_verify_smallness_linear_instance():
     rep = verify_smallness(sys0, kb, measured["N1"], measured["M0"],
                            rng=np.random.default_rng(50))
     assert rep["check_KM0"] == rep["check_N1"] == "pass"
-    assert rep["L_dprime"] == pytest.approx(kb.K4)
+    assert rep["L_dprime"] == pytest.approx(kb["K4"])
 
 
 def test_verify_smallness_overloaded():

@@ -56,20 +56,20 @@ def test_semigroup_property(lap):
 
 
 def test_eval_physical(lap):
-    xi = lap.uniform_grid(64)
-    assert np.allclose(lap.eval_physical(np.zeros(lap.n_modes), xi), 0.0)
+    coarse = DirichletLaplacian(l=1.0, n_modes=16, n_xi=64)
+    assert coarse.xi.size == 65 and coarse.xi[32] == 0.5
+    assert np.allclose(coarse.eval_physical(np.zeros(lap.n_modes)), 0.0)
     # basis value at the midpoint: sqrt(2) sin(pi/2) = sqrt(2)
-    assert lap.eval_physical(e(lap, 1), np.array([0.5]))[0] == pytest.approx(np.sqrt(2.0))
+    assert coarse.eval_physical(e(lap, 1))[32] == pytest.approx(np.sqrt(2.0))
     # Dirichlet ends
     rng = np.random.default_rng(6)
     x = rng.standard_normal(lap.n_modes)
-    u = lap.eval_physical(x, xi)
+    u = coarse.eval_physical(x)
     assert abs(u[0]) < 1e-12 and abs(u[-1]) < 1e-12
 
 
 def test_project_basis_function(lap):
-    xi = lap.uniform_grid(256)
-    coeffs = lap.project(lambda s: np.sqrt(2.0) * np.sin(np.pi * s), xi)
+    coeffs = lap.project(lambda s: np.sqrt(2.0) * np.sin(np.pi * s))
     target = np.zeros(lap.n_modes)
     target[0] = 1.0
     assert np.max(np.abs(coeffs - target)) < 1e-10
@@ -78,31 +78,30 @@ def test_project_basis_function(lap):
 def test_project_round_trip(lap):
     rng = np.random.default_rng(7)
     x = rng.standard_normal(lap.n_modes)
-    xi = lap.uniform_grid(256)
-    back = lap.project(lap.eval_physical(x, xi), xi)
+    back = lap.project(lap.eval_physical(x))
     assert np.max(np.abs(back - x)) < 1e-10
 
 
 def test_project_zero_and_aliasing_guard(lap):
-    xi = lap.uniform_grid(256)
-    assert np.allclose(lap.project(np.zeros(xi.size), xi), 0.0)
+    assert np.allclose(lap.project(np.zeros(lap.xi.size)), 0.0)
+    with pytest.raises(ValueError, match="does not match the grid"):
+        lap.project(np.zeros(lap.xi.size - 1))
     with pytest.raises(AliasingError):
-        lap.project(np.zeros(10), lap.uniform_grid(9))
+        DirichletLaplacian(l=1.0, n_modes=16, n_xi=9).project(np.zeros(10))
 
 
 def test_nonlinear_image_identity_and_zero(lap):
     rng = np.random.default_rng(8)
     x = rng.standard_normal(lap.n_modes)
-    xi = lap.uniform_grid(256)
-    assert np.max(np.abs(lap.nonlinear_image(x, lambda u: u, xi) - x)) < 1e-10
-    assert np.allclose(lap.nonlinear_image(np.zeros(lap.n_modes), lambda u: u**3, xi), 0.0)
+    assert np.max(np.abs(lap.nonlinear_image(x, lambda u: u) - x)) < 1e-10
+    assert np.allclose(lap.nonlinear_image(np.zeros(lap.n_modes), lambda u: u**3), 0.0)
 
 
 def test_nonlinear_image_square_closed_form(lap):
     # u = e1 on (0,1): u^2 = 2 sin^2(pi xi); coefficients against the
     # closed-form integrals <2 sin^2(pi xi), sqrt(2) sin(k pi xi)>
-    xi = lap.uniform_grid(2048)
-    got = lap.nonlinear_image(e(lap, 1), lambda u: u**2, xi)
+    fine = DirichletLaplacian(l=1.0, n_modes=16, n_xi=2048)
+    got = fine.nonlinear_image(e(lap, 1), lambda u: u**2)
 
     def coeff(k):
         # <2 sin^2(pi s), sqrt(2) sin(k pi s)> = -8 sqrt(2) / (pi k (k^2 - 4))
@@ -117,32 +116,35 @@ def test_nonlinear_image_square_closed_form(lap):
 
 def test_heat_semigroup_positivity(lap):
     rng = np.random.default_rng(9)
-    xi = lap.uniform_grid(256)
+    xi = lap.xi
     for _ in range(10):
         w = rng.uniform(0.0, 1.0, 4)
         u0 = np.zeros(xi.size)
         for m, wm in enumerate(w, start=1):
             u0 += wm * np.sin(m * np.pi * xi) ** 2
-        x = lap.project(u0, xi)
+        x = lap.project(u0)
         scale = np.max(np.abs(u0))
         for t in (0.0, 0.01, 0.1, 1.0):
-            u = lap.eval_physical(semigroup_apply(lap, t, x), xi)
+            u = lap.eval_physical(semigroup_apply(lap, t, x))
             assert np.min(u) >= -1e-8 * max(scale, 1.0)
 
 
-def test_transform_owns_basis_and_weights(lap):
-    xi = lap.uniform_grid(128)
-    tr = lap.transform(xi)
-    assert np.array_equal(tr.basis, lap.basis_matrix(xi))
-    assert np.array_equal(tr.weights, lap.quad_weights(xi))
+def test_transform_owns_basis_and_weights():
+    lap = DirichletLaplacian(l=1.0, n_modes=16, n_xi=128)
+    assert np.array_equal(lap.xi, np.linspace(0.0, 1.0, 129))
+    assert lap.basis is lap.basis and lap.weights is lap.weights  # built once
+    assert np.array_equal(lap.basis, lap.basis_matrix(lap.xi))
+    # n_xi + 1 >= 4N points, or the projection aliases
+    assert DirichletLaplacian(l=1.0, n_modes=16, n_xi=4 * 16 - 1).basis.shape == (16, 64)
     with pytest.raises(AliasingError):
-        lap.transform(lap.uniform_grid(4 * lap.n_modes - 2))
+        DirichletLaplacian(l=1.0, n_modes=16, n_xi=4 * 16 - 2).basis
 
 
-def test_transforms_bit_equal_to_explicit_formulas(lap):
+def test_transforms_bit_equal_to_explicit_formulas():
     # the arithmetic of the per-call formulas: (vals * w) @ B.T and x @ B
     rng = np.random.default_rng(10)
-    xi = lap.uniform_grid(128)
+    lap = DirichletLaplacian(l=1.0, n_modes=16, n_xi=128)
+    xi = np.linspace(0.0, lap.l, 129)
     B = np.sqrt(2.0 / lap.l) * np.sin(
         np.arange(1, lap.n_modes + 1)[:, None] * np.pi * xi[None, :] / lap.l
     )
@@ -152,33 +154,31 @@ def test_transforms_bit_equal_to_explicit_formulas(lap):
     w[1:] += 0.5 * h
     x = rng.standard_normal(lap.n_modes)
     vals = rng.standard_normal(xi.size)
-    tr = lap.transform(xi)
-    assert np.array_equal(lap.eval_physical(x, xi), x @ B)
-    assert np.array_equal(tr.synthesize(x), x @ B)
-    assert np.array_equal(lap.project(vals, xi), (vals * w) @ B.T)
-    assert np.array_equal(tr.project(vals), (vals * w) @ B.T)
+    assert np.array_equal(lap.basis, B)
+    assert np.array_equal(lap.weights, w)
+    assert np.array_equal(lap.eval_physical(x), x @ B)
+    assert np.array_equal(lap.project(vals), (vals * w) @ B.T)
     cube = lambda u: u**3  # noqa: E731
     expected = (cube(x @ B) * w) @ B.T
-    assert np.array_equal(lap.nonlinear_image(x, cube, xi), expected)
-    assert np.array_equal(tr.nonlinear_image(x, cube), expected)
+    assert np.array_equal(lap.nonlinear_image(x, cube), expected)
 
 
-def test_transform_batches_over_leading_axis(lap):
+def test_transform_batches_over_leading_axis():
     rng = np.random.default_rng(11)
-    tr = lap.transform(lap.uniform_grid(128))
+    lap = DirichletLaplacian(l=1.0, n_modes=16, n_xi=128)
     xs = rng.standard_normal((5, lap.n_modes))
-    batched = tr.nonlinear_image(xs, np.tanh)
+    batched = lap.nonlinear_image(xs, np.tanh)
     for x, row in zip(xs, batched):
-        assert np.allclose(row, tr.nonlinear_image(x, np.tanh), rtol=1e-13, atol=1e-15)
+        assert np.allclose(row, lap.nonlinear_image(x, np.tanh), rtol=1e-13, atol=1e-15)
 
 
-def test_nonlinear_image_in_row_batches(lap):
+def test_nonlinear_image_in_row_batches():
     # more states than one batch: the row batches must reassemble in order
     rng = np.random.default_rng(12)
-    tr = lap.transform(lap.uniform_grid(128))
+    lap = DirichletLaplacian(l=1.0, n_modes=16, n_xi=128)
     xs = rng.standard_normal((1000, lap.n_modes))
-    batched = tr.nonlinear_image(xs, np.tanh)
-    whole = tr.project(np.tanh(tr.synthesize(xs)))
+    batched = lap.nonlinear_image(xs, np.tanh)
+    whole = lap.project(np.tanh(lap.eval_physical(xs)))
     assert batched.shape == whole.shape
     assert np.allclose(batched, whole, rtol=1e-13, atol=1e-15)
 
