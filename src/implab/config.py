@@ -30,7 +30,6 @@ import numpy as np
 from .ap_analysis import StronglyAPSet
 from .impulsive import (
     JUMP_MAP_CATALOGUE,
-    ImpulseSurfaceSpec,
     ImpulseSystemSpec,
     JumpSpec,
     SeparationError,
@@ -240,7 +239,7 @@ def load_instance(path) -> InstanceConfig:
     system = ImpulseSystemSpec(
         lap=lap, **({"alpha": 0.5, "rho": 1.0} | values["problem"]),
         a=TrigSum(**values["coefficient_a"]), b=TrigSum(**values["coefficient_b"]),
-        surfaces=ImpulseSurfaceSpec(base, _sum(surf, "slope")), jumps=jumps,
+        base=base, slopes=_sum(surf, "slope"), jumps=jumps,
     )
     t_window = ssec.pop("window", (0.0, 10.0))
     sim = values["simulate"]
@@ -266,7 +265,7 @@ def validate_instance(cfg: InstanceConfig) -> dict:
         raise ConfigError("[problem] rho too large: rho^2 / lambda_1^(2 alpha) and sqrt(l) rho^3 "
                           "must be finite")
 
-    slopes = system.surfaces.slope_window
+    slopes = system.slope_window
     if np.any(slopes > 0.0):
         raise ConfigError("surface slopes b_j must be <= 0 (beating hypothesis)")
 
@@ -276,9 +275,11 @@ def validate_instance(cfg: InstanceConfig) -> dict:
     except (SeparationError, AliasingError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    # d_j is one array for every j: sup_j |d_j|_1 is its norm at the first surface
-    j0 = system.surfaces.base.window[0]
-    d_norm = float(lap.frac_norm(system.jumps.offset(j0, lap.n_modes), 1.0))
+    # d_j is one array for every j: sup_j |d_j|_1 is its norm at the first surface.  A huge
+    # d_j gives inf, without a warning: the constant bundle rejects it by name
+    j0 = system.base.window[0]
+    with np.errstate(over="ignore"):
+        d_norm = float(lap.frac_norm(system.jumps.offset(j0, lap.n_modes), 1.0))
 
     i_zero = float(np.asarray(system.jumps.i_map(np.zeros(1)))[0])
     if abs(i_zero) > 0.0:

@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 _EXP_CLIP = 700.0
+# fit_dichotomy: samples per fit loop, slack of each constant, longest sampled time d
+_FIT_SAMPLES = 400
+_FIT_SLACK = 0.05
+_FIT_D_MAX = 20.0
 
 
 class NonHyperbolicError(ValueError):
@@ -72,7 +76,7 @@ class LinearCoefficient:
         return lap.eigenvalues.copy()
 
     def mean_exponents(self, lap: DirichletLaplacian) -> np.ndarray:
-        return self.rates(lap) + self.m.mean
+        return self.rates(lap) + self.m.offset  # the offset of m is its mean
 
 
 def _safe_exp(exponent):
@@ -146,16 +150,13 @@ def fit_dichotomy(
     coeff: LinearCoefficient,
     alpha: float = 0.5,
     rng=None,
-    n_samples: int = 400,
-    slack: float = 0.05,
-    d_max: float = 20.0,
 ) -> DichotomyData:
     """Select unstable modes by mean exponent sign and fit (M, beta, M1, M2, beta1).
 
     The fit exploits diagonality: the supremum of |U(t,s)(I-P)x|_a / |x|_a
     over x is the largest per-mode factor, so only (s, d) pairs are sampled.
-    All constants get a multiplicative ``slack`` on top of the sampled
-    supremum; verification on fresh samples is the caller's job.
+    All constants get a multiplicative slack of ``_FIT_SLACK`` on top of the
+    sampled supremum; verification on fresh samples is the caller's job.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     mu = coeff.mean_exponents(lap)
@@ -164,18 +165,18 @@ def fit_dichotomy(
             "non-hyperbolic mode: mean exponent %g too close to zero" % float(np.min(np.abs(mu)))
         )
     unstable = mu < 0.0
-    beta = (1.0 - slack) * float(np.min(np.abs(mu)))
+    beta = (1.0 - _FIT_SLACK) * float(np.min(np.abs(mu)))
     rates = coeff.rates(lap)
     lam_a = lap.frac_weights(alpha)
 
     # Each loop only draws, in the per-sample order; one Green-factor call
     # then covers all samples, and a row without a positive factor is skipped.
-    draws = [(rng.uniform(0.0, 40.0), rng.uniform(np.log(1e-3), np.log(d_max)))
-             for _ in range(n_samples)]
+    draws = [(rng.uniform(0.0, 40.0), rng.uniform(np.log(1e-3), np.log(_FIT_D_MAX)))
+             for _ in range(_FIT_SAMPLES)]
     s, log_d = np.array(draws).reshape(-1, 2).T
     # each (s, d) is used forward (t = s + d) and backward (t = s - d)
     s, d = np.repeat(s, 2), np.repeat(np.exp(log_d), 2)
-    t = s + np.tile([1.0, -1.0], n_samples) * d
+    t = s + np.tile([1.0, -1.0], _FIT_SAMPLES) * d
     fac = np.abs(_green_factor(rates, coeff.m, unstable, t, s))
     keep = np.any(fac > 0.0, axis=1)
     decay = np.exp(-beta * d[keep])
@@ -184,8 +185,8 @@ def fit_dichotomy(
     ratio = np.max(lam_a * fac[keep], axis=1) / (decay * psi(alpha, (t - s)[keep]))
     m1_fit = np.max(ratio, initial=1.0)
 
-    M = (1.0 + slack) * float(m_fit)
-    M1 = max(M, (1.0 + slack) * float(m1_fit))
+    M = (1.0 + _FIT_SLACK) * float(m_fit)
+    M1 = max(M, (1.0 + _FIT_SLACK) * float(m1_fit))
     # before the M2 fit spends its samples on them
     _require_finite(NonHyperbolicError, "dichotomy constant", M=M, beta=beta, M1=M1)
 
@@ -193,7 +194,7 @@ def fit_dichotomy(
     # scalar a*(h) test stays in the loop: it decides whether t and tau are drawn.
     beta1 = 0.5 * beta
     rows = []
-    for _ in range(n_samples):
+    for _ in range(_FIT_SAMPLES):
         h = rng.uniform(-5.0, 5.0)
         a_star = coeff.m.shift_sup(h)
         if a_star < 1e-14:
@@ -205,7 +206,7 @@ def fit_dichotomy(
     both = _green_factor(rates, coeff.m, unstable, np.r_[t + h, t], np.r_[tau + h, tau])
     defect = np.max(lam_a * np.abs(both[: t.size] - both[t.size :]), axis=1)
     denom = np.exp(-beta1 * np.abs(t - tau)) * psi(alpha, t - tau) * a_star
-    M2 = (1.0 + slack) * float(np.max(defect / denom, initial=M))
+    M2 = (1.0 + _FIT_SLACK) * float(np.max(defect / denom, initial=M))
     _require_finite(NonHyperbolicError, "dichotomy constant", M2=M2)
 
     return DichotomyData(

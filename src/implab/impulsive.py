@@ -48,7 +48,6 @@ from .trajectory import HitRecord, PiecewiseTrajectory, Segment
 from .trig import TrigSum
 
 __all__ = [
-    "ImpulseSurfaceSpec",
     "JumpSpec",
     "ImpulseSystemSpec",
     "BallExitError",
@@ -61,6 +60,7 @@ __all__ = [
     "apply_jump",
     "simulate",
     "beating_certificate",
+    "q_functional",
 ]
 
 
@@ -98,46 +98,11 @@ JUMP_MAP_CATALOGUE = {
 }
 
 
-@dataclass(frozen=True)
-class ImpulseSurfaceSpec:
-    """Surfaces tau_j(x) = t_j + b_j Q(x) over the base set's index window."""
-
-    base: StronglyAPSet
-    slopes: TrigSum = TrigSum(0.0)
-
-    def indices(self) -> np.ndarray:
-        return self.base.indices()
-
-    @cached_property
-    def base_times(self) -> np.ndarray:
-        return self.base.taus()
-
-    @cached_property
-    def slope_window(self) -> np.ndarray:
-        return np.asarray(self.slopes(self.indices()), dtype=float)
-
-    def slope(self, j) -> float:
-        return float(self.slope_window[int(j) - self.base.window[0]])
-
-    @staticmethod
-    def q_functional(x) -> float | np.ndarray:
-        """Q(x) = int_0^l u^2 = sum_k x_k^2 (Parseval)."""
-        x = np.asarray(x, dtype=float)
-        val = np.sum(x * x, axis=-1)
-        return float(val) if val.ndim == 0 else val
-
-    def tau(self, j, x) -> float | np.ndarray:
-        """tau_j(x) for an index j or an index array broadcast against Q(x).
-
-        Raises ValueError for an index outside the window: numpy would wrap a
-        negative position silently.
-        """
-        pos = np.asarray(j) - self.base.window[0]
-        if np.any((pos < 0) | (pos >= self.base_times.size)):
-            raise ValueError("surface indices %d..%d leave the surface window %s"
-                             % (np.min(j), np.max(j), self.base.window))
-        val = self.base_times[pos] + self.slope_window[pos] * self.q_functional(x)
-        return float(val) if np.ndim(val) == 0 else val
+def q_functional(x) -> float | np.ndarray:
+    """Q(x) = int_0^l u^2 = sum_k x_k^2 (Parseval)."""
+    x = np.asarray(x, dtype=float)
+    val = np.sum(x * x, axis=-1)
+    return float(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)
@@ -179,7 +144,7 @@ class JumpSpec:
 
         j is an index, applied to x of shape (N,) or to every row of an
         (S, N) batch, or an index array of S entries with one state row each,
-        as ``ImpulseSurfaceSpec.tau`` takes them.
+        as ``ImpulseSystemSpec.tau`` takes them.
         """
         out = self.offset(j, np.shape(x)[-1])
         if self.left is None or self.nonlinearity == "zero":
@@ -199,7 +164,9 @@ class ImpulseSystemSpec:
     confinement radius rho splits into the linear coefficient
     m(t) = -a(t) + rho (a b)(t) and the nonlinearity
     f(t, u) = (a b)(t) (rho - u) u; both a and b are trig sums so the split
-    is exact.
+    is exact.  The impulse surfaces are tau_j(x) = t_j + b_j Q(x) over the
+    index window of ``base`` (the base times t_j), with slopes b_j =
+    ``slopes``(j); their arrays are built once, on first use.
     """
 
     lap: DirichletLaplacian
@@ -207,8 +174,21 @@ class ImpulseSystemSpec:
     rho: float
     a: TrigSum
     b: TrigSum
-    surfaces: ImpulseSurfaceSpec
+    base: StronglyAPSet
+    slopes: TrigSum
     jumps: JumpSpec
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return self.base.indices()
+
+    @cached_property
+    def base_times(self) -> np.ndarray:
+        return self.base.taus()
+
+    @cached_property
+    def slope_window(self) -> np.ndarray:
+        return np.asarray(self.slopes(self.indices), dtype=float)
 
     @cached_property
     def coeff(self) -> LinearCoefficient:
@@ -228,8 +208,7 @@ class ImpulseSystemSpec:
         """Per-surface interval [tau'_j, tau''_j] of tau_j over the ball, as (lo, hi)."""
         # sup of Q over |x|_alpha <= rho, attained on the first mode
         rho_q = self.rho**2 / self.lap.eigenvalues[0] ** (2.0 * self.alpha)
-        t = self.surfaces.base_times
-        b = self.surfaces.slope_window
+        t, b = self.base_times, self.slope_window
         return t + np.minimum(0.0, b * rho_q), t + np.maximum(0.0, b * rho_q)
 
     @cached_property
@@ -253,10 +232,10 @@ class ImpulseSystemSpec:
         measured value is ``sup_j (tau''_{j+1} - tau'_j)``.  Both are
         reported; downstream estimates use the larger.
         """
-        c = self.surfaces.base.offsets()
+        c = self.base.offsets()
         if c.size < 4:
             raise SeparationError("the gap constant needs at least 4 surfaces in the window")
-        formula = float(np.max(c[3:] - c[:-3])) + 3.0 * self.surfaces.base.a - 2.0 * self.theta
+        formula = float(np.max(c[3:] - c[:-3])) + 3.0 * self.base.a - 2.0 * self.theta
         lo, hi = self.intervals
         measured = float(np.max(hi[1:] - lo[:-1]))
         return {"formula": formula, "measured": measured, "value": max(formula, measured)}
@@ -288,7 +267,17 @@ class ImpulseSystemSpec:
         return self.forcing(t, x)
 
     def tau(self, j, x) -> float | np.ndarray:
-        return self.surfaces.tau(j, x)
+        """tau_j(x) for an index j or an index array broadcast against Q(x).
+
+        Raises ValueError for an index outside the window: numpy would wrap a
+        negative position silently.
+        """
+        pos = np.asarray(j) - self.base.window[0]
+        if np.any((pos < 0) | (pos >= self.indices.size)):
+            raise ValueError("surface indices %d..%d leave the surface window %s"
+                             % (np.min(j), np.max(j), self.base.window))
+        val = self.base_times[pos] + self.slope_window[pos] * q_functional(x)
+        return float(val) if np.ndim(val) == 0 else val
 
     def g(self, j, x) -> np.ndarray:
         """g_j(x) for an index j or an index array with one state row per index."""
@@ -441,7 +430,7 @@ def detect_crossing(system: ImpulseSystemSpec, seg: Segment, j):
     if up.size == 0:
         return None
     i = int(up[0])
-    b_j = system.surfaces.slope(j)
+    b_j = float(system.slope_window[j - system.base.window[0]])
     u, d = seg.states[i], seg.states[i + 1] - seg.states[i]
     dt = seg.t[i + 1] - seg.t[i]
     s = _bracket_root(-b_j * float(d @ d), dt - 2.0 * b_j * float(u @ d), float(zeta[i]))
@@ -477,7 +466,6 @@ def simulate(
     re-integrations raises EventLocationError.
     """
     lo, hi = system.intervals
-    idx = system.surfaces.indices()
     certified = set(int(j) for j in certified_surfaces)
 
     x = np.asarray(u0, dtype=float)
@@ -491,7 +479,7 @@ def simulate(
     while t < t_end - 1e-12:
         t1 = min(t_end, t + horizon)
         seg = step_segment(system, x, t, t1, seg_tol, h_max=horizon / 4.0)
-        cand = idx[(hi >= t - event_tol) & (lo <= t1 + event_tol)]
+        cand = system.indices[(hi >= t - event_tol) & (lo <= t1 + event_tol)]
         best = None
         for j in cand:
             th = detect_crossing(system, seg, j)
@@ -604,16 +592,16 @@ def beating_certificate(
     """
     rng = np.random.default_rng(0) if rng is None else rng
     lap = system.lap
-    b_j = system.surfaces.slope(j)
+    b_j = float(system.slope_window[j - system.base.window[0]])
 
     sup_ab = system.ab.sup_bound()
     rho, l = system.rho, lap.l
     beta0 = 0.5 / ((1.0 + sup_ab) * (rho**2 + np.sqrt(l) * rho**3))
 
     x = _nonnegative_samples(system, n_samples, rng)
-    q = ImpulseSurfaceSpec.q_functional(x)
+    q = q_functional(x)
     tau = system.tau(j, x)
-    theta = b_j * (ImpulseSurfaceSpec.q_functional(x + system.g(j, x)) - q)
+    theta = b_j * (q_functional(x + system.g(j, x)) - q)
     cubic = lap.eval_physical(x) ** 3 @ lap.weights
     grad_sq = np.sum(lap.eigenvalues * x * x, axis=-1)
     p_val = -2.0 * b_j * grad_sq + 2.0 * b_j * system.a(tau) * (q - system.b(tau) * cubic)

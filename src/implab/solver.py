@@ -92,9 +92,6 @@ class APSequencePoint:
         j = window[1] - window[0] + 1
         return APSequencePoint(window=tuple(window), values=np.zeros((j, n_modes)))
 
-    def value(self, j) -> np.ndarray:
-        return self.values[int(j) - self.window[0]]
-
     def dist(self, other: "APSequencePoint", lap, alpha) -> float:
         """sup_j |y_j - z_j|_alpha over the common window."""
         if self.window != other.window:
@@ -112,20 +109,16 @@ def frozen_times(system: ImpulseSystemSpec, y: APSequencePoint) -> np.ndarray:
     return system.tau(np.arange(y.window[0], y.window[1] + 1), y.values)
 
 
-def _default_buffer(system, dich: DichotomyData, tail_tol) -> float:
-    """Propagation length after which the zero boundary state is felt < tail_tol."""
-    rho0 = system.rho / system.lap.eigenvalues[0] ** system.alpha
-    f_bound = system.ab.sup_bound() * 2.0 * max(system.rho, 1.0) * max(rho0, 1.0) ** 2
-    amp = dich.M * max(f_bound / dich.beta + 1.0, 1.0)
-    return max(1.0, float(np.log(amp / tail_tol) / dich.beta))
-
-
 # Largest cumulative |z| inside one scan block: e^500 and e^-500 stay finite.
 _SCAN_CLIP = 500.0
 # Longest scan block: bounds the rounding of the in-block cumulative sums.
 _SCAN_MAX_BLOCK = 256
 # Steps per block when the step factors of the inner grid are built.
 _WEIGHT_ROWS = 512
+# The Simpson step of integral_residual.
+_RESIDUAL_H_T = 0.002
+# Ball pairs drawn by measure_lipschitz.
+_LIPSCHITZ_PAIRS = 200
 
 
 class _BlockedScan:
@@ -296,8 +289,14 @@ def _warm_states(warm: WarmStart, t, joins, cuts, surfaces, jumps) -> np.ndarray
 
 
 def buffer_length(system, dich: DichotomyData, cfg: SolverConfig) -> float:
-    """The buffer added to each side of the reporting window: ``cfg.buffer`` or the default."""
-    return cfg.buffer if cfg.buffer is not None else _default_buffer(system, dich, cfg.tail_tol)
+    """The buffer added to each side of the reporting window: ``cfg.buffer``, or by default
+    the propagation length after which the zero boundary state is felt < ``cfg.tail_tol``."""
+    if cfg.buffer is not None:
+        return cfg.buffer
+    rho0 = system.rho / system.lap.eigenvalues[0] ** system.alpha
+    f_bound = system.ab.sup_bound() * 2.0 * max(system.rho, 1.0) * max(rho0, 1.0) ** 2
+    amp = dich.M * max(f_bound / dich.beta + 1.0, 1.0)
+    return max(1.0, float(np.log(amp / cfg.tail_tol) / dich.beta))
 
 
 def inner_solve(
@@ -368,35 +367,33 @@ def integral_residual(
     system: ImpulseSystemSpec,
     dich: DichotomyData,
     traj: PiecewiseTrajectory,
-    y: APSequencePoint,
     times,
-    h_t: float = 0.002,
 ) -> float:
     """Residual of the integral equation at sample times, by direct Simpson.
 
     Independent of the recursion route: the Green integral of f(., u*(.))
     plus the jump sum is evaluated by composite Simpson quadrature over one
     buffer length on each side and compared with u* itself, in the alpha norm.
-    The Simpson pieces end at the trajectory's cuts, not at tau_j(y_j): the
-    cuts are the frozen times of the last outer step, which may differ from
-    tau_j(y*) in the last digits, and a piece must not straddle a jump of u*.
+    The jump sum runs over every cut of u* (``meta['cuts']``, buffer surfaces
+    included), with tau_j and g_j of the pre-jump state there.  The Simpson
+    pieces end at the cuts, not at those tau_j: the cuts are the frozen times
+    of the last outer step, which may differ from them in the last digits,
+    and a piece must not straddle a jump of u*.
     """
     lap, alpha = system.lap, system.alpha
-    # recompute the frozen times from y itself: the trajectory metadata may
-    # cover a wider (buffered) surface window than the sequence at hand
-    taus = frozen_times(system, y)
+    cuts, surfaces = traj.meta["cuts"], traj.meta["cut_surfaces"]
+    pres = traj.eval_many(cuts)
+    taus = system.tau(surfaces, pres)
+    jump_vecs = system.g(surfaces, pres)
     T_tail = traj.meta["buffer"]
-    jump_vecs = system.g(np.arange(y.window[0], y.window[1] + 1), y.values)
-    # split the Simpson pieces where u* itself jumps, at its repeated node times
-    t = traj.nodes.t
-    breakpoints = t[1:][t[1:] == t[:-1]]
 
     def f_vals_fn(v):
         return system.forcing(v, traj.eval_many(v))
 
     worst = 0.0
     for t in times:
-        val = _green_integral_at(lap, system.coeff, dich, t, f_vals_fn, breakpoints, h_t, T_tail)
+        val = _green_integral_at(lap, system.coeff, dich, t, f_vals_fn, cuts, _RESIDUAL_H_T,
+                                 T_tail)
         val += _jump_sum(lap, system.coeff, dich, t, taus, jump_vecs, T_tail)
         worst = max(worst, float(lap.frac_norm(traj.eval(t) - val, alpha)))
     return worst
@@ -453,8 +450,7 @@ def outer_solve(
     lap, alpha = system.lap, system.alpha
     buf = buffer_length(system, dich, cfg)
     cfg = replace(cfg, buffer=buf)  # every inner solve reuses it
-    idx = system.surfaces.indices()
-    bt = system.surfaces.base_times
+    idx, bt = system.indices, system.base_times
     dyn = idx[(bt > window[0] - buf) & (bt < window[1] + buf)]
     if dyn.size == 0:
         raise SurfaceWindowError("no surfaces near the reporting window")
@@ -530,7 +526,7 @@ def outer_solve(
 # ---------------------------------------------------------------------------
 
 
-def measure_lipschitz(system: ImpulseSystemSpec, rng=None, n_pairs: int = 200) -> dict:
+def measure_lipschitz(system: ImpulseSystemSpec, rng=None) -> dict:
     """Sampled Lipschitz constants of f, g_j and tau_j over ball pairs.
 
     Returns the per-ingredient constants and their sum N1 (the theorem uses
@@ -541,10 +537,10 @@ def measure_lipschitz(system: ImpulseSystemSpec, rng=None, n_pairs: int = 200) -
     rng = np.random.default_rng(0) if rng is None else rng
     lap, alpha, rho, n = system.lap, system.alpha, system.rho, system.lap.n_modes
     w = lap.frac_weights(alpha)
-    idx = system.surfaces.indices()
+    idx = system.indices
     probe = np.arange(0, idx.size, max(1, idx.size // 8))
     pairs, d, t, k = [], [], [], []
-    for _ in range(n_pairs):
+    for _ in range(_LIPSCHITZ_PAIRS):
         x1 = rng.standard_normal(n) / w
         x1 *= rng.uniform(0.1, 1.0) * rho / lap.frac_norm(x1, alpha)
         x2 = x1 + rng.standard_normal(n) / w * rng.uniform(1e-3, 0.3)
@@ -561,16 +557,18 @@ def measure_lipschitz(system: ImpulseSystemSpec, rng=None, n_pairs: int = 200) -
     d, t, k = np.array(d), np.array(t), np.array(k, dtype=int)
     f = system.forcing(np.r_[t, t], np.r_[x[:, 0], x[:, 1]])
     lip_f = np.max(np.linalg.norm(f[: d.size] - f[d.size :], axis=1) / d, initial=0.0)
-    # each probe surface's batch ends with the zero state, for g_j(0)
+    # each probe surface's batch ends with the zero state, for g_j(0).  A huge
+    # jump datum gives inf norms, without a warning: the constant bundle rejects them
     lip_g = g_star = m0_g = 0.0
-    for i, pos in enumerate(probe):
-        sel = k == i
-        batch = np.r_[x[sel, 0], x[sel, 1], np.zeros((1, n))]
-        g = system.g(idx[pos], batch)
-        g1, g2 = np.split(g[:-1], 2)
-        lip_g = max(lip_g, np.max(lap.frac_norm(g1 - g2, alpha) / d[sel], initial=0.0))
-        g_star = max(g_star, np.max(lap.frac_norm(g1, 1.0), initial=0.0))
-        m0_g = max(m0_g, lap.frac_norm(g[-1], 1.0))
+    with np.errstate(over="ignore"):
+        for i, pos in enumerate(probe):
+            sel = k == i
+            batch = np.r_[x[sel, 0], x[sel, 1], np.zeros((1, n))]
+            g = system.g(idx[pos], batch)
+            g1, g2 = np.split(g[:-1], 2)
+            lip_g = max(lip_g, np.max(lap.frac_norm(g1 - g2, alpha) / d[sel], initial=0.0))
+            g_star = max(g_star, np.max(lap.frac_norm(g1, 1.0), initial=0.0))
+            m0_g = max(m0_g, lap.frac_norm(g[-1], 1.0))
     tau = system.tau(idx[probe[k], None], x)
     lip_tau = np.max(np.abs(tau[:, 0] - tau[:, 1]) / d, initial=0.0)
     t0 = np.linspace(0.0, 50.0, 32)
@@ -660,7 +658,7 @@ def certify_almost_periodicity(
     traj = result.trajectory
     y = result.y_star
     return almost_periodicity_report(
-        y.values, y.window[0], np.sort(traj.hit_times()), system.surfaces.base.a,
+        y.values, y.window[0], np.sort(traj.hit_times()), system.base.a,
         traj.eval_many, (traj.t_start, traj.t_end), _AP_CROP_BUFFERS * result.meta["buffer"],
         h_t, eps_list, system.lap.frac_weights(system.alpha),
     )[2]

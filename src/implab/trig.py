@@ -81,10 +81,6 @@ class TrigSum:
         """Exact integral over [s, t]."""
         return self.antiderivative(t) - self.antiderivative(s)
 
-    @property
-    def mean(self):
-        return self.offset
-
     def sup_bound(self):
         """Upper bound ``|offset| + sum |a_i|`` for sup |m(t)|."""
         return abs(self.offset) + float(sum(abs(a) for a, _, _ in self.terms))

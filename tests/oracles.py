@@ -188,7 +188,7 @@ def measure_lipschitz_by_pair(system: ImpulseSystemSpec, rng=None, n_pairs: int 
     rng = np.random.default_rng(0) if rng is None else rng
     lap, alpha, rho = system.lap, system.alpha, system.rho
     w = lap.frac_weights(alpha)
-    idx = system.surfaces.indices()
+    idx = system.indices
     probe_js = idx[:: max(1, idx.size // 8)]
     lip_f = lip_g = lip_tau = g_star = 0.0
     for _ in range(n_pairs):

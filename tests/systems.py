@@ -6,7 +6,7 @@ import numpy as np
 
 from implab.ap_analysis import StronglyAPSet
 from implab.evolution import LinearCoefficient
-from implab.impulsive import ImpulseSurfaceSpec, ImpulseSystemSpec, JumpSpec
+from implab.impulsive import ImpulseSystemSpec, JumpSpec
 from implab.spectral import DirichletLaplacian
 from implab.trig import TrigSum
 
@@ -62,21 +62,26 @@ def make_system(
     window=(1, 10),
     jumps=None,
     f_override=None,
+    l=1.0,
 ):
-    """N modes on (0, 1), alpha = 1/2, n_xi = 8N; base moments base_gap * j.
+    """N modes on (0, l), alpha = 1/2, n_xi = 8N; base moments base_gap * j.
 
     ``f_override``, a profile of t alone, replaces f (a ProfileForcedSystem).
     """
-    lap = DirichletLaplacian(l=1.0, n_modes=n_modes, n_xi=8 * n_modes)
+    lap = DirichletLaplacian(l=l, n_modes=n_modes, n_xi=8 * n_modes)
     base = StronglyAPSet(a=base_gap, c=TrigSum(0.0), window=window)
     spec = dict(
-        lap=lap, alpha=0.5, rho=rho, a=a, b=b,
-        surfaces=ImpulseSurfaceSpec(base=base, slopes=slopes),
+        lap=lap, alpha=0.5, rho=rho, a=a, b=b, base=base, slopes=slopes,
         jumps=JumpSpec() if jumps is None else jumps,
     )
     if f_override is None:
         return ImpulseSystemSpec(**spec)
     return ProfileForcedSystem(**spec, profile=f_override)
+
+
+def slope(system, j) -> float:
+    """b_j, the slope of surface j."""
+    return float(system.slope_window[int(j) - system.base.window[0]])
 
 
 def rank1_jumps(n_modes, nonlinearity, amp, d1):
@@ -101,11 +106,12 @@ def certified_logistic(window=(1, 6), n_modes=8):
     )
 
 
-def readme_like(base_gap=1.0, window=(0, 30), slope=-0.2, d1=0.05):
+def readme_like(base_gap=1.0, window=(0, 30), slope=-0.2, d1=0.05, l=1.0, a_offset=0.5):
     """The README example: N = 16, n_xi = 128, surfaces 0..30 with slope -0.2."""
     return make_system(
         n_modes=16,
-        a=TrigSum(0.5, ((0.2, 1.0, 0.0),)),
+        l=l,
+        a=TrigSum(a_offset, ((0.2, 1.0, 0.0),)),
         b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
         slopes=TrigSum(slope),
         base_gap=base_gap,
@@ -117,3 +123,8 @@ def readme_like(base_gap=1.0, window=(0, 30), slope=-0.2, d1=0.05):
 def moving_like():
     """The benchmark's ``moving`` instance: impulse moments that move with the state."""
     return readme_like(base_gap=0.1, window=(0, 150), slope=-0.45, d1=0.18)
+
+
+def unstable_like():
+    """README with l = pi, a = 2.5 + 0.2 cos t and surfaces 0..60: mode 1 is unstable."""
+    return readme_like(window=(0, 60), l=np.pi, a_offset=2.5)

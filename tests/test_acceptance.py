@@ -342,7 +342,7 @@ def test_criterion_5_contraction():
         worst_ratio = max(worst_ratio, sa.dist(sb, sys0.lap, ALPHA) / ya.dist(yb, sys0.lap, ALPHA))
     check(failures, worst_ratio < 1.0, "S-map ratio %g >= 1" % worst_ratio)
 
-    resid = integral_residual(sys0, dich, res.trajectory, res.y_star, (2.5, 3.0, 3.5))
+    resid = integral_residual(sys0, dich, res.trajectory, (2.5, 3.0, 3.5))
     check(failures, resid < 1e-6, "integral residual %g >= 1e-6" % resid)
     finish(5, "contraction behavior (inner, S-map, fixed point)", failures)
 

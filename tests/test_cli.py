@@ -206,12 +206,12 @@ def test_surface_and_jump_terms_keys(tmp_path):
         "amp_constant = 0.02\namp_terms = 0.01 2.0 0.5",
     )
     cfg = load_instance(write_config(tmp_path, text))
-    surfaces, jumps = cfg.system.surfaces, cfg.system.jumps
+    system, jumps = cfg.system, cfg.system.jumps
     j = np.arange(0, 9)
     offsets = 0.05 + 0.02 * np.cos(1.3 * j + 0.4) + 0.01 * np.cos(0.7 * j - 1.0)
-    np.testing.assert_allclose(surfaces.base_times, 1.0 * j + offsets, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(system.base_times, 1.0 * j + offsets, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(
-        surfaces.slope_window, -0.1 + 0.05 * np.cos(0.9 * j + 0.2), rtol=1e-15, atol=0.0
+        system.slope_window, -0.1 + 0.05 * np.cos(0.9 * j + 0.2), rtol=1e-15, atol=0.0
     )
     for k in j:
         assert jumps.amp(k) == pytest.approx(0.02 + 0.01 * np.cos(2.0 * k + 0.5), rel=1e-15)
@@ -671,16 +671,16 @@ def test_non_finite_dichotomy_constant_exits_3(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["constants", "solve-ap"])
 @pytest.mark.parametrize("key", ["d", "amp_constant", "kernel_left"])
-def test_non_finite_k_bundle_exits_3(tmp_path, command, key):
+def test_non_finite_k_bundle_exits_3(tmp_path, capsys, command, key):
     # 1e308 is finite, but |d_j|_1, g_star and M_star are not (K3, K4, g_star
-    # and M_star used to be written as inf with status=ok)
+    # and M_star used to be written as inf with status=ok); the overflow to
+    # inf prints no numpy warning
     text = re.sub(r"^%s = .*$" % key, "%s = 1e308" % key, readme_instance(), flags=re.M)
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), np.errstate(all="ignore"):
-        code = main([command, "--config", write_config(tmp_path, text),
-                     "--out", str(tmp_path / "o")])
+    code = main([command, "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
     assert code == 3
-    last = buf.getvalue().splitlines()[-1]
+    assert err == ""
+    last = out.splitlines()[-1]
     assert last.startswith("status=error kind=numerical")
     assert "is not finite" in last
 
@@ -897,18 +897,24 @@ def test_import_loads_no_scipy():
 
 
 def test_export_lists_resolve():
-    # every name a module exports exists, in the package and in each module
+    # every name a module exports exists, and a function or class is exported
+    # only by the module that defines it; the package itself exports none
     import importlib
+    import inspect
     import pkgutil
 
-    modules = [implab] + [
-        importlib.import_module("implab." + info.name)
-        for info in pkgutil.iter_modules(implab.__path__)
-    ]
-    for mod in modules:
+    def defined(value):
+        return inspect.isclass(value) or inspect.isfunction(value)
+
+    assert not [name for name, value in vars(implab).items() if defined(value)]
+    for info in pkgutil.iter_modules(implab.__path__):
+        mod = importlib.import_module("implab." + info.name)
         assert len(mod.__all__) == len(set(mod.__all__)), mod.__name__
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, (mod.__name__, missing)
+        foreign = [name for name in mod.__all__
+                   if defined(getattr(mod, name)) and getattr(mod, name).__module__ != mod.__name__]
+        assert not foreign, (mod.__name__, foreign)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ from implab.impulsive import (
     JUMP_MAP_CATALOGUE,
     BallExitError,
     EventLocationError,
-    ImpulseSurfaceSpec,
     ImpulseSystemSpec,
     JumpSpec,
     SeparationError,
     apply_jump,
     beating_certificate,
     detect_crossing,
+    q_functional,
     simulate,
     step_segment,
     _bracket_root,
@@ -34,7 +34,7 @@ from oracles import (
     segment_residual,
     semigroup_apply,
 )
-from systems import IndexedOffsetJumps, certified_logistic, make_system, rank1_jumps
+from systems import IndexedOffsetJumps, certified_logistic, make_system, rank1_jumps, slope
 
 
 def e1(system, c=1.0):
@@ -51,7 +51,7 @@ def e1(system, c=1.0):
 def test_q_functional_parseval():
     rng = np.random.default_rng(30)
     x = rng.standard_normal(6)
-    assert ImpulseSurfaceSpec.q_functional(x) == pytest.approx(np.sum(x**2))
+    assert q_functional(x) == pytest.approx(np.sum(x**2))
 
 
 def test_separation_and_intervals():
@@ -302,8 +302,8 @@ def test_beating_certificate_certified_instance():
         neg_a = max(0.0, -sys0.a.offset + sum(abs(amp) for amp, _, _ in sys0.a.terms))
         chain = (rho**2 * np.max(lam ** (1.0 - 2.0 * alpha)) + neg_a * q_max
                  + sys0.ab.sup_bound() * u_sup * q_max)
-        for j in map(int, sys0.surfaces.indices()):
-            b_j = sys0.surfaces.slope(j)
+        for j in map(int, sys0.indices):
+            b_j = slope(sys0, j)
             assert b_j <= 0.0
             x = _nonnegative_samples(sys0, 512, np.random.default_rng([7, 3, j]))
             assert x.shape[0] >= 1 and sys0.in_ball(x)
@@ -343,22 +343,22 @@ def test_simulate_nonnegativity():
 
 def test_surface_lookups_index_the_window_arrays():
     sys0 = make_system(slopes=TrigSum(-0.2, ((0.05, 0.7, 0.0),)))
-    surf = sys0.surfaces
-    for pos, j in enumerate(surf.indices()):
-        assert surf.tau(j, np.zeros(sys0.lap.n_modes)) == surf.base_times[pos]
-        assert surf.slope(j) == surf.slope_window[pos]
+    assert sys0.indices is sys0.indices  # built once
+    for pos, j in enumerate(sys0.indices):
+        assert sys0.tau(j, np.zeros(sys0.lap.n_modes)) == sys0.base_times[pos]
+        assert sys0.slope_window[pos] == sys0.slopes(float(j))
 
 
 def test_tau_on_an_index_array_bit_equal_to_per_surface_formula():
     sys0 = make_system(slopes=TrigSum(-0.2, ((0.05, 0.7, 0.0),)))
-    surf, n = sys0.surfaces, sys0.lap.n_modes
-    j = surf.indices()
+    n = sys0.lap.n_modes
+    j = sys0.indices
     x = 0.1 * np.random.default_rng(34).standard_normal((j.size, 3, n))
     got = sys0.tau(j[:, None], x)
     assert got.shape == (j.size, 3)
     for pos in range(j.size):
         for k in range(3):
-            want = float(surf.base_times[pos]) + surf.slope(j[pos]) * float(np.sum(x[pos, k] ** 2))
+            want = float(sys0.base_times[pos]) + slope(sys0, j[pos]) * float(np.sum(x[pos, k] ** 2))
             assert got[pos, k] == want
             assert sys0.tau(j[pos], x[pos, k]) == want
     assert isinstance(sys0.tau(j[0], x[0, 0]), float)
@@ -389,7 +389,7 @@ def certificate_by_sample(system, j, n_samples, rng):
     """Reference: the beating certificate evaluated one sample at a time."""
     lap, alpha, rho = system.lap, system.alpha, system.rho
     xi, w_quad = lap.xi, lap.weights
-    b_j = system.surfaces.slope(j)
+    b_j = slope(system, j)
     samples = []
     for row in rng.random((n_samples, 5)):
         w = row[:4]
@@ -406,9 +406,9 @@ def certificate_by_sample(system, j, n_samples, rng):
         samples.append(min(scale, rho / nrm) * x)
     theta_check = p_check = -np.inf
     for x in samples:
-        q = ImpulseSurfaceSpec.q_functional(x)
-        tau = system.surfaces.base_times[j - system.surfaces.base.window[0]] + b_j * q
-        theta_j = b_j * (ImpulseSurfaceSpec.q_functional(x + system.g(j, x)) - q)
+        q = q_functional(x)
+        tau = system.base_times[j - system.base.window[0]] + b_j * q
+        theta_j = b_j * (q_functional(x + system.g(j, x)) - q)
         theta_check = max(theta_check, theta_j)
         u = lap.eval_physical(x)
         cubic = float(np.sum(w_quad * u**3))
@@ -538,7 +538,7 @@ def crossing_by_quadratic(system, seg, j):
     def zeta_at(t):
         return t - system.tau(j, seg.interp(t)[0])
 
-    b_j = system.surfaces.slope(j)
+    b_j = slope(system, j)
     for i in range(seg.t.size - 1):
         zeta_i = zeta_at(seg.t[i])
         if not (zeta_i < 0.0 <= zeta_at(seg.t[i + 1])):
@@ -560,7 +560,7 @@ def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, s
     hit segment is the horizon segment's first i nodes plus the last run.
     """
     lo, hi = system.intervals
-    idx = system.surfaces.indices()
+    idx = system.indices
     x, t = np.asarray(u0, dtype=float), float(t0)
     horizon = max(system.theta / 2.0, 1e-3)
     segments, hits, last_hit = [], [], None

@@ -28,11 +28,11 @@ from implab.solver import (
     verify_smallness,
 )
 from implab.spectral import DirichletLaplacian
-from implab.trajectory import Segment
+from implab.trajectory import PiecewiseTrajectory, Segment
 from implab.trig import TrigSum
 
 from oracles import bounded_solution, measure_lipschitz_by_pair, pieces
-from systems import ShiftedCoefficient, make_system, moving_like, readme_like
+from systems import ShiftedCoefficient, make_system, moving_like, readme_like, unstable_like
 
 
 def const_d(n, c=0.02):
@@ -219,7 +219,7 @@ def test_integral_residual_small():
     y = APSequencePoint.zero((0, 6), n)
     cfg = SolverConfig(h_t=0.002)
     traj, info = inner_solve(sys0, dich, y, (0.0, 6.0), cfg)
-    res = integral_residual(sys0, dich, traj, y, times=(1.5, 3.5, 5.5), h_t=0.002)
+    res = integral_residual(sys0, dich, traj, times=(1.5, 3.5, 5.5))
     assert res < 1e-6
 
 
@@ -480,20 +480,38 @@ def test_piece_nodes_bit_equal_to_per_piece_linspace(seed):
     assert 2 in [r.size for r in ref]  # a one-step piece
 
 
-def test_integral_residual_ignores_rounding_of_y_star():
-    # the Simpson pieces end at the trajectory's cuts: frozen times of y*
-    # moved by rounding must not move a piece end across a jump of u*
+def test_integral_residual_ignores_rounding_of_the_pre_jump_rows():
+    # the Simpson pieces end at the trajectory's cuts: tau_j of the pre-jump
+    # rows moved by rounding must not move a piece end across a jump of u*
     sys0 = moving_like()
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(73))
-    res = outer_solve(sys0, dich, (0.5, 12.5), cfg=CFG)
-    y, times = res.y_star, np.linspace(3.1, 12.3, 3)
-    base = integral_residual(sys0, dich, res.trajectory, y, times)
+    traj = outer_solve(sys0, dich, (0.5, 12.5), cfg=CFG).trajectory
+    times = np.linspace(3.1, 12.3, 3)
+    base = integral_residual(sys0, dich, traj, times)
+    t, states = traj.nodes.t, traj.nodes.states
+    pre = np.searchsorted(t, traj.meta["cuts"])  # a cut's first row is its pre-jump row
+    assert np.all(t[pre + 1] == t[pre])
     for sign in (1.0, -1.0):
-        values = y.values * (1.0 + sign * 0.9e-12 / np.max(np.abs(y.values)))
-        assert np.max(np.abs(values - y.values)) <= 1e-12
-        moved = APSequencePoint(window=y.window, values=values)
-        got = integral_residual(sys0, dich, res.trajectory, moved, times)
+        moved = states.copy()
+        moved[pre] *= 1.0 + sign * 0.9e-12 / np.max(np.abs(states[pre]))
+        assert np.max(np.abs(moved - states)) <= 1e-12
+        moved_traj = PiecewiseTrajectory(nodes=Segment(t=t, states=moved), meta=traj.meta)
+        got = integral_residual(sys0, dich, moved_traj, times)
         assert got == pytest.approx(base, rel=1e-6)
+
+
+def test_integral_residual_counts_the_jumps_of_the_buffer_surfaces():
+    # mode 1 is unstable, so the Green tail of each probe time looks ahead
+    # into the right buffer, where surfaces outside the report window jump
+    sys0 = unstable_like()
+    dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng([7, 1]))
+    assert dich.has_unstable
+    res = outer_solve(sys0, dich, (20.5, 40.5), cfg=CFG)
+    cut_surfaces = res.trajectory.meta["cut_surfaces"]
+    assert cut_surfaces[-1] > res.y_star.window[1]
+    residual = integral_residual(sys0, dich, res.trajectory, np.linspace(27.2, 40.3, 3))
+    # without the buffer surfaces' jumps it reads 3.5e-2, against sup |u*|_alpha = 5.1e-2
+    assert residual < 1e-4
 
 
 def test_certify_almost_periodicity_periodic():
@@ -530,7 +548,7 @@ def test_frozen_times_bit_equal_to_per_surface_loop(window):
     x = rng.standard_normal((count, n)) / sys0.lap.frac_weights(sys0.alpha)
     x *= rng.uniform(0.0, sys0.rho, (count, 1)) / sys0.lap.frac_norm(x, sys0.alpha)[:, None]
     y = APSequencePoint(window=window, values=x)
-    ref = np.array([sys0.tau(j, y.value(j)) for j in range(window[0], window[1] + 1)])
+    ref = np.array([sys0.tau(j, x[j - window[0]]) for j in range(window[0], window[1] + 1)])
     assert frozen_times(sys0, y).tobytes() == ref.tobytes()
 
 

@@ -13,7 +13,7 @@ def test_constant_sum():
     m = TrigSum(offset=2.5)
     assert m(0.3) == 2.5
     assert m.integral(0.0, 2.0) == pytest.approx(5.0)
-    assert m.mean == 2.5
+    assert m.offset == 2.5
 
 
 def test_integral_matches_quadrature():
