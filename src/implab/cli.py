@@ -182,7 +182,12 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     lap, alpha = system.lap, system.alpha
     checks = validate_instance(cfg)
     dich = _fitted_dichotomy(cfg, seed)
-    # the checks that need no u* come before the outer solve
+    # the checks that need no u* come before the outer solve; consecutive
+    # cuts are >= theta apart, so h_t < theta gives every piece two steps
+    if cfg.solver.h_t >= system.theta:
+        raise ConfigError(
+            "[solver] h_t = %g must be below theta = %g" % (cfg.solver.h_t, system.theta)
+        )
     check_ap_crop(cfg.time_window, buffer_length(system, dich, cfg.solver))
     kb, _, measured = _constant_bundle(cfg, checks, dich, seed)
     res = outer_solve(system, dich, cfg.time_window, cfg=cfg.solver)

@@ -126,9 +126,10 @@ _TERMS = _list(_triple, ";")  # 'amp freq phase; amp freq phase; ...'
 # solve-ap), the K-bundle inputs (constants, solve-ap) and the resampling of
 # analyze-ap.  The sizes have upper bounds, checked before anything is
 # allocated: the sine basis is n_modes x (n_xi + 1) floats, at most 512 x 8193
-# (34 MB); a certificate synthesizes its n_samples states on the grid as one
-# batch, at most 4096 x 8193 floats (268 MB); the commands keep arrays and
-# loops per surface, at most 10^4 surfaces
+# (34 MB); a certificate keeps (n_samples, N) arrays, at most 4096 x 512
+# floats (17 MB), and takes them to the grid 512 states at a time through the
+# Laplacian's scratch grid, at most 512 x 8193 floats (34 MB); the commands
+# keep arrays and loops per surface, at most 10^4 surfaces
 SECTION_KEYS = {
     "geometry": {"l": _POSITIVE, "n_modes": _size(512), "n_xi": _size(8192)},
     "problem": {"alpha": _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), "rho": _POSITIVE},

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .ap_analysis import StronglyAPSet
-from .evolution import LinearCoefficient
+from .evolution import LinearCoefficient, NonFiniteConstantError, _require_finite
 from .spectral import DirichletLaplacian
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
 from .trig import TrigSum
@@ -258,6 +258,12 @@ class ImpulseSystemSpec:
         return image
 
     @cached_property
+    def _sine_squares(self) -> np.ndarray:
+        """project(sin^2(m pi xi / l)) for m = 1..4, the (4, N) shapes of the certificate samples."""
+        lap = self.lap
+        return lap.project(np.sin(np.arange(1, 5)[:, None] * np.pi * lap.xi / lap.l) ** 2)
+
+    @cached_property
     def _reaction(self):
         """The pointwise map u -> (rho - u) u, built once."""
         rho = self.rho
@@ -288,9 +294,11 @@ def apply_jump(system: ImpulseSystemSpec, j, x) -> np.ndarray:
     """x + g_j(x), with a hard post-state ball check."""
     if not system.in_ball(x):
         raise BallExitError("pre-jump state outside the admissible ball")
-    post = np.asarray(x, dtype=float) + system.g(j, x)
-    if not system.in_ball(post):
-        raise BallExitError("jump exits ball at surface %d" % int(j))
+    # a huge jump overflows to inf and fails the check with no numpy warning
+    with np.errstate(over="ignore"):
+        post = np.asarray(x, dtype=float) + system.g(j, x)
+        if not system.in_ball(post):
+            raise BallExitError("jump exits ball at surface %d" % int(j))
     return post
 
 
@@ -561,7 +569,8 @@ def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
     Each row of ``rng.random((n_samples, 5))`` gives four weights of
     u = sum_m w_m sin^2(m pi xi / l) and a radius draw.  The state is built in
     coefficient space: the projection is linear, so the four shapes are
-    projected once and x = sum_m w_m project(sin^2(m pi xi / l)).  Half the
+    projected once per system (``_sine_squares``) and
+    x = sum_m w_m project(sin^2(m pi xi / l)).  Half the
     samples are pushed to the ball boundary |x|_alpha = rho (the functionals
     in P are extremized there), the rest fill the interior.  Returns an
     (S, N) array; draws with weights summing below 1e-8 or with a vanishing
@@ -570,14 +579,17 @@ def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
     lap = system.lap
     raw = rng.random((n_samples, 5))
     raw = raw[np.sum(raw[:, :4], axis=1) >= 1e-8]
-    shapes = lap.project(np.sin(np.arange(1, 5)[:, None] * np.pi * lap.xi / lap.l) ** 2)
-    x = raw[:, :4] @ shapes
+    x = raw[:, :4] @ system._sine_squares
     nrm = lap.frac_norm(x, system.alpha)
     keep = nrm >= 1e-12
     x, nrm, r = x[keep], nrm[keep], raw[keep, 4]
     rho = system.rho
     scale = np.where(r < 0.5, rho / nrm, rho * (0.1 + 1.8 * (r - 0.5)) / nrm)
     return np.minimum(scale, rho / nrm)[:, None] * x
+
+
+def _cube(u):
+    return u**3
 
 
 def beating_certificate(
@@ -588,7 +600,12 @@ def beating_certificate(
     theta_j(x) <= 0 and P(u) < 1 must hold on every sampled non-negative
     state in the ball; beta_0 is the slope threshold below which the bound
     chain for P closes automatically.  All samples of the surface are
-    evaluated as one (S, N) batch.  Returns the record ``certify`` writes.
+    evaluated as one (S, N) batch; the grid work (the jump image and
+    int u^3) runs through the Laplacian's scratch grid, so a surface
+    allocates no grid-sized array of its own.  Returns the record
+    ``certify`` writes.  Raises NonFiniteConstantError when a sample is
+    drawn and theta_check or P_check is not finite (a huge jump overflows
+    Q(x + g_j(x)) to inf, and theta_check = -inf would pass).
     """
     rng = np.random.default_rng(0) if rng is None else rng
     lap = system.lap
@@ -601,12 +618,16 @@ def beating_certificate(
     x = _nonnegative_samples(system, n_samples, rng)
     q = q_functional(x)
     tau = system.tau(j, x)
-    theta = b_j * (q_functional(x + system.g(j, x)) - q)
-    cubic = lap.eval_physical(x) ** 3 @ lap.weights
-    grad_sq = np.sum(lap.eigenvalues * x * x, axis=-1)
-    p_val = -2.0 * b_j * grad_sq + 2.0 * b_j * system.a(tau) * (q - system.b(tau) * cubic)
-    theta_check = float(np.max(theta, initial=-np.inf))
-    p_check = float(np.max(p_val, initial=-np.inf))
+    with np.errstate(over="ignore"):  # rejected below when not finite
+        theta = b_j * (q_functional(x + system.g(j, x)) - q)
+        cubic = lap.integral(x, _cube)
+        grad_sq = np.sum(lap.eigenvalues * x * x, axis=-1)
+        p_val = -2.0 * b_j * grad_sq + 2.0 * b_j * system.a(tau) * (q - system.b(tau) * cubic)
+        theta_check = float(np.max(theta, initial=-np.inf))
+        p_check = float(np.max(p_val, initial=-np.inf))
+    if x.shape[0]:  # with no sample, both stay -inf, the max of an empty set
+        _require_finite(NonFiniteConstantError, "surface %d certificate" % j,
+                        theta_check=theta_check, P_check=p_check)
     return {
         "surface": int(j),
         "theta_check": theta_check,

@@ -119,26 +119,57 @@ class DirichletLaplacian:
             raise ValueError("value array does not match the grid")
         return (vals * self.weights) @ self.basis.T
 
-    def nonlinear_image(self, x, pointwise_map) -> np.ndarray:
-        """project(pointwise_map(eval_physical(x))), in batches of _IMAGE_ROWS states.
+    @cached_property
+    def _scratch(self) -> np.ndarray:
+        """The one (_IMAGE_ROWS, n_xi + 1) grid buffer of the batched transforms."""
+        return np.empty((_IMAGE_ROWS, self.xi.size))
 
-        The batches share one grid buffer, which holds the synthesized and
-        then the weighted mapped values, and write into one output: each
-        batch allocates only what ``pointwise_map`` does.
+    def _blocks(self, x):
+        """(rows, u) per block of _IMAGE_ROWS states of the (S, N) batch x.
+
+        u = eval_physical(x[rows]) lives in the scratch grid, which the next
+        block overwrites.
+        """
+        for lo in range(0, x.shape[0], _IMAGE_ROWS):
+            u = self._scratch[: min(_IMAGE_ROWS, x.shape[0] - lo)]
+            rows = slice(lo, lo + u.shape[0])
+            np.matmul(x[rows], self.basis, out=u)
+            yield rows, u
+
+    def nonlinear_image(self, x, pointwise_map) -> np.ndarray:
+        """project(pointwise_map(eval_physical(x))) per state, shape (N,) or (S, N).
+
+        A batch runs in blocks of _IMAGE_ROWS states through the scratch grid,
+        which holds the synthesized and then the weighted mapped values, and
+        each block writes its rows of one fresh output: a call allocates only
+        the output and what ``pointwise_map`` does.  ``pointwise_map`` must
+        not call back into this Laplacian's transforms (it would overwrite the
+        grid it is reading).
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2 and x.shape[0] > _IMAGE_ROWS:
-            out = np.empty((x.shape[0], self.n_modes))
-            grid = np.empty((_IMAGE_ROWS, self.xi.size))
-            for lo in range(0, x.shape[0], _IMAGE_ROWS):
-                u = grid[: min(_IMAGE_ROWS, x.shape[0] - lo)]
-                np.matmul(x[lo : lo + _IMAGE_ROWS], self.basis, out=u)
-                np.multiply(pointwise_map(u), self.weights, out=u)
-                np.matmul(u, self.basis.T, out=out[lo : lo + _IMAGE_ROWS])
-            return out
-        return self.project(pointwise_map(self.eval_physical(x)))
+        if x.ndim != 2:
+            return self.project(pointwise_map(self.eval_physical(x)))
+        out = np.empty((x.shape[0], self.n_modes))
+        for rows, u in self._blocks(x):
+            np.multiply(pointwise_map(u), self.weights, out=u)
+            np.matmul(u, self.basis.T, out=out[rows])
+        return out
+
+    def integral(self, x, pointwise_map) -> float | np.ndarray:
+        """int_0^l pointwise_map(u) dxi by the trapezoid weights, per state of x.
+
+        Runs in the blocks of ``nonlinear_image``, under the same rule:
+        ``pointwise_map`` must not call back into this Laplacian's transforms.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            return pointwise_map(self.eval_physical(x)) @ self.weights
+        out = np.empty(x.shape[0])
+        for rows, u in self._blocks(x):
+            np.matmul(pointwise_map(u), self.weights, out=out[rows])
+        return out
 
 
-# States per batch in nonlinear_image: bounds its (rows, n) grid-value
-# temporaries, which would otherwise dominate peak memory on long time grids.
+# States per block of the batched transforms: the rows of the scratch grid,
+# which bounds their grid temporaries on long time grids and big samples.
 _IMAGE_ROWS = 512

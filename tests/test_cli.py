@@ -416,6 +416,7 @@ DAMAGED_DATA = {
         ("simulate", "h_t = 0.005", "h_t = 0.005\nevent_tol = 0", None),
         ("simulate", "h_t = 0.005", "h_t = 0.005\nseg_tol = -1", None),
         ("solve-ap", "h_t = 0.005", "h_t = inf", None),
+        ("solve-ap", "h_t = 0.005", "h_t = 1e308", None),
         ("solve-ap", "h_t = 0.005", "h_t = 0.005\nbuffer = -1", None),
         ("solve-ap", "h_t = 0.005", "h_t = 0.005\nmax_inner = 0", None),
         ("solve-ap", "h_t = 0.005", "h_t = 0.005\nmax_outer = 0", None),
@@ -466,7 +467,7 @@ DAMAGED_DATA = {
          "solve-ap-no-surfaces", "solve-ap-short-window", "analyze-ap-short-span",
          "certify-no-samples", "certify-negative-samples",
          "simulate-empty-range", "simulate-reversed-range", "simulate-three-values",
-         "simulate-zero-event-tol", "simulate-negative-seg-tol", "solve-ap-infinite-h_t",
+         "simulate-zero-event-tol", "simulate-negative-seg-tol", "solve-ap-infinite-h_t", "solve-ap-huge-h_t",
          "solve-ap-negative-buffer", "solve-ap-zero-max_inner", "solve-ap-zero-max_outer",
          "solve-ap-zero-eps", "solve-ap-no-eps", "analyze-ap-zero-h_t", "analyze-ap-negative-crop",
          "simulate-unknown-key", "constants-unknown-section", "constants-malformed-n_modes",
@@ -487,7 +488,8 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # n_xi + 1 < 4N aliases; no surface lies in or within a buffer (2.59) of
     # 100.5..110.5; 0.5..4.5 is shorter than the AP crop of two buffers per end;
     # certify needs a sample, simulate a range t0 < t_end; a step or tolerance
-    # must be finite and > 0 (event_tol = 0 used to bisect forever), and so
+    # must be finite and > 0 (event_tol = 0 used to bisect forever), h_t below
+    # theta (1e308 used to give status=ok), and so
     # must the buffer, every eps (one at least) and the analysis step; the
     # iteration caps are >= 1 and the analysis crop >= 0; a misspelt key or
     # section is not dropped, a value that does not parse is malformed, and a
@@ -669,12 +671,14 @@ def test_non_finite_dichotomy_constant_exits_3(tmp_path, command):
     assert "dichotomy constant M = inf is not finite" in last
 
 
-@pytest.mark.parametrize("command", ["constants", "solve-ap"])
+@pytest.mark.parametrize("command", ["constants", "solve-ap", "certify", "simulate"])
 @pytest.mark.parametrize("key", ["d", "amp_constant", "kernel_left"])
 def test_non_finite_k_bundle_exits_3(tmp_path, capsys, command, key):
     # 1e308 is finite, but |d_j|_1, g_star and M_star are not (K3, K4, g_star
-    # and M_star used to be written as inf with status=ok); the overflow to
-    # inf prints no numpy warning
+    # and M_star used to be written as inf with status=ok), and neither is a
+    # certificate's theta_check (-inf used to pass with status=ok); simulate
+    # meets the first jump, which leaves the ball; the overflow to inf prints
+    # no numpy warning (simulate's ball check used to print one)
     text = re.sub(r"^%s = .*$" % key, "%s = 1e308" % key, readme_instance(), flags=re.M)
     code = main([command, "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
     out, err = capsys.readouterr()
@@ -682,7 +686,29 @@ def test_non_finite_k_bundle_exits_3(tmp_path, capsys, command, key):
     assert err == ""
     last = out.splitlines()[-1]
     assert last.startswith("status=error kind=numerical")
-    assert "is not finite" in last
+    assert ("jump exits ball" if command == "simulate" else "is not finite") in last
+
+
+@pytest.mark.parametrize("h_t", ["1e308", "1.0"])
+def test_solve_ap_rejects_h_t_not_below_theta_before_the_outer_solve(tmp_path, monkeypatch, h_t):
+    # consecutive cuts are >= theta apart, so h_t < theta gives every piece
+    # between impulses two steps at least (1e308 used to give status=ok with
+    # sup_norm_alpha 0); the README instance has theta = 0.979736
+    import implab.cli
+
+    def no_outer_solve(*args, **kwargs):
+        raise AssertionError("the outer solve ran")
+
+    monkeypatch.setattr(implab.cli, "outer_solve", no_outer_solve)
+    text = readme_instance().replace("h_t = 0.005", "h_t = %s" % h_t)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["solve-ap", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    last = buf.getvalue().splitlines()[-1]
+    assert last.startswith("status=error kind=validation")
+    assert "[solver] h_t = %g must be below theta = 0.979736" % float(h_t) in last
 
 
 def test_solve_ap_checks_the_ap_crop_before_the_outer_solve(tmp_path, monkeypatch):

@@ -183,6 +183,56 @@ def test_nonlinear_image_in_row_batches():
     assert np.allclose(batched, whole, rtol=1e-13, atol=1e-15)
 
 
+@pytest.mark.parametrize("rows", [None, 1, 7, 64, 512, 513, 1100, 4096])
+def test_batched_transforms_bit_equal_to_per_block_formulas(rows):
+    # one state (None) or a batch of rows: per block of 512 rows,
+    # nonlinear_image is project(map(eval_physical(x))) and integral is
+    # eval_physical(x) ** 3 @ weights, bit for bit (up to 512 rows, one block
+    # is the whole batch; past it, BLAS may round the tail rows of one big
+    # matmul differently from a small one); no result shares memory with
+    # another or with the scratch grid
+    rng = np.random.default_rng(14)
+    lap = DirichletLaplacian(l=1.0, n_modes=16, n_xi=128)
+    x = rng.standard_normal(lap.n_modes if rows is None else (rows, lap.n_modes))
+    cube = lambda u: u**3  # noqa: E731
+    blocks = [x] if rows is None else [x[lo : lo + 512] for lo in range(0, rows, 512)]
+    image = np.concatenate([lap.project(cube(lap.eval_physical(b))) for b in blocks])
+    cubic = [lap.eval_physical(b) ** 3 @ lap.weights for b in blocks]
+    cubic = cubic[0] if rows is None else np.concatenate(cubic)
+    results = []
+    for _ in range(2):
+        got = lap.nonlinear_image(x, cube)
+        assert got.shape == x.shape and np.array_equal(got, image)
+        total = lap.integral(x, cube)
+        assert np.shape(total) == x.shape[:-1]
+        assert np.array_equal(total, cubic)
+        results += [got, np.asarray(total)]
+    for i, a in enumerate(results):
+        assert not np.shares_memory(a, lap._scratch)
+        assert not any(np.shares_memory(a, b) for b in results[i + 1 :])
+
+
+def test_batched_transforms_allocate_no_grid_of_their_own():
+    # a warm 512-row call allocates the output and what the map does (one
+    # grid array for u**3), not the synthesized and weighted grids
+    import tracemalloc
+
+    rng = np.random.default_rng(15)
+    lap = DirichletLaplacian(l=1.0, n_modes=16, n_xi=128)
+    x = rng.standard_normal((512, lap.n_modes))
+    cube = lambda u: u**3  # noqa: E731
+    grid_bytes = 512 * lap.xi.size * 8
+    for transform in (lap.nonlinear_image, lap.integral):
+        transform(x, cube)  # builds the basis, the weights and the scratch grid
+        tracemalloc.start()
+        try:
+            transform(x, cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * grid_bytes, (transform.__name__, peak / grid_bytes)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
 def test_frac_norm_with_cached_weights_bit_equal_to_formula(lap, alpha):
     rng = np.random.default_rng(13)
