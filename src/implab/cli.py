@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -83,29 +82,24 @@ _STAGE_SMALLNESS = 4
 
 def _fitted_dichotomy(cfg, seed):
     system = cfg.system
-    dich = fit_dichotomy(
+    return fit_dichotomy(
         system.lap,
         system.coeff,
         alpha=system.alpha,
         rng=np.random.default_rng([seed, _STAGE_DICHOTOMY]),
     )
-    over = {
-        k: v for k, v in cfg.overrides.items() if k in ("M", "beta", "M1", "M2", "beta1")
-    }
-    return replace(dich, **over) if over else dich
 
 
 def _constant_bundle(cfg, checks, dich, seed):
     """The K-bundle, the gap constant and the measured Lipschitz data.
 
-    Honours the ``theta``, ``Q`` and ``C`` overrides.  Raises
-    NonFiniteConstantError when ``d_norm_x1`` of the validation ``checks`` or
-    an entry of the bundle is not finite.
+    theta and Q are the system's own; only ``C`` may be set, in
+    ``[overrides]``.  Raises NonFiniteConstantError when ``d_norm_x1`` of the
+    validation ``checks`` or an entry of the bundle is not finite.
     """
     if not np.isfinite(checks["d_norm_x1"]):
         raise NonFiniteConstantError("d_norm_x1 = %g is not finite" % checks["d_norm_x1"])
     system = cfg.system
-    theta = cfg.overrides.get("theta", system.theta)
     gc = system.gap_constant
     measured = measure_lipschitz(
         system, rng=np.random.default_rng([seed, _STAGE_LIPSCHITZ])
@@ -113,8 +107,8 @@ def _constant_bundle(cfg, checks, dich, seed):
     kb = k_bundle(
         system.alpha,
         dich,
-        theta,
-        cfg.overrides.get("Q", gc["value"]),
+        system.theta,
+        gc["value"],
         C=cfg.overrides.get("C", 1.0),
         g_star=measured["g_star"],
         M_star=measured["M0"] + measured["N1"] * system.rho,

@@ -14,10 +14,11 @@ outside it.  Any other section or key is rejected.  An empty list value
 scalar value is rejected.
 
 ``validate_instance`` enforces the checkable hypothesis parts that combine
-keys: the ball quantities are finite floats, surface slopes have the
-admissible sign (b_j <= 0), the surface time intervals over the ball are
-separated (theta > 0, by interval arithmetic), the n_xi grid has at least 4N
-points, and the catalogue map I satisfies I(0) = 0.
+keys: the ball quantities are finite floats, and so is (sup|m| t)^2 over the
+instance's times, surface slopes have the admissible sign (b_j <= 0), the
+surface time intervals over the ball are separated (theta > 0, by interval
+arithmetic), the n_xi grid has at least 4N points, and the catalogue map I
+satisfies I(0) = 0.
 """
 
 from __future__ import annotations
@@ -122,14 +123,14 @@ def _nonlinearity(text, name):
 _TERMS = _list(_triple, ";")  # 'amp freq phase; amp freq phase; ...'
 
 # the file format: each accepted key of each section, case-sensitive, with the
-# parser of its value.  [overrides]: the dichotomy constants (constants,
-# solve-ap), the K-bundle inputs (constants, solve-ap) and the resampling of
-# analyze-ap.  The sizes have upper bounds, checked before anything is
-# allocated: the sine basis is n_modes x (n_xi + 1) floats, at most 512 x 8193
-# (34 MB); a certificate keeps (n_samples, N) arrays, at most 4096 x 512
-# floats (17 MB), and takes them to the grid 512 states at a time through the
-# Laplacian's scratch grid, at most 512 x 8193 floats (34 MB); the commands
-# keep arrays and loops per surface, at most 10^4 surfaces
+# parser of its value.  [overrides]: the K-bundle's C (constants, solve-ap) and
+# the resampling of analyze-ap; the other constants follow from the instance.
+# The sizes have upper bounds, checked before anything is allocated: the sine
+# basis is n_modes x (n_xi + 1) floats, at most 512 x 8193 (34 MB); a
+# certificate keeps (n_samples, N) arrays, at most 4096 x 512 floats (17 MB),
+# and takes them to the grid 512 states at a time through the Laplacian's
+# scratch grid, at most 512 x 8193 floats (34 MB); the commands keep arrays and
+# loops per surface, at most 10^4 surfaces
 SECTION_KEYS = {
     "geometry": {"l": _POSITIVE, "n_modes": _size(512), "n_xi": _size(8192)},
     "problem": {"alpha": _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), "rho": _POSITIVE},
@@ -142,8 +143,8 @@ SECTION_KEYS = {
     "jumps": {"nonlinearity": _nonlinearity, "kernel_left": _list(_VECTOR, ";"),
               "kernel_right": _list(_VECTOR, ";"), "amp_constant": _REAL, "amp_terms": _TERMS,
               "d": _VECTOR},
-    "solver": {**dict.fromkeys(("h_t", "inner_tol", "outer_tol", "residual_tol", "event_tol",
-                                "tail_tol"), _POSITIVE),
+    "solver": {**dict.fromkeys(("h_t", "inner_tol", "outer_tol", "event_tol", "tail_tol"),
+                               _POSITIVE),
                # the step-doubling estimate's rounding level: a smaller seg_tol is never met
                "seg_tol": _number(float, lambda v: 1e-14 <= v < np.inf, "finite and >= 1e-14"),
                "buffer": _POSITIVE, "max_inner": _COUNT, "max_outer": _COUNT,
@@ -153,8 +154,7 @@ SECTION_KEYS = {
     "analysis": {"eps": _eps},
     "simulate": {"u0": _VECTOR, "t_range": _pair(_REAL)},
     # a negative crop would sample past the data, where the interpolant repeats its end rows
-    "overrides": {**dict.fromkeys(("M", "beta", "M1", "M2", "beta1", "theta", "Q"), _POSITIVE),
-                  "C": _NONNEGATIVE, "analysis_crop": _NONNEGATIVE, "analysis_h_t": _POSITIVE},
+    "overrides": {"C": _NONNEGATIVE, "analysis_crop": _NONNEGATIVE, "analysis_h_t": _POSITIVE},
 }
 
 
@@ -191,7 +191,7 @@ def load_instance(path) -> InstanceConfig:
     """Parse an instance file; raises ConfigError on malformed input."""
     # ';' separates terms and kernel rows, so only '#' starts a comment
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.optionxform = str  # keep key case (M1 vs m1 in [overrides])
+    parser.optionxform = str  # keep key case (C vs c in [overrides])
     try:
         read = parser.read(str(path))
     except configparser.Error as exc:  # a repeated section or key, a line outside a section
@@ -265,6 +265,15 @@ def validate_instance(cfg: InstanceConfig) -> dict:
     if not np.all(np.isfinite(ball)):
         raise ConfigError("[problem] rho too large: rho^2 / lambda_1^(2 alpha) and sqrt(l) rho^3 "
                           "must be finite")
+
+    # m = rho a b - a over the instance's times (the windows, the base times and the dichotomy
+    # fit's samples, |t| <= 60): its antiderivative and z^2 of the step weights, with
+    # z = (rate + m) h, overflow unless (sup|m| t)^2 is finite
+    span = float(np.max(np.abs(np.r_[cfg.time_window, cfg.t_range, system.base_times, 60.0])))
+    reach = system.coeff.m.sup_bound() * span
+    if not reach * reach < np.inf:
+        raise ConfigError("[coefficient_a] and [coefficient_b] too large: (sup|m| t)^2 must be "
+                          "finite for |t| <= %g, with m = rho a b - a" % span)
 
     slopes = system.slope_window
     if np.any(slopes > 0.0):

@@ -139,6 +139,12 @@ def _green_factor(rates, m, unstable, t, s, right=False) -> np.ndarray:
     return np.where(past[..., None], np.where(unstable, 0.0, fac), np.where(unstable, -fac, 0.0))
 
 
+def _unclipped(fac) -> np.ndarray:
+    """|fac|, with 0 where the exponent reached -_EXP_CLIP: U is no sample below e^-700."""
+    fac = np.abs(fac)
+    return np.where(fac > _safe_exp(-_EXP_CLIP), fac, 0.0)
+
+
 def _require_finite(error, kind, **constants) -> None:
     for name, value in constants.items():
         if not np.isfinite(value):
@@ -170,19 +176,23 @@ def fit_dichotomy(
     lam_a = lap.frac_weights(alpha)
 
     # Each loop only draws, in the per-sample order; one Green-factor call
-    # then covers all samples, and a row without a positive factor is skipped.
+    # then covers all samples.  An entry whose exponent reached -_EXP_CLIP is
+    # dropped, and so is a row without a positive factor or whose decay is
+    # below the clip: exp(-beta d) would underflow where the factor does not.
     draws = [(rng.uniform(0.0, 40.0), rng.uniform(np.log(1e-3), np.log(_FIT_D_MAX)))
              for _ in range(_FIT_SAMPLES)]
     s, log_d = np.array(draws).reshape(-1, 2).T
     # each (s, d) is used forward (t = s + d) and backward (t = s - d)
     s, d = np.repeat(s, 2), np.repeat(np.exp(log_d), 2)
     t = s + np.tile([1.0, -1.0], _FIT_SAMPLES) * d
-    fac = np.abs(_green_factor(rates, coeff.m, unstable, t, s))
-    keep = np.any(fac > 0.0, axis=1)
+    fac = _unclipped(_green_factor(rates, coeff.m, unstable, t, s))
+    keep = np.any(fac > 0.0, axis=1) & (beta * d < _EXP_CLIP)
     decay = np.exp(-beta * d[keep])
-    m_fit = np.max(np.max(fac[keep], axis=1) / decay, initial=1.0)
-    # refined alpha <- 0 smoothing estimate with the psi weight
-    ratio = np.max(lam_a * fac[keep], axis=1) / (decay * psi(alpha, (t - s)[keep]))
+    # a ratio past the float range is inf, which _require_finite names
+    with np.errstate(over="ignore"):
+        m_fit = np.max(np.max(fac[keep], axis=1) / decay, initial=1.0)
+        # refined alpha <- 0 smoothing estimate with the psi weight
+        ratio = np.max(lam_a * fac[keep], axis=1) / (decay * psi(alpha, (t - s)[keep]))
     m1_fit = np.max(ratio, initial=1.0)
 
     M = (1.0 + _FIT_SLACK) * float(m_fit)
@@ -204,9 +214,15 @@ def fit_dichotomy(
     h, a_star, t, sign, log_gap = np.array(rows).reshape(-1, 5).T
     tau = t + sign * np.exp(log_gap)
     both = _green_factor(rates, coeff.m, unstable, np.r_[t + h, t], np.r_[tau + h, tau])
-    defect = np.max(lam_a * np.abs(both[: t.size] - both[t.size :]), axis=1)
-    denom = np.exp(-beta1 * np.abs(t - tau)) * psi(alpha, t - tau) * a_star
-    M2 = (1.0 + _FIT_SLACK) * float(np.max(defect / denom, initial=M))
+    # an entry counts where neither factor reached -_EXP_CLIP, a row where its decay did not
+    sampled = _unclipped(both) > 0.0
+    sampled = sampled[: t.size] & sampled[t.size :]
+    defect = np.max(lam_a * np.abs(both[: t.size] - both[t.size :]) * sampled, axis=1)
+    keep = beta1 * np.abs(t - tau) < _EXP_CLIP
+    gap = (t - tau)[keep]
+    denom = np.exp(-beta1 * np.abs(gap)) * psi(alpha, gap) * a_star[keep]
+    with np.errstate(over="ignore"):
+        M2 = (1.0 + _FIT_SLACK) * float(np.max(defect[keep] / denom, initial=M))
     _require_finite(NonHyperbolicError, "dichotomy constant", M2=M2)
 
     return DichotomyData(

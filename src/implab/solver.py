@@ -65,7 +65,6 @@ class SolverConfig:
     h_t: float = 0.005
     inner_tol: float = 1e-8
     outer_tol: float = 1e-8
-    residual_tol: float = 1e-6
     event_tol: float = 1e-10
     tail_tol: float = 1e-10
     seg_tol: float = 1e-8
@@ -592,10 +591,11 @@ def verify_smallness(
 ) -> dict:
     """The smallness gates of the contraction argument, as the record ``solve-ap`` writes.
 
-    ``N1`` is the declared Lipschitz constant (the larger of it and a fresh
-    measurement is gated) and ``M0`` bounds f(., 0) and g_j(0); the ball
-    radius is the system's rho.  L'' and L' are ``undefined`` without a
-    positive denominator.
+    ``N1`` is the K-bundle's own sampled Lipschitz constant, no value the
+    instance declares; the larger of it and a fresh sample is gated (the
+    record keeps the keys ``N1_declared`` and ``N1_measured``).  ``M0``
+    bounds f(., 0) and g_j(0); the ball radius is the system's rho.  L''
+    and L' are ``undefined`` without a positive denominator.
     """
     measured = measure_lipschitz(system, rng=rng)
     n1 = max(N1, measured["N1"])

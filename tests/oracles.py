@@ -12,6 +12,8 @@ check the package against it:
   applied to a state;
 * ``fit_continuity_constant`` — C in |(U(t+d, t) - I)x|_alpha <= C
   d^{1-alpha} |x|_1, fitted on samples;
+* ``dichotomy_scan`` — M and M1 by a dense scan in logs, the check of the
+  sampled fit of ``evolution.fit_dichotomy``;
 * ``fit_dichotomy_by_sample``, ``measure_lipschitz_by_pair`` and
   ``table_by_value`` — the per-sample loops of ``evolution.fit_dichotomy``
   and ``solver.measure_lipschitz`` and the per-value table formatter of
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from implab.evolution import (
+    _EXP_CLIP,
     DichotomyData,
     _green_factor,
     _green_integral_at,
@@ -133,6 +136,27 @@ def green_shift_defect(lap, coeff, dich, h, t, tau, x):
     return float(defect), float(bound)
 
 
+def dichotomy_scan(lap, coeff, beta, alpha=0.5, s_span=40.0, d_max=20.0, n=400) -> tuple:
+    """(M, M1) of a coefficient without unstable modes by a dense (s, d) scan.
+
+    The sup over s in [0, s_span] and d in [1e-3, d_max] (a log grid) of
+    max_k |U(s + d, s) e_k| e^{beta d} and of max_k lambda_k^alpha
+    |U(s + d, s) e_k| e^{beta d} / psi_alpha(d), each at least 1, with no
+    slack.  The exponents are summed in logs, so no clip bounds them.
+    """
+    if np.any(coeff.mean_exponents(lap) < 0.0):
+        raise ValueError("the scan covers stable modes only")
+    s = np.linspace(0.0, s_span, n)[:, None]
+    d = np.geomspace(1e-3, d_max, 4 * n)[None, :]
+    integral = coeff.m.integral(s, s + d)
+    m_log = m1_log = 0.0
+    for rate, weight in zip(coeff.rates(lap), lap.frac_weights(alpha)):
+        log_u = -(rate * d + integral) + beta * d
+        m_log = max(m_log, float(np.max(log_u)))
+        m1_log = max(m1_log, float(np.max(np.log(weight) + log_u - np.log(psi(alpha, d)))))
+    return float(np.exp(m_log)), float(np.exp(m1_log))
+
+
 def fit_dichotomy_by_sample(
     lap, coeff, alpha=0.5, rng=None, n_samples=400, slack=0.05, d_max=20.0
 ) -> DichotomyData:
@@ -152,7 +176,9 @@ def fit_dichotomy_by_sample(
         for sign in (1.0, -1.0):
             t = s + sign * d
             fac = np.abs(_green_factor(rates, coeff.m, unstable, t, s))
-            if not np.any(fac > 0.0):
+            # an entry whose exponent reached -_EXP_CLIP is no sample of U
+            fac[fac <= _safe_exp(-_EXP_CLIP)] = 0.0
+            if not np.any(fac > 0.0) or beta * d >= _EXP_CLIP:
                 continue
             decay = np.exp(-beta * d)
             m_fit = max(m_fit, float(np.max(fac)) / decay)
@@ -171,9 +197,12 @@ def fit_dichotomy_by_sample(
             continue
         t = rng.uniform(-20.0, 20.0)
         tau = t + rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(1e-2), np.log(10.0)))
+        if beta1 * abs(t - tau) >= _EXP_CLIP:
+            continue
         fac1 = _green_factor(rates, coeff.m, unstable, t + h, tau + h)
         fac0 = _green_factor(rates, coeff.m, unstable, t, tau)
-        defect = np.max(lam_a * np.abs(fac1 - fac0))
+        clipped = np.minimum(np.abs(fac1), np.abs(fac0)) <= _safe_exp(-_EXP_CLIP)
+        defect = np.max(np.where(clipped, 0.0, lam_a * np.abs(fac1 - fac0)))
         denom = np.exp(-beta1 * abs(t - tau)) * psi(alpha, t - tau) * a_star
         m2_fit = max(m2_fit, float(defect) / denom)
     M2 = (1.0 + slack) * m2_fit

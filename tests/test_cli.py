@@ -25,7 +25,7 @@ from implab.records import (
     write_trajectory,
 )
 
-from oracles import table_by_value
+from oracles import dichotomy_scan, table_by_value
 from systems import readme_like
 
 BASE = """
@@ -285,20 +285,10 @@ def test_cmd_constants(tmp_path):
     assert float(kb["K2"]) > 0.0
 
 
-def test_cmd_constants_k2_override(tmp_path):
-    # theta = ln 2, M1 = 1, beta = 1 gives K2 = 2/(1 - 1/2) = 4
-    text = BASE + "\n[overrides]\ntheta = 0.6931471805599453\nM1 = 1.0\nbeta = 1.0\n"
-    out = tmp_path / "out"
-    assert main(["constants", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
-    kb = read_record(out / "kbundle.txt")
-    assert float(kb["K2"]) == pytest.approx(4.0, rel=1e-12)
-
-
 def test_unknown_override_key_rejected(tmp_path):
-    # key case is kept, so m1 is not M1
-    text = BASE + "\n[overrides]\nm1 = 1.0\n"
-    with pytest.raises(ConfigError, match="m1.*accepted: M beta M1 M2 beta1 theta Q C "
-                       "analysis_crop analysis_h_t"):
+    # key case is kept, so c is not C
+    text = BASE + "\n[overrides]\nc = 1.0\n"
+    with pytest.raises(ConfigError, match="c; accepted: C analysis_crop analysis_h_t$"):
         load_instance(write_config(tmp_path, text))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -321,13 +311,32 @@ def test_unknown_section_or_key_rejected(tmp_path, old, new, match):
         load_instance(write_config(tmp_path, BASE.replace(old, new)))
 
 
-def test_solve_ap_honours_kbundle_overrides(tmp_path):
-    cfg_path = write_config(tmp_path, BASE + "\n[overrides]\nQ = 5.0\n")
+# the keys that once replaced computed constants with declared ones, and an unread tolerance
+DELETED_KEYS = [("overrides", key) for key in ("M", "beta", "M1", "M2", "beta1", "theta", "Q")]
+DELETED_KEYS += [("solver", "residual_tol")]
+
+
+@pytest.mark.parametrize("command", ["constants", "solve-ap"])
+@pytest.mark.parametrize("section, key", DELETED_KEYS, ids=[key for _, key in DELETED_KEYS])
+def test_deleted_key_exits_2(tmp_path, capsys, command, section, key):
+    # a verdict follows from the instance: a file that still declares a dichotomy constant, theta
+    # or Q (M = 0.1, M1 = 0.1 and theta = 10 used to turn check_KM0 fail into pass) is rejected
+    # by name, and so is the never-enforced residual_tol
+    argv = [command, "--config", write_config(tmp_path, _with_key(section, key, "1.0")),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith(
+        "status=error kind=validation reason='unknown [%s] key(s) %s; accepted: " % (section, key))
+    assert err == ""
+
+
+def test_solve_ap_reads_the_kbundle_of_constants(tmp_path):
+    cfg_path = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["constants", "--config", cfg_path, "--out", str(out)]) == 0
     assert main(["solve-ap", "--config", cfg_path, "--out", str(out)]) == 0
     kb = read_record(out / "kbundle.txt")
-    assert float(kb["Q"]) == 5.0
     psi1_inv = float(read_record(out / "contraction.txt")["psi1_inv"])
     assert psi1_inv == pytest.approx(1.0 / float(kb["Psi1"]), rel=1e-12)
 
@@ -427,7 +436,6 @@ DAMAGED_DATA = {
         ("simulate", "h_t = 0.005", "h_t = 0.005\nseg_tl = 1e-12", None),
         ("constants", "[analysis]", "[analyse]", None),
         ("constants", "n_modes = 8", "n_modes = abc", None),
-        ("constants", "[analysis]", "[overrides]\ntheta = -1\n\n[analysis]", None),
         ("constants", "offset = 0.5", "offset = nan", None),
         ("constants", "offset = 0.0", "offset = inf", None),
         ("constants", "terms = 0.2 1.0 0.0", "terms = nan 1.0 0.0", None),
@@ -442,18 +450,12 @@ DAMAGED_DATA = {
         ("simulate", "[analysis]", "[simulate]\nt_range = 0.5 nan\n\n[analysis]", None),
         ("simulate", "[analysis]", "[simulate]\nu0 = 0.1 nan\n\n[analysis]", None),
         ("solve-ap", "window = 0 6", "window = 0 inf", None),
-        ("constants", "[analysis]", "[overrides]\nM = nan\n\n[analysis]", None),
         ("constants", "rho = 1.0", "rho = 1e308", None),
         ("certify", "rho = 1.0", "rho = 1e154", None),
         ("simulate", "h_t = 0.005", "h_t = 0.005\nseg_tol = 1e-300", None),
     ]
-    + [(c, "[analysis]", "[overrides]\n%s\n\n[analysis]" % pin, None)
-       for c, pin in (("constants", "beta = 0"), ("solve-ap", "beta = 0"),
-                      ("constants", "beta = -1"), ("solve-ap", "beta = -1"),
-                      ("constants", "Q = -1"), ("solve-ap", "Q = -1"),
-                      ("constants", "M1 = -1"), ("constants", "M = 0"), ("constants", "M2 = -1"),
-                      ("constants", "beta1 = 0"), ("constants", "C = -1"))]
     + [
+        ("constants", "[analysis]", "[overrides]\nC = -1\n\n[analysis]", None),
         ("constants", "seed = 7", "seed = -1", None),
         ("constants", "gap = 1.0", "gap = 1e308", None),
         ("simulate", "gap = 1.0", "gap = 1e308", None),
@@ -462,6 +464,13 @@ DAMAGED_DATA = {
         ("constants", "rho = 1.0", "rho = 1.0\nrho = 2.0", None),
         ("constants", "nonlinearity = zero", "nonlinearity = cube", None),
     ]
+    + [(c, "offset = 0.5", "offset = 1e308", None)
+       for c in ("constants", "simulate", "certify", "solve-ap")]
+    # bad values of deleted [overrides] keys: rejected as unknown keys, before any value is read
+    + [(c, "[analysis]", "[overrides]\n%s\n\n[analysis]" % pin, None)
+       for c, pin in (("constants", "M = nan"), ("constants", "M = 0"),
+                      ("constants", "beta = 0"), ("solve-ap", "beta = 0"),
+                      ("constants", "beta = -1"), ("solve-ap", "beta = -1"))]
     + [("analyze-ap", "[analysis]", "[analysis]", damage) for damage in DAMAGED_DATA.values()],
     ids=["constants-n_xi", "simulate-n_xi", "certify-n_xi", "solve-ap-n_xi",
          "solve-ap-no-surfaces", "solve-ap-short-window", "analyze-ap-short-span",
@@ -471,17 +480,18 @@ DAMAGED_DATA = {
          "solve-ap-negative-buffer", "solve-ap-zero-max_inner", "solve-ap-zero-max_outer",
          "solve-ap-zero-eps", "solve-ap-no-eps", "analyze-ap-zero-h_t", "analyze-ap-negative-crop",
          "simulate-unknown-key", "constants-unknown-section", "constants-malformed-n_modes",
-         "constants-negative-theta", "constants-nan-a-offset", "constants-inf-b-offset",
+         "constants-nan-a-offset", "constants-inf-b-offset",
          "constants-nan-term", "certify-inf-amp", "constants-nan-kernel", "constants-nan-rho",
          "certify-nan-gap", "certify-nan-slope", "constants-nan-l", "simulate-inf-range",
          "simulate-nan-range", "simulate-nan-u0", "solve-ap-inf-window",
-         "constants-nan-override", "constants-huge-rho", "certify-huge-rho",
-         "simulate-tiny-seg-tol", "constants-zero-beta", "solve-ap-zero-beta",
-         "constants-negative-beta", "solve-ap-negative-beta", "constants-negative-Q",
-         "solve-ap-negative-Q", "constants-negative-M1", "constants-zero-M",
-         "constants-negative-M2", "constants-zero-beta1", "constants-negative-C",
-         "constants-negative-seed", "constants-huge-gap", "simulate-huge-gap", "certify-huge-gap",
+         "constants-huge-rho", "certify-huge-rho", "simulate-tiny-seg-tol",
+         "constants-negative-C", "constants-negative-seed", "constants-huge-gap",
+         "simulate-huge-gap", "certify-huge-gap",
          "solve-ap-blank-h_t", "constants-repeated-key", "constants-unknown-nonlinearity",
+         "constants-huge-a-offset", "simulate-huge-a-offset", "certify-huge-a-offset",
+         "solve-ap-huge-a-offset",
+         "constants-nan-override", "constants-zero-M", "constants-zero-beta", "solve-ap-zero-beta",
+         "constants-negative-beta", "solve-ap-negative-beta",
          ] + list(DAMAGED_DATA),
 )
 def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, damage):
@@ -492,8 +502,8 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # theta (1e308 used to give status=ok), and so
     # must the buffer, every eps (one at least) and the analysis step; the
     # iteration caps are >= 1 and the analysis crop >= 0; a misspelt key or
-    # section is not dropped, a value that does not parse is malformed, and a
-    # theta override must be > 0; every float the file gives must be finite (an
+    # section is not dropped, and a value that does not parse is malformed;
+    # every float the file gives must be finite (an
     # infinite t_range used to run simulate until it was killed), and so must
     # rho^2 / lambda_1^(2 alpha) and sqrt(l) rho^3 (a huge rho used to end in an
     # OverflowError); seg_tol must be >= 1e-14, which the step-doubling
@@ -503,13 +513,13 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # finite and one hit time per row of y*, the sorted hit times strictly
     # increasing (a repeated or nan hit time used to end in a traceback, a nan
     # state in status=ok), and the y* indices consecutive integers (swapped
-    # rows, a gap or a fractional index used to give status=ok); the dichotomy
-    # constants and Q pinned in [overrides] must be > 0 and C >= 0 (beta = 0
-    # used to end in a ZeroDivisionError, a negative beta or Q in a complex
-    # K-bundle), the seed >= 0 (numpy's rng raised), the base times finite (a
-    # gap of 1e308 overflowed them and gave theta = nan with status=ok), a
-    # scalar value not blank (a blank [solver] value used to fall back to the
-    # default), and a key not given twice (configparser raised)
+    # rows, a gap or a fractional index used to give status=ok); C pinned in
+    # [overrides] must be >= 0, the seed >= 0 (numpy's rng raised), the base
+    # times finite (a gap of 1e308 overflowed them and gave theta = nan with
+    # status=ok), (sup|m| t)^2 finite over the instance's times (an a offset of
+    # 1e308 used to print overflow warnings before its exit 3), a scalar value
+    # not blank (a blank [solver] value used to fall back to the default), and
+    # a key not given twice (configparser raised)
     assert old in BASE
     argv = [command, "--config", write_config(tmp_path, BASE.replace(old, new)),
             "--out", str(tmp_path / "o")]
@@ -657,16 +667,33 @@ def test_cmd_simulate_ball_exit(tmp_path):
     assert "status=error kind=numerical" in buf.getvalue()
 
 
+@pytest.mark.parametrize("length", ["0.5", "0.45", "0.3"])
+def test_dichotomy_fit_past_the_exponent_clip(tmp_path, capsys, length):
+    # beta * 20 > 700 on these lengths: the fit used to divide a factor clipped at e^-700 by an
+    # unclipped e^(-beta d), which wrote M1 = 4.8e9 at l = 0.5 and ended in M = inf, after
+    # divide-by-zero warnings, at l = 0.45 and 0.3
+    text = readme_instance().replace("l = 1.0", "l = " + length)
+    out = tmp_path / "o"
+    assert main(["constants", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    dich = read_record(out / "dichotomy.txt")
+    assert all(np.isfinite(float(dich[key])) for key in ("M", "beta", "M1", "M2", "beta1"))
+    system = load_instance(write_config(tmp_path, text)).system
+    _, m1_scan = dichotomy_scan(system.lap, system.coeff, float(dich["beta"]))
+    assert m1_scan <= float(dich["M1"]) <= 1.1 * m1_scan
+
+
 @pytest.mark.parametrize("command", ["constants", "solve-ap"])
-def test_non_finite_dichotomy_constant_exits_3(tmp_path, command):
-    # a = 1e308 is finite, but the fitted M is not (it used to be written as inf)
-    text = BASE.replace("offset = 0.5", "offset = 1e308")
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), np.errstate(all="ignore"):
-        code = main([command, "--config", write_config(tmp_path, text),
-                     "--out", str(tmp_path / "o")])
+def test_non_finite_dichotomy_constant_exits_3(tmp_path, capsys, command):
+    # a term of amplitude 1000 keeps (sup|m| t)^2 finite, but the fitted M is not: U grows by
+    # up to e^2000 against the decay (M used to be written as inf); the overflow of the fit's
+    # ratio prints no numpy warning
+    text = BASE.replace("terms = 0.2 1.0 0.0", "terms = 1000 1.0 0.0")
+    code = main([command, "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
     assert code == 3
-    last = buf.getvalue().splitlines()[-1]
+    assert err == ""
+    last = out.splitlines()[-1]
     assert last.startswith("status=error kind=numerical")
     assert "dichotomy constant M = inf is not finite" in last
 
@@ -920,6 +947,26 @@ def test_import_loads_no_scipy():
     where, loaded = run.stdout.splitlines()
     assert Path(where).resolve() == Path(implab.__file__).resolve()
     assert loaded == "[]"
+
+
+def test_every_solver_config_field_is_read():
+    # a [solver] key that is parsed but never read (as residual_tol was) fails
+    # here: each SolverConfig field must be read as an attribute outside the class body
+    import ast
+    import dataclasses
+
+    from implab.solver import SolverConfig
+
+    read = set()
+    for path in Path(implab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        body = {id(node) for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) and cls.name == "SolverConfig"
+                for node in ast.walk(cls)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load) and id(node) not in body}
+    fields = {field.name for field in dataclasses.fields(SolverConfig)}
+    assert fields - read == set()
 
 
 def test_export_lists_resolve():

@@ -15,6 +15,7 @@ from implab.trig import TrigSum
 
 from oracles import (
     bounded_solution,
+    dichotomy_scan,
     evolution_apply,
     evolution_factors,
     fit_continuity_constant,
@@ -126,6 +127,10 @@ FIT_CASES = {
     "alpha_zero": (lambda lap: readme_like().coeff, 0.0),
     # a*(h) = 0 for every h: each shift-defect sample is skipped, M2 = 1.05 M
     "constant_m": (lambda lap: LinearCoefficient(m=TrigSum(0.3)), 0.5),
+    # offset 30: beta d passes the exponent clip of 700 in the M and M1 fit (d <= 20); offset
+    # 150: beta1 |t - tau| passes it in the M2 fit too (|t - tau| <= 10)
+    "clip_m1": (lambda lap: LinearCoefficient(m=TrigSum(30.0, ((0.2, 1.0, 0.0),))), 0.5),
+    "clip_m2": (lambda lap: LinearCoefficient(m=TrigSum(150.0, ((0.2, 1.0, 0.0),))), 0.5),
 }
 
 
@@ -145,6 +150,9 @@ def test_fit_dichotomy_matches_per_sample_loop(name):
         assert dich.M2 == 1.05 * dich.M
     if name == "unstable":
         assert dich.has_unstable
+    if name.startswith("clip"):
+        m_scan, m1_scan = dichotomy_scan(lap, coeff, dich.beta, alpha)
+        assert dich.M <= 1.1 * m_scan and dich.M1 <= 1.1 * m1_scan and np.isfinite(dich.M2)
 
 
 def test_green_branches(lap):
