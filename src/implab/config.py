@@ -217,6 +217,10 @@ def load_instance(path) -> InstanceConfig:
                 values[name][key] = value
 
     geo, surf, jsec, ssec = (values[s] for s in ("geometry", "surfaces", "jumps", "solver"))
+    # lambda_N = (N pi / l)^2, the Laplacian's largest eigenvalue: a float product overflows to inf
+    root = geo.get("n_modes", 16) * np.pi / geo.get("l", 1.0)
+    if not root * root < np.inf:
+        raise ConfigError("[geometry] l too small: lambda_N = (N pi / l)^2 must be finite")
     lap = DirichletLaplacian(**geo)
     left, right = (
         np.stack([_modes(row, lap.n_modes, "[jumps] " + key) for row in jsec[key]])

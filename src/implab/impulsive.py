@@ -6,20 +6,14 @@ propagation, two-point variation-of-constants weights, step doubling).  A
 step-doubling trial (one step of h, two of h/2) makes four f calls and one
 weight evaluation; f(t, x) is computed once per node.  The impulse surfaces
 are ``tau_j(x) = t_j + b_j Q(x)`` with the energy functional
-``Q(x) = int_0^l u^2 = sum_k x_k^2``; crossings of ``zeta_j(t) =
-t - tau_j(u(t))`` are bracketed on the dense output, with grazing
-contacts classified as no-hit, and the bracket's root is taken in closed
-form.  The dense output is linear in t on each step, bit-equal to
-numpy's per-mode ``interp`` (``tests/test_trajectory.py`` checks this),
-so zeta is a quadratic in t there, and zeta < 0 at the left node with
-zeta >= 0 at the right one leaves room for one root only.  A hit time is then sharpened on
-re-integrated states until |zeta| < ``event_tol``: one fixed-point step
-th - zeta, then secant steps through the last two (th, zeta) pairs, each
-kept inside the flow step that brackets the sign change, shrunk by the sign
-of every run's zeta; an iterate that leaves it is replaced by its midpoint.
-Each run integrates from the left node of that flow step, with the step taken
-there as its first trial step, so the flow segment up to that node is shared
-with the hit segment as it is.
+``Q(x) = int_0^l u^2 = sum_k x_k^2``.  ``simulate`` runs one adaptive loop
+from t0 to t_end and searches each accepted step for an upward crossing of
+``zeta_j(t) = t - tau_j(u(t))`` on its dense output, which is linear in t
+and bit-equal to numpy's per-mode ``interp`` (``tests/test_trajectory.py``
+checks this).  So zeta is a quadratic in t there, zeta < 0 at the left node
+with zeta >= 0 at the right one leaves room for one root only, taken in
+closed form, and a grazing contact is no hit.  The hit time is then
+sharpened on re-integrated states until |zeta| < ``event_tol``.
 
 ``beating_certificate`` checks the two repeated-hit exclusion hypotheses on
 sampled non-negative states, sums of four squared sines with weights drawn
@@ -355,24 +349,37 @@ def _doubling_trial(system, t, h, x, f0):
     return coarse, fine
 
 
-def step_segment(
-    system: ImpulseSystemSpec,
-    x0,
-    t0: float,
-    t1: float,
-    seg_tol: float = 1e-8,
-    h_max: float = np.inf,
-    h0: float = 0.05,
-) -> Segment:
-    """Integrate the flow on [t0, t1]; adaptive steps by step doubling.
+_H0 = 0.05  # the first trial step of a flow; each later one is the size the last step proposed
 
-    Each trial step compares one step of size h with two of h/2; the halved
-    solution is kept (local extrapolation), and h adapts to keep the
-    difference below ``seg_tol``.  The first trial step is ``h0``; every
-    trial step is clipped to t1 and ``h_max``.  Node times of accepted steps
-    form the dense output grid, and the last one is t1 itself: the loop stops
-    within 1e-13 of t1, and t + (t1 - t) can round below t1.  A segment
-    shorter than that margin is one step.
+
+def _accepted_step(system, t, x, f0, h, seg_tol):
+    """One step from (t, x), given f0 = f(t, x), with first trial step h.
+
+    Each trial compares one step of size h with two of h/2; a trial whose
+    difference, over 3, reaches ``seg_tol`` is retried at a smaller h (down
+    to 1e-12).  Returns (h, the halved solution at t + h, the next step's
+    first trial size): the halved solution is kept (local extrapolation).
+    """
+    while True:
+        coarse, fine = _doubling_trial(system, t, h, x, f0)
+        err = float(np.linalg.norm(fine - coarse)) / 3.0
+        grow = 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0)
+        if err < seg_tol or h < 1e-12:
+            return h, fine, h * min(4.0, max(0.25, grow))
+        h *= max(0.25, grow)
+
+
+def step_segment(
+    system: ImpulseSystemSpec, x0, t0: float, t1: float, seg_tol: float = 1e-8,
+    h_max: float = np.inf, h0: float = _H0, f0=None,
+) -> Segment:
+    """Integrate the flow on [t0, t1] by accepted steps of ``_accepted_step``.
+
+    The first trial step is ``h0``; every trial step is clipped to t1 and
+    ``h_max``.  ``f0`` is f(t0, x0) when the caller has it already.  Node
+    times of accepted steps form the dense output grid, and the last one is
+    t1 itself: the loop stops within 1e-13 of t1, and t + (t1 - t) can round
+    below t1.  A segment shorter than that margin is one step.
     """
     if t1 <= t0:
         raise ValueError("segment needs t1 > t0")
@@ -382,22 +389,17 @@ def step_segment(
     stop = t1 - 1e-13 * max(1.0, abs(t1))
     nodes, states = [t0], [x]
     t, h = t0, h0
-    while t < stop or len(nodes) == 1:
-        h = min(h, t1 - t, h_max)
-        f0 = system.f(t, x)
-        while True:
-            coarse, fine = _doubling_trial(system, t, h, x, f0)
-            err = float(np.linalg.norm(fine - coarse)) / 3.0
-            if err < seg_tol or h < 1e-12:
-                break
-            h *= max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0))
-        t = t + h
-        x = fine
+    fx = system.f(t0, x) if f0 is None else f0
+    while True:
+        step, x, h = _accepted_step(system, t, x, fx, min(h, t1 - t, h_max), seg_tol)
+        t = t + step
         nodes.append(t)
         states.append(x)
         if not system.in_ball(x):
             raise BallExitError("left admissible ball at t = %g" % t, time=t)
-        h = h * min(4.0, max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0)))
+        if t >= stop:
+            break
+        fx = system.f(t, x)
     nodes[-1] = t1
     return Segment(t=np.asarray(nodes), states=np.stack(states))
 
@@ -453,19 +455,21 @@ _SHARPEN_RUNS = 40
 
 
 def simulate(
-    system: ImpulseSystemSpec,
-    u0,
-    t0: float,
-    t_end: float,
-    seg_tol: float = 1e-8,
-    event_tol: float = 1e-10,
-    certified_surfaces=(),
+    system: ImpulseSystemSpec, u0, t0: float, t_end: float, seg_tol: float = 1e-8,
+    event_tol: float = 1e-10, certified_surfaces=(),
 ) -> PiecewiseTrajectory:
-    """Alternate flow segments, crossing detection and jumps on [t0, t_end].
+    """Flow, crossing detection and jumps on [t0, t_end], in one adaptive loop.
 
-    The trajectory's node table is the flow segments joined end to start:
-    each boundary, a hit or a horizon end, repeats a time.  Their number is
-    ``meta['n_segments']``.
+    The step size of ``_accepted_step`` is carried from step to step and
+    across jumps, capped at max(theta / 2, 1e-3).  ``detect_crossing``
+    searches each accepted step (t_i, t_{i+1}] for every surface whose
+    interval [lo_j, hi_j] meets it.  A hit is sharpened on runs from
+    (t_i, x_i) that reuse f(t_i, x_i): a secant step through the exact zeta
+    at t_{i+1}, then through the last two runs, each kept inside the bracket
+    (t_i, t_{i+1}) shrunk by the sign of every run's zeta (the midpoint
+    replaces an iterate outside it).  The node table takes the last run's
+    nodes and then the post-jump state, so a time repeats only at a hit;
+    ``meta['n_segments']`` counts the pieces between cuts (hits + 1).
 
     ``certified_surfaces`` lists surface indices with a passing beating
     certificate; a second hit on such a surface raises BeatingError, while
@@ -478,58 +482,52 @@ def simulate(
 
     x = np.asarray(u0, dtype=float)
     t = float(t0)
-    horizon = max(system.theta / 2.0, 1e-3)
-    node_t, node_states, hits = [], [], []  # the node table, flow segment by segment
-    n_segments = 0
+    if not system.in_ball(x):
+        raise BallExitError("initial state outside the admissible ball", time=t)
+    h_max = max(system.theta / 2.0, 1e-3)
+    stop = t_end - 1e-13 * max(1.0, abs(t_end))
+    node_t, node_states, hits = [t], [x], []
     hit_counts: dict = {}
-    last_hit = None  # (surface, time): suppress re-detecting the jump just taken
+    last_hit = (None, -np.inf)  # (surface, time): suppress re-detecting the jump just taken
+    h = _H0
 
-    while t < t_end - 1e-12:
-        t1 = min(t_end, t + horizon)
-        seg = step_segment(system, x, t, t1, seg_tol, h_max=horizon / 4.0)
+    while t < stop:
+        fx = system.f(t, x)
+        step, x1, h = _accepted_step(system, t, x, fx, min(h, t_end - t, h_max), seg_tol)
+        t1 = t_end if t + step >= stop else t + step
+        if not system.in_ball(x1):
+            raise BallExitError("left admissible ball at t = %g" % t1, time=t1)
         cand = system.indices[(hi >= t - event_tol) & (lo <= t1 + event_tol)]
         best = None
-        for j in cand:
-            th = detect_crossing(system, seg, j)
-            if th is None:
-                continue
-            if last_hit is not None and int(j) == last_hit[0] and th <= last_hit[1] + 10.0 * event_tol:
-                continue
-            if best is None or th < best[0]:
-                best = (th, int(j))
+        if cand.size:
+            seg = Segment(t=np.array([t, t1]), states=np.stack([x, x1]))
+            for j in cand:
+                th = detect_crossing(system, seg, j)
+                if th is None or (int(j) == last_hit[0] and th <= last_hit[1] + 10.0 * event_tol):
+                    continue
+                if best is None or th < best[0]:
+                    best = (th, int(j))
         if best is None:
-            node_t.append(seg.t)
-            node_states.append(seg.states)
-            n_segments += 1
-            t, x = t1, seg.states[-1]
+            node_t.append(t1)
+            node_states.append(x1)
+            t, x = t1, x1
             continue
         th, j = best
-        # sharpen the hit time on re-integrated (not interpolated) states; each
-        # run goes from the left node of the step (a, b] of seg that holds th,
-        # with that step as its first trial step.  Each run's sign of zeta
-        # shrinks (a, b), and an iterate outside it is replaced by the
-        # midpoint; th == seg.t[0] takes the th - t branch below
-        i = max(int(np.searchsorted(seg.t, th)) - 1, 0)
-        a, b = seg.t[i], seg.t[i + 1]
-        last = None
+        # sharpen on re-integrated (not interpolated) states; th == t takes the first branch
+        a, b = t, t1
+        last = (t1, t1 - system.tau(j, x1))
         for _ in range(_SHARPEN_RUNS):
             if th - t <= 1e-12:
                 th, run, pre = t, None, x
                 break
-            run = step_segment(
-                system, seg.states[i], seg.t[i], th, seg_tol, horizon / 4.0,
-                h0=seg.t[i + 1] - seg.t[i],
-            )
+            run = step_segment(system, x, t, th, seg_tol, h_max, h0=step, f0=fx)
             pre = run.states[-1]
             zeta = th - system.tau(j, pre)
             if abs(zeta) < event_tol:
                 break
-            if zeta < 0.0:
-                a = th
-            else:
-                b = th
+            a, b = (th, b) if zeta < 0.0 else (a, th)
             nxt = th - zeta
-            if last is not None and zeta != last[1]:
+            if zeta != last[1]:
                 nxt = th - zeta * (th - last[0]) / (zeta - last[1])
             last = (th, zeta)
             th = nxt if a < nxt < b else 0.5 * (a + b)
@@ -539,22 +537,21 @@ def simulate(
                 "%d runs" % (j, th, abs(zeta), event_tol, _SHARPEN_RUNS)
             )
         if run is not None:
-            node_t += [seg.t[:i], run.t]
-            node_states += [seg.states[:i], run.states]
-            n_segments += 1
+            node_t.extend(run.t[1:])
+            node_states.extend(run.states[1:])
         post = apply_jump(system, j, pre)
+        node_t.append(th)
+        node_states.append(post)
         last_hit = (j, th)
         hits.append(HitRecord(time=th, surface=j, pre=pre, post=post))
         hit_counts[j] = hit_counts.get(j, 0) + 1
         if hit_counts[j] > 1 and j in certified:
-            raise BeatingError(
-                "repeated hit on certified surface %d at t = %g" % (j, th)
-            )
+            raise BeatingError("repeated hit on certified surface %d at t = %g" % (j, th))
         t, x = th, post
 
-    nodes = Segment(t=np.concatenate(node_t), states=np.concatenate(node_states))
+    nodes = Segment(t=np.array(node_t), states=np.stack(node_states))
     return PiecewiseTrajectory(
-        nodes=nodes, hits=hits, meta={"hit_counts": hit_counts, "n_segments": n_segments}
+        nodes=nodes, hits=hits, meta={"hit_counts": hit_counts, "n_segments": len(hits) + 1}
     )
 
 

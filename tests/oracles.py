@@ -300,8 +300,9 @@ def bounded_solution(
 ) -> PiecewiseTrajectory:
     """Unique bounded solution of the linear impulsive system on ``window``.
 
-    ``forcing`` is a callable t -> coefficient vector; ``jumps`` is a list
-    of (time, jump-vector) pairs.  The improper Green integral
+    ``forcing`` maps an array of M times to the (M, N) coefficient vectors
+    there, and is called once per batch of quadrature nodes; ``jumps`` is a
+    list of (time, jump-vector) pairs.  The improper Green integral
 
         u0(t) = int_R G(t, v) f(v) dv + sum_j G(t, tau_j) g_j
 
@@ -312,11 +313,10 @@ def bounded_solution(
     t0, t1 = float(window[0]), float(window[1])
 
     def f_eval(v):
-        return np.stack([np.asarray(forcing(vi), dtype=float) for vi in np.atleast_1d(v)])
+        return np.asarray(forcing(np.atleast_1d(v)), dtype=float)
 
     # a-priori tail bound
-    probe = np.linspace(t0, t1, 64)
-    sup_f = float(np.max([np.linalg.norm(f_eval(t)[0]) for t in probe]))
+    sup_f = float(np.max([np.linalg.norm(row) for row in f_eval(np.linspace(t0, t1, 64))]))
     sum_g = float(sum(np.linalg.norm(np.asarray(g, dtype=float)) for _, g in jumps))
     amp = dich.M * (sup_f / dich.beta + sum_g)
     T_tail = max(1.0, np.log(max(amp, tail_tol) / tail_tol) / dich.beta)

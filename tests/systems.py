@@ -13,15 +13,18 @@ from implab.trig import TrigSum
 
 @dataclass(frozen=True)
 class ProfileForcedSystem(ImpulseSystemSpec):
-    """A system whose f is a profile of t alone, for the linear oracles."""
+    """A system whose f is a profile of t alone, for the linear oracles.
+
+    ``profile`` maps an array of M times to the (M, N) forcing there.
+    """
 
     profile: object = None
 
     def forcing(self, t, x) -> np.ndarray:
         """The profile at one time (N,), or at times (M,) as (M, N)."""
         if isinstance(t, np.ndarray) and t.ndim > 0:
-            return np.stack([np.asarray(self.profile(s), dtype=float) for s in t])
-        return np.asarray(self.profile(t), dtype=float)
+            return np.asarray(self.profile(t), dtype=float)
+        return np.asarray(self.profile(np.array([t])), dtype=float)[0]
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,8 @@ def make_system(
 ):
     """N modes on (0, l), alpha = 1/2, n_xi = 8N; base moments base_gap * j.
 
-    ``f_override``, a profile of t alone, replaces f (a ProfileForcedSystem).
+    ``f_override``, a profile of t alone on an array of times, replaces f (a
+    ProfileForcedSystem).
     """
     lap = DirichletLaplacian(l=l, n_modes=n_modes, n_xi=8 * n_modes)
     base = StronglyAPSet(a=base_gap, c=TrigSum(0.0), window=window)

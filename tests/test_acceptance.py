@@ -120,9 +120,9 @@ def test_criterion_2_linear_oracle_equivalence():
     d = e1(0.02)
 
     def profile(t):
-        out = np.zeros(N)
-        out[0] = 0.3 * np.cos(0.7 * t)
-        out[1] = 0.1 * np.sin(1.3 * t)
+        out = np.zeros((t.size, N))
+        out[:, 0] = 0.3 * np.cos(0.7 * t)
+        out[:, 1] = 0.1 * np.sin(1.3 * t)
         return out
 
     sys0 = make_system(n_modes=N, a=TrigSum(0.5, ((0.2, 1.0, 0.0),)), b=TrigSum(),
@@ -244,8 +244,8 @@ def test_criterion_4_dichotomy_and_green():
         return np.cos(0.7 * v)
 
     def forcing(t):
-        out = np.zeros(4)
-        out[0] = f_mode(t)
+        out = np.zeros((t.size, 4))
+        out[:, 0] = f_mode(t)
         return out
 
     traj = bounded_solution(lap4, coeff_s, dich_s, forcing, [], window=(0.0, 0.5),

@@ -466,6 +466,7 @@ DAMAGED_DATA = {
     ]
     + [(c, "offset = 0.5", "offset = 1e308", None)
        for c in ("constants", "simulate", "certify", "solve-ap")]
+    + [(c, "l = 1.0", "l = 1e-160", None) for c in ("constants", "simulate", "certify", "solve-ap")]
     # bad values of deleted [overrides] keys: rejected as unknown keys, before any value is read
     + [(c, "[analysis]", "[overrides]\n%s\n\n[analysis]" % pin, None)
        for c, pin in (("constants", "M = nan"), ("constants", "M = 0"),
@@ -490,6 +491,7 @@ DAMAGED_DATA = {
          "solve-ap-blank-h_t", "constants-repeated-key", "constants-unknown-nonlinearity",
          "constants-huge-a-offset", "simulate-huge-a-offset", "certify-huge-a-offset",
          "solve-ap-huge-a-offset",
+         "constants-tiny-l", "simulate-tiny-l", "certify-tiny-l", "solve-ap-tiny-l",
          "constants-nan-override", "constants-zero-M", "constants-zero-beta", "solve-ap-zero-beta",
          "constants-negative-beta", "solve-ap-negative-beta",
          ] + list(DAMAGED_DATA),
@@ -517,7 +519,8 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # [overrides] must be >= 0, the seed >= 0 (numpy's rng raised), the base
     # times finite (a gap of 1e308 overflowed them and gave theta = nan with
     # status=ok), (sup|m| t)^2 finite over the instance's times (an a offset of
-    # 1e308 used to print overflow warnings before its exit 3), a scalar value
+    # 1e308 used to print overflow warnings before its exit 3), and so must
+    # lambda_N = (N pi / l)^2 (an l of 1e-160 did the same), a scalar value
     # not blank (a blank [solver] value used to fall back to the default), and
     # a key not given twice (configparser raised)
     assert old in BASE
@@ -587,13 +590,12 @@ def test_cmd_simulate_zero(tmp_path):
 
 
 def test_hit_free_simulate_lists_no_discontinuity(tmp_path):
-    # the README instance hits no surface before 0.9; its two horizon
-    # segments join without a jump
+    # the README instance hits no surface before 0.9: one piece, with no cut
     text = readme_instance() + "\n[simulate]\nt_range = 0.05 0.9\n"
     out = tmp_path / "out"
     assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
     rec = read_record(out / "simulate.txt")
-    assert (rec["n_hits"], rec["n_segments"]) == ("0", "2")
+    assert (rec["n_hits"], rec["n_segments"]) == ("0", "1")
     assert (out / "trajectory_discontinuities.txt").read_text() == ""
     assert not (out / "trajectory_hits.txt").exists()
 

@@ -203,7 +203,7 @@ def test_bounded_solution_single_jump_closed_form(lap):
     g = np.zeros(lap.n_modes)
     g[0] = 1.0
     traj = bounded_solution(
-        lap, coeff, dich, lambda t: np.zeros(lap.n_modes), [(0.0, g)],
+        lap, coeff, dich, lambda t: np.zeros((t.size, lap.n_modes)), [(0.0, g)],
         window=(-1.0, 1.0), h_t=0.01,
     )
     lam1 = lap.eigenvalues[0]
@@ -223,7 +223,7 @@ def test_bounded_solution_single_jump_unstable_mode(lap):
     g = np.zeros(lap.n_modes)
     g[0] = 1.0
     traj = bounded_solution(
-        lap, coeff, dich, lambda t: np.zeros(lap.n_modes), [(0.0, g)],
+        lap, coeff, dich, lambda t: np.zeros((t.size, lap.n_modes)), [(0.0, g)],
         window=(-1.0, 1.0), h_t=0.01,
     )
     # mode 1 rate is -2: bounded branch lives in t <= 0 with value -e^{2t}
@@ -241,7 +241,8 @@ def test_bounded_solution_constant_forcing_closed_form(lap):
     c = 2.0
     f = np.zeros(lap.n_modes)
     f[0] = c
-    traj = bounded_solution(lap, coeff, dich, lambda t: f, [], window=(0.0, 1.0), h_t=0.005)
+    traj = bounded_solution(lap, coeff, dich, lambda t: np.tile(f, (t.size, 1)), [],
+                            window=(0.0, 1.0), h_t=0.005)
     ref = c / (lap.eigenvalues[0] + 0.5)
     for t in (0.0, 0.4, 1.0):
         u = traj.eval(t)
@@ -260,8 +261,8 @@ def test_bounded_solution_oscillatory_quadrature_oracle(lap):
         return np.cos(0.7 * v)
 
     def forcing(t):
-        out = np.zeros(lap.n_modes)
-        out[0] = f_mode(t)
+        out = np.zeros((t.size, lap.n_modes))
+        out[:, 0] = f_mode(t)
         return out
 
     traj = bounded_solution(lap, coeff, dich, forcing, [], window=(0.0, 0.5),
@@ -284,8 +285,12 @@ def test_bounded_solution_tail_invariance(lap):
     f = np.zeros(lap.n_modes)
     f[0] = 1.0
     kw = dict(window=(0.0, 0.2), h_t=0.005)
-    t1 = bounded_solution(lap, coeff, dich, lambda t: f, [], tail_tol=1e-8, **kw)
-    t2 = bounded_solution(lap, coeff, dich, lambda t: f, [], tail_tol=1e-12, **kw)
+
+    def forcing(t):
+        return np.tile(f, (t.size, 1))
+
+    t1 = bounded_solution(lap, coeff, dich, forcing, [], tail_tol=1e-8, **kw)
+    t2 = bounded_solution(lap, coeff, dich, forcing, [], tail_tol=1e-12, **kw)
     assert t2.meta["T_tail"] > t1.meta["T_tail"]
     assert abs(t1.eval(0.1)[0] - t2.eval(0.1)[0]) < 1e-7
 

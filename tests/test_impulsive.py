@@ -1,4 +1,4 @@
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -131,7 +131,7 @@ def test_segment_residual_small():
 
 
 def test_ball_exit_detected():
-    sys0 = make_system(f_override=lambda t: np.array([50.0] + [0.0] * 7))
+    sys0 = make_system(f_override=lambda t: np.tile([50.0] + [0.0] * 7, (t.size, 1)))
     with pytest.raises(BallExitError) as exc:
         step_segment(sys0, np.zeros(8), 0.0, 5.0, seg_tol=1e-8)
     assert exc.value.time is not None
@@ -477,31 +477,37 @@ def test_coefficient_space_samples_match_physical_space(build, n_samples):
 # ---------------------------------------------------------------------------
 
 
-def segment_by_doubling(system, x0, t0, t1, seg_tol, h_max=np.inf, stats=None, h0=0.05):
-    """Reference: step doubling by three independent ETD2 steps per trial.
+def step_by_doubling(system, t, x, h, seg_tol, stats=None):
+    """Reference: one accepted step, three independent ETD2 steps per trial.
 
-    ``h0`` is the first trial step; ``stats`` counts the rejected trials.
+    Returns (h, state at t + h, next first trial step); ``stats`` counts the
+    rejected trials.
+    """
+    while True:
+        coarse = _etd2_step(system, t, h, x)
+        half = _etd2_step(system, t, h / 2.0, x)
+        fine = _etd2_step(system, t + h / 2.0, h / 2.0, half)
+        err = float(np.linalg.norm(fine - coarse)) / 3.0
+        if err < seg_tol or h < 1e-12:
+            return h, fine, h * min(4.0, max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0)))
+        if stats is not None:
+            stats["rejected"] += 1
+        h *= max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0))
+
+
+def segment_by_doubling(system, x0, t0, t1, seg_tol, h_max=np.inf, stats=None, h0=0.05):
+    """Reference: ``step_by_doubling`` from t0 to t1; ``h0`` is the first trial step.
+
     The last node time is t1.
     """
     x = np.asarray(x0, dtype=float)
-    t, h = t0, min(h_max, t1 - t0, h0)
+    t, h = t0, h0
     nodes, states = [t0], [x]
     while t < t1 - 1e-13 * max(1.0, abs(t1)) or len(nodes) == 1:
-        h = min(h, t1 - t, h_max)
-        while True:
-            coarse = _etd2_step(system, t, h, x)
-            half = _etd2_step(system, t, h / 2.0, x)
-            fine = _etd2_step(system, t + h / 2.0, h / 2.0, half)
-            err = float(np.linalg.norm(fine - coarse)) / 3.0
-            if err < seg_tol or h < 1e-12:
-                break
-            if stats is not None:
-                stats["rejected"] += 1
-            h *= max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0))
-        t, x = t + h, fine
+        step, x, h = step_by_doubling(system, t, x, min(h, t1 - t, h_max), seg_tol, stats)
+        t = t + step
         nodes.append(t)
         states.append(x)
-        h = h * min(4.0, max(0.25, 0.9 * (seg_tol / max(err, 1e-300)) ** (1.0 / 3.0)))
     nodes[-1] = t1
     return Segment(t=np.asarray(nodes), states=np.stack(states))
 
@@ -553,43 +559,48 @@ def crossing_by_quadratic(system, seg, j):
 def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, stats=None):
     """Reference: the hybrid loop, every quantity of a trial step computed alone.
 
-    A hit time is sharpened by one fixed-point step, then secant steps; an
-    iterate outside the bracket, shrunk by the sign of each run's zeta, is
-    replaced by the bracket's midpoint.  Each run re-integrates from the
-    bracket's left node i with that node's step as its first step, and the
-    hit segment is the horizon segment's first i nodes plus the last run.
+    Steps run from t0 to t_end with the step size carried across jumps and
+    capped at max(theta / 2, 1e-3); each step (t_i, t_{i+1}] is searched by
+    the closed-form root.  A hit time is sharpened by secant steps, the
+    first through the step's right node; an iterate outside the bracket
+    (t_i, t_{i+1}), shrunk by the sign of each run's zeta, is replaced by
+    the bracket's midpoint.  Each run re-integrates from (t_i, x_i) with the
+    step as its first trial step, and the piece ends with the last run.
+    Returns the pieces between the hits, and the hits.
     """
     lo, hi = system.intervals
-    idx = system.indices
-    x, t = np.asarray(u0, dtype=float), float(t0)
-    horizon = max(system.theta / 2.0, 1e-3)
+    h_max = max(system.theta / 2.0, 1e-3)
+    stop = t_end - 1e-13 * max(1.0, abs(t_end))
+    x, t, h = np.asarray(u0, dtype=float), float(t0), 0.05
+    piece_t, piece_x = [t], [x]
     segments, hits, last_hit = [], [], None
-    while t < t_end - 1e-12:
-        t1 = min(t_end, t + horizon)
-        seg = segment_by_doubling(system, x, t, t1, seg_tol, horizon / 4.0, stats)
+    while t < stop:
+        step, x1, h = step_by_doubling(system, t, x, min(h, t_end - t, h_max), seg_tol, stats)
+        t1 = t_end if t + step >= stop else t + step
+        seg = Segment(t=[t, t1], states=[x, x1])
         best = None
-        for j in idx[(hi >= t - event_tol) & (lo <= t1 + event_tol)]:
+        for j in system.indices[(hi >= t - event_tol) & (lo <= t1 + event_tol)]:
             found = crossing_by_quadratic(system, seg, j)
-            if found is None or found[0] < t:
+            if found is None:
                 continue
             th = found[0]
             if last_hit is not None and int(j) == last_hit[0] and th <= last_hit[1] + 10.0 * event_tol:
                 continue
             if best is None or th < best[0]:
-                best = (th, int(j), found[1])
+                best = (th, int(j))
         if best is None:
-            segments.append(seg)
-            t, x = t1, seg.states[-1]
+            piece_t.append(t1)
+            piece_x.append(x1)
+            t, x = t1, x1
             continue
-        th, j, i = best
-        a, b = seg.t[i], seg.t[i + 1]
-        pre, last = x, None
+        th, j = best
+        a, b = t, t1
+        pre, last = x, (t1, t1 - system.tau(j, x1))
         for _ in range(40):
             if th - t <= 1e-12:
                 th, run, pre = t, None, x
                 break
-            run = segment_by_doubling(system, seg.states[i], seg.t[i], th, seg_tol,
-                                      horizon / 4.0, stats, h0=seg.t[i + 1] - seg.t[i])
+            run = segment_by_doubling(system, x, t, th, seg_tol, h_max, stats, h0=step)
             pre = run.states[-1]
             zeta = th - system.tau(j, pre)
             if abs(zeta) < event_tol:
@@ -598,7 +609,7 @@ def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, s
                 a = th
             else:
                 b = th
-            if last is None or zeta == last[1]:
+            if zeta == last[1]:
                 th_next = th - zeta
             else:
                 th_next = th - zeta * (th - last[0]) / (zeta - last[1])
@@ -607,12 +618,15 @@ def simulate_by_reintegration(system, u0, t0, t_end, seg_tol, event_tol=1e-10, s
         else:
             raise AssertionError("hit time not sharpened to event_tol")
         if run is not None:
-            segments.append(Segment(t=np.concatenate([seg.t[:i], run.t]),
-                                    states=np.concatenate([seg.states[:i], run.states])))
+            piece_t += list(run.t[1:])
+            piece_x += list(run.states[1:])
+        segments.append(Segment(t=piece_t, states=piece_x))
         post = apply_jump(system, j, pre)
         last_hit = (j, th)
         hits.append((th, j, pre, post))
         t, x = th, post
+        piece_t, piece_x = [t], [x]
+    segments.append(Segment(t=piece_t, states=piece_x))
     return segments, hits
 
 
@@ -693,13 +707,13 @@ def test_simulate_table_evaluates_like_its_segments(case):
 
 @pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
 def test_simulate_boundaries_repeat_their_times(case):
-    """Each segment ends at its t1 exactly: a horizon end or a hit time is
-    repeated in the node table, and a hit time evaluates to its pre-jump state."""
+    """Each hit time is repeated in the node table, and no other time; the
+    table ends at t_end exactly, and a hit time evaluates to its pre-jump state."""
     build, amp, t0, t_end, seg_tol = SIMULATE_CASES[case]
     sys0 = build()
     traj = simulate(sys0, e1(sys0, amp), t0, t_end, seg_tol=seg_tol)
     steps = np.diff(traj.nodes.t)
-    assert np.count_nonzero(steps == 0.0) == traj.meta["n_segments"] - 1
+    assert np.count_nonzero(steps == 0.0) == traj.meta["n_segments"] - 1 == len(traj.hits)
     assert np.all((steps == 0.0) | (steps > 1e-12))
     assert traj.nodes.t[-1] == t_end
     pre = traj.eval_many(traj.hit_times())
@@ -734,52 +748,66 @@ def test_closed_form_root_matches_bisection(case, monkeypatch):
 
 @dataclass
 class StepCall:
-    """One step_segment call of simulate: its x0, t0, t1, h0 and result."""
+    """One step_segment call of simulate, a sharpening run: its arguments and result."""
 
     x0: np.ndarray
     t0: float
     t1: float
-    h0: float | None  # None for a horizon segment
+    h0: float
+    f0: np.ndarray
     seg: Segment
     counts: dict  # increments of the recorder's counters during the call
-    runs: list = field(default_factory=list)  # a horizon segment's sharpening runs
 
 
 def record_step_calls(monkeypatch, counters=None):
-    """simulate's step_segment calls: the horizon segments, each with its runs.
+    """simulate's step_segment calls, as one list of sharpening runs per hit.
 
-    A sharpening run is the call that passes its first trial step ``h0``; it
-    is filed under the horizon segment called before it.  ``counters`` is a
-    dict of counts that other patches raise; each call records by how much.
+    Every call is a run, and the runs of one hit start at the same node.
+    ``counters`` is a dict of counts that other patches raise; each call
+    records by how much.
     """
-    horizon = []
+    hits = []
     counters = {} if counters is None else counters
     step = impulsive.step_segment
 
     def recorded(system, x0, t0, t1, *args, **kwargs):
         before = dict(counters)
         seg = step(system, x0, t0, t1, *args, **kwargs)
-        call = StepCall(x0, t0, t1, kwargs.get("h0"), seg,
+        call = StepCall(x0, t0, t1, kwargs["h0"], kwargs["f0"], seg,
                         {k: counters[k] - before[k] for k in counters})
-        if call.h0 is None:
-            horizon.append(call)
-        else:
-            horizon[-1].runs.append(call)
+        if not hits or hits[-1][0].t0 != t0:
+            hits.append([])
+        hits[-1].append(call)
         return seg
 
     monkeypatch.setattr(impulsive, "step_segment", recorded)
-    return horizon
+    return hits
+
+
+def record_steps(monkeypatch):
+    """The two-node segments that detect_crossing searches, by left node time."""
+    steps = {}
+    detect = impulsive.detect_crossing
+
+    def recorded(system, seg, j):
+        steps[seg.t[0]] = seg
+        return detect(system, seg, j)
+
+    monkeypatch.setattr(impulsive, "detect_crossing", recorded)
+    return steps
 
 
 def test_sharpening_takes_three_runs_per_hit(monkeypatch):
-    """The secant steps reach event_tol in three re-integrations per hit."""
+    """The secant steps reach event_tol in three re-integrations per hit.
+
+    The first secant runs through the exact zeta at the step's right node;
+    a fixed-point first step needed a 4th run on a third of these hits.
+    """
     sys0 = moving_like()
-    horizon = record_step_calls(monkeypatch)
+    runs = record_step_calls(monkeypatch)
     traj = simulate(sys0, e1(sys0, 0.2), 0.5, 3.8, seg_tol=1e-8)
-    # each hit's runs follow the horizon segment it was found on
-    runs = [len(h.runs) for h in horizon if h.runs]
     assert len(runs) == len(traj.hits) >= 30
-    assert max(runs) <= 3
+    assert max(len(hit) for hit in runs) <= 3
 
 
 def test_near_tangential_hit_solves_exact_zeta(monkeypatch):
@@ -791,9 +819,10 @@ def test_near_tangential_hit_solves_exact_zeta(monkeypatch):
     """
     sys0 = tangent_like()
     lam1 = sys0.lap.eigenvalues[0]
-    horizon = record_step_calls(monkeypatch)
+    runs = record_step_calls(monkeypatch)
+    steps = record_steps(monkeypatch)
     traj = simulate(sys0, e1(sys0, np.sqrt(C_TANGENT)), T0_TANGENT, 1.5, seg_tol=1e-8)
-    trials = [(run.t1, h.seg) for h in horizon for run in h.runs]
+    trials = [(run.t1, steps[run.t0]) for hit in runs for run in hit]
     assert [h.surface for h in traj.hits] == [1]
     th = traj.hits[0].time
     assert abs(th - 1.0 + C_TANGENT * np.exp(-2.0 * lam1 * (th - T0_TANGENT))) < 1e-10
@@ -802,46 +831,50 @@ def test_near_tangential_hit_solves_exact_zeta(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["moving", "tight"])
-def test_hit_segment_shares_horizon_nodes_up_to_bracket(case, monkeypatch):
-    """Each sharpening run starts at the bracket's left node i of its horizon
-    segment, and the hit segment is that segment up to node i, bit for bit,
-    then the last run."""
+def test_hit_piece_ends_with_its_last_run(case, monkeypatch):
+    """Each sharpening run starts at the bracket's left node (t_i, x_i) of the
+    node table, with f(t_i, x_i) passed in and the step as its first trial
+    step; the table goes on with the last run's nodes, bit for bit, and the
+    hit time repeats with the post-jump state."""
     build, amp, t0, t_end, seg_tol = SIMULATE_CASES[case]
     sys0 = build()
-    horizon = record_step_calls(monkeypatch)
+    runs = record_step_calls(monkeypatch)
+    steps = record_steps(monkeypatch)
     traj = simulate(sys0, e1(sys0, amp), t0, t_end, seg_tol=seg_tol)
-    hits = iter(traj.hits)
-    assert traj.meta["n_segments"] == len(horizon)
-    start = 0
+    t, states = traj.nodes.t, traj.nodes.states
+    cuts = np.flatnonzero(np.diff(t) == 0.0)
+    assert len(runs) == len(traj.hits) == cuts.size >= 2
+    prev = -1
+    for hit, cut, hit_runs in zip(traj.hits, cuts, runs, strict=True):
+        last = hit_runs[-1].seg
+        i = cut - (last.t.size - 1)  # the bracket's left node
+        assert i > prev
+        assert np.array_equal(t[i : cut + 1], last.t)
+        assert np.array_equal(states[i : cut + 1], last.states)
+        assert t[cut] == t[cut + 1] == hit.time
+        assert np.array_equal(states[cut], hit.pre) and np.array_equal(states[cut + 1], hit.post)
+        for run in hit_runs:
+            assert run.t0 == t[i] and np.array_equal(run.x0, states[i])
+            assert np.array_equal(run.f0, sys0.f(run.t0, run.x0))
+            assert run.t0 + run.h0 == steps[run.t0].t[1]
+        prev = cut + 1
+    assert traj.meta["n_segments"] == len(traj.hits) + 1
 
-    def next_piece(size):
-        """The next ``size`` rows of the node table."""
-        nonlocal start
-        start += size
-        return Segment(t=traj.nodes.t[start - size : start],
-                       states=traj.nodes.states[start - size : start])
 
-    lefts = []
-    for h in horizon:
-        if not h.runs:
-            seg = next_piece(h.seg.t.size)
-            assert np.array_equal(seg.t, h.seg.t) and np.array_equal(seg.states, h.seg.states)
-            continue
-        hit = next(hits)
-        zeta = h.seg.t - sys0.tau(hit.surface, h.seg.states)
-        i = int(np.flatnonzero((zeta[:-1] < 0.0) & (zeta[1:] >= 0.0))[0])
-        lefts.append(i)
-        seg = next_piece(i + h.runs[-1].seg.t.size)
-        for run in h.runs:
-            assert run.t0 == h.seg.t[i] and np.array_equal(run.x0, h.seg.states[i])
-            assert run.h0 == h.seg.t[i + 1] - h.seg.t[i]
-        assert np.array_equal(seg.t[: i + 1], h.seg.t[: i + 1])
-        assert np.array_equal(seg.states[: i + 1], h.seg.states[: i + 1])
-        assert np.array_equal(seg.t[i:], h.runs[-1].seg.t)
-        assert np.array_equal(seg.states[i:], h.runs[-1].seg.states)
-        assert seg.t[-1] == hit.time
-    assert next(hits, None) is None and start == traj.nodes.t.size
-    assert len(lefts) >= 2 and max(lefts) > 0
+@pytest.mark.parametrize("build, t_end, bound", [(moving_like, 3.8, 2e-8), (readme_like, 9.5, 1e-10)])
+def test_hit_times_converge_with_seg_tol(build, t_end, bound):
+    """The hit times at the default seg_tol against a seg_tol = 1e-13 run.
+
+    The same surfaces are hit in the same order.  Measured max |dt|: 5.8e-9
+    on moving_like, 2.2e-11 on readme_like; each bound leaves a factor of
+    3.4 and 4.6 over it.
+    """
+    sys0 = build()
+    coarse = simulate(sys0, e1(sys0, 0.2), 0.5, t_end)
+    fine = simulate(sys0, e1(sys0, 0.2), 0.5, t_end, seg_tol=1e-13)
+    assert len(coarse.hits) >= 9
+    assert [h.surface for h in coarse.hits] == [h.surface for h in fine.hits]
+    assert np.max(np.abs(coarse.hit_times() - fine.hit_times())) < bound
 
 
 def test_unsharpened_hit_raises(monkeypatch):
@@ -852,22 +885,19 @@ def test_unsharpened_hit_raises(monkeypatch):
 
 
 def test_simulate_makes_four_f_calls_per_trial_and_one_per_node(monkeypatch):
-    """Counts, not timings, on a moving-moment run where no trial is rejected.
+    """Counts, not timings, on a moving-moment run.
 
     A trial evaluates f four times (f(t, x) is shared by the full and the
-    first half step and computed once per node), so a segment of n steps
-    costs 5n f calls and n ``_phi_weights`` calls.  A sharpening run goes
-    from the left node t_k of the bracketing step of the horizon segment,
-    with that step h_k as its first trial step, and the trial hit time th
-    clips it, so th - t_k <= h_k.  The error estimate scales as h^3, and
-    h_k passed in this run, so the shorter step passes too: one trial and
-    one step, 5 f calls per sharpening iteration.  Re-integrating from the
-    segment start costs k more steps.
+    first half step), and the main loop evaluates f once at the left node
+    of each of its accepted steps.  A sharpening run from (t_i, x_i) takes
+    f(t_i, x_i) from the step that found the hit, so a run of n steps makes
+    4 f calls per trial and n - 1 at its inner nodes.
     """
     sys0 = moving_like()
-    calls = {"f": 0, "trials": 0}
+    calls = {"f": 0, "trials": 0, "steps": 0}
     f_spec = ImpulseSystemSpec.f
     phi_weights = impulsive._phi_weights
+    accepted_step = impulsive._accepted_step
 
     def counted_f(self, t, x):
         calls["f"] += 1
@@ -877,25 +907,28 @@ def test_simulate_makes_four_f_calls_per_trial_and_one_per_node(monkeypatch):
         calls["trials"] += 1
         return phi_weights(z)
 
+    def counted_step(*args):
+        calls["steps"] += 1
+        return accepted_step(*args)
+
     monkeypatch.setattr(ImpulseSystemSpec, "f", counted_f)
     monkeypatch.setattr(impulsive, "_phi_weights", counted_phi_weights)
-    horizon = record_step_calls(monkeypatch, calls)
+    monkeypatch.setattr(impulsive, "_accepted_step", counted_step)
+    hits = record_step_calls(monkeypatch, calls)
     traj = simulate(sys0, e1(sys0, 0.2), 0.5, 3.8, seg_tol=1e-8)
 
-    sharpen = [(h.seg, run) for h in horizon for run in h.runs]
-    assert len(traj.hits) >= 30 and len(sharpen) >= len(traj.hits)
-    steps = sum(h.seg.t.size - 1 for h in horizon)
-    assert sum(h.counts["trials"] for h in horizon) == steps  # no rejected trial
-    assert sum(h.counts["f"] for h in horizon) == 5 * steps
-    starts = []
-    for prev, run in sharpen:
-        assert (run.counts["f"], run.counts["trials"]) == (5, 1)
-        # the run is one step from a node of the horizon segment
-        k = int(np.searchsorted(prev.t, run.t0))
-        assert prev.t[k] == run.t0 and run.seg.t.size == 2
-        starts.append(k)
-    assert sum(starts) >= len(sharpen)
-    assert calls["f"] == 4 * calls["trials"] + steps + len(sharpen)
+    runs = [run for hit in hits for run in hit]
+    assert len(hits) == len(traj.hits) >= 30
+    for run in runs:
+        assert run.counts["f"] == 4 * run.counts["trials"] + run.counts["steps"] - 1
+    main_steps = calls["steps"] - sum(run.counts["steps"] for run in runs)
+    inner_nodes = sum(run.counts["steps"] - 1 for run in runs)
+    assert calls["f"] == 4 * calls["trials"] + main_steps + inner_nodes
+    # the table: t0 and one node per main step, where the step that finds a
+    # hit gives way to the last run's nodes and the post-jump state
+    assert traj.nodes.t.size == 1 + main_steps + sum(hit[-1].counts["steps"] for hit in hits)
+    # 1,950 here; theta / 2 horizons with steps capped at theta / 8 took 3,140
+    assert calls["f"] <= 2200
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +956,7 @@ def test_phi_weights_match_where_formulas(case):
                            [1e-3, -0.5, 2.0, 50.0, 650.0, -650.0]]),
         "all_large": rng.uniform(1e-3, 30.0, (3, 16)) * rng.choice([-1.0, 1.0], (3, 16)),
         "all_small": rng.uniform(-1e-4, 1e-4, (3, 16)),
-        # the z of one trial on the moving instance at h = theta / 8
+        # the z of one trial on the moving instance at h = 0.0068
         "trial": moving_like().rates * np.array([0.0068, 0.0034, 0.0034])[:, None] + 1e-3,
     }[case]
     for got, ref in zip(impulsive._phi_weights(z), phi_weights_by_where(z)):

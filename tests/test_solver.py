@@ -160,9 +160,9 @@ def test_inner_solve_matches_bounded_solution():
     d = const_d(n, 0.02)
 
     def profile(t):
-        out = np.zeros(n)
-        out[0] = 0.3 * np.cos(0.7 * t)
-        out[1] = 0.1 * np.sin(1.3 * t)
+        out = np.zeros((t.size, n))
+        out[:, 0] = 0.3 * np.cos(0.7 * t)
+        out[:, 1] = 0.1 * np.sin(1.3 * t)
         return out
 
     sys0 = make_system(jumps=JumpSpec(d=d), f_override=profile, window=(0, 6))
@@ -312,7 +312,7 @@ LIPSCHITZ_CASES = {
     # zero jump map: g_j is its offset whatever the state
     "constant_jumps": lambda: make_system(jumps=JumpSpec(d=const_d(8)), window=(0, 8)),
     "f_override": lambda: make_system(
-        f_override=lambda t: 0.1 * np.cos(t) * np.ones(8), slopes=TrigSum(-0.2)
+        f_override=lambda t: 0.1 * np.cos(t)[:, None] * np.ones(8), slopes=TrigSum(-0.2)
     ),
 }
 
