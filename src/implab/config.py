@@ -14,11 +14,11 @@ outside it.  Any other section or key is rejected.  An empty list value
 scalar value is rejected.
 
 ``validate_instance`` enforces the checkable hypothesis parts that combine
-keys: the ball quantities are finite floats, and so is (sup|m| t)^2 over the
-instance's times, surface slopes have the admissible sign (b_j <= 0), the
-surface time intervals over the ball are separated (theta > 0, by interval
-arithmetic), the n_xi grid has at least 4N points, and the catalogue map I
-satisfies I(0) = 0.
+keys: the ball quantities are finite floats, and so is
+((lambda_N + sup|m| + max(w + |p|)) t)^2 over the instance's times, surface
+slopes have the admissible sign (b_j <= 0), the surface time intervals over
+the ball are separated (theta > 0, by interval arithmetic), the n_xi grid
+has at least 4N points, and the catalogue map I satisfies I(0) = 0.
 """
 
 from __future__ import annotations
@@ -271,13 +271,17 @@ def validate_instance(cfg: InstanceConfig) -> dict:
                           "must be finite")
 
     # m = rho a b - a over the instance's times (the windows, the base times and the dichotomy
-    # fit's samples, |t| <= 60): its antiderivative and z^2 of the step weights, with
-    # z = (rate + m) h, overflow unless (sup|m| t)^2 is finite
+    # fit's samples, |t| <= 60): its antiderivative, z^2 of the step weights, with
+    # z = (lambda_k + m) h, and the math.cos/math.sin arguments w t + p of m and a b (an
+    # infinite one raises) overflow unless ((lambda_N + sup|m| + max(w + |p|)) t)^2 is finite
     span = float(np.max(np.abs(np.r_[cfg.time_window, cfg.t_range, system.base_times, 60.0])))
-    reach = system.coeff.m.sup_bound() * span
+    arg = max((f + abs(p) for _, f, p in system.coeff.m.terms + system.ab.terms), default=0.0)
+    reach = (float(lap.eigenvalues[-1]) + system.coeff.m.sup_bound() + arg) * span
     if not reach * reach < np.inf:
-        raise ConfigError("[coefficient_a] and [coefficient_b] too large: (sup|m| t)^2 must be "
-                          "finite for |t| <= %g, with m = rho a b - a" % span)
+        raise ConfigError("[geometry] l too small or [coefficient_a] and [coefficient_b] too "
+                          "large: ((lambda_N + sup|m| + max(w + |p|)) t)^2 must be finite for "
+                          "|t| <= %g, with lambda_N = (N pi / l)^2, m = rho a b - a and "
+                          "w, p the frequencies and phases of m and a b" % span)
 
     slopes = system.slope_window
     if np.any(slopes > 0.0):

@@ -176,12 +176,14 @@ def fit_dichotomy(
     lam_a = lap.frac_weights(alpha)
 
     # Each loop only draws, in the per-sample order; one Green-factor call
-    # then covers all samples.  An entry whose exponent reached -_EXP_CLIP is
-    # dropped, and so is a row without a positive factor or whose decay is
-    # below the clip: exp(-beta d) would underflow where the factor does not.
-    draws = [(rng.uniform(0.0, 40.0), rng.uniform(np.log(1e-3), np.log(_FIT_D_MAX)))
-             for _ in range(_FIT_SAMPLES)]
-    s, log_d = np.array(draws).reshape(-1, 2).T
+    # then covers all samples.  A draw lo + (hi - lo) * rng.random() is
+    # Generator.uniform(lo, hi)'s own formula on the same stream, so the
+    # first loop's (s, log d) rows come from one random((_FIT_SAMPLES, 2)).
+    # An entry whose exponent reached -_EXP_CLIP is dropped, and so is a row
+    # without a positive factor or whose decay is below the clip:
+    # exp(-beta d) would underflow where the factor does not.
+    lo, hi = np.array([0.0, np.log(1e-3)]), np.array([40.0, np.log(_FIT_D_MAX)])
+    s, log_d = (lo + (hi - lo) * rng.random((_FIT_SAMPLES, 2))).T
     # each (s, d) is used forward (t = s + d) and backward (t = s - d)
     s, d = np.repeat(s, 2), np.repeat(np.exp(log_d), 2)
     t = s + np.tile([1.0, -1.0], _FIT_SAMPLES) * d
@@ -201,16 +203,18 @@ def fit_dichotomy(
     _require_finite(NonHyperbolicError, "dichotomy constant", M=M, beta=beta, M1=M1)
 
     # shift-defect constants (Lemma-style inequality); beta1 <= beta.  The
-    # scalar a*(h) test stays in the loop: it decides whether t and tau are drawn.
+    # scalar a*(h) test stays in the loop: it decides whether t and tau are
+    # drawn.  The sign is the draw of rng.choice([-1.0, 1.0]).
     beta1 = 0.5 * beta
+    gap_lo, gap_hi = math.log(1e-2), math.log(10.0)
     rows = []
     for _ in range(_FIT_SAMPLES):
-        h = rng.uniform(-5.0, 5.0)
+        h = -5.0 + 10.0 * rng.random()
         a_star = coeff.m.shift_sup(h)
         if a_star < 1e-14:
             continue
-        rows.append((h, a_star, rng.uniform(-20.0, 20.0), rng.choice([-1.0, 1.0]),
-                     rng.uniform(np.log(1e-2), np.log(10.0))))
+        rows.append((h, a_star, -20.0 + 40.0 * rng.random(),
+                     (-1.0, 1.0)[rng.integers(0, 2)], gap_lo + (gap_hi - gap_lo) * rng.random()))
     h, a_star, t, sign, log_gap = np.array(rows).reshape(-1, 5).T
     tau = t + sign * np.exp(log_gap)
     both = _green_factor(rates, coeff.m, unstable, np.r_[t + h, t], np.r_[tau + h, tau])

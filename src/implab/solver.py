@@ -530,8 +530,9 @@ def measure_lipschitz(system: ImpulseSystemSpec, rng=None) -> dict:
 
     Returns the per-ingredient constants and their sum N1 (the theorem uses
     one common constant), plus M0 = max(sup_t |f(t,0)|_0, sup_j |g_j(0)|_1).
-    The pair loop only draws, in the per-pair order; f then runs once on all
-    pairs, g once per probe surface and tau once on all pairs.
+    The pair loop only draws, in the per-pair order (a uniform draw is
+    lo + (hi - lo) * rng.random(), Generator.uniform's formula); f then runs
+    once on all pairs, g once per probe surface and tau once on all pairs.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     lap, alpha, rho, n = system.lap, system.alpha, system.rho, system.lap.n_modes
@@ -541,8 +542,8 @@ def measure_lipschitz(system: ImpulseSystemSpec, rng=None) -> dict:
     pairs, d, t, k = [], [], [], []
     for _ in range(_LIPSCHITZ_PAIRS):
         x1 = rng.standard_normal(n) / w
-        x1 *= rng.uniform(0.1, 1.0) * rho / lap.frac_norm(x1, alpha)
-        x2 = x1 + rng.standard_normal(n) / w * rng.uniform(1e-3, 0.3)
+        x1 *= (0.1 + (1.0 - 0.1) * rng.random()) * rho / lap.frac_norm(x1, alpha)
+        x2 = x1 + rng.standard_normal(n) / w * (1e-3 + (0.3 - 1e-3) * rng.random())
         if lap.frac_norm(x2, alpha) > rho:
             x2 *= rho / lap.frac_norm(x2, alpha)
         dist = lap.frac_norm(x1 - x2, alpha)
@@ -550,7 +551,7 @@ def measure_lipschitz(system: ImpulseSystemSpec, rng=None) -> dict:
             continue
         pairs.append((x1, x2))
         d.append(dist)
-        t.append(rng.uniform(0.0, 50.0))
+        t.append(50.0 * rng.random())
         k.append(rng.integers(probe.size))
     x = np.array(pairs).reshape(-1, 2, n)
     d, t, k = np.array(d), np.array(t), np.array(k, dtype=int)

@@ -16,6 +16,7 @@ quadratic/cubic maps.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -66,9 +67,13 @@ class DirichletLaplacian:
         """|x|_alpha = (sum_k lambda_k^{2 alpha} x_k^2)^{1/2}.
 
         Accepts batched input of shape (..., N); reduces over the last axis.
+        One state (N,) takes the same reduction without the batch's per-call
+        overhead and returns a Python float.
         """
         x = np.asarray(x, dtype=float)
         w = self.frac_weights(alpha)
+        if x.ndim == 1:
+            return math.sqrt(np.add.reduce((w * x) ** 2))
         val = np.sqrt(np.sum((w * x) ** 2, axis=-1))
         return float(val) if val.ndim == 0 else val
 

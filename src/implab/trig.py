@@ -11,6 +11,7 @@ the same sums evaluated at integer arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ def _merge_terms(terms):
     merged = tuple(
         (amp, freq, phase) for (freq, _), (amp, phase) in sorted(out.items()) if amp != 0.0
     )
-    return offset, merged
+    return float(offset), merged
 
 
 @dataclass(frozen=True)
@@ -55,26 +56,25 @@ class TrigSum:
         object.__setattr__(self, "terms", merged)
 
     # A float t (np.float64 included) skips the 0-d array round trip: the
-    # same terms in the same order, through the same ufuncs, so each value
-    # is bit-equal to the array path's.
+    # same terms in the same order, through math.cos and math.sin on Python
+    # floats, so each value is bit-equal to the array path's (the tests pin
+    # that libm and numpy agree).
 
     def __call__(self, t):
         scalar = isinstance(t, float)
-        if not scalar:
-            t = np.asarray(t, dtype=float)
+        t, cos = (float(t), math.cos) if scalar else (np.asarray(t, dtype=float), np.cos)
         val = self.offset if scalar else np.full_like(t, self.offset)
         for amp, freq, phase in self.terms:
-            val = val + amp * np.cos(freq * t + phase)
+            val = val + amp * cos(freq * t + phase)
         return float(val) if scalar or val.ndim == 0 else val
 
     def antiderivative(self, t):
         """Exact antiderivative, normalized so that only differences matter."""
         scalar = isinstance(t, float)
-        if not scalar:
-            t = np.asarray(t, dtype=float)
+        t, sin = (float(t), math.sin) if scalar else (np.asarray(t, dtype=float), np.sin)
         val = self.offset * t
         for amp, freq, phase in self.terms:
-            val = val + (amp / freq) * np.sin(freq * t + phase)
+            val = val + (amp / freq) * sin(freq * t + phase)
         return float(val) if scalar or val.ndim == 0 else val
 
     def integral(self, s, t):
@@ -91,7 +91,10 @@ class TrigSum:
         m(s) - m(s+h) = sum 2 a_i sin(w_i h / 2) sin(w_i (s + h/2) + p_i), so
         the bound is rigorous and exact for a single frequency.
         """
-        return float(sum(2.0 * abs(a * np.sin(f * h / 2.0)) for a, f, _ in self.terms))
+        total = 0.0  # summed in order: sum() compensates Python floats from 3.12 on
+        for a, f, _ in self.terms:
+            total = total + 2.0 * abs(a * math.sin(f * h / 2.0))
+        return float(total)
 
     def __add__(self, other):
         if isinstance(other, TrigSum):

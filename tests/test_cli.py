@@ -466,7 +466,11 @@ DAMAGED_DATA = {
     ]
     + [(c, "offset = 0.5", "offset = 1e308", None)
        for c in ("constants", "simulate", "certify", "solve-ap")]
-    + [(c, "l = 1.0", "l = 1e-160", None) for c in ("constants", "simulate", "certify", "solve-ap")]
+    + [(c, "l = 1.0", "l = %s" % l, None)
+       for l in ("1e-160", "1e-150", "1e-100") for c in ("constants", "simulate", "certify", "solve-ap")]
+    + [(c, "terms = 0.2 1.0 0.0", "terms = 0.2 1e308 0.0", None)
+       for c in ("constants", "simulate", "certify", "solve-ap")]
+    + [(c, "terms = 0.2 1.0 0.0", "terms = 0.2 1.0 1e308", None) for c in ("constants", "simulate")]
     # bad values of deleted [overrides] keys: rejected as unknown keys, before any value is read
     + [(c, "[analysis]", "[overrides]\n%s\n\n[analysis]" % pin, None)
        for c, pin in (("constants", "M = nan"), ("constants", "M = 0"),
@@ -492,6 +496,10 @@ DAMAGED_DATA = {
          "constants-huge-a-offset", "simulate-huge-a-offset", "certify-huge-a-offset",
          "solve-ap-huge-a-offset",
          "constants-tiny-l", "simulate-tiny-l", "certify-tiny-l", "solve-ap-tiny-l",
+         "constants-l-1e-150", "simulate-l-1e-150", "certify-l-1e-150", "solve-ap-l-1e-150",
+         "constants-l-1e-100", "simulate-l-1e-100", "certify-l-1e-100", "solve-ap-l-1e-100",
+         "constants-huge-freq", "simulate-huge-freq", "certify-huge-freq", "solve-ap-huge-freq",
+         "constants-huge-phase", "simulate-huge-phase",
          "constants-nan-override", "constants-zero-M", "constants-zero-beta", "solve-ap-zero-beta",
          "constants-negative-beta", "solve-ap-negative-beta",
          ] + list(DAMAGED_DATA),
@@ -520,7 +528,9 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # times finite (a gap of 1e308 overflowed them and gave theta = nan with
     # status=ok), (sup|m| t)^2 finite over the instance's times (an a offset of
     # 1e308 used to print overflow warnings before its exit 3), and so must
-    # lambda_N = (N pi / l)^2 (an l of 1e-160 did the same), a scalar value
+    # lambda_N = (N pi / l)^2 (an l of 1e-160 did the same) and (lambda_N t)^2 (an l of
+    # 1e-100 or 1e-150 overflowed the step weights of simulate) and the cosine arguments
+    # w t + p of m and a b (math.cos raises on an infinite one), a scalar value
     # not blank (a blank [solver] value used to fall back to the default), and
     # a key not given twice (configparser raised)
     assert old in BASE

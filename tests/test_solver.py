@@ -351,6 +351,56 @@ def test_fits_batch_green_factor_and_forcing_calls(monkeypatch):
     assert calls["green"] == 2 and 1 <= calls["forcing"] <= 3
 
 
+class RecordingRng:
+    """A Generator whose method calls are recorded as (name, args)."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append((name, args))
+            return method(*args, **kwargs)
+
+        return recorded
+
+
+@pytest.mark.parametrize("seed", [0, 7, 23, 2**31 - 1])
+def test_sampler_draw_forms_follow_the_generator_stream(seed):
+    # the samplers draw lo + (hi - lo) * random() for uniform(lo, hi) and
+    # (-1.0, 1.0)[integers(0, 2)] for choice([-1.0, 1.0]): numpy's own
+    # formulas on the same PCG64 stream, so a numpy that changes either fails here
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    bounds = [(0.0, 40.0), (np.log(1e-3), np.log(20.0)), (-5.0, 5.0), (-20.0, 20.0),
+              (np.log(1e-2), np.log(10.0)), (0.1, 1.0), (1e-3, 0.3), (0.0, 50.0)]
+    for i in range(400):
+        lo, hi = bounds[i % len(bounds)]
+        assert rng.uniform(lo, hi) == lo + (hi - lo) * twin.random()
+        assert rng.choice([-1.0, 1.0]) == (-1.0, 1.0)[twin.integers(0, 2)]
+        assert rng.standard_normal(16).tobytes() == twin.standard_normal(16).tobytes()
+        assert rng.integers(i % 9 + 1) == twin.integers(i % 9 + 1)
+    # the first fit loop's per-sample pairs from one (n, 2) draw
+    lo, hi = np.array([0.0, np.log(1e-3)]), np.array([40.0, np.log(20.0)])
+    pairs = np.array([(rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1])) for _ in range(400)])
+    assert (lo + (hi - lo) * twin.random((400, 2))).tobytes() == pairs.tobytes()
+    assert rng.random() == twin.random()
+
+
+def test_samplers_draw_without_uniform_or_choice_calls():
+    system = readme_like()
+    rng = RecordingRng(64)
+    fit_dichotomy(system.lap, system.coeff, rng=rng)
+    # one (400, 2) block for the first loop, then scalar draws only
+    assert rng.calls[0] == ("random", ((400, 2),))
+    assert {name for name, _ in rng.calls} == {"random", "integers"}
+    assert all(args == () for name, args in rng.calls[1:] if name == "random")
+    rng = RecordingRng(65)
+    measure_lipschitz(system, rng=rng)
+    assert {name for name, _ in rng.calls} == {"standard_normal", "random", "integers"}
+
+
 def test_fit_dichotomy_checks_m_before_the_m2_fit(monkeypatch):
     # a term of amplitude 1000 gives M = inf: the raise comes before the M2 fit
     # calls the Green factor a second time

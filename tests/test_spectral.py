@@ -233,6 +233,16 @@ def test_batched_transforms_allocate_no_grid_of_their_own():
         assert peak <= 1.5 * grid_bytes, (transform.__name__, peak / grid_bytes)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_frac_norm_of_one_state_bit_equal_to_its_batch_row(lap, alpha):
+    # one (N,) state skips the batch's per-call overhead: a Python float, bit-equal
+    xs = np.random.default_rng(14).standard_normal((1000, lap.n_modes))
+    batch = lap.frac_norm(xs, alpha)
+    single = [lap.frac_norm(x, alpha) for x in xs]
+    assert all(type(val) is float for val in single)
+    assert np.array(single).tobytes() == batch.tobytes()
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
 def test_frac_norm_with_cached_weights_bit_equal_to_formula(lap, alpha):
     rng = np.random.default_rng(13)

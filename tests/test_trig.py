@@ -102,6 +102,20 @@ def test_phase_kept_as_given(phase):
     assert np.array_equal(merged(t), 0.75 * np.cos(t + phase))
 
 
+def test_offset_and_shift_sup_are_python_floats():
+    # a zero-frequency term merges into the offset, which stays a Python float
+    m = TrigSum(0.3, ((0.5, 0.0, 0.2), (0.2, 1.0, 0.1), (0.4, -np.sqrt(2.0), 0.7)))
+    assert type(m.offset) is float and m.offset == 0.3 + 0.5 * np.cos(0.2)
+    assert type(TrigSum(np.float64(1.5)).offset) is float
+    # shift_sup on a float h: bit-equal to the same sum through np.sin
+    for h in np.random.default_rng(42).uniform(-5.0, 5.0, 200):
+        ref = 0.0
+        for a, f, _ in m.terms:
+            ref = ref + 2.0 * abs(a * np.sin(f * h / 2.0))
+        val = m.shift_sup(float(h))
+        assert type(val) is float and np.float64(val).tobytes() == np.float64(ref).tobytes()
+
+
 FLOAT_PATH_SUMS = {
     "empty": TrigSum(),
     "offset_only": TrigSum(1.5),
