@@ -198,10 +198,10 @@ def wexler_deviation(f: PiecewiseSampledFunction, r, eps_guard) -> float:
     return float(np.max(_value_norms(diff, f.weights)))
 
 
-def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
-              weights=None, q_range=None):
+def harmonize(B, taus, f: PiecewiseSampledFunction, eps, weights=None, q_range=None):
     """Common almost-period pair (q, r) for a sequence, a point set and a function.
 
+    ``taus`` are the sorted times tau_k of the point set, one per entry of B.
     Returns ``(q, r, deviation)`` for the first (q, r) of the scan with, on
     the scanned window, ``sup_k |B_{k+q} - B_k| < eps``,
     ``sup_k |(tau_{k+q} - tau_k) - r| < eps`` and ``deviation =
@@ -218,7 +218,7 @@ def harmonize(B, taus: StronglyAPSet, f: PiecewiseSampledFunction, eps,
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    tau_vals = taus.taus()
+    tau_vals = np.asarray(taus, dtype=float)
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
     if tau_vals.size != n:
@@ -256,17 +256,17 @@ def cropped_span(span, crop, h_t) -> tuple:
     return t0, t1
 
 
-def almost_periodicity_report(seq, k_min, taus, gap, sample, span, crop, h_t, eps_list,
+def almost_periodicity_report(seq, k_min, taus, sample, span, crop, h_t, eps_list,
                               weights=None):
     """Per eps: eps-periods of a sequence, a common (q, r) and the Wexler deviation.
 
     ``seq`` is indexed from ``k_min`` (first axis) and ``taus`` are its sorted
-    hit times, the point set ``gap k + c_k`` (the first min(len(taus),
-    len(seq)) pair with the sequence).  The span (t_start, t_end) loses
-    ``crop`` at each end; ``sample(grid)`` gives the function's (T, N) values
-    on the grid of step ``h_t`` over the rest, with the hit times as its
-    discontinuities.  ``weights`` measure the sequence and the function.
-    Integer periods are scanned over |p| <= len(seq) // 3.
+    hit times (the first min(len(taus), len(seq)) pair with the sequence).
+    The span (t_start, t_end) loses ``crop`` at each end; ``sample(grid)``
+    gives the function's (T, N) values on the grid of step ``h_t`` over the
+    rest, with the hit times as its discontinuities.  ``weights`` measure
+    the sequence and the function.  Integer periods are scanned over
+    |p| <= len(seq) // 3.
 
     Returns (t0, t1, record) with [t0, t1] the cropped span and, per eps, the
     keys ``eps_<e>_sequence_{epsilon, n_periods, max_gap, relatively_dense,
@@ -282,8 +282,6 @@ def almost_periodicity_report(seq, k_min, taus, gap, sample, span, crop, h_t, ep
     )
     n = seq.shape[0]
     keep = min(taus.size, n)
-    hit_set = StronglyAPSet(a=gap, c=taus[:keep] - gap * np.arange(k_min, k_min + keep),
-                            window=(k_min, k_min + keep - 1))
     record = {}
     for eps in eps_list:
         tag = "eps_%g_" % eps
@@ -299,7 +297,7 @@ def almost_periodicity_report(seq, k_min, taus, gap, sample, span, crop, h_t, ep
             tag + "sequence_periods": " ".join(str(p) for p in periods),
             tag + "q": "none",
         })
-        found = harmonize(seq[:keep], hit_set, f, eps, weights=weights)
+        found = harmonize(seq[:keep], taus[:keep], f, eps, weights=weights)
         if found is not None:
             record[tag + "q"], record[tag + "r"], record[tag + "wexler_deviation"] = found
     return t0, t1, record

@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ap_analysis import WindowTooShortError, almost_periodicity_report
-from .config import SECTION_KEYS, ConfigError, load_instance, validate_instance
+from .ap_analysis import WindowTooShortError, almost_periodicity_report, cropped_span
+from .config import SECTION_KEYS, ConfigError, check_grid, load_instance, validate_instance
 from .evolution import NonFiniteConstantError, NonHyperbolicError, fit_dichotomy, k_bundle
 from .impulsive import (
     BallExitError,
@@ -182,6 +182,8 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
         raise ConfigError(
             "[solver] h_t = %g must be below theta = %g" % (cfg.solver.h_t, system.theta)
         )
+    w0, w1 = cfg.time_window
+    check_grid(w1 - w0, cfg.solver.h_t, lap.n_modes, "[solver] h_t")
     check_ap_crop(cfg.time_window, buffer_length(system, dich, cfg.solver))
     kb, _, measured = _constant_bundle(cfg, checks, dich, seed)
     res = outer_solve(system, dich, cfg.time_window, cfg=cfg.solver)
@@ -203,7 +205,6 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     # residual probes away from the window edges (the truncated Green tail
     # must fit inside the buffered span)
     buf = res.meta["buffer"]
-    w0, w1 = cfg.time_window
     lo = max(w0 + min(buf, (w1 - w0) / 3.0), w0 + 0.2)
     times = np.linspace(lo, max(w1 - 0.2, lo), 3)
     residual = integral_residual(system, dich, res.trajectory, times)
@@ -269,12 +270,13 @@ def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
             "%s lists %d hit times for %d rows of y*" % (disc_path, disc.size, y_vals.shape[0])
         )
 
-    h_t = cfg.overrides.get("analysis_h_t", 0.01)
-    t0, t1, record = almost_periodicity_report(
-        y_vals, int(j_idx[0]), disc, system.base.a,
-        Segment(t=t_nodes, states=states).interp, (t_nodes[0], t_nodes[-1]),
-        cfg.overrides.get("analysis_crop", 0.0), h_t, cfg.eps_list,
-        system.lap.frac_weights(system.alpha),
+    h_t, crop = cfg.overrides.get("analysis_h_t", 0.01), cfg.overrides.get("analysis_crop", 0.0)
+    span = (t_nodes[0], t_nodes[-1])
+    t0, t1 = cropped_span(span, crop, h_t)
+    check_grid(t1 - t0, h_t, system.lap.n_modes, "[overrides] analysis_h_t")
+    _, _, record = almost_periodicity_report(
+        y_vals, int(j_idx[0]), disc, Segment(t=t_nodes, states=states).interp, span, crop, h_t,
+        cfg.eps_list, system.lap.frac_weights(system.alpha),
     )
     flat = {"n_sequence": y_vals.shape[0], "t0": t0, "t1": t1, "h_t": h_t}
     flat.update(record)

@@ -14,11 +14,13 @@ outside it.  Any other section or key is rejected.  An empty list value
 scalar value is rejected.
 
 ``validate_instance`` enforces the checkable hypothesis parts that combine
-keys: the ball quantities are finite floats, and so is
-((lambda_N + sup|m| + max(w + |p|)) t)^2 over the instance's times, surface
-slopes have the admissible sign (b_j <= 0), the surface time intervals over
-the ball are separated (theta > 0, by interval arithmetic), the n_xi grid
-has at least 4N points, and the catalogue map I satisfies I(0) = 0.
+keys: the ball quantities and 1 / (rho^2 + sqrt(l) rho^3) are finite floats,
+and so is ((lambda_N + sup|m| + max(w + |p|)) t)^2 over the instance's times,
+surface slopes have the admissible sign (b_j <= 0), the surface time
+intervals over the ball are separated (theta > 0, by interval arithmetic),
+the n_xi grid has at least 4N points, and the catalogue map I satisfies
+I(0) = 0.  ``check_grid`` bounds a time grid of ``solve-ap`` or
+``analyze-ap`` once the command knows its span.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .solver import SolverConfig
 from .spectral import AliasingError, DirichletLaplacian
 from .trig import TrigSum
 
-__all__ = ["ConfigError", "InstanceConfig", "load_instance", "validate_instance"]
+__all__ = ["ConfigError", "InstanceConfig", "check_grid", "load_instance", "validate_instance"]
 
 
 class ConfigError(ValueError):
@@ -130,7 +132,8 @@ _TERMS = _list(_triple, ";")  # 'amp freq phase; amp freq phase; ...'
 # certificate keeps (n_samples, N) arrays, at most 4096 x 512 floats (17 MB),
 # and takes them to the grid 512 states at a time through the Laplacian's
 # scratch grid, at most 512 x 8193 floats (34 MB); the commands keep arrays and
-# loops per surface, at most 10^4 surfaces
+# loops per surface, at most 10^4 surfaces.  The time grids, whose spans are known
+# only later, are bounded by ``check_grid`` before they are allocated
 SECTION_KEYS = {
     "geometry": {"l": _POSITIVE, "n_modes": _size(512), "n_xi": _size(8192)},
     "problem": {"alpha": _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), "rho": _POSITIVE},
@@ -156,6 +159,23 @@ SECTION_KEYS = {
     # a negative crop would sample past the data, where the interpolant repeats its end rows
     "overrides": {"C": _NONNEGATIVE, "analysis_crop": _NONNEGATIVE, "analysis_h_t": _POSITIVE},
 }
+
+
+# a time grid's span over its step, times n_modes, is at most GRID_VALUES: solve-ap's
+# node table spans under 2 (w1 - w0), since the AP crop keeps each buffer below
+# (w1 - w0) / 2, so each of its (M, N) arrays has at most 4 10^6 floats (32 MB);
+# analyze-ap samples at most 2 10^6 floats (16 MB)
+GRID_VALUES = 2 * 10**6
+
+
+def check_grid(span, h_t, n_modes, name) -> None:
+    """ConfigError unless span / h_t * n_modes <= GRID_VALUES; ``name`` is h_t's key.
+
+    The test multiplies instead of dividing by h_t, so a tiny step overflows nothing.
+    """
+    if float(span) * n_modes > GRID_VALUES * h_t:
+        raise ConfigError("%s = %g too small: (span / h_t) n_modes must be at most %d, with "
+                          "span = %g and n_modes = %d" % (name, h_t, GRID_VALUES, span, n_modes))
 
 
 def _modes(vals, n_modes, name) -> np.ndarray:
@@ -221,6 +241,9 @@ def load_instance(path) -> InstanceConfig:
     root = geo.get("n_modes", 16) * np.pi / geo.get("l", 1.0)
     if not root * root < np.inf:
         raise ConfigError("[geometry] l too small: lambda_N = (N pi / l)^2 must be finite")
+    # lambda_1 = (pi / l)^2, the smallest eigenvalue: the ball radius divides by it
+    if not (np.pi / geo.get("l", 1.0)) ** 2 > 0.0:
+        raise ConfigError("[geometry] l too large: lambda_1 = (pi / l)^2 must be > 0")
     lap = DirichletLaplacian(**geo)
     left, right = (
         np.stack([_modes(row, lap.n_modes, "[jumps] " + key) for row in jsec[key]])
@@ -248,9 +271,13 @@ def load_instance(path) -> InstanceConfig:
     )
     t_window = ssec.pop("window", (0.0, 10.0))
     sim = values["simulate"]
+    u0 = _modes(sim.get("u0", ()), lap.n_modes, "[simulate] u0")
+    # a finite u0 outside the ball is simulate's ball exit; one whose norm overflows is no state
+    with np.errstate(over="ignore"):
+        if not lap.frac_norm(u0, system.alpha) < np.inf:
+            raise ConfigError("[simulate] u0 too large: |u0|_alpha must be finite")
     return InstanceConfig(
-        system=system, solver=SolverConfig(**ssec), time_window=t_window,
-        u0=_modes(sim.get("u0", ()), lap.n_modes, "[simulate] u0"),
+        system=system, solver=SolverConfig(**ssec), time_window=t_window, u0=u0,
         t_range=sim.get("t_range", t_window), eps_list=values["analysis"].get("eps", (1e-2,)),
         overrides=values["overrides"], **values["sampling"],
     )
@@ -264,11 +291,16 @@ def validate_instance(cfg: InstanceConfig) -> dict:
     """
     system = cfg.system
     lap, alpha, rho = system.lap, system.alpha, system.rho
-    # the ball quantities of theta and beta_0; a float product overflows to inf, a power raises
-    ball = (rho * rho / lap.eigenvalues[0] ** (2.0 * alpha), lap.l**0.5 * (rho * rho * rho))
+    # the ball quantities of theta and beta_0, each finite, and beta_0's 1 / (rho^2 + sqrt(l)
+    # rho^3) too; a float overflows to inf, and a tiny lambda_1^(2 alpha) underflows to 0
+    with np.errstate(over="ignore", divide="ignore"):
+        ball = (rho * rho / lap.eigenvalues[0] ** (2.0 * alpha), lap.l**0.5 * (rho * rho * rho))
     if not np.all(np.isfinite(ball)):
-        raise ConfigError("[problem] rho too large: rho^2 / lambda_1^(2 alpha) and sqrt(l) rho^3 "
-                          "must be finite")
+        raise ConfigError("[problem] rho too large or [geometry] l too large: rho^2 / "
+                          "lambda_1^(2 alpha) and sqrt(l) rho^3 must be finite")
+    small = rho * rho + ball[1]
+    if not (small > 0.0 and 1.0 / small < np.inf):
+        raise ConfigError("[problem] rho too small: 1 / (rho^2 + sqrt(l) rho^3) must be finite")
 
     # m = rho a b - a over the instance's times (the windows, the base times and the dichotomy
     # fit's samples, |t| <= 60): its antiderivative, z^2 of the step weights, with

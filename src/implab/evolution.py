@@ -10,10 +10,10 @@ with the rates r = ``coeff.rates(lap)`` (the eigenvalues lambda_k; a subclass
 may shift them, as the tests do to make a mode unstable) and the integral of
 ``m`` taken from its exact antiderivative.  Dichotomy
 projections are coordinate projections onto the modes whose mean exponent is
-negative; the constants (M, beta, M_1, M_2, beta_1) carry no values in the
-abstract theory and are fitted here with a 5% slack, to be verified on fresh
-samples by the caller.  Each fit loop draws its samples in the per-sample
-order and then evaluates them all in one batched ``_green_factor`` call.
+negative; the constants (M, beta, M_1) that the K-bundle reads carry no
+values in the abstract theory and are fitted here with a 5% slack, to be
+verified on fresh samples by the caller.  The fit draws all its samples at
+once and evaluates them in one batched ``_green_factor`` call.
 
 The branch rule of the Green function G(t, s) (stable modes propagate
 forward, unstable modes carry -U(t, s) backward) is written once, in
@@ -27,8 +27,7 @@ representation
 by direct composite-Simpson quadrature, for ``solver.integral_residual``;
 that route is deliberately independent of the recursive
 exponential-integrator route of ``solver.inner_solve`` so the two can
-cross-check.  The shift-defect constant M2 uses the closed-form bound
-``TrigSum.shift_sup`` on a*(h) = sup_s |m(s) - m(s+h)|.
+cross-check.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ __all__ = [
 ]
 
 _EXP_CLIP = 700.0
-# fit_dichotomy: samples per fit loop, slack of each constant, longest sampled time d
+# fit_dichotomy: samples, slack of each constant, longest sampled time d
 _FIT_SAMPLES = 400
 _FIT_SLACK = 0.05
 _FIT_D_MAX = 20.0
@@ -91,9 +90,6 @@ class DichotomyData:
     M: float
     beta: float
     M1: float
-    M2: float
-    beta1: float
-    alpha: float
 
     @property
     def has_unstable(self) -> bool:
@@ -105,9 +101,6 @@ class DichotomyData:
             "M": self.M,
             "beta": self.beta,
             "M1": self.M1,
-            "M2": self.M2,
-            "beta1": self.beta1,
-            "alpha": self.alpha,
         }
 
 
@@ -157,12 +150,16 @@ def fit_dichotomy(
     alpha: float = 0.5,
     rng=None,
 ) -> DichotomyData:
-    """Select unstable modes by mean exponent sign and fit (M, beta, M1, M2, beta1).
+    """Select unstable modes by mean exponent sign and fit (M, beta, M1).
 
     The fit exploits diagonality: the supremum of |U(t,s)(I-P)x|_a / |x|_a
     over x is the largest per-mode factor, so only (s, d) pairs are sampled.
-    All constants get a multiplicative slack of ``_FIT_SLACK`` on top of the
-    sampled supremum; verification on fresh samples is the caller's job.
+    The pairs come from one ``rng.random((_FIT_SAMPLES, 2))`` draw, scaled
+    as lo + (hi - lo) u, which is Generator.uniform(lo, hi)'s own formula on
+    the same stream; one Green-factor call covers them all.  M and M1 get a
+    multiplicative slack of ``_FIT_SLACK`` on top of the sampled supremum,
+    and beta is (1 - _FIT_SLACK) times the smallest |mean exponent|;
+    verification on fresh samples is the caller's job.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     mu = coeff.mean_exponents(lap)
@@ -175,10 +172,6 @@ def fit_dichotomy(
     rates = coeff.rates(lap)
     lam_a = lap.frac_weights(alpha)
 
-    # Each loop only draws, in the per-sample order; one Green-factor call
-    # then covers all samples.  A draw lo + (hi - lo) * rng.random() is
-    # Generator.uniform(lo, hi)'s own formula on the same stream, so the
-    # first loop's (s, log d) rows come from one random((_FIT_SAMPLES, 2)).
     # An entry whose exponent reached -_EXP_CLIP is dropped, and so is a row
     # without a positive factor or whose decay is below the clip:
     # exp(-beta d) would underflow where the factor does not.
@@ -199,39 +192,8 @@ def fit_dichotomy(
 
     M = (1.0 + _FIT_SLACK) * float(m_fit)
     M1 = max(M, (1.0 + _FIT_SLACK) * float(m1_fit))
-    # before the M2 fit spends its samples on them
     _require_finite(NonHyperbolicError, "dichotomy constant", M=M, beta=beta, M1=M1)
-
-    # shift-defect constants (Lemma-style inequality); beta1 <= beta.  The
-    # scalar a*(h) test stays in the loop: it decides whether t and tau are
-    # drawn.  The sign is the draw of rng.choice([-1.0, 1.0]).
-    beta1 = 0.5 * beta
-    gap_lo, gap_hi = math.log(1e-2), math.log(10.0)
-    rows = []
-    for _ in range(_FIT_SAMPLES):
-        h = -5.0 + 10.0 * rng.random()
-        a_star = coeff.m.shift_sup(h)
-        if a_star < 1e-14:
-            continue
-        rows.append((h, a_star, -20.0 + 40.0 * rng.random(),
-                     (-1.0, 1.0)[rng.integers(0, 2)], gap_lo + (gap_hi - gap_lo) * rng.random()))
-    h, a_star, t, sign, log_gap = np.array(rows).reshape(-1, 5).T
-    tau = t + sign * np.exp(log_gap)
-    both = _green_factor(rates, coeff.m, unstable, np.r_[t + h, t], np.r_[tau + h, tau])
-    # an entry counts where neither factor reached -_EXP_CLIP, a row where its decay did not
-    sampled = _unclipped(both) > 0.0
-    sampled = sampled[: t.size] & sampled[t.size :]
-    defect = np.max(lam_a * np.abs(both[: t.size] - both[t.size :]) * sampled, axis=1)
-    keep = beta1 * np.abs(t - tau) < _EXP_CLIP
-    gap = (t - tau)[keep]
-    denom = np.exp(-beta1 * np.abs(gap)) * psi(alpha, gap) * a_star[keep]
-    with np.errstate(over="ignore"):
-        M2 = (1.0 + _FIT_SLACK) * float(np.max(defect[keep] / denom, initial=M))
-    _require_finite(NonHyperbolicError, "dichotomy constant", M2=M2)
-
-    return DichotomyData(
-        unstable=unstable, M=M, beta=beta, M1=M1, M2=M2, beta1=beta1, alpha=alpha
-    )
+    return DichotomyData(unstable=unstable, M=M, beta=beta, M1=M1)
 
 
 # ---------------------------------------------------------------------------

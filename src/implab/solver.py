@@ -659,7 +659,7 @@ def certify_almost_periodicity(
     traj = result.trajectory
     y = result.y_star
     return almost_periodicity_report(
-        y.values, y.window[0], np.sort(traj.hit_times()), system.base.a,
-        traj.eval_many, (traj.t_start, traj.t_end), _AP_CROP_BUFFERS * result.meta["buffer"],
-        h_t, eps_list, system.lap.frac_weights(system.alpha),
+        y.values, y.window[0], np.sort(traj.hit_times()), traj.eval_many,
+        (traj.t_start, traj.t_end), _AP_CROP_BUFFERS * result.meta["buffer"], h_t, eps_list,
+        system.lap.frac_weights(system.alpha),
     )[2]

@@ -21,8 +21,9 @@ check the package against it:
 * ``samples_in_physical_space`` — the beating certificate's sample states
   summed on the grid and then projected, the reference of their
   coefficient-space build in ``impulsive._nonnegative_samples``;
-* ``green_shift_defect`` — the shift defect of the Green function against
-  its fitted bound;
+* ``fit_shift_defect`` and ``green_shift_defect`` — the shift-defect
+  constants (M2, beta1) of the Green function's shift lemma, fitted on
+  samples, and the shift defect against that bound;
 * ``bounded_solution`` — the bounded solution of the linear impulsive
   system by composite-Simpson quadrature of its Green representation,
   independent of the recursion route of ``solver.inner_solve``;
@@ -112,11 +113,43 @@ def green_apply(lap, coeff, dich, t, s, x) -> np.ndarray:
     return np.asarray(x, dtype=float) * green_factors(lap, coeff, dich, t, s)
 
 
-def green_shift_defect(lap, coeff, dich, h, t, tau, x):
-    """Directly computed |(G(t+h, tau+h) - G(t, tau)) x|_alpha and its fitted bound.
+def fit_shift_defect(lap, coeff, dich: DichotomyData, alpha=0.5, rng=None, n_samples=400,
+                     slack=0.05) -> tuple:
+    """(M2, beta1) of |(G(t+h, tau+h) - G(t, tau)) x|_alpha <= M2 e^{-beta1 |t-tau|}
+    psi_alpha(t-tau) a*(h) |x|_0, fitted on samples with one Green-factor call each.
+
+    beta1 = beta / 2, and M2 is at least M, both with the slack of ``dich``'s
+    fit; a*(h) is the closed form ``TrigSum.shift_sup``, and a shift h with
+    a*(h) < 1e-14 is skipped before t and tau are drawn.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    rates = coeff.rates(lap)
+    lam_a = lap.frac_weights(alpha)
+    beta1 = 0.5 * dich.beta
+    m2_fit = dich.M
+    for _ in range(n_samples):
+        h = rng.uniform(-5.0, 5.0)
+        a_star = coeff.m.shift_sup(h)
+        if a_star < 1e-14:
+            continue
+        t = rng.uniform(-20.0, 20.0)
+        tau = t + rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(1e-2), np.log(10.0)))
+        if beta1 * abs(t - tau) >= _EXP_CLIP:
+            continue
+        fac1 = _green_factor(rates, coeff.m, dich.unstable, t + h, tau + h)
+        fac0 = _green_factor(rates, coeff.m, dich.unstable, t, tau)
+        clipped = np.minimum(np.abs(fac1), np.abs(fac0)) <= _safe_exp(-_EXP_CLIP)
+        defect = np.max(np.where(clipped, 0.0, lam_a * np.abs(fac1 - fac0)))
+        denom = np.exp(-beta1 * abs(t - tau)) * psi(alpha, t - tau) * a_star
+        m2_fit = max(m2_fit, float(defect) / denom)
+    return (1.0 + slack) * m2_fit, beta1
+
+
+def green_shift_defect(lap, coeff, dich, M2, beta1, alpha, h, t, tau, x):
+    """Directly computed |(G(t+h, tau+h) - G(t, tau)) x|_alpha and its bound.
 
     The bound is ``M2 e^{-beta1 |t-tau|} psi_alpha(t-tau) a*(h) |x|_0`` with
-    ``a*(h)`` the closed form ``TrigSum.shift_sup`` that ``fit_dichotomy``
+    ``a*(h)`` the closed form ``TrigSum.shift_sup`` that ``fit_shift_defect``
     fits M2 with.
     """
     if t == tau:
@@ -124,12 +157,12 @@ def green_shift_defect(lap, coeff, dich, h, t, tau, x):
     x = np.asarray(x, dtype=float)
     d1 = green_factors(lap, coeff, dich, t + h, tau + h)
     d0 = green_factors(lap, coeff, dich, t, tau)
-    defect = lap.frac_norm((d1 - d0) * x, dich.alpha)
+    defect = lap.frac_norm((d1 - d0) * x, alpha)
     a_star = coeff.m.shift_sup(h)
     bound = (
-        dich.M2
-        * np.exp(-dich.beta1 * abs(t - tau))
-        * psi(dich.alpha, t - tau)
+        M2
+        * np.exp(-beta1 * abs(t - tau))
+        * psi(alpha, t - tau)
         * a_star
         * lap.frac_norm(x, 0.0)
     )
@@ -187,29 +220,7 @@ def fit_dichotomy_by_sample(
 
     M = (1.0 + slack) * m_fit
     M1 = max(M, (1.0 + slack) * m1_fit)
-
-    beta1 = 0.5 * beta
-    m2_fit = M
-    for _ in range(n_samples):
-        h = rng.uniform(-5.0, 5.0)
-        a_star = coeff.m.shift_sup(h)
-        if a_star < 1e-14:
-            continue
-        t = rng.uniform(-20.0, 20.0)
-        tau = t + rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(1e-2), np.log(10.0)))
-        if beta1 * abs(t - tau) >= _EXP_CLIP:
-            continue
-        fac1 = _green_factor(rates, coeff.m, unstable, t + h, tau + h)
-        fac0 = _green_factor(rates, coeff.m, unstable, t, tau)
-        clipped = np.minimum(np.abs(fac1), np.abs(fac0)) <= _safe_exp(-_EXP_CLIP)
-        defect = np.max(np.where(clipped, 0.0, lam_a * np.abs(fac1 - fac0)))
-        denom = np.exp(-beta1 * abs(t - tau)) * psi(alpha, t - tau) * a_star
-        m2_fit = max(m2_fit, float(defect) / denom)
-    M2 = (1.0 + slack) * m2_fit
-
-    return DichotomyData(
-        unstable=unstable, M=M, beta=beta, M1=M1, M2=M2, beta1=beta1, alpha=alpha
-    )
+    return DichotomyData(unstable=unstable, M=M, beta=beta, M1=M1)
 
 
 def measure_lipschitz_by_pair(system: ImpulseSystemSpec, rng=None, n_pairs: int = 200) -> dict:

@@ -40,6 +40,7 @@ from oracles import (
     _etd2_step,
     bounded_solution,
     evolution_factors,
+    fit_shift_defect,
     green_factors,
     green_shift_defect,
     pieces,
@@ -195,7 +196,8 @@ def test_criterion_4_dichotomy_and_green():
     coeff = LinearCoefficient(
         m=TrigSum(0.3, ((0.2, 1.0, 0.1), (0.1, np.sqrt(2.0), -0.4)))
     )
-    dich = fit_dichotomy(lap4, coeff, alpha=ALPHA, rng=np.random.default_rng(231))
+    rng_fit = np.random.default_rng(231)
+    dich = fit_dichotomy(lap4, coeff, alpha=ALPHA, rng=rng_fit)
     lam_a = lap4.frac_weights(ALPHA)
     rng = np.random.default_rng(232)
     viol = 0
@@ -223,14 +225,15 @@ def test_criterion_4_dichotomy_and_green():
             viol += 1
     check(failures, viol == 0, "%d violations of Definition 2.2(iv)" % viol)
 
-    # Lemma 2.5 shift inequality with the fitted (M2, beta1)
+    # Lemma 2.5 shift inequality with (M2, beta1) fitted on the rest of the fit's stream
+    M2, beta1 = fit_shift_defect(lap4, coeff, dich, ALPHA, rng=rng_fit)
     viol = 0
     for _ in range(1000):
         h = rng.uniform(-5.0, 5.0)
         t = rng.uniform(-20.0, 20.0)
         tau = t + rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(1e-2), np.log(10.0)))
         x = rng.standard_normal(4)
-        defect, bound = green_shift_defect(lap4, coeff, dich, h, t, tau, x)
+        defect, bound = green_shift_defect(lap4, coeff, dich, M2, beta1, ALPHA, h, t, tau, x)
         if defect > bound * (1.0 + 1e-10):
             viol += 1
     check(failures, viol == 0, "%d violations of the Lemma 2.5 shift bound" % viol)
@@ -473,7 +476,7 @@ def test_criterion_8_ap_analysis_oracles():
 
     f = PiecewiseSampledFunction(t0=-900.0, h_t=h, values=fvals)
     for eps in (0.1, 0.25):
-        got = harmonize(B, taus, f, eps=eps, q_range=(1, 720))
+        got = harmonize(B, taus.taus(), f, eps=eps, q_range=(1, 720))
         if got is None:
             failures.append("harmonize found no (q, r) at eps=%g" % eps)
             continue

@@ -85,7 +85,7 @@ def test_almost_periodicity_report_flat_record():
 
     def report(seq, eps):
         return almost_periodicity_report(
-            seq, 0, taus, 1.0, lambda t: np.cos(2.0 * np.pi * t), (0.0, 30.0), 1.0, 0.01, (eps,)
+            seq, 0, taus, lambda t: np.cos(2.0 * np.pi * t), (0.0, 30.0), 1.0, 0.01, (eps,)
         )
 
     # a constant sequence: every |p| <= 10 is an eps-period, and (q, r) = (1, 1) is a pair
@@ -121,7 +121,7 @@ def test_almost_periodicity_report_flat_record():
 
     # a crop that leaves less than 4 steps of the span
     with pytest.raises(WindowTooShortError):
-        almost_periodicity_report(np.full(30, 3.7), 0, taus, 1.0, np.cos, (0.0, 30.0), 14.99,
+        almost_periodicity_report(np.full(30, 3.7), 0, taus, np.cos, (0.0, 30.0), 14.99,
                                   0.01, (1e-2,))
 
 
@@ -198,7 +198,7 @@ def test_harmonize_periodic_data():
     taus = StronglyAPSet(a=1.0, c=TrigSum(0.0), window=(-30, 30))
     B = np.ones(61)
     f = _sampled(lambda t: 0.0 * t, -40.0, 40.0, 0.01)
-    got = harmonize(B, taus, f, 1e-6)
+    got = harmonize(B, taus.taus(), f, 1e-6)
     assert got is not None
     q, r, dev = got
     # contract: the three bounds hold; (1, 1) is among the valid answers
@@ -215,7 +215,7 @@ def test_harmonize_common_period_two_pi():
     k = taus.indices()
     B = np.cos(2.0 * np.pi * k / 1.0)  # constant, trivially 2 pi periodic in t
     f = _sampled(lambda t: np.sin(t), -120.0, 120.0, 0.005)
-    got = harmonize(B, taus, f, eps=0.05, q_range=(1, 60))
+    got = harmonize(B, taus.taus(), f, eps=0.05, q_range=(1, 60))
     assert got is not None
     q, r, dev = got
     assert abs(r - 2.0 * np.pi * round(r / (2.0 * np.pi))) < 0.05
@@ -229,7 +229,7 @@ def test_harmonize_quasi_periodic_reverification():
     k = taus.indices()
     B = np.cos(np.sqrt(3.0) * k)
     f = _sampled(lambda t: np.cos(np.sqrt(2.0) * t), -900.0, 900.0, 0.01)
-    got = harmonize(B, taus, f, eps=0.1, q_range=(1, 720))
+    got = harmonize(B, taus.taus(), f, eps=0.1, q_range=(1, 720))
     assert got is not None
     q, r, dev = got
     # independent re-verification of all three bounds, from scratch
@@ -267,7 +267,7 @@ def test_harmonize_returns_the_smallest_passing_q(draw):
     B = np.zeros(tv.size)
     spreads = [np.ptp(tv[q:] - tv[:-q]) for q in range(1, tv.size // 3 + 1)]
     expected = next((q for q, s in enumerate(spreads, 1) if s < 2.0 * eps), None)
-    got = harmonize(B, taus, f, eps)
+    got = harmonize(B, tv, f, eps)
     if expected is None:
         assert got is None
         return

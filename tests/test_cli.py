@@ -218,7 +218,7 @@ def test_surface_and_jump_terms_keys(tmp_path):
     assert validate_instance(cfg)["validation"] == "pass"
 
 
-EDGE_VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e308", "abc", "1 2 3")
+EDGE_VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "1e308", "abc", "1 2 3")
 
 
 def _with_key(section, key, value) -> str:
@@ -239,12 +239,12 @@ def _with_key(section, key, value) -> str:
 )
 def test_every_key_edge_value_is_rejected_or_valid(tmp_path, section, key):
     # every key of the file format, at each edge value: a ConfigError, or an
-    # instance that validates with a finite theta > 0; no other exception
+    # instance that validates with a finite theta > 0; no other exception, and
+    # no numpy warning (an l of 1e300 used to divide by a lambda_1 of 0)
     for value in EDGE_VALUES:
         path = write_config(tmp_path, _with_key(section, key, value))
         try:
-            with np.errstate(all="ignore"):
-                checks = validate_instance(load_instance(path))
+            checks = validate_instance(load_instance(path))
         except ConfigError:
             continue
         assert 0.0 < checks["theta"] < np.inf, value
@@ -471,6 +471,18 @@ DAMAGED_DATA = {
     + [(c, "terms = 0.2 1.0 0.0", "terms = 0.2 1e308 0.0", None)
        for c in ("constants", "simulate", "certify", "solve-ap")]
     + [(c, "terms = 0.2 1.0 0.0", "terms = 0.2 1.0 1e308", None) for c in ("constants", "simulate")]
+    + [(c, "l = 1.0", "l = 1e300", None) for c in ("constants", "simulate", "certify", "solve-ap")]
+    + [
+        ("constants", "l = 1.0", "l = 1e160", None),
+        ("constants", "rho = 1.0", "rho = 1e-200", None),
+        ("certify", "rho = 1.0", "rho = 1e-200", None),
+        ("certify", "rho = 1.0", "rho = 1e-155", None),
+        ("simulate", "[analysis]", "[simulate]\nu0 = 1e300\n\n[analysis]", None),
+        ("solve-ap", "h_t = 0.005", "h_t = 1e-300", None),
+        ("solve-ap", "h_t = 0.005", "h_t = 1e-12", None),
+        ("analyze-ap", "[analysis]", "[overrides]\nanalysis_h_t = 1e-300\n\n[analysis]", None),
+        ("analyze-ap", "[analysis]", "[overrides]\nanalysis_h_t = 1e-12\n\n[analysis]", None),
+    ]
     # bad values of deleted [overrides] keys: rejected as unknown keys, before any value is read
     + [(c, "[analysis]", "[overrides]\n%s\n\n[analysis]" % pin, None)
        for c, pin in (("constants", "M = nan"), ("constants", "M = 0"),
@@ -500,6 +512,10 @@ DAMAGED_DATA = {
          "constants-l-1e-100", "simulate-l-1e-100", "certify-l-1e-100", "solve-ap-l-1e-100",
          "constants-huge-freq", "simulate-huge-freq", "certify-huge-freq", "solve-ap-huge-freq",
          "constants-huge-phase", "simulate-huge-phase",
+         "constants-huge-l", "simulate-huge-l", "certify-huge-l", "solve-ap-huge-l",
+         "constants-l-1e160", "constants-tiny-rho", "certify-tiny-rho", "certify-rho-1e-155",
+         "simulate-huge-u0", "solve-ap-tiny-h_t", "solve-ap-h_t-1e-12", "analyze-ap-tiny-h_t",
+         "analyze-ap-h_t-1e-12",
          "constants-nan-override", "constants-zero-M", "constants-zero-beta", "solve-ap-zero-beta",
          "constants-negative-beta", "solve-ap-negative-beta",
          ] + list(DAMAGED_DATA),
@@ -532,7 +548,13 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # 1e-100 or 1e-150 overflowed the step weights of simulate) and the cosine arguments
     # w t + p of m and a b (math.cos raises on an infinite one), a scalar value
     # not blank (a blank [solver] value used to fall back to the default), and
-    # a key not given twice (configparser raised)
+    # a key not given twice (configparser raised); lambda_1 = (pi / l)^2 must be
+    # > 0 (an l of 1e300 used to divide by 0, an l of 1e160 overflowed the ball
+    # radius), 1 / (rho^2 + sqrt(l) rho^3) finite (a rho of 1e-200 wrote certify's
+    # beta0 as inf), |u0|_alpha finite (1e300 printed an overflow warning), and
+    # the grid (span / h_t) n_modes at most 2 10^6 for [solver] h_t and
+    # analysis_h_t (1e-300 gave solve-ap one step per piece with status=ok, and
+    # analyze-ap an error from numpy's allocation)
     assert old in BASE
     argv = [command, "--config", write_config(tmp_path, BASE.replace(old, new)),
             "--out", str(tmp_path / "o")]
@@ -636,7 +658,7 @@ def test_analyze_ap_samples_the_table_as_solve_ap_does(tmp_path, monkeypatch):
 
     def recorder(tag, report):
         def recorded(*args):
-            head, sample, tail = args[:4], args[4], args[5:]
+            head, sample, tail = args[:3], args[3], args[4:]
             grids = []
 
             def sampled(grid):
@@ -689,7 +711,7 @@ def test_dichotomy_fit_past_the_exponent_clip(tmp_path, capsys, length):
     assert main(["constants", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     dich = read_record(out / "dichotomy.txt")
-    assert all(np.isfinite(float(dich[key])) for key in ("M", "beta", "M1", "M2", "beta1"))
+    assert all(np.isfinite(float(dich[key])) for key in ("M", "beta", "M1"))
     system = load_instance(write_config(tmp_path, text)).system
     _, m1_scan = dichotomy_scan(system.lap, system.coeff, float(dich["beta"]))
     assert m1_scan <= float(dich["M1"]) <= 1.1 * m1_scan
@@ -822,11 +844,20 @@ CONTRACTION_KEYS = (
 ).split()
 
 
+DICHOTOMY_KEYS = (
+    "slope_min slope_max theta d_norm_x1 i_zero validation unstable_modes M beta M1 "
+    "gap_constant_formula gap_constant_measured"
+).split()
+
+
 def test_gate_record_layouts(tmp_path):
-    # the key order of contraction.txt (the record of verify_smallness, then
-    # what solve-ap adds) and of a beating certificate
+    # the key order of dichotomy.txt (the validation checks, the fitted constants that the
+    # K-bundle reads, the gap constant), of contraction.txt (the record of verify_smallness,
+    # then what solve-ap adds) and of a beating certificate
     cfg_path = write_config(tmp_path)
     out = tmp_path / "out"
+    assert main(["constants", "--config", cfg_path, "--out", str(out)]) == 0
+    assert list(read_record(out / "dichotomy.txt")) == DICHOTOMY_KEYS
     assert main(["solve-ap", "--config", cfg_path, "--out", str(out)]) == 0
     assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 0
     assert list(read_record(out / "contraction.txt")) == CONTRACTION_KEYS
@@ -893,6 +924,23 @@ def test_cmd_analyze_ap(tmp_path):
     seq_keys = [k for k in report if re.fullmatch(r"eps_.*_sequence_.*", k)]
     assert seq_keys == [k for k in rec if re.fullmatch(r"eps_.*_sequence_.*", k)]
     assert {k: report[k] for k in seq_keys} == {k: rec[k] for k in seq_keys}
+
+
+def test_analyze_ap_pairs_y_star_with_the_hit_times_it_reads(tmp_path):
+    # the hit times go to the analysis as read: wrapped as gap k + c_k with the instance's gap
+    # and read back, they were lost at a gap of 1e15 (a traceback: tau_k must be strictly
+    # increasing); the gap changes nothing in ap_analysis.txt
+    data = tmp_path / "data"
+    text = readme_instance()
+    assert main(["solve-ap", "--config", write_config(tmp_path, text), "--out", str(data)]) == 0
+    written = []
+    for gap in ("1.0", "1e15", "1e17"):
+        cfg_path = write_config(tmp_path, text.replace("gap = 1.0", "gap = " + gap), "gap.ini")
+        out = tmp_path / gap
+        assert main(["analyze-ap", "--config", cfg_path, "--out", str(out),
+                     "--data", str(data)]) == 0
+        written.append((out / "ap_analysis.txt").read_bytes())
+    assert written[1] == written[2] == written[0]
 
 
 def test_cmd_constants_sin_jump_map(tmp_path):

@@ -19,6 +19,7 @@ from oracles import (
     evolution_apply,
     evolution_factors,
     fit_continuity_constant,
+    fit_shift_defect,
     green_apply,
     green_factors,
     green_shift_defect,
@@ -125,10 +126,10 @@ FIT_CASES = {
     "moving": (lambda lap: moving_like().coeff, 0.5),
     "unstable": (_unstable_coeff, 0.5),
     "alpha_zero": (lambda lap: readme_like().coeff, 0.0),
-    # a*(h) = 0 for every h: each shift-defect sample is skipped, M2 = 1.05 M
+    # a*(h) = 0 for every h: the shift-defect oracle skips each sample, M2 = 1.05 M
     "constant_m": (lambda lap: LinearCoefficient(m=TrigSum(0.3)), 0.5),
-    # offset 30: beta d passes the exponent clip of 700 in the M and M1 fit (d <= 20); offset
-    # 150: beta1 |t - tau| passes it in the M2 fit too (|t - tau| <= 10)
+    # beta d passes the exponent clip of 700 at offset 30 for the longest d (d <= 20), and at
+    # offset 150 for d > 4.6, about 15 % of the samples
     "clip_m1": (lambda lap: LinearCoefficient(m=TrigSum(30.0, ((0.2, 1.0, 0.0),))), 0.5),
     "clip_m2": (lambda lap: LinearCoefficient(m=TrigSum(150.0, ((0.2, 1.0, 0.0),))), 0.5),
 }
@@ -142,17 +143,17 @@ def test_fit_dichotomy_matches_per_sample_loop(name):
     rng, rng_ref = np.random.default_rng(23), np.random.default_rng(23)
     dich = fit_dichotomy(lap, coeff, alpha=alpha, rng=rng)
     ref = fit_dichotomy_by_sample(lap, coeff, alpha=alpha, rng=rng_ref)
-    for key in ("M", "beta", "M1", "M2", "beta1"):
+    for key in ("M", "beta", "M1"):
         assert getattr(dich, key) == getattr(ref, key), key
     assert np.array_equal(dich.unstable, ref.unstable)
     assert rng.random() == rng_ref.random()
     if name == "constant_m":
-        assert dich.M2 == 1.05 * dich.M
+        assert fit_shift_defect(lap, coeff, dich, alpha, rng=rng) == (1.05 * dich.M, dich.beta / 2)
     if name == "unstable":
         assert dich.has_unstable
     if name.startswith("clip"):
         m_scan, m1_scan = dichotomy_scan(lap, coeff, dich.beta, alpha)
-        assert dich.M <= 1.1 * m_scan and dich.M1 <= 1.1 * m1_scan and np.isfinite(dich.M2)
+        assert dich.M <= 1.1 * m_scan and dich.M1 <= 1.1 * m1_scan
 
 
 def test_green_branches(lap):
@@ -166,14 +167,16 @@ def test_green_branches(lap):
 
 
 def test_green_shift_defect_verified(lap, coeff):
-    dich = fit_dichotomy(lap, coeff, alpha=0.5, rng=np.random.default_rng(18))
+    rng = np.random.default_rng(18)
+    dich = fit_dichotomy(lap, coeff, alpha=0.5, rng=rng)
+    M2, beta1 = fit_shift_defect(lap, coeff, dich, 0.5, rng=rng)
     rng = np.random.default_rng(19)
     for _ in range(300):
         h = rng.uniform(-5.0, 5.0)
         t = rng.uniform(-20.0, 20.0)
         tau = t + rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(1e-2), np.log(10.0)))
         x = rng.standard_normal(lap.n_modes)
-        defect, bound = green_shift_defect(lap, coeff, dich, h, t, tau, x)
+        defect, bound = green_shift_defect(lap, coeff, dich, M2, beta1, 0.5, h, t, tau, x)
         assert defect <= bound * (1.0 + 1e-10)
 
 
@@ -300,13 +303,12 @@ def test_bounded_solution_tail_invariance(lap):
 # ---------------------------------------------------------------------------
 
 
-def _dich(M1, beta, alpha=0.5):
-    return DichotomyData(unstable=np.zeros(1, bool), M=M1, beta=beta,
-                         M1=M1, M2=M1, beta1=beta / 2.0, alpha=alpha)
+def _dich(M1, beta):
+    return DichotomyData(unstable=np.zeros(1, bool), M=M1, beta=beta, M1=M1)
 
 
 def test_k_bundle_alpha_zero_closed_form():
-    kb = k_bundle(0.0, _dich(M1=1.5, beta=2.0, alpha=0.0), theta=1.0, Q=0.5)
+    kb = k_bundle(0.0, _dich(M1=1.5, beta=2.0), theta=1.0, Q=0.5)
     # alpha = 0: psi = 2 on s > 0, so K1 = M1 (2/beta + 1/beta)
     assert kb["K1"] == pytest.approx(1.5 * 3.0 / 2.0, rel=1e-8)
     assert kb["K2"] == pytest.approx(2.0 * 1.5 / (1.0 - np.exp(-2.0)), rel=1e-12)
@@ -315,7 +317,7 @@ def test_k_bundle_alpha_zero_closed_form():
 
 def test_k_bundle_gamma_closed_form():
     alpha, M1, beta = 0.5, 2.0, 1.3
-    kb = k_bundle(alpha, _dich(M1, beta, alpha), theta=0.8, Q=0.3)
+    kb = k_bundle(alpha, _dich(M1, beta), theta=0.8, Q=0.3)
     ref = M1 * (2.0 / beta + special.gamma(1.0 - alpha) * beta ** (alpha - 1.0))
     assert kb["K1"] == pytest.approx(ref, rel=1e-8)
     # Psi3 at alpha = 1/2: Beta(1/2, 1/2) = pi
@@ -326,7 +328,7 @@ def test_k_bundle_gamma_closed_form():
 def test_k_bundle_matches_quadrature_and_beta(alpha):
     # the closed forms replace integrate.quad for K1 and special.beta for Psi3
     M1, beta, Q = 2.0, 1.3, 0.3
-    kb = k_bundle(alpha, _dich(M1, beta, alpha), theta=0.8, Q=Q)
+    kb = k_bundle(alpha, _dich(M1, beta), theta=0.8, Q=Q)
     pos, _ = integrate.quad(
         lambda s: (1.0 + s ** (-alpha)) * np.exp(-beta * s), 0.0, np.inf, limit=200
     )

@@ -6,7 +6,7 @@ from implab.evolution import LinearCoefficient, fit_dichotomy
 from implab.spectral import DirichletLaplacian
 from implab.trig import TrigSum
 
-from oracles import shift_sup_scan
+from oracles import fit_shift_defect, shift_sup_scan
 
 
 def test_constant_sum():
@@ -61,12 +61,13 @@ def test_sup_bound_and_shift():
     assert len(readme.terms) == 4
     for h in (-3.1, -0.7, 0.05, 0.3, 1.7, 2.9, 4.6):
         assert shift_sup_scan(readme, h) <= readme.shift_sup(h) + 1e-12
-    # `constants` on the README instance at seed 7: the M, M1 and M2 the
-    # scan gave, M2 at its floor 1.05 M
-    dich = fit_dichotomy(DirichletLaplacian(l=1.0, n_modes=16), LinearCoefficient(m=readme),
-                         alpha=0.5, rng=np.random.default_rng([7, 1]))
-    assert (dich.M, dich.M1, dich.M2) == pytest.approx((1.05, 1.245548906401333, 1.1025),
-                                                       rel=1e-12)
+    # `constants` on the README instance at seed 7: its M and M1, and the M2 that the shift
+    # defect fits with this closed form on the rest of the stream, at its floor 1.05 M
+    lap, coeff, rng = (DirichletLaplacian(l=1.0, n_modes=16), LinearCoefficient(m=readme),
+                       np.random.default_rng([7, 1]))
+    dich = fit_dichotomy(lap, coeff, alpha=0.5, rng=rng)
+    assert (dich.M, dich.M1) == pytest.approx((1.05, 1.245548906401333), rel=1e-12)
+    assert fit_shift_defect(lap, coeff, dich, 0.5, rng=rng)[0] == pytest.approx(1.1025, rel=1e-12)
 
 
 def test_seq_gen_scalar_and_vector():
