@@ -13,10 +13,11 @@ states the range that was scanned.  Three objects are handled:
 sequence, a point set and a piecewise function, the W-almost-periodicity of
 Halanay & Wexler: it scans q and, for each q, candidate r on the function's
 grid, and checks the three deviation bounds directly on the data.
-``almost_periodicity_report`` crops and samples the function, then writes
-per eps the flat ``eps_<e>_*`` record of ``ap_report.txt`` and
-``ap_analysis.txt``: the eps-periods of the sequence, their max gap and
-relatively-dense verdict, and the (q, r) pair with its Wexler deviation.
+``almost_periodicity_report`` crops the function and samples it at the
+step ``SAMPLE_H_T``, then writes per eps the flat ``eps_<e>_*`` record of
+``ap_report.txt`` and ``ap_analysis.txt``: the eps-periods of the
+sequence, their max gap and relatively-dense verdict, and the (q, r) pair
+with its Wexler deviation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ __all__ = [
     "almost_periodicity_report",
     "cropped_span",
     "nearest_distance",
+    "SAMPLE_H_T",
 ]
+
+# the step of the grid on which solve-ap and analyze-ap sample u*
+SAMPLE_H_T = 0.01
 
 
 class WindowTooShortError(ValueError):
@@ -245,10 +250,10 @@ def harmonize(B, taus, f: PiecewiseSampledFunction, eps, weights=None, q_range=N
     return None
 
 
-def cropped_span(span, crop, h_t) -> tuple:
-    """(t0, t1), the span less ``crop`` at each end; WindowTooShortError below 4 h_t."""
+def cropped_span(span, crop) -> tuple:
+    """(t0, t1), the span less ``crop`` at each end; WindowTooShortError below 4 SAMPLE_H_T."""
     t0, t1 = span[0] + crop, span[1] - crop
-    if t1 - t0 < 4.0 * h_t:
+    if t1 - t0 < 4.0 * SAMPLE_H_T:
         raise WindowTooShortError(
             "trajectory span too short for the almost-periodicity crop of %g at each end"
             % crop
@@ -256,29 +261,27 @@ def cropped_span(span, crop, h_t) -> tuple:
     return t0, t1
 
 
-def almost_periodicity_report(seq, k_min, taus, sample, span, crop, h_t, eps_list,
-                              weights=None):
+def almost_periodicity_report(seq, k_min, taus, sample, span, crop, eps_list, weights=None):
     """Per eps: eps-periods of a sequence, a common (q, r) and the Wexler deviation.
 
     ``seq`` is indexed from ``k_min`` (first axis) and ``taus`` are its sorted
     hit times (the first min(len(taus), len(seq)) pair with the sequence).
     The span (t_start, t_end) loses ``crop`` at each end; ``sample(grid)``
-    gives the function's (T, N) values on the grid of step ``h_t`` over the
-    rest, with the hit times as its discontinuities.  ``weights`` measure
-    the sequence and the function.  Integer periods are scanned over
+    gives the function's (T, N) values on the grid of step ``SAMPLE_H_T``
+    over the rest, with the hit times as its discontinuities.  ``weights``
+    measure the sequence and the function.  Integer periods are scanned over
     |p| <= len(seq) // 3.
 
-    Returns (t0, t1, record) with [t0, t1] the cropped span and, per eps, the
-    keys ``eps_<e>_sequence_{epsilon, n_periods, max_gap, relatively_dense,
-    p_range, k_range, periods}`` and ``eps_<e>_q`` (q or "none"), then
-    ``eps_<e>_r`` and ``eps_<e>_wexler_deviation`` only when a pair was
-    found.  Raises WindowTooShortError when the cropped span is shorter than
-    4 h_t.
+    Returns the record with, per eps, the keys ``eps_<e>_sequence_{epsilon,
+    n_periods, max_gap, relatively_dense, p_range, k_range, periods}`` and
+    ``eps_<e>_q`` (q or "none"), then ``eps_<e>_r`` and
+    ``eps_<e>_wexler_deviation`` only when a pair was found.  Raises
+    WindowTooShortError when the cropped span is shorter than 4 SAMPLE_H_T.
     """
-    t0, t1 = cropped_span(span, crop, h_t)
-    grid = np.arange(t0, t1 + h_t / 2.0, h_t)
+    t0, t1 = cropped_span(span, crop)
+    grid = np.arange(t0, t1 + SAMPLE_H_T / 2.0, SAMPLE_H_T)
     f = PiecewiseSampledFunction(
-        t0=t0, h_t=h_t, values=sample(grid), discontinuities=taus, weights=weights
+        t0=t0, h_t=SAMPLE_H_T, values=sample(grid), discontinuities=taus, weights=weights
     )
     n = seq.shape[0]
     keep = min(taus.size, n)
@@ -300,4 +303,4 @@ def almost_periodicity_report(seq, k_min, taus, sample, span, crop, h_t, eps_lis
         found = harmonize(seq[:keep], taus[:keep], f, eps, weights=weights)
         if found is not None:
             record[tag + "q"], record[tag + "r"], record[tag + "wexler_deviation"] = found
-    return t0, t1, record
+    return record

@@ -22,13 +22,14 @@ seed produce byte-identical report files.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .ap_analysis import WindowTooShortError, almost_periodicity_report, cropped_span
+from .ap_analysis import SAMPLE_H_T, WindowTooShortError, almost_periodicity_report, cropped_span
 from .config import SECTION_KEYS, ConfigError, check_grid, load_instance, validate_instance
 from .evolution import NonFiniteConstantError, NonHyperbolicError, fit_dichotomy, k_bundle
 from .impulsive import (
@@ -167,6 +168,11 @@ def cmd_certify(cfg, out: Path, seed: int) -> None:
         )
         write_record(out / ("beating_%d.txt" % j), cert)
         summary["surface_%d" % j] = cert["verdict"]
+    # the certificates of surfaces outside this run's window, left by an earlier run
+    written = {"beating_%d.txt" % j for j in system.indices}
+    for path in out.glob("beating_*.txt"):
+        if re.fullmatch(r"beating_-?[0-9]+\.txt", path.name) and path.name not in written:
+            path.unlink()
     summary["all_pass"] = all(v == "pass" for v in summary.values())
     write_record(out / "certificates.txt", summary)
 
@@ -183,8 +189,11 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
             "[solver] h_t = %g must be below theta = %g" % (cfg.solver.h_t, system.theta)
         )
     w0, w1 = cfg.time_window
-    check_grid(w1 - w0, cfg.solver.h_t, lap.n_modes, "[solver] h_t")
-    check_ap_crop(cfg.time_window, buffer_length(system, dich, cfg.solver))
+    check_grid(w1 - w0, cfg.solver.h_t, lap.n_modes, "[solver] h_t too small")
+    t0, t1 = check_ap_crop(cfg.time_window, buffer_length(system, dich, cfg.solver))
+    check_grid(t1 - t0, SAMPLE_H_T, lap.n_modes,
+               "almost-periodicity grid too long: its span, the [solver] window plus a buffer "
+               "at each end less the crop of two buffers at each end, at the fixed step")
     kb, _, measured = _constant_bundle(cfg, checks, dich, seed)
     res = outer_solve(system, dich, cfg.time_window, cfg=cfg.solver)
 
@@ -259,26 +268,28 @@ def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
     t_nodes, states = _read_data_table(data / "trajectory.txt", system.lap.n_modes, 2)
     if not np.all(np.diff(t_nodes) >= 0.0):
         raise ConfigError("%s: the node times decrease" % (data / "trajectory.txt"))
-    disc_path = data / "trajectory_discontinuities.txt"
-    disc = np.sort(_load_data(disc_path, "a list of times", 1))
-    if not np.all(np.isfinite(disc)):
-        raise ConfigError("%s lists a hit time that is not finite" % disc_path)
-    if np.any(np.diff(disc) <= 0.0):
-        raise ConfigError("%s lists a hit time twice" % disc_path)
-    if disc.size != y_vals.shape[0]:
+    hits_path = data / "trajectory_hits.txt"
+    hit_times = _load_data(hits_path, "a hit log", 2)[:, 0]
+    if not np.all(np.isfinite(hit_times)):
+        raise ConfigError("%s lists a hit time that is not finite" % hits_path)
+    if np.any(np.diff(hit_times) <= 0.0):
+        raise ConfigError("%s: the hit times do not strictly increase" % hits_path)
+    if hit_times.size != y_vals.shape[0]:
         raise ConfigError(
-            "%s lists %d hit times for %d rows of y*" % (disc_path, disc.size, y_vals.shape[0])
+            "%s lists %d hit times for %d rows of y*" % (hits_path, hit_times.size, y_vals.shape[0])
         )
 
-    h_t, crop = cfg.overrides.get("analysis_h_t", 0.01), cfg.overrides.get("analysis_crop", 0.0)
+    crop = cfg.overrides.get("analysis_crop", 0.0)
     span = (t_nodes[0], t_nodes[-1])
-    t0, t1 = cropped_span(span, crop, h_t)
-    check_grid(t1 - t0, h_t, system.lap.n_modes, "[overrides] analysis_h_t")
-    _, _, record = almost_periodicity_report(
-        y_vals, int(j_idx[0]), disc, Segment(t=t_nodes, states=states).interp, span, crop, h_t,
+    t0, t1 = cropped_span(span, crop)
+    check_grid(t1 - t0, SAMPLE_H_T, system.lap.n_modes,
+               "almost-periodicity grid too long: its span, that of %s less [overrides] "
+               "analysis_crop at each end, at the fixed step" % (data / "trajectory.txt"))
+    record = almost_periodicity_report(
+        y_vals, int(j_idx[0]), hit_times, Segment(t=t_nodes, states=states).interp, span, crop,
         cfg.eps_list, system.lap.frac_weights(system.alpha),
     )
-    flat = {"n_sequence": y_vals.shape[0], "t0": t0, "t1": t1, "h_t": h_t}
+    flat = {"n_sequence": y_vals.shape[0], "t0": t0, "t1": t1, "h_t": SAMPLE_H_T}
     flat.update(record)
     write_record(out / "ap_analysis.txt", flat)
 
@@ -313,7 +324,10 @@ def main(argv=None) -> int:
         seed = (cfg.seed if args.seed is None
                 else SECTION_KEYS["sampling"]["seed"](args.seed, "--seed"))
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out %s is not a usable directory: %s" % (args.out, exc)) from None
         if args.command == "constants":
             cmd_constants(cfg, out, seed)
         elif args.command == "simulate":

@@ -126,7 +126,7 @@ _TERMS = _list(_triple, ";")  # 'amp freq phase; amp freq phase; ...'
 
 # the file format: each accepted key of each section, case-sensitive, with the
 # parser of its value.  [overrides]: the K-bundle's C (constants, solve-ap) and
-# the resampling of analyze-ap; the other constants follow from the instance.
+# the crop of analyze-ap; the other constants follow from the instance.
 # The sizes have upper bounds, checked before anything is allocated: the sine
 # basis is n_modes x (n_xi + 1) floats, at most 512 x 8193 (34 MB); a
 # certificate keeps (n_samples, N) arrays, at most 4096 x 512 floats (17 MB),
@@ -150,32 +150,32 @@ SECTION_KEYS = {
                                _POSITIVE),
                # the step-doubling estimate's rounding level: a smaller seg_tol is never met
                "seg_tol": _number(float, lambda v: 1e-14 <= v < np.inf, "finite and >= 1e-14"),
-               "buffer": _POSITIVE, "max_inner": _COUNT, "max_outer": _COUNT,
+               "max_inner": _COUNT, "max_outer": _COUNT,
                "window": _pair(_REAL)},
     "sampling": {"seed": _number(int, lambda v: v >= 0, "an integer >= 0"),
                  "n_samples": _size(4096)},
     "analysis": {"eps": _eps},
     "simulate": {"u0": _VECTOR, "t_range": _pair(_REAL)},
     # a negative crop would sample past the data, where the interpolant repeats its end rows
-    "overrides": {"C": _NONNEGATIVE, "analysis_crop": _NONNEGATIVE, "analysis_h_t": _POSITIVE},
+    "overrides": {"C": _NONNEGATIVE, "analysis_crop": _NONNEGATIVE},
 }
 
 
 # a time grid's span over its step, times n_modes, is at most GRID_VALUES: solve-ap's
 # node table spans under 2 (w1 - w0), since the AP crop keeps each buffer below
 # (w1 - w0) / 2, so each of its (M, N) arrays has at most 4 10^6 floats (32 MB);
-# analyze-ap samples at most 2 10^6 floats (16 MB)
+# each almost-periodicity analysis samples at most 2 10^6 floats (16 MB)
 GRID_VALUES = 2 * 10**6
 
 
-def check_grid(span, h_t, n_modes, name) -> None:
-    """ConfigError unless span / h_t * n_modes <= GRID_VALUES; ``name`` is h_t's key.
+def check_grid(span, h_t, n_modes, what) -> None:
+    """ConfigError unless span / h_t * n_modes <= GRID_VALUES; ``what`` names the grid's fault.
 
     The test multiplies instead of dividing by h_t, so a tiny step overflows nothing.
     """
     if float(span) * n_modes > GRID_VALUES * h_t:
-        raise ConfigError("%s = %g too small: (span / h_t) n_modes must be at most %d, with "
-                          "span = %g and n_modes = %d" % (name, h_t, GRID_VALUES, span, n_modes))
+        raise ConfigError("%s: (span / h_t) n_modes must be at most %d, with span = %g, "
+                          "h_t = %g and n_modes = %d" % (what, GRID_VALUES, span, h_t, n_modes))
 
 
 def _modes(vals, n_modes, name) -> np.ndarray:
@@ -290,11 +290,10 @@ def validate_instance(cfg: InstanceConfig) -> dict:
     theta, sup_j |d_j|_1, I(0)).
     """
     system = cfg.system
-    lap, alpha, rho = system.lap, system.alpha, system.rho
+    lap, rho = system.lap, system.rho
     # the ball quantities of theta and beta_0, each finite, and beta_0's 1 / (rho^2 + sqrt(l)
     # rho^3) too; a float overflows to inf, and a tiny lambda_1^(2 alpha) underflows to 0
-    with np.errstate(over="ignore", divide="ignore"):
-        ball = (rho * rho / lap.eigenvalues[0] ** (2.0 * alpha), lap.l**0.5 * (rho * rho * rho))
+    ball = (system.sup_q, lap.l**0.5 * (rho * rho * rho))
     if not np.all(np.isfinite(ball)):
         raise ConfigError("[problem] rho too large or [geometry] l too large: rho^2 / "
                           "lambda_1^(2 alpha) and sqrt(l) rho^3 must be finite")

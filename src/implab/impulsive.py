@@ -186,7 +186,7 @@ class ImpulseSystemSpec:
 
     @cached_property
     def coeff(self) -> LinearCoefficient:
-        return LinearCoefficient(m=(-1.0) * self.a + self.rho * (self.a * self.b))
+        return LinearCoefficient(m=(-1.0) * self.a + self.rho * self.ab)
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -198,12 +198,23 @@ class ImpulseSystemSpec:
         return self.a * self.b
 
     @cached_property
+    def sup_q(self) -> float:
+        """sup of Q over the ball, rho^2 / lambda_1^(2 alpha), attained on the first mode."""
+        # rho * rho, not rho**2: a Python float power raises OverflowError, a product gives inf
+        with np.errstate(over="ignore", divide="ignore"):
+            return self.rho * self.rho / self.lap.eigenvalues[0] ** (2.0 * self.alpha)
+
+    @cached_property
+    def beta0(self) -> float:
+        """The certificate's slope threshold 0.5 ((1 + sup[ab])(rho^2 + sqrt(l) rho^3))^{-1}."""
+        rho = self.rho
+        return float(0.5 / ((1.0 + self.ab.sup_bound()) * (rho**2 + np.sqrt(self.lap.l) * rho**3)))
+
+    @cached_property
     def intervals(self) -> tuple:
         """Per-surface interval [tau'_j, tau''_j] of tau_j over the ball, as (lo, hi)."""
-        # sup of Q over |x|_alpha <= rho, attained on the first mode
-        rho_q = self.rho**2 / self.lap.eigenvalues[0] ** (2.0 * self.alpha)
         t, b = self.base_times, self.slope_window
-        return t + np.minimum(0.0, b * rho_q), t + np.maximum(0.0, b * rho_q)
+        return t + np.minimum(0.0, b * self.sup_q), t + np.maximum(0.0, b * self.sup_q)
 
     @cached_property
     def theta(self) -> float:
@@ -608,10 +619,6 @@ def beating_certificate(
     lap = system.lap
     b_j = float(system.slope_window[j - system.base.window[0]])
 
-    sup_ab = system.ab.sup_bound()
-    rho, l = system.rho, lap.l
-    beta0 = 0.5 / ((1.0 + sup_ab) * (rho**2 + np.sqrt(l) * rho**3))
-
     x = _nonnegative_samples(system, n_samples, rng)
     q = q_functional(x)
     tau = system.tau(j, x)
@@ -629,7 +636,7 @@ def beating_certificate(
         "surface": int(j),
         "theta_check": theta_check,
         "P_check": p_check,
-        "beta0": float(beta0),
+        "beta0": system.beta0,
         "n_samples": x.shape[0],
         "verdict": "pass" if theta_check <= 1e-10 and p_check < 1.0 else "fail",
     }

@@ -8,8 +8,7 @@ identical data therefore produces byte-identical files.
 * tables: one row per index/time, first column the index, the remaining
   columns coefficients; every row is written with one format string,
 * trajectory dumps: the ``(t, coeff_1 .. coeff_N)`` node table (a repeated
-  time is a cut: pre-jump row, then post-jump row), a file listing the hit
-  times, and a hits file with rows
+  time is a cut: pre-jump row, then post-jump row) and a hits file with rows
   ``(T_i, surface, |pre|_alpha, |post|_alpha)``.
 """
 
@@ -83,16 +82,11 @@ def read_table(path):
 def write_trajectory(out_dir, traj, lap, alpha) -> None:
     """Dump a piecewise trajectory into the directory ``out_dir`` (a Path).
 
-    Writes ``trajectory.txt`` (node rows), ``trajectory_discontinuities.txt``
-    (hit times, one per line; empty without hits) and, when hits exist,
+    Writes ``trajectory.txt`` (node rows) and, when hits exist,
     ``trajectory_hits.txt``, whose norms are |.|_alpha of ``lap``.  Without
     hits, a ``trajectory_hits.txt`` left by an earlier run is deleted.
     """
     write_table(out_dir / "trajectory.txt", traj.nodes.t, traj.nodes.states)
-
-    with open(out_dir / "trajectory_discontinuities.txt", "w") as fh:
-        for h in traj.hits:
-            fh.write("%.17g\n" % h.time)
 
     hits_path = out_dir / "trajectory_hits.txt"
     if not traj.hits:

@@ -24,7 +24,7 @@ y* and u* to ``ap_analysis.almost_periodicity_report``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class SolverConfig:
     seg_tol: float = 1e-8
     max_inner: int = 60
     max_outer: int = 80
-    buffer: float | None = None
 
 
 @dataclass(frozen=True)
@@ -288,10 +287,8 @@ def _warm_states(warm: WarmStart, t, joins, cuts, surfaces, jumps) -> np.ndarray
 
 
 def buffer_length(system, dich: DichotomyData, cfg: SolverConfig) -> float:
-    """The buffer added to each side of the reporting window: ``cfg.buffer``, or by default
-    the propagation length after which the zero boundary state is felt < ``cfg.tail_tol``."""
-    if cfg.buffer is not None:
-        return cfg.buffer
+    """The buffer added to each side of the reporting window: the propagation
+    length after which the zero boundary state is felt < ``cfg.tail_tol``."""
     rho0 = system.rho / system.lap.eigenvalues[0] ** system.alpha
     f_bound = system.ab.sup_bound() * 2.0 * max(system.rho, 1.0) * max(rho0, 1.0) ** 2
     amp = dich.M * max(f_bound / dich.beta + 1.0, 1.0)
@@ -448,7 +445,6 @@ def outer_solve(
     """
     lap, alpha = system.lap, system.alpha
     buf = buffer_length(system, dich, cfg)
-    cfg = replace(cfg, buffer=buf)  # every inner solve reuses it
     idx, bt = system.indices, system.base_times
     dyn = idx[(bt > window[0] - buf) & (bt < window[1] + buf)]
     if dyn.size == 0:
@@ -628,8 +624,6 @@ def verify_smallness(
 # ---------------------------------------------------------------------------
 
 
-# the sampling step of u* in certify_almost_periodicity
-_AP_H_T = 0.01
 # buffer lengths cropped from each end of u* before its almost-periodicity
 # analysis: near the span edges the truncated impulse lattice is missing
 # neighbors, so the trajectory is not almost periodic there.  One buffer
@@ -638,28 +632,24 @@ _AP_H_T = 0.01
 _AP_CROP_BUFFERS = 2.0
 
 
-def check_ap_crop(window, buffer, h_t: float = _AP_H_T) -> None:
-    """Raise WindowTooShortError now if ``certify_almost_periodicity`` would
-    after an outer solve over ``window`` with this buffer."""
+def check_ap_crop(window, buffer) -> tuple:
+    """The span (t0, t1) that ``certify_almost_periodicity`` samples after an
+    outer solve over ``window`` with this buffer; WindowTooShortError now if
+    it would raise it then."""
     span = (float(window[0]) - buffer, float(window[1]) + buffer)
-    cropped_span(span, _AP_CROP_BUFFERS * buffer, h_t)
+    return cropped_span(span, _AP_CROP_BUFFERS * buffer)
 
 
-def certify_almost_periodicity(
-    system: ImpulseSystemSpec,
-    result: OuterResult,
-    eps_list,
-    h_t: float = _AP_H_T,
-) -> dict:
+def certify_almost_periodicity(system: ImpulseSystemSpec, result: OuterResult, eps_list) -> dict:
     """The flat ``eps_<e>_*`` almost-periodicity record of y* and u*.
 
-    Hands y*, its hit times and u* (sampled on a grid of step ``h_t``) to
-    ``almost_periodicity_report``, cropped by two buffer lengths at each end.
+    Hands y*, its hit times and u* to ``almost_periodicity_report``, cropped
+    by two buffer lengths at each end.
     """
     traj = result.trajectory
     y = result.y_star
     return almost_periodicity_report(
         y.values, y.window[0], np.sort(traj.hit_times()), traj.eval_many,
-        (traj.t_start, traj.t_end), _AP_CROP_BUFFERS * result.meta["buffer"], h_t, eps_list,
+        (traj.t_start, traj.t_end), _AP_CROP_BUFFERS * result.meta["buffer"], eps_list,
         system.lap.frac_weights(system.alpha),
-    )[2]
+    )

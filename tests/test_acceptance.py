@@ -391,7 +391,7 @@ def test_criterion_6_degenerate_and_reduction():
                         b=TrigSum(), window=(-15, 65), slopes=TrigSum(0.0),
                         jumps=IndexedOffsetJumps(offsets=lambda j: d_amp(j) * e1(1.0)))
     dich_q = fit_dichotomy(sys_q.lap, sys_q.coeff, rng=np.random.default_rng(253))
-    cfg_q = SolverConfig(h_t=0.005, buffer=12.0)
+    cfg_q = SolverConfig(h_t=0.005, tail_tol=5.1977e-5)  # a buffer of 12.0
     w = sys_q.lap.frac_weights(ALPHA)
     gaps = []
     for win in ((2.0, 26.0), (2.0, 50.0)):

@@ -6,6 +6,7 @@ from implab.ap_analysis import (
     StronglyAPSet,
     WindowTooShortError,
     almost_periodicity_report,
+    cropped_span,
     eps_almost_periods,
     harmonize,
     nearest_distance,
@@ -85,12 +86,12 @@ def test_almost_periodicity_report_flat_record():
 
     def report(seq, eps):
         return almost_periodicity_report(
-            seq, 0, taus, lambda t: np.cos(2.0 * np.pi * t), (0.0, 30.0), 1.0, 0.01, (eps,)
+            seq, 0, taus, lambda t: np.cos(2.0 * np.pi * t), (0.0, 30.0), 1.0, (eps,)
         )
 
     # a constant sequence: every |p| <= 10 is an eps-period, and (q, r) = (1, 1) is a pair
-    t0, t1, rec = report(np.full(30, 3.7), 1e-2)
-    assert (t0, t1) == (1.0, 29.0)
+    assert cropped_span((0.0, 30.0), 1.0) == (1.0, 29.0)
+    rec = report(np.full(30, 3.7), 1e-2)
     tag = "eps_0.01_"
     assert list(rec) == [tag + key for key in (
         "sequence_epsilon", "sequence_n_periods", "sequence_max_gap",
@@ -107,7 +108,7 @@ def test_almost_periodicity_report_flat_record():
     assert rec[tag + "wexler_deviation"] < 1e-12
 
     # a ramp: only p = 0, no max gap and no pair
-    _, _, rec = report(k.astype(float), 0.5)
+    rec = report(k.astype(float), 0.5)
     tag = "eps_0.5_"
     assert list(rec) == [tag + key for key in (
         "sequence_epsilon", "sequence_n_periods", "sequence_max_gap",
@@ -121,8 +122,7 @@ def test_almost_periodicity_report_flat_record():
 
     # a crop that leaves less than 4 steps of the span
     with pytest.raises(WindowTooShortError):
-        almost_periodicity_report(np.full(30, 3.7), 0, taus, np.cos, (0.0, 30.0), 14.99,
-                                  0.01, (1e-2,))
+        almost_periodicity_report(np.full(30, 3.7), 0, taus, np.cos, (0.0, 30.0), 14.99, (1e-2,))
 
 
 def _sampled(fn, t0, t1, h, discontinuities=()):

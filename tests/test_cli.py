@@ -288,7 +288,7 @@ def test_cmd_constants(tmp_path):
 def test_unknown_override_key_rejected(tmp_path):
     # key case is kept, so c is not C
     text = BASE + "\n[overrides]\nc = 1.0\n"
-    with pytest.raises(ConfigError, match="c; accepted: C analysis_crop analysis_h_t$"):
+    with pytest.raises(ConfigError, match="c; accepted: C analysis_crop$"):
         load_instance(write_config(tmp_path, text))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -311,9 +311,10 @@ def test_unknown_section_or_key_rejected(tmp_path, old, new, match):
         load_instance(write_config(tmp_path, BASE.replace(old, new)))
 
 
-# the keys that once replaced computed constants with declared ones, and an unread tolerance
+# the keys that once replaced computed constants with declared ones, an unread tolerance,
+# a second way to set the buffer that tail_tol sets, and analyze-ap's own sampling step
 DELETED_KEYS = [("overrides", key) for key in ("M", "beta", "M1", "M2", "beta1", "theta", "Q")]
-DELETED_KEYS += [("solver", "residual_tol")]
+DELETED_KEYS += [("solver", "residual_tol"), ("solver", "buffer"), ("overrides", "analysis_h_t")]
 
 
 @pytest.mark.parametrize("command", ["constants", "solve-ap"])
@@ -355,6 +356,10 @@ def _first_row(text):
     return text.splitlines()[0] + "\n"
 
 
+def _last_row(text):
+    return text.splitlines()[-1] + "\n"
+
+
 def _swap_rows(text, i=10, k=50):
     rows = text.splitlines(keepends=True)
     rows[i], rows[k] = rows[k], rows[i]
@@ -393,13 +398,14 @@ DAMAGED_DATA = {
         "ystar.txt", lambda text: "".join(row + " 0.5\n" for row in text.splitlines())),
     "analyze-ap-ragged-trajectory": ("trajectory.txt", lambda text: _drop_last_column(text, 3)),
     "analyze-ap-decreasing-times": ("trajectory.txt", _swap_rows),
-    "analyze-ap-empty-discontinuities": ("trajectory_discontinuities.txt", lambda text: ""),
-    "analyze-ap-extra-discontinuity": ("trajectory_discontinuities.txt", lambda text: text + "3.5\n"),
-    "analyze-ap-text-discontinuity": ("trajectory_discontinuities.txt", lambda text: "abc\n"),
+    # the hit times are column 0 of the hit log
+    "analyze-ap-empty-discontinuities": ("trajectory_hits.txt", lambda text: ""),
+    "analyze-ap-extra-discontinuity": (
+        "trajectory_hits.txt", lambda text: text + _set_index(_last_row(text), 0, "99.5")),
+    "analyze-ap-text-discontinuity": ("trajectory_hits.txt", lambda text: _set_index(text, 0, "abc")),
     "analyze-ap-repeated-discontinuity": (
-        "trajectory_discontinuities.txt", lambda text: _edit_row(text, 1, lambda rows: rows[0])),
-    "analyze-ap-nan-discontinuity": (
-        "trajectory_discontinuities.txt", lambda text: _edit_row(text, 1, lambda rows: "nan\n")),
+        "trajectory_hits.txt", lambda text: _set_index(text, 1, text.split(" ", 1)[0])),
+    "analyze-ap-nan-discontinuity": ("trajectory_hits.txt", lambda text: _set_index(text, 1, "nan")),
     "analyze-ap-nan-trajectory-state": (
         "trajectory.txt",
         lambda text: _edit_row(text, 5, lambda rows: rows[5].rsplit(" ", 1)[0] + " nan\n")),
@@ -525,9 +531,8 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # 100.5..110.5; 0.5..4.5 is shorter than the AP crop of two buffers per end;
     # certify needs a sample, simulate a range t0 < t_end; a step or tolerance
     # must be finite and > 0 (event_tol = 0 used to bisect forever), h_t below
-    # theta (1e308 used to give status=ok), and so
-    # must the buffer, every eps (one at least) and the analysis step; the
-    # iteration caps are >= 1 and the analysis crop >= 0; a misspelt key or
+    # theta (1e308 used to give status=ok), and so must every eps (one at
+    # least); the iteration caps are >= 1 and the analysis crop >= 0; a misspelt key or
     # section is not dropped, and a value that does not parse is malformed;
     # every float the file gives must be finite (an
     # infinite t_range used to run simulate until it was killed), and so must
@@ -536,7 +541,7 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # estimate can meet (1e-300 used to hang simulate); analyze-ap needs every solve-ap artifact it
     # reads, with two rows of y* and two trajectory nodes at least, one column
     # per mode after the index, node times that do not decrease, every entry
-    # finite and one hit time per row of y*, the sorted hit times strictly
+    # finite and one hit time per row of y*, the hit times strictly
     # increasing (a repeated or nan hit time used to end in a traceback, a nan
     # state in status=ok), and the y* indices consecutive integers (swapped
     # rows, a gap or a fractional index used to give status=ok); C pinned in
@@ -552,9 +557,9 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # > 0 (an l of 1e300 used to divide by 0, an l of 1e160 overflowed the ball
     # radius), 1 / (rho^2 + sqrt(l) rho^3) finite (a rho of 1e-200 wrote certify's
     # beta0 as inf), |u0|_alpha finite (1e300 printed an overflow warning), and
-    # the grid (span / h_t) n_modes at most 2 10^6 for [solver] h_t and
-    # analysis_h_t (1e-300 gave solve-ap one step per piece with status=ok, and
-    # analyze-ap an error from numpy's allocation)
+    # the grid (span / h_t) n_modes at most 2 10^6 for [solver] h_t (1e-300
+    # gave solve-ap one step per piece with status=ok); a deleted key, such as
+    # [solver] buffer or [overrides] analysis_h_t, is rejected as an unknown key
     assert old in BASE
     argv = [command, "--config", write_config(tmp_path, BASE.replace(old, new)),
             "--out", str(tmp_path / "o")]
@@ -579,6 +584,9 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     last = buf.getvalue().splitlines()[-1]
     assert last.startswith("status=error kind=validation")
     assert damage is None or damage[0] in last
+    for section, key in DELETED_KEYS:
+        if "\n%s = " % key in new:
+            assert "unknown [%s] key(s) %s;" % (section, key) in last
     assert err.getvalue() == ""
 
 
@@ -590,6 +598,44 @@ def test_negative_seed_option_exits_2(tmp_path):
     with contextlib.redirect_stdout(buf):
         assert main(argv) == 2
     assert buf.getvalue().splitlines()[-1].startswith("status=error kind=validation")
+
+
+# the files each command writes on the README instance, into an empty --out
+WRITTEN_FILES = {
+    "constants": ["dichotomy.txt", "kbundle.txt"],
+    "simulate": ["simulate.txt", "trajectory.txt", "trajectory_hits.txt"],
+    "certify": ["certificates.txt"] + ["beating_%d.txt" % j for j in range(31)],
+    "solve-ap": ["ystar.txt", "trajectory.txt", "trajectory_hits.txt", "contraction.txt",
+                 "ap_report.txt"],
+    "analyze-ap": ["ap_analysis.txt"],
+}
+
+
+def test_each_command_writes_exactly_its_files(tmp_path):
+    cfg_path = write_config(tmp_path, readme_instance())
+    for command, names in WRITTEN_FILES.items():
+        out = tmp_path / command
+        argv = [command, "--config", cfg_path, "--out", str(out)]
+        assert main(argv + (["--data", str(tmp_path / "solve-ap")]
+                            if command == "analyze-ap" else [])) == 0
+        assert sorted(path.name for path in out.iterdir()) == sorted(names), command
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", sorted(WRITTEN_FILES))
+def test_unusable_out_exits_2(tmp_path, capsys, command, under):
+    # an --out that is a file, or a path under one, used to end in a traceback from mkdir
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub" if under else afile
+    argv = [command, "--config", write_config(tmp_path), "--out", str(out)]
+    assert main(argv + (["--data", str(tmp_path)] if command == "analyze-ap" else [])) == 2
+    stdout, err = capsys.readouterr()
+    last = stdout.splitlines()[-1]
+    assert last.startswith("status=error kind=validation reason=\"--out %s is not a usable "
+                           "directory" % out)
+    assert err == ""
+    assert afile.read_text() == ""
 
 
 @pytest.mark.parametrize(
@@ -628,8 +674,7 @@ def test_hit_free_simulate_lists_no_discontinuity(tmp_path):
     assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
     rec = read_record(out / "simulate.txt")
     assert (rec["n_hits"], rec["n_segments"]) == ("0", "1")
-    assert (out / "trajectory_discontinuities.txt").read_text() == ""
-    assert not (out / "trajectory_hits.txt").exists()
+    assert sorted(path.name for path in out.iterdir()) == ["simulate.txt", "trajectory.txt"]
 
 
 def test_simulate_without_hits_deletes_an_earlier_hit_log(tmp_path):
@@ -642,7 +687,7 @@ def test_simulate_without_hits_deletes_an_earlier_hit_log(tmp_path):
                      "--out", str(out)]) == 0
         n_hits = int(read_record(out / "simulate.txt")["n_hits"])
         assert (n_hits > 0) == hits == (out / "trajectory_hits.txt").exists(), t_range
-    assert (out / "trajectory_discontinuities.txt").read_text() == ""
+    assert sorted(path.name for path in out.iterdir()) == ["simulate.txt", "trajectory.txt"]
 
 
 def test_analyze_ap_samples_the_table_as_solve_ap_does(tmp_path, monkeypatch):
@@ -681,7 +726,7 @@ def test_analyze_ap_samples_the_table_as_solve_ap_does(tmp_path, monkeypatch):
                  "--data", str(data)]) == 0
     solve_sample, solve_grids = samplers["solve-ap"]
     analyze_sample, analyze_grids = samplers["analyze-ap"]
-    hit_times = np.loadtxt(data / "trajectory_discontinuities.txt", ndmin=1)
+    hit_times, _ = read_table(data / "trajectory_hits.txt")
     t_nodes, states = read_table(data / "trajectory.txt")
     assert hit_times.size >= 4 and np.count_nonzero(np.diff(t_nodes) == 0.0) >= hit_times.size
     for grid in solve_grids + analyze_grids + [hit_times, t_nodes]:
@@ -791,6 +836,50 @@ def test_solve_ap_checks_the_ap_crop_before_the_outer_solve(tmp_path, monkeypatc
             in last)
 
 
+def test_solve_ap_bounds_the_ap_grid_before_the_outer_solve(tmp_path, monkeypatch, capsys):
+    # the README instance over a window of 2050: every [solver] check passes (the h_t grid holds
+    # 1.6 10^6 values), but the almost-periodicity grid at step 0.01 would hold 3.3 10^6
+    import implab.cli
+
+    def no_outer_solve(*args, **kwargs):
+        raise AssertionError("the outer solve ran")
+
+    monkeypatch.setattr(implab.cli, "outer_solve", no_outer_solve)
+    text = (readme_instance().replace("window = 0 30", "window = 0 2100")
+            .replace("window = 0.5 12.5", "window = 0.5 2050.5")
+            .replace("h_t = 0.005", "h_t = 0.02"))
+    assert main(["solve-ap", "--config", write_config(tmp_path, text),
+                 "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    last = out.splitlines()[-1]
+    assert last.startswith("status=error kind=validation reason='almost-periodicity grid too long")
+    assert "h_t = 0.01 and n_modes = 16" in last
+    assert err == ""
+
+
+def test_analyze_ap_bounds_its_grid_before_sampling(tmp_path, monkeypatch, capsys):
+    # two trajectory nodes 10^7 apart: the grid at step 0.01 would hold 8 10^9 values
+    import implab.cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the analysis sampled u*")
+
+    data = tmp_path / "data"
+    assert main(["solve-ap", "--config", write_config(tmp_path), "--out", str(data)]) == 0
+    table = data / "trajectory.txt"
+    rows = table.read_text().splitlines(keepends=True)
+    table.write_text(rows[0] + _set_index(rows[-1], 0, "1e7"))
+    monkeypatch.setattr(implab.cli, "almost_periodicity_report", no_sampling)
+    capsys.readouterr()
+    assert main(["analyze-ap", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
+                 "--data", str(data)]) == 2
+    out, err = capsys.readouterr()
+    last = out.splitlines()[-1]
+    assert last.startswith("status=error kind=validation reason='almost-periodicity grid too long")
+    assert str(table) in last
+    assert err == ""
+
+
 @pytest.mark.parametrize("cap", ["max_inner", "max_outer"])
 def test_solve_ap_iteration_cap_exits_3(tmp_path, cap):
     # one iterate cannot meet inner_tol (first increment 6e-2) or outer_tol
@@ -876,6 +965,23 @@ def test_cmd_certify_determinism(tmp_path):
     assert names == sorted(p.name for p in out2.glob("beating_*.txt"))
     for name in names + ["certificates.txt"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_certify_deletes_the_certificates_of_an_earlier_window(tmp_path):
+    # two runs into one --out, over surfaces 0..30 and then 0..10: the directory holds the
+    # certificates that certificates.txt lists, and any file not named beating_<j>.txt
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "beating_notes.txt").write_text("kept\n")
+    for window in ("0 30", "0 10"):
+        text = readme_instance().replace("window = 0 30", "window = " + window)
+        assert main(["certify", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 0
+    listed = [key for key in read_record(out / "certificates.txt") if key != "all_pass"]
+    assert listed == ["surface_%d" % j for j in range(11)]
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        ["beating_notes.txt", "certificates.txt"]
+        + ["beating_%s.txt" % key[len("surface_"):] for key in listed])
 
 
 def test_cmd_solve_ap_and_determinism(tmp_path):

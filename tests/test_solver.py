@@ -546,7 +546,7 @@ def test_certify_almost_periodicity_periodic():
     sys0 = periodic_system(q=q)
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(54))
     res = outer_solve(sys0, dich, (2.0, 10.0), cfg=CFG)
-    record = certify_almost_periodicity(sys0, res, eps_list=(1e-4,), h_t=0.004)
+    record = certify_almost_periodicity(sys0, res, eps_list=(1e-4,))
     periods = [int(p) for p in record["eps_0.0001_sequence_periods"].split()]
     assert 0 in periods and q in periods
     assert all(p % q == 0 for p in periods)
