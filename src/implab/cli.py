@@ -231,31 +231,41 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     write_record(out / "ap_report.txt", certify_almost_periodicity(system, res, cfg.eps_list))
 
 
-def _load_data(path: Path, what: str, ndmin: int) -> np.ndarray:
-    """``np.loadtxt`` of a solve-ap artifact; an empty file gives no rows, and no warning."""
+def _load_data(path: Path, what: str) -> np.ndarray:
+    """A solve-ap artifact as a 2-D array; an empty text file gives no rows, and no warning.
+
+    A ``.npy`` header is checked against the file's size before any data is read."""
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(path, ndmin=ndmin)
+        if path.suffix != ".npy":
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                return np.loadtxt(path, ndmin=2)
+        with open(path, "rb") as fh:
+            np.lib.format.read_magic(fh)
+            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+            size = path.stat().st_size - fh.tell()
+            if dtype != np.float64 or len(shape) != 2 or 8 * shape[0] * shape[1] != size:
+                raise ValueError("its header gives %s values of shape %s in %d bytes, not a "
+                                 "2-D float64 table of that size" % (dtype, shape, size))
+            fh.seek(0)
+            return np.load(fh, allow_pickle=False)
     except FileNotFoundError as exc:
         raise ConfigError("--data lacks a file written by solve-ap: %s" % exc) from None
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError("%s is not %s: %s" % (path, what, exc)) from None
 
 
-def _read_data_table(path: Path, n_modes: int, min_rows: int):
+def _read_data_table(path: Path, n_modes: int, min_rows: int, what: str = "a table"):
     """A solve-ap table of ``min_rows`` rows or more, each an index and n_modes values."""
-    rows = _load_data(path, "a table", 2)
+    rows = _load_data(path, what)
     index, values = rows[:, 0], rows[:, 1:]
     if not (np.all(np.isfinite(index)) and np.all(np.isfinite(values))):
         raise ConfigError("%s has an entry that is not finite" % path)
     if index.size < min_rows:
         raise ConfigError("%s has %d rows; it needs %d or more" % (path, index.size, min_rows))
     if values.shape[1] != n_modes:
-        raise ConfigError(
-            "%s has %d columns; it needs %d (the index and n_modes = %d values)"
-            % (path, values.shape[1] + 1, n_modes + 1, n_modes)
-        )
+        raise ConfigError("%s has %d columns; it needs %d (the index and n_modes = %d values)"
+                          % (path, values.shape[1] + 1, n_modes + 1, n_modes))
     return index, values
 
 
@@ -265,26 +275,26 @@ def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
     j_idx, y_vals = _read_data_table(data / "ystar.txt", system.lap.n_modes, 2)
     if np.any(j_idx != np.round(j_idx[0]) + np.arange(j_idx.size)):
         raise ConfigError("%s: the indices are not consecutive integers" % (data / "ystar.txt"))
-    t_nodes, states = _read_data_table(data / "trajectory.txt", system.lap.n_modes, 2)
+    table = data / "trajectory.npy"
+    t_nodes, states = _read_data_table(table, system.lap.n_modes, 2, "a .npy node table")
     if not np.all(np.diff(t_nodes) >= 0.0):
-        raise ConfigError("%s: the node times decrease" % (data / "trajectory.txt"))
+        raise ConfigError("%s: the node times decrease" % table)
     hits_path = data / "trajectory_hits.txt"
-    hit_times = _load_data(hits_path, "a hit log", 2)[:, 0]
+    hit_times = _load_data(hits_path, "a hit log")[:, 0]
     if not np.all(np.isfinite(hit_times)):
         raise ConfigError("%s lists a hit time that is not finite" % hits_path)
     if np.any(np.diff(hit_times) <= 0.0):
         raise ConfigError("%s: the hit times do not strictly increase" % hits_path)
     if hit_times.size != y_vals.shape[0]:
-        raise ConfigError(
-            "%s lists %d hit times for %d rows of y*" % (hits_path, hit_times.size, y_vals.shape[0])
-        )
+        raise ConfigError("%s lists %d hit times for %d rows of y*"
+                          % (hits_path, hit_times.size, y_vals.shape[0]))
 
     crop = cfg.overrides.get("analysis_crop", 0.0)
     span = (t_nodes[0], t_nodes[-1])
     t0, t1 = cropped_span(span, crop)
     check_grid(t1 - t0, SAMPLE_H_T, system.lap.n_modes,
                "almost-periodicity grid too long: its span, that of %s less [overrides] "
-               "analysis_crop at each end, at the fixed step" % (data / "trajectory.txt"))
+               "analysis_crop at each end, at the fixed step" % table)
     record = almost_periodicity_report(
         y_vals, int(j_idx[0]), hit_times, Segment(t=t_nodes, states=states).interp, span, crop,
         cfg.eps_list, system.lap.frac_weights(system.alpha),

@@ -1,29 +1,21 @@
-"""Flat text artifacts: key-value records and indexed coefficient tables.
+"""Flat artifacts: key-value records, indexed coefficient tables, node tables.
 
-All outputs are plain delimiter-separated text so external plotting tools
-can consume them directly.  Floats are rendered with 17 significant digits;
-identical data therefore produces byte-identical files.
+Identical data gives byte-identical files.  Records and tables are plain
+delimiter-separated text for plotting tools, floats at 17 significant digits.
 
 * record files: one ``key value`` pair per line,
 * tables: one row per index/time, first column the index, the remaining
   columns coefficients; every row is written with one format string,
-* trajectory dumps: the ``(t, coeff_1 .. coeff_N)`` node table (a repeated
-  time is a cut: pre-jump row, then post-jump row) and a hits file with rows
-  ``(T_i, surface, |pre|_alpha, |post|_alpha)``.
+* trajectory dumps: the ``(t, coeff_1 .. coeff_N)`` node table as one float64
+  ``.npy`` array (a repeated time is a cut: pre-jump row, then post-jump row)
+  and a text hits file with rows ``(T_i, surface, |pre|_alpha, |post|_alpha)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "format_value",
-    "write_record",
-    "read_record",
-    "write_table",
-    "read_table",
-    "write_trajectory",
-]
+__all__ = ["format_value", "write_record", "read_record", "write_table", "write_trajectory"]
 
 
 def format_value(v) -> str:
@@ -73,20 +65,17 @@ def write_table(path, index, values) -> None:
             fh.write(fmt % (i, *row.tolist()))
 
 
-def read_table(path):
-    """Returns (index array, value array); index stays float."""
-    rows = np.loadtxt(path, ndmin=2)
-    return rows[:, 0], rows[:, 1:]
-
-
 def write_trajectory(out_dir, traj, lap, alpha) -> None:
     """Dump a piecewise trajectory into the directory ``out_dir`` (a Path).
 
-    Writes ``trajectory.txt`` (node rows) and, when hits exist,
-    ``trajectory_hits.txt``, whose norms are |.|_alpha of ``lap``.  Without
-    hits, a ``trajectory_hits.txt`` left by an earlier run is deleted.
+    Writes ``trajectory.npy`` (the (M, 1 + N) node table, times in column 0)
+    and, when hits exist, ``trajectory_hits.txt``, whose norms are |.|_alpha of
+    ``lap``.  Deletes the text table ``trajectory.txt`` of earlier versions
+    and, without hits, a ``trajectory_hits.txt`` left by an earlier run.
     """
-    write_table(out_dir / "trajectory.txt", traj.nodes.t, traj.nodes.states)
+    nodes = np.column_stack((traj.nodes.t, traj.nodes.states))
+    np.save(out_dir / "trajectory.npy", nodes, allow_pickle=False)
+    (out_dir / "trajectory.txt").unlink(missing_ok=True)
 
     hits_path = out_dir / "trajectory_hits.txt"
     if not traj.hits:

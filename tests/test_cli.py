@@ -16,14 +16,7 @@ import implab
 from implab import impulsive
 from implab.cli import main
 from implab.config import SECTION_KEYS, ConfigError, load_instance, validate_instance
-from implab.records import (
-    format_value,
-    read_record,
-    read_table,
-    write_record,
-    write_table,
-    write_trajectory,
-)
+from implab.records import format_value, read_record, write_record, write_table, write_trajectory
 
 from oracles import dichotomy_scan, table_by_value
 from systems import readme_like
@@ -101,7 +94,8 @@ def test_table_roundtrip(tmp_path):
     vals = np.arange(15.0).reshape(5, 3) * np.pi
     path = tmp_path / "tab.txt"
     write_table(path, idx, vals)
-    i2, v2 = read_table(path)
+    rows = np.loadtxt(path, ndmin=2)
+    i2, v2 = rows[:, 0], rows[:, 1:]
     assert np.array_equal(i2, idx.astype(float))
     assert np.array_equal(v2, vals)  # 17 digits reproduce doubles exactly
 
@@ -125,15 +119,36 @@ def test_write_table_bytes_match_per_value_formatter(tmp_path, name):
     assert path.read_bytes() == table_by_value(index, values).encode()
 
 
-def test_write_trajectory_bytes_match_per_value_formatter(tmp_path):
+def test_write_trajectory_saves_the_node_table_as_npy(tmp_path):
+    # one C-order (M, 1 + N) <f8 array, times in column 0; two runs write the same bytes
     system = readme_like()
     u0 = np.zeros(system.lap.n_modes)
     u0[0] = 0.2
-    traj = impulsive.simulate(system, u0, 0.5, 3.5)
-    assert traj.hits
-    write_trajectory(tmp_path, traj, system.lap, system.alpha)
-    t, states = traj.nodes.t, traj.nodes.states
-    assert (tmp_path / "trajectory.txt").read_bytes() == table_by_value(t, states).encode()
+    written = []
+    for run in ("a", "b"):
+        traj = impulsive.simulate(system, u0, 0.5, 3.5)
+        assert traj.hits
+        (tmp_path / run).mkdir()
+        write_trajectory(tmp_path / run, traj, system.lap, system.alpha)
+        written.append((tmp_path / run / "trajectory.npy").read_bytes())
+    assert written[0] == written[1]
+    with open(tmp_path / "a" / "trajectory.npy", "rb") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        header = np.lib.format.read_array_header_1_0(fh)
+    m = traj.nodes.t.size
+    assert header == ((m, 1 + system.lap.n_modes), False, np.dtype("<f8"))
+    assert written[0].startswith(
+        b"\x93NUMPY\x01\x00v\x00{'descr': '<f8', 'fortran_order': False, 'shape': (%d, %d), }"
+        % (m, 1 + system.lap.n_modes))
+    table = np.load(tmp_path / "a" / "trajectory.npy", allow_pickle=False)
+    assert np.array_equal(table[:, 0], traj.nodes.t)
+    assert np.array_equal(table[:, 1:], traj.nodes.states)
+    # a repeated time is a cut: the pre-jump row, then the post-jump row
+    cut = np.flatnonzero(np.diff(table[:, 0]) == 0.0)
+    assert cut.size == len(traj.hits)
+    hit = traj.hits[0]
+    assert np.array_equal(table[cut[0], 1:], hit.pre)
+    assert np.array_equal(table[cut[0] + 1, 1:], hit.post)
 
 
 def test_format_value_deterministic():
@@ -360,7 +375,7 @@ def _last_row(text):
     return text.splitlines()[-1] + "\n"
 
 
-def _swap_rows(text, i=10, k=50):
+def _swap_rows(text, i, k):
     rows = text.splitlines(keepends=True)
     rows[i], rows[k] = rows[k], rows[i]
     return "".join(rows)
@@ -378,26 +393,49 @@ def _set_index(text, i, index):
     return _edit_row(text, i, lambda rows: index + " " + rows[i].split(" ", 1)[1])
 
 
-def _drop_last_column(text, only=None):
-    """Every row, or only row ``only``, without its last column."""
-    rows = text.splitlines()
-    return "".join(
-        (row.rsplit(" ", 1)[0] if only in (None, i) else row) + "\n" for i, row in enumerate(rows)
-    )
+def _npy(change):
+    """An edit of a ``.npy`` file's bytes: its array, changed by ``change``, saved again."""
+    def edit(raw):
+        buf = io.BytesIO()
+        np.save(buf, change(np.load(io.BytesIO(raw))))
+        return buf.getvalue()
+
+    return edit
 
 
-# analyze-ap data damage: (file, edit of its text); an edit of None deletes it
+def _swap_array_rows(rows, i=10, k=50):
+    rows = rows.copy()
+    rows[[i, k]] = rows[[k, i]]
+    return rows
+
+
+def _set_entry(rows, i, j, value):
+    rows = rows.copy()
+    rows[i, j] = value
+    return rows
+
+
+# analyze-ap data damage: (file, edit of its text, or of its bytes for a .npy file); an edit
+# of None deletes it, one of "directory" puts a directory in its place
 DAMAGED_DATA = {
     "analyze-ap-missing-ystar": ("ystar.txt", None),
     "analyze-ap-empty-ystar": ("ystar.txt", lambda text: ""),
+    "analyze-ap-ystar-directory": ("ystar.txt", "directory"),
     "analyze-ap-one-row-ystar": ("ystar.txt", _first_row),
-    "analyze-ap-empty-trajectory": ("trajectory.txt", lambda text: ""),
-    "analyze-ap-one-row-trajectory": ("trajectory.txt", _first_row),
-    "analyze-ap-trajectory-missing-column": ("trajectory.txt", _drop_last_column),
+    "analyze-ap-empty-trajectory": ("trajectory.npy", lambda raw: b""),
+    "analyze-ap-one-row-trajectory": ("trajectory.npy", _npy(lambda rows: rows[:1])),
+    "analyze-ap-trajectory-missing-column": ("trajectory.npy", _npy(lambda rows: rows[:, :-1])),
     "analyze-ap-ystar-extra-column": (
         "ystar.txt", lambda text: "".join(row + " 0.5\n" for row in text.splitlines())),
-    "analyze-ap-ragged-trajectory": ("trajectory.txt", lambda text: _drop_last_column(text, 3)),
-    "analyze-ap-decreasing-times": ("trajectory.txt", _swap_rows),
+    # rows of unequal length: an object array, which is never unpickled
+    "analyze-ap-ragged-trajectory": (
+        "trajectory.npy", _npy(lambda rows: np.array([*rows[:3], rows[3, :-1]], dtype=object))),
+    "analyze-ap-decreasing-times": ("trajectory.npy", _npy(_swap_array_rows)),
+    "analyze-ap-truncated-trajectory": ("trajectory.npy", lambda raw: raw[:-8]),
+    "analyze-ap-object-trajectory": ("trajectory.npy", _npy(lambda rows: rows.astype(object))),
+    "analyze-ap-float32-trajectory": ("trajectory.npy", _npy(lambda rows: rows.astype(np.float32))),
+    "analyze-ap-1d-trajectory": ("trajectory.npy", _npy(np.ravel)),
+    "analyze-ap-trajectory-directory": ("trajectory.npy", "directory"),
     # the hit times are column 0 of the hit log
     "analyze-ap-empty-discontinuities": ("trajectory_hits.txt", lambda text: ""),
     "analyze-ap-extra-discontinuity": (
@@ -407,8 +445,7 @@ DAMAGED_DATA = {
         "trajectory_hits.txt", lambda text: _set_index(text, 1, text.split(" ", 1)[0])),
     "analyze-ap-nan-discontinuity": ("trajectory_hits.txt", lambda text: _set_index(text, 1, "nan")),
     "analyze-ap-nan-trajectory-state": (
-        "trajectory.txt",
-        lambda text: _edit_row(text, 5, lambda rows: rows[5].rsplit(" ", 1)[0] + " nan\n")),
+        "trajectory.npy", _npy(lambda rows: _set_entry(rows, 5, -1, np.nan))),
     "analyze-ap-swapped-ystar-rows": ("ystar.txt", lambda text: _swap_rows(text, 2, 3)),
     "analyze-ap-ystar-index-gap": ("ystar.txt", lambda text: _set_index(text, 0, "-9")),
     "analyze-ap-fractional-ystar-index": ("ystar.txt", lambda text: _set_index(text, 1, "1.5")),
@@ -540,7 +577,10 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # OverflowError); seg_tol must be >= 1e-14, which the step-doubling
     # estimate can meet (1e-300 used to hang simulate); analyze-ap needs every solve-ap artifact it
     # reads, with two rows of y* and two trajectory nodes at least, one column
-    # per mode after the index, node times that do not decrease, every entry
+    # per mode after the index, a node table that is a 2-D float64 .npy array of
+    # its file's size (an empty .npy file raised EOFError through the exit 2 of
+    # a ValueError, and a directory in place of a data file IsADirectoryError), node
+    # times that do not decrease, every entry
     # finite and one hit time per row of y*, the hit times strictly
     # increasing (a repeated or nan hit time used to end in a traceback, a nan
     # state in status=ok), and the y* indices consecutive integers (swapped
@@ -569,10 +609,15 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
                      "--out", str(data)]) == 0
         if damage is not None:
             name, edit = damage
-            if edit is None:
-                (data / name).unlink()
+            path = data / name
+            if edit is None or edit == "directory":
+                path.unlink()
+                if edit:
+                    path.mkdir()
+            elif path.suffix == ".npy":
+                path.write_bytes(edit(path.read_bytes()))
             else:
-                (data / name).write_text(edit((data / name).read_text()))
+                path.write_text(edit(path.read_text()))
         argv += ["--data", str(data)]
     buf, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err), warnings.catch_warnings():
@@ -603,9 +648,9 @@ def test_negative_seed_option_exits_2(tmp_path):
 # the files each command writes on the README instance, into an empty --out
 WRITTEN_FILES = {
     "constants": ["dichotomy.txt", "kbundle.txt"],
-    "simulate": ["simulate.txt", "trajectory.txt", "trajectory_hits.txt"],
+    "simulate": ["simulate.txt", "trajectory.npy", "trajectory_hits.txt"],
     "certify": ["certificates.txt"] + ["beating_%d.txt" % j for j in range(31)],
-    "solve-ap": ["ystar.txt", "trajectory.txt", "trajectory_hits.txt", "contraction.txt",
+    "solve-ap": ["ystar.txt", "trajectory.npy", "trajectory_hits.txt", "contraction.txt",
                  "ap_report.txt"],
     "analyze-ap": ["ap_analysis.txt"],
 }
@@ -661,7 +706,7 @@ def test_cmd_simulate_zero(tmp_path):
     text = BASE.replace("d = 0.02", "d =")
     out = tmp_path / "out"
     assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
-    _, states = read_table(out / "trajectory.txt")
+    states = np.load(out / "trajectory.npy")[:, 1:]
     assert np.max(np.abs(states)) == 0.0
     rec = read_record(out / "simulate.txt")
     assert int(rec["max_hits_per_surface"]) <= 1
@@ -674,7 +719,7 @@ def test_hit_free_simulate_lists_no_discontinuity(tmp_path):
     assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
     rec = read_record(out / "simulate.txt")
     assert (rec["n_hits"], rec["n_segments"]) == ("0", "1")
-    assert sorted(path.name for path in out.iterdir()) == ["simulate.txt", "trajectory.txt"]
+    assert sorted(path.name for path in out.iterdir()) == ["simulate.txt", "trajectory.npy"]
 
 
 def test_simulate_without_hits_deletes_an_earlier_hit_log(tmp_path):
@@ -687,11 +732,11 @@ def test_simulate_without_hits_deletes_an_earlier_hit_log(tmp_path):
                      "--out", str(out)]) == 0
         n_hits = int(read_record(out / "simulate.txt")["n_hits"])
         assert (n_hits > 0) == hits == (out / "trajectory_hits.txt").exists(), t_range
-    assert sorted(path.name for path in out.iterdir()) == ["simulate.txt", "trajectory.txt"]
+    assert sorted(path.name for path in out.iterdir()) == ["simulate.txt", "trajectory.npy"]
 
 
 def test_analyze_ap_samples_the_table_as_solve_ap_does(tmp_path, monkeypatch):
-    """analyze-ap's sampler on trajectory.txt, bit for bit solve-ap's eval_many.
+    """analyze-ap's sampler on trajectory.npy, bit for bit solve-ap's eval_many.
 
     Checked on the grids both commands sample, at the hit times (pre-jump
     state) and at every node.
@@ -726,8 +771,9 @@ def test_analyze_ap_samples_the_table_as_solve_ap_does(tmp_path, monkeypatch):
                  "--data", str(data)]) == 0
     solve_sample, solve_grids = samplers["solve-ap"]
     analyze_sample, analyze_grids = samplers["analyze-ap"]
-    hit_times, _ = read_table(data / "trajectory_hits.txt")
-    t_nodes, states = read_table(data / "trajectory.txt")
+    hit_times = np.loadtxt(data / "trajectory_hits.txt", ndmin=2)[:, 0]
+    table = np.load(data / "trajectory.npy")
+    t_nodes, states = table[:, 0], table[:, 1:]
     assert hit_times.size >= 4 and np.count_nonzero(np.diff(t_nodes) == 0.0) >= hit_times.size
     for grid in solve_grids + analyze_grids + [hit_times, t_nodes]:
         assert grid.size and np.array_equal(analyze_sample(grid), solve_sample(grid))
@@ -866,9 +912,10 @@ def test_analyze_ap_bounds_its_grid_before_sampling(tmp_path, monkeypatch, capsy
 
     data = tmp_path / "data"
     assert main(["solve-ap", "--config", write_config(tmp_path), "--out", str(data)]) == 0
-    table = data / "trajectory.txt"
-    rows = table.read_text().splitlines(keepends=True)
-    table.write_text(rows[0] + _set_index(rows[-1], 0, "1e7"))
+    table = data / "trajectory.npy"
+    rows = np.load(table)[[0, -1]]
+    rows[1, 0] = 1e7
+    np.save(table, rows)
     monkeypatch.setattr(implab.cli, "almost_periodicity_report", no_sampling)
     capsys.readouterr()
     assert main(["analyze-ap", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"),
@@ -877,6 +924,77 @@ def test_analyze_ap_bounds_its_grid_before_sampling(tmp_path, monkeypatch, capsy
     last = out.splitlines()[-1]
     assert last.startswith("status=error kind=validation reason='almost-periodicity grid too long")
     assert str(table) in last
+    assert err == ""
+
+
+def test_analyze_ap_rejects_a_header_that_promises_more_than_the_file_holds(tmp_path, capsys):
+    # a few hundred bytes whose header claims 2^40 rows: numpy's reader would pass that count
+    # to fromfile; the size check rejects the file before any data is read
+    import tracemalloc
+
+    data = tmp_path / "data"
+    assert main(["solve-ap", "--config", write_config(tmp_path), "--out", str(data)]) == 0
+    table = data / "trajectory.npy"
+    rows = np.load(table)
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        head, {"descr": "<f8", "fortran_order": False, "shape": (2**40, rows.shape[1])})
+    table.write_bytes(head.getvalue() + rows[:2].tobytes())
+    assert table.stat().st_size < 512
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["analyze-ap", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "o"), "--data", str(data)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**24
+    out, err = capsys.readouterr()
+    last = out.splitlines()[-1]
+    assert last.startswith("status=error kind=validation reason=")
+    assert ("%s is not a .npy node table: its header gives float64 values of shape "
+            "(1099511627776, 9)" % table) in last
+    assert err == ""
+
+
+def test_write_trajectory_deletes_the_text_table_of_an_earlier_version(tmp_path):
+    # an --out written by a version that kept the node table as text
+    cfg_path = write_config(tmp_path)
+    for command in ("simulate", "solve-ap"):
+        out = tmp_path / command
+        out.mkdir()
+        (out / "trajectory.txt").write_text("0 0\n")
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        assert not (out / "trajectory.txt").exists() and (out / "trajectory.npy").exists()
+
+
+def test_analyze_ap_rejects_the_text_table_of_an_earlier_version(tmp_path, capsys):
+    # --data as an earlier version wrote it: the node table as trajectory.txt; no fallback reads it
+    cfg_path = write_config(tmp_path)
+    data = tmp_path / "data"
+    assert main(["solve-ap", "--config", cfg_path, "--out", str(data)]) == 0
+    rows = np.load(data / "trajectory.npy")
+    (data / "trajectory.npy").unlink()
+    (data / "trajectory.txt").write_text(table_by_value(rows[:, 0], rows[:, 1:]))
+    argv = ["analyze-ap", "--config", cfg_path, "--out", str(tmp_path / "o"), "--data", str(data)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith(
+        "status=error kind=validation reason=\"--data lacks a file written by solve-ap: ")
+    assert str(data / "trajectory.npy") in out.splitlines()[-1]
+    assert err == ""
+    # the same text under the .npy name is named as what it is not (numpy's own error
+    # speaks of pickled data)
+    (data / "trajectory.txt").rename(data / "trajectory.npy")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    last = out.splitlines()[-1]
+    assert last.startswith("status=error kind=validation reason=")
+    assert "%s is not a .npy node table: " % (data / "trajectory.npy") in last
+    assert "pickle" not in last
     assert err == ""
 
 
@@ -989,13 +1107,15 @@ def test_cmd_solve_ap_and_determinism(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["solve-ap", "--config", cfg_path, "--out", str(out1)]) == 0
     assert main(["solve-ap", "--config", cfg_path, "--out", str(out2)]) == 0
-    for name in ("ystar.txt", "contraction.txt", "ap_report.txt"):
+    for name in ("ystar.txt", "trajectory.npy", "trajectory_hits.txt", "contraction.txt",
+                 "ap_report.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     rec = read_record(out1 / "contraction.txt")
     assert rec["check_KM0"] == "pass"
     assert rec["check_N1"] == "pass"
     assert float(rec["integral_residual"]) < 1e-6
-    idx, yv = read_table(out1 / "ystar.txt")
+    rows = np.loadtxt(out1 / "ystar.txt", ndmin=2)
+    idx, yv = rows[:, 0], rows[:, 1:]
     # report window: surfaces strictly inside (0, 6)
     assert np.array_equal(idx, np.arange(1.0, 6.0))
     assert np.all(np.isfinite(yv))
