@@ -6,7 +6,7 @@ Commands (each takes ``--config PATH``, ``--out DIR`` and optional
 * ``constants`` — fit the exponential dichotomy and evaluate the constant
   bundle of the contraction argument,
 * ``simulate`` — hybrid forward simulation from configured initial data,
-* ``certify`` — beating-exclusion certificates, one file per surface,
+* ``certify`` — beating-exclusion certificates, one table row per surface,
 * ``solve-ap`` — the two-level fixed point: y* table, assembled trajectory,
   contraction report and almost-periodicity report,
 * ``analyze-ap`` — re-run the almost-periodicity analysis on previously
@@ -40,7 +40,7 @@ from .impulsive import (
     beating_certificate,
     simulate,
 )
-from .records import write_record, write_table, write_trajectory
+from .records import write_record, write_rows, write_table, write_trajectory
 from .solver import (
     ConvergenceError,
     SurfaceWindowError,
@@ -158,21 +158,15 @@ def cmd_simulate(cfg, out: Path, seed: int) -> None:
 def cmd_certify(cfg, out: Path, seed: int) -> None:
     system = cfg.system
     validate_instance(cfg)
-    summary = {}
-    for j in system.indices:
-        cert = beating_certificate(
-            system,
-            int(j),
-            n_samples=cfg.n_samples,
-            rng=np.random.default_rng([seed, _STAGE_CERTIFY, int(j)]),
-        )
-        write_record(out / ("beating_%d.txt" % j), cert)
-        summary["surface_%d" % j] = cert["verdict"]
-    # the certificates of surfaces outside this run's window, left by an earlier run
-    written = {"beating_%d.txt" % j for j in system.indices}
+    js = system.indices
+    rngs = [np.random.default_rng([seed, _STAGE_CERTIFY, j]) for j in js.tolist()]
+    certs = beating_certificate(system, js, cfg.n_samples, rngs)
+    write_rows(out / "beating.txt", certs)
+    # the per-surface certificates of earlier versions
     for path in out.glob("beating_*.txt"):
-        if re.fullmatch(r"beating_-?[0-9]+\.txt", path.name) and path.name not in written:
+        if re.fullmatch(r"beating_-?[0-9]+\.txt", path.name):
             path.unlink()
+    summary = {"surface_%d" % c["surface"]: c["verdict"] for c in certs}
     summary["all_pass"] = all(v == "pass" for v in summary.values())
     write_record(out / "certificates.txt", summary)
 
@@ -315,7 +309,7 @@ def main(argv=None) -> int:
     for name, help_text in (
         ("constants", "dichotomy constants and the contraction bundle"),
         ("simulate", "hybrid forward simulation"),
-        ("certify", "beating-exclusion certificates per surface"),
+        ("certify", "beating-exclusion certificates, one table row per surface"),
         ("solve-ap", "almost periodic solution via the two-level fixed point"),
         ("analyze-ap", "almost-periodicity analysis of written artifacts"),
     ):

@@ -128,9 +128,10 @@ _TERMS = _list(_triple, ";")  # 'amp freq phase; amp freq phase; ...'
 # parser of its value.  [overrides]: the K-bundle's C (constants, solve-ap) and
 # the crop of analyze-ap; the other constants follow from the instance.
 # The sizes have upper bounds, checked before anything is allocated: the sine
-# basis is n_modes x (n_xi + 1) floats, at most 512 x 8193 (34 MB); a
-# certificate keeps (n_samples, N) arrays, at most 4096 x 512 floats (17 MB),
-# and takes them to the grid 512 states at a time through the Laplacian's
+# basis is n_modes x (n_xi + 1) floats, at most 512 x 8193 (34 MB); certify
+# samples the surfaces in groups of max(1, 512 // n_samples), so it keeps
+# (max(n_samples, 512), N) arrays, at most 4096 x 512 floats (17 MB), and
+# takes them to the grid 512 states at a time through the Laplacian's
 # scratch grid, at most 512 x 8193 floats (34 MB); the commands keep arrays and
 # loops per surface, at most 10^4 surfaces.  The time grids, whose spans are known
 # only later, are bounded by ``check_grid`` before they are allocated

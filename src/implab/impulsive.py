@@ -37,7 +37,7 @@ import numpy as np
 
 from .ap_analysis import StronglyAPSet
 from .evolution import LinearCoefficient, NonFiniteConstantError, _require_finite
-from .spectral import DirichletLaplacian
+from .spectral import _IMAGE_ROWS, DirichletLaplacian
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
 from .trig import TrigSum
 
@@ -571,72 +571,75 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def _nonnegative_samples(system, n_samples, rng) -> np.ndarray:
+def _nonnegative_samples(system, raw) -> tuple:
     """Non-negative states in the ball: sums of squared sines, rescaled.
 
-    Each row of ``rng.random((n_samples, 5))`` gives four weights of
+    Each row of the (R, 5) draws ``raw`` gives four weights of
     u = sum_m w_m sin^2(m pi xi / l) and a radius draw.  The state is built in
     coefficient space: the projection is linear, so the four shapes are
     projected once per system (``_sine_squares``) and
     x = sum_m w_m project(sin^2(m pi xi / l)).  Half the
     samples are pushed to the ball boundary |x|_alpha = rho (the functionals
-    in P are extremized there), the rest fill the interior.  Returns an
-    (S, N) array; draws with weights summing below 1e-8 or with a vanishing
-    norm are dropped.
+    in P are extremized there), the rest fill the interior.  Returns the
+    (S, N) states and the rows of ``raw`` they come from; draws with weights
+    summing below 1e-8 or with a vanishing norm are dropped.
     """
     lap = system.lap
-    raw = rng.random((n_samples, 5))
-    raw = raw[np.sum(raw[:, :4], axis=1) >= 1e-8]
-    x = raw[:, :4] @ system._sine_squares
+    rows = np.flatnonzero(np.sum(raw[:, :4], axis=1) >= 1e-8)
+    x = raw[rows, :4] @ system._sine_squares
     nrm = lap.frac_norm(x, system.alpha)
     keep = nrm >= 1e-12
-    x, nrm, r = x[keep], nrm[keep], raw[keep, 4]
-    rho = system.rho
+    x, nrm, rows = x[keep], nrm[keep], rows[keep]
+    r, rho = raw[rows, 4], system.rho
     scale = np.where(r < 0.5, rho / nrm, rho * (0.1 + 1.8 * (r - 0.5)) / nrm)
-    return np.minimum(scale, rho / nrm)[:, None] * x
+    return np.minimum(scale, rho / nrm)[:, None] * x, rows
 
 
 def _cube(u):
     return u**3
 
 
-def beating_certificate(
-    system: ImpulseSystemSpec, j, n_samples: int = 512, rng=None
-) -> dict:
-    """Check the repeated-hit exclusion hypotheses on surface j by sampling.
+def beating_certificate(system: ImpulseSystemSpec, js, n_samples: int, rngs) -> list:
+    """Check the repeated-hit exclusion hypotheses on the surfaces js by sampling.
 
     theta_j(x) <= 0 and P(u) < 1 must hold on every sampled non-negative
     state in the ball; beta_0 is the slope threshold below which the bound
-    chain for P closes automatically.  All samples of the surface are
-    evaluated as one (S, N) batch; the grid work (the jump image and
-    int u^3) runs through the Laplacian's scratch grid, so a surface
-    allocates no grid-sized array of its own.  Returns the record
-    ``certify`` writes.  Raises NonFiniteConstantError when a sample is
-    drawn and theta_check or P_check is not finite (a huge jump overflows
-    Q(x + g_j(x)) to inf, and theta_check = -inf would pass).
+    chain for P closes automatically.  Surface js[i] draws
+    ``rngs[i].random((n_samples, 5))``.  The surfaces go in groups of
+    max(1, _IMAGE_ROWS // n_samples), whose stacked draws are evaluated as
+    one (S, N) batch, so at most max(n_samples, _IMAGE_ROWS) samples are
+    alive; the grid work (the jump image and int u^3) runs through the
+    Laplacian's scratch grid.  Returns one record per surface, in js order,
+    as ``certify`` writes them.  Raises NonFiniteConstantError, naming the
+    first such surface, when a surface draws a sample and its theta_check or
+    P_check is not finite (a huge jump overflows Q(x + g_j(x)) to inf, and
+    theta_check = -inf would pass).
     """
-    rng = np.random.default_rng(0) if rng is None else rng
-    lap = system.lap
-    b_j = float(system.slope_window[j - system.base.window[0]])
-
-    x = _nonnegative_samples(system, n_samples, rng)
-    q = q_functional(x)
-    tau = system.tau(j, x)
-    with np.errstate(over="ignore"):  # rejected below when not finite
-        theta = b_j * (q_functional(x + system.g(j, x)) - q)
-        cubic = lap.integral(x, _cube)
-        grad_sq = np.sum(lap.eigenvalues * x * x, axis=-1)
-        p_val = -2.0 * b_j * grad_sq + 2.0 * b_j * system.a(tau) * (q - system.b(tau) * cubic)
-        theta_check = float(np.max(theta, initial=-np.inf))
-        p_check = float(np.max(p_val, initial=-np.inf))
-    if x.shape[0]:  # with no sample, both stay -inf, the max of an empty set
-        _require_finite(NonFiniteConstantError, "surface %d certificate" % j,
-                        theta_check=theta_check, P_check=p_check)
-    return {
-        "surface": int(j),
-        "theta_check": theta_check,
-        "P_check": p_check,
-        "beta0": system.beta0,
-        "n_samples": x.shape[0],
-        "verdict": "pass" if theta_check <= 1e-10 and p_check < 1.0 else "fail",
-    }
+    lap, js, per = system.lap, np.asarray(js, dtype=int), max(n_samples, 1)
+    system.tau(js, np.zeros(1))  # a surface with no sample is checked against the window too
+    certs, size = [], max(1, _IMAGE_ROWS // per)
+    for lo in range(0, js.size, size):
+        group = js[lo:lo + size]
+        raw = np.concatenate([rng.random((n_samples, 5)) for rng in rngs[lo:lo + size]])
+        x, rows = _nonnegative_samples(system, raw)
+        owner = group[rows // per]
+        b_j = system.slope_window[owner - system.base.window[0]]
+        q = q_functional(x)
+        tau = system.tau(owner, x)
+        with np.errstate(over="ignore"):  # rejected below when not finite
+            theta = b_j * (q_functional(x + system.g(owner, x)) - q)
+            cubic = lap.integral(x, _cube)
+            grad_sq = np.sum(lap.eigenvalues * x * x, axis=-1)
+            p_val = -2.0 * b_j * grad_sq + 2.0 * b_j * system.a(tau) * (q - system.b(tau) * cubic)
+        # each surface's maximum over its own rows; with no sample, the -inf of an empty set
+        checks = np.full((2, raw.shape[0]), -np.inf)
+        checks[:, rows] = theta, p_val
+        maxima = checks.reshape(2, group.size, n_samples).max(axis=2, initial=-np.inf)
+        counts = np.bincount(rows // per, minlength=group.size)
+        for j, th, p, n in zip(group.tolist(), *maxima.tolist(), counts.tolist()):
+            if n:
+                _require_finite(NonFiniteConstantError, "surface %d certificate" % j,
+                                theta_check=th, P_check=p)
+            certs.append({"surface": j, "theta_check": th, "P_check": p, "beta0": system.beta0,
+                          "n_samples": n, "verdict": "pass" if th <= 1e-10 and p < 1.0 else "fail"})
+    return certs

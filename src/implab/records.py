@@ -4,6 +4,8 @@ Identical data gives byte-identical files.  Records and tables are plain
 delimiter-separated text for plotting tools, floats at 17 significant digits.
 
 * record files: one ``key value`` pair per line,
+* row files: records with one key order, a ``# key ..`` header line and one
+  line of values per record,
 * tables: one row per index/time, first column the index, the remaining
   columns coefficients; every row is written with one format string,
 * trajectory dumps: the ``(t, coeff_1 .. coeff_N)`` node table as one float64
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["format_value", "write_record", "read_record", "write_table", "write_trajectory"]
+__all__ = ["format_value", "write_record", "write_rows", "write_table", "write_trajectory"]
 
 
 def format_value(v) -> str:
@@ -38,17 +40,15 @@ def write_record(path, mapping) -> None:
             fh.write("%s %s\n" % (key, format_value(val)))
 
 
-def read_record(path) -> dict:
-    """Inverse of write_record; values stay strings."""
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition(" ")
-            out[key] = val
-    return out
+def write_rows(path, records) -> None:
+    """Records with one key order as a table; ``records`` holds one at least.
+
+    A ``# key ..`` header line, then the values of one record per line.
+    """
+    with open(path, "w") as fh:
+        fh.write("# %s\n" % " ".join(records[0]))
+        for rec in records:
+            fh.write("%s\n" % format_value(list(rec.values())))
 
 
 def write_table(path, index, values) -> None:

@@ -18,6 +18,9 @@ check the package against it:
   ``table_by_value`` — the per-sample loops of ``evolution.fit_dichotomy``
   and ``solver.measure_lipschitz`` and the per-value table formatter of
   ``records.write_table``, the references of their batched forms;
+* ``read_record`` and ``read_rows`` — the readers of the key-value files of
+  ``records.write_record`` and the row tables of ``records.write_rows``,
+  values kept as strings;
 * ``samples_in_physical_space`` — the beating certificate's sample states
   summed on the grid and then projected, the reference of their
   coefficient-space build in ``impulsive._nonnegative_samples``;
@@ -297,6 +300,27 @@ def table_by_value(index, values) -> str:
         head = "%d" % i if int_index else "%.17g" % i
         lines.append(head + " " + " ".join("%.17g" % v for v in row) + "\n")
     return "".join(lines)
+
+
+def read_record(path) -> dict:
+    """Inverse of ``records.write_record``; values stay strings."""
+    out = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, val = line.partition(" ")
+            out[key] = val
+    return out
+
+
+def read_rows(path) -> list:
+    """Inverse of ``records.write_rows``: one mapping per row, keys from the header line."""
+    with open(path) as fh:
+        head = fh.readline()
+        assert head.startswith("# "), head
+        return [dict(zip(head[2:].split(), line.split())) for line in fh]
 
 
 def bounded_solution(

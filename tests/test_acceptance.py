@@ -88,14 +88,12 @@ def test_criterion_1_beta0_and_beating():
     # plug-in: l = 1, rho = 1, b == 0 gives beta0 = 0.5/((1+0)(1+1)) = 0.25
     sys_b0 = make_system(n_modes=N, a=TrigSum(0.5, ((0.2, 1.0, 0.0),)), b=TrigSum(),
                          window=(1, 10), slopes=TrigSum(0.0), jumps=JumpSpec())
-    cert0 = beating_certificate(sys_b0, 1, n_samples=8,
-                                rng=np.random.default_rng(201))
+    (cert0,) = beating_certificate(sys_b0, [1], 8, [np.random.default_rng(201)])
     check(failures, cert0["beta0"] == 0.25, "beta0 plug-in != 0.25 (got %r)" % cert0["beta0"])
 
     # b_j = -0.2 certificate over 512 samples
     sys1 = certified_logistic((1, 50), n_modes=N)
-    cert = beating_certificate(sys1, 1, n_samples=512,
-                               rng=np.random.default_rng(202))
+    (cert,) = beating_certificate(sys1, [1], 512, [np.random.default_rng(202)])
     check(failures, cert["n_samples"] == 512, "certificate used %d samples" % cert["n_samples"])
     check(failures, cert["theta_check"] <= 1e-10, "theta_j > 0 on a sample")
     check(failures, cert["P_check"] < 1.0, "max P >= 1 (got %g)" % cert["P_check"])

@@ -16,9 +16,9 @@ import implab
 from implab import impulsive
 from implab.cli import main
 from implab.config import SECTION_KEYS, ConfigError, load_instance, validate_instance
-from implab.records import format_value, read_record, write_record, write_table, write_trajectory
+from implab.records import format_value, write_record, write_rows, write_table, write_trajectory
 
-from oracles import dichotomy_scan, table_by_value
+from oracles import dichotomy_scan, read_record, read_rows, table_by_value
 from systems import readme_like
 
 BASE = """
@@ -87,6 +87,16 @@ def test_record_roundtrip(tmp_path):
     assert back["c"] == "3"
     assert back["d"] == "true"
     assert back["e"] == "1 2"
+
+
+def test_rows_roundtrip(tmp_path):
+    recs = [{"surface": j, "theta_check": -0.1 * j, "verdict": "pass"} for j in (0, 7)]
+    path = tmp_path / "rows.txt"
+    write_rows(path, recs)
+    assert path.read_text() == ("# surface theta_check verdict\n"
+                                "0 -0 pass\n"
+                                "7 -0.70000000000000007 pass\n")
+    assert read_rows(path) == [{k: format_value(v) for k, v in rec.items()} for rec in recs]
 
 
 def test_table_roundtrip(tmp_path):
@@ -649,7 +659,7 @@ def test_negative_seed_option_exits_2(tmp_path):
 WRITTEN_FILES = {
     "constants": ["dichotomy.txt", "kbundle.txt"],
     "simulate": ["simulate.txt", "trajectory.npy", "trajectory_hits.txt"],
-    "certify": ["certificates.txt"] + ["beating_%d.txt" % j for j in range(31)],
+    "certify": ["certificates.txt", "beating.txt"],
     "solve-ap": ["ystar.txt", "trajectory.npy", "trajectory_hits.txt", "contraction.txt",
                  "ap_report.txt"],
     "analyze-ap": ["ap_analysis.txt"],
@@ -1039,9 +1049,10 @@ def test_cmd_certify(tmp_path):
     assert main(["certify", "--config", write_config(tmp_path), "--out", str(out)]) == 0
     summary = read_record(out / "certificates.txt")
     assert summary["all_pass"] == "true"
-    cert0 = read_record(out / "beating_0.txt")
-    assert cert0["verdict"] == "pass"
-    assert float(cert0["theta_check"]) <= 1e-10
+    rows = read_rows(out / "beating.txt")
+    assert [row["surface"] for row in rows] == [str(j) for j in range(9)]
+    assert all(row["verdict"] == "pass" and float(row["theta_check"]) <= 1e-10 for row in rows)
+    assert [row["verdict"] for row in rows] == [summary["surface_%d" % j] for j in range(9)]
 
 
 CONTRACTION_KEYS = (
@@ -1060,7 +1071,7 @@ DICHOTOMY_KEYS = (
 def test_gate_record_layouts(tmp_path):
     # the key order of dichotomy.txt (the validation checks, the fitted constants that the
     # K-bundle reads, the gap constant), of contraction.txt (the record of verify_smallness,
-    # then what solve-ap adds) and of a beating certificate
+    # then what solve-ap adds) and of the beating table (a header line, one row per surface)
     cfg_path = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["constants", "--config", cfg_path, "--out", str(out)]) == 0
@@ -1068,8 +1079,10 @@ def test_gate_record_layouts(tmp_path):
     assert main(["solve-ap", "--config", cfg_path, "--out", str(out)]) == 0
     assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 0
     assert list(read_record(out / "contraction.txt")) == CONTRACTION_KEYS
-    cert = read_record(out / "beating_3.txt")
-    assert list(cert) == ["surface", "theta_check", "P_check", "beta0", "n_samples", "verdict"]
+    lines = (out / "beating.txt").read_text().splitlines()
+    assert lines[0] == "# surface theta_check P_check beta0 n_samples verdict"
+    assert len(lines) == 1 + 9
+    cert = read_rows(out / "beating.txt")[3]
     assert (cert["surface"], cert["n_samples"], cert["verdict"]) == ("3", "16", "pass")
 
 
@@ -1078,28 +1091,32 @@ def test_cmd_certify_determinism(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["certify", "--config", cfg_path, "--out", str(out1)]) == 0
     assert main(["certify", "--config", cfg_path, "--out", str(out2)]) == 0
-    names = sorted(p.name for p in out1.glob("beating_*.txt"))
-    assert len(names) == 31
-    assert names == sorted(p.name for p in out2.glob("beating_*.txt"))
-    for name in names + ["certificates.txt"]:
+    assert len(read_rows(out1 / "beating.txt")) == 31
+    for name in ("beating.txt", "certificates.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_certify_deletes_the_certificates_of_an_earlier_window(tmp_path):
-    # two runs into one --out, over surfaces 0..30 and then 0..10: the directory holds the
-    # certificates that certificates.txt lists, and any file not named beating_<j>.txt
+    # two runs into one --out, over surfaces 0..30 and then 0..10, after the per-surface
+    # files of earlier versions: the run deletes those (and only those), and beating.txt
+    # holds the surfaces that certificates.txt lists
     out = tmp_path / "out"
     out.mkdir()
-    (out / "beating_notes.txt").write_text("kept\n")
+    planted = ["beating_%d.txt" % j for j in (-2, 0, 5, 30, 40)]
+    for name in planted + ["beating_notes.txt", "beating_.txt", "beating_1.txt.bak"]:
+        (out / name).write_text("kept\n")
     for window in ("0 30", "0 10"):
         text = readme_instance().replace("window = 0 30", "window = " + window)
         assert main(["certify", "--config", write_config(tmp_path, text),
                      "--out", str(out)]) == 0
     listed = [key for key in read_record(out / "certificates.txt") if key != "all_pass"]
     assert listed == ["surface_%d" % j for j in range(11)]
+    assert ["surface_" + row["surface"] for row in read_rows(out / "beating.txt")] == listed
     assert sorted(path.name for path in out.iterdir()) == sorted(
-        ["beating_notes.txt", "certificates.txt"]
-        + ["beating_%s.txt" % key[len("surface_"):] for key in listed])
+        ["beating_notes.txt", "beating_.txt", "beating_1.txt.bak", "certificates.txt",
+         "beating.txt"])
+    assert all((out / name).read_text() == "kept\n"
+               for name in ("beating_notes.txt", "beating_.txt", "beating_1.txt.bak"))
 
 
 def test_cmd_solve_ap_and_determinism(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from implab import impulsive
+from implab.evolution import NonFiniteConstantError
 from implab.impulsive import (
     JUMP_MAP_CATALOGUE,
     BallExitError,
@@ -271,7 +272,7 @@ def test_simulate_fixed_moments_ten_hits():
 
 def test_beating_certificate_trivial_slope():
     sys0 = make_system()
-    cert = beating_certificate(sys0, 1, n_samples=64)
+    (cert,) = beating_certificate(sys0, [1], 64, [np.random.default_rng(0)])
     assert cert["verdict"] == "pass"
     assert cert["theta_check"] == pytest.approx(0.0, abs=1e-14)
     assert cert["P_check"] == pytest.approx(0.0, abs=1e-14)
@@ -280,7 +281,7 @@ def test_beating_certificate_trivial_slope():
 def test_beta0_plugin_value():
     # l = 1, rho = 1, b == 0: beta0 = 0.5 / ((1 + 0)(1 + 1)) = 0.25 exactly
     sys0 = make_system(b=TrigSum())
-    cert = beating_certificate(sys0, 1, n_samples=16)
+    (cert,) = beating_certificate(sys0, [1], 16, [np.random.default_rng(0)])
     assert cert["beta0"] == 0.25
 
 
@@ -302,13 +303,14 @@ def test_beating_certificate_certified_instance():
         neg_a = max(0.0, -sys0.a.offset + sum(abs(amp) for amp, _, _ in sys0.a.terms))
         chain = (rho**2 * np.max(lam ** (1.0 - 2.0 * alpha)) + neg_a * q_max
                  + sys0.ab.sup_bound() * u_sup * q_max)
-        for j in map(int, sys0.indices):
+        certs = beating_certificate(sys0, sys0.indices, 512,
+                                    [np.random.default_rng([7, 3, j]) for j in sys0.indices])
+        for j, cert in zip(map(int, sys0.indices), certs):
             b_j = slope(sys0, j)
             assert b_j <= 0.0
-            x = _nonnegative_samples(sys0, 512, np.random.default_rng([7, 3, j]))
+            x, _ = _nonnegative_samples(sys0, np.random.default_rng([7, 3, j]).random((512, 5)))
             assert x.shape[0] >= 1 and sys0.in_ball(x)
-            cert = beating_certificate(sys0, j, n_samples=512,
-                                       rng=np.random.default_rng([7, 3, j]))
+            assert cert["surface"] == j
             bound = 2.0 * abs(b_j) * chain
             assert bound < 1.0
             assert cert["verdict"] == "pass" and cert["theta_check"] <= 1e-10, (build.__name__, j)
@@ -317,9 +319,8 @@ def test_beating_certificate_certified_instance():
 
 def test_simulate_certified_no_beating():
     sys0 = certified_logistic(window=(1, 6))
-    certs = [beating_certificate(sys0, j, n_samples=64,
-                                 rng=np.random.default_rng(32))
-             for j in range(1, 7)]
+    certs = beating_certificate(sys0, range(1, 7), 64,
+                                [np.random.default_rng(32) for _ in range(6)])
     assert all(c["verdict"] == "pass" for c in certs)
     traj = simulate(sys0, 0.2 * e1(sys0), 0.5, 6.5, seg_tol=1e-8,
                     certified_surfaces=range(1, 7))
@@ -437,16 +438,22 @@ def readme_like():
     )
 
 
-@pytest.mark.parametrize("build", [readme_like, make_system, certified_logistic])
-@pytest.mark.parametrize("n_samples", [0, 8, 256])
-def test_batched_certificate_matches_per_sample_loop(build, n_samples):
-    sys0 = build()
-    for j in (1, 4):
-        cert = beating_certificate(sys0, j, n_samples=n_samples,
-                                   rng=np.random.default_rng([34, j]))
-        theta, p_val, beta0, count = certificate_by_sample(
-            sys0, j, n_samples, np.random.default_rng([34, j])
-        )
+class FixedDraws:
+    """A stand-in Generator whose ``random`` returns the given rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
+def assert_matches_per_sample_loop(sys0, certs, js, n_samples, rng_of):
+    """Each record of a batched call against ``certificate_by_sample`` on its surface alone."""
+    assert [c["surface"] for c in certs] == list(js)
+    for j, cert in zip(js, certs):
+        theta, p_val, beta0, count = certificate_by_sample(sys0, j, n_samples, rng_of(j))
         assert cert["n_samples"] == count
         assert (cert["verdict"] == "pass") == bool(theta <= 1e-10 and p_val < 1.0)
         assert cert["beta0"] == beta0
@@ -458,6 +465,60 @@ def test_batched_certificate_matches_per_sample_loop(build, n_samples):
         assert cert["P_check"] == pytest.approx(p_val, rel=1e-13, abs=1e-15)
 
 
+@pytest.mark.parametrize("build", [readme_like, make_system, certified_logistic])
+@pytest.mark.parametrize("n_samples", [0, 8, 256])
+def test_batched_certificate_matches_per_sample_loop(build, n_samples):
+    # js = 1..4 in one call: one group at 8 samples, two groups of two at 256 (the
+    # boundary between surfaces 2 and 3), and at 0 samples every surface gives -inf
+    sys0 = build()
+    js = (1, 2, 3, 4)
+    certs = beating_certificate(sys0, js, n_samples,
+                                [np.random.default_rng([34, j]) for j in js])
+    assert_matches_per_sample_loop(sys0, certs, js, n_samples,
+                                   lambda j: np.random.default_rng([34, j]))
+    if n_samples == 0:
+        assert all(c["theta_check"] == c["P_check"] == -np.inf for c in certs)
+
+
+@pytest.mark.parametrize("n_samples", [8, 256])
+def test_batched_certificate_with_a_surface_that_keeps_no_sample(n_samples):
+    # surface 2 draws all-zero weights and surface 3 some: their rows are dropped, and in
+    # its group surface 2 gives -inf with no error, as an empty set does
+    sys0 = readme_like()
+    js = (1, 2, 3, 4)
+    some = np.random.default_rng(5).random((n_samples, 5))
+    some[::2, :4] = 0.0
+    draws = {2: np.zeros((n_samples, 5)), 3: some}
+
+    def rng_of(j):
+        return FixedDraws(draws[j]) if j in draws else np.random.default_rng([35, j])
+
+    certs = beating_certificate(sys0, js, n_samples, [rng_of(j) for j in js])
+    assert certs[1]["n_samples"] == 0 and certs[1]["theta_check"] == -np.inf
+    assert certs[2]["n_samples"] == n_samples // 2
+    assert_matches_per_sample_loop(sys0, certs, js, n_samples, rng_of)
+
+
+def test_batched_certificate_names_the_lowest_overflowing_surface():
+    # surfaces 2 and 3 of one group jump by 1e308: Q(x + g_j(x)) overflows on both, and
+    # their theta_check = -inf would pass
+    d_big = np.full(8, 1e308)
+    jumps = IndexedOffsetJumps(offsets=lambda j: d_big if j in (2, 3) else np.zeros(8))
+    sys0 = make_system(slopes=TrigSum(-0.2), jumps=jumps)
+    with pytest.raises(NonFiniteConstantError, match="surface 2 certificate"):
+        beating_certificate(sys0, (1, 2, 3, 4), 8, [np.random.default_rng(j) for j in range(4)])
+    (cert,) = beating_certificate(sys0, [4], 8, [np.random.default_rng(0)])
+    assert cert["verdict"] == "pass"
+
+
+def test_batched_certificate_rejects_a_surface_outside_the_window():
+    # with no sample drawn there is no row whose tau could reject the index
+    sys0 = make_system(window=(0, 8))
+    for outside in ([0, 9], [-1]):
+        with pytest.raises(ValueError, match="surface window"):
+            beating_certificate(sys0, outside, 0, [np.random.default_rng(0)] * len(outside))
+
+
 @pytest.mark.parametrize(
     "build", [systems.readme_like, systems.moving_like, certified_logistic]
 )
@@ -466,7 +527,7 @@ def test_coefficient_space_samples_match_physical_space(build, n_samples):
     """The projected shape table gives the samples built on the grid, to rounding."""
     sys0 = build()
     for seed in (0, 1, 2):
-        got = _nonnegative_samples(sys0, n_samples, np.random.default_rng(seed))
+        got, _ = _nonnegative_samples(sys0, np.random.default_rng(seed).random((n_samples, 5)))
         ref = samples_in_physical_space(sys0, n_samples, np.random.default_rng(seed))
         assert got.shape == ref.shape and got.shape[0] >= 1
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
