@@ -34,7 +34,6 @@ from .config import SECTION_KEYS, ConfigError, check_grid, load_instance, valida
 from .evolution import NonFiniteConstantError, NonHyperbolicError, fit_dichotomy, k_bundle
 from .impulsive import (
     BallExitError,
-    BeatingError,
     EventLocationError,
     SeparationError,
     beating_certificate,
@@ -66,7 +65,6 @@ EXIT_NUMERICAL = 3
 _VALIDATION_ERRORS = (ConfigError, SeparationError, SurfaceWindowError, WindowTooShortError)
 _NUMERICAL_ERRORS = (
     BallExitError,
-    BeatingError,
     ConvergenceError,
     EventLocationError,
     NonFiniteConstantError,
@@ -79,6 +77,17 @@ _STAGE_DICHOTOMY = 1
 _STAGE_LIPSCHITZ = 2
 _STAGE_CERTIFY = 3
 _STAGE_SMALLNESS = 4
+
+# the files each command writes into --out (trajectory_hits.txt only when there are hits); main
+# removes them before the command runs, so a failed run leaves none of an earlier run's
+WRITTEN_FILES = {
+    "constants": ("dichotomy.txt", "kbundle.txt"),
+    "simulate": ("simulate.txt", "trajectory.npy", "trajectory_hits.txt"),
+    "certify": ("certificates.txt", "beating.txt"),
+    "solve-ap": ("ystar.txt", "trajectory.npy", "trajectory_hits.txt", "contraction.txt",
+                 "ap_report.txt"),
+    "analyze-ap": ("ap_analysis.txt",),
+}
 
 
 def _fitted_dichotomy(cfg, seed):
@@ -94,9 +103,9 @@ def _fitted_dichotomy(cfg, seed):
 def _constant_bundle(cfg, checks, dich, seed):
     """The K-bundle, the gap constant and the measured Lipschitz data.
 
-    theta and Q are the system's own; only ``C`` may be set, in
-    ``[overrides]``.  Raises NonFiniteConstantError when ``d_norm_x1`` of the
-    validation ``checks`` or an entry of the bundle is not finite.
+    theta and Q are the system's own, C is k_bundle's default 1.0.  Raises
+    NonFiniteConstantError when ``d_norm_x1`` of the validation ``checks`` or
+    an entry of the bundle is not finite.
     """
     if not np.isfinite(checks["d_norm_x1"]):
         raise NonFiniteConstantError("d_norm_x1 = %g is not finite" % checks["d_norm_x1"])
@@ -110,7 +119,6 @@ def _constant_bundle(cfg, checks, dich, seed):
         dich,
         system.theta,
         gc["value"],
-        C=cfg.overrides.get("C", 1.0),
         g_star=measured["g_star"],
         M_star=measured["M0"] + measured["N1"] * system.rho,
     )
@@ -133,6 +141,11 @@ def cmd_simulate(cfg, out: Path, seed: int) -> None:
     system = cfg.system
     validate_instance(cfg)
     t0, t_end = cfg.t_range
+    taus, gap = system.base_times, system.base.a
+    if t0 < taus[0] - gap or t_end > taus[-1] + gap:  # the flow past the lattice has no impulse
+        raise ConfigError("[simulate] t_range %g %g must lie within one [surfaces] gap = %g of the "
+                          "base moments %g .. %g of [surfaces] window %d %d"
+                          % (t0, t_end, gap, taus[0], taus[-1], *system.base.window))
     traj = simulate(
         system,
         cfg.u0,
@@ -191,12 +204,6 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     kb, _, measured = _constant_bundle(cfg, checks, dich, seed)
     res = outer_solve(system, dich, cfg.time_window, cfg=cfg.solver)
 
-    y = res.y_star
-    write_table(
-        out / "ystar.txt", np.arange(y.window[0], y.window[1] + 1), y.values
-    )
-    write_trajectory(out, res.trajectory, lap, alpha)
-
     rec = verify_smallness(
         system, kb, measured["N1"], measured["M0"],
         rng=np.random.default_rng([seed, _STAGE_SMALLNESS]),
@@ -220,9 +227,16 @@ def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
     rec["sup_norm_alpha"] = res.meta["sup_norm_%g" % alpha]
     rec["sup_norm_0.9"] = res.meta["sup_norm_0.9"]
     rec["buffer"] = buf
-    write_record(out / "contraction.txt", rec)
+    ap_report = certify_almost_periodicity(system, res, cfg.eps_list)
 
-    write_record(out / "ap_report.txt", certify_almost_periodicity(system, res, cfg.eps_list))
+    # the writes follow the last step that can raise: a failed run writes nothing
+    y = res.y_star
+    write_table(
+        out / "ystar.txt", np.arange(y.window[0], y.window[1] + 1), y.values
+    )
+    write_trajectory(out, res.trajectory, lap, alpha)
+    write_record(out / "contraction.txt", rec)
+    write_record(out / "ap_report.txt", ap_report)
 
 
 def _load_data(path: Path, what: str) -> np.ndarray:
@@ -330,6 +344,8 @@ def main(argv=None) -> int:
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
+            for name in WRITTEN_FILES[args.command]:
+                (out / name).unlink(missing_ok=True)
         except OSError as exc:
             raise ConfigError("--out %s is not a usable directory: %s" % (args.out, exc)) from None
         if args.command == "constants":

@@ -125,8 +125,8 @@ def _nonlinearity(text, name):
 _TERMS = _list(_triple, ";")  # 'amp freq phase; amp freq phase; ...'
 
 # the file format: each accepted key of each section, case-sensitive, with the
-# parser of its value.  [overrides]: the K-bundle's C (constants, solve-ap) and
-# the crop of analyze-ap; the other constants follow from the instance.
+# parser of its value.  [overrides]: the crop of analyze-ap; every constant
+# follows from the instance.
 # The sizes have upper bounds, checked before anything is allocated: the sine
 # basis is n_modes x (n_xi + 1) floats, at most 512 x 8193 (34 MB); certify
 # samples the surfaces in groups of max(1, 512 // n_samples), so it keeps
@@ -158,7 +158,7 @@ SECTION_KEYS = {
     "analysis": {"eps": _eps},
     "simulate": {"u0": _VECTOR, "t_range": _pair(_REAL)},
     # a negative crop would sample past the data, where the interpolant repeats its end rows
-    "overrides": {"C": _NONNEGATIVE, "analysis_crop": _NONNEGATIVE},
+    "overrides": {"analysis_crop": _NONNEGATIVE},
 }
 
 
@@ -212,7 +212,7 @@ def load_instance(path) -> InstanceConfig:
     """Parse an instance file; raises ConfigError on malformed input."""
     # ';' separates terms and kernel rows, so only '#' starts a comment
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.optionxform = str  # keep key case (C vs c in [overrides])
+    parser.optionxform = str  # keep key case (l vs L in [geometry])
     try:
         read = parser.read(str(path))
     except configparser.Error as exc:  # a repeated section or key, a line outside a section
@@ -288,7 +288,7 @@ def validate_instance(cfg: InstanceConfig) -> dict:
     """Checkable hypothesis parts; raises ConfigError on the first failure.
 
     Returns a record of the checked quantities (slope range, separation
-    theta, sup_j |d_j|_1, I(0)).
+    theta, sup_j |d_j|_1).
     """
     system = cfg.system
     lap, rho = system.lap, system.rho
@@ -340,6 +340,4 @@ def validate_instance(cfg: InstanceConfig) -> dict:
         "slope_max": float(np.max(slopes)),
         "theta": theta,
         "d_norm_x1": d_norm,
-        "i_zero": i_zero,
-        "validation": "pass",
     }

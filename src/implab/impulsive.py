@@ -45,7 +45,6 @@ __all__ = [
     "JumpSpec",
     "ImpulseSystemSpec",
     "BallExitError",
-    "BeatingError",
     "EventLocationError",
     "SeparationError",
     "JUMP_MAP_CATALOGUE",
@@ -64,10 +63,6 @@ class BallExitError(RuntimeError):
     def __init__(self, message, time=None):
         super().__init__(message)
         self.time = time
-
-
-class BeatingError(RuntimeError):
-    """Repeated hit on a surface whose beating certificate passed."""
 
 
 class EventLocationError(RuntimeError):
@@ -467,7 +462,7 @@ _SHARPEN_RUNS = 40
 
 def simulate(
     system: ImpulseSystemSpec, u0, t0: float, t_end: float, seg_tol: float = 1e-8,
-    event_tol: float = 1e-10, certified_surfaces=(),
+    event_tol: float = 1e-10,
 ) -> PiecewiseTrajectory:
     """Flow, crossing detection and jumps on [t0, t_end], in one adaptive loop.
 
@@ -480,16 +475,12 @@ def simulate(
     (t_i, t_{i+1}) shrunk by the sign of every run's zeta (the midpoint
     replaces an iterate outside it).  The node table takes the last run's
     nodes and then the post-jump state, so a time repeats only at a hit;
-    ``meta['n_segments']`` counts the pieces between cuts (hits + 1).
-
-    ``certified_surfaces`` lists surface indices with a passing beating
-    certificate; a second hit on such a surface raises BeatingError, while
-    uncertified repeats are only counted in ``meta['hit_counts']``.  A hit
-    time whose |zeta| stays >= ``event_tol`` after ``_SHARPEN_RUNS``
-    re-integrations raises EventLocationError.
+    ``meta['n_segments']`` counts the pieces between cuts (hits + 1), and
+    ``meta['hit_counts']`` the hits on each surface.  A hit time whose
+    |zeta| stays >= ``event_tol`` after ``_SHARPEN_RUNS`` re-integrations
+    raises EventLocationError.
     """
     lo, hi = system.intervals
-    certified = set(int(j) for j in certified_surfaces)
 
     x = np.asarray(u0, dtype=float)
     t = float(t0)
@@ -556,8 +547,6 @@ def simulate(
         last_hit = (j, th)
         hits.append(HitRecord(time=th, surface=j, pre=pre, post=post))
         hit_counts[j] = hit_counts.get(j, 0) + 1
-        if hit_counts[j] > 1 and j in certified:
-            raise BeatingError("repeated hit on certified surface %d at t = %g" % (j, th))
         t, x = th, post
 
     nodes = Segment(t=np.array(node_t), states=np.stack(node_states))

@@ -70,18 +70,15 @@ def write_trajectory(out_dir, traj, lap, alpha) -> None:
 
     Writes ``trajectory.npy`` (the (M, 1 + N) node table, times in column 0)
     and, when hits exist, ``trajectory_hits.txt``, whose norms are |.|_alpha of
-    ``lap``.  Deletes the text table ``trajectory.txt`` of earlier versions
-    and, without hits, a ``trajectory_hits.txt`` left by an earlier run.
+    ``lap``.  Deletes the text table ``trajectory.txt`` of earlier versions.
     """
     nodes = np.column_stack((traj.nodes.t, traj.nodes.states))
     np.save(out_dir / "trajectory.npy", nodes, allow_pickle=False)
     (out_dir / "trajectory.txt").unlink(missing_ok=True)
 
-    hits_path = out_dir / "trajectory_hits.txt"
     if not traj.hits:
-        hits_path.unlink(missing_ok=True)
         return
-    with open(hits_path, "w") as fh:
+    with open(out_dir / "trajectory_hits.txt", "w") as fh:
         for h in traj.hits:
             fh.write(
                 "%.17g %d %.17g %.17g\n"

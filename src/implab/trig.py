@@ -119,9 +119,3 @@ class TrigSum:
         return TrigSum(c * self.offset, tuple((c * a, f, p) for a, f, p in self.terms))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TrigSum) else -float(other))

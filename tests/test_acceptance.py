@@ -101,8 +101,7 @@ def test_criterion_1_beta0_and_beating():
 
     # 50-surface simulation from non-negative data: <= 1 hit per surface
     x0 = sys1.lap.project(lambda s: 0.3 * np.sin(np.pi * s) ** 2)
-    traj = simulate(sys1, x0, 0.5, 50.5, seg_tol=1e-8,
-                    certified_surfaces=range(1, 51))
+    traj = simulate(sys1, x0, 0.5, 50.5, seg_tol=1e-8)
     counts = traj.meta["hit_counts"]
     check(failures, len(traj.hits) == 50, "expected 50 hits, got %d" % len(traj.hits))
     check(failures, max(counts.values()) <= 1, "a surface was hit twice")

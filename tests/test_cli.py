@@ -14,7 +14,7 @@ import pytest
 
 import implab
 from implab import impulsive
-from implab.cli import main
+from implab.cli import WRITTEN_FILES, main
 from implab.config import SECTION_KEYS, ConfigError, load_instance, validate_instance
 from implab.records import format_value, write_record, write_rows, write_table, write_trajectory
 
@@ -180,7 +180,7 @@ def test_load_instance_and_validate(tmp_path):
     assert cfg.seed == 7
     checks = validate_instance(cfg)
     assert checks["theta"] == pytest.approx(1.0)
-    assert checks["validation"] == "pass"
+    assert list(checks) == ["slope_min", "slope_max", "theta", "d_norm_x1"]
 
 
 def test_load_missing_file(tmp_path):
@@ -240,7 +240,7 @@ def test_surface_and_jump_terms_keys(tmp_path):
     )
     for k in j:
         assert jumps.amp(k) == pytest.approx(0.02 + 0.01 * np.cos(2.0 * k + 0.5), rel=1e-15)
-    assert validate_instance(cfg)["validation"] == "pass"
+    assert list(validate_instance(cfg)) == ["slope_min", "slope_max", "theta", "d_norm_x1"]
 
 
 EDGE_VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "1e308", "abc", "1 2 3")
@@ -311,9 +311,9 @@ def test_cmd_constants(tmp_path):
 
 
 def test_unknown_override_key_rejected(tmp_path):
-    # key case is kept, so c is not C
+    # [overrides] holds analyze-ap's crop alone
     text = BASE + "\n[overrides]\nc = 1.0\n"
-    with pytest.raises(ConfigError, match="c; accepted: C analysis_crop$"):
+    with pytest.raises(ConfigError, match="c; accepted: analysis_crop$"):
         load_instance(write_config(tmp_path, text))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -337,8 +337,9 @@ def test_unknown_section_or_key_rejected(tmp_path, old, new, match):
 
 
 # the keys that once replaced computed constants with declared ones, an unread tolerance,
-# a second way to set the buffer that tail_tol sets, and analyze-ap's own sampling step
-DELETED_KEYS = [("overrides", key) for key in ("M", "beta", "M1", "M2", "beta1", "theta", "Q")]
+# a second way to set the buffer that tail_tol sets, analyze-ap's own sampling step, and
+# the K-bundle's C, which no instance set to other than its default 1.0
+DELETED_KEYS = [("overrides", key) for key in ("M", "beta", "M1", "M2", "beta1", "theta", "Q", "C")]
 DELETED_KEYS += [("solver", "residual_tol"), ("solver", "buffer"), ("overrides", "analysis_h_t")]
 
 
@@ -594,8 +595,8 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # finite and one hit time per row of y*, the hit times strictly
     # increasing (a repeated or nan hit time used to end in a traceback, a nan
     # state in status=ok), and the y* indices consecutive integers (swapped
-    # rows, a gap or a fractional index used to give status=ok); C pinned in
-    # [overrides] must be >= 0, the seed >= 0 (numpy's rng raised), the base
+    # rows, a gap or a fractional index used to give status=ok); the deleted
+    # [overrides] C is rejected as an unknown key, the seed >= 0 (numpy's rng raised), the base
     # times finite (a gap of 1e308 overflowed them and gave theta = nan with
     # status=ok), (sup|m| t)^2 finite over the instance's times (an a offset of
     # 1e308 used to print overflow warnings before its exit 3), and so must
@@ -655,18 +656,9 @@ def test_negative_seed_option_exits_2(tmp_path):
     assert buf.getvalue().splitlines()[-1].startswith("status=error kind=validation")
 
 
-# the files each command writes on the README instance, into an empty --out
-WRITTEN_FILES = {
-    "constants": ["dichotomy.txt", "kbundle.txt"],
-    "simulate": ["simulate.txt", "trajectory.npy", "trajectory_hits.txt"],
-    "certify": ["certificates.txt", "beating.txt"],
-    "solve-ap": ["ystar.txt", "trajectory.npy", "trajectory_hits.txt", "contraction.txt",
-                 "ap_report.txt"],
-    "analyze-ap": ["ap_analysis.txt"],
-}
-
-
 def test_each_command_writes_exactly_its_files(tmp_path):
+    # on the README instance, into an empty --out, each command writes every file of its
+    # WRITTEN_FILES entry, the files main removes first
     cfg_path = write_config(tmp_path, readme_instance())
     for command, names in WRITTEN_FILES.items():
         out = tmp_path / command
@@ -700,10 +692,9 @@ def test_unusable_out_exits_2(tmp_path, capsys, command, under):
 )
 def test_too_few_surfaces_exit_2(tmp_path, command, window, code):
     # theta is taken over 2 surfaces or more, the gap constant over 4 or more;
-    # simulate reads theta only
-    argv = [command, "--config",
-            write_config(tmp_path, BASE.replace("window = 0 8", "window = " + window)),
-            "--out", str(tmp_path / "o")]
+    # simulate reads theta only, over a t_range within a gap of surfaces 0-2
+    text = BASE.replace("window = 0 8", "window = " + window) + "\n[simulate]\nt_range = 0 3\n"
+    argv = [command, "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(argv) == code
@@ -743,6 +734,75 @@ def test_simulate_without_hits_deletes_an_earlier_hit_log(tmp_path):
         n_hits = int(read_record(out / "simulate.txt")["n_hits"])
         assert (n_hits > 0) == hits == (out / "trajectory_hits.txt").exists(), t_range
     assert sorted(path.name for path in out.iterdir()) == ["simulate.txt", "trajectory.npy"]
+
+
+@pytest.mark.parametrize("command, key, value",
+                         [("solve-ap", "h_t", "0.005\nmax_outer = 1"), ("certify", "d", "1e308")],
+                         ids=["solve-ap-max_outer", "certify-huge-d"])
+def test_failed_run_leaves_no_file_of_an_earlier_run(tmp_path, capsys, command, key, value):
+    # a second run into one --out exits 3: the first run's files used to stay, so analyze-ap
+    # ended status=ok on the first y*, and certificates.txt still read all_pass true
+    out = tmp_path / "out"
+    first = readme_instance()
+    second = re.sub(r"^%s = .*$" % key, "%s = %s" % (key, value), first, flags=re.M)
+    for text, code in ((first, 0), (second, 3)):
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == code
+    assert list(out.iterdir()) == []
+    if command == "solve-ap":
+        capsys.readouterr()
+        assert main(["analyze-ap", "--config", write_config(tmp_path, first),
+                     "--out", str(tmp_path / "analysis"), "--data", str(out)]) == 2
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("status=error kind=validation reason=")
+        assert "--data lacks a file written by solve-ap" in last and "ystar.txt" in last
+
+
+@pytest.mark.parametrize("step", ["verify_smallness", "integral_residual",
+                                  "certify_almost_periodicity"])
+def test_solve_ap_writes_nothing_when_a_late_step_fails(tmp_path, monkeypatch, step):
+    # each step runs after the outer solve; y* and the trajectory used to be written before them
+    import implab.cli
+    from implab.solver import ConvergenceError
+
+    def fail(*args, **kwargs):
+        raise ConvergenceError("probe")
+
+    monkeypatch.setattr(implab.cli, step, fail)
+    out = tmp_path / "out"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["solve-ap", "--config", write_config(tmp_path), "--out", str(out)]) == 3
+    assert buf.getvalue().splitlines()[-1] == "status=error kind=numerical reason='probe'"
+    assert list(out.iterdir()) == []
+
+
+def test_out_file_that_cannot_be_removed_exits_2(tmp_path, capsys):
+    # a directory in --out by the name of a file the command writes
+    out = tmp_path / "out"
+    (out / "kbundle.txt").mkdir(parents=True)
+    assert main(["constants", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    last = stdout.splitlines()[-1]
+    assert last.startswith("status=error kind=validation reason=\"--out %s is not a usable "
+                           "directory" % out)
+    assert str(out / "kbundle.txt") in last
+    assert err == ""
+    assert [path.name for path in out.iterdir()] == ["kbundle.txt"]
+
+
+@pytest.mark.parametrize("t_range", ["0.5 45", "-5 3"])
+def test_simulate_t_range_past_the_lattice_exits_2(tmp_path, capsys, t_range):
+    # the README surfaces 0-30 have base moments 0 .. 30, a gap of 1 apart: 0.5 45 used to end
+    # status=ok, its last 14 time units free of impulses
+    text = readme_instance() + "\n[simulate]\nt_range = %s\n" % t_range
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    last = stdout.splitlines()[-1]
+    assert last.startswith("status=error kind=validation reason='[simulate] t_range %s must "
+                           "lie within one [surfaces] gap = 1 of the base moments 0 .. 30 of "
+                           "[surfaces] window 0 30'" % t_range)
+    assert err == ""
 
 
 def test_analyze_ap_samples_the_table_as_solve_ap_does(tmp_path, monkeypatch):
@@ -1063,7 +1123,7 @@ CONTRACTION_KEYS = (
 
 
 DICHOTOMY_KEYS = (
-    "slope_min slope_max theta d_norm_x1 i_zero validation unstable_modes M beta M1 "
+    "slope_min slope_max theta d_norm_x1 unstable_modes M beta M1 "
     "gap_constant_formula gap_constant_measured"
 ).split()
 

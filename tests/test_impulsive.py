@@ -322,8 +322,7 @@ def test_simulate_certified_no_beating():
     certs = beating_certificate(sys0, range(1, 7), 64,
                                 [np.random.default_rng(32) for _ in range(6)])
     assert all(c["verdict"] == "pass" for c in certs)
-    traj = simulate(sys0, 0.2 * e1(sys0), 0.5, 6.5, seg_tol=1e-8,
-                    certified_surfaces=range(1, 7))
+    traj = simulate(sys0, 0.2 * e1(sys0), 0.5, 6.5, seg_tol=1e-8)
     counts = traj.meta["hit_counts"]
     assert all(v <= 1 for v in counts.values())
     assert len(traj.hits) == 6

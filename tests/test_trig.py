@@ -36,7 +36,6 @@ def test_sum_and_scale():
     t = np.linspace(0.0, 5.0, 50)
     assert np.allclose((a + a)(t), 2.0 * a(t))
     assert np.allclose((3.0 * a)(t), 3.0 * a(t))
-    assert np.allclose((a - a)(t), 0.0)
 
 
 def test_sup_bound_and_shift():
