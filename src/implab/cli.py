@@ -1,7 +1,8 @@
 """Batch front door: run one pipeline stage on a configured instance.
 
-Commands (each takes ``--config PATH``, ``--out DIR`` and optional
-``--seed``):
+Commands, each a row of ``COMMANDS`` (its function, help line and the files
+it writes into ``--out``); each takes ``--config PATH``, ``--out DIR`` and
+optional ``--seed``:
 
 * ``constants`` — fit the exponential dichotomy and evaluate the constant
   bundle of the contraction argument,
@@ -78,18 +79,6 @@ _STAGE_LIPSCHITZ = 2
 _STAGE_CERTIFY = 3
 _STAGE_SMALLNESS = 4
 
-# the files each command writes into --out (trajectory_hits.txt only when there are hits); main
-# removes them before the command runs, so a failed run leaves none of an earlier run's
-WRITTEN_FILES = {
-    "constants": ("dichotomy.txt", "kbundle.txt"),
-    "simulate": ("simulate.txt", "trajectory.npy", "trajectory_hits.txt"),
-    "certify": ("certificates.txt", "beating.txt"),
-    "solve-ap": ("ystar.txt", "trajectory.npy", "trajectory_hits.txt", "contraction.txt",
-                 "ap_report.txt"),
-    "analyze-ap": ("ap_analysis.txt",),
-}
-
-
 def _fitted_dichotomy(cfg, seed):
     system = cfg.system
     return fit_dichotomy(
@@ -125,7 +114,7 @@ def _constant_bundle(cfg, checks, dich, seed):
     return kb, gc, measured
 
 
-def cmd_constants(cfg, out: Path, seed: int) -> None:
+def cmd_constants(cfg, out: Path, seed: int, args) -> None:
     checks = validate_instance(cfg)
     dich = _fitted_dichotomy(cfg, seed)
     kb, gc, _ = _constant_bundle(cfg, checks, dich, seed)
@@ -137,7 +126,7 @@ def cmd_constants(cfg, out: Path, seed: int) -> None:
     write_record(out / "kbundle.txt", kb)
 
 
-def cmd_simulate(cfg, out: Path, seed: int) -> None:
+def cmd_simulate(cfg, out: Path, seed: int, args) -> None:
     system = cfg.system
     validate_instance(cfg)
     t0, t_end = cfg.t_range
@@ -168,7 +157,7 @@ def cmd_simulate(cfg, out: Path, seed: int) -> None:
     write_record(out / "simulate.txt", rec)
 
 
-def cmd_certify(cfg, out: Path, seed: int) -> None:
+def cmd_certify(cfg, out: Path, seed: int, args) -> None:
     system = cfg.system
     validate_instance(cfg)
     js = system.indices
@@ -184,7 +173,7 @@ def cmd_certify(cfg, out: Path, seed: int) -> None:
     write_record(out / "certificates.txt", summary)
 
 
-def cmd_solve_ap(cfg, out: Path, seed: int) -> None:
+def cmd_solve_ap(cfg, out: Path, seed: int, args) -> None:
     system = cfg.system
     lap, alpha = system.lap, system.alpha
     checks = validate_instance(cfg)
@@ -277,8 +266,9 @@ def _read_data_table(path: Path, n_modes: int, min_rows: int, what: str = "a tab
     return index, values
 
 
-def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
+def cmd_analyze_ap(cfg, out: Path, seed: int, args) -> None:
     system = cfg.system
+    data = Path(args.data)
     # two rows of y* at least: with one row, no shift of y* or of the hit times can be compared
     j_idx, y_vals = _read_data_table(data / "ystar.txt", system.lap.n_modes, 2)
     if np.any(j_idx != np.round(j_idx[0]) + np.arange(j_idx.size)):
@@ -312,6 +302,24 @@ def cmd_analyze_ap(cfg, out: Path, seed: int, data: Path) -> None:
     write_record(out / "ap_analysis.txt", flat)
 
 
+# each command: its function, its help line and the files it writes into --out
+# (trajectory_hits.txt only when there are hits); main removes those files before the
+# command runs, so a failed run leaves none of an earlier run's
+COMMANDS = {
+    "constants": (cmd_constants, "dichotomy constants and the contraction bundle",
+                  ("dichotomy.txt", "kbundle.txt")),
+    "simulate": (cmd_simulate, "hybrid forward simulation",
+                 ("simulate.txt", "trajectory.npy", "trajectory_hits.txt")),
+    "certify": (cmd_certify, "beating-exclusion certificates, one table row per surface",
+                ("certificates.txt", "beating.txt")),
+    "solve-ap": (cmd_solve_ap, "almost periodic solution via the two-level fixed point",
+                 ("ystar.txt", "trajectory.npy", "trajectory_hits.txt", "contraction.txt",
+                  "ap_report.txt")),
+    "analyze-ap": (cmd_analyze_ap, "almost-periodicity analysis of written artifacts",
+                   ("ap_analysis.txt",)),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="implab",
@@ -320,13 +328,7 @@ def main(argv=None) -> int:
         "periodic solver, driven by flat instance files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("constants", "dichotomy constants and the contraction bundle"),
-        ("simulate", "hybrid forward simulation"),
-        ("certify", "beating-exclusion certificates, one table row per surface"),
-        ("solve-ap", "almost periodic solution via the two-level fixed point"),
-        ("analyze-ap", "almost-periodicity analysis of written artifacts"),
-    ):
+    for name, (_, help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="instance file (INI)")
         p.add_argument("--out", default=".", help="output directory")
@@ -336,6 +338,7 @@ def main(argv=None) -> int:
                 "--data", required=True, help="directory with solve-ap artifacts"
             )
     args = parser.parse_args(argv)
+    run, _, written = COMMANDS[args.command]
 
     try:
         cfg = load_instance(args.config)
@@ -344,20 +347,11 @@ def main(argv=None) -> int:
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
-            for name in WRITTEN_FILES[args.command]:
+            for name in written:
                 (out / name).unlink(missing_ok=True)
         except OSError as exc:
             raise ConfigError("--out %s is not a usable directory: %s" % (args.out, exc)) from None
-        if args.command == "constants":
-            cmd_constants(cfg, out, seed)
-        elif args.command == "simulate":
-            cmd_simulate(cfg, out, seed)
-        elif args.command == "certify":
-            cmd_certify(cfg, out, seed)
-        elif args.command == "solve-ap":
-            cmd_solve_ap(cfg, out, seed)
-        else:
-            cmd_analyze_ap(cfg, out, seed, Path(args.data))
+        run(cfg, out, seed, args)
     except _VALIDATION_ERRORS as exc:
         print("status=error kind=validation reason=%r" % str(exc))
         return EXIT_VALIDATION

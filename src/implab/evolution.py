@@ -269,9 +269,9 @@ def k_bundle(alpha, dich: DichotomyData, theta, Q, C=1.0, g_star=0.0, M_star=0.0
     M1, beta = dich.M1, dich.beta
     pos = 1.0 / beta + math.gamma(1.0 - alpha) * beta ** (alpha - 1.0)
     K1 = M1 * (pos + 1.0 / beta)  # s <= 0 contributes int e^{beta s} ds = 1/beta
-    K2 = 2.0 * M1 / (1.0 - np.exp(-beta * theta))
-    K = K1 + K2
     denom = 1.0 - np.exp(-beta * theta)
+    K2 = 2.0 * M1 / denom
+    K = K1 + K2
     K3 = M1 * (1.0 + theta ** (-alpha)) * (1.0 + C * g_star + 2.0 * M_star) / denom
     K4 = M1 * (g_star * C + 2.0 * M_star)
     Psi1 = 2.0 * M1 * (1.0 + theta ** (-alpha)) * Q / denom + M1 * Q ** (1.0 - alpha) / (1.0 - alpha)

@@ -332,7 +332,7 @@ def inner_solve(
         states = np.zeros((t.size, lap.n_modes))
     increments = []
     for it in range(cfg.max_inner):
-        new_states = _recursion_pass(ig, system.forcing(ig.t, states), jumps)
+        new_states = _recursion_pass(ig, system.f(ig.t, states), jumps)
         inc = float(np.max(lap.frac_norm(new_states - states, alpha)))
         increments.append(inc)
         states = new_states
@@ -384,7 +384,7 @@ def integral_residual(
     T_tail = traj.meta["buffer"]
 
     def f_vals_fn(v):
-        return system.forcing(v, traj.eval_many(v))
+        return system.f(v, traj.eval_many(v))
 
     worst = 0.0
     for t in times:
@@ -408,11 +408,13 @@ def poincare_map(
     cfg: SolverConfig = SolverConfig(),
     warm: WarmStart | None = None,
 ):
-    """S(y)_j = u*(tau_j(y_j), y), sampled left-continuously; ``warm`` seeds the inner solve."""
+    """S(y)_j = u*(tau_j(y_j), y), sampled left-continuously; ``warm`` seeds the inner solve.
+
+    Each value is a node row that ``inner_solve`` checked against the ball: the
+    pre-jump row at a cut, or an end row for a frozen time outside the span.
+    """
     traj, info = inner_solve(system, dich, y, window, cfg, warm)
     out = APSequencePoint(window=y.window, values=traj.eval_many(info["frozen_times"]))
-    if not system.in_ball(out.values):
-        raise BallExitError("Poincare image leaves the sequence ball")
     return out, traj, info
 
 
@@ -551,7 +553,7 @@ def measure_lipschitz(system: ImpulseSystemSpec, rng=None) -> dict:
         k.append(rng.integers(probe.size))
     x = np.array(pairs).reshape(-1, 2, n)
     d, t, k = np.array(d), np.array(t), np.array(k, dtype=int)
-    f = system.forcing(np.r_[t, t], np.r_[x[:, 0], x[:, 1]])
+    f = system.f(np.r_[t, t], np.r_[x[:, 0], x[:, 1]])
     lip_f = np.max(np.linalg.norm(f[: d.size] - f[d.size :], axis=1) / d, initial=0.0)
     # each probe surface's batch ends with the zero state, for g_j(0).  A huge
     # jump datum gives inf norms, without a warning: the constant bundle rejects them
@@ -568,7 +570,7 @@ def measure_lipschitz(system: ImpulseSystemSpec, rng=None) -> dict:
     tau = system.tau(idx[probe[k], None], x)
     lip_tau = np.max(np.abs(tau[:, 0] - tau[:, 1]) / d, initial=0.0)
     t0 = np.linspace(0.0, 50.0, 32)
-    m0_f = np.max(np.linalg.norm(system.forcing(t0, np.zeros((t0.size, n))), axis=1))
+    m0_f = np.max(np.linalg.norm(system.f(t0, np.zeros((t0.size, n))), axis=1))
     return {
         "lip_f": float(lip_f),
         "lip_g": float(lip_g),

@@ -20,7 +20,7 @@ class ProfileForcedSystem(ImpulseSystemSpec):
 
     profile: object = None
 
-    def forcing(self, t, x) -> np.ndarray:
+    def f(self, t, x) -> np.ndarray:
         """The profile at one time (N,), or at times (M,) as (M, N)."""
         if isinstance(t, np.ndarray) and t.ndim > 0:
             return np.asarray(self.profile(t), dtype=float)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import implab
-from implab import impulsive
-from implab.cli import WRITTEN_FILES, main
+from implab import impulsive, solver
+from implab.cli import COMMANDS, main
 from implab.config import SECTION_KEYS, ConfigError, load_instance, validate_instance
 from implab.records import format_value, write_record, write_rows, write_table, write_trajectory
 
@@ -536,6 +536,10 @@ DAMAGED_DATA = {
         ("solve-ap", "h_t = 0.005", "h_t = 1e-12", None),
         ("analyze-ap", "[analysis]", "[overrides]\nanalysis_h_t = 1e-300\n\n[analysis]", None),
         ("analyze-ap", "[analysis]", "[overrides]\nanalysis_h_t = 1e-12\n\n[analysis]", None),
+        ("constants", "d = 0.02", "d = " + " ".join(["0.02"] * 9), None),
+        ("constants", "nonlinearity = zero",
+         "nonlinearity = relu\nkernel_left = 1; 1\nkernel_right = 1", None),
+        ("solve-ap", "window = 0 6", "window = 9.5 20", None),
     ]
     # bad values of deleted [overrides] keys: rejected as unknown keys, before any value is read
     + [(c, "[analysis]", "[overrides]\n%s\n\n[analysis]" % pin, None)
@@ -569,7 +573,8 @@ DAMAGED_DATA = {
          "constants-huge-l", "simulate-huge-l", "certify-huge-l", "solve-ap-huge-l",
          "constants-l-1e160", "constants-tiny-rho", "certify-tiny-rho", "certify-rho-1e-155",
          "simulate-huge-u0", "solve-ap-tiny-h_t", "solve-ap-h_t-1e-12", "analyze-ap-tiny-h_t",
-         "analyze-ap-h_t-1e-12",
+         "analyze-ap-h_t-1e-12", "constants-d-past-n_modes", "constants-kernel-rank-mismatch",
+         "solve-ap-surfaces-in-buffer-only",
          "constants-nan-override", "constants-zero-M", "constants-zero-beta", "solve-ap-zero-beta",
          "constants-negative-beta", "solve-ap-negative-beta",
          ] + list(DAMAGED_DATA),
@@ -610,7 +615,10 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # beta0 as inf), |u0|_alpha finite (1e300 printed an overflow warning), and
     # the grid (span / h_t) n_modes at most 2 10^6 for [solver] h_t (1e-300
     # gave solve-ap one step per piece with status=ok); a deleted key, such as
-    # [solver] buffer or [overrides] analysis_h_t, is rejected as an unknown key
+    # [solver] buffer or [overrides] analysis_h_t, is rejected as an unknown key;
+    # [jumps] d has at most n_modes values, the kernel as many left rows as right ones,
+    # and solve-ap needs a surface inside its window (surfaces 7 and 8 lie within a buffer
+    # of 9.5..20, none inside it)
     assert old in BASE
     argv = [command, "--config", write_config(tmp_path, BASE.replace(old, new)),
             "--out", str(tmp_path / "o")]
@@ -658,9 +666,9 @@ def test_negative_seed_option_exits_2(tmp_path):
 
 def test_each_command_writes_exactly_its_files(tmp_path):
     # on the README instance, into an empty --out, each command writes every file of its
-    # WRITTEN_FILES entry, the files main removes first
+    # COMMANDS entry, the files main removes first
     cfg_path = write_config(tmp_path, readme_instance())
-    for command, names in WRITTEN_FILES.items():
+    for command, (_, _, names) in COMMANDS.items():
         out = tmp_path / command
         argv = [command, "--config", cfg_path, "--out", str(out)]
         assert main(argv + (["--data", str(tmp_path / "solve-ap")]
@@ -669,7 +677,7 @@ def test_each_command_writes_exactly_its_files(tmp_path):
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
-@pytest.mark.parametrize("command", sorted(WRITTEN_FILES))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_unusable_out_exits_2(tmp_path, capsys, command, under):
     # an --out that is a file, or a path under one, used to end in a traceback from mkdir
     afile = tmp_path / "afile"
@@ -860,6 +868,45 @@ def test_cmd_simulate_ball_exit(tmp_path):
                      "--out", str(tmp_path / "o")])
     assert code == 3
     assert "status=error kind=numerical" in buf.getvalue()
+
+
+def test_cmd_simulate_ball_exit_in_flight(tmp_path, capsys):
+    # an unstable first mode (l = pi, a offset 2.5) carries the README's u0 out of the ball
+    # between two nodes; the status line gives the exit time in full, the reason with %g
+    text = readme_instance().replace("l = 1.0", "l = %r" % np.pi)
+    text = text.replace("offset = 0.5", "offset = 2.5")
+    argv = ["simulate", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    stdout, err = capsys.readouterr()
+    assert err == ""
+    match = re.fullmatch(r"status=error kind=numerical time=(\S+) "
+                         r"reason='left admissible ball at t = (\S+)'", stdout.splitlines()[-1])
+    assert match and "%g" % float(match[1]) == match[2]
+    assert 0.0 < float(match[1]) < 6.0
+
+
+def test_solve_ap_without_contraction_exits_3(tmp_path, capsys, monkeypatch):
+    # S pushed by 1e-4 2^k along mode 1 at its k-th application: its steps grow, and after
+    # five steps that do not decrease outer_solve gives up
+    maps = []
+    poincare_map = solver.poincare_map
+
+    def pushed(*args, **kwargs):
+        y, traj, info = poincare_map(*args, **kwargs)
+        values = y.values.copy()
+        values[:, 0] += 1e-4 * 2.0 ** len(maps)
+        maps.append(y)
+        return solver.APSequencePoint(window=y.window, values=values), traj, info
+
+    monkeypatch.setattr(solver, "poincare_map", pushed)
+    out = tmp_path / "o"
+    assert main(["solve-ap", "--config", write_config(tmp_path), "--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout.splitlines()[-1].startswith(
+        "status=error kind=numerical reason='no contraction: reduce N1 or check dichotomy")
+    assert err == ""
+    assert len(maps) == 7
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("length", ["0.5", "0.45", "0.3"])

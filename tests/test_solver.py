@@ -332,7 +332,7 @@ def test_measure_lipschitz_matches_per_pair_loop(name):
 
 def test_fits_batch_green_factor_and_forcing_calls(monkeypatch):
     calls = {"green": 0, "forcing": 0}
-    green, forcing = evolution._green_factor, ImpulseSystemSpec.forcing
+    green, forcing = evolution._green_factor, ImpulseSystemSpec.f
 
     def counted_green(*args, **kwargs):
         calls["green"] += 1
@@ -343,7 +343,7 @@ def test_fits_batch_green_factor_and_forcing_calls(monkeypatch):
         return forcing(self, t, x)
 
     monkeypatch.setattr(evolution, "_green_factor", counted_green)
-    monkeypatch.setattr(ImpulseSystemSpec, "forcing", counted_forcing)
+    monkeypatch.setattr(ImpulseSystemSpec, "f", counted_forcing)
     system = readme_like()
     fit_dichotomy(system.lap, system.coeff, rng=np.random.default_rng(62))
     assert calls == {"green": 1, "forcing": 0}
