@@ -219,10 +219,7 @@ def cmd_solve_ap(cfg, out: Path, seed: int, args) -> None:
     ap_report = certify_almost_periodicity(system, res, cfg.eps_list)
 
     # the writes follow the last step that can raise: a failed run writes nothing
-    y = res.y_star
-    write_table(
-        out / "ystar.txt", np.arange(y.window[0], y.window[1] + 1), y.values
-    )
+    write_table(out / "ystar.txt", res.surfaces, res.y_star)
     write_trajectory(out, res.trajectory, lap, alpha)
     write_record(out / "contraction.txt", rec)
     write_record(out / "ap_report.txt", ap_report)

@@ -34,7 +34,6 @@ from .impulsive import BallExitError, ImpulseSystemSpec, _phi_weights
 from .trajectory import HitRecord, PiecewiseTrajectory, Segment
 
 __all__ = [
-    "APSequencePoint",
     "SolverConfig",
     "ConvergenceError",
     "SurfaceWindowError",
@@ -72,39 +71,9 @@ class SolverConfig:
     max_outer: int = 80
 
 
-@dataclass(frozen=True)
-class APSequencePoint:
-    """Windowed almost periodic sequence of spectral vectors y_j."""
-
-    window: tuple  # (j_min, j_max), inclusive
-    values: np.ndarray  # shape (J, N)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape[0] != self.window[1] - self.window[0] + 1:
-            raise ValueError("value count does not match the index window")
-        object.__setattr__(self, "values", vals)
-
-    @staticmethod
-    def zero(window, n_modes) -> "APSequencePoint":
-        j = window[1] - window[0] + 1
-        return APSequencePoint(window=tuple(window), values=np.zeros((j, n_modes)))
-
-    def dist(self, other: "APSequencePoint", lap, alpha) -> float:
-        """sup_j |y_j - z_j|_alpha over the common window."""
-        if self.window != other.window:
-            raise ValueError("sequence windows differ")
-        return float(np.max(lap.frac_norm(self.values - other.values, alpha)))
-
-
 # ---------------------------------------------------------------------------
 # inner iteration machinery
 # ---------------------------------------------------------------------------
-
-
-def frozen_times(system: ImpulseSystemSpec, y: APSequencePoint) -> np.ndarray:
-    """tau~_j = tau_j(y_j) for every surface index in the sequence window."""
-    return system.tau(np.arange(y.window[0], y.window[1] + 1), y.values)
 
 
 # Largest cumulative |z| inside one scan block: e^500 and e^-500 stay finite.
@@ -298,18 +267,21 @@ def buffer_length(system, dich: DichotomyData, cfg: SolverConfig) -> float:
 def inner_solve(
     system: ImpulseSystemSpec,
     dich: DichotomyData,
-    y: APSequencePoint,
+    surfaces: np.ndarray,
+    y: np.ndarray,
     window,
     cfg: SolverConfig = SolverConfig(),
     warm: WarmStart | None = None,
 ):
-    """Picard iteration for u*(., y) at frozen impulse times.
+    """Picard iteration for u*(., y) at the frozen impulse times tau_j(y_j).
 
-    The iteration starts from ``warm``, the previous solve's table, when one
-    is given (and frees that table), else from u = 0.  Returns (trajectory,
-    info).  The trajectory spans the extended window (reporting window plus
-    buffers); ``info``, also its ``meta``, holds the buffer, the iteration
-    count, the increment history, the frozen times and the cuts with their
+    ``y`` is a (J, N) array with one pre-jump state row per entry of the
+    surface index array ``surfaces``.  The iteration starts from ``warm``,
+    the previous solve's table, when one is given (and frees that table),
+    else from u = 0.  Returns (trajectory, info).  The trajectory spans the
+    extended window (reporting window plus buffers); ``info``, also its
+    ``meta``, holds the buffer, the iteration count, the increment history,
+    the frozen times ``taus`` (one per row of y) and the cuts with their
     surface indices.
     Raises BallExitError when an iterate leaves U^alpha_rho and
     ConvergenceError when max_inner is hit.
@@ -319,11 +291,10 @@ def inner_solve(
     t_lo, t_hi = float(window[0]) - buf, float(window[1]) + buf
 
     # frozen times increase with j for y in the ball, so the cuts come sorted
-    taus = frozen_times(system, y)
+    taus = system.tau(surfaces, y)
     inside = (t_lo < taus) & (taus < t_hi)
-    cuts = taus[inside]
-    surfaces = np.flatnonzero(inside) + y.window[0]
-    jumps = system.g(surfaces, y.values[inside])
+    cuts, surfaces = taus[inside], surfaces[inside]
+    jumps = system.g(surfaces, y[inside])
     t, joins = _piece_nodes(np.concatenate(([t_lo], cuts, [t_hi])), cfg.h_t)
     # seed before the step factors are built, so they can reuse the old table's memory
     states = None if warm is None else _warm_states(warm, t, joins, cuts, surfaces, jumps)
@@ -352,7 +323,7 @@ def inner_solve(
         "buffer": buf,
         "iterations": len(increments),
         "increments": increments,
-        "frozen_times": taus,
+        "taus": taus,
         "cuts": cuts,
         "cut_surfaces": surfaces,
     }
@@ -403,24 +374,26 @@ def integral_residual(
 def poincare_map(
     system: ImpulseSystemSpec,
     dich: DichotomyData,
-    y: APSequencePoint,
+    surfaces: np.ndarray,
+    y: np.ndarray,
     window,
     cfg: SolverConfig = SolverConfig(),
     warm: WarmStart | None = None,
 ):
     """S(y)_j = u*(tau_j(y_j), y), sampled left-continuously; ``warm`` seeds the inner solve.
 
+    ``y`` and S(y) have one row per entry of ``surfaces``, as in ``inner_solve``.
     Each value is a node row that ``inner_solve`` checked against the ball: the
     pre-jump row at a cut, or an end row for a frozen time outside the span.
     """
-    traj, info = inner_solve(system, dich, y, window, cfg, warm)
-    out = APSequencePoint(window=y.window, values=traj.eval_many(info["frozen_times"]))
-    return out, traj, info
+    traj, info = inner_solve(system, dich, surfaces, y, window, cfg, warm)
+    return traj.eval_many(info["taus"]), traj, info
 
 
 @dataclass
 class OuterResult:
-    y_star: APSequencePoint
+    surfaces: np.ndarray  # the surface indices strictly inside the reporting window
+    y_star: np.ndarray  # (J, N): the pre-jump state of each of those surfaces
     trajectory: PiecewiseTrajectory
     steps: list
     meta: dict = field(default_factory=dict)
@@ -442,33 +415,33 @@ def outer_solve(
 
     The iteration runs over every surface whose base moment falls within one
     buffer length of the reporting window (so the reported interior does not
-    feel the lattice truncation); the returned y* covers only the surfaces
-    strictly inside the window.
+    feel the lattice truncation); the returned y* has the rows of the
+    surfaces strictly inside the window only.
     """
     lap, alpha = system.lap, system.alpha
     buf = buffer_length(system, dich, cfg)
-    idx, bt = system.indices, system.base_times
-    dyn = idx[(bt > window[0] - buf) & (bt < window[1] + buf)]
+    w0, w1 = window
+    bt = system.base_times
+    near = (bt > w0 - buf) & (bt < w1 + buf)
+    dyn = system.indices[near]
     if dyn.size == 0:
         raise SurfaceWindowError("no surfaces near the reporting window")
-    surface_window = (int(dyn[0]), int(dyn[-1]))
-    inside = idx[(bt > window[0]) & (bt < window[1])]
-    if inside.size == 0:
+    inside = ((bt > w0) & (bt < w1))[near]  # the report rows of y
+    if not np.any(inside):
         raise SurfaceWindowError("no surfaces inside the reporting window")
-    report_window = (int(inside[0]), int(inside[-1]))
 
-    y = APSequencePoint.zero(surface_window, lap.n_modes)
+    y = np.zeros((dyn.size, lap.n_modes))
     steps, iterations, increments = [], [], []
     warm, bad = None, 0
     for _ in range(cfg.max_outer):
         # the previous (M, N) node table lives on in warm only, which the next
         # inner solve empties once it has seeded from it
         traj = info = None
-        y_new, traj, info = poincare_map(system, dich, y, window, cfg, warm)
+        y_new, traj, info = poincare_map(system, dich, dyn, y, window, cfg, warm)
         warm = WarmStart(traj.nodes, info["cuts"], info["cut_surfaces"])
         iterations.append(info["iterations"])
         increments.append(info["increments"])
-        step = y_new.dist(y, lap, alpha)
+        step = float(np.max(lap.frac_norm(y_new - y, alpha)))
         steps.append(step)
         if len(steps) >= 2 and steps[-1] >= steps[-2] and steps[-1] >= cfg.outer_tol:
             bad += 1
@@ -487,11 +460,8 @@ def outer_solve(
 
     # assemble hit records on the interior and certify hit-time consistency;
     # y, the last map's output, is u* at the frozen times: the pre-jump states
-    taus = info["frozen_times"]
-    report_js = np.arange(report_window[0], report_window[1] + 1)
-    report = slice(report_window[0] - surface_window[0], report_window[1] - surface_window[0] + 1)
-    report_taus = taus[report]
-    pres = y.values[report]
+    taus = info["taus"]
+    report_js, report_taus, pres = dyn[inside], taus[inside], y[inside]
     posts = pres + system.g(report_js, pres)
     traj.hits = [
         HitRecord(time=t, surface=j, pre=pre, post=post)
@@ -514,8 +484,7 @@ def outer_solve(
     mask = nearest_distance(nodes.t, np.sort(taus)) >= system.theta / 4.0
     for gamma in (alpha, 0.9):
         meta["sup_norm_%g" % gamma] = float(np.max(lap.frac_norm(nodes.states[mask], gamma)))
-    y_report = APSequencePoint(window=report_window, values=pres)
-    return OuterResult(y_star=y_report, trajectory=traj, steps=steps, meta=meta)
+    return OuterResult(surfaces=report_js, y_star=pres, trajectory=traj, steps=steps, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +618,8 @@ def certify_almost_periodicity(system: ImpulseSystemSpec, result: OuterResult, e
     by two buffer lengths at each end.
     """
     traj = result.trajectory
-    y = result.y_star
     return almost_periodicity_report(
-        y.values, y.window[0], np.sort(traj.hit_times()), traj.eval_many,
+        result.y_star, int(result.surfaces[0]), np.sort(traj.hit_times()), traj.eval_many,
         (traj.t_start, traj.t_end), _AP_CROP_BUFFERS * result.meta["buffer"], eps_list,
         system.lap.frac_weights(system.alpha),
     )

@@ -25,7 +25,6 @@ from implab.impulsive import (
     step_segment,
 )
 from implab.solver import (
-    APSequencePoint,
     SolverConfig,
     integral_residual,
     measure_lipschitz,
@@ -127,12 +126,11 @@ def test_criterion_2_linear_oracle_equivalence():
                        window=(0, 6), slopes=TrigSum(0.0), jumps=JumpSpec(d=d),
                        f_override=profile)
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(211))
-    y = APSequencePoint.zero((0, 6), N)
     cfg = SolverConfig(h_t=0.002)
     from implab.solver import inner_solve
 
-    traj, info = inner_solve(sys0, dich, y, (0.0, 6.0), cfg)
-    jumps = [(float(t), d) for t in info["frozen_times"]]
+    traj, info = inner_solve(sys0, dich, np.arange(7), np.zeros((7, N)), (0.0, 6.0), cfg)
+    jumps = [(float(t), d) for t in info["taus"]]
     ref = bounded_solution(sys0.lap, sys0.coeff, dich, profile, jumps,
                            window=(0.0, 6.0), h_t=0.002)
     probe = np.linspace(0.05, 5.95, 41)
@@ -318,15 +316,19 @@ def test_criterion_5_contraction():
           "inner ratio %g > K N1 bound %g" % (max(ratios, default=np.inf), bound))
 
     # measured S-map contraction over 20 probe pairs
-    y = APSequencePoint.zero((0, 8), N)
+    js, y = np.arange(9), np.zeros((9, N))
+
+    def dist(a, b):
+        return float(np.max(sys0.lap.frac_norm(a - b, ALPHA)))
+
     for _ in range(40):
-        y_new, _, _ = poincare_map(sys0, dich, y, (0.0, 6.0), cfg)
-        step = y_new.dist(y, sys0.lap, ALPHA)
+        y_new, _, _ = poincare_map(sys0, dich, js, y, (0.0, 6.0), cfg)
+        step = dist(y_new, y)
         y = y_new
         if step < 1e-10:
             break
-    s_y, _, _ = poincare_map(sys0, dich, y, (0.0, 6.0), cfg)
-    defect = s_y.dist(y, sys0.lap, ALPHA)
+    s_y, _, _ = poincare_map(sys0, dich, js, y, (0.0, 6.0), cfg)
+    defect = dist(s_y, y)
     check(failures, defect < 1e-8, "|S(y*) - y*| = %g >= 1e-8" % defect)
 
     rng = np.random.default_rng(244)
@@ -335,11 +337,10 @@ def test_criterion_5_contraction():
     for _ in range(20):
         p1 = rng.standard_normal((9, N)) / w * 0.05
         p2 = p1 + rng.standard_normal((9, N)) / w * 0.02
-        ya = APSequencePoint(window=(0, 8), values=y.values + p1)
-        yb = APSequencePoint(window=(0, 8), values=y.values + p2)
-        sa, _, _ = poincare_map(sys0, dich, ya, (0.0, 6.0), cfg)
-        sb, _, _ = poincare_map(sys0, dich, yb, (0.0, 6.0), cfg)
-        worst_ratio = max(worst_ratio, sa.dist(sb, sys0.lap, ALPHA) / ya.dist(yb, sys0.lap, ALPHA))
+        ya, yb = y + p1, y + p2
+        sa, _, _ = poincare_map(sys0, dich, js, ya, (0.0, 6.0), cfg)
+        sb, _, _ = poincare_map(sys0, dich, js, yb, (0.0, 6.0), cfg)
+        worst_ratio = max(worst_ratio, dist(sa, sb) / dist(ya, yb))
     check(failures, worst_ratio < 1.0, "S-map ratio %g >= 1" % worst_ratio)
 
     resid = integral_residual(sys0, dich, res.trajectory, (2.5, 3.0, 3.5))
@@ -360,7 +361,7 @@ def test_criterion_6_degenerate_and_reduction():
     dich_z = fit_dichotomy(sys_z.lap, sys_z.coeff, rng=np.random.default_rng(251))
     res_z = outer_solve(sys_z, dich_z, (0.0, 6.0), cfg=SolverConfig(h_t=0.005))
     states = res_z.trajectory.nodes.states
-    check(failures, np.max(np.abs(res_z.y_star.values)) == 0.0, "zero data: y* != 0")
+    check(failures, np.max(np.abs(res_z.y_star)) == 0.0, "zero data: y* != 0")
     check(failures, np.max(np.abs(states)) == 0.0, "zero data: u* != 0")
 
     # fully periodic data (common time period 2, q = 4 surfaces per period)
@@ -376,7 +377,7 @@ def test_criterion_6_degenerate_and_reduction():
                         jumps=jumps_p)
     dich_p = fit_dichotomy(sys_p.lap, sys_p.coeff, rng=np.random.default_rng(252))
     res_p = outer_solve(sys_p, dich_p, (2.0, 10.0), cfg=SolverConfig(h_t=0.005))
-    yv = res_p.y_star.values
+    yv = res_p.y_star
     check(failures, np.max(np.abs(yv)) > 1e-4, "periodic y* trivially small")
     shift_dev = np.max(np.abs(yv[q:] - yv[:-q]))
     check(failures, shift_dev < 1e-7, "periodic reduction defect %g >= 1e-7" % shift_dev)
@@ -393,8 +394,8 @@ def test_criterion_6_degenerate_and_reduction():
     gaps = []
     for win in ((2.0, 26.0), (2.0, 50.0)):
         res_q = outer_solve(sys_q, dich_q, win, cfg=cfg_q)
-        n = res_q.y_star.values.shape[0]
-        rep = eps_almost_periods(res_q.y_star.values, 1e-2, (-(n // 3), n // 3), weights=w)
+        n = res_q.y_star.shape[0]
+        rep = eps_almost_periods(res_q.y_star, 1e-2, (-(n // 3), n // 3), weights=w)
         max_gap = float(np.max(np.diff(rep))) if len(rep) >= 2 else None
         check(failures, max_gap is not None and np.isfinite(max_gap),
               "no finite max gap on window %s" % (win,))
@@ -426,7 +427,7 @@ def test_criterion_7_nonnegativity():
                         slopes=TrigSum(-0.2), jumps=rank1_jumps(N, "relu", 0.02, 0.0))
     res0 = outer_solve(sys_0, dich, (0.5, 12.5), cfg=SolverConfig(h_t=0.005))
     states0 = res0.trajectory.nodes.states
-    check(failures, np.max(np.abs(res0.y_star.values)) == 0.0, "d=0: y* != 0")
+    check(failures, np.max(np.abs(res0.y_star)) == 0.0, "d=0: y* != 0")
     check(failures, np.max(np.abs(states0)) == 0.0, "d=0: u* != 0")
     finish(7, "non-negativity and zero-offset degeneration", failures)
 

@@ -485,6 +485,8 @@ DAMAGED_DATA = {
         ("solve-ap", "h_t = 0.005", "h_t = 0.005\nmax_outer = 0", None),
         ("solve-ap", "eps = 1e-2", "eps = 1e-2 0", None),
         ("solve-ap", "eps = 1e-2", "eps =", None),
+        ("solve-ap", "eps = 1e-2", "eps = 1e-2 1.000001e-2", None),
+        ("solve-ap", "eps = 1e-2", "eps = 1e-2 0.01", None),
         ("analyze-ap", "[analysis]", "[overrides]\nanalysis_h_t = 0\n\n[analysis]", None),
         ("analyze-ap", "[analysis]", "[overrides]\nanalysis_crop = -1\n\n[analysis]", None),
         ("simulate", "h_t = 0.005", "h_t = 0.005\nseg_tl = 1e-12", None),
@@ -553,7 +555,8 @@ DAMAGED_DATA = {
          "simulate-empty-range", "simulate-reversed-range", "simulate-three-values",
          "simulate-zero-event-tol", "simulate-negative-seg-tol", "solve-ap-infinite-h_t", "solve-ap-huge-h_t",
          "solve-ap-negative-buffer", "solve-ap-zero-max_inner", "solve-ap-zero-max_outer",
-         "solve-ap-zero-eps", "solve-ap-no-eps", "analyze-ap-zero-h_t", "analyze-ap-negative-crop",
+         "solve-ap-zero-eps", "solve-ap-no-eps", "solve-ap-eps-alike-in-g-form",
+         "solve-ap-repeated-eps", "analyze-ap-zero-h_t", "analyze-ap-negative-crop",
          "simulate-unknown-key", "constants-unknown-section", "constants-malformed-n_modes",
          "constants-nan-a-offset", "constants-inf-b-offset",
          "constants-nan-term", "certify-inf-amp", "constants-nan-kernel", "constants-nan-rho",
@@ -585,7 +588,9 @@ def test_rejected_input_exits_2_with_status_line(tmp_path, command, old, new, da
     # certify needs a sample, simulate a range t0 < t_end; a step or tolerance
     # must be finite and > 0 (event_tol = 0 used to bisect forever), h_t below
     # theta (1e308 used to give status=ok), and so must every eps (one at
-    # least); the iteration caps are >= 1 and the analysis crop >= 0; a misspelt key or
+    # least), the eps values distinct in %g form (1e-2 and 1.000001e-2 used to
+    # write one set of eps_0.01_* lines, the second's); the iteration caps are
+    # >= 1 and the analysis crop >= 0; a misspelt key or
     # section is not dropped, and a value that does not parse is malformed;
     # every float the file gives must be finite (an
     # infinite t_range used to run simulate until it was killed), and so must
@@ -744,20 +749,28 @@ def test_simulate_without_hits_deletes_an_earlier_hit_log(tmp_path):
     assert sorted(path.name for path in out.iterdir()) == ["simulate.txt", "trajectory.npy"]
 
 
-@pytest.mark.parametrize("command, key, value",
-                         [("solve-ap", "h_t", "0.005\nmax_outer = 1"), ("certify", "d", "1e308")],
-                         ids=["solve-ap-max_outer", "certify-huge-d"])
-def test_failed_run_leaves_no_file_of_an_earlier_run(tmp_path, capsys, command, key, value):
+@pytest.mark.parametrize(
+    "command, key, value, reason",
+    [("solve-ap", "h_t", "0.005\nmax_outer = 1", "outer iteration did not converge; "),
+     ("certify", "d", "1e308", "surface 0 certificate theta_check = -inf is not finite'"),
+     ("solve-ap", "d", "0.6",
+      "ball violation: hypotheses fail (inner iterate |u|_alpha = 1.88514)'")],
+    ids=["solve-ap-max_outer", "certify-huge-d", "solve-ap-inner-ball-exit"])
+def test_failed_run_leaves_no_file_of_an_earlier_run(tmp_path, capsys, command, key, value,
+                                                     reason):
     # a second run into one --out exits 3: the first run's files used to stay, so analyze-ap
-    # ended status=ok on the first y*, and certificates.txt still read all_pass true
+    # ended status=ok on the first y*, and certificates.txt still read all_pass true.  A jump
+    # offset of 0.6 drives a Picard iterate of the inner solve out of the ball
     out = tmp_path / "out"
     first = readme_instance()
     second = re.sub(r"^%s = .*$" % key, "%s = %s" % (key, value), first, flags=re.M)
     for text, code in ((first, 0), (second, 3)):
         assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == code
     assert list(out.iterdir()) == []
+    stdout, err = capsys.readouterr()
+    assert stdout.splitlines()[-1].startswith("status=error kind=numerical reason='" + reason)
+    assert err == ""
     if command == "solve-ap":
-        capsys.readouterr()
         assert main(["analyze-ap", "--config", write_config(tmp_path, first),
                      "--out", str(tmp_path / "analysis"), "--data", str(out)]) == 2
         last = capsys.readouterr().out.splitlines()[-1]
@@ -893,10 +906,10 @@ def test_solve_ap_without_contraction_exits_3(tmp_path, capsys, monkeypatch):
 
     def pushed(*args, **kwargs):
         y, traj, info = poincare_map(*args, **kwargs)
-        values = y.values.copy()
-        values[:, 0] += 1e-4 * 2.0 ** len(maps)
+        pushed_y = y.copy()
+        pushed_y[:, 0] += 1e-4 * 2.0 ** len(maps)
         maps.append(y)
-        return solver.APSequencePoint(window=y.window, values=values), traj, info
+        return pushed_y, traj, info
 
     monkeypatch.setattr(solver, "poincare_map", pushed)
     out = tmp_path / "o"

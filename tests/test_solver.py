@@ -11,7 +11,6 @@ from implab.evolution import fit_dichotomy, k_bundle
 from implab import evolution
 from implab.impulsive import ImpulseSystemSpec, JumpSpec, _phi_weights
 from implab.solver import (
-    APSequencePoint,
     SolverConfig,
     WarmStart,
     _build_inner_grid,
@@ -19,7 +18,6 @@ from implab.solver import (
     _recursion_pass,
     _warm_states,
     certify_almost_periodicity,
-    frozen_times,
     inner_solve,
     integral_residual,
     measure_lipschitz,
@@ -146,8 +144,7 @@ def test_recursion_scan_matches_node_loop(name):
 def test_inner_solve_zero_data():
     sys0 = make_system(window=(0, 8))
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(40))
-    y = APSequencePoint.zero((0, 8), 8)
-    traj, info = inner_solve(sys0, dich, y, (0.0, 8.0), CFG)
+    traj, info = inner_solve(sys0, dich, np.arange(9), np.zeros((9, 8)), (0.0, 8.0), CFG)
     assert info["iterations"] <= 2
     states = traj.nodes.states
     assert np.max(np.abs(states)) == 0.0
@@ -167,11 +164,10 @@ def test_inner_solve_matches_bounded_solution():
 
     sys0 = make_system(jumps=JumpSpec(d=d), f_override=profile, window=(0, 6))
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(41))
-    y = APSequencePoint.zero((0, 6), n)
     cfg = SolverConfig(h_t=0.002)
-    traj, info = inner_solve(sys0, dich, y, (0.0, 6.0), cfg)
+    traj, info = inner_solve(sys0, dich, np.arange(7), np.zeros((7, n)), (0.0, 6.0), cfg)
 
-    jumps = [(float(t), d) for t in info["frozen_times"]]
+    jumps = [(float(t), d) for t in info["taus"]]
     ref = bounded_solution(sys0.lap, sys0.coeff, dich, profile, jumps,
                            window=(0.0, 6.0), h_t=0.002)
     probe = np.linspace(0.05, 5.95, 41)
@@ -197,12 +193,11 @@ def test_inner_solve_unstable_mode_closed_form():
                        jumps=JumpSpec(d=d))
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(42))
     assert dich.has_unstable
-    y = APSequencePoint.zero((0, 2), n)
-    traj, info = inner_solve(sys0, dich, y, (0.0, 6.0), CFG)
+    traj, info = inner_solve(sys0, dich, np.arange(3), np.zeros((3, n)), (0.0, 6.0), CFG)
     mu1 = sys0.lap.eigenvalues[0] - 11.0  # < 0
     # bounded branch: u_1(t) = -sum_{tau >= t} e^{-mu1 (t - tau)} d_1
     for t in (0.5, 2.0, 4.0):
-        ref = -sum(0.05 * np.exp(-mu1 * (t - tau)) for tau in info["frozen_times"]
+        ref = -sum(0.05 * np.exp(-mu1 * (t - tau)) for tau in info["taus"]
                    if tau >= t)
         assert abs(traj.eval(t)[0] - ref) < 1e-7
 
@@ -216,9 +211,8 @@ def test_integral_residual_small():
     sys0 = make_system(b=TrigSum(0.1, ((0.05, np.sqrt(2.0), 0.0),)),
                        jumps=jumps, window=(0, 6))
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(43))
-    y = APSequencePoint.zero((0, 6), n)
     cfg = SolverConfig(h_t=0.002)
-    traj, info = inner_solve(sys0, dich, y, (0.0, 6.0), cfg)
+    traj, info = inner_solve(sys0, dich, np.arange(7), np.zeros((7, n)), (0.0, 6.0), cfg)
     res = integral_residual(sys0, dich, traj, times=(1.5, 3.5, 5.5))
     assert res < 1e-6
 
@@ -229,16 +223,15 @@ def test_poincare_zero_map():
     rng = np.random.default_rng(45)
     w = sys0.lap.frac_weights(0.5)
     vals = rng.standard_normal((9, 8)) / w * 0.1
-    y = APSequencePoint(window=(0, 8), values=vals)
-    s_y, _, _ = poincare_map(sys0, dich, y, (0.0, 8.0), CFG)
-    assert np.max(np.abs(s_y.values)) == 0.0  # f == 0 and g == 0
+    s_y, _, _ = poincare_map(sys0, dich, np.arange(9), vals, (0.0, 8.0), CFG)
+    assert np.max(np.abs(s_y)) == 0.0  # f == 0 and g == 0
 
 
 def test_outer_solve_zero_data():
     sys0 = make_system(window=(0, 6))
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(46))
     res = outer_solve(sys0, dich, (0.0, 6.0), cfg=CFG)
-    assert np.max(np.abs(res.y_star.values)) == 0.0
+    assert np.max(np.abs(res.y_star)) == 0.0
     states = res.trajectory.nodes.states
     assert np.max(np.abs(states)) == 0.0
 
@@ -267,7 +260,7 @@ def test_outer_solve_periodic_reduction():
     sys0 = periodic_system(q=q)
     dich = fit_dichotomy(sys0.lap, sys0.coeff, rng=np.random.default_rng(47))
     res = outer_solve(sys0, dich, (2.0, 10.0), cfg=CFG)
-    yv = res.y_star.values
+    yv = res.y_star
     # pre-jump values are genuinely nonzero here
     assert np.max(np.abs(yv)) > 1e-4
     shift_dev = np.max(np.abs(yv[q:] - yv[:-q]))
@@ -458,7 +451,7 @@ def test_warm_start_agrees_with_cold_start_in_fewer_iterates(monkeypatch, name):
     cold = outer_solve_cold(monkeypatch, system, dich, (0.5, 12.5))
     tol = 10.0 * (CFG.outer_tol + CFG.inner_tol)
     assert len(warm.steps) == len(cold.steps)
-    assert np.max(np.abs(warm.y_star.values - cold.y_star.values)) <= tol
+    assert np.max(np.abs(warm.y_star - cold.y_star)) <= tol
     assert np.max(np.abs(warm.trajectory.hit_times() - cold.trajectory.hit_times())) <= tol
     if name == "moving":
         assert sum(warm.meta["inner_iterations"]) <= 0.65 * sum(cold.meta["inner_iterations"])
@@ -535,7 +528,7 @@ def test_integral_residual_counts_the_jumps_of_the_buffer_surfaces():
     assert dich.has_unstable
     res = outer_solve(sys0, dich, (20.5, 40.5), cfg=CFG)
     cut_surfaces = res.trajectory.meta["cut_surfaces"]
-    assert cut_surfaces[-1] > res.y_star.window[1]
+    assert cut_surfaces[-1] > res.surfaces[-1]
     residual = integral_residual(sys0, dich, res.trajectory, np.linspace(27.2, 40.3, 3))
     # without the buffer surfaces' jumps it reads 3.5e-2, against sup |u*|_alpha = 5.1e-2
     assert residual < 1e-4
@@ -554,33 +547,23 @@ def test_certify_almost_periodicity_periodic():
     assert record["eps_0.0001_wexler_deviation"] < 1e-4
 
 
-def test_sequence_point_validation():
-    with pytest.raises(ValueError):
-        APSequencePoint(window=(0, 3), values=np.zeros((3, 5)))
-    y = APSequencePoint.zero((0, 3), 5)
-    z = APSequencePoint(window=(0, 3), values=np.ones((4, 5)))
-    from implab.spectral import DirichletLaplacian
-
-    lap = DirichletLaplacian(n_modes=5)
-    assert y.dist(z, lap, 0.0) == pytest.approx(np.sqrt(5.0))
-
-
 @pytest.mark.parametrize("window", [(7, 142), (0, 150)])
-def test_frozen_times_bit_equal_to_per_surface_loop(window):
-    """One expression over the surfaces' arrays, against tau_j(y_j) one j at a time."""
+def test_tau_of_a_sequence_bit_equal_to_per_surface_loop(window):
+    """tau over an index array and its state rows, against tau_j(y_j) one j at a time."""
     sys0 = moving_like()
     n = sys0.lap.n_modes
     rng = np.random.default_rng(45)
     count = window[1] - window[0] + 1
     x = rng.standard_normal((count, n)) / sys0.lap.frac_weights(sys0.alpha)
     x *= rng.uniform(0.0, sys0.rho, (count, 1)) / sys0.lap.frac_norm(x, sys0.alpha)[:, None]
-    y = APSequencePoint(window=window, values=x)
-    ref = np.array([sys0.tau(j, x[j - window[0]]) for j in range(window[0], window[1] + 1)])
-    assert frozen_times(sys0, y).tobytes() == ref.tobytes()
+    js = np.arange(window[0], window[1] + 1)
+    ref = np.array([sys0.tau(j, x[j - window[0]]) for j in js.tolist()])
+    assert sys0.tau(js, x).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("window", [(-1, 5), (140, 151)])
-def test_frozen_times_reject_a_window_outside_the_surfaces(window):
+def test_tau_of_a_sequence_rejects_a_window_outside_the_surfaces(window):
     sys0 = moving_like()
+    js = np.arange(window[0], window[1] + 1)
     with pytest.raises(ValueError, match="surface window"):
-        frozen_times(sys0, APSequencePoint.zero(window, sys0.lap.n_modes))
+        sys0.tau(js, np.zeros((js.size, sys0.lap.n_modes)))
